@@ -363,14 +363,14 @@ class ClosureScheduling(Rule):
     PR 1's kernel rewrite converted every scheduling call site to
     ``sim.schedule(delay, bound_method, *args)`` — one closure allocation
     per event was the single largest cost in the event storm.  New lambdas
-    (or nested defs) passed to ``schedule``/``schedule_at``/``every`` put
+    (or nested defs) passed to ``schedule``/``schedule_at``/``wait`` put
     that allocation back, silently.
     """
 
     id = "RP004"
     title = "closure-capturing callback passed to the scheduler"
 
-    SCHEDULING_CALLS = {"schedule", "schedule_at", "every", "wait"}
+    SCHEDULING_CALLS = {"schedule", "schedule_at", "wait"}
 
     def check(self, module: Module) -> Iterator[Finding]:
         if not module.in_module("repro"):

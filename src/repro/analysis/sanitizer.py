@@ -42,9 +42,9 @@ Causally-ordered events are exempt: when event *A* (or code it calls)
 schedules event *B* into the *same* cycle, the kernel appends *B* behind
 *A* and their relative order is forced by the causal chain — a
 request-issue event conflicting with its own zero-latency grant is
-synchronization, not a race.  The sanitized drain reports each event's
-same-cycle parent (the event that inserted it) and the hazard reduction
-skips ancestor-descendant pairs.
+synchronization, not a race.  The kernel's observed drain reports each
+event's same-cycle parent (the event that inserted it) and the hazard
+reduction skips ancestor-descendant pairs.
 
 Known-benign last-writer-wins state (e.g. ``SystemStats.active``, the
 multi-tenant attribution pointer, documented as "components set it, they
@@ -147,7 +147,7 @@ class Hazard:
 
 
 class AccessRecorder:
-    """Per-:class:`Simulator` access tracker driven by the sanitized drain.
+    """Per-:class:`Simulator` access tracker: a kernel drain observer.
 
     The kernel calls :meth:`before_event` / :meth:`after_event` around
     every callback and :meth:`end_cycle` once per drained timestamp; the
@@ -207,7 +207,7 @@ class AccessRecorder:
         self._owner = owner
         self._snapshot = dict(_observable(owner)) if owner is not None else {}
 
-    def after_event(self) -> None:
+    def after_event(self, callback: Any) -> None:
         self.events_observed += 1
         owner = self._owner
         if owner is None:

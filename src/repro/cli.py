@@ -7,7 +7,7 @@
     python -m repro run table1
     python -m repro run fig22 --arg combos=ts.air
     python -m repro run fig10 --arg primitive=lock --plot
-    python -m repro run fig12 --jobs 4       # parallel sweep + result cache
+    python -m repro run fig12 --workers 4    # parallel sweep + result cache
     python -m repro run ext_rwlock --plot    # extension experiments
     python -m repro sweep --mechanisms syncron,hier --apps bfs.wk,cc.sl \
         --vary link_latency=1,4,16           # ad-hoc scenario matrices
@@ -23,14 +23,13 @@ Each ``run`` target calls the corresponding function in
 :mod:`repro.harness.experiments` / :mod:`repro.harness.motivation` /
 :mod:`repro.harness.ablations` and prints its rows as a text table;
 ``--plot`` adds a terminal chart in the figure's shape.  ``--workers N``
-(alias ``--jobs``) drains the figure's simulations through N pull-based
-worker processes; results land in a content-addressed store under
+drains the figure's simulations through N pull-based worker processes; results land in a content-addressed store under
 ``$REPRO_CACHE_DIR`` (default ``.repro-cache/``) so re-runs only simulate
 misses (``--no-cache`` disables that, ``--store shared:PATH --worker-id X``
 lets independent invocations on one shared volume cooperate with
 exactly-once execution).  ``sweep`` composes scenario matrices no figure
 hard-codes: any workload set x mechanisms x swept SystemConfig fields;
-``cache`` inspects and maintains the store (stats/verify/gc/migrate).
+``cache`` inspects and maintains the store (stats/verify/gc).
 """
 
 from __future__ import annotations
@@ -566,17 +565,8 @@ def cmd_cache(args) -> int:
             report = store.stats()
         elif args.action == "verify":
             report = store.verify()
-        elif args.action == "gc":
+        else:
             report = store.gc()
-        elif args.action == "migrate":
-            # opening the store already ingested a results.jsonl sitting in
-            # its own directory; --source ingests an arbitrary legacy file.
-            ingested = store.migrated
-            if args.source:
-                ingested += store.ingest_jsonl(args.source,
-                                               rename=not args.keep_source)
-            report = {"backend": store.scheme, "ingested": ingested,
-                      "entries": len(store)}
     except StoreError as exc:
         print(f"cache: {exc}", file=sys.stderr)
         return 2
@@ -790,10 +780,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("list", help="list reproducible tables/figures")
 
     def add_runner_flags(cmd):
-        cmd.add_argument("--workers", "--jobs", dest="workers", type=int,
-                         default=1, metavar="N",
+        cmd.add_argument("--workers", type=int, default=1, metavar="N",
                          help="pull-based worker processes draining the sweep "
-                              "(default 1; --jobs is the legacy alias)")
+                              "(default 1)")
         cmd.add_argument("--no-cache", action="store_true",
                          help="ignore and don't write the on-disk result store")
         cmd.add_argument("--cache-dir", default=None, metavar="DIR",
@@ -935,21 +924,16 @@ def build_parser() -> argparse.ArgumentParser:
         help="inspect/maintain the content-addressed result store",
     )
     cache.add_argument("action",
-                       choices=("stats", "verify", "gc", "migrate"),
+                       choices=("stats", "verify", "gc"),
                        help="stats: entries/bytes/shards; verify: re-hash "
                             "entries and quarantine corruption; gc: drop "
                             "stale-version entries, dead leases, abandoned "
-                            "temp files; migrate: ingest a legacy "
-                            "results.jsonl")
+                            "temp files")
     cache.add_argument("--store", default=None, metavar="URL",
                        help="store url (default dir:<cache-dir>)")
     cache.add_argument("--cache-dir", default=None, metavar="DIR",
                        help="store directory (default $REPRO_CACHE_DIR or "
                             ".repro-cache)")
-    cache.add_argument("--source", default=None, metavar="JSONL",
-                       help="migrate: an explicit legacy results.jsonl path")
-    cache.add_argument("--keep-source", action="store_true",
-                       help="migrate: don't rename the ingested file")
     cache.add_argument("--json", action="store_true",
                        help="machine-readable output")
 

@@ -10,7 +10,7 @@ reproduction target.
 Each figure is now a *sweep declaration*: it builds a list of
 :class:`~repro.harness.specs.RunSpec` and feeds
 :func:`~repro.harness.runner.run_sweep`, which deduplicates, consults the
-result cache, and fans misses out across ``--jobs`` worker processes.  Row
+result cache, and fans misses out across ``--workers`` processes.  Row
 assembly happens afterwards from the returned metrics, so parallel and
 serial execution produce bit-identical rows.
 """

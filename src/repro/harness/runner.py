@@ -95,11 +95,6 @@ class ExecutionOptions:
     #: process-local sanitizer session).
     sanitize: bool = False
 
-    # Back-compat alias: PR-2 called worker processes "jobs".
-    @property
-    def jobs(self) -> int:
-        return self.workers
-
     def resolved_cache_dir(self) -> Path:
         return Path(
             self.cache_dir
@@ -117,18 +112,15 @@ _OPTION_FIELDS = ("workers", "cache", "cache_dir", "store", "worker_id",
                   "lease_ttl", "sampling", "telemetry", "sanitize")
 
 
-def set_execution_options(jobs: Optional[int] = None,
+def set_execution_options(workers: Optional[int] = None,
                           cache: Optional[bool] = None,
                           cache_dir: Optional[str] = None,
                           store: Optional[str] = None,
                           worker_id: Optional[str] = None,
                           lease_ttl: Optional[float] = None,
-                          workers: Optional[int] = None,
                           sampling: Optional[float] = None,
                           telemetry: Optional[str] = None,
                           sanitize: Optional[bool] = None) -> None:
-    if workers is None:
-        workers = jobs
     if workers is not None:
         if workers < 1:
             raise ValueError("workers must be >= 1")
@@ -164,21 +156,21 @@ def get_execution_options() -> ExecutionOptions:
 
 
 @contextlib.contextmanager
-def execution_options(jobs: Optional[int] = None, cache: Optional[bool] = None,
+def execution_options(workers: Optional[int] = None,
+                      cache: Optional[bool] = None,
                       cache_dir: Optional[str] = None,
                       store: Optional[str] = None,
                       worker_id: Optional[str] = None,
                       lease_ttl: Optional[float] = None,
-                      workers: Optional[int] = None,
                       sampling: Optional[float] = None,
                       telemetry: Optional[str] = None,
                       sanitize: Optional[bool] = None):
     """Temporarily override the active execution policy."""
     previous = replace(_OPTIONS)
     try:
-        set_execution_options(jobs=jobs, cache=cache, cache_dir=cache_dir,
-                              store=store, worker_id=worker_id,
-                              lease_ttl=lease_ttl, workers=workers,
+        set_execution_options(workers=workers, cache=cache,
+                              cache_dir=cache_dir, store=store,
+                              worker_id=worker_id, lease_ttl=lease_ttl,
                               sampling=sampling, telemetry=telemetry,
                               sanitize=sanitize)
         yield _OPTIONS
@@ -428,22 +420,18 @@ def _drain_parallel(store: ResultStore, work: Dict[str, RunSpec],
 # ----------------------------------------------------------------------
 # Sweep execution
 # ----------------------------------------------------------------------
-def run_specs(specs: Sequence[RunSpec], jobs: Optional[int] = None,
+def run_specs(specs: Sequence[RunSpec], workers: Optional[int] = None,
               cache: Optional[bool] = None,
               cache_dir: Optional[str] = None,
               store: Optional[str] = None,
-              workers: Optional[int] = None,
               worker_id: Optional[str] = None,
               lease_ttl: Optional[float] = None) -> List[RunResult]:
     """Execute specs (deduplicated) and return results in spec order.
 
     All knobs default to the active :class:`ExecutionOptions` (library
-    default: one worker, no cache).  ``jobs`` is the PR-2 alias for
-    ``workers``.
+    default: one worker, no cache).
     """
     options = get_execution_options()
-    if workers is None:
-        workers = jobs
     workers = options.workers if workers is None else workers
     use_cache = options.cache if cache is None else cache
     worker_id = options.worker_id if worker_id is None else (worker_id or None)
@@ -599,15 +587,14 @@ def probe_specs(specs: Sequence[RunSpec], cache: Optional[bool] = None,
     return statuses
 
 
-def run_sweep(sweep: SweepSpec, jobs: Optional[int] = None,
+def run_sweep(sweep: SweepSpec, workers: Optional[int] = None,
               cache: Optional[bool] = None,
               cache_dir: Optional[str] = None,
               store: Optional[str] = None,
-              workers: Optional[int] = None,
               worker_id: Optional[str] = None,
               lease_ttl: Optional[float] = None) -> List[RunResult]:
     """Execute a named sweep; results align with ``sweep.runs`` order."""
     STATS.sweeps.append(sweep.name)
-    return run_specs(sweep.runs, jobs=jobs, cache=cache, cache_dir=cache_dir,
-                     store=store, workers=workers, worker_id=worker_id,
+    return run_specs(sweep.runs, workers=workers, cache=cache,
+                     cache_dir=cache_dir, store=store, worker_id=worker_id,
                      lease_ttl=lease_ttl)

@@ -4,7 +4,7 @@ A :class:`RunSpec` is a frozen, hashable, picklable description of ONE
 simulation: which workload to build (by registry key + plain-data kwargs),
 which mechanism to run it under, which :class:`~repro.sim.config.SystemConfig`
 preset + overrides to use, and an optional seed.  Because a spec contains
-only plain data it can cross process boundaries (``--jobs N``) and be hashed
+only plain data it can cross process boundaries (``--workers N``) and be hashed
 into a stable cache key, so a figure re-run only simulates cache misses.
 
 A :class:`SweepSpec` is a named tuple of runs; :meth:`SweepSpec.matrix`

@@ -25,11 +25,6 @@ the winner — any mismatch raises :class:`StoreIntegrityError`, because two
 byte-different results for one spec hash means the simulator broke its
 determinism contract.
 
-A store opened on a directory containing the legacy PR-2 ``results.jsonl``
-ingests every valid record into the sharded layout transparently and
-renames the file to ``results.jsonl.migrated`` (``repro cache migrate``
-does the same explicitly and reports counts).
-
 Work distribution uses the sibling :class:`LeaseBoard`: a claim /
 lease-expiry / complete protocol on lease files next to the objects, so N
 worker processes (or hosts) can drain one sweep matrix cooperatively with
@@ -51,7 +46,6 @@ from typing import Dict, Iterator, List, Optional, Tuple, Union
 from repro.harness.specs import CACHE_FORMAT_VERSION
 from repro.telemetry import get_telemetry
 
-LEGACY_FILENAME = "results.jsonl"
 OBJECTS_DIR = "objects"
 QUARANTINE_DIR = "quarantine"
 LEASES_DIR = "leases"
@@ -260,15 +254,11 @@ class ShardedDirStore(ResultStore):
     #: .tmp files older than this are presumed abandoned (gc removes them).
     TMP_MAX_AGE_SECONDS = 300.0
 
-    def __init__(self, root: Union[str, Path], migrate_legacy: bool = True):
+    def __init__(self, root: Union[str, Path]):
         self.root = Path(root)
         self._memo: Dict[str, Dict] = {}
         self.quarantined = 0      # this process, lifetime
-        self.migrated = 0
         self.verified_duplicates = 0
-        if migrate_legacy:
-            self.migrated = self.ingest_jsonl(self.root / LEGACY_FILENAME,
-                                              rename=True, missing_ok=True)
 
     # -- paths ---------------------------------------------------------
     def _objects(self) -> Path:
@@ -458,8 +448,7 @@ class ShardedDirStore(ResultStore):
         return {"backend": self.scheme, "root": str(self.root),
                 "entries": entries, "stale": stale, "corrupt": corrupt,
                 "bytes": total_bytes, "shards": len(shards),
-                "quarantined": quarantined, "leases": board.active(),
-                "migrated_legacy": self.migrated}
+                "quarantined": quarantined, "leases": board.active()}
 
     def verify(self) -> Dict:
         """Re-hash every entry; quarantine anything that fails."""
@@ -520,47 +509,6 @@ class ShardedDirStore(ResultStore):
         leases_removed = LeaseBoard(self.root).sweep()
         return {"stale_removed": stale_removed, "tmp_removed": tmp_removed,
                 "leases_removed": leases_removed}
-
-    # -- legacy migration ----------------------------------------------
-    def ingest_jsonl(self, path: Union[str, Path], rename: bool = False,
-                     missing_ok: bool = False) -> int:
-        """Ingest a PR-2 append-only ``results.jsonl`` into the sharded
-        layout (valid current-version lines only; the rest is exactly the
-        damage this store exists to contain).  With ``rename`` the source
-        is atomically renamed to ``<name>.migrated`` afterwards, so the
-        migration happens once even with concurrent openers."""
-        path = Path(path)
-        try:
-            lines = path.read_text(encoding="utf-8").splitlines()
-        except FileNotFoundError:
-            if missing_ok:
-                return 0
-            raise StoreError(f"no legacy result file at {path}")
-        ingested = 0
-        for line in lines:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                continue
-            if record_status(record) != "ok":
-                continue
-            key = record["key"]
-            try:
-                check_key(key)
-            except StoreError:
-                continue
-            if self.get(key) is None:
-                self.put(key, record)
-                ingested += 1
-        if rename:
-            try:
-                os.replace(path, path.with_name(path.name + ".migrated"))
-            except FileNotFoundError:
-                pass  # concurrent opener already renamed it
-        return ingested
 
 
 class SharedVolumeStore(ShardedDirStore):
@@ -886,8 +834,7 @@ STORE_BACKENDS: Dict[str, type] = {
 
 
 def open_store(url: Optional[str] = None,
-               directory: Union[str, Path, None] = None,
-               migrate_legacy: bool = True) -> ResultStore:
+               directory: Union[str, Path, None] = None) -> ResultStore:
     """Open a result store from a spec string.
 
     ``url`` forms: ``memory:``, ``dir:PATH``, ``shared:PATH``, or a bare
@@ -897,7 +844,7 @@ def open_store(url: Optional[str] = None,
     if not url:
         if directory is None:
             raise StoreError("open_store needs a url or a directory")
-        return ShardedDirStore(directory, migrate_legacy=migrate_legacy)
+        return ShardedDirStore(directory)
     scheme, sep, rest = url.partition(":")
     if scheme not in STORE_BACKENDS:
         if sep:
@@ -912,4 +859,4 @@ def open_store(url: Optional[str] = None,
     target = rest or directory
     if not target:
         raise StoreError(f"store url {url!r} needs a path, e.g. {scheme}:PATH")
-    return cls(target, migrate_legacy=migrate_legacy)
+    return cls(target)

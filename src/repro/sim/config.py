@@ -245,10 +245,10 @@ class SystemConfig:
     # --- spin-wait baselines (remote atomics / bakery, Sec. 2.2.1) ------
     #: cycles a spinning core waits between failed retries.
     spin_backoff_cycles: int = 32
-    #: elide spin-wait poll chains and tagged periodic timers in the event
-    #: kernel (wake times computed arithmetically; bit-identical simulated
-    #: cycles/energy/traffic to ``False``, which materializes every poll as
-    #: an event — kept as a switch for the determinism diff and debugging).
+    #: elide spin-wait poll chains in the event kernel (wake times computed
+    #: arithmetically; bit-identical simulated cycles/energy/traffic to
+    #: ``False``, which materializes every poll as an event — kept as a
+    #: switch for the determinism diff and debugging).
     elide_waits: bool = True
 
     # --- server-core cost model (Central/Hier baselines) ----------------

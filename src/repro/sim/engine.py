@@ -62,13 +62,18 @@ event volume.  Comparing the two modes is the determinism check: cycles,
 energy, and every traffic counter must match bit-for-bit; only
 ``events_processed`` (burn events) and ``elided_events`` differ.
 
-:meth:`Simulator.every` registers periodic timers.  A timer constructed
-with a ``skip_hook`` is *elidable*: in eliding mode it never enters the
-bucket queue at all — ``run`` fast-forwards the clock straight between real
-events and accounts each skipped stretch of ticks with one
-``skip_hook(count)`` call (quiescent fast-forward).  The hook must be the
-analytic equivalent of ``count`` callback invocations and must not
-schedule events.
+Observers
+---------
+
+``run`` has exactly two drain loops.  The fast path drains everything with
+no per-event hooks.  The bounded drain handles ``until``/``max_events`` and
+calls a plain list of observers: ``before_event(callback, origin)`` and
+``after_event(callback)`` around every callback, ``end_cycle(time)`` once
+per drained timestamp.  ``origin`` is the index (within the timestamp) of
+the event that scheduled this one into the same cycle, or None when it was
+scheduled from an earlier cycle.  :class:`KernelProfile` and the
+sanitizer's ``AccessRecorder`` are the observers; observing never changes
+simulated state.
 """
 
 from __future__ import annotations
@@ -127,7 +132,8 @@ class KernelProfile:
     stay bit-identical with profiling on or off.
     """
 
-    __slots__ = ("sample_every", "wall_seconds", "samples", "_bucket_cache")
+    __slots__ = ("sample_every", "wall_seconds", "samples", "_bucket_cache",
+                 "_countdown")
 
     def __init__(self, sample_every: int = 64):
         if sample_every < 1:
@@ -138,6 +144,20 @@ class KernelProfile:
         self.samples: Dict[str, int] = {}
         #: owner class (or bare function) -> bucket, to skip string work.
         self._bucket_cache: Dict[Any, str] = {}
+        self._countdown = sample_every
+
+    # -- kernel observer hooks -------------------------------------------
+    def before_event(self, callback, origin: Optional[int]) -> None:
+        pass
+
+    def after_event(self, callback) -> None:
+        self._countdown -= 1
+        if self._countdown <= 0:
+            self._countdown = self.sample_every
+            self.sample(callback)
+
+    def end_cycle(self, time: int) -> None:
+        pass
 
     def sample(self, callback) -> None:
         obj = getattr(callback, "__self__", None)
@@ -296,23 +316,6 @@ class WaitChannel:
         return count
 
 
-class PeriodicTimer:
-    """A recurring tick registered with :meth:`Simulator.every`."""
-
-    __slots__ = ("period", "callback", "skip_hook", "next_due", "cancelled")
-
-    def __init__(self, period: int, callback: Callable[[], None],
-                 skip_hook: Optional[Callable[[int], None]], next_due: int):
-        self.period = period
-        self.callback = callback
-        self.skip_hook = skip_hook
-        self.next_due = next_due
-        self.cancelled = False
-
-    def cancel(self) -> None:
-        self.cancelled = True
-
-
 class Simulator:
     """An event-driven simulator with an integer cycle clock.
 
@@ -325,9 +328,8 @@ class Simulator:
     """
 
     __slots__ = ("now", "_times", "_buckets", "_events_processed",
-                 "_running", "_validate", "_elide", "_waiting",
-                 "elided_events", "_timers", "profile", "wake_log",
-                 "sanitizer")
+                 "_validate", "_elide", "_waiting", "elided_events",
+                 "profile", "wake_log", "sanitizer", "_observers")
 
     def __init__(self, validate: Optional[bool] = None,
                  elide_waits: bool = True) -> None:
@@ -337,19 +339,16 @@ class Simulator:
         #: timestamp -> flat event list [cb, args, cb, args, ...].
         self._buckets: Dict[int, list] = {}
         self._events_processed: int = 0
-        self._running: bool = False
         self._validate: bool = (
             _default_validate() if validate is None else validate
         )
-        #: elide wait-channel poll chains and tagged timer ticks (see the
-        #: module docstring); False materializes them as burn events.
+        #: elide wait-channel poll chains (see the module docstring);
+        #: False materializes them as burn events.
         self._elide: bool = elide_waits
         #: waiters currently parked across all channels (diagnostics).
         self._waiting: int = 0
         #: events the kernel accounted for without materializing them.
         self.elided_events: int = 0
-        #: elidable periodic timers serviced by the timer-aware drain.
-        self._timers: List[PeriodicTimer] = []
         #: wall-clock profile (None = off; see :meth:`enable_profile`).
         self.profile: Optional[KernelProfile] = None
         #: wake-event log (None = off; see :meth:`record_wakes`).
@@ -357,6 +356,8 @@ class Simulator:
         #: runtime determinism sanitizer (None = off; see
         #: :meth:`enable_sanitizer`).
         self.sanitizer = None
+        #: before_event/after_event/end_cycle hooks of the bounded drain.
+        self._observers: list = []
 
     @property
     def elide_waits(self) -> bool:
@@ -373,12 +374,13 @@ class Simulator:
     def enable_profile(self, sample_every: int = 64) -> KernelProfile:
         """Turn on the wall-clock profile for subsequent :meth:`run` calls.
 
-        Routes draining through an instrumented loop that measures wall
+        Routes draining through the observed drain, which measures wall
         time and samples callback attribution; simulated results are
         unchanged.  Idempotent: re-enabling keeps the existing profile.
         """
         if self.profile is None:
             self.profile = KernelProfile(sample_every)
+            self._observers.append(self.profile)
         return self.profile
 
     def record_wakes(self) -> List[Tuple[int, str, int, int, int, int]]:
@@ -397,15 +399,13 @@ class Simulator:
     def enable_sanitizer(self, recorder=None):
         """Turn on the runtime determinism sanitizer for this simulator.
 
-        Routes draining through a wrapped loop that snapshots every event
-        callback's owner around execution and reduces each cycle's access
-        map to same-cycle ordering hazards (see
+        Routes draining through the observed drain, whose recorder
+        snapshots every event callback's owner around execution and reduces
+        each cycle's access map to same-cycle ordering hazards (see
         :mod:`repro.analysis.sanitizer`).  Observational only — simulated
         results are unchanged — but costs a few times wall clock, hence
         opt-in (``repro run ... --sanitize``).  Idempotent; returns the
-        active recorder.  When both the sanitizer and the profile are
-        enabled the sanitized drain wins and profile samples are not
-        collected.
+        active recorder.
         """
         if self.sanitizer is None:
             if recorder is None:
@@ -420,66 +420,15 @@ class Simulator:
                 recorder = (session.recorder() if session is not None
                             else AccessRecorder())
             self.sanitizer = recorder
+            self._observers.append(recorder)
         return self.sanitizer
 
     # ------------------------------------------------------------------
-    # Wait-channels and periodic timers
+    # Wait-channels
     # ------------------------------------------------------------------
     def channel(self, name: str = "") -> WaitChannel:
         """A fresh condition object components can block on."""
         return WaitChannel(self, name)
-
-    def every(self, period: int, callback: Callable[[], None], *,
-              skip_hook: Optional[Callable[[int], None]] = None) -> PeriodicTimer:
-        """Register a periodic tick firing every ``period`` cycles.
-
-        Without ``skip_hook`` the ticks are ordinary events: ``callback()``
-        fires each period until :meth:`PeriodicTimer.cancel` — note the
-        chain keeps the queue non-empty, so drive it with ``run(until=...)``
-        or cancel it from an event.
-
-        With ``skip_hook`` the timer is *elidable*: under ``elide_waits``
-        the ticks never enter the queue — ``run`` fast-forwards over them
-        and calls ``skip_hook(count)`` once per skipped stretch, which must
-        account exactly what ``count`` callback invocations would have
-        (and must not schedule events).  Elidable timers do not keep an
-        otherwise-empty simulation alive.  Without ``elide_waits`` the
-        chain is materialized and ``callback`` fires per tick as usual.
-        """
-        if period < 1:
-            raise SimulationError(f"timer period must be >= 1, got {period}")
-        timer = PeriodicTimer(period, callback, skip_hook, self.now + period)
-        if skip_hook is not None and self._elide:
-            self._timers.append(timer)
-        else:
-            self.schedule_at(timer.next_due, self._timer_tick, timer)
-        return timer
-
-    def _timer_tick(self, timer: PeriodicTimer) -> None:
-        """One materialized tick of a non-elided periodic timer."""
-        if timer.cancelled:
-            return
-        timer.callback()
-        if timer.cancelled:
-            return
-        timer.next_due += timer.period
-        self.schedule_at(timer.next_due, self._timer_tick, timer)
-
-    def _skip_due_ticks(self, t: int) -> None:
-        """Account every elidable tick due at or before ``t`` analytically."""
-        pruned = False
-        for timer in self._timers:
-            if timer.cancelled:
-                pruned = True
-                continue
-            due = timer.next_due
-            if due <= t:
-                count = (t - due) // timer.period + 1
-                timer.next_due = due + count * timer.period
-                self.elided_events += count
-                timer.skip_hook(count)
-        if pruned:
-            self._timers = [x for x in self._timers if not x.cancelled]
 
     # ------------------------------------------------------------------
     # Scheduling
@@ -553,198 +502,62 @@ class Simulator:
                 exactly ``until`` still execute).
             max_events: safety valve against livelock; raises if exceeded.
         """
-        if self.sanitizer is not None:
-            # Sanitized drain: identical semantics, plus before/after
-            # snapshots around every callback and a per-timestamp hazard
-            # reduction.  Kept out of the fast path so normal runs pay
-            # nothing.
-            self._running = True
-            try:
-                self._drain_sanitized(until, max_events)
-            finally:
-                self._running = False
-            return
-        if self.profile is not None or self.wake_log is not None:
-            # Observability drain: identical semantics, plus wall-clock
-            # measurement / per-bucket counter commits.  Kept out of the
-            # fast path so unprofiled runs pay nothing.
-            self._running = True
+        if (self._observers or self.wake_log is not None
+                or until is not None or max_events is not None):
             t0 = perf_counter()
             try:
-                self._drain_instrumented(until, max_events)
+                self._drain(until, max_events)
             finally:
                 if self.profile is not None:
                     self.profile.wall_seconds += perf_counter() - t0
-                self._running = False
             return
+        # Fast path: drain everything.  One clock store and one bucket
+        # teardown per distinct timestamp.  The bucket may grow while
+        # draining (same-cycle scheduling): the list iterator picks appended
+        # pairs up in insertion order, and zip-ing an iterator with itself
+        # walks (callback, args) pairs at C speed.
         times = self._times
         buckets = self._buckets
         pop = heappop
-        self._running = True
-        processed = 0
-        try:
-            if until is None and max_events is None and not self._timers:
-                # Fast path: drain everything.  One clock store and one
-                # bucket teardown per distinct timestamp.  The bucket may
-                # grow while draining (same-cycle scheduling): the list
-                # iterator picks appended pairs up in insertion order, and
-                # zip-ing an iterator with itself walks (callback, args)
-                # pairs at C speed.
-                while times:
-                    if self._timers:
-                        # An elidable timer appeared mid-run; hand the
-                        # remainder to the timer-aware drain.
-                        self._drain_slow(None, None)
-                        return
-                    time = pop(times)
-                    self.now = time
-                    bucket = buckets[time]
-                    count = 0
-                    it = iter(bucket)
-                    try:
-                        for callback, args in zip(it, it):
-                            count += 1
-                            callback(*args)
-                    except BaseException:
-                        # Park the un-executed remainder so a caller that
-                        # catches and resumes cannot re-fire executed events.
-                        self._park(time, bucket, count * 2)
-                        processed += count
-                        raise
-                    del buckets[time]
-                    processed += count
-            else:
-                self._drain_slow(until, max_events)
-        finally:
-            self._running = False
-            self._events_processed += processed
-
-    def _drain_slow(self, until: Optional[int], max_events: Optional[int]) -> None:
-        """The bounded / timer-aware drain loop.
-
-        Handles ``until``/``max_events`` and quiescent fast-forward over
-        elidable periodic timers.  The clock always reaches ``until`` when
-        one is given — whether the queue empties before it or its head is
-        past it (events at exactly ``until`` still execute).
-        """
-        times = self._times
-        buckets = self._buckets
-        pop = heappop
-        bound = _INFINITY if until is None else until
-        limit = _INFINITY if max_events is None else max_events
         processed = 0
         try:
             while times:
-                time = times[0]
-                if time > bound:
-                    break
-                if self._timers:
-                    # Quiescent fast-forward: account every elidable tick
-                    # in the stretch up to the next real event, then jump.
-                    self._skip_due_ticks(time)
-                pop(times)
+                time = pop(times)
                 self.now = time
                 bucket = buckets[time]
                 count = 0
                 it = iter(bucket)
                 try:
                     for callback, args in zip(it, it):
-                        if processed >= limit:
-                            raise SimulationError(
-                                f"exceeded max_events={max_events} at "
-                                f"t={self.now}; likely livelock in a "
-                                "component model"
-                            )
                         count += 1
                         callback(*args)
-                        processed += 1
                 except BaseException:
+                    # Park the un-executed remainder so a caller that
+                    # catches and resumes cannot re-fire executed events.
                     self._park(time, bucket, count * 2)
+                    processed += count
                     raise
                 del buckets[time]
-            if until is not None:
-                # Queue drained or its head is past the bound: the clock
-                # still advances to ``until`` in both cases.
-                if self._timers:
-                    self._skip_due_ticks(until)
-                if until > self.now:
-                    self.now = until
+                processed += count
         finally:
             self._events_processed += processed
 
-    def _drain_instrumented(self, until: Optional[int],
-                            max_events: Optional[int]) -> None:
-        """:meth:`_drain_slow` with observability hooks.
+    def _drain(self, until: Optional[int], max_events: Optional[int]) -> None:
+        """The bounded, observed drain loop.
 
-        Two differences, neither visible to simulated state: every
-        ``profile.sample_every``-th callback is classified into an
-        attribution bucket, and ``_events_processed`` is committed per
-        timestamp (instead of once at exit) so that in-run observers —
-        :meth:`WaitChannel.signal` writing the wake log — see live counts.
+        Handles ``until``/``max_events`` and calls every observer's hooks
+        (see the module docstring).  ``_events_processed`` is committed per
+        timestamp so in-run readers — :meth:`WaitChannel.signal` writing the
+        wake log — see live counts.  A callback that raises counts as
+        processed and is parked out of the queue with everything before it,
+        so resuming never re-fires it.  The clock always reaches ``until``
+        when one is given — whether the queue empties before it or its head
+        is past it (events at exactly ``until`` still execute).
         """
         times = self._times
         buckets = self._buckets
         pop = heappop
-        bound = _INFINITY if until is None else until
-        limit = _INFINITY if max_events is None else max_events
-        profile = self.profile
-        stride = profile.sample_every if profile is not None else 0
-        countdown = stride
-        processed = 0
-        while times:
-            time = times[0]
-            if time > bound:
-                break
-            if self._timers:
-                self._skip_due_ticks(time)
-            pop(times)
-            self.now = time
-            bucket = buckets[time]
-            count = 0
-            it = iter(bucket)
-            try:
-                for callback, args in zip(it, it):
-                    if processed >= limit:
-                        raise SimulationError(
-                            f"exceeded max_events={max_events} at "
-                            f"t={self.now}; likely livelock in a "
-                            "component model"
-                        )
-                    count += 1
-                    callback(*args)
-                    processed += 1
-                    if profile is not None:
-                        countdown -= 1
-                        if countdown <= 0:
-                            countdown = stride
-                            profile.sample(callback)
-            except BaseException:
-                self._park(time, bucket, count * 2)
-                self._events_processed += count
-                raise
-            del buckets[time]
-            self._events_processed += count
-        if until is not None:
-            if self._timers:
-                self._skip_due_ticks(until)
-            if until > self.now:
-                self.now = until
-
-    def _drain_sanitized(self, until: Optional[int],
-                         max_events: Optional[int]) -> None:
-        """:meth:`_drain_slow` with determinism-sanitizer hooks.
-
-        Every callback is bracketed by ``recorder.before_event`` /
-        ``after_event`` (owner snapshot diffing) and every drained
-        timestamp ends with ``recorder.end_cycle`` (hazard reduction).
-        Simulated state is untouched; ``_events_processed`` is committed
-        per timestamp like the instrumented drain so in-run observers see
-        live counts.
-        """
-        times = self._times
-        buckets = self._buckets
-        pop = heappop
-        recorder = self.sanitizer
+        observers = self._observers
         bound = _INFINITY if until is None else until
         limit = _INFINITY if max_events is None else max_events
         processed = 0
@@ -752,15 +565,12 @@ class Simulator:
             time = times[0]
             if time > bound:
                 break
-            if self._timers:
-                self._skip_due_ticks(time)
             pop(times)
             self.now = time
             bucket = buckets[time]
             count = 0
-            # Same-cycle causality: pairs appended while event k runs were
-            # scheduled by it (directly or transitively) — their order
-            # behind k is forced, and the recorder must not flag the pair.
+            # Same-cycle causality for observers: pairs appended while event
+            # k runs were scheduled by it (directly or transitively).
             origins: List[Optional[int]] = [None] * (len(bucket) >> 1)
             it = iter(bucket)
             try:
@@ -771,27 +581,33 @@ class Simulator:
                             f"t={self.now}; likely livelock in a "
                             "component model"
                         )
-                    recorder.before_event(callback, origins[count])
-                    callback(*args)
-                    recorder.after_event()
-                    appended = (len(bucket) >> 1) - len(origins)
-                    if appended:
-                        origins.extend([count] * appended)
                     count += 1
                     processed += 1
+                    if not observers:
+                        callback(*args)
+                        continue
+                    origin = origins[count - 1]
+                    for observer in observers:
+                        observer.before_event(callback, origin)
+                    callback(*args)
+                    for observer in observers:
+                        observer.after_event(callback)
+                    appended = (len(bucket) >> 1) - len(origins)
+                    if appended:
+                        origins.extend([count - 1] * appended)
             except BaseException:
                 self._park(time, bucket, count * 2)
-                self._events_processed += count
-                recorder.end_cycle(time)
                 raise
-            del buckets[time]
-            self._events_processed += count
-            recorder.end_cycle(time)
-        if until is not None:
-            if self._timers:
-                self._skip_due_ticks(until)
-            if until > self.now:
-                self.now = until
+            else:
+                del buckets[time]
+            finally:
+                self._events_processed += count
+                for observer in observers:
+                    observer.end_cycle(time)
+        if until is not None and until > self.now:
+            # Queue drained or its head is past the bound: the clock still
+            # advances to ``until`` in both cases.
+            self.now = until
 
     def _park(self, time: int, bucket: list, i: int) -> None:
         """Keep only the un-executed tail of a bucket (exception unwinding)."""
@@ -811,16 +627,6 @@ class Simulator:
         # Computed on demand (diagnostics/tests) so the hot paths don't pay
         # a counter update per event.
         return sum(len(bucket) for bucket in self._buckets.values()) >> 1
-
-    @property
-    def _queue(self):  # pragma: no cover - legacy introspection aid
-        """Legacy view of the pending set as (time, index, callback) tuples."""
-        entries = []
-        for time in sorted(self._buckets):
-            bucket = self._buckets[time]
-            for i in range(0, len(bucket), 2):
-                entries.append((time, i >> 1, bucket[i]))
-        return entries
 
 
 class Process:

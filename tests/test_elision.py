@@ -1,4 +1,4 @@
-"""Event-elision kernel: wait-channels, fast-forward, and sampling.
+"""Event-elision kernel: wait-channels, exception parking, and sampling.
 
 Four contracts pinned here:
 
@@ -7,7 +7,8 @@ Four contracts pinned here:
    of elided polls, in both kernel modes.
 2. Exception parking — a callback that raises mid-bucket leaves the
    un-executed tail of the queue intact; resuming ``run`` fires each
-   remaining event exactly once and never re-fires the raiser.
+   remaining event exactly once and never re-fires the raiser, in every
+   drain mode (fast, bounded, profiled, sanitized).
 3. Bit-identity — every RunMetrics counter except the reserved ``kernel.*``
    effort counters is identical with ``elide_waits`` on and off, across
    primitives, structures, topologies, mechanisms, and co-runs.
@@ -18,6 +19,7 @@ Four contracts pinned here:
 
 import pytest
 
+from repro.analysis.sanitizer import AccessRecorder
 from repro.harness.runner import (
     STATS,
     execute_spec,
@@ -116,65 +118,61 @@ def test_wait_validates_delay_and_period():
         ch.wait(lambda polls: None, 5, 0)
 
 
-def test_elidable_timer_accounts_same_ticks_as_explicit():
-    def scenario(elide):
-        sim = Simulator(elide_waits=elide)
-        ticks = [0]
-        sim.every(10, lambda: ticks.__setitem__(0, ticks[0] + 1),
-                  skip_hook=lambda n: ticks.__setitem__(0, ticks[0] + n))
-        sim.schedule(55, lambda: None)  # one real event mid-stream
-        sim.run(until=100)
-        return ticks[0], sim.now
-
-    ticks_on, now_on = scenario(True)
-    ticks_off, now_off = scenario(False)
-    assert now_on == now_off == 100
-    # Fast-forward must account exactly the ticks the explicit timer fires.
-    assert ticks_on == ticks_off > 0
-
-
 # ----------------------------------------------------------------------
 # 2. Exception parking and resume
 # ----------------------------------------------------------------------
-def _park_scenario():
+def _check_parking(mode):
+    """Raise mid-bucket, resume, and pin the parking rule in ``mode``.
+
+    ``mode`` picks the drain: ``plain`` takes the fast path, ``until``
+    bounds the run, ``profile``/``sanitizer`` add a drain observer.
+    """
     sim = Simulator()
+    if mode == "profile":
+        sim.enable_profile()
+    elif mode == "sanitizer":
+        sim.enable_sanitizer(AccessRecorder())
+    bounds = {"until": 20} if mode == "until" else {}
     fired = []
+    raised = []
 
     def ok(tag):
         fired.append((sim.now, tag))
 
     def boom():
+        raised.append(sim.now)
         raise RuntimeError("boom")
 
     sim.schedule(5, ok, "a")
     sim.schedule(5, boom)
     sim.schedule(5, ok, "b")
     sim.schedule(9, ok, "c")
-    return sim, fired
+    with pytest.raises(RuntimeError, match="boom"):
+        sim.run(**bounds)
+    # Only the event before the raiser executed; the tail survived, and the
+    # raiser itself counts as processed.
+    assert fired == [(5, "a")]
+    assert sim.pending_events == 2
+    assert sim.events_processed == 2
+    # Resume: remaining events fire exactly once, the raiser never re-fires.
+    sim.run(**bounds)
+    assert fired == [(5, "a"), (5, "b"), (9, "c")]
+    assert raised == [5]
+    assert sim.pending_events == 0
+    return sim
 
 
 def test_exception_parks_unexecuted_tail_fast_path():
-    sim, fired = _park_scenario()
-    with pytest.raises(RuntimeError, match="boom"):
-        sim.run()
-    # Only the event before the raiser executed; the tail survived.
-    assert fired == [(5, "a")]
-    assert sim.pending_events == 2
-    # Resume: remaining events fire exactly once, the raiser never re-fires.
-    sim.run()
-    assert fired == [(5, "a"), (5, "b"), (9, "c")]
-    assert sim.pending_events == 0
+    _check_parking("plain")
 
 
 def test_exception_parks_unexecuted_tail_slow_path():
-    sim, fired = _park_scenario()
-    with pytest.raises(RuntimeError, match="boom"):
-        sim.run(until=20)  # until= forces the slow drain
-    assert fired == [(5, "a")]
-    assert sim.pending_events == 2
-    sim.run(until=20)
-    assert fired == [(5, "a"), (5, "b"), (9, "c")]
-    assert sim.now == 20
+    assert _check_parking("until").now == 20
+
+
+@pytest.mark.parametrize("mode", ["profile", "sanitizer"])
+def test_exception_parks_unexecuted_tail_observed(mode):
+    _check_parking(mode)
 
 
 def test_exception_park_preserves_wait_channel_wakeups():

@@ -185,44 +185,6 @@ class TestShardedDir:
 
 
 # ----------------------------------------------------------------------
-# Legacy results.jsonl migration
-# ----------------------------------------------------------------------
-def _legacy_line(key: str, value: int) -> str:
-    return json.dumps({"version": CACHE_FORMAT_VERSION, "key": key,
-                       **_body(value)}, sort_keys=True)
-
-
-class TestLegacyMigration:
-    def test_open_ingests_and_renames(self, tmp_path):
-        legacy = tmp_path / "results.jsonl"
-        legacy.write_text(
-            _legacy_line(_key("a"), 1) + "\n"
-            + "not json\n"
-            + _legacy_line(_key("b"), 2) + "\n"
-            + json.dumps({"version": 999, "key": _key("c"), **_body(3)}) + "\n"
-        )
-        store = ShardedDirStore(tmp_path)
-        assert store.migrated == 2  # the garbage and wrong-version lines skip
-        assert store.get(_key("a"))["result"] == {"cycles": 1}
-        assert store.get(_key("b"))["result"] == {"cycles": 2}
-        assert not legacy.exists()
-        assert (tmp_path / "results.jsonl.migrated").exists()
-        # reopening is a no-op
-        assert ShardedDirStore(tmp_path).migrated == 0
-
-    def test_explicit_source_via_cli(self, tmp_path, capsys):
-        source = tmp_path / "old.jsonl"
-        source.write_text(_legacy_line(_key("a"), 5) + "\n")
-        code = main(["cache", "migrate",
-                     "--cache-dir", str(tmp_path / "store"),
-                     "--source", str(source), "--json"])
-        assert code == 0
-        report = json.loads(capsys.readouterr().out)
-        assert report["ingested"] == 1 and report["entries"] == 1
-        assert not source.exists()  # renamed .migrated
-
-
-# ----------------------------------------------------------------------
 # Lease board protocol
 # ----------------------------------------------------------------------
 class TestLeaseBoard:
@@ -289,7 +251,7 @@ class TestOpenStore:
 # Concurrent writers (satellite: no lost or torn entries)
 # ----------------------------------------------------------------------
 def _writer_proc(root, items, barrier):
-    store = SharedVolumeStore(root, migrate_legacy=False)
+    store = SharedVolumeStore(root)
     barrier.wait()
     for key, body in items:
         store.put(key, body)

@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.analysis.sanitizer import AccessRecorder
 from repro.sim.engine import Process, SimulationError, Simulator
 
 
@@ -92,6 +93,17 @@ class TestSimulator:
             sim.schedule(1, lambda: None)
         sim.run()
         assert sim.events_processed == 4
+
+    def test_profile_and_sanitizer_observe_together(self):
+        sim = Simulator()
+        profile = sim.enable_profile(sample_every=8)
+        recorder = sim.enable_sanitizer(AccessRecorder())
+        for i in range(50):
+            sim.schedule(i % 7, lambda: None)
+        sim.run()
+        assert profile.samples
+        assert profile.wall_seconds > 0
+        assert recorder.events_observed == 50
 
     @given(st.lists(st.integers(min_value=0, max_value=10_000), min_size=1,
                     max_size=50))

@@ -163,7 +163,7 @@ class TestParallelDeterminism:
         combos = ("tc.wk", "bfs.wk")
         mechanisms = ("central", "syncron")
         serial = fig12(combos=combos, mechanisms=mechanisms)
-        with execution_options(jobs=2):
+        with execution_options(workers=2):
             parallel = fig12(combos=combos, mechanisms=mechanisms)
         assert parallel == serial
 
@@ -171,8 +171,8 @@ class TestParallelDeterminism:
         specs = [
             _lock_spec(mechanism=mech) for mech in ("central", "syncron", "ideal")
         ]
-        serial = run_specs(specs, jobs=1)
-        parallel = run_specs(specs, jobs=3)
+        serial = run_specs(specs, workers=1)
+        parallel = run_specs(specs, workers=3)
         assert [m.cycles for m in parallel] == [m.cycles for m in serial]
         assert [m.mechanism for m in parallel] == ["central", "syncron", "ideal"]
 
