@@ -1,0 +1,153 @@
+"""Memory-system burst benchmark: bakery scans per access vs as one burst.
+
+Run directly::
+
+    PYTHONPATH=src python benchmarks/bench_memsys.py [--output BENCH_memsys.json]
+
+A bakery doorway or scan is a run of back-to-back uncacheable word accesses
+to one home unit.  ``MemorySystem.uncacheable_burst`` resolves the run in
+one call; ``repro.testing.per_access_burst`` issues the same accesses one
+``MemorySystem.access`` at a time.  Both sides run in this process on the
+same tree, so each ratio compares the two paths on one host and needs no
+host-speed correction.  Two measurements:
+
+1. **Scan** — 60-load scans (a 30-client bakery) from unit 0 to a local
+   and to a remote home on fresh 2-unit systems: host microseconds per
+   access on each path.
+2. **Bakery lock** — the Sec. 2.2.1 bakery lock microbenchmark on 2 units
+   x 15 clients, run end to end with the bursts and again with every burst
+   replaced by the per-access loop: host seconds on each path.
+
+Each measurement asserts that both paths give the same simulated cycles
+before it reports a speedup.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import sys
+import time
+from pathlib import Path
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
+if str(REPO_ROOT / "src") not in sys.path:
+    sys.path.insert(0, str(REPO_ROOT / "src"))
+
+from repro.sim.config import ndp_2_5d  # noqa: E402
+from repro.sim.memsys import MemorySystem  # noqa: E402
+from repro.testing import build_system, per_access_burst  # noqa: E402
+from repro.workloads.microbench import PrimitiveMicrobench  # noqa: E402
+
+#: loads per scan: 2N for the N = 30 clients of a 2-unit system.
+SCAN_LOADS = 60
+#: idle cycles between scans (a backoff).
+SCAN_GAP = 50
+
+
+def _scans(issue, home: int, scans: int) -> tuple:
+    """(host seconds, simulated cycles) of ``scans`` scans via ``issue``."""
+    system = build_system(ndp_2_5d(num_units=2), "bakery")
+    addr = system.addrmap.alloc(home, 64)
+    now = 0
+    start = time.perf_counter()
+    for _ in range(scans):
+        now += issue(system.memsys, 0, addr, now, loads=SCAN_LOADS,
+                     for_sync=True) + SCAN_GAP
+    return time.perf_counter() - start, now
+
+
+def scan_bench(scans: int = 2000, trials: int = 3) -> dict:
+    """Per-access host cost of a scan on each path, local and remote."""
+    results = {}
+    accesses = scans * SCAN_LOADS
+    for route, home in (("local", 0), ("remote", 1)):
+        best = {}
+        cycles = {}
+        for label, issue in (("per_access", per_access_burst),
+                             ("burst", MemorySystem.uncacheable_burst)):
+            runs = [_scans(issue, home, scans) for _ in range(trials)]
+            best[label] = min(seconds for seconds, _ in runs)
+            cycles[label] = runs[0][1]
+        if cycles["per_access"] != cycles["burst"]:
+            raise AssertionError(
+                f"{route} scans: burst changed the simulated time "
+                f"({cycles['burst']} vs {cycles['per_access']})")
+        results[route] = {
+            "accesses": accesses,
+            "per_access_us": 1e6 * best["per_access"] / accesses,
+            "burst_us": 1e6 * best["burst"] / accesses,
+            "speedup": best["per_access"] / best["burst"],
+            "simulated_cycles": cycles["burst"],
+        }
+    return results
+
+
+def _bakery_lock(rounds: int) -> tuple:
+    """(host seconds, simulated cycles) of one bakery lock run."""
+    system = build_system(ndp_2_5d(num_units=2), "bakery")
+    start = time.perf_counter()
+    metrics = PrimitiveMicrobench("lock", 200, rounds=rounds).run(system)
+    return time.perf_counter() - start, metrics.cycles
+
+
+def bakery_lock_bench(rounds: int = 6, trials: int = 2) -> dict:
+    """End-to-end bakery lock with bursts vs with per-access scans (best of
+    ``trials`` alternating runs each)."""
+    original = MemorySystem.uncacheable_burst
+    burst, per_access = [], []
+    for _ in range(trials):
+        burst.append(_bakery_lock(rounds))
+        MemorySystem.uncacheable_burst = per_access_burst
+        try:
+            per_access.append(_bakery_lock(rounds))
+        finally:
+            MemorySystem.uncacheable_burst = original
+    burst_seconds, burst_cycles = min(burst)
+    per_access_seconds, per_access_cycles = min(per_access)
+    if per_access_cycles != burst_cycles:
+        raise AssertionError(
+            f"bakery lock: burst changed the makespan ({burst_cycles} vs "
+            f"{per_access_cycles})")
+    return {
+        "config": f"2 units x 15 clients, bakery, lock x{rounds} "
+                  "(interval=200)",
+        "per_access_seconds": per_access_seconds,
+        "burst_seconds": burst_seconds,
+        "speedup": per_access_seconds / burst_seconds,
+        "simulated_cycles": burst_cycles,
+    }
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--output", type=Path,
+                        default=REPO_ROOT / "BENCH_memsys.json")
+    args = parser.parse_args(argv)
+
+    report = {"scan": scan_bench(), "bakery_lock": bakery_lock_bench()}
+    for route, row in report["scan"].items():
+        print(f"{route:6s} scan: {row['per_access_us']:.2f} us/access per "
+              f"access, {row['burst_us']:.2f} as a burst "
+              f"({row['speedup']:.2f}x, cycles identical)")
+    lock = report["bakery_lock"]
+    print(f"bakery lock: {lock['per_access_seconds']:.2f} s per access, "
+          f"{lock['burst_seconds']:.2f} s with bursts "
+          f"({lock['speedup']:.2f}x, {lock['simulated_cycles']:,} cycles "
+          f"either way)")
+    args.output.write_text(json.dumps(report, indent=2) + "\n")
+    print(f"wrote {args.output}")
+    return 0
+
+
+# pytest entry point (collected via python_files = bench_*.py): one cheap
+# round so CI exercises the benchmark path itself.
+def test_memsys_burst_bench_smoke():
+    scan = scan_bench(scans=50, trials=1)
+    assert scan["remote"]["simulated_cycles"] > scan["local"]["simulated_cycles"]
+    lock = bakery_lock_bench(rounds=1, trials=1)
+    assert lock["simulated_cycles"] > 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -1,12 +1,12 @@
 #!/usr/bin/env python
 """Perf-regression gate: compare fresh BENCH_*.json against committed baselines.
 
-The benchmark suite (``benchmarks/bench_kernel.py``, ``bench_sweep.py``,
-``bench_topology.py``, ``bench_corun.py``) writes machine-readable
-artifacts; this script diffs a fresh set against the committed baselines
-with per-metric tolerances and exits non-zero on regression, so CI
-catches "the kernel got 3x slower" or "warm cache re-simulates" before
-merge.
+The benchmark suite (``benchmarks/bench_kernel.py``, ``bench_memsys.py``,
+``bench_sweep.py``, ``bench_topology.py``, ``bench_corun.py``) writes
+machine-readable artifacts; this script diffs a fresh set against the
+committed baselines with per-metric tolerances and exits non-zero on
+regression, so CI catches "the kernel got 3x slower" or "warm cache
+re-simulates" before merge.
 
 Gate kinds:
 
@@ -75,6 +75,15 @@ GATES: Dict[str, List[Tuple]] = {
         ("equals", "end_to_end_spin.*.simulated_cycles", None, None),
         ("equals", "end_to_end_spin.*.critical_sections", None, None),
         ("equals", "poll_storm.*.logical_events", None, None),
+    ],
+    "BENCH_memsys.json": [
+        # A burst must stay faster than the same accesses issued one by one
+        # (both paths timed in one process, so no host-speed correction).
+        ("min_ratio", "scan.*.speedup", 0.4, None),
+        ("min_ratio", "bakery_lock.speedup", 0.4, None),
+        # Deterministic physics: identical or the memory/fabric model changed.
+        ("equals", "scan.*.simulated_cycles", None, None),
+        ("equals", "bakery_lock.simulated_cycles", None, None),
     ],
     "BENCH_sweep.json": [
         # A warm store must serve everything from cache.

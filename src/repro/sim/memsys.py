@@ -17,6 +17,8 @@ usual write-back buffer assumption.
 
 from __future__ import annotations
 
+from functools import partial
+
 from repro.sim.cache import L1Cache
 from repro.sim.config import SystemConfig
 from repro.sim.dram import DramDevice
@@ -112,6 +114,39 @@ class MemorySystem:
         latency += self.drams[home].access(addr, is_write=is_write, now=now + latency)
         latency += interconnect.transfer_latency(home, src_unit, now + latency, response)
         return latency
+
+    def uncacheable_burst(self, src_unit: int, addr: int, now: int,
+                          stores: int = 0, loads: int = 0, size: int = 8,
+                          for_sync: bool = False) -> int:
+        """Cycles of ``stores`` then ``loads`` back-to-back uncacheable
+        accesses to ``addr``, issued from ``src_unit`` starting at ``now``.
+
+        Each access issues when its predecessor completes (at least one
+        cycle later), the way an in-order core walks a scan.  Timing, DRAM
+        state and every counter are bit-identical to that many
+        :meth:`access` calls; the home unit and packet sizes are resolved
+        once per burst.
+        """
+        count = stores + loads
+        if for_sync:
+            self.stats.sync_memory_accesses += count
+            tenant = self.stats.active
+            if tenant is not None:
+                tenant.sync_memory_accesses += count
+        home = self.addrmap.unit_of(addr)
+        dram = self.drams[home].access
+        payload = size if size > 8 else 8
+        round_trips = self.interconnect.round_trips
+        cycles = 0
+        if stores:
+            cycles = round_trips(src_unit, home, now, stores,
+                                 REQUEST_BYTES + payload, REQUEST_BYTES,
+                                 partial(dram, addr, True))
+        if loads:
+            cycles += round_trips(src_unit, home, now + cycles, loads,
+                                  REQUEST_BYTES, REQUEST_BYTES + payload,
+                                  partial(dram, addr, False))
+        return cycles
 
     # ------------------------------------------------------------------
     def device_access(self, unit: int, addr: int, is_write: bool, now: int,

@@ -39,11 +39,11 @@ traversed) for per-hop link energy.
 from __future__ import annotations
 
 import math
-from typing import Dict, Optional, Set, Tuple
+from typing import Callable, Dict, Optional, Set, Tuple
 
 from repro.sim.clock import core_cycles_from_ns
 from repro.sim.config import SystemConfig
-from repro.sim.stats import SystemStats
+from repro.sim.stats import SystemStats, charge_transfers
 from repro.sim.topo import (
     Channel,
     FabricPartitionedError,
@@ -56,67 +56,40 @@ from repro.sim.topo import (
 from repro.telemetry import get_telemetry
 
 
-class LoadEstimator:
-    """Exponential moving average of injected bytes/cycle.
+class Crossbar:
+    """Buffered crossbar inside one NDP unit.
 
-    Drives the M/D/1 waiting-time term.  ``tau`` is the averaging window in
-    cycles; larger values smooth bursts.
-
-    ``math.exp`` dominates the injection cost, and the elapsed-cycle argument
-    repeats heavily (traffic is bursty, timestamps are integers), so decay
-    factors are memoized per elapsed value.  The cache is bounded; elapsed
-    intervals long enough that the decay underflows to exactly 0.0 short-cut
-    without touching ``exp`` at all.  Values are bit-identical to the
-    uncached computation, so simulated results do not change.
+    Queueing is an M/D/1 waiting time driven by an exponential moving
+    average of the injected bytes/cycle over a window of :attr:`TAU`
+    cycles (larger values smooth bursts).  ``math.exp`` would dominate the
+    injection cost, and the elapsed-cycle argument repeats heavily (traffic
+    is bursty, timestamps are integers), so decay factors are memoized per
+    elapsed value.  The memo is bounded; elapsed intervals long enough that
+    the decay underflows to exactly 0.0 short-cut without touching ``exp``.
+    Values are bit-identical to the uncached computation.
     """
 
-    __slots__ = ("tau", "_rate", "_last_time", "_decay_cache", "_dead_elapsed")
+    __slots__ = ("config", "stats", "unit_id", "_rate", "_last_time",
+                 "_decay_cache", "_bytes_per_cycle", "_base_cycles",
+                 "_hop_cycles", "_arbiter_cycles", "_local_hops")
 
+    #: load-estimate averaging window, in cycles.
+    TAU = 2000.0
+    #: exp(-elapsed / TAU) underflows to exactly 0.0 from here on
+    #: (exp(x) is 0.0 below ~ -745.2).
+    _DEAD_ELAPSED = int(746.0 * TAU) + 1
     #: memoized decay factors are kept for at most this many distinct
     #: elapsed values (plenty for any real traffic pattern).
     _CACHE_LIMIT = 1 << 16
-
-    def __init__(self, tau: float = 2000.0):
-        self.tau = tau
-        self._rate = 0.0
-        self._last_time = 0
-        self._decay_cache: Dict[int, float] = {}
-        # exp(x) underflows to exactly 0.0 below ~ -745.2.
-        self._dead_elapsed = int(746.0 * tau) + 1
-
-    def inject(self, now: int, nbytes: int) -> None:
-        elapsed = now - self._last_time
-        if elapsed < 1:
-            elapsed = 1
-        if elapsed >= self._dead_elapsed:
-            decay = 0.0
-        else:
-            cache = self._decay_cache
-            decay = cache.get(elapsed)
-            if decay is None:
-                decay = math.exp(-elapsed / self.tau)
-                if len(cache) < self._CACHE_LIMIT:
-                    cache[elapsed] = decay
-        # Spread the burst over the elapsed interval, then decay history.
-        self._rate = self._rate * decay + (nbytes / elapsed) * (1.0 - decay)
-        self._last_time = now
-
-    def rate(self) -> float:
-        return self._rate
-
-
-class Crossbar:
-    """Buffered crossbar inside one NDP unit."""
-
-    __slots__ = ("config", "stats", "unit_id", "_load", "_bytes_per_cycle",
-                 "_base_cycles", "_hop_cycles", "_arbiter_cycles",
-                 "_local_hops", "_md1_rate", "_md1_rho", "_md1_denom")
 
     def __init__(self, config: SystemConfig, stats: SystemStats, unit_id: int):
         self.config = config
         self.stats = stats
         self.unit_id = unit_id
-        self._load = LoadEstimator()
+        #: load estimate (bytes/cycle) as of the last injection.
+        self._rate = 0.0
+        self._last_time = 0
+        self._decay_cache: Dict[int, float] = {}
         # Hoisted config reads: these are dataclass attribute chains on the
         # hottest call in the interconnect.
         self._bytes_per_cycle = config.crossbar_bytes_per_cycle
@@ -124,21 +97,12 @@ class Crossbar:
         self._hop_cycles = config.hop_cycles
         self._local_hops = config.local_hops
         self._base_cycles = config.arbiter_cycles + config.local_hops * config.hop_cycles
-        # The M/D/1 utilization terms depend only on the estimator's rate.
-        # The rate moves on most injections, but under steady traffic the
-        # EMA reaches a bitwise fixed point (constant packet size/spacing),
-        # after which these memoized terms are reused; results stay
-        # bit-identical to recomputing from scratch either way.
-        self._md1_rate = -1.0
-        self._md1_rho = 0.0
-        self._md1_denom = 2.0
 
     def traverse(self, now: int, nbytes: int, hops: Optional[int] = None) -> int:
         """Latency in cycles to move ``nbytes`` across the local crossbar."""
         if hops is not None and hops < 0:
-            # reject before the load estimator / stats see the packet.
+            # reject before the load estimate / stats see the packet.
             raise ValueError(f"hop count must be non-negative, got {hops}")
-        self._load.inject(now, nbytes)
         stats = self.stats
         stats.bytes_inside_units += nbytes
         tenant = stats.active
@@ -150,36 +114,47 @@ class Crossbar:
         else:
             stats.local_bit_hops += nbytes * 8 * hops
             base = self._arbiter_cycles + hops * self._hop_cycles
-        return base + self._md1_wait(nbytes)
+        return base + self.queue_wait(now, nbytes)
 
-    def _md1_wait(self, nbytes: int) -> int:
-        """M/D/1 mean waiting time: W = rho / (2*mu*(1-rho)).
+    def queue_wait(self, now: int, nbytes: int) -> int:
+        """Inject a packet at ``now``; its M/D/1 mean waiting time in cycles.
 
-        Service time of this packet is its serialization time at the crossbar
-        bandwidth; utilization rho comes from the load estimator.  The
-        rho-only terms are recomputed only when the rate actually changed
-        (see :meth:`__init__`).
+        Timing only (no traffic counters).  The injection first updates the
+        load estimate, spreading the packet over the interval since the
+        previous one and decaying history; then W = rho / (2*mu*(1-rho)),
+        where the packet's service time is its serialization time at the
+        crossbar bandwidth and rho is the estimated utilization.
         """
+        elapsed = now - self._last_time
+        if elapsed < 1:
+            elapsed = 1
+        if elapsed >= self._DEAD_ELAPSED:
+            decay = 0.0
+        else:
+            cache = self._decay_cache
+            decay = cache.get(elapsed)
+            if decay is None:
+                decay = math.exp(-elapsed / self.TAU)
+                if len(cache) < self._CACHE_LIMIT:
+                    cache[elapsed] = decay
+        rate = self._rate * decay + (nbytes / elapsed) * (1.0 - decay)
+        self._rate = rate
+        self._last_time = now
         bpc = self._bytes_per_cycle
-        service = max(nbytes / bpc, 1.0)
-        rate = self._load._rate
-        if rate != self._md1_rate:
-            rho = min(rate / bpc, 0.95)
-            self._md1_rho = rho
-            self._md1_denom = 2.0 * (1.0 - rho)
-            self._md1_rate = rate
-        return int(self._md1_rho * service / self._md1_denom)
-
-    @property
-    def utilization(self) -> float:
-        return min(self._load.rate() / self._bytes_per_cycle, 1.0)
+        service = nbytes / bpc
+        if service < 1.0:
+            service = 1.0
+        rho = rate / bpc
+        if rho > 0.95:
+            rho = 0.95
+        return int(rho * service / (2.0 * (1.0 - rho)))
 
 
 class Link:
     """One serial physical channel of the inter-unit fabric."""
 
     __slots__ = ("config", "stats", "_next_free", "_bytes_per_cycle",
-                 "_latency_cycles")
+                 "_latency_cycles", "_serialization")
 
     def __init__(self, config: SystemConfig, stats: SystemStats,
                  bytes_per_cycle: Optional[float] = None,
@@ -198,6 +173,9 @@ class Link:
             config.link_latency_cycles if latency_cycles is None
             else latency_cycles
         )
+        #: packet size -> serialization cycles; fabrics move a handful of
+        #: distinct sizes, so each is computed once.
+        self._serialization: Dict[int, int] = {}
 
     def queue_delay(self, now: int) -> int:
         """Cycles a packet injected at ``now`` would wait behind earlier
@@ -211,8 +189,13 @@ class Link:
         The routed fabric calls this once per link on a route; traffic
         accounting happens once per transfer in :class:`Interconnect`.
         """
-        serialization = max(int(math.ceil(nbytes / self._bytes_per_cycle)), 1)
-        start = max(now, self._next_free)
+        serialization = self._serialization.get(nbytes)
+        if serialization is None:
+            serialization = max(int(math.ceil(nbytes / self._bytes_per_cycle)), 1)
+            self._serialization[nbytes] = serialization
+        start = self._next_free
+        if now > start:
+            start = now
         self._next_free = start + serialization
         return (start - now) + serialization + self._latency_cycles
 
@@ -536,3 +519,63 @@ class Interconnect:
         if src_unit == dst_unit:
             return self.local_latency(src_unit, now, nbytes)
         return self.remote_latency(src_unit, dst_unit, now, nbytes)
+
+    def round_trips(self, src_unit: int, dst_unit: int, now: int, count: int,
+                    request_bytes: int, response_bytes: int,
+                    service: Callable[[int], int]) -> int:
+        """Cycles of ``count`` back-to-back request/response exchanges.
+
+        Each exchange moves ``request_bytes`` from ``src_unit`` to
+        ``dst_unit``, spends ``service(arrival)`` cycles there and moves
+        ``response_bytes`` back; the next exchange issues when the response
+        lands (at least one cycle after its predecessor issued).  Timing is
+        bit-identical to a pair of :meth:`transfer_latency` calls around
+        ``service`` per exchange.  On a pristine single-path fabric the
+        route is resolved once and the traffic counters are charged once
+        for the whole burst.
+        """
+        if count <= 0:
+            return 0
+        cursor = now
+        local = src_unit == dst_unit
+        if not local and (self._degraded or self._adaptive):
+            # Routes may change per packet: resolve every transfer in full.
+            transfer = self.transfer_latency
+            for _ in range(count):
+                latency = transfer(src_unit, dst_unit, cursor, request_bytes)
+                latency += service(cursor + latency)
+                latency += transfer(dst_unit, src_unit, cursor + latency,
+                                    response_bytes)
+                cursor += latency if latency > 1 else 1
+            return cursor - now
+        base = self.crossbars[src_unit]._base_cycles
+        src_wait = self.crossbars[src_unit].queue_wait
+        if local:
+            out = back = ()
+            for _ in range(count):
+                t = cursor + base + src_wait(cursor, request_bytes)
+                t += service(t)
+                t += base + src_wait(t, response_bytes)
+                cursor = t if t > cursor else cursor + 1
+        else:
+            dst_base = self.crossbars[dst_unit]._base_cycles
+            dst_wait = self.crossbars[dst_unit].queue_wait
+            out = self._route(src_unit, dst_unit)
+            back = self._route(dst_unit, src_unit)
+            for _ in range(count):
+                t = cursor + base + src_wait(cursor, request_bytes)
+                for link in out:
+                    t += link.reserve(t, request_bytes)
+                t += dst_base + dst_wait(t, request_bytes)
+                t += service(t)
+                t += dst_base + dst_wait(t, response_bytes)
+                for link in back:
+                    t += link.reserve(t, response_bytes)
+                t += base + src_wait(t, response_bytes)
+                cursor = t if t > cursor else cursor + 1
+        local_hops = self.config.local_hops
+        charge_transfers(self.stats, request_bytes, count, local, local_hops,
+                         len(out))
+        charge_transfers(self.stats, response_bytes, count, local, local_hops,
+                         len(back))
+        return cursor - now

@@ -299,16 +299,18 @@ class SystemStats:
         }
 
 
-def charge_elided_transfer(stats: SystemStats, nbytes: int, count: int,
-                           local: bool, local_hops: int, link_hops: int) -> None:
-    """Traffic counters of ``count`` elided transfers of ``nbytes`` each.
+def charge_transfers(stats: SystemStats, nbytes: int, count: int,
+                     local: bool, local_hops: int, link_hops: int) -> None:
+    """Traffic counters of ``count`` transfers of ``nbytes`` each.
 
     Mirrors what one :meth:`~repro.sim.network.Interconnect.transfer_latency`
     call charges — source crossbar (+ fabric links + destination crossbar
-    when remote) — without touching any reservation/queueing state: elided
-    spin polls account their traffic and energy analytically but do not
-    contend for banks, links, or crossbar slots (see the wait-channel model
-    notes in EXPERIMENTS.md).
+    when remote) — without touching any reservation/queueing state.  Two
+    callers: :meth:`~repro.sim.network.Interconnect.round_trips` charges a
+    whole burst at once after timing each packet, and elided spin polls
+    account their traffic and energy analytically without contending for
+    banks, links, or crossbar slots (see the wait-channel model notes in
+    EXPERIMENTS.md).
     """
     tenant = stats.active
     payload = nbytes * count

@@ -21,6 +21,12 @@ every load/store is a round trip to the home unit's DRAM:
 - *one doorway scan* costs up to ``2N`` loads (``choosing[j]`` then
   ``number[j]`` per rival); a failed scan backs off and rescans.
 
+The in-order core issues each access when the previous one returns, so a
+whole ticket or scan is one
+:meth:`~repro.sim.memsys.MemorySystem.uncacheable_burst`: every access is
+still timed against the crossbars, links and DRAM banks, but the home unit
+and route are resolved once per burst instead of once per word.
+
 Ordering (who holds the lock) is tracked by ticket order, which the scans
 discover; grant timing is when the winner's first *successful* scan
 completes after the previous owner resets its number.
@@ -52,7 +58,7 @@ from repro.sim.program import (
     SEM_WAIT,
 )
 from repro.sim.memsys import REQUEST_BYTES
-from repro.sim.stats import charge_elided_transfer
+from repro.sim.stats import charge_transfers
 from repro.sim.syncif import MechanismBase, SpinWaitMixin, SyncVar, _no_waiter
 
 #: bytes of one word-grain uncacheable access (header + payload).
@@ -150,32 +156,25 @@ class BakeryMechanism(SpinWaitMixin, MechanismBase):
     # ------------------------------------------------------------------
     # Memory-access cost model
     # ------------------------------------------------------------------
-    def _access(self, core, var: SyncVar, is_write: bool, now: int) -> int:
-        """One uncacheable word access to ``var``'s home unit."""
-        return self.system.memsys.access(
-            core.unit_id, None, var.addr, is_write,
-            cacheable=False, now=now, size=8, for_sync=True,
-        )
-
     def _charge_sequence(self, core, var: SyncVar, loads: int, stores: int,
                          done: Callable[[], None]) -> None:
-        """Charge ``loads`` + ``stores`` back-to-back accesses, then call
-        ``done``.  One simulator event for the whole sequence (the in-order
+        """Charge ``stores`` then ``loads`` back-to-back uncacheable word
+        accesses to ``var``'s home unit, then call ``done``.  One memory
+        burst and one simulator event for the whole sequence (the in-order
         core cannot overlap them anyway)."""
         # Retry chains re-enter here from scheduled events, so re-establish
         # the requesting core's tenant as the attribution context.
         self.stats.active = getattr(core, "tstats", None)
-        cursor = self.sim.now
-        for _ in range(stores):
-            cursor += max(self._access(core, var, True, cursor), 1)
-        for _ in range(loads):
-            cursor += max(self._access(core, var, False, cursor), 1)
+        cycles = self.system.memsys.uncacheable_burst(
+            core.unit_id, var.addr, self.sim.now, stores=stores, loads=loads,
+            for_sync=True,
+        )
         if core.unit_id == var.unit:
             self.stats.sync_messages_local += loads + stores
         else:
             self.stats.sync_messages_global += loads + stores
-        self._seq_cycles[core.core_id] = cursor - self.sim.now
-        self.sim.schedule_at(cursor, done)
+        self._seq_cycles[core.core_id] = cycles
+        self.sim.schedule(cycles, done)
 
     def _charge_elided_loads(self, core, var: SyncVar, count: int) -> None:
         """Analytic traffic/energy of ``count`` elided uncacheable loads.
@@ -197,10 +196,10 @@ class BakeryMechanism(SpinWaitMixin, MechanismBase):
             stats.sync_messages_global += count
             link_hops = self.interconnect.remote_hops(core.unit_id, home)
         local_hops = self.config.local_hops
-        charge_elided_transfer(stats, REQUEST_BYTES, count, local,
-                               local_hops, link_hops)
-        charge_elided_transfer(stats, REQUEST_BYTES + 8, count, local,
-                               local_hops, link_hops)
+        charge_transfers(stats, REQUEST_BYTES, count, local,
+                         local_hops, link_hops)
+        charge_transfers(stats, REQUEST_BYTES + 8, count, local,
+                         local_hops, link_hops)
         stats.dram_reads += count
         stats.dram_row_hits += count
         stats.sync_memory_accesses += count

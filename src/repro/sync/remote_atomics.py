@@ -58,7 +58,7 @@ from repro.sim.program import (
     SEM_POST,
     SEM_WAIT,
 )
-from repro.sim.stats import charge_elided_transfer
+from repro.sim.stats import charge_transfers
 from repro.sim.syncif import MechanismBase, SpinWaitMixin, SyncVar, _no_waiter
 
 #: bytes of an rmw request / response message (address + opcode + operand).
@@ -244,10 +244,10 @@ class RemoteAtomicsMechanism(SpinWaitMixin, MechanismBase):
             stats.sync_messages_global += 2 * count
             link_hops = self.interconnect.remote_hops(core.unit_id, home)
         local_hops = self.config.local_hops
-        charge_elided_transfer(stats, RMW_REQUEST_BYTES, count, local,
-                               local_hops, link_hops)
-        charge_elided_transfer(stats, RMW_RESPONSE_BYTES, count, local,
-                               local_hops, link_hops)
+        charge_transfers(stats, RMW_REQUEST_BYTES, count, local,
+                         local_hops, link_hops)
+        charge_transfers(stats, RMW_RESPONSE_BYTES, count, local,
+                         local_hops, link_hops)
         stats.dram_reads += count
         stats.dram_row_hits += count
         stats.sync_memory_accesses += count

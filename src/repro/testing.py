@@ -34,3 +34,18 @@ ALL_MECHANISMS = (
 #: condition-variable semantics differ deliberately (credits persist instead
 #: of POSIX lost signals) — see test_spin_baselines.py for their coverage.
 SPIN_MECHANISMS = ("rmw_spin", "bakery")
+
+
+def per_access_burst(memsys, src_unit: int, addr: int, now: int,
+                     stores: int = 0, loads: int = 0, size: int = 8,
+                     for_sync: bool = False) -> int:
+    """Reference for :meth:`MemorySystem.uncacheable_burst
+    <repro.sim.memsys.MemorySystem.uncacheable_burst>`: the same stores then
+    loads issued one :meth:`~repro.sim.memsys.MemorySystem.access` at a time,
+    each when the previous one completes (at least one cycle later)."""
+    cursor = now
+    for is_write in [True] * stores + [False] * loads:
+        cursor += max(memsys.access(src_unit, None, addr, is_write,
+                                    cacheable=False, now=cursor, size=size,
+                                    for_sync=for_sync), 1)
+    return cursor - now

@@ -1,0 +1,159 @@
+"""``MemorySystem.uncacheable_burst`` against the per-access reference.
+
+A burst resolves a run of back-to-back uncacheable accesses (a bakery
+doorway or scan) in one call.  It must be indistinguishable from issuing
+the same accesses one at a time through :meth:`MemorySystem.access`, each
+starting when its predecessor completes: same cycles, same counters, and
+the same crossbar, link and DRAM state afterwards, on every fabric.
+"""
+
+import random
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.core import api
+from repro.sim.config import ndp_2_5d
+from repro.sim.memsys import MemorySystem
+from repro.sim.program import Compute
+
+from repro.testing import build_system, per_access_burst
+
+#: fabrics the burst must match on: the pristine single-path table, routed
+#: multi-hop fabrics, per-packet policies, and heterogeneous links.
+FABRICS = {
+    "all_to_all": dict(num_units=4),
+    "ring": dict(num_units=4, topology="ring"),
+    "mesh2d": dict(num_units=8, topology="mesh2d"),
+    "load_aware": dict(num_units=8, topology="mesh2d",
+                       routing_policy="load_aware"),
+    "degraded": dict(num_units=4, topology="ring", routing_policy="degraded"),
+    "profiled": dict(num_units=4, link_profile=((0, 2, 3.2, 100.0),)),
+}
+
+
+def make_system(fabric, failed_link=None):
+    system = build_system(
+        ndp_2_5d(cores_per_unit=2, client_cores_per_unit=2, **FABRICS[fabric]),
+        "bakery")
+    if failed_link is not None:
+        system.interconnect.fail_link(failed_link, now=0)
+    return system
+
+
+def warm_up(system, seed, accesses=40):
+    """Background uncacheable traffic between random unit pairs, so the
+    burst starts from busy crossbars, queued links and open DRAM rows."""
+    rng = random.Random(seed)
+    units = system.config.num_units
+    addrs = [system.addrmap.alloc(u, 64) for u in range(units)]
+    now = 0
+    for _ in range(accesses):
+        now += rng.randrange(0, 40)
+        system.memsys.access(rng.randrange(units), None, rng.choice(addrs),
+                             rng.random() < 0.3, cacheable=False, now=now)
+    return now
+
+
+def snapshot(system):
+    """Every piece of state a burst touches."""
+    interconnect = system.interconnect
+    return (
+        system.stats.as_dict(),
+        [(x._rate, x._last_time) for x in interconnect.crossbars],
+        sorted((channel, link._next_free)
+               for channel, link in interconnect._links.items()),
+        [(list(d._open_row), list(d._next_free)) for d in system.memsys.drams],
+    )
+
+
+def run_both(fabric, src, home, stores, loads, size=8, seed=0, tenant=False,
+             failed_link=None):
+    """(cycles, follow-up latency, state) after a burst and after the
+    reference loop, each on a fresh system with the same warm-up."""
+    results = []
+    for issue in (MemorySystem.uncacheable_burst, per_access_burst):
+        system = make_system(fabric, failed_link)
+        now = warm_up(system, seed)
+        if tenant:
+            system.stats.active = system.stats.add_tenant("t0")
+        addr = system.addrmap.alloc(home, 64)
+        cycles = issue(system.memsys, src, addr, now, stores=stores,
+                       loads=loads, size=size, for_sync=True)
+        # One more access afterwards sees whatever state the burst left.
+        follow = system.memsys.access(src, None, addr, False, cacheable=False,
+                                      now=now + cycles)
+        results.append((cycles, follow, snapshot(system)))
+    return results
+
+
+class TestBurstMatchesPerAccessLoop:
+    @pytest.mark.parametrize("fabric", sorted(FABRICS))
+    @pytest.mark.parametrize("route", ["local", "neighbour", "far"])
+    def test_scan_is_bit_identical(self, fabric, route):
+        units = FABRICS[fabric]["num_units"]
+        home = {"local": 0, "neighbour": 1, "far": units - 1}[route]
+        burst, reference = run_both(fabric, 0, home, stores=3, loads=24)
+        assert burst == reference
+
+    @pytest.mark.parametrize("stores,loads", [(1, 0), (0, 1), (2, 5), (0, 60)])
+    def test_store_load_mixes(self, stores, loads):
+        burst, reference = run_both("ring", 1, 3, stores, loads, size=16)
+        assert burst == reference
+
+    def test_tenant_counters_match(self):
+        burst, reference = run_both("all_to_all", 2, 0, stores=1, loads=8,
+                                    tenant=True)
+        assert burst == reference
+        assert burst[2][0]["tenant.t0.sync_memory_accesses"] == 9
+
+    def test_failed_link_detours_match(self):
+        burst, reference = run_both("ring", 0, 1, stores=2, loads=10,
+                                    failed_link=(0, 1))
+        assert burst == reference
+        assert burst[2][0]["detour_bit_hops"] > 0
+
+    def test_empty_burst_is_free(self):
+        system = make_system("all_to_all")
+        addr = system.addrmap.alloc(1, 64)
+        before = snapshot(system)
+        assert system.memsys.uncacheable_burst(0, addr, 100) == 0
+        assert snapshot(system) == before
+
+    @settings(max_examples=40, deadline=None)
+    @given(fabric=st.sampled_from(sorted(FABRICS)),
+           src=st.integers(0, 7), home=st.integers(0, 7),
+           stores=st.integers(0, 3), loads=st.integers(0, 30),
+           size=st.sampled_from([8, 16, 64]), seed=st.integers(0, 99))
+    def test_random_bursts(self, fabric, src, home, stores, loads, size, seed):
+        units = FABRICS[fabric]["num_units"]
+        burst, reference = run_both(fabric, src % units, home % units,
+                                    stores, loads, size, seed)
+        assert burst == reference
+
+
+def test_bakery_run_matches_per_access_model(monkeypatch):
+    """End to end: a contended bakery lock + barrier run is bit-identical
+    when every burst is replaced by the per-access reference loop."""
+    def run():
+        system = build_system(
+            ndp_2_5d(num_units=2, cores_per_unit=3, client_cores_per_unit=3),
+            "bakery")
+        lock = system.create_syncvar(unit=1)
+        barrier = system.create_syncvar(unit=0)
+        clients = len(system.cores)
+
+        def worker():
+            for _ in range(3):
+                yield api.lock_acquire(lock)
+                yield Compute(40)
+                yield api.lock_release(lock)
+            yield api.barrier_wait_across_units(barrier, clients)
+
+        cycles = system.run_programs(
+            {core.core_id: worker() for core in system.cores})
+        return cycles, system.stats.as_dict()
+
+    bursts = run()
+    monkeypatch.setattr(MemorySystem, "uncacheable_burst", per_access_burst)
+    assert run() == bursts

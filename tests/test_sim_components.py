@@ -14,7 +14,7 @@ from repro.sim.clock import (
 from repro.sim.config import DDR4, HBM, HMC, SystemConfig, cpu_numa, ndp_2_5d
 from repro.sim.dram import DramDevice
 from repro.sim.memmap import AddressMap
-from repro.sim.network import Crossbar, Interconnect, Link, LoadEstimator
+from repro.sim.network import Crossbar, Interconnect, Link
 from repro.sim.stats import SystemStats
 
 
@@ -283,8 +283,8 @@ class TestNetwork:
         assert stats.bytes_inside_units >= 64  # local traffic counted too
 
     def test_load_estimator_decays(self):
-        est = LoadEstimator(tau=100.0)
-        est.inject(0, 1000)
-        busy = est.rate()
-        est.inject(10_000, 1)
-        assert est.rate() < busy
+        xbar = Crossbar(ndp_2_5d(), SystemStats(), 0)
+        xbar.queue_wait(0, 1000)
+        busy = xbar._rate
+        xbar.queue_wait(10_000, 1)
+        assert xbar._rate < busy
