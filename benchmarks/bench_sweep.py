@@ -91,7 +91,7 @@ def main(argv=None) -> int:
             for _ in range(args.repeats):
                 # a fresh store per repetition: every simulation is cold.
                 fresh += 1
-                store = f"shared:{top / f'cold{fresh}'}"
+                store = f"dir:{top / f'cold{fresh}'}"
                 rows, elapsed, executed = _timed_fig12(workers, store)
                 if executed != MATRIX:
                     raise AssertionError(
@@ -122,7 +122,7 @@ def main(argv=None) -> int:
                 )
 
         # warm store: zero simulations at any worker count.
-        warm_store = f"shared:{top / 'warm'}"
+        warm_store = f"dir:{top / 'warm'}"
         _timed_fig12(1, warm_store)  # populate
         for workers in (1, max(WORKER_STEPS)):
             rows, elapsed, executed = _timed_fig12(workers, warm_store)
@@ -150,7 +150,7 @@ def main(argv=None) -> int:
             board.claim(key, "crashed", ttl=0.0)  # already expired
         runner_mod.STATS.reset()
         start = time.perf_counter()
-        rows = run_specs(specs, cache=True, store=f"shared:{crash_root}",
+        rows = run_specs(specs, cache=True, store=f"dir:{crash_root}",
                          worker_id="survivor", lease_ttl=0.5)
         elapsed = time.perf_counter() - start
         if runner_mod.STATS.executed != MATRIX:
@@ -163,7 +163,7 @@ def main(argv=None) -> int:
         if [r.as_dict() if hasattr(r, "as_dict") else r for r in rows] != [
                 r.as_dict() if hasattr(r, "as_dict") else r
                 for r in run_specs(specs, cache=True,
-                                   store=f"shared:{crash_root}")]:
+                                   store=f"dir:{crash_root}")]:
             raise AssertionError("post-crash rows differ from warm rows")
         results["crash_and_reclaim"] = {
             "seconds": round(elapsed, 4),

@@ -25,9 +25,10 @@ Each ``run`` target calls the corresponding function in
 ``--plot`` adds a terminal chart in the figure's shape.  ``--workers N``
 drains the figure's simulations through N pull-based worker processes; results land in a content-addressed store under
 ``$REPRO_CACHE_DIR`` (default ``.repro-cache/``) so re-runs only simulate
-misses (``--no-cache`` disables that, ``--store shared:PATH --worker-id X``
-lets independent invocations on one shared volume cooperate with
-exactly-once execution).  ``sweep`` composes scenario matrices no figure
+misses (``--no-cache`` disables that, ``--store PATH`` puts the store
+elsewhere, and ``--worker-id X`` lets independent invocations pointed at
+one store — on one host or a shared volume — cooperate with exactly-once
+execution).  ``sweep`` composes scenario matrices no figure
 hard-codes: any workload set x mechanisms x swept SystemConfig fields;
 ``cache`` inspects and maintains the store (stats/verify/gc).
 """
@@ -42,8 +43,15 @@ from typing import Dict, List, Optional, Tuple
 from repro.harness import ablations, experiments, motivation
 from repro.harness.plotting import bar_chart, line_chart
 from repro.harness.reporting import format_table
-from repro.harness.runner import STATS, execution_options, probe_specs, run_sweep
+from repro.harness.runner import (
+    STATS,
+    ExecutionOptions,
+    execution_options,
+    probe_specs,
+    run_sweep,
+)
 from repro.harness.specs import SweepSpec, expand_matrix, validate_names
+from repro.harness.store import StoreError, open_store
 
 #: experiment name -> (callable, description).
 EXPERIMENTS: Dict[str, tuple] = {
@@ -170,7 +178,6 @@ def _runner_options(args) -> Dict:
     return {
         "workers": args.workers,
         "cache": not args.no_cache,
-        "cache_dir": args.cache_dir,
         "store": args.store,
         "worker_id": args.worker_id,
         "lease_ttl": args.lease_ttl,
@@ -336,8 +343,7 @@ def cmd_sweep(args) -> int:
         return 2
 
     if args.dry_run:
-        with execution_options(cache=not args.no_cache,
-                               cache_dir=args.cache_dir, store=args.store):
+        with execution_options(cache=not args.no_cache, store=args.store):
             statuses = probe_specs([spec for _label, spec in labeled])
         rows = [
             {"run": spec.describe(), "status": status}
@@ -551,16 +557,16 @@ def cmd_sample_check(args) -> int:
 # ----------------------------------------------------------------------
 # cache: inspect and maintain the content-addressed result store
 # ----------------------------------------------------------------------
+def _open_cli_store(args):
+    """The store a ``--store`` flag names (default ``dir:$REPRO_CACHE_DIR``)."""
+    return open_store(ExecutionOptions(store=args.store).resolved_store_url())
+
+
 def cmd_cache(args) -> int:
     import json as _json
-    import os as _os
 
-    from repro.harness.store import StoreError, open_store
-
-    url = args.store or "dir:" + str(
-        args.cache_dir or _os.environ.get("REPRO_CACHE_DIR", ".repro-cache"))
     try:
-        store = open_store(url)
+        store = _open_cli_store(args)
         if args.action == "stats":
             report = store.stats()
         elif args.action == "verify":
@@ -590,32 +596,15 @@ def cmd_cache(args) -> int:
 # ----------------------------------------------------------------------
 # top: live view of an in-flight cooperative sweep
 # ----------------------------------------------------------------------
-def _store_root(args) -> Optional[str]:
-    """Resolve the filesystem root the sweep's heartbeats live under."""
-    import os as _os
-
-    url = getattr(args, "store", None)
-    if url:
-        scheme, sep, rest = url.partition(":")
-        if not sep:
-            return url  # bare path
-        if rest:
-            return rest  # dir:PATH / shared:PATH
-        return None  # memory: has no root -> nothing to observe
-    return (getattr(args, "cache_dir", None)
-            or _os.environ.get("REPRO_CACHE_DIR", ".repro-cache"))
-
-
 def cmd_top(args) -> int:
     import time as _time
 
     from repro.harness import topview
 
-    root = _store_root(args)
-    if root is None:
-        print("top: a memory: store has no on-disk heartbeats to observe; "
-              "point --store at the sweep's dir:/shared: root",
-              file=sys.stderr)
+    try:
+        root = _open_cli_store(args).root
+    except StoreError as exc:
+        print(f"top: {exc}", file=sys.stderr)
         return 2
     once = args.once or not sys.stdout.isatty()
     try:
@@ -770,6 +759,11 @@ def cmd_quickstart(_args) -> int:
     return 0
 
 
+_STORE_HELP = ("result store: dir:PATH or a bare PATH (default "
+               "$REPRO_CACHE_DIR or .repro-cache); safe to share between "
+               "processes and hosts")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -785,12 +779,8 @@ def build_parser() -> argparse.ArgumentParser:
                               "(default 1)")
         cmd.add_argument("--no-cache", action="store_true",
                          help="ignore and don't write the on-disk result store")
-        cmd.add_argument("--cache-dir", default=None, metavar="DIR",
-                         help="result-store directory (default $REPRO_CACHE_DIR "
-                              "or .repro-cache)")
-        cmd.add_argument("--store", default=None, metavar="URL",
-                         help="result-store backend: memory:, dir:PATH, or "
-                              "shared:PATH (default dir:<cache-dir>)")
+        cmd.add_argument("--store", default=None, metavar="PATH",
+                         help=_STORE_HELP)
         cmd.add_argument("--worker-id", default=None, metavar="ID",
                          help="join a cooperative drain under this identity: "
                               "independent invocations (other processes or "
@@ -929,11 +919,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "entries and quarantine corruption; gc: drop "
                             "stale-version entries, dead leases, abandoned "
                             "temp files")
-    cache.add_argument("--store", default=None, metavar="URL",
-                       help="store url (default dir:<cache-dir>)")
-    cache.add_argument("--cache-dir", default=None, metavar="DIR",
-                       help="store directory (default $REPRO_CACHE_DIR or "
-                            ".repro-cache)")
+    cache.add_argument("--store", default=None, metavar="PATH",
+                       help=_STORE_HELP)
     cache.add_argument("--json", action="store_true",
                        help="machine-readable output")
 
@@ -941,11 +928,8 @@ def build_parser() -> argparse.ArgumentParser:
         "top",
         help="live progress of a cooperative sweep draining a shared store",
     )
-    top.add_argument("--store", default=None, metavar="URL",
-                     help="the sweep's store url (dir:PATH or shared:PATH)")
-    top.add_argument("--cache-dir", default=None, metavar="DIR",
-                     help="store directory (default $REPRO_CACHE_DIR or "
-                          ".repro-cache)")
+    top.add_argument("--store", default=None, metavar="PATH",
+                     help="the sweep's " + _STORE_HELP)
     top.add_argument("--interval", type=float, default=2.0, metavar="SEC",
                      help="refresh interval on a TTY (default 2.0)")
     top.add_argument("--once", action="store_true",

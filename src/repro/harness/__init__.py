@@ -15,9 +15,9 @@ from repro.harness.runner import (
     set_execution_options,
 )
 from repro.harness.specs import RunSpec, SweepSpec
-from repro.harness.store import ResultStore, open_store
+from repro.harness.store import ShardedDirStore, open_store
 
 __all__ = ["experiments", "motivation", "format_table", "geomean",
            "summarize_speedups", "RunSpec", "SweepSpec", "run_specs",
            "run_sweep", "execution_options", "set_execution_options",
-           "ResultStore", "open_store"]
+           "ShardedDirStore", "open_store"]

@@ -2,8 +2,9 @@
 
 Every harness figure and the CLI ``sweep`` subcommand funnel through
 :func:`run_sweep` / :func:`run_specs`: specs are deduplicated by cache key,
-hits are served from a content-addressed :class:`~repro.harness.store.ResultStore`,
-and only the misses are simulated.  Because every simulation is
+hits are served from the content-addressed
+:class:`~repro.harness.store.ShardedDirStore`, and only the misses are
+simulated.  Because every simulation is
 deterministic (explicit seeds everywhere — see
 :func:`repro.workloads.base.stable_name_seed`), any worker layout produces
 bit-identical rows, and a warm-store re-run executes zero simulations.
@@ -15,14 +16,12 @@ whose result already landed in the store, (2) claims one key on the
 the result durably, then releases the lease.  Slow specs therefore never
 serialize a whole chunk behind one worker, a crashed worker's claims
 expire and are re-run by survivors, and N *independent processes or
-hosts* pointed at one shared store (``--store shared:/mnt/x
---worker-id host1``) drain a matrix cooperatively with exactly-once
-execution — duplicate completions are resolved by the store's
+hosts* pointed at one shared store (``--store /mnt/x --worker-id host1``)
+drain a matrix cooperatively with exactly-once execution — duplicate completions are resolved by the store's
 first-durable-write-wins rule with bit-identity verification.
 
 The default store is ``dir:$REPRO_CACHE_DIR`` (default ``.repro-cache/``),
-sharded one-file-per-result; a legacy PR-2 ``results.jsonl`` found there is
-ingested transparently.  Keys cover the full resolved
+sharded one-file-per-result.  Keys cover the full resolved
 :class:`~repro.sim.config.SystemConfig`, workload kwargs, mechanism, seed
 and scale — but NOT the simulator's code, so run ``repro cache gc`` after
 bumping :data:`repro.harness.specs.CACHE_FORMAT_VERSION` (or delete the
@@ -41,15 +40,13 @@ import shutil
 import tempfile
 import time
 from dataclasses import dataclass, field, replace
-from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.harness.specs import RunSpec, SweepSpec
 from repro.harness.store import (
     Heartbeat,
     LeaseBoard,
-    ResultStore,
-    SharedVolumeStore,
+    ShardedDirStore,
     open_store,
 )
 from repro.telemetry import get_telemetry, strip_volatile_stats
@@ -69,9 +66,8 @@ class ExecutionOptions:
 
     workers: int = 1
     cache: bool = False
-    cache_dir: Optional[str] = None
-    #: store url (``memory:`` / ``dir:PATH`` / ``shared:PATH``); None =
-    #: a sharded dir store on :meth:`resolved_cache_dir`.
+    #: store url (``dir:PATH`` or a bare path); None = the deployment
+    #: default, ``dir:$REPRO_CACHE_DIR`` (see :meth:`resolved_store_url`).
     store: Optional[str] = None
     #: stable identity for cooperative drains across processes/hosts;
     #: setting it routes even single-worker runs through the claim
@@ -95,26 +91,22 @@ class ExecutionOptions:
     #: process-local sanitizer session).
     sanitize: bool = False
 
-    def resolved_cache_dir(self) -> Path:
-        return Path(
-            self.cache_dir
-            or os.environ.get("REPRO_CACHE_DIR", ".repro-cache")
-        )
-
     def resolved_store_url(self) -> str:
-        return self.store or f"dir:{self.resolved_cache_dir()}"
+        """The store to open: ``store``, else ``dir:$REPRO_CACHE_DIR``
+        (default ``.repro-cache``)."""
+        return self.store or "dir:" + os.environ.get("REPRO_CACHE_DIR",
+                                                     ".repro-cache")
 
 
 _OPTIONS = ExecutionOptions()
 
 #: ExecutionOptions fields settable through the helpers below.
-_OPTION_FIELDS = ("workers", "cache", "cache_dir", "store", "worker_id",
+_OPTION_FIELDS = ("workers", "cache", "store", "worker_id",
                   "lease_ttl", "sampling", "telemetry", "sanitize")
 
 
 def set_execution_options(workers: Optional[int] = None,
                           cache: Optional[bool] = None,
-                          cache_dir: Optional[str] = None,
                           store: Optional[str] = None,
                           worker_id: Optional[str] = None,
                           lease_ttl: Optional[float] = None,
@@ -127,8 +119,6 @@ def set_execution_options(workers: Optional[int] = None,
         _OPTIONS.workers = workers
     if cache is not None:
         _OPTIONS.cache = cache
-    if cache_dir is not None:
-        _OPTIONS.cache_dir = cache_dir
     if store is not None:
         _OPTIONS.store = store or None
     if worker_id is not None:
@@ -158,7 +148,6 @@ def get_execution_options() -> ExecutionOptions:
 @contextlib.contextmanager
 def execution_options(workers: Optional[int] = None,
                       cache: Optional[bool] = None,
-                      cache_dir: Optional[str] = None,
                       store: Optional[str] = None,
                       worker_id: Optional[str] = None,
                       lease_ttl: Optional[float] = None,
@@ -168,8 +157,7 @@ def execution_options(workers: Optional[int] = None,
     """Temporarily override the active execution policy."""
     previous = replace(_OPTIONS)
     try:
-        set_execution_options(workers=workers, cache=cache,
-                              cache_dir=cache_dir, store=store,
+        set_execution_options(workers=workers, cache=cache, store=store,
                               worker_id=worker_id, lease_ttl=lease_ttl,
                               sampling=sampling, telemetry=telemetry,
                               sanitize=sanitize)
@@ -304,7 +292,7 @@ def _storable(body: Dict) -> Dict:
 DRAIN_POLL_SECONDS = 0.02
 
 
-def drain(store: ResultStore, board: LeaseBoard,
+def drain(store: ShardedDirStore, board: LeaseBoard,
           work: Dict[str, RunSpec], worker: str,
           poll: float = DRAIN_POLL_SECONDS) -> Dict[str, int]:
     """Pull specs from ``work`` until every key has a durable result.
@@ -322,16 +310,14 @@ def drain(store: ResultStore, board: LeaseBoard,
     executed = reclaimed = elsewhere = 0
     events_done = 0
     remaining = dict(work)
-    heartbeat = Heartbeat(store.root, worker) if store.root is not None \
-        else None
+    heartbeat = Heartbeat(store.root, worker)
 
     def beat(phase: str, current: Optional[str] = None) -> None:
-        if heartbeat is not None:
-            heartbeat.update(phase=phase, current=current,
-                             total=len(work), remaining=len(remaining),
-                             executed=executed, reclaimed=reclaimed,
-                             completed_elsewhere=elsewhere,
-                             kernel_events=events_done, done=not remaining)
+        heartbeat.update(phase=phase, current=current,
+                         total=len(work), remaining=len(remaining),
+                         executed=executed, reclaimed=reclaimed,
+                         completed_elsewhere=elsewhere,
+                         kernel_events=events_done, done=not remaining)
 
     beat("scan")
     while remaining:
@@ -379,10 +365,10 @@ def drain(store: ResultStore, board: LeaseBoard,
 
 def _drain_worker(task: Tuple[str, str, float,
                               Tuple[Tuple[str, RunSpec], ...]]) -> Dict[str, int]:
-    """Worker-process entry point: reopen the store by url and drain."""
-    store_url, worker, lease_ttl, work = task
-    store = open_store(store_url)
-    board = LeaseBoard(store.root, ttl=lease_ttl)
+    """Worker-process entry point: reopen the store by root and drain."""
+    root, worker, lease_ttl, work = task
+    store = ShardedDirStore(root)
+    board = LeaseBoard(root, ttl=lease_ttl)
     try:
         return drain(store, board, dict(work), worker)
     finally:
@@ -396,12 +382,13 @@ def _pool_context():
     return multiprocessing.get_context("fork" if "fork" in methods else "spawn")
 
 
-def _drain_parallel(store: ResultStore, work: Dict[str, RunSpec],
+def _drain_parallel(store: ShardedDirStore, work: Dict[str, RunSpec],
                     workers: int, worker_id: str,
                     lease_ttl: float) -> Dict[str, int]:
     """Fan N pull-workers out as processes; every worker sees all keys."""
     tasks = [
-        (store.url(), f"{worker_id}/{i}", lease_ttl, tuple(work.items()))
+        (str(store.root), f"{worker_id}/{i}", lease_ttl,
+         tuple(work.items()))
         for i in range(min(workers, len(work)))
     ]
     with _pool_context().Pool(len(tasks)) as pool:
@@ -420,9 +407,17 @@ def _drain_parallel(store: ResultStore, work: Dict[str, RunSpec],
 # ----------------------------------------------------------------------
 # Sweep execution
 # ----------------------------------------------------------------------
+def _open_result_store(use_cache: bool,
+                       store: Optional[str]) -> Optional[ShardedDirStore]:
+    """The store a call reads and writes (None when caching is off):
+    ``store`` if given, else the active options' resolved url."""
+    if not use_cache:
+        return None
+    return open_store(store or get_execution_options().resolved_store_url())
+
+
 def run_specs(specs: Sequence[RunSpec], workers: Optional[int] = None,
               cache: Optional[bool] = None,
-              cache_dir: Optional[str] = None,
               store: Optional[str] = None,
               worker_id: Optional[str] = None,
               lease_ttl: Optional[float] = None) -> List[RunResult]:
@@ -454,14 +449,7 @@ def run_specs(specs: Sequence[RunSpec], workers: Optional[int] = None,
         worker_id = None
 
     keys = [spec.cache_key() for spec in specs]
-    result_store: Optional[ResultStore] = None
-    if use_cache:
-        if store is not None:
-            result_store = open_store(store)
-        elif cache_dir is not None:
-            result_store = open_store(directory=cache_dir)
-        else:
-            result_store = open_store(options.resolved_store_url())
+    result_store = _open_result_store(use_cache, store)
 
     # Deduplicate: identical specs simulate once per sweep.  Hits are
     # materialized eagerly; a record that no longer matches the current
@@ -506,13 +494,12 @@ def run_specs(specs: Sequence[RunSpec], workers: Optional[int] = None,
     else:
         scratch_dir = None
         try:
-            if result_store is not None and result_store.root is not None:
+            if result_store is not None:
                 drain_store = result_store
             else:
-                # No durable store to coordinate through (cache off, or a
-                # memory store): workers meet in an ephemeral shared dir.
+                # Cache off: workers meet in an ephemeral store.
                 scratch_dir = tempfile.mkdtemp(prefix="repro-drain-")
-                drain_store = SharedVolumeStore(scratch_dir)
+                drain_store = ShardedDirStore(scratch_dir)
             base_id = worker_id or f"pid{os.getpid()}"
             if workers > 1:
                 counters = _drain_parallel(drain_store, pending, workers,
@@ -536,10 +523,6 @@ def run_specs(specs: Sequence[RunSpec], workers: Optional[int] = None,
                     body = execute_spec(spec)
                     results_by_key[key] = _record_to_result(body)
                     STATS.executed += 1
-                    record = None
-                if (record is not None and result_store is not None
-                        and result_store is not drain_store):
-                    result_store.put(key, record)
         finally:
             if scratch_dir is not None:
                 shutil.rmtree(scratch_dir, ignore_errors=True)
@@ -549,7 +532,6 @@ def run_specs(specs: Sequence[RunSpec], workers: Optional[int] = None,
 
 
 def probe_specs(specs: Sequence[RunSpec], cache: Optional[bool] = None,
-                cache_dir: Optional[str] = None,
                 store: Optional[str] = None) -> List[str]:
     """Classify each spec against the store WITHOUT executing anything.
 
@@ -559,16 +541,8 @@ def probe_specs(specs: Sequence[RunSpec], cache: Optional[bool] = None,
     This is the ``sweep --dry-run`` backend; with caching disabled every
     non-duplicate spec reports ``"simulate"``.
     """
-    options = get_execution_options()
-    use_cache = options.cache if cache is None else cache
-    result_store: Optional[ResultStore] = None
-    if use_cache:
-        if store is not None:
-            result_store = open_store(store)
-        elif cache_dir is not None:
-            result_store = open_store(directory=cache_dir)
-        else:
-            result_store = open_store(options.resolved_store_url())
+    use_cache = get_execution_options().cache if cache is None else cache
+    result_store = _open_result_store(use_cache, store)
     statuses = []
     seen = set()
     for spec in specs:
@@ -589,12 +563,10 @@ def probe_specs(specs: Sequence[RunSpec], cache: Optional[bool] = None,
 
 def run_sweep(sweep: SweepSpec, workers: Optional[int] = None,
               cache: Optional[bool] = None,
-              cache_dir: Optional[str] = None,
               store: Optional[str] = None,
               worker_id: Optional[str] = None,
               lease_ttl: Optional[float] = None) -> List[RunResult]:
     """Execute a named sweep; results align with ``sweep.runs`` order."""
     STATS.sweeps.append(sweep.name)
-    return run_specs(sweep.runs, workers=workers, cache=cache,
-                     cache_dir=cache_dir, store=store, worker_id=worker_id,
-                     lease_ttl=lease_ttl)
+    return run_specs(sweep.runs, workers=workers, cache=cache, store=store,
+                     worker_id=worker_id, lease_ttl=lease_ttl)

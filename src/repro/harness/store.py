@@ -1,22 +1,16 @@
-"""Content-addressed result store: pluggable backends + lease coordination.
+"""Content-addressed result store + lease coordination.
 
 Every completed simulation is stored as ONE immutable object keyed by the
-spec's SHA-256 cache key (:meth:`repro.harness.specs.RunSpec.cache_key`).
-Three backends implement the same :class:`ResultStore` interface:
-
-- :class:`MemoryStore` (``memory:``) — a plain dict; tests and throwaway
-  sweeps.
-- :class:`ShardedDirStore` (``dir:PATH``) — one JSON file per entry under
-  ``objects/<first-2-hex>/<key>.json`` (256-way hash-prefix fan-out).
-  Writes are atomic (temp file + ``os.link``), so readers never observe a
-  torn entry; a corrupted file is *quarantined* (moved aside and
-  recomputed), never a whole-cache loss the way one bad ``results.jsonl``
-  line region used to be.
-- :class:`SharedVolumeStore` (``shared:PATH``) — the same layout hardened
-  for concurrent writers from different processes/hosts on one shared
-  volume: per-shard ``flock`` serialization around the publish step plus
-  directory fsyncs so a completed entry is durable before its lease is
-  released.
+spec's SHA-256 cache key (:meth:`repro.harness.specs.RunSpec.cache_key`)
+in a :class:`ShardedDirStore` (``dir:PATH`` or a bare path): one JSON file
+per entry under ``objects/<first-2-hex>/<key>.json`` (256-way hash-prefix
+fan-out).  Writes are atomic (temp file + ``os.link``), so readers never
+observe a torn entry; a corrupted file is *quarantined* (moved aside and
+recomputed), never a whole-cache loss.  The publish step runs under a
+per-shard ``flock`` (lock files under ``locks/``, so volumes that support
+POSIX locks serialize racing hosts) and ends with a directory fsync, so
+a completed entry is durable before its lease is released — the same
+store is safe for one process and for many hosts on a shared volume.
 
 Duplicate completion of the same key is resolved deterministically: the
 FIRST durable write wins (``os.link`` onto the final name fails for
@@ -33,6 +27,7 @@ exactly-once execution — see :mod:`repro.harness.runner`.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
@@ -45,6 +40,11 @@ from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.harness.specs import CACHE_FORMAT_VERSION
 from repro.telemetry import get_telemetry
+
+try:
+    import fcntl
+except ImportError:  # pragma: no cover - non-POSIX hosts
+    fcntl = None
 
 OBJECTS_DIR = "objects"
 QUARANTINE_DIR = "quarantine"
@@ -60,7 +60,7 @@ _HEX = set(string.hexdigits.lower())
 
 
 class StoreError(Exception):
-    """Misuse of the store layer (bad key, unknown backend, ...)."""
+    """Misuse of the store layer (bad key, unknown scheme, ...)."""
 
 
 class StoreIntegrityError(StoreError):
@@ -122,135 +122,11 @@ def check_key(key: str) -> str:
 
 
 # ----------------------------------------------------------------------
-# Interface
+# The store: a sharded directory
 # ----------------------------------------------------------------------
-class ResultStore:
-    """Content-addressed result storage; all backends share this API."""
-
-    scheme: str = "abstract"
-    #: directory a LeaseBoard can coordinate in (None = cannot coordinate
-    #: across processes, e.g. the in-memory backend).
-    root: Optional[Path] = None
-
-    def get(self, key: str) -> Optional[Dict]:
-        """The valid current-version record for ``key``, or None."""
-        raise NotImplementedError
-
-    def put(self, key: str, body: Dict) -> Dict:
-        """Durably publish ``body`` under ``key``; returns the WINNING
-        record (first durable write wins; a racing loser verifies
-        bit-identity and adopts the winner)."""
-        raise NotImplementedError
-
-    def discard(self, key: str) -> None:
-        """Drop ``key``'s entry (e.g. its schema is unreadable to this
-        code version and the caller is about to recompute it)."""
-        raise NotImplementedError
-
-    def keys(self) -> Iterator[str]:
-        raise NotImplementedError
-
-    def __len__(self) -> int:
-        return sum(1 for _ in self.keys())
-
-    def __contains__(self, key: str) -> bool:
-        return self.get(key) is not None
-
-    def url(self) -> str:
-        """A spec string that reopens this store (workers cross process
-        boundaries with it)."""
-        return f"{self.scheme}:{self.root}" if self.root else f"{self.scheme}:"
-
-    # -- maintenance (the `repro cache` surface) -----------------------
-    def stats(self) -> Dict:
-        raise NotImplementedError
-
-    def verify(self) -> Dict:
-        raise NotImplementedError
-
-    def gc(self) -> Dict:
-        raise NotImplementedError
-
-
-class MemoryStore(ResultStore):
-    """Dict-backed store: tests and single-process throwaway sweeps."""
-
-    scheme = "memory"
-
-    def __init__(self):
-        self._records: Dict[str, Dict] = {}
-
-    def get(self, key: str) -> Optional[Dict]:
-        record = self._records.get(check_key(key))
-        if record is None or record_status(record, key) != "ok":
-            get_telemetry().count("store.misses")
-            return None
-        get_telemetry().count("store.hits")
-        return record
-
-    def put(self, key: str, body: Dict) -> Dict:
-        record = normalize_record(check_key(key), body)
-        existing = self._records.get(key)
-        if existing is not None and record_status(existing, key) == "ok":
-            if canonical_bytes(existing) != canonical_bytes(record):
-                raise StoreIntegrityError(
-                    f"duplicate completion of {key} is not bit-identical "
-                    f"to the stored winner"
-                )
-            get_telemetry().count("store.duplicates_verified")
-            return existing
-        self._records[key] = record
-        get_telemetry().count("store.publishes")
-        return record
-
-    def discard(self, key: str) -> None:
-        self._records.pop(check_key(key), None)
-
-    def keys(self) -> Iterator[str]:
-        return iter(list(self._records))
-
-    def stats(self) -> Dict:
-        ok = sum(1 for r in self._records.values()
-                 if record_status(r) == "ok")
-        return {"backend": self.scheme, "entries": ok,
-                "stale": len(self._records) - ok,
-                "bytes": sum(len(canonical_bytes(r))
-                             for r in self._records.values()),
-                "shards": 0, "quarantined": 0}
-
-    def verify(self) -> Dict:
-        ok = stale = 0
-        corrupt: List[str] = []
-        for key, record in list(self._records.items()):
-            status = record_status(record, key)
-            if status == "ok":
-                ok += 1
-            elif status == "stale":
-                stale += 1
-            else:
-                corrupt.append(key)
-                del self._records[key]
-        return {"checked": ok + stale + len(corrupt), "ok": ok,
-                "stale": stale, "corrupt": corrupt,
-                "quarantined": len(corrupt),
-                "quarantine_total": len(corrupt)}
-
-    def gc(self) -> Dict:
-        stale = [k for k, r in self._records.items()
-                 if record_status(r, k) == "stale"]
-        for key in stale:
-            del self._records[key]
-        return {"stale_removed": len(stale), "tmp_removed": 0,
-                "leases_removed": 0}
-
-
-# ----------------------------------------------------------------------
-# Sharded local-directory backend
-# ----------------------------------------------------------------------
-class ShardedDirStore(ResultStore):
+class ShardedDirStore:
     """Hash-prefix sharded directory of one-JSON-file-per-result objects."""
 
-    scheme = "dir"
     #: .tmp files older than this are presumed abandoned (gc removes them).
     TMP_MAX_AGE_SECONDS = 300.0
 
@@ -304,6 +180,7 @@ class ShardedDirStore(ResultStore):
         return record, record_status(record, key)
 
     def get(self, key: str) -> Optional[Dict]:
+        """The valid current-version record for ``key``, or None."""
         check_key(key)
         memo = self._memo.get(key)
         if memo is not None:
@@ -320,6 +197,8 @@ class ShardedDirStore(ResultStore):
         return None  # missing / stale / corrupt all mean "recompute"
 
     def discard(self, key: str) -> None:
+        """Drop ``key``'s entry (e.g. its schema is unreadable to this
+        code version and the caller is about to recompute it)."""
         self._memo.pop(check_key(key), None)
         try:
             os.unlink(self._path(key))
@@ -341,16 +220,10 @@ class ShardedDirStore(ResultStore):
             return True
         return True
 
-    def _dir_sync(self, directory: Path) -> None:
-        """Hook: the shared-volume backend fsyncs directory entries."""
-
-    def _locked_shard(self, shard_dir: Path):
-        """Hook: the shared-volume backend flocks the shard around
-        publish; locally, atomic link is already enough."""
-        import contextlib
-        return contextlib.nullcontext()
-
     def put(self, key: str, body: Dict) -> Dict:
+        """Durably publish ``body`` under ``key``; returns the WINNING
+        record (first durable write wins; a racing loser verifies
+        bit-identity and adopts the winner)."""
         tel = get_telemetry()
         if not tel.enabled:
             return self._put(key, body)
@@ -366,6 +239,8 @@ class ShardedDirStore(ResultStore):
         final = self._path(key)
         shard_dir = final.parent
         shard_dir.mkdir(parents=True, exist_ok=True)
+        lock_dir = self.root / LOCKS_DIR
+        lock_dir.mkdir(exist_ok=True)
         fd, tmp_name = tempfile.mkstemp(prefix=".tmp-", dir=shard_dir)
         tmp = Path(tmp_name)
         try:
@@ -374,12 +249,9 @@ class ShardedDirStore(ResultStore):
                 fh.flush()
                 os.fsync(fh.fileno())
             while True:
-                with self._locked_shard(shard_dir):
+                with _flocked(lock_dir / f"{shard_dir.name}.lock"):
                     if self._publish(tmp, final):
-                        self._dir_sync(shard_dir)
-                        self._memo[key] = record
-                        get_telemetry().count("store.publishes")
-                        return record
+                        break
                     existing, status = self._read(key)
                     if status == "ok":
                         # first durable write won; verify bit-identity.
@@ -397,14 +269,14 @@ class ShardedDirStore(ResultStore):
                         # current-version result supersedes an old-version
                         # entry (racing writers produce identical bytes).
                         os.replace(tmp, final)
-                        self._dir_sync(shard_dir)
-                        self._memo[key] = record
-                        get_telemetry().count("store.publishes")
-                        return record
+                        break
                     if status == "corrupt":
                         self._quarantine(final)
-                        continue  # name free again -> retry the link
-                    # "missing": quarantined/removed under us -> retry
+                    # corrupt / missing: the name is free again -> retry
+            _fsync_dir(shard_dir)
+            self._memo[key] = record
+            get_telemetry().count("store.publishes")
+            return record
         finally:
             try:
                 os.unlink(tmp)
@@ -424,6 +296,12 @@ class ShardedDirStore(ResultStore):
     def keys(self) -> Iterator[str]:
         for path in self._entry_paths():
             yield path.name[:-len(".json")]
+
+    def __len__(self) -> int:
+        return sum(1 for _ in self.keys())
+
+    def __contains__(self, key: str) -> bool:
+        return self.get(key) is not None
 
     def stats(self) -> Dict:
         entries = stale = corrupt = total_bytes = 0
@@ -445,7 +323,7 @@ class ShardedDirStore(ResultStore):
         quarantined = (sum(1 for _ in quarantine.iterdir())
                        if quarantine.is_dir() else 0)
         board = LeaseBoard(self.root)
-        return {"backend": self.scheme, "root": str(self.root),
+        return {"backend": "dir", "root": str(self.root),
                 "entries": entries, "stale": stale, "corrupt": corrupt,
                 "bytes": total_bytes, "shards": len(shards),
                 "quarantined": quarantined, "leases": board.active()}
@@ -511,59 +389,29 @@ class ShardedDirStore(ResultStore):
                 "leases_removed": leases_removed}
 
 
-class SharedVolumeStore(ShardedDirStore):
-    """Sharded store hardened for concurrent writers on a shared volume.
-
-    Adds per-shard ``flock`` serialization around the publish step (kept
-    on lock files under ``locks/``, so NFS-style volumes that support
-    POSIX locks serialize racing hosts) and directory fsyncs, so a
-    result is durable on the volume before the runner releases its lease.
-    """
-
-    scheme = "shared"
-
-    def _locked_shard(self, shard_dir: Path):
-        lock_dir = self.root / LOCKS_DIR
-        lock_dir.mkdir(parents=True, exist_ok=True)
-        return _flocked(lock_dir / f"{shard_dir.name}.lock")
-
-    def _dir_sync(self, directory: Path) -> None:
-        try:
-            fd = os.open(directory, os.O_RDONLY)
-        except OSError:
-            return
-        try:
-            os.fsync(fd)
-        except OSError:
-            pass
-        finally:
-            os.close(fd)
+@contextlib.contextmanager
+def _flocked(path: Path):
+    """Advisory exclusive lock on ``path`` (no-op without fcntl)."""
+    if fcntl is None:
+        yield
+        return
+    with open(path, "a+") as fh:
+        fcntl.flock(fh.fileno(), fcntl.LOCK_EX)
+        yield
 
 
-class _flocked:
-    """``with _flocked(path):`` — advisory exclusive lock (no-op where
-    fcntl is unavailable)."""
-
-    def __init__(self, path: Path):
-        self.path = path
-        self._fh = None
-
-    def __enter__(self):
-        try:
-            import fcntl
-        except ImportError:
-            return self
-        self._fh = open(self.path, "a+")
-        fcntl.flock(self._fh.fileno(), fcntl.LOCK_EX)
-        return self
-
-    def __exit__(self, *exc):
-        if self._fh is not None:
-            import fcntl
-            fcntl.flock(self._fh.fileno(), fcntl.LOCK_UN)
-            self._fh.close()
-            self._fh = None
-        return False
+def _fsync_dir(directory: Path) -> None:
+    """Make ``directory``'s entries durable (best effort)."""
+    try:
+        fd = os.open(directory, os.O_RDONLY)
+    except OSError:
+        return
+    try:
+        os.fsync(fd)
+    except OSError:
+        pass
+    finally:
+        os.close(fd)
 
 
 # ----------------------------------------------------------------------
@@ -822,41 +670,18 @@ def read_heartbeats(root: Union[str, Path]) -> List[Dict]:
 
 
 # ----------------------------------------------------------------------
-# Backend registry / URL opening
+# URL opening
 # ----------------------------------------------------------------------
-#: scheme -> backend class; extend to plug in new backends (queue/broker
-#: backends slot in here without touching the runner).
-STORE_BACKENDS: Dict[str, type] = {
-    "memory": MemoryStore,
-    "dir": ShardedDirStore,
-    "shared": SharedVolumeStore,
-}
-
-
-def open_store(url: Optional[str] = None,
-               directory: Union[str, Path, None] = None) -> ResultStore:
-    """Open a result store from a spec string.
-
-    ``url`` forms: ``memory:``, ``dir:PATH``, ``shared:PATH``, or a bare
-    path (treated as ``dir:``).  With no url, a sharded dir store on
-    ``directory`` is opened.
-    """
+def open_store(url: str) -> ShardedDirStore:
+    """Open the result store named by ``url``: ``dir:PATH`` or a bare path."""
     if not url:
-        if directory is None:
-            raise StoreError("open_store needs a url or a directory")
-        return ShardedDirStore(directory)
+        raise StoreError("open_store needs a store url: dir:PATH or a path")
     scheme, sep, rest = url.partition(":")
-    if scheme not in STORE_BACKENDS:
-        if sep:
-            raise StoreError(
-                f"unknown store scheme {scheme!r}; choose from "
-                f"{sorted(STORE_BACKENDS)}"
-            )
-        scheme, rest = "dir", url  # bare path
-    cls = STORE_BACKENDS[scheme]
-    if cls is MemoryStore:
-        return MemoryStore()
-    target = rest or directory
-    if not target:
-        raise StoreError(f"store url {url!r} needs a path, e.g. {scheme}:PATH")
-    return cls(target)
+    if not sep:
+        return ShardedDirStore(url)  # bare path
+    if scheme != "dir":
+        raise StoreError(f"unknown store scheme {scheme!r}; use dir:PATH "
+                         f"or a bare path")
+    if not rest:
+        raise StoreError(f"store url {url!r} needs a path, e.g. dir:PATH")
+    return ShardedDirStore(rest)

@@ -106,7 +106,7 @@ def render(snapshot: Dict) -> str:
     """The snapshot as operator-readable text (via ``format_table``)."""
     if not snapshot["found"]:
         return (f"no worker heartbeats under {snapshot['root']}/heartbeats\n"
-                "(is this the sweep's --store / --cache-dir root?)")
+                "(is this the sweep's --store root?)")
     totals = snapshot["totals"]
     rows = [
         {k: v for k, v in w.items() if not k.startswith("_")}

@@ -280,9 +280,9 @@ class TestCorunSpecs:
         from repro.harness.runner import STATS, run_specs
 
         spec = self._spec()
-        cold = run_specs([spec], cache=True, cache_dir=str(tmp_path))[0]
+        cold = run_specs([spec], cache=True, store=str(tmp_path))[0]
         before = STATS.executed
-        warm = run_specs([spec], cache=True, cache_dir=str(tmp_path))[0]
+        warm = run_specs([spec], cache=True, store=str(tmp_path))[0]
         assert STATS.executed == before  # zero simulations on the warm run
         assert isinstance(warm, RunMetrics)
         assert warm.cycles == cold.cycles

@@ -320,7 +320,7 @@ def test_sampled_results_never_cached(tmp_path):
         overrides=SMALL,
     )
     STATS.reset()
-    with execution_options(cache=True, cache_dir=str(tmp_path), sampling=0.2):
+    with execution_options(cache=True, store=str(tmp_path), sampling=0.2):
         first = run_specs([spec])
         second = run_specs([spec])
     # No approximation may be served back as if it were exact physics.

@@ -1,7 +1,7 @@
 """Content-addressed result store: backends, leases, concurrency, crashes.
 
-The multi-process tests here pin the PR's core guarantees: concurrent
-writers on one shared-volume store never lose or tear an entry (the first
+The multi-process tests here pin the store's core guarantees: concurrent
+writers on one store never lose or tear an entry (the first
 durable write wins and later writers verify bit-identity), and a worker
 killed mid-claim only delays its specs until the lease expires — a
 survivor reclaims and completes them with a result set identical to the
@@ -12,6 +12,7 @@ import hashlib
 import json
 import multiprocessing
 import os
+import stat
 import time
 
 import pytest
@@ -22,9 +23,7 @@ from repro.harness.runner import drain, run_specs
 from repro.harness.specs import CACHE_FORMAT_VERSION, RunSpec
 from repro.harness.store import (
     LeaseBoard,
-    MemoryStore,
     ShardedDirStore,
-    SharedVolumeStore,
     StoreError,
     StoreIntegrityError,
     open_store,
@@ -49,13 +48,20 @@ def _specs(mechs=("central", "syncron", "ideal")):
 
 
 # ----------------------------------------------------------------------
-# Backend contract (every backend behaves identically at the API level)
+# Store contract, through one handle and as cooperating processes see it
 # ----------------------------------------------------------------------
-@pytest.fixture(params=["memory", "dir", "shared"])
+class _DiskReads(ShardedDirStore):
+    """Every read goes to disk, never to this handle's in-process memo —
+    the view another process sharing the store root has."""
+
+    def get(self, key):
+        self._memo.clear()
+        return super().get(key)
+
+
+@pytest.fixture(params=["dir", "shared"])
 def store(request, tmp_path):
-    if request.param == "memory":
-        return MemoryStore()
-    cls = ShardedDirStore if request.param == "dir" else SharedVolumeStore
+    cls = ShardedDirStore if request.param == "dir" else _DiskReads
     return cls(tmp_path / "store")
 
 
@@ -173,15 +179,49 @@ class TestShardedDir:
         assert not orphan.exists() and fresh_tmp.exists()
 
     def test_stats_shape(self, tmp_path):
-        store = SharedVolumeStore(tmp_path)
+        store = ShardedDirStore(tmp_path)
         for tag in ("a", "b", "c"):
             store.put(_key(tag), _body(1))
         stats = store.stats()
         assert stats["entries"] == 3
-        assert stats["backend"] == "shared"
+        assert stats["backend"] == "dir"
         assert stats["bytes"] > 0
         assert 1 <= stats["shards"] <= 3
         assert stats["quarantined"] == 0 and stats["leases"] == 0
+
+    def test_put_fsyncs_the_shard_directory(self, tmp_path, monkeypatch):
+        store = ShardedDirStore(tmp_path)
+        key = _key("a")
+        synced = []
+        real_fsync = os.fsync
+
+        def recording_fsync(fd):
+            info = os.fstat(fd)
+            if stat.S_ISDIR(info.st_mode):
+                synced.append((info.st_dev, info.st_ino))
+            return real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", recording_fsync)
+        store.put(key, _body(1))
+        shard = os.stat(store.path_for(key).parent)
+        assert (shard.st_dev, shard.st_ino) in synced
+
+    def test_put_flocks_the_shard(self, tmp_path, monkeypatch):
+        fcntl = pytest.importorskip("fcntl")
+        store = ShardedDirStore(tmp_path)
+        key = _key("a")
+        locked = []
+        real_flock = fcntl.flock
+
+        def recording_flock(fd, operation):
+            if operation == fcntl.LOCK_EX:
+                locked.append(os.fstat(fd).st_ino)
+            return real_flock(fd, operation)
+
+        monkeypatch.setattr(fcntl, "flock", recording_flock)
+        store.put(key, _body(1))
+        lock = tmp_path / "locks" / f"{key[:2]}.lock"
+        assert locked == [os.stat(lock).st_ino]
 
 
 # ----------------------------------------------------------------------
@@ -227,11 +267,12 @@ class TestLeaseBoard:
 # ----------------------------------------------------------------------
 class TestOpenStore:
     def test_schemes(self, tmp_path):
-        assert isinstance(open_store("memory:"), MemoryStore)
-        assert isinstance(open_store(f"dir:{tmp_path}"), ShardedDirStore)        # noqa: E501
-        shared = open_store(f"shared:{tmp_path}")
-        assert isinstance(shared, SharedVolumeStore)
-        assert open_store(shared.url()).root == shared.root
+        store = open_store(f"dir:{tmp_path}")
+        assert isinstance(store, ShardedDirStore)
+        assert store.root == tmp_path
+        for retired in ("memory:", f"shared:{tmp_path}"):
+            with pytest.raises(StoreError, match="unknown store scheme"):
+                open_store(retired)
 
     def test_bare_path_is_a_dir_store(self, tmp_path):
         store = open_store(str(tmp_path))
@@ -242,7 +283,7 @@ class TestOpenStore:
         with pytest.raises(StoreError):
             open_store("kafka:broker")
         with pytest.raises(StoreError):
-            open_store()
+            open_store("")
         with pytest.raises(StoreError):
             open_store("dir:")
 
@@ -251,7 +292,7 @@ class TestOpenStore:
 # Concurrent writers (satellite: no lost or torn entries)
 # ----------------------------------------------------------------------
 def _writer_proc(root, items, barrier):
-    store = SharedVolumeStore(root)
+    store = ShardedDirStore(root)
     barrier.wait()
     for key, body in items:
         store.put(key, body)
@@ -280,7 +321,7 @@ class TestConcurrentWriters:
             p.join(timeout=30)
             assert p.exitcode == 0
 
-        store = SharedVolumeStore(root)
+        store = ShardedDirStore(root)
         all_keys = shared_keys + own_a + own_b
         assert sorted(store.keys()) == sorted(all_keys)
         # no torn entries: every file re-hashes clean
@@ -311,7 +352,7 @@ class TestCrashRecovery:
         baseline = run_specs(specs)  # plain single-worker run
 
         root = tmp_path / "store"
-        url = f"shared:{root}"
+        url = f"dir:{root}"
         victim_key = specs[0].cache_key()
         ctx = multiprocessing.get_context("fork")
         claimed = ctx.Event()
@@ -338,7 +379,7 @@ class TestCrashRecovery:
         # still finishes the whole matrix.
         specs = _specs(("central", "syncron"))
         root = tmp_path / "store"
-        store = SharedVolumeStore(root)
+        store = ShardedDirStore(root)
         dead = LeaseBoard(root, ttl=0.01)
         work = {spec.cache_key(): spec for spec in specs}
         for key in work:
@@ -357,7 +398,7 @@ class TestMultiWorkerDrain:
     def test_three_workers_bit_identical_and_exactly_once(self, tmp_path):
         specs = _specs()
         baseline = run_specs(specs)
-        url = f"shared:{tmp_path / 'store'}"
+        url = f"dir:{tmp_path / 'store'}"
         runner_mod.STATS.reset()
         cold = run_specs(specs, workers=3, cache=True, store=url)
         assert cold == baseline
@@ -371,7 +412,7 @@ class TestMultiWorkerDrain:
     def test_worker_id_alone_coordinates_through_the_store(self, tmp_path):
         # two sequential "hosts" with worker ids: the second simulates 0
         specs = _specs(("central", "syncron"))
-        url = f"shared:{tmp_path / 'store'}"
+        url = f"dir:{tmp_path / 'store'}"
         runner_mod.STATS.reset()
         first = run_specs(specs, cache=True, store=url, worker_id="host1")
         assert runner_mod.STATS.executed == len(specs)
@@ -380,14 +421,15 @@ class TestMultiWorkerDrain:
         assert runner_mod.STATS.executed == 0
         assert first == second
 
-    def test_memory_store_parallel_runs_copy_back(self):
-        # a memory store can't coordinate processes; workers drain through
-        # an ephemeral dir and the parent copies results back into it.
+    def test_cache_off_parallel_drain_matches_serial(self):
+        # with no store to coordinate through, workers drain through an
+        # ephemeral dir store; the rows equal the serial run's.
         specs = _specs(("central", "syncron"))
+        baseline = run_specs(specs)
         runner_mod.STATS.reset()
-        results = run_specs(specs, workers=2, cache=True, store="memory:")
+        results = run_specs(specs, workers=2, cache=False)
         assert runner_mod.STATS.executed == len(specs)
-        assert [m.mechanism for m in results] == ["central", "syncron"]
+        assert results == baseline
 
 
 # ----------------------------------------------------------------------
@@ -396,22 +438,22 @@ class TestMultiWorkerDrain:
 class TestCacheCli:
     def _populate(self, tmp_path):
         spec = _specs(("syncron",))[0]
-        run_specs([spec], cache=True, cache_dir=str(tmp_path))
+        run_specs([spec], cache=True, store=str(tmp_path))
         return spec
 
     def test_stats(self, tmp_path, capsys):
         self._populate(tmp_path)
-        assert main(["cache", "stats", "--cache-dir", str(tmp_path),
+        assert main(["cache", "stats", "--store", str(tmp_path),
                      "--json"]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["entries"] == 1 and report["backend"] == "dir"
 
     def test_verify_flags_corruption(self, tmp_path, capsys):
         spec = self._populate(tmp_path)
-        assert main(["cache", "verify", "--cache-dir", str(tmp_path)]) == 0
+        assert main(["cache", "verify", "--store", str(tmp_path)]) == 0
         path = ShardedDirStore(tmp_path).path_for(spec.cache_key())
         path.write_text("{broken")
-        assert main(["cache", "verify", "--cache-dir", str(tmp_path)]) == 1
+        assert main(["cache", "verify", "--store", str(tmp_path)]) == 1
         assert "quarantined" in capsys.readouterr().err
 
     def test_gc_reports_counts(self, tmp_path, capsys):
@@ -421,10 +463,14 @@ class TestCacheCli:
         record["version"] = CACHE_FORMAT_VERSION + 1
         record["digest"] = payload_digest(record)
         path.write_text(json.dumps(record))
-        assert main(["cache", "gc", "--cache-dir", str(tmp_path),
+        assert main(["cache", "gc", "--store", str(tmp_path),
                      "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["stale_removed"] == 1
 
     def test_unknown_scheme_fails_cleanly(self, capsys):
         assert main(["cache", "stats", "--store", "kafka:x"]) == 2
+        assert "unknown store scheme" in capsys.readouterr().err
+
+    def test_retired_shared_scheme_is_rejected(self, capsys):
+        assert main(["cache", "stats", "--store", "shared:x"]) == 2
         assert "unknown store scheme" in capsys.readouterr().err

@@ -96,29 +96,29 @@ class TestResultCache:
     def test_hit_after_put(self, tmp_path):
         spec = _lock_spec()
         runner_mod.STATS.reset()
-        first = run_specs([spec], cache=True, cache_dir=str(tmp_path))
+        first = run_specs([spec], cache=True, store=str(tmp_path))
         assert runner_mod.STATS.executed == 1
         runner_mod.STATS.reset()
-        again = run_specs([spec], cache=True, cache_dir=str(tmp_path))
+        again = run_specs([spec], cache=True, store=str(tmp_path))
         assert runner_mod.STATS.executed == 0
         assert runner_mod.STATS.cache_hits == 1
         assert again[0] == first[0]
 
     def test_changed_nested_override_misses(self, tmp_path):
-        run_specs([_lock_spec()], cache=True, cache_dir=str(tmp_path))
+        run_specs([_lock_spec()], cache=True, store=str(tmp_path))
         runner_mod.STATS.reset()
         run_specs([_lock_spec(overrides={"memory": "DDR4"})],
-                  cache=True, cache_dir=str(tmp_path))
+                  cache=True, store=str(tmp_path))
         assert runner_mod.STATS.executed == 1
 
     def test_corrupted_entry_quarantined_and_recomputed(self, tmp_path):
         spec = _lock_spec()
-        first = run_specs([spec], cache=True, cache_dir=str(tmp_path))
+        first = run_specs([spec], cache=True, store=str(tmp_path))
         path = _entry_path(tmp_path, spec)
         # truncate the stored object into invalid JSON
         path.write_text(path.read_text()[:40])
         runner_mod.STATS.reset()
-        again = run_specs([spec], cache=True, cache_dir=str(tmp_path))
+        again = run_specs([spec], cache=True, store=str(tmp_path))
         assert runner_mod.STATS.executed == 1  # recomputed
         assert again[0] == first[0]
         # the damaged bytes were moved aside, not silently destroyed
@@ -127,13 +127,13 @@ class TestResultCache:
 
     def test_version_bump_invalidates(self, tmp_path):
         spec = _lock_spec()
-        run_specs([spec], cache=True, cache_dir=str(tmp_path))
+        run_specs([spec], cache=True, store=str(tmp_path))
         path = _entry_path(tmp_path, spec)
         record = json.loads(path.read_text())
         record["version"] = CACHE_FORMAT_VERSION + 1
         path.write_text(json.dumps(record) + "\n")
         runner_mod.STATS.reset()
-        run_specs([spec], cache=True, cache_dir=str(tmp_path))
+        run_specs([spec], cache=True, store=str(tmp_path))
         assert runner_mod.STATS.executed == 1
 
     def test_duplicate_specs_simulate_once(self):
@@ -148,10 +148,10 @@ class TestResultCache:
             overrides={"num_units": 1, "cores_per_unit": 3,
                        "client_cores_per_unit": 2},
         )
-        row = run_specs([spec], cache=True, cache_dir=str(tmp_path))[0]
+        row = run_specs([spec], cache=True, store=str(tmp_path))[0]
         assert isinstance(row, dict) and row["cycles"] > 0
         runner_mod.STATS.reset()
-        warm = run_specs([spec], cache=True, cache_dir=str(tmp_path))[0]
+        warm = run_specs([spec], cache=True, store=str(tmp_path))[0]
         assert runner_mod.STATS.executed == 0
         assert warm == row
 
@@ -260,7 +260,7 @@ class TestSweepSpec:
 
     def test_stale_schema_cache_record_falls_back_to_simulation(self, tmp_path):
         spec = _lock_spec()
-        first = run_specs([spec], cache=True, cache_dir=str(tmp_path))
+        first = run_specs([spec], cache=True, store=str(tmp_path))
         path = _entry_path(tmp_path, spec)
         record = json.loads(path.read_text())
         # simulate a RunMetrics schema change without a version bump; the
@@ -271,7 +271,7 @@ class TestSweepSpec:
         record["digest"] = payload_digest(record)
         path.write_text(json.dumps(record) + "\n")
         runner_mod.STATS.reset()
-        again = run_specs([spec], cache=True, cache_dir=str(tmp_path))
+        again = run_specs([spec], cache=True, store=str(tmp_path))
         assert runner_mod.STATS.executed == 1
         assert again[0] == first[0]
 

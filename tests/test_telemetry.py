@@ -363,18 +363,19 @@ class TestCli:
             worker="w1", started_at=0.0, phase="execute", executed=1,
             reclaimed=0, completed_elsewhere=0, remaining=2, total=3,
             kernel_events=100, done=False)
-        rc = cli.main(["top", "--store", f"shared:{tmp_path}", "--once"])
+        rc = cli.main(["top", "--store", f"dir:{tmp_path}", "--once"])
         assert rc == 0
         out = capsys.readouterr().out
         assert "w1" in out and "workers @" in out
 
     def test_top_once_missing_root_exits_1(self, tmp_path, capsys):
         rc = cli.main(["top", "--store",
-                       f"shared:{tmp_path}/nothing", "--once"])
+                       f"dir:{tmp_path}/nothing", "--once"])
         assert rc == 1
 
     def test_top_memory_store_exits_2(self, capsys):
         assert cli.main(["top", "--store", "memory:", "--once"]) == 2
+        assert "unknown store scheme" in capsys.readouterr().err
 
     def test_telemetry_disabled_after_cli_run(self, tmp_path):
         cli.main([
@@ -429,15 +430,23 @@ class TestRegressionGate:
         assert "end_to_end.simulated_cycles" in out
         assert "warm_workers1.simulations_executed" in out
 
-    def test_cpu1_skips_parallel_speedup_gate(self, gate, capsys):
-        base = json.loads((REPO_ROOT / "BENCH_sweep.json").read_text())
-        assert base["cpu_count"] == 1  # the committed baseline ran on 1 cpu
-        assert gate.main([]) == 0
+    def test_cpu1_skips_parallel_speedup_gate(self, gate, tmp_path, capsys):
+        sweep = json.loads((REPO_ROOT / "BENCH_sweep.json").read_text())
+        sweep["cpu_count"] = 1  # a fresh run on a 1-cpu box
+        (tmp_path / "BENCH_sweep.json").write_text(json.dumps(sweep))
+        assert gate.main(["--fresh", str(tmp_path)]) == 0
         out = capsys.readouterr().out
-        assert "speedup_vs_serial" in out
         line = [l for l in out.splitlines()
                 if "workers.4.speedup_vs_serial" in l][0]
         assert "[SKIP]" in line and "not measurable" in line
+
+    def test_committed_baseline_evaluates_speedup_gate(self, gate, capsys):
+        base = json.loads((REPO_ROOT / "BENCH_sweep.json").read_text())
+        assert base["cpu_count"] > 1  # recorded where workers can help
+        assert gate.main([]) == 0
+        line = [l for l in capsys.readouterr().out.splitlines()
+                if "workers.4.speedup_vs_serial" in l][0]
+        assert "[PASS]" in line
 
     def test_missing_fresh_artifact_skips(self, gate, tmp_path, capsys):
         assert gate.main(["--fresh", str(tmp_path)]) == 0
