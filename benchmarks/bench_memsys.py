@@ -1,20 +1,27 @@
-"""Memory-system burst benchmark: bakery scans per access vs as one burst.
+"""Memory-system fast paths against their references: packets and bursts.
 
 Run directly::
 
     PYTHONPATH=src python benchmarks/bench_memsys.py [--output BENCH_memsys.json]
 
-A bakery doorway or scan is a run of back-to-back uncacheable word accesses
-to one home unit.  ``MemorySystem.uncacheable_burst`` resolves the run in
-one call; ``repro.testing.per_access_burst`` issues the same accesses one
-``MemorySystem.access`` at a time.  Both sides run in this process on the
+Each fast path is timed beside a reference that composes the same work
+from the model's building blocks.  Both sides run in this process on the
 same tree, so each ratio compares the two paths on one host and needs no
-host-speed correction.  Two measurements:
+host-speed correction.  Three measurements:
 
-1. **Scan** — 60-load scans (a 30-client bakery) from unit 0 to a local
-   and to a remote home on fresh 2-unit systems: host microseconds per
-   access on each path.
-2. **Bakery lock** — the Sec. 2.2.1 bakery lock microbenchmark on 2 units
+1. **Transfer** — single packets through ``Interconnect.transfer_latency``
+   (one call per packet) and through ``repro.testing.per_hop_transfer``
+   (crossbar step, each link's ``Link.reserve``, crossbar step, counters),
+   on a 16-unit ``all_to_all`` and ``mesh2d`` fabric: host microseconds per
+   packet on each path.
+2. **Scan** — a bakery doorway or scan is a run of back-to-back
+   uncacheable word accesses to one home unit.
+   ``MemorySystem.uncacheable_burst`` resolves the run in one call;
+   ``repro.testing.per_access_burst`` issues the same accesses one
+   ``MemorySystem.access`` at a time.  60-load scans (a 30-client bakery)
+   from unit 0 to a local and to a remote home on fresh 2-unit systems:
+   host microseconds per access on each path.
+3. **Bakery lock** — the Sec. 2.2.1 bakery lock microbenchmark on 2 units
    x 15 clients, run end to end with the bursts and again with every burst
    replaced by the per-access loop: host seconds on each path.
 
@@ -36,13 +43,65 @@ if str(REPO_ROOT / "src") not in sys.path:
 
 from repro.sim.config import ndp_2_5d  # noqa: E402
 from repro.sim.memsys import MemorySystem  # noqa: E402
-from repro.testing import build_system, per_access_burst  # noqa: E402
+from repro.sim.network import Interconnect  # noqa: E402
+from repro.sim.stats import SystemStats  # noqa: E402
+from repro.testing import (  # noqa: E402
+    build_system, per_access_burst, per_hop_transfer)
 from repro.workloads.microbench import PrimitiveMicrobench  # noqa: E402
 
+#: units of the transfer fabrics (a 4x4 grid as mesh2d).
+TRANSFER_UNITS = 16
+#: idle cycles between packets.
+TRANSFER_GAP = 40
 #: loads per scan: 2N for the N = 30 clients of a 2-unit system.
 SCAN_LOADS = 60
 #: idle cycles between scans (a backoff).
 SCAN_GAP = 50
+
+
+def _packets(send, topology: str, packets: int) -> tuple:
+    """(host seconds, simulated cycles) of ``packets`` 64-byte packets sent
+    via ``send``: local, neighbour and far pairs in a fixed rotation."""
+    inter = Interconnect(
+        ndp_2_5d(num_units=TRANSFER_UNITS, topology=topology), SystemStats())
+    pairs = [(src, (src + stride) % TRANSFER_UNITS)
+             for stride in (0, 1, 3, 7) for src in range(TRANSFER_UNITS)]
+    cycles = now = 0
+    start = time.perf_counter()
+    for i in range(packets):
+        src, dst = pairs[i % len(pairs)]
+        cycles += send(inter, src, dst, now, 64)
+        now += TRANSFER_GAP
+    return time.perf_counter() - start, cycles
+
+
+def transfer_bench(packets: int = 50_000, trials: int = 5) -> dict:
+    """Per-packet host cost of the fused packet path and the per-hop
+    reference on a single-link and a multi-hop fabric (best of ``trials``
+    alternating runs each)."""
+    results = {}
+    paths = (("per_hop", per_hop_transfer),
+             ("fused", Interconnect.transfer_latency))
+    for topology in ("all_to_all", "mesh2d"):
+        runs = {label: [] for label, _ in paths}
+        for _ in range(trials):
+            for label, send in paths:
+                runs[label].append(_packets(send, topology, packets))
+        best = {label: min(seconds for seconds, _ in timed)
+                for label, timed in runs.items()}
+        cycles = {label: timed[0][1] for label, timed in runs.items()}
+        if cycles["per_hop"] != cycles["fused"]:
+            raise AssertionError(
+                f"{topology} packets: the fused path changed the simulated "
+                f"time ({cycles['fused']} vs {cycles['per_hop']})")
+        results[topology] = {
+            "packets": packets,
+            "per_hop_us": 1e6 * best["per_hop"] / packets,
+            "fused_us": 1e6 * best["fused"] / packets,
+            "speedup": best["per_hop"] / best["fused"],
+            "simulated_cycles": cycles["fused"],
+        }
+    return results
 
 
 def _scans(issue, home: int, scans: int) -> tuple:
@@ -125,7 +184,12 @@ def main(argv=None) -> int:
                         default=REPO_ROOT / "BENCH_memsys.json")
     args = parser.parse_args(argv)
 
-    report = {"scan": scan_bench(), "bakery_lock": bakery_lock_bench()}
+    report = {"transfer": transfer_bench(), "scan": scan_bench(),
+              "bakery_lock": bakery_lock_bench()}
+    for topology, row in report["transfer"].items():
+        print(f"{topology:10s} packet: {row['per_hop_us']:.2f} us per hop by "
+              f"hop, {row['fused_us']:.2f} fused ({row['speedup']:.2f}x, "
+              f"cycles identical)")
     for route, row in report["scan"].items():
         print(f"{route:6s} scan: {row['per_access_us']:.2f} us/access per "
               f"access, {row['burst_us']:.2f} as a burst "
@@ -143,6 +207,9 @@ def main(argv=None) -> int:
 # pytest entry point (collected via python_files = bench_*.py): one cheap
 # round so CI exercises the benchmark path itself.
 def test_memsys_burst_bench_smoke():
+    transfer = transfer_bench(packets=2000, trials=1)
+    assert (transfer["mesh2d"]["simulated_cycles"]
+            > transfer["all_to_all"]["simulated_cycles"])
     scan = scan_bench(scans=50, trials=1)
     assert scan["remote"]["simulated_cycles"] > scan["local"]["simulated_cycles"]
     lock = bakery_lock_bench(rounds=1, trials=1)

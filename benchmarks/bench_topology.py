@@ -11,10 +11,11 @@ Two angles on the new :mod:`repro.sim.topo` subsystem:
    all-to-all interconnect, plus each fabric's mean hop count and diameter.
    Asserts the physics before reporting: no routed fabric may beat
    all-to-all at 16 units.
-2. **Host overhead** — raw ``remote_latency`` calls/second per fabric on a
-   16-unit system.  The routed path replaced the seed's direct per-pair
-   link lookup, so this guards the interconnect hot path against
-   regressions (all-to-all routes are 1 link; mesh routes average ~2.7).
+2. **Host overhead** — raw ``transfer_latency`` calls/second per fabric on
+   a 16-unit system (remote pairs only).  The routed path replaced the
+   seed's direct per-pair link lookup, so this guards the interconnect hot
+   path against regressions (all-to-all routes are 1 link; mesh routes
+   average ~2.7).
 3. **Graceful degradation** — an 8-unit ring loses both directions of one
    channel mid-run; per mechanism the run must complete by rerouting, and
    its slowdown / reroute / detour counters are recorded as deterministic
@@ -51,8 +52,8 @@ DEGRADED_FAULTS = ((0, 1, 400, 0), (1, 0, 400, 0))
 DEGRADED_ROUNDS = 8
 
 
-def bench_remote_latency(topology: str, calls: int = 100_000) -> float:
-    """remote_latency calls/second over a fixed 16-unit traffic pattern."""
+def bench_transfer_latency(topology: str, calls: int = 100_000) -> float:
+    """transfer_latency calls/second over a fixed 16-unit remote pattern."""
     config = ndp_2_5d(num_units=16, topology=topology)
     inter = Interconnect(config, SystemStats())
     pairs = [(src, (src + stride) % 16)
@@ -61,7 +62,7 @@ def bench_remote_latency(topology: str, calls: int = 100_000) -> float:
     now = 0
     for i in range(calls):
         src, dst = pairs[i % len(pairs)]
-        inter.remote_latency(src, dst, now, 64)
+        inter.transfer_latency(src, dst, now, 64)
         now += 40
     elapsed = time.perf_counter() - start
     return calls / elapsed
@@ -119,7 +120,7 @@ def main(argv=None) -> int:
     parser.add_argument("--output", default=None,
                         help="write results as JSON to this path")
     parser.add_argument("--calls", type=int, default=100_000,
-                        help="remote_latency calls per fabric (default 100k)")
+                        help="transfer_latency calls per fabric (default 100k)")
     args = parser.parse_args(argv)
 
     wall_start = time.perf_counter()
@@ -149,11 +150,11 @@ def main(argv=None) -> int:
     }
     for topology in ALL_TOPOLOGIES:
         topo16 = build_topology(ndp_2_5d(num_units=16, topology=topology))
-        calls_per_sec = bench_remote_latency(topology, calls=args.calls)
+        calls_per_sec = bench_transfer_latency(topology, calls=args.calls)
         fabric = {
             "mean_hops_16u": round(topo16.mean_hops(), 3),
             "diameter_16u": topo16.diameter(),
-            "remote_latency_calls_per_sec": round(calls_per_sec),
+            "transfer_latency_calls_per_sec": round(calls_per_sec),
             "slowdown_vs_all_to_all": {
                 f"{units}u": {
                     mech: round(by_key[(units, topology)][mech], 3)
@@ -167,7 +168,7 @@ def main(argv=None) -> int:
         print(f"{topology:10s} mean_hops={fabric['mean_hops_16u']:<5} "
               f"16u slowdown: hier {slow16['hier']:.3f}x / "
               f"syncron {slow16['syncron']:.3f}x, "
-              f"{fabric['remote_latency_calls_per_sec']:,} routed calls/s")
+              f"{fabric['transfer_latency_calls_per_sec']:,} routed calls/s")
 
     results["degraded"] = bench_degraded()
     for mech in MECHANISMS:

@@ -77,11 +77,14 @@ GATES: Dict[str, List[Tuple]] = {
         ("equals", "poll_storm.*.logical_events", None, None),
     ],
     "BENCH_memsys.json": [
-        # A burst must stay faster than the same accesses issued one by one
-        # (both paths timed in one process, so no host-speed correction).
+        # A fused packet must stay faster than the per-hop composition, and
+        # a burst faster than the same accesses issued one by one (both
+        # paths timed in one process, so no host-speed correction).
+        ("min_ratio", "transfer.*.speedup", 0.4, None),
         ("min_ratio", "scan.*.speedup", 0.4, None),
         ("min_ratio", "bakery_lock.speedup", 0.4, None),
         # Deterministic physics: identical or the memory/fabric model changed.
+        ("equals", "transfer.*.simulated_cycles", None, None),
         ("equals", "scan.*.simulated_cycles", None, None),
         ("equals", "bakery_lock.simulated_cycles", None, None),
     ],

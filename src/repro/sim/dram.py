@@ -15,7 +15,7 @@ HBM / HMC / DDR4).
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from repro.sim.config import DramTiming
 from repro.sim.clock import core_cycles_from_ns
@@ -45,17 +45,13 @@ class DramDevice:
         self._conflict_cycles = timing.row_conflict_cycles
 
     # ------------------------------------------------------------------
-    def _bank_and_row(self, addr: int) -> Tuple[int, int]:
-        """Address interleaving: consecutive rows stripe across banks."""
-        row_global = addr // self._row_bytes
-        return row_global % self.num_banks, row_global // self.num_banks
-
     def access(self, addr: int, is_write: bool, now: int) -> int:
         """Perform an access at time ``now``; returns total latency in cycles.
 
         The bank is reserved until the access (plus write recovery) finishes,
         so concurrent requests to the same bank queue up naturally.
         """
+        # Address interleaving: consecutive rows stripe across banks.
         row_global = addr // self._row_bytes
         bank = row_global % self.num_banks
         row = row_global // self.num_banks
@@ -85,15 +81,3 @@ class DramDevice:
         else:
             self.stats.dram_reads += 1
         return queue_delay + service
-
-    def peek_latency(self, addr: int, now: int) -> int:
-        """Latency estimate without reserving the bank (for diagnostics)."""
-        bank, row = self._bank_and_row(addr)
-        start = max(now, self._next_free[bank])
-        if self._open_row[bank] == row:
-            service = self.timing.row_hit_cycles
-        elif self._open_row[bank] is None:
-            service = self.timing.row_miss_cycles
-        else:
-            service = self.timing.row_conflict_cycles
-        return (start - now) + service

@@ -30,10 +30,14 @@ recomputed over the survivors.  The zero-fault, uniform-profile, static
 path is the memoized pristine table — bit-identical to a fabric that has
 none of this machinery.
 
-Both components record traffic into :class:`~repro.sim.stats.SystemStats`
-so the energy model and the Fig. 15 data-movement results need no extra
-hooks; the fabric additionally counts ``link_bit_hops`` (bits x links
-traversed) for per-hop link energy.
+Both components are timing only.  :meth:`Interconnect.transfer_latency`
+is the one packet path: it runs the crossbar and link steps and records the
+packet's traffic into :class:`~repro.sim.stats.SystemStats`, so the energy
+model and the Fig. 15 data-movement results need no extra hooks; the
+fabric additionally counts ``link_bit_hops`` (bits x links traversed) for
+per-hop link energy.  :meth:`Interconnect.round_trips` resolves a burst of
+request/response exchanges (a bakery scan) with the same arithmetic inline
+and charges its traffic once per burst.
 """
 
 from __future__ import annotations
@@ -59,19 +63,22 @@ from repro.telemetry import get_telemetry
 class Crossbar:
     """Buffered crossbar inside one NDP unit.
 
-    Queueing is an M/D/1 waiting time driven by an exponential moving
-    average of the injected bytes/cycle over a window of :attr:`TAU`
-    cycles (larger values smooth bursts).  ``math.exp`` would dominate the
-    injection cost, and the elapsed-cycle argument repeats heavily (traffic
-    is bursty, timestamps are integers), so decay factors are memoized per
-    elapsed value.  The memo is bounded; elapsed intervals long enough that
-    the decay underflows to exactly 0.0 short-cut without touching ``exp``.
-    Values are bit-identical to the uncached computation.
+    A packet pays :attr:`_base_cycles` (arbitration plus the configured
+    local hops) and an M/D/1 waiting time (:meth:`queue_wait`).  Traffic
+    accounting is the :class:`Interconnect`'s.
+
+    Queueing is driven by an exponential moving average of the injected
+    bytes/cycle over a window of :attr:`TAU` cycles (larger values smooth
+    bursts).  ``math.exp`` would dominate the injection cost, and the
+    elapsed-cycle argument repeats heavily (traffic is bursty, timestamps
+    are integers), so decay factors are memoized per elapsed value.  The
+    memo is bounded; elapsed intervals long enough that the decay
+    underflows to exactly 0.0 short-cut without touching ``exp``.  Values
+    are bit-identical to the uncached computation.
     """
 
-    __slots__ = ("config", "stats", "unit_id", "_rate", "_last_time",
-                 "_decay_cache", "_bytes_per_cycle", "_base_cycles",
-                 "_hop_cycles", "_arbiter_cycles", "_local_hops")
+    __slots__ = ("config", "unit_id", "_rate", "_last_time", "_decay_cache",
+                 "_bytes_per_cycle", "_base_cycles")
 
     #: load-estimate averaging window, in cycles.
     TAU = 2000.0
@@ -82,9 +89,8 @@ class Crossbar:
     #: elapsed values (plenty for any real traffic pattern).
     _CACHE_LIMIT = 1 << 16
 
-    def __init__(self, config: SystemConfig, stats: SystemStats, unit_id: int):
+    def __init__(self, config: SystemConfig, unit_id: int):
         self.config = config
-        self.stats = stats
         self.unit_id = unit_id
         #: load estimate (bytes/cycle) as of the last injection.
         self._rate = 0.0
@@ -93,28 +99,16 @@ class Crossbar:
         # Hoisted config reads: these are dataclass attribute chains on the
         # hottest call in the interconnect.
         self._bytes_per_cycle = config.crossbar_bytes_per_cycle
-        self._arbiter_cycles = config.arbiter_cycles
-        self._hop_cycles = config.hop_cycles
-        self._local_hops = config.local_hops
         self._base_cycles = config.arbiter_cycles + config.local_hops * config.hop_cycles
 
-    def traverse(self, now: int, nbytes: int, hops: Optional[int] = None) -> int:
-        """Latency in cycles to move ``nbytes`` across the local crossbar."""
-        if hops is not None and hops < 0:
-            # reject before the load estimate / stats see the packet.
-            raise ValueError(f"hop count must be non-negative, got {hops}")
-        stats = self.stats
-        stats.bytes_inside_units += nbytes
-        tenant = stats.active
-        if tenant is not None:
-            tenant.bytes_inside_units += nbytes
-        if hops is None:
-            stats.local_bit_hops += nbytes * 8 * self._local_hops
-            base = self._base_cycles
-        else:
-            stats.local_bit_hops += nbytes * 8 * hops
-            base = self._arbiter_cycles + hops * self._hop_cycles
-        return base + self.queue_wait(now, nbytes)
+    def _decay(self, elapsed: int) -> float:
+        """History weight after ``elapsed`` cycles (a decay-memo miss)."""
+        if elapsed >= self._DEAD_ELAPSED:
+            return 0.0
+        decay = math.exp(-elapsed / self.TAU)
+        if len(self._decay_cache) < self._CACHE_LIMIT:
+            self._decay_cache[elapsed] = decay
+        return decay
 
     def queue_wait(self, now: int, nbytes: int) -> int:
         """Inject a packet at ``now``; its M/D/1 mean waiting time in cycles.
@@ -128,15 +122,9 @@ class Crossbar:
         elapsed = now - self._last_time
         if elapsed < 1:
             elapsed = 1
-        if elapsed >= self._DEAD_ELAPSED:
-            decay = 0.0
-        else:
-            cache = self._decay_cache
-            decay = cache.get(elapsed)
-            if decay is None:
-                decay = math.exp(-elapsed / self.TAU)
-                if len(cache) < self._CACHE_LIMIT:
-                    cache[elapsed] = decay
+        decay = self._decay_cache.get(elapsed)
+        if decay is None:
+            decay = self._decay(elapsed)
         rate = self._rate * decay + (nbytes / elapsed) * (1.0 - decay)
         self._rate = rate
         self._last_time = now
@@ -151,16 +139,16 @@ class Crossbar:
 
 
 class Link:
-    """One serial physical channel of the inter-unit fabric."""
+    """One serial physical channel of the inter-unit fabric (timing only;
+    the :class:`Interconnect` books the traffic)."""
 
-    __slots__ = ("config", "stats", "_next_free", "_bytes_per_cycle",
-                 "_latency_cycles", "_serialization")
+    __slots__ = ("config", "_next_free", "_bytes_per_cycle", "_latency_cycles",
+                 "_serialization")
 
-    def __init__(self, config: SystemConfig, stats: SystemStats,
+    def __init__(self, config: SystemConfig,
                  bytes_per_cycle: Optional[float] = None,
                  latency_cycles: Optional[int] = None):
         self.config = config
-        self.stats = stats
         self._next_free = 0
         # link_bytes_per_cycle / link_latency_cycles are @property chains on
         # the config dataclass; resolve them once.  A heterogeneous
@@ -183,35 +171,29 @@ class Link:
         wait = self._next_free - now
         return wait if wait > 0 else 0
 
+    def serialization_cycles(self, nbytes: int) -> int:
+        """Cycles to clock ``nbytes`` onto the channel (at least one)."""
+        serialization = self._serialization.get(nbytes)
+        if serialization is None:
+            serialization = max(int(math.ceil(nbytes / self._bytes_per_cycle)), 1)
+            self._serialization[nbytes] = serialization
+        return serialization
+
     def reserve(self, now: int, nbytes: int) -> int:
-        """Timing only: queue behind earlier packets, serialize, propagate.
+        """Queue behind earlier packets, serialize, propagate: the packet's
+        latency in cycles.
 
         The routed fabric calls this once per link on a route; traffic
         accounting happens once per transfer in :class:`Interconnect`.
         """
         serialization = self._serialization.get(nbytes)
         if serialization is None:
-            serialization = max(int(math.ceil(nbytes / self._bytes_per_cycle)), 1)
-            self._serialization[nbytes] = serialization
+            serialization = self.serialization_cycles(nbytes)
         start = self._next_free
         if now > start:
             start = now
         self._next_free = start + serialization
         return (start - now) + serialization + self._latency_cycles
-
-    def transfer(self, now: int, nbytes: int) -> int:
-        """Reserve + account (the standalone single-link entry point).
-
-        Keep the accounting here in lockstep with
-        :meth:`Interconnect.remote_latency`, which charges the same
-        counters once per routed transfer.
-        """
-        self.stats.bytes_across_units += nbytes
-        self.stats.link_bit_hops += nbytes * 8
-        tenant = self.stats.active
-        if tenant is not None:
-            tenant.bytes_across_units += nbytes
-        return self.reserve(now, nbytes)
 
 
 class Interconnect:
@@ -235,12 +217,13 @@ class Interconnect:
 
     __slots__ = ("config", "stats", "crossbars", "topology", "_links",
                  "_routes", "_profiles", "_policy", "_adaptive", "_degraded",
-                 "_dead_channels", "_dead_units", "_down_since", "_resolved")
+                 "_dead_channels", "_dead_units", "_down_since", "_resolved",
+                 "_local_bits")
 
     def __init__(self, config: SystemConfig, stats: SystemStats):
         self.config = config
         self.stats = stats
-        self.crossbars = [Crossbar(config, stats, u) for u in range(config.num_units)]
+        self.crossbars = [Crossbar(config, u) for u in range(config.num_units)]
         self.topology: Topology = build_topology(config)
         self._links: Dict[Channel, Link] = {}
         self._routes: Dict[Tuple[int, int], Tuple[Link, ...]] = {}
@@ -259,6 +242,8 @@ class Interconnect:
         #: (src, dst) -> ((links, extra_hops), ...) candidates under the
         #: policy; cleared whenever fabric state changes.
         self._resolved: Dict[Tuple[int, int], Tuple] = {}
+        #: local_bit_hops per payload byte crossing one crossbar.
+        self._local_bits = 8 * config.local_hops
 
     # ------------------------------------------------------------------
     # Heterogeneous link parameters
@@ -303,8 +288,7 @@ class Interconnect:
         link = self._links.get(channel)
         if link is None:
             bytes_per_cycle, latency = self.link_parameters(channel)
-            link = Link(self.config, self.stats,
-                        bytes_per_cycle=bytes_per_cycle,
+            link = Link(self.config, bytes_per_cycle=bytes_per_cycle,
                         latency_cycles=latency)
             self._links[channel] = link
         return link
@@ -313,7 +297,7 @@ class Interconnect:
     # Routing
     # ------------------------------------------------------------------
     def _route(self, src_unit: int, dst_unit: int) -> Tuple[Link, ...]:
-        """Pristine route as Link objects, in order (memoized hot path)."""
+        """Pristine route as Link objects, in order (memoized)."""
         key = (src_unit, dst_unit)
         route = self._routes.get(key)
         if route is None:
@@ -482,43 +466,57 @@ class Interconnect:
 
     # ------------------------------------------------------------------
     def local_latency(self, unit: int, now: int, nbytes: int) -> int:
-        """Move a packet within ``unit`` (core <-> SE / memory controller)."""
-        return self.crossbars[unit].traverse(now, nbytes)
+        """Move a packet within ``unit`` (see :meth:`transfer_latency`)."""
+        return self.transfer_latency(unit, unit, now, nbytes)
 
     def remote_latency(self, src_unit: int, dst_unit: int, now: int, nbytes: int) -> int:
-        """Move a packet between units: local xbar, routed links, remote xbar.
+        """Move a packet between units (see :meth:`transfer_latency`)."""
+        return self.transfer_latency(src_unit, dst_unit, now, nbytes)
 
-        Every physical link on the route is reserved in sequence — the
-        packet cannot occupy hop *k+1* before it clears hop *k* — so both
-        contention (shared channels) and distance (route length) shape the
-        latency.  Payload bytes are counted once; ``link_bit_hops`` counts
-        every traversed link for the energy model.
+    def transfer_latency(self, src_unit: int, dst_unit: int, now: int, nbytes: int) -> int:
+        """Cycles to move one ``nbytes`` packet issued at ``now``.
+
+        The one packet path, used by cores, SEs, and memory controllers.  A
+        local packet crosses its unit's crossbar.  A remote one crosses the
+        source crossbar, reserves every physical link on its route in
+        sequence — the packet cannot occupy hop *k+1* before it clears hop
+        *k* — so both contention (shared channels) and distance (route
+        length) shape the latency, then crosses the destination crossbar.
+        Each crossbar counts the payload once, the fabric counts it once
+        more across units, and ``link_bit_hops`` counts every traversed link
+        for the energy model (what :func:`~repro.sim.stats.charge_transfers`
+        books per transfer).
         """
+        stats = self.stats
+        tenant = stats.active
+        xbar = self.crossbars[src_unit]
+        latency = xbar._base_cycles + xbar.queue_wait(now, nbytes)
         if src_unit == dst_unit:
-            return self.local_latency(src_unit, now, nbytes)
-        latency = self.crossbars[src_unit].traverse(now, nbytes)
+            stats.bytes_inside_units += nbytes
+            stats.local_bit_hops += nbytes * self._local_bits
+            if tenant is not None:
+                tenant.bytes_inside_units += nbytes
+            return latency
         if self._degraded or self._adaptive:
             route, extra = self._routed(src_unit, dst_unit, now + latency)
             if extra:
-                self.stats.detour_bit_hops += nbytes * 8 * extra
+                stats.detour_bit_hops += nbytes * 8 * extra
         else:
-            route = self._route(src_unit, dst_unit)
-        stats = self.stats
-        stats.bytes_across_units += nbytes
-        stats.link_bit_hops += nbytes * 8 * len(route)
-        tenant = stats.active
-        if tenant is not None:
-            tenant.bytes_across_units += nbytes
+            route = self._routes.get((src_unit, dst_unit))
+            if route is None:
+                route = self._route(src_unit, dst_unit)
         for link in route:
             latency += link.reserve(now + latency, nbytes)
-        latency += self.crossbars[dst_unit].traverse(now + latency, nbytes)
+        xbar = self.crossbars[dst_unit]
+        latency += xbar._base_cycles + xbar.queue_wait(now + latency, nbytes)
+        stats.bytes_inside_units += 2 * nbytes
+        stats.local_bit_hops += 2 * nbytes * self._local_bits
+        stats.bytes_across_units += nbytes
+        stats.link_bit_hops += nbytes * 8 * len(route)
+        if tenant is not None:
+            tenant.bytes_inside_units += 2 * nbytes
+            tenant.bytes_across_units += nbytes
         return latency
-
-    def transfer_latency(self, src_unit: int, dst_unit: int, now: int, nbytes: int) -> int:
-        """Generic entry point used by cores, SEs, and memory controllers."""
-        if src_unit == dst_unit:
-            return self.local_latency(src_unit, now, nbytes)
-        return self.remote_latency(src_unit, dst_unit, now, nbytes)
 
     def round_trips(self, src_unit: int, dst_unit: int, now: int, count: int,
                     request_bytes: int, response_bytes: int,
@@ -528,18 +526,26 @@ class Interconnect:
         Each exchange moves ``request_bytes`` from ``src_unit`` to
         ``dst_unit``, spends ``service(arrival)`` cycles there and moves
         ``response_bytes`` back; the next exchange issues when the response
-        lands (at least one cycle after its predecessor issued).  Timing is
-        bit-identical to a pair of :meth:`transfer_latency` calls around
-        ``service`` per exchange.  On a pristine single-path fabric the
-        route is resolved once and the traffic counters are charged once
-        for the whole burst.
+        lands (at least one cycle after its predecessor issued).  Timing,
+        fabric state and counters are bit-identical to a pair of
+        :meth:`transfer_latency` calls around ``service`` per exchange.
+
+        On a pristine single-path fabric the route is resolved once, the
+        crossbar load estimates and link reservations are read into locals,
+        every packet's crossbar M/D/1 step (:meth:`Crossbar.queue_wait`) and
+        link reservation (:meth:`Link.reserve`) runs as inline arithmetic,
+        and the state is written back and the traffic counters charged once
+        after the last exchange.  Contract: ``service`` must not touch this
+        fabric — a transfer issued from it would see stale crossbar and link
+        state and be overwritten by the write-back.  Degraded and adaptive
+        fabrics, whose routes may change per packet, resolve every transfer
+        through :meth:`transfer_latency` instead.
         """
         if count <= 0:
             return 0
         cursor = now
         local = src_unit == dst_unit
         if not local and (self._degraded or self._adaptive):
-            # Routes may change per packet: resolve every transfer in full.
             transfer = self.transfer_latency
             for _ in range(count):
                 latency = transfer(src_unit, dst_unit, cursor, request_bytes)
@@ -548,31 +554,143 @@ class Interconnect:
                                     response_bytes)
                 cursor += latency if latency > 1 else 1
             return cursor - now
-        base = self.crossbars[src_unit]._base_cycles
-        src_wait = self.crossbars[src_unit].queue_wait
+        src = self.crossbars[src_unit]
+        # Every crossbar is built from one config: one base latency and one
+        # bandwidth, so each packet size has one M/D/1 service time.
+        base = src._base_cycles
+        bpc = src._bytes_per_cycle
+        req_service = request_bytes / bpc
+        if req_service < 1.0:
+            req_service = 1.0
+        resp_service = response_bytes / bpc
+        if resp_service < 1.0:
+            resp_service = 1.0
+        src_rate, src_last = src._rate, src._last_time
+        src_memo, src_decay = src._decay_cache, src._decay
         if local:
             out = back = ()
             for _ in range(count):
-                t = cursor + base + src_wait(cursor, request_bytes)
+                # request: source crossbar step
+                elapsed = cursor - src_last
+                if elapsed < 1:
+                    elapsed = 1
+                decay = src_memo.get(elapsed)
+                if decay is None:
+                    decay = src_decay(elapsed)
+                src_rate = src_rate * decay + (request_bytes / elapsed) * (1.0 - decay)
+                src_last = cursor
+                rho = src_rate / bpc
+                if rho > 0.95:
+                    rho = 0.95
+                t = cursor + base + int(rho * req_service / (2.0 * (1.0 - rho)))
                 t += service(t)
-                t += base + src_wait(t, response_bytes)
+                # response: the same crossbar again
+                elapsed = t - src_last
+                if elapsed < 1:
+                    elapsed = 1
+                decay = src_memo.get(elapsed)
+                if decay is None:
+                    decay = src_decay(elapsed)
+                src_rate = src_rate * decay + (response_bytes / elapsed) * (1.0 - decay)
+                src_last = t
+                rho = src_rate / bpc
+                if rho > 0.95:
+                    rho = 0.95
+                t += base + int(rho * resp_service / (2.0 * (1.0 - rho)))
                 cursor = t if t > cursor else cursor + 1
         else:
-            dst_base = self.crossbars[dst_unit]._base_cycles
-            dst_wait = self.crossbars[dst_unit].queue_wait
+            dst = self.crossbars[dst_unit]
+            dst_rate, dst_last = dst._rate, dst._last_time
+            dst_memo, dst_decay = dst._decay_cache, dst._decay
             out = self._route(src_unit, dst_unit)
             back = self._route(dst_unit, src_unit)
+            # Per route: each link's next-free time, serialization of this
+            # burst's packet size, and propagation latency.
+            out_free = [link._next_free for link in out]
+            out_ser = [link.serialization_cycles(request_bytes) for link in out]
+            out_lat = [link._latency_cycles for link in out]
+            back_free = [link._next_free for link in back]
+            back_ser = [link.serialization_cycles(response_bytes) for link in back]
+            back_lat = [link._latency_cycles for link in back]
+            out_hops = range(len(out))
+            back_hops = range(len(back))
             for _ in range(count):
-                t = cursor + base + src_wait(cursor, request_bytes)
-                for link in out:
-                    t += link.reserve(t, request_bytes)
-                t += dst_base + dst_wait(t, request_bytes)
+                # request: source crossbar step
+                elapsed = cursor - src_last
+                if elapsed < 1:
+                    elapsed = 1
+                decay = src_memo.get(elapsed)
+                if decay is None:
+                    decay = src_decay(elapsed)
+                src_rate = src_rate * decay + (request_bytes / elapsed) * (1.0 - decay)
+                src_last = cursor
+                rho = src_rate / bpc
+                if rho > 0.95:
+                    rho = 0.95
+                t = cursor + base + int(rho * req_service / (2.0 * (1.0 - rho)))
+                # request: each link on the route
+                for i in out_hops:
+                    start = out_free[i]
+                    if t > start:
+                        start = t
+                    start += out_ser[i]
+                    out_free[i] = start
+                    t = start + out_lat[i]
+                # request: destination crossbar step
+                elapsed = t - dst_last
+                if elapsed < 1:
+                    elapsed = 1
+                decay = dst_memo.get(elapsed)
+                if decay is None:
+                    decay = dst_decay(elapsed)
+                dst_rate = dst_rate * decay + (request_bytes / elapsed) * (1.0 - decay)
+                dst_last = t
+                rho = dst_rate / bpc
+                if rho > 0.95:
+                    rho = 0.95
+                t += base + int(rho * req_service / (2.0 * (1.0 - rho)))
                 t += service(t)
-                t += dst_base + dst_wait(t, response_bytes)
-                for link in back:
-                    t += link.reserve(t, response_bytes)
-                t += base + src_wait(t, response_bytes)
+                # response: destination crossbar step
+                elapsed = t - dst_last
+                if elapsed < 1:
+                    elapsed = 1
+                decay = dst_memo.get(elapsed)
+                if decay is None:
+                    decay = dst_decay(elapsed)
+                dst_rate = dst_rate * decay + (response_bytes / elapsed) * (1.0 - decay)
+                dst_last = t
+                rho = dst_rate / bpc
+                if rho > 0.95:
+                    rho = 0.95
+                t += base + int(rho * resp_service / (2.0 * (1.0 - rho)))
+                # response: each link on the way back
+                for i in back_hops:
+                    start = back_free[i]
+                    if t > start:
+                        start = t
+                    start += back_ser[i]
+                    back_free[i] = start
+                    t = start + back_lat[i]
+                # response: source crossbar step
+                elapsed = t - src_last
+                if elapsed < 1:
+                    elapsed = 1
+                decay = src_memo.get(elapsed)
+                if decay is None:
+                    decay = src_decay(elapsed)
+                src_rate = src_rate * decay + (response_bytes / elapsed) * (1.0 - decay)
+                src_last = t
+                rho = src_rate / bpc
+                if rho > 0.95:
+                    rho = 0.95
+                t += base + int(rho * resp_service / (2.0 * (1.0 - rho)))
                 cursor = t if t > cursor else cursor + 1
+            dst._rate, dst._last_time = dst_rate, dst_last
+            for link, free in zip(out, out_free):
+                link._next_free = free
+            for link, free in zip(back, back_free):
+                link._next_free = free
+        src._rate, src._last_time = src_rate, src_last
         local_hops = self.config.local_hops
         charge_transfers(self.stats, request_bytes, count, local, local_hops,
                          len(out))

@@ -10,7 +10,10 @@ can import them unambiguously, and so can ad-hoc scripts.
 
 from __future__ import annotations
 
+import copy
+
 from repro.sim.config import SystemConfig
+from repro.sim.stats import charge_transfers
 from repro.sim.system import NDPSystem
 
 
@@ -34,6 +37,62 @@ ALL_MECHANISMS = (
 #: condition-variable semantics differ deliberately (credits persist instead
 #: of POSIX lost signals) — see test_spin_baselines.py for their coverage.
 SPIN_MECHANISMS = ("rmw_spin", "bakery")
+
+
+#: ``ndp_2_5d`` overrides for the fabrics the fused packet and burst paths
+#: must match their references on: the pristine single-path table, routed
+#: multi-hop fabrics, per-packet policies, and heterogeneous links.
+FABRICS = {
+    "all_to_all": dict(num_units=4),
+    "ring": dict(num_units=4, topology="ring"),
+    "mesh2d": dict(num_units=8, topology="mesh2d"),
+    "load_aware": dict(num_units=8, topology="mesh2d",
+                       routing_policy="load_aware"),
+    "degraded": dict(num_units=4, topology="ring", routing_policy="degraded"),
+    "profiled": dict(num_units=4, link_profile=((0, 2, 3.2, 100.0),)),
+}
+
+
+def fabric_snapshot(system) -> tuple:
+    """Every piece of state a transfer or burst touches: a copy of every
+    counter (tenants included), each crossbar's load estimate, each link's
+    reservation, and each DRAM's banks."""
+    interconnect = system.interconnect
+    return (
+        copy.deepcopy(system.stats),
+        [(x._rate, x._last_time) for x in interconnect.crossbars],
+        sorted((channel, link._next_free)
+               for channel, link in interconnect._links.items()),
+        [(list(d._open_row), list(d._next_free)) for d in system.memsys.drams],
+    )
+
+
+def per_hop_transfer(interconnect, src_unit: int, dst_unit: int, now: int,
+                     nbytes: int) -> int:
+    """Reference for :meth:`Interconnect.transfer_latency
+    <repro.sim.network.Interconnect.transfer_latency>`, composed hop by hop:
+    the source crossbar step, each route link's
+    :meth:`~repro.sim.network.Link.reserve`, the destination crossbar step,
+    then the counters of one transfer via
+    :func:`~repro.sim.stats.charge_transfers` plus any detour bits."""
+    stats = interconnect.stats
+    local = src_unit == dst_unit
+    xbar = interconnect.crossbars[src_unit]
+    latency = xbar._base_cycles + xbar.queue_wait(now, nbytes)
+    route = ()
+    if not local:
+        if interconnect._degraded or interconnect._adaptive:
+            route, extra = interconnect._routed(src_unit, dst_unit, now + latency)
+            stats.detour_bit_hops += nbytes * 8 * extra
+        else:
+            route = interconnect._route(src_unit, dst_unit)
+        for link in route:
+            latency += link.reserve(now + latency, nbytes)
+        xbar = interconnect.crossbars[dst_unit]
+        latency += xbar._base_cycles + xbar.queue_wait(now + latency, nbytes)
+    charge_transfers(stats, nbytes, 1, local, interconnect.config.local_hops,
+                     len(route))
+    return latency
 
 
 def per_access_burst(memsys, src_unit: int, addr: int, now: int,

@@ -17,19 +17,8 @@ from repro.sim.config import ndp_2_5d
 from repro.sim.memsys import MemorySystem
 from repro.sim.program import Compute
 
-from repro.testing import build_system, per_access_burst
-
-#: fabrics the burst must match on: the pristine single-path table, routed
-#: multi-hop fabrics, per-packet policies, and heterogeneous links.
-FABRICS = {
-    "all_to_all": dict(num_units=4),
-    "ring": dict(num_units=4, topology="ring"),
-    "mesh2d": dict(num_units=8, topology="mesh2d"),
-    "load_aware": dict(num_units=8, topology="mesh2d",
-                       routing_policy="load_aware"),
-    "degraded": dict(num_units=4, topology="ring", routing_policy="degraded"),
-    "profiled": dict(num_units=4, link_profile=((0, 2, 3.2, 100.0),)),
-}
+from repro.testing import (
+    FABRICS, build_system, fabric_snapshot, per_access_burst)
 
 
 def make_system(fabric, failed_link=None):
@@ -55,18 +44,6 @@ def warm_up(system, seed, accesses=40):
     return now
 
 
-def snapshot(system):
-    """Every piece of state a burst touches."""
-    interconnect = system.interconnect
-    return (
-        system.stats.as_dict(),
-        [(x._rate, x._last_time) for x in interconnect.crossbars],
-        sorted((channel, link._next_free)
-               for channel, link in interconnect._links.items()),
-        [(list(d._open_row), list(d._next_free)) for d in system.memsys.drams],
-    )
-
-
 def run_both(fabric, src, home, stores, loads, size=8, seed=0, tenant=False,
              failed_link=None):
     """(cycles, follow-up latency, state) after a burst and after the
@@ -83,7 +60,7 @@ def run_both(fabric, src, home, stores, loads, size=8, seed=0, tenant=False,
         # One more access afterwards sees whatever state the burst left.
         follow = system.memsys.access(src, None, addr, False, cacheable=False,
                                       now=now + cycles)
-        results.append((cycles, follow, snapshot(system)))
+        results.append((cycles, follow, fabric_snapshot(system)))
     return results
 
 
@@ -105,20 +82,20 @@ class TestBurstMatchesPerAccessLoop:
         burst, reference = run_both("all_to_all", 2, 0, stores=1, loads=8,
                                     tenant=True)
         assert burst == reference
-        assert burst[2][0]["tenant.t0.sync_memory_accesses"] == 9
+        assert burst[2][0].tenants[0].sync_memory_accesses == 9
 
     def test_failed_link_detours_match(self):
         burst, reference = run_both("ring", 0, 1, stores=2, loads=10,
                                     failed_link=(0, 1))
         assert burst == reference
-        assert burst[2][0]["detour_bit_hops"] > 0
+        assert burst[2][0].detour_bit_hops > 0
 
     def test_empty_burst_is_free(self):
         system = make_system("all_to_all")
         addr = system.addrmap.alloc(1, 64)
-        before = snapshot(system)
+        before = fabric_snapshot(system)
         assert system.memsys.uncacheable_burst(0, addr, 100) == 0
-        assert snapshot(system) == before
+        assert fabric_snapshot(system) == before
 
     @settings(max_examples=40, deadline=None)
     @given(fabric=st.sampled_from(sorted(FABRICS)),

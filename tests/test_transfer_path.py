@@ -1,0 +1,158 @@
+"""``Interconnect.transfer_latency`` against the per-hop reference.
+
+``transfer_latency`` is the one packet path: it does the crossbar traffic
+accounting, the route lookup, the link loop and the destination crossbar
+step inline.  :func:`repro.testing.per_hop_transfer` composes the same
+packet from :meth:`Crossbar.queue_wait`, each :meth:`Link.reserve` and
+:func:`charge_transfers`.  After every packet the two must agree on the
+latency, on every counter (tenant counters included) and on the crossbar,
+link and DRAM state, on every fabric — pristine, routed, faulted,
+load-aware and heterogeneous.
+
+The burst tests compare :meth:`MemorySystem.uncacheable_burst` with a loop
+of single accesses, which themselves go through ``transfer_latency``; the
+last test here repeats that comparison with the per-hop reference patched
+in, so the inlined burst loop is also checked against code it shares
+nothing with.
+"""
+
+import random
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.sim.config import ndp_2_5d
+from repro.sim.memsys import MemorySystem
+from repro.sim.network import Interconnect
+from repro.testing import (
+    FABRICS, build_system, fabric_snapshot, per_access_burst, per_hop_transfer)
+
+#: fabric -> (ndp_2_5d overrides, channel failed at cycle 0 or None).
+CASES = {name: (overrides, None) for name, overrides in FABRICS.items()}
+CASES["faulted_ring"] = (dict(num_units=4, topology="ring"), (0, 1))
+
+#: packet sizes: zero-byte, header, word payloads, a cache line, a bulk
+#: packet that saturates the crossbar estimate and queues on links.
+SIZES = (0, 8, 16, 24, 64, 6400)
+
+
+def make_system(case):
+    overrides, failed = CASES[case]
+    system = build_system(
+        ndp_2_5d(cores_per_unit=2, client_cores_per_unit=2, **overrides),
+        "bakery")
+    if failed is not None:
+        system.interconnect.fail_link(failed, now=0)
+    return system
+
+
+def replay(case, packets, tenant_from=None):
+    """Drive the same packet sequence through ``transfer_latency`` on one
+    system and through the per-hop reference on another, comparing
+    latency and state after every packet."""
+    fused, reference = make_system(case), make_system(case)
+    units = fused.config.num_units
+    now = 0
+    for index, (src, dst, gap, nbytes) in enumerate(packets):
+        if index == tenant_from:
+            for system in (fused, reference):
+                system.stats.active = system.stats.add_tenant("t0")
+        now += gap
+        src, dst = src % units, dst % units
+        latency = fused.interconnect.transfer_latency(src, dst, now, nbytes)
+        expected = per_hop_transfer(reference.interconnect, src, dst, now,
+                                    nbytes)
+        assert latency == expected, (index, src, dst, now, nbytes)
+        assert fabric_snapshot(fused) == fabric_snapshot(reference), index
+    return fused
+
+
+def random_packets(seed, count=120):
+    rng = random.Random(seed)
+    return [(rng.randrange(8), rng.randrange(8),
+             rng.choice((0, 0, 1, 3, 17, 40, 600, 2_000_000)),
+             rng.choice(SIZES))
+            for _ in range(count)]
+
+
+class TestTransferMatchesPerHop:
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_random_traffic(self, case):
+        system = replay(case, random_packets(seed=len(case)), tenant_from=60)
+        assert system.stats.bytes_across_units > 0
+        assert system.stats.tenants[0].bytes_inside_units > 0
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_every_pair_local_and_remote(self, case):
+        units = CASES[case][0]["num_units"]
+        replay(case, [(src, dst, 5, 64)
+                      for src in range(units) for dst in range(units)])
+
+    def test_zero_byte_packets(self):
+        system = replay("ring", [(0, 2, 0, 0), (2, 2, 0, 0), (3, 1, 1, 0)])
+        assert system.stats.bytes_across_units == 0
+        assert system.stats.bytes_inside_units == 0
+
+    def test_faulted_ring_counts_detours(self):
+        system = replay("faulted_ring", [(0, 1, 10, 64), (1, 0, 10, 64)])
+        assert system.stats.detour_bit_hops > 0
+        assert system.stats.reroutes > 0
+
+    def test_delegations_share_the_packet_path(self):
+        fused, reference = make_system("mesh2d"), make_system("mesh2d")
+        assert (fused.interconnect.remote_latency(0, 7, 3, 64)
+                == per_hop_transfer(reference.interconnect, 0, 7, 3, 64))
+        assert (fused.interconnect.local_latency(5, 9, 16)
+                == per_hop_transfer(reference.interconnect, 5, 5, 9, 16))
+        assert fabric_snapshot(fused) == fabric_snapshot(reference)
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=st.sampled_from(sorted(CASES)),
+           packets=st.lists(
+               st.tuples(st.integers(0, 7), st.integers(0, 7),
+                         st.sampled_from((0, 1, 2, 50, 3000, 2_000_000)),
+                         st.sampled_from(SIZES)),
+               min_size=1, max_size=30),
+           tenant_from=st.one_of(st.none(), st.integers(0, 29)))
+    def test_random_sequences(self, case, packets, tenant_from):
+        replay(case, packets, tenant_from)
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+@pytest.mark.parametrize("home", ["local", "mid", "far"])
+@pytest.mark.parametrize("size", [8, 2048])
+def test_burst_matches_per_hop_accesses(monkeypatch, case, home, size):
+    """A scan through the inlined burst loop equals the same accesses issued
+    one at a time over the per-hop reference."""
+    results = []
+    for patched in (False, True):
+        with monkeypatch.context() as patch:
+            if patched:
+                patch.setattr(Interconnect, "transfer_latency",
+                              per_hop_transfer)
+            system = make_system(case)
+            rng = random.Random(7)
+            units = system.config.num_units
+            addrs = [system.addrmap.alloc(u, 64) for u in range(units)]
+            now = 0
+            for _ in range(30):
+                now += rng.randrange(0, 40)
+                system.memsys.access(rng.randrange(units), None,
+                                     rng.choice(addrs), rng.random() < 0.3,
+                                     cacheable=False, now=now)
+            # "mid" is unit 2: across the profiled fabric's slow (0, 2) link.
+            target = {"local": 0, "mid": 2, "far": units - 1}[home]
+            # Flood both endpoint crossbars so the burst starts with their
+            # utilization estimate above the M/D/1 cap.
+            for _ in range(40):
+                now += 1
+                for unit in {0, target}:
+                    system.interconnect.transfer_latency(unit, unit, now, 6400)
+            addr = system.addrmap.alloc(target, 64)
+            issue = per_access_burst if patched else MemorySystem.uncacheable_burst
+            # 2 KiB words load the crossbars enough for M/D/1 waits to
+            # show, and give requests and responses different service times.
+            cycles = issue(system.memsys, 0, addr, now, stores=20, loads=100,
+                           size=size, for_sync=True)
+            results.append((cycles, fabric_snapshot(system)))
+    assert results[0] == results[1]
