@@ -64,7 +64,9 @@ def _cpu1(fresh: Dict, base: Dict) -> Optional[str]:
 #: file -> list of (kind, path, tolerance-or-expected, skip_if)
 GATES: Dict[str, List[Tuple]] = {
     "BENCH_kernel.json": [
-        # Event-kernel throughput: the headline optimisation must hold.
+        # Kernel layer only: event-kernel throughput on microbenchmarks and
+        # spin runs.  These gates say nothing about end-to-end regeneration
+        # time, where the kernel is a small share of host time.
         ("min_ratio", "kernel_microbench.*.speedup", 0.5, None),
         ("min_ratio", "poll_storm.elision_speedup_vs_explicit", 0.5, None),
         ("min_ratio", "poll_storm.elision_speedup_vs_legacy", 0.5, None),

@@ -65,7 +65,9 @@ class L1Cache:
         """Look up ``addr``; allocate on miss; return hit/miss + victim."""
         line = addr // self.line_bytes
         idx = self._set_index(line)
-        cset = self._sets.setdefault(idx, OrderedDict())
+        cset = self._sets.get(idx)
+        if cset is None:
+            cset = self._sets[idx] = OrderedDict()
 
         if line in cset:
             cset.move_to_end(line)

@@ -45,6 +45,11 @@ class DramDevice:
         self._conflict_cycles = timing.row_conflict_cycles
 
     # ------------------------------------------------------------------
+    def bank_of(self, addr: int) -> int:
+        """Index of the bank ``addr`` maps to (the interleaving of
+        :meth:`access`)."""
+        return addr // self._row_bytes % self.num_banks
+
     def access(self, addr: int, is_write: bool, now: int) -> int:
         """Perform an access at time ``now``; returns total latency in cycles.
 

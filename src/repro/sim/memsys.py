@@ -17,8 +17,6 @@ usual write-back buffer assumption.
 
 from __future__ import annotations
 
-from functools import partial
-
 from repro.sim.cache import L1Cache
 from repro.sim.config import SystemConfig
 from repro.sim.dram import DramDevice
@@ -125,7 +123,10 @@ class MemorySystem:
         cycle later), the way an in-order core walks a scan.  Timing, DRAM
         state and every counter are bit-identical to that many
         :meth:`access` calls; the home unit and packet sizes are resolved
-        once per burst.
+        once per burst, and each of the (at most two) runs is one
+        :meth:`Interconnect.round_trips
+        <repro.sim.network.Interconnect.round_trips>` call that resolves its
+        packets and DRAM row hits inline.
         """
         count = stores + loads
         if for_sync:
@@ -134,18 +135,18 @@ class MemorySystem:
             if tenant is not None:
                 tenant.sync_memory_accesses += count
         home = self.addrmap.unit_of(addr)
-        dram = self.drams[home].access
+        dram = self.drams[home]
         payload = size if size > 8 else 8
         round_trips = self.interconnect.round_trips
         cycles = 0
         if stores:
             cycles = round_trips(src_unit, home, now, stores,
                                  REQUEST_BYTES + payload, REQUEST_BYTES,
-                                 partial(dram, addr, True))
+                                 dram, addr, True)
         if loads:
             cycles += round_trips(src_unit, home, now + cycles, loads,
                                   REQUEST_BYTES, REQUEST_BYTES + payload,
-                                  partial(dram, addr, False))
+                                  dram, addr, False)
         return cycles
 
     # ------------------------------------------------------------------

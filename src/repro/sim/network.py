@@ -36,17 +36,19 @@ packet's traffic into :class:`~repro.sim.stats.SystemStats`, so the energy
 model and the Fig. 15 data-movement results need no extra hooks; the
 fabric additionally counts ``link_bit_hops`` (bits x links traversed) for
 per-hop link energy.  :meth:`Interconnect.round_trips` resolves a burst of
-request/response exchanges (a bakery scan) with the same arithmetic inline
-and charges its traffic once per burst.
+request/response exchanges to one DRAM address (a bakery scan) with the
+same arithmetic inline, its DRAM row hits included, and charges its traffic
+once per burst.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, Optional, Set, Tuple
+from typing import Dict, Optional, Set, Tuple
 
 from repro.sim.clock import core_cycles_from_ns
 from repro.sim.config import SystemConfig
+from repro.sim.dram import DramDevice
 from repro.sim.stats import SystemStats, charge_transfers
 from repro.sim.topo import (
     Channel,
@@ -519,41 +521,56 @@ class Interconnect:
         return latency
 
     def round_trips(self, src_unit: int, dst_unit: int, now: int, count: int,
-                    request_bytes: int, response_bytes: int,
-                    service: Callable[[int], int]) -> int:
-        """Cycles of ``count`` back-to-back request/response exchanges.
+                    request_bytes: int, response_bytes: int, dram: DramDevice,
+                    addr: int, is_write: bool) -> int:
+        """Cycles of ``count`` back-to-back request/response exchanges, each
+        one access to ``addr`` in ``dram`` (the memory of ``dst_unit``).
 
         Each exchange moves ``request_bytes`` from ``src_unit`` to
-        ``dst_unit``, spends ``service(arrival)`` cycles there and moves
+        ``dst_unit``, performs the DRAM access on arrival and moves
         ``response_bytes`` back; the next exchange issues when the response
         lands (at least one cycle after its predecessor issued).  Timing,
-        fabric state and counters are bit-identical to a pair of
-        :meth:`transfer_latency` calls around ``service`` per exchange.
+        fabric and DRAM state and counters are bit-identical to a pair of
+        :meth:`transfer_latency` calls around a :meth:`DramDevice.access
+        <repro.sim.dram.DramDevice.access>` per exchange.
 
         On a pristine single-path fabric the route is resolved once, the
         crossbar load estimates and link reservations are read into locals,
         every packet's crossbar M/D/1 step (:meth:`Crossbar.queue_wait`) and
         link reservation (:meth:`Link.reserve`) runs as inline arithmetic,
         and the state is written back and the traffic counters charged once
-        after the last exchange.  Contract: ``service`` must not touch this
-        fabric — a transfer issued from it would see stale crossbar and link
-        state and be overwritten by the write-back.  Degraded and adaptive
-        fabrics, whose routes may change per packet, resolve every transfer
-        through :meth:`transfer_latency` instead.
+        after the last exchange.  The first DRAM access goes through
+        :meth:`DramDevice.access <repro.sim.dram.DramDevice.access>`, which
+        opens ``addr``'s row; nothing else runs during the burst, so every
+        later access is a row hit on that bank, resolved inline (wait for
+        the bank, the hit latency, then the write-recovery hold on a store)
+        with the bank and the DRAM counters written back once too.
+        Degraded and adaptive fabrics, whose routes may change per packet,
+        resolve every transfer through :meth:`transfer_latency` and every
+        access through ``dram.access`` instead.
         """
         if count <= 0:
             return 0
         cursor = now
         local = src_unit == dst_unit
+        access = dram.access
         if not local and (self._degraded or self._adaptive):
             transfer = self.transfer_latency
             for _ in range(count):
                 latency = transfer(src_unit, dst_unit, cursor, request_bytes)
-                latency += service(cursor + latency)
+                latency += access(addr, is_write, cursor + latency)
                 latency += transfer(dst_unit, src_unit, cursor + latency,
                                     response_bytes)
                 cursor += latency if latency > 1 else 1
             return cursor - now
+        # DRAM: the bank's next-free time is unknown (None) until the first
+        # access opens the row; each later access is a row hit held for
+        # ``hit`` plus ``recovery`` on a store.
+        bank = dram.bank_of(addr)
+        bank_next_free = dram._next_free
+        bank_free = None
+        hit = dram._hit_cycles
+        recovery = dram._wr_cycles if is_write else 0
         src = self.crossbars[src_unit]
         # Every crossbar is built from one config: one base latency and one
         # bandwidth, so each packet size has one M/D/1 service time.
@@ -583,7 +600,14 @@ class Interconnect:
                 if rho > 0.95:
                     rho = 0.95
                 t = cursor + base + int(rho * req_service / (2.0 * (1.0 - rho)))
-                t += service(t)
+                if bank_free is None:
+                    t += access(addr, is_write, t)
+                    bank_free = bank_next_free[bank]
+                else:
+                    if bank_free > t:
+                        t = bank_free
+                    t += hit
+                    bank_free = t + recovery
                 # response: the same crossbar again
                 elapsed = t - src_last
                 if elapsed < 1:
@@ -649,7 +673,14 @@ class Interconnect:
                 if rho > 0.95:
                     rho = 0.95
                 t += base + int(rho * req_service / (2.0 * (1.0 - rho)))
-                t += service(t)
+                if bank_free is None:
+                    t += access(addr, is_write, t)
+                    bank_free = bank_next_free[bank]
+                else:
+                    if bank_free > t:
+                        t = bank_free
+                    t += hit
+                    bank_free = t + recovery
                 # response: destination crossbar step
                 elapsed = t - dst_last
                 if elapsed < 1:
@@ -691,6 +722,14 @@ class Interconnect:
             for link, free in zip(back, back_free):
                 link._next_free = free
         src._rate, src._last_time = src_rate, src_last
+        bank_next_free[bank] = bank_free
+        hits = count - 1
+        dram_stats = dram.stats
+        dram_stats.dram_row_hits += hits
+        if is_write:
+            dram_stats.dram_writes += hits
+        else:
+            dram_stats.dram_reads += hits
         local_hops = self.config.local_hops
         charge_transfers(self.stats, request_bytes, count, local, local_hops,
                          len(out))

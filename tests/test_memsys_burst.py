@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core import api
 from repro.sim.config import ndp_2_5d
+from repro.sim.dram import DramDevice
 from repro.sim.memsys import MemorySystem
 from repro.sim.program import Compute
 
@@ -107,6 +108,107 @@ class TestBurstMatchesPerAccessLoop:
         burst, reference = run_both(fabric, src % units, home % units,
                                     stores, loads, size, seed)
         assert burst == reference
+
+
+def run_bursts(fabric, bursts, prepare=None):
+    """Each burst's cycles and the final state, for the burst path and the
+    reference, each on a fresh system with every DRAM row closed.
+
+    ``bursts`` lists ``(src, stores, loads, issue)`` tuples to one address
+    in unit 1; ``issue`` is an absolute cycle, or None to issue when the
+    previous burst completes.  ``prepare(system, addr)`` runs first."""
+    results = []
+    for issue in (MemorySystem.uncacheable_burst, per_access_burst):
+        system = make_system(fabric)
+        addr = system.addrmap.alloc(1, 64)
+        if prepare is not None:
+            prepare(system, addr)
+        now, cycles = 100, []
+        for src, stores, loads, at in bursts:
+            if at is not None:
+                now = at
+            cycles.append(issue(system.memsys, src, addr, now, stores=stores,
+                                loads=loads))
+            now += cycles[-1]
+        results.append((cycles, fabric_snapshot(system)))
+    return results
+
+
+class TestBurstDramSteps:
+    """The DRAM half of a burst: the first access pays the row policy of
+    :meth:`DramDevice.access`, every later one is a row hit on that bank."""
+
+    @pytest.mark.parametrize("fabric", sorted(FABRICS))
+    @pytest.mark.parametrize("src", [0, 1])
+    def test_first_access_opens_a_closed_row(self, fabric, src):
+        burst, reference = run_bursts(fabric, [(src, 0, 12, None)])
+        assert burst == reference
+        stats = burst[1][0]
+        assert (stats.dram_row_misses, stats.dram_row_hits) == (1, 11)
+
+    @pytest.mark.parametrize("fabric", sorted(FABRICS))
+    def test_row_conflict_on_first_access(self, fabric):
+        def open_other_row(system, addr):
+            dram = system.memsys.drams[1]
+            other = addr + dram.timing.row_size_bytes * dram.num_banks
+            system.memsys.access(1, None, other, False, cacheable=False,
+                                 now=0)
+
+        burst, reference = run_bursts(fabric, [(0, 1, 9, None)],
+                                      open_other_row)
+        assert burst == reference
+        stats = burst[1][0]
+        assert (stats.dram_row_misses, stats.dram_row_hits) == (2, 9)
+        # the conflict costs more than a miss of a closed row
+        closed, _ = run_bursts(fabric, [(0, 1, 9, None)])
+        assert burst[0][0] > closed[0][0]
+
+    @pytest.mark.parametrize("fabric", sorted(FABRICS))
+    @pytest.mark.parametrize("src", [0, 1])
+    def test_store_bursts_hold_for_write_recovery(self, fabric, src):
+        burst, reference = run_bursts(fabric, [(src, 8, 0, None),
+                                               (src, 3, 2, None)])
+        assert burst == reference
+        assert burst[1][0].dram_writes == 11
+
+    @pytest.mark.parametrize("fabric", sorted(FABRICS))
+    def test_bank_reserved_far_past_the_request(self, fabric):
+        def reserve_bank(system, addr):
+            dram = system.memsys.drams[1]
+            dram._next_free[dram.bank_of(addr)] = 50_000
+
+        burst, reference = run_bursts(fabric, [(0, 2, 6, None)],
+                                      reserve_bank)
+        assert burst == reference
+        assert burst[0][0] > 50_000 - 100
+
+    @pytest.mark.parametrize("fabric", sorted(FABRICS))
+    def test_two_bursts_to_one_bank(self, fabric):
+        # back to back from one core, then one issued from another unit at
+        # the first's issue time, queueing behind the bank's reservation
+        burst, reference = run_bursts(fabric, [(0, 2, 10, None),
+                                               (1, 0, 10, None),
+                                               (2, 1, 5, 100)])
+        assert burst == reference
+
+    @pytest.mark.parametrize("fabric,burst_calls", [
+        ("all_to_all", [True, False]),
+        ("degraded", [True] * 3 + [False] * 7),
+    ])
+    def test_dram_access_calls(self, monkeypatch, fabric, burst_calls):
+        """A pristine fabric calls ``DramDevice.access`` once per run of
+        stores or loads; a degraded one falls back to once per access."""
+        calls = []
+        access = DramDevice.access
+
+        def counted(self, addr, is_write, now):
+            calls.append(is_write)
+            return access(self, addr, is_write, now)
+
+        monkeypatch.setattr(DramDevice, "access", counted)
+        burst, reference = run_bursts(fabric, [(0, 3, 7, None)])
+        assert burst == reference
+        assert calls == burst_calls + [True] * 3 + [False] * 7
 
 
 def test_bakery_run_matches_per_access_model(monkeypatch):
