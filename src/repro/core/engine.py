@@ -23,6 +23,7 @@ from repro.core.messages import (
     LOCAL_OPCODES,
     Message,
     Opcode,
+    OPCODE_BYTES,
     OVERFLOW_OPCODES,
     REQUEST_BYTES,
     RESPONSE_BYTES,
@@ -82,6 +83,17 @@ _REDIRECT_OPCODES = {
 class SyncEngine(ProtocolMixin):
     """One SE, integrated in the compute die of one NDP unit.
 
+    Intake is a single-server queue: an arriving message starts its
+    service time at once when the SE is idle and queues otherwise; each
+    ``_finish`` handles one message and starts the next as soon as the
+    memory cycles the handling charged (``_extra``) have elapsed.  Per
+    message the SE only counts an occupancy sample on its ST
+    (:attr:`SynchronizationTable.unsampled
+    <repro.core.sync_table.SynchronizationTable.unsampled>`); the ST folds
+    the samples into :class:`~repro.sim.stats.SystemStats` when its
+    occupancy changes, and :meth:`SynCronMechanism.end_run` folds the rest
+    when the run returns.
+
     (No ``__slots__`` here on purpose: there is one SE per unit — a handful
     of instances — and tests monkeypatch engine methods per instance.)
     """
@@ -96,7 +108,8 @@ class SyncEngine(ProtocolMixin):
         #: interned FIFO-clamp key (one tuple per SE, not one per message).
         self.sender_token = ("se", se_id)
 
-        self.st = SynchronizationTable(self.config.st_entries)
+        self.st = SynchronizationTable(self.config.st_entries, self.stats, se_id)
+        mech.tables.append(self.st)
         self.counters = IndexingCounters(
             self.config.indexing_counters, self.config.cache_line_bytes
         )
@@ -113,7 +126,6 @@ class SyncEngine(ProtocolMixin):
         #: per-sender FIFO clamp so analytic network latencies never reorder
         #: messages from the same source.
         self._last_arrival: Dict[object, int] = {}
-        self.messages_handled = 0
 
     # ------------------------------------------------------------------
     # Topology helpers
@@ -129,37 +141,46 @@ class SyncEngine(ProtocolMixin):
     # ------------------------------------------------------------------
     def receive(self, msg: Message, arrival: int, sender: object = None) -> None:
         if sender is not None:
-            clamped = max(arrival, self._last_arrival.get(sender, 0) + 1)
-            self._last_arrival[sender] = clamped
-            arrival = clamped
+            earliest = self._last_arrival.get(sender, 0) + 1
+            if arrival < earliest:
+                arrival = earliest
+            self._last_arrival[sender] = arrival
         self.sim.schedule_at(arrival, self._enqueue, msg)
 
     def _enqueue(self, msg: Message) -> None:
-        self._queue.append(msg)
-        if not self._busy:
+        if self._busy:
+            self._queue.append(msg)
+        else:
             self._busy = True
-            self._start_next()
+            self.sim.schedule(self.service_cycles, self._finish, msg)
 
     def _start_next(self) -> None:
-        if not self._queue:
+        """Serve the next queued message, or go idle."""
+        if self._queue:
+            self.sim.schedule(self.service_cycles, self._finish,
+                              self._queue.popleft())
+        else:
             self._busy = False
-            return
-        msg = self._queue.popleft()
-        self.sim.schedule(self.service_cycles, self._finish, msg)
 
     def _finish(self, msg: Message) -> None:
+        """One message's service time has elapsed: handle it, then start
+        the next once the memory cycles it charged have elapsed too."""
         self._extra = 0
-        self.messages_handled += 1
-        stats = self.stats
-        stats.record_st_occupancy(self.se_id, self.st.occupied)
+        # One occupancy sample per message, folded by the ST (see
+        # SynchronizationTable.unsampled).
+        self.st.unsampled += 1
         # Everything this dispatch does (messages, syncronVar accesses,
         # server-core loads/stores) is on behalf of the variable's tenant.
-        stats.active = msg.var.owner if msg.var is not None else None
+        var = msg.var
+        self.stats.active = var.owner if var is not None else None
         self.dispatch(msg)
         if self._extra > 0:
             self.sim.schedule(self._extra, self._start_next)
+        elif self._queue:
+            self.sim.schedule(self.service_cycles, self._finish,
+                              self._queue.popleft())
         else:
-            self._start_next()
+            self._busy = False
 
     # ------------------------------------------------------------------
     # State residency: Fig. 8 control flow
@@ -292,14 +313,14 @@ class SyncEngine(ProtocolMixin):
                 core: Optional[int] = None, info=0) -> None:
         if dst_se == self.se_id:
             raise ProtocolError(f"SE {self.se_id} sending {opcode.name} to itself")
-        msg = Message(opcode, var, core=core, src_se=self.se_id, info=info)
+        msg = Message(opcode, var, core, self.se_id, info)
         if opcode in OVERFLOW_OPCODES:
             self.stats.sync_messages_overflow += 1
         else:
             self.stats.sync_messages_global += 1
         depart = self.sim.now + self._extra
         latency = self.mech.interconnect.transfer_latency(
-            self.unit, dst_se, depart, msg.bytes
+            self.unit, dst_se, depart, OPCODE_BYTES[opcode]
         )
         self.mech.se(dst_se).receive(msg, depart + latency, sender=self.sender_token)
 
@@ -337,6 +358,9 @@ class SynCronMechanism(MechanismBase):
     def __init__(self, system):
         super().__init__(system)
         self.memsys = system.memsys
+        #: every ST built for this mechanism's engines (fallback and
+        #: replacement servers included), for the end-of-run occupancy fold.
+        self.tables = []
         self.ses = [SyncEngine(self, se_id) for se_id in range(self.config.num_units)]
         self.sem_initial: Dict[int, int] = {}
         self._pending: Dict[int, Callable[[], None]] = {}
@@ -391,6 +415,11 @@ class SynCronMechanism(MechanismBase):
         if callback is None:
             raise ProtocolError(f"grant for core {core_id} with no pending request")
         callback()
+
+    def end_run(self) -> None:
+        """Fold every ST's pending occupancy samples into the stats."""
+        for table in self.tables:
+            table.flush_occupancy()
 
     # ------------------------------------------------------------------
     def destroy_var(self, var: SyncVar) -> None:

@@ -84,6 +84,11 @@ class Opcode(enum.Enum):
     # --- other ----------------------------------------------------------
     DECREASE_INDEXING_COUNTER = enum.auto()
 
+    # Members are singletons compared by identity, so the identity hash is
+    # consistent with equality.  Enum's own ``__hash__`` is a Python-level
+    # ``hash(self._name_)``, paid on every handler and wire-size lookup.
+    __hash__ = object.__hash__
+
 
 LOCAL_OPCODES = frozenset(op for op in Opcode if op.name.endswith("_LOCAL")) | {
     Opcode.BARRIER_WAIT_LOCAL_WITHIN_UNIT,

@@ -29,9 +29,10 @@ class STFullError(Exception):
     """Raised when allocation is attempted on a fully-occupied ST."""
 
 
-@dataclass
+@dataclass(slots=True)
 class STEntry:
-    """One occupied ST entry (Fig. 7)."""
+    """One occupied ST entry (Fig. 7).  Slotted: one is built per allocation
+    and per ``syncronVar``."""
 
     addr: int
     var: "object"
@@ -79,17 +80,40 @@ class STEntry:
 
 
 class SynchronizationTable:
-    """A fixed-capacity table of :class:`STEntry`, keyed by address."""
+    """A fixed-capacity table of :class:`STEntry`, keyed by address.
 
-    def __init__(self, entries: int):
+    Occupancy (Table 7) is sampled once per message the owning SE serves,
+    before the message is handled.  Occupancy changes only on
+    :meth:`allocate` and :meth:`release`, so the SE just counts its messages
+    in :attr:`unsampled`; the table folds them into
+    :meth:`SystemStats.record_st_occupancy
+    <repro.sim.stats.SystemStats.record_st_occupancy>` as one run of samples
+    at the current occupancy right before each change, and
+    :meth:`flush_occupancy` folds the tail when the run ends.  The sums,
+    sample counts and maxima equal per-message sampling exactly.
+    """
+
+    def __init__(self, entries: int, stats=None, se_id: int = 0):
         if entries < 1:
             raise ValueError("ST needs at least one entry")
         self.capacity = entries
         self._entries: Dict[int, STEntry] = {}
+        #: where occupancy samples are folded, under this id.
+        self._stats = stats
+        self.se_id = se_id
+        #: messages served since the last fold (occupancy samples not yet
+        #: booked; all taken at the current occupancy).
+        self.unsampled = 0
         # lifetime statistics
         self.allocations = 0
-        self.releases = 0
         self.peak_occupancy = 0
+
+    def flush_occupancy(self) -> None:
+        """Book the pending occupancy samples at the current occupancy."""
+        if self.unsampled:
+            self._stats.record_st_occupancy(
+                self.se_id, len(self._entries), self.unsampled)
+            self.unsampled = 0
 
     # ------------------------------------------------------------------
     def lookup(self, addr: int) -> Optional[STEntry]:
@@ -101,18 +125,20 @@ class SynchronizationTable:
             raise ValueError(f"variable {var.name} already has an ST entry")
         if self.is_full:
             raise STFullError(f"ST full ({self.capacity} entries)")
+        self.flush_occupancy()
         entry = STEntry(addr=var.addr, var=var)
-        self._entries[var.addr] = entry
+        entries = self._entries
+        entries[var.addr] = entry
         self.allocations += 1
-        if self.occupied > self.peak_occupancy:
-            self.peak_occupancy = self.occupied
+        if len(entries) > self.peak_occupancy:
+            self.peak_occupancy = len(entries)
         return entry
 
     def release(self, addr: int) -> None:
-        entry = self._entries.pop(addr, None)
-        if entry is None:
+        if addr not in self._entries:
             raise KeyError(f"no ST entry for address {addr:#x}")
-        self.releases += 1
+        self.flush_occupancy()
+        del self._entries[addr]
 
     def release_if_idle(self, entry: STEntry) -> bool:
         """Free the entry when the protocol no longer needs it."""

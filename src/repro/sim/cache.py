@@ -85,6 +85,16 @@ class L1Cache:
         cset[line] = is_write
         return AccessResult(hit=False, writeback_line=writeback)
 
+    def hit_resident(self, addr: int, count: int, dirty: bool) -> int:
+        """Book ``count`` hits on ``addr``'s line, which the caller's last
+        access left at the MRU end of its set (so LRU order does not move);
+        ``dirty`` marks it written.  Returns their cycles."""
+        if dirty:
+            line = addr // self.line_bytes
+            self._sets[line % self.num_sets][line] = True
+        self.stats.cache_hits += count
+        return count * self.hit_cycles
+
     def contains(self, addr: int) -> bool:
         line = addr // self.line_bytes
         return line in self._sets.get(self._set_index(line), ())

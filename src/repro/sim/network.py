@@ -488,11 +488,34 @@ class Interconnect:
         more across units, and ``link_bit_hops`` counts every traversed link
         for the energy model (what :func:`~repro.sim.stats.charge_transfers`
         books per transfer).
+
+        Both crossbar steps (:meth:`Crossbar.queue_wait`) and every link
+        reservation (:meth:`Link.reserve`) run as inline arithmetic, as in
+        :meth:`round_trips`; those methods stay the definitions that
+        :func:`repro.testing.per_hop_transfer` composes and
+        ``tests/test_transfer_path.py`` checks this path against.
         """
         stats = self.stats
         tenant = stats.active
+        # Source crossbar: Crossbar.queue_wait, inline.
         xbar = self.crossbars[src_unit]
-        latency = xbar._base_cycles + xbar.queue_wait(now, nbytes)
+        elapsed = now - xbar._last_time
+        if elapsed < 1:
+            elapsed = 1
+        decay = xbar._decay_cache.get(elapsed)
+        if decay is None:
+            decay = xbar._decay(elapsed)
+        rate = xbar._rate * decay + (nbytes / elapsed) * (1.0 - decay)
+        xbar._rate = rate
+        xbar._last_time = now
+        bpc = xbar._bytes_per_cycle
+        service = nbytes / bpc
+        if service < 1.0:
+            service = 1.0
+        rho = rate / bpc
+        if rho > 0.95:
+            rho = 0.95
+        latency = xbar._base_cycles + int(rho * service / (2.0 * (1.0 - rho)))
         if src_unit == dst_unit:
             stats.bytes_inside_units += nbytes
             stats.local_bit_hops += nbytes * self._local_bits
@@ -507,10 +530,34 @@ class Interconnect:
             route = self._routes.get((src_unit, dst_unit))
             if route is None:
                 route = self._route(src_unit, dst_unit)
+        # Each link on the route: Link.reserve, inline.
+        t = now + latency
         for link in route:
-            latency += link.reserve(now + latency, nbytes)
+            serialization = link._serialization.get(nbytes)
+            if serialization is None:
+                serialization = link.serialization_cycles(nbytes)
+            start = link._next_free
+            if t > start:
+                start = t
+            start += serialization
+            link._next_free = start
+            t = start + link._latency_cycles
+        # Destination crossbar (same config, so same bandwidth and base).
         xbar = self.crossbars[dst_unit]
-        latency += xbar._base_cycles + xbar.queue_wait(now + latency, nbytes)
+        elapsed = t - xbar._last_time
+        if elapsed < 1:
+            elapsed = 1
+        decay = xbar._decay_cache.get(elapsed)
+        if decay is None:
+            decay = xbar._decay(elapsed)
+        rate = xbar._rate * decay + (nbytes / elapsed) * (1.0 - decay)
+        xbar._rate = rate
+        xbar._last_time = t
+        rho = rate / bpc
+        if rho > 0.95:
+            rho = 0.95
+        latency = (t - now) + xbar._base_cycles + int(
+            rho * service / (2.0 * (1.0 - rho)))
         stats.bytes_inside_units += 2 * nbytes
         stats.local_bit_hops += 2 * nbytes * self._local_bits
         stats.bytes_across_units += nbytes

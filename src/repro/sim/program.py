@@ -19,15 +19,22 @@ Operations:
   the mechanism needs an ACK).
 - :class:`SyncAsyncOp` — a non-blocking ``req_async`` (release-type
   semantics: the instruction commits once the message is issued).
+
+Ops are value objects: they compare and hash by their fields and are never
+mutated after they are built.  Programs allocate one per yield, so they are
+slotted, unfrozen dataclasses; a frozen dataclass's ``__init__`` sets every
+field through ``object.__setattr__``, which costs about three times as
+much per op.  Each class's ``__post_init__`` still validates it once, on
+construction.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Optional
+from dataclasses import dataclass
+from typing import Any
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Compute:
     instructions: int
 
@@ -36,14 +43,14 @@ class Compute:
             raise ValueError("instruction count must be non-negative")
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Load:
     addr: int
     size: int = 8
     cacheable: bool = True
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Store:
     addr: int
     size: int = 8
@@ -111,7 +118,7 @@ OP_KINDS = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Batch:
     """A sequence of Compute/Load/Store ops resolved in one simulator event.
 
@@ -138,7 +145,7 @@ def batch(*ops) -> Batch:
     return Batch(tuple(ops))
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class SyncOp:
     """Blocking synchronization request (``req_sync`` semantics)."""
 
@@ -151,7 +158,7 @@ class SyncOp:
             raise ValueError(f"unknown sync op {self.op!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class SyncAsyncOp:
     """Non-blocking synchronization request (``req_async`` semantics)."""
 
@@ -173,7 +180,7 @@ RMW_OPS = (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class RmwOp:
     """An atomic read-modify-write executed at the Master SE (Sec. 4.4.1).
 

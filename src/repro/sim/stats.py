@@ -8,8 +8,9 @@ occupancy (Table 7, Fig. 19/22) results.
 Counters are plain attributes on a slotted dataclass: the hot paths
 (interconnect, DRAM, caches, SEs) bump them millions of times per run, and an
 attribute store on a slotted instance is the cheapest mutation Python offers.
-Per-SE occupancy accounting uses flat lists indexed by SE id instead of the
-three dict lookups per message the seed paid.
+Per-SE occupancy accounting uses flat lists indexed by SE id, fed once per
+ST allocate/release with the messages served since the previous change
+rather than once per message.
 
 Multi-tenant attribution
 ------------------------
@@ -158,7 +159,8 @@ class SystemStats:
     active: Optional[TenantStats] = None
 
     # Occupancy integrals, indexed by SE id: running max, sum over sampling
-    # points of occupied entries, and sample counts.
+    # points (one per served message) of occupied entries, and sample
+    # counts.  See record_st_occupancy for when they are folded in.
     _occ_max: List[int] = field(default_factory=list)
     _occ_sum: List[int] = field(default_factory=list)
     _occ_samples: List[int] = field(default_factory=list)
@@ -210,8 +212,18 @@ class SystemStats:
         }
 
     # ------------------------------------------------------------------
-    def record_st_occupancy(self, se_id: int, occupied: int) -> None:
-        """Sample an ST's occupancy (called by the SE on every message)."""
+    def record_st_occupancy(self, se_id: int, occupied: int,
+                            samples: int = 1) -> None:
+        """Book ``samples`` occupancy samples of SE ``se_id``'s table, all
+        taken at ``occupied`` entries.
+
+        The SE samples its table once per message it serves; since
+        occupancy only moves on an allocate or a release, each
+        :class:`~repro.core.sync_table.SynchronizationTable` folds the
+        messages served between two changes into one call here (and the
+        tail when ``NDPSystem.run_programs`` returns), so the integrals
+        read mid-run may lag by the samples not yet folded.
+        """
         maxes = self._occ_max
         if se_id >= len(maxes):
             grow = se_id + 1 - len(maxes)
@@ -220,8 +232,8 @@ class SystemStats:
             self._occ_samples.extend([0] * grow)
         if occupied > maxes[se_id]:
             maxes[se_id] = occupied
-        self._occ_sum[se_id] += occupied
-        self._occ_samples[se_id] += 1
+        self._occ_sum[se_id] += occupied * samples
+        self._occ_samples[se_id] += samples
 
     @property
     def st_occupancy_max(self) -> Dict[int, int]:

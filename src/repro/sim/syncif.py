@@ -119,6 +119,10 @@ class MechanismBase:
         if tenant is not None:
             tenant.sync_requests += 1
 
+    def end_run(self) -> None:
+        """Called when ``NDPSystem.run_programs`` returns: fold any
+        accounting the mechanism defers during a run (no-op here)."""
+
     # Subclasses override these two.
     def request(self, core, op, var, info, callback) -> None:  # pragma: no cover
         raise NotImplementedError

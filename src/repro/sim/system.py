@@ -202,6 +202,7 @@ class NDPSystem:
             self.cores[core_id].run_program(iter(program))
 
         self.sim.run(max_events=max_events)
+        self.mechanism.end_run()
         unfinished = [
             cid for cid in programs if not self.cores[cid].finished
         ]

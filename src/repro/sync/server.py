@@ -78,17 +78,29 @@ class ServerEngine(SyncEngine):
         return shadow
 
     def _charge_state_access(self, var) -> None:
-        """The software handler's loads/stores to synchronization state."""
+        """The software handler's loads/stores to synchronization state.
+
+        The handler makes ``server_handler_accesses`` back-to-back accesses
+        to one line, the last a store.  Only the first goes through
+        :meth:`MemorySystem.access <repro.sim.memsys.MemorySystem.access>`:
+        it leaves the line resident at the MRU end of its set (a miss
+        allocates it), so every later access is an L1 hit on that line,
+        booked here in one step with the last one dirtying it.  Latency,
+        counters and cache state equal one ``access`` call per access.
+        """
         addr = self._state_address(var)
         accesses = self.config.server_handler_accesses
-        for i in range(accesses):
-            now = self.sim.now + self._extra
-            self._extra += self.mech.memsys.access(
-                self.unit,
-                self.l1,
-                addr,
-                is_write=(i == accesses - 1),
-                cacheable=True,
-                now=now,
-                for_sync=True,
-            )
+        if accesses <= 0:
+            return
+        self._extra += self.mech.memsys.access(
+            self.unit, self.l1, addr, is_write=(accesses == 1),
+            cacheable=True, now=self.sim.now + self._extra, for_sync=True,
+        )
+        rest = accesses - 1
+        if rest:
+            stats = self.stats
+            stats.sync_memory_accesses += rest
+            tenant = stats.active
+            if tenant is not None:
+                tenant.sync_memory_accesses += rest
+            self._extra += self.l1.hit_resident(addr, rest, dirty=True)

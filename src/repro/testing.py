@@ -11,6 +11,7 @@ can import them unambiguously, and so can ad-hoc scripts.
 from __future__ import annotations
 
 import copy
+import types
 
 from repro.sim.config import SystemConfig
 from repro.sim.stats import charge_transfers
@@ -108,3 +109,54 @@ def per_access_burst(memsys, src_unit: int, addr: int, now: int,
                                     cacheable=False, now=cursor, size=size,
                                     for_sync=for_sync), 1)
     return cursor - now
+
+
+def _queued_enqueue(se, msg) -> None:
+    se._queue.append(msg)
+    if not se._busy:
+        se._busy = True
+        se._start_next()
+
+
+def _queued_start_next(se) -> None:
+    if not se._queue:
+        se._busy = False
+        return
+    msg = se._queue.popleft()
+    se.sim.schedule(se.service_cycles, se._finish, msg)
+
+
+def _queued_finish(se, msg) -> None:
+    se._extra = 0
+    stats = se.stats
+    stats.record_st_occupancy(se.se_id, len(se.st))
+    stats.active = msg.var.owner if msg.var is not None else None
+    se.dispatch(msg)
+    if se._extra > 0:
+        se.sim.schedule(se._extra, se._start_next)
+    else:
+        se._start_next()
+
+
+def engines(system) -> list:
+    """Every distinct SE / server engine of ``system``'s mechanism, the
+    abort-overflow variants' fallback servers included."""
+    mech = system.mechanism
+    found = list(mech.ses) + list(getattr(mech, "_fallbacks", ()))
+    return list({id(se): se for se in found}.values())
+
+
+def queued_intake(system) -> None:
+    """Reference for the SE intake loop of :class:`SyncEngine
+    <repro.core.engine.SyncEngine>`: patch every engine of ``system``'s
+    mechanism to queue each arriving message, pop it in a separate
+    ``_start_next`` step, and sample its ST's occupancy straight into
+    :meth:`SystemStats.record_st_occupancy
+    <repro.sim.stats.SystemStats.record_st_occupancy>` before every
+    message, instead of folding the samples per ST change.  Events,
+    timestamps and same-timestamp order must equal the engine's own loop.
+    """
+    for se in engines(system):
+        se._enqueue = types.MethodType(_queued_enqueue, se)
+        se._start_next = types.MethodType(_queued_start_next, se)
+        se._finish = types.MethodType(_queued_finish, se)
