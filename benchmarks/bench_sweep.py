@@ -1,22 +1,19 @@
-"""Sweep-orchestration benchmark: pull-based workers, warm store, crashes.
+"""Sweep-orchestration benchmark: worker pool and warm store.
 
 Run directly::
 
     PYTHONPATH=src python benchmarks/bench_sweep.py [--output BENCH_sweep.json]
 
 Times a fixed Fig. 12 subset (4 app-input combos x 4 mechanisms = 16
-independent simulations) through the pull-based work-queue executor at
-1, 2, and 4 workers — each against a fresh content-addressed store —
-then once more against a warm store (zero simulations at any worker
-count), and finally a crash-and-reclaim scenario where a quarter of the
-matrix starts out leased to a dead worker and a lone survivor must
-reclaim and finish it.
+independent simulations) through the sweep executor at 1, 2, and 4
+workers — each against a fresh content-addressed store — then once more
+against a warm store (zero simulations at any worker count).
 
 Rows are asserted bit-identical across worker counts (the executor's
 core guarantee) before any number is reported.  Worker speedup is
 bounded by the host's core count: the assertion that extra workers help
 is gated on ``cpu_count > 1``, and single-core hosts are annotated
-rather than failed — on one core the pull loop's coordination overhead
+rather than failed — on one core the pool's fork and pickling overhead
 is the honest number.
 """
 
@@ -35,20 +32,14 @@ if str(REPO_ROOT / "src") not in sys.path:
     sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.harness import runner as runner_mod  # noqa: E402
-from repro.harness.experiments import _app_spec, fig12  # noqa: E402
-from repro.harness.runner import execution_options, run_specs  # noqa: E402
-from repro.harness.store import LeaseBoard  # noqa: E402
+from repro.harness.experiments import fig12  # noqa: E402
+from repro.harness.runner import execution_options  # noqa: E402
 
 #: the fixed Fig. 12 subset (one graph kernel per contention flavour + ts).
 COMBOS = ("bfs.wk", "cc.sl", "tc.wk", "ts.air")
 MECHANISMS = ("central", "hier", "syncron", "ideal")
 WORKER_STEPS = (1, 2, 4)
 MATRIX = len(COMBOS) * len(MECHANISMS)
-
-
-def _subset_specs():
-    return [_app_spec(combo, mech)
-            for combo in COMBOS for mech in MECHANISMS]
 
 
 def _timed_fig12(workers: int, store: str) -> tuple:
@@ -139,41 +130,6 @@ def main(argv=None) -> int:
             }
             print(f"warm --workers {workers}: {elapsed:.3f}s "
                   f"({serial_seconds / elapsed:.0f}x vs serial), 0 simulated")
-
-        # crash-and-reclaim: a dead worker left expired leases on a quarter
-        # of the matrix; one survivor reclaims them and drains everything.
-        crash_root = top / "crash"
-        specs = _subset_specs()
-        board = LeaseBoard(crash_root, ttl=60.0)
-        abandoned = [spec.cache_key() for spec in specs[::4]]
-        for key in abandoned:
-            board.claim(key, "crashed", ttl=0.0)  # already expired
-        runner_mod.STATS.reset()
-        start = time.perf_counter()
-        rows = run_specs(specs, cache=True, store=f"dir:{crash_root}",
-                         worker_id="survivor", lease_ttl=0.5)
-        elapsed = time.perf_counter() - start
-        if runner_mod.STATS.executed != MATRIX:
-            raise AssertionError("crash scenario did not drain the matrix")
-        if runner_mod.STATS.reclaimed != len(abandoned):
-            raise AssertionError(
-                f"expected {len(abandoned)} reclaimed leases, got "
-                f"{runner_mod.STATS.reclaimed}"
-            )
-        if [r.as_dict() if hasattr(r, "as_dict") else r for r in rows] != [
-                r.as_dict() if hasattr(r, "as_dict") else r
-                for r in run_specs(specs, cache=True,
-                                   store=f"dir:{crash_root}")]:
-            raise AssertionError("post-crash rows differ from warm rows")
-        results["crash_and_reclaim"] = {
-            "seconds": round(elapsed, 4),
-            "abandoned_leases": len(abandoned),
-            "leases_reclaimed": runner_mod.STATS.reclaimed,
-            "simulations_executed": runner_mod.STATS.executed,
-        }
-        print(f"crash-and-reclaim: {elapsed:.3f}s, "
-              f"{runner_mod.STATS.reclaimed} leases reclaimed, "
-              f"{runner_mod.STATS.executed} simulated")
 
     if args.output:
         Path(args.output).write_text(json.dumps(results, indent=2) + "\n")

@@ -94,11 +94,7 @@ GATES: Dict[str, List[Tuple]] = {
         # A warm store must serve everything from cache.
         ("expect", "warm_workers1.simulations_executed", 0, None),
         ("expect", "warm_workers4.simulations_executed", 0, None),
-        # Crash recovery re-runs exactly the abandoned leases.
-        ("equals", "crash_and_reclaim.abandoned_leases", None, None),
-        ("equals", "crash_and_reclaim.leases_reclaimed", None, None),
-        ("equals", "crash_and_reclaim.simulations_executed", None, None),
-        # Parallel drain should beat serial — only on a multi-core box.
+        # The worker pool should beat serial — only on a multi-core box.
         ("min_ratio", "workers.4.speedup_vs_serial", 0.3, _cpu1),
     ],
     "BENCH_topology.json": [

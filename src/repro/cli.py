@@ -23,14 +23,14 @@ Each ``run`` target calls the corresponding function in
 :mod:`repro.harness.experiments` / :mod:`repro.harness.motivation` /
 :mod:`repro.harness.ablations` and prints its rows as a text table;
 ``--plot`` adds a terminal chart in the figure's shape.  ``--workers N``
-drains the figure's simulations through N pull-based worker processes; results land in a content-addressed store under
-``$REPRO_CACHE_DIR`` (default ``.repro-cache/``) so re-runs only simulate
-misses (``--no-cache`` disables that, ``--store PATH`` puts the store
-elsewhere, and ``--worker-id X`` lets independent invocations pointed at
-one store — on one host or a shared volume — cooperate with exactly-once
-execution).  ``sweep`` composes scenario matrices no figure
-hard-codes: any workload set x mechanisms x swept SystemConfig fields;
-``cache`` inspects and maintains the store (stats/verify/gc).
+simulates the figure's cache misses in up to N worker processes; results
+land in a content-addressed store under ``$REPRO_CACHE_DIR`` (default
+``.repro-cache/``) so re-runs only simulate misses (``--no-cache``
+disables that, ``--store PATH`` puts the store elsewhere; concurrent
+invocations may share one store).  ``sweep`` composes scenario matrices
+no figure hard-codes: any workload set x mechanisms x swept SystemConfig
+fields; ``cache`` inspects and maintains the store (stats/verify/gc);
+``report`` renders the telemetry a ``--telemetry DIR`` run left behind.
 """
 
 from __future__ import annotations
@@ -179,9 +179,6 @@ def _runner_options(args) -> Dict:
         "workers": args.workers,
         "cache": not args.no_cache,
         "store": args.store,
-        "worker_id": args.worker_id,
-        "lease_ttl": args.lease_ttl,
-        "sampling": getattr(args, "sampling", None),
         "telemetry": getattr(args, "telemetry", None),
         "sanitize": getattr(args, "sanitize", False),
     }
@@ -196,7 +193,7 @@ def _telemetry_scope(args):
         return
     from repro.telemetry import telemetry_session
 
-    with telemetry_session(directory, worker=getattr(args, "worker_id", None)):
+    with telemetry_session(directory):
         yield
     print(f"[telemetry] event log + snapshot written to {directory}/ "
           f"(render with `python -m repro report {directory}`)",
@@ -462,99 +459,6 @@ def cmd_corun(args) -> int:
 
 
 # ----------------------------------------------------------------------
-# sample-check: sampled-mode honesty (estimates vs an exact run)
-# ----------------------------------------------------------------------
-def cmd_sample_check(args) -> int:
-    from repro.harness.runner import execute_spec
-    from repro.harness.sampling import flatten_metrics, run_sampled
-    from repro.harness.specs import RunSpec
-    from repro.workloads.base import RunMetrics
-
-    primitives = _csv(args.primitives) or (() if args.structures else ("lock",))
-    structures = _csv(args.structures)
-    mechanisms = _csv(args.mechanisms) or ("syncron",)
-    error = validate_names(primitives=primitives, structures=structures,
-                           mechanisms=mechanisms)
-    if error:
-        print(f"sample-check: {error}", file=sys.stderr)
-        return 2
-    scenarios: List[Tuple[str, Dict]] = []
-    scenarios.extend(
-        ("primitive", {"primitive": p, "interval": args.interval,
-                       "rounds": args.rounds})
-        for p in primitives
-    )
-    scenarios.extend(
-        ("structure", {"structure": s, "ops_per_core": args.rounds})
-        for s in structures
-    )
-
-    rows = []
-    status = 0
-    for workload, wargs in scenarios:
-        for mech in mechanisms:
-            spec = RunSpec.make(workload, mechanism=mech, args=wargs,
-                                preset=args.preset)
-            try:
-                sampled, report = run_sampled(spec, args.fraction)
-            except ValueError as exc:
-                print(f"sample-check: {spec.describe()}: {exc}",
-                      file=sys.stderr)
-                return 2
-            exact = RunMetrics.from_dict(execute_spec(spec)["result"])
-            flat_exact = flatten_metrics(exact)
-            violations = []
-            for name, cell in report["counters"].items():
-                if name.startswith("stats.kernel."):
-                    continue  # simulation effort, not an extrapolated target
-                observed = abs(cell["estimate"] - flat_exact.get(name, 0.0))
-                if observed > cell["bound"]:
-                    violations.append((name, observed, cell["bound"]))
-            exact_events = flat_exact["stats.kernel.events_processed"]
-            ratio = (report["executed_events"] / exact_events
-                     if exact_events else 0.0)
-            rows.append({
-                "run": spec.describe(),
-                "rounds": (
-                    "+".join(str(k) for k in report["sampled_rounds"])
-                    + f"/{report['total_rounds']}"
-                ),
-                "events_vs_exact": f"{100 * ratio:.1f}%",
-                "cycles_est": sampled.cycles,
-                "cycles_exact": exact.cycles,
-                "cycles_err_pct": (
-                    f"{100 * abs(sampled.cycles - exact.cycles) / exact.cycles:.2f}"
-                    if exact.cycles else "0.00"
-                ),
-                "counters_ok": (
-                    f"{len(report['counters']) - len(violations)}"
-                    f"/{len(report['counters'])}"
-                ),
-            })
-            if violations:
-                status = 1
-                for name, observed, bound in violations:
-                    print(
-                        f"sample-check: {spec.describe()}: counter {name} "
-                        f"error {observed:.3g} escapes its bound {bound:.3g}",
-                        file=sys.stderr,
-                    )
-            if ratio > args.max_event_ratio:
-                status = 1
-                print(
-                    f"sample-check: {spec.describe()}: sampled runs executed "
-                    f"{100 * ratio:.1f}% of the exact run's events "
-                    f"(limit {100 * args.max_event_ratio:.0f}%)",
-                    file=sys.stderr,
-                )
-    print(format_table(rows, title="sample-check (sampled vs exact)"))
-    if status == 0:
-        print("[sample-check] all error bounds cover the observed error",
-              file=sys.stderr)
-    return status
-
-
-# ----------------------------------------------------------------------
 # cache: inspect and maintain the content-addressed result store
 # ----------------------------------------------------------------------
 def _open_cli_store(args):
@@ -591,38 +495,6 @@ def cmd_cache(args) -> int:
         print(f"cache: verify ok ({report['ok']} entries, {total} in "
               f"quarantine/ from earlier damage)", file=sys.stderr)
     return 0
-
-
-# ----------------------------------------------------------------------
-# top: live view of an in-flight cooperative sweep
-# ----------------------------------------------------------------------
-def cmd_top(args) -> int:
-    import time as _time
-
-    from repro.harness import topview
-
-    try:
-        root = _open_cli_store(args).root
-    except StoreError as exc:
-        print(f"top: {exc}", file=sys.stderr)
-        return 2
-    once = args.once or not sys.stdout.isatty()
-    try:
-        while True:
-            snapshot = topview.gather(root)
-            text = topview.render(snapshot)
-            if once:
-                print(text)
-                return 0 if snapshot["found"] else 1
-            # TTY: redraw in place until every worker reports done.
-            sys.stdout.write("\x1b[2J\x1b[H" + text + "\n")
-            sys.stdout.flush()
-            if snapshot["found"] and topview.finished(snapshot):
-                return 0
-            _time.sleep(args.interval)
-    except KeyboardInterrupt:  # pragma: no cover - interactive only
-        print()
-        return 0
 
 
 # ----------------------------------------------------------------------
@@ -761,7 +633,7 @@ def cmd_quickstart(_args) -> int:
 
 _STORE_HELP = ("result store: dir:PATH or a bare PATH (default "
                "$REPRO_CACHE_DIR or .repro-cache); safe to share between "
-               "processes and hosts")
+               "concurrent processes")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -775,26 +647,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_runner_flags(cmd):
         cmd.add_argument("--workers", type=int, default=1, metavar="N",
-                         help="pull-based worker processes draining the sweep "
+                         help="worker processes simulating the cache misses "
                               "(default 1)")
         cmd.add_argument("--no-cache", action="store_true",
                          help="ignore and don't write the on-disk result store")
         cmd.add_argument("--store", default=None, metavar="PATH",
                          help=_STORE_HELP)
-        cmd.add_argument("--worker-id", default=None, metavar="ID",
-                         help="join a cooperative drain under this identity: "
-                              "independent invocations (other processes or "
-                              "hosts) pointed at one shared store execute "
-                              "each spec exactly once")
-        cmd.add_argument("--lease-ttl", type=float, default=None, metavar="SEC",
-                         help="seconds before an unreleased claim from a "
-                              "crashed worker is re-run by survivors "
-                              "(default 60)")
-        cmd.add_argument("--sampling", type=float, default=None, metavar="F",
-                         help="sampled simulation: run F (0<F<1) of each "
-                              "sampleable workload's rounds and extrapolate "
-                              "with error bounds; approximate, never cached "
-                              "(see `repro sample-check`)")
         cmd.add_argument("--telemetry", default=None, metavar="DIR",
                          help="write a JSONL event log + aggregate snapshot "
                               "of this command's execution to DIR (render "
@@ -886,29 +744,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "bit-identical to the plain run (exit 1 if not)")
     add_runner_flags(corun)
 
-    check = sub.add_parser(
-        "sample-check",
-        help="verify sampled-mode error bounds against an exact run",
-    )
-    check.add_argument("--primitives", metavar="P,Q,...",
-                       help="primitive scenarios (default lock when no "
-                            "--structures given)")
-    check.add_argument("--structures", metavar="S,T,...",
-                       help="data-structure scenarios, e.g. stack,queue")
-    check.add_argument("--mechanisms", metavar="M,N,...",
-                       help="mechanisms to check (default syncron)")
-    check.add_argument("--fraction", type=float, default=0.125,
-                       help="sampling fraction to validate (default 0.125)")
-    check.add_argument("--rounds", type=int, default=96,
-                       help="full round count M of each scenario (default 96)")
-    check.add_argument("--interval", type=int, default=200,
-                       help="instruction interval for primitives (default 200)")
-    check.add_argument("--preset", default="ndp_2_5d",
-                       help="base SystemConfig preset (default ndp_2_5d)")
-    check.add_argument("--max-event-ratio", type=float, default=0.25,
-                       help="fail if sampled runs execute more than this "
-                            "fraction of the exact run's events (default 0.25)")
-
     cache = sub.add_parser(
         "cache",
         help="inspect/maintain the content-addressed result store",
@@ -917,24 +752,11 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=("stats", "verify", "gc"),
                        help="stats: entries/bytes/shards; verify: re-hash "
                             "entries and quarantine corruption; gc: drop "
-                            "stale-version entries, dead leases, abandoned "
-                            "temp files")
+                            "stale-version entries and abandoned temp files")
     cache.add_argument("--store", default=None, metavar="PATH",
                        help=_STORE_HELP)
     cache.add_argument("--json", action="store_true",
                        help="machine-readable output")
-
-    top = sub.add_parser(
-        "top",
-        help="live progress of a cooperative sweep draining a shared store",
-    )
-    top.add_argument("--store", default=None, metavar="PATH",
-                     help="the sweep's " + _STORE_HELP)
-    top.add_argument("--interval", type=float, default=2.0, metavar="SEC",
-                     help="refresh interval on a TTY (default 2.0)")
-    top.add_argument("--once", action="store_true",
-                     help="print one snapshot and exit (automatic when "
-                          "stdout is not a TTY)")
 
     report = sub.add_parser(
         "report",
@@ -971,9 +793,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: List[str] = None) -> int:
     args = build_parser().parse_args(argv)
     handler = {"list": cmd_list, "run": cmd_run, "sweep": cmd_sweep,
-               "corun": cmd_corun, "cache": cmd_cache,
-               "sample-check": cmd_sample_check,
-               "top": cmd_top, "report": cmd_report,
+               "corun": cmd_corun, "cache": cmd_cache, "report": cmd_report,
                "lint": cmd_lint, "quickstart": cmd_quickstart}
     return handler[args.command](args)
 

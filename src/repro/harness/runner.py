@@ -1,4 +1,4 @@
-"""Sweep execution: pull-based multi-worker executor + content store.
+"""Sweep execution: one single-host executor over the content store.
 
 Every harness figure and the CLI ``sweep`` subcommand funnel through
 :func:`run_sweep` / :func:`run_specs`: specs are deduplicated by cache key,
@@ -6,19 +6,18 @@ hits are served from the content-addressed
 :class:`~repro.harness.store.ShardedDirStore`, and only the misses are
 simulated.  Because every simulation is
 deterministic (explicit seeds everywhere — see
-:func:`repro.workloads.base.stable_name_seed`), any worker layout produces
+:func:`repro.workloads.base.stable_name_seed`), any worker count produces
 bit-identical rows, and a warm-store re-run executes zero simulations.
 
-Execution is a **pull-based work queue**, not an up-front partition: every
-worker process sees the whole pending matrix and repeatedly (1) skips keys
-whose result already landed in the store, (2) claims one key on the
-:class:`~repro.harness.store.LeaseBoard`, (3) simulates it, (4) publishes
-the result durably, then releases the lease.  Slow specs therefore never
-serialize a whole chunk behind one worker, a crashed worker's claims
-expire and are re-run by survivors, and N *independent processes or
-hosts* pointed at one shared store (``--store /mnt/x --worker-id host1``)
-drain a matrix cooperatively with exactly-once execution — duplicate completions are resolved by the store's
-first-durable-write-wins rule with bit-identity verification.
+The calling process owns the whole sweep: it dedupes, probes the store,
+and does every ``put`` itself.  With one worker the misses run in-process
+through :func:`execute_spec`; with ``workers=N`` they are submitted in
+spec order to a forked ``ProcessPoolExecutor`` of up to N processes, and
+each result is published as its future completes.  A crashed worker
+surfaces as ``BrokenProcessPool`` after the completed results are stored,
+so a rerun simulates only what is missing.  Concurrent invocations on one
+store stay safe through the store's first-durable-write-wins publish with
+bit-identity verification; at worst both simulate the same spec.
 
 The default store is ``dir:$REPRO_CACHE_DIR`` (default ``.repro-cache/``),
 sharded one-file-per-result.  Keys cover the full resolved
@@ -36,20 +35,12 @@ from __future__ import annotations
 import contextlib
 import multiprocessing
 import os
-import shutil
-import tempfile
-import time
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Union
 
 from repro.harness.specs import RunSpec, SweepSpec
-from repro.harness.store import (
-    Heartbeat,
-    LeaseBoard,
-    ShardedDirStore,
-    open_store,
-)
-from repro.telemetry import get_telemetry, strip_volatile_stats
+from repro.harness.store import ShardedDirStore, open_store
+from repro.telemetry import configure, get_telemetry, strip_volatile_stats
 from repro.workloads.base import RunMetrics, run_workload
 
 #: what a run produces: RunMetrics for workload specs, a plain dict for
@@ -69,25 +60,14 @@ class ExecutionOptions:
     #: store url (``dir:PATH`` or a bare path); None = the deployment
     #: default, ``dir:$REPRO_CACHE_DIR`` (see :meth:`resolved_store_url`).
     store: Optional[str] = None
-    #: stable identity for cooperative drains across processes/hosts;
-    #: setting it routes even single-worker runs through the claim
-    #: protocol so independent invocations never double-execute.
-    worker_id: Optional[str] = None
-    #: seconds before an unreleased claim is considered dead and re-run.
-    lease_ttl: float = 60.0
-    #: sampled-simulation fraction in (0, 1): sampleable workloads run
-    #: shortened (see :mod:`repro.harness.sampling`) and return extrapolated
-    #: metrics with error bounds.  Forces the cache off and the local
-    #: single-worker path — approximations are never stored.
-    sampling: Optional[float] = None
     #: telemetry output directory (``--telemetry DIR``): the CLI enables
     #: the :mod:`repro.telemetry` bus for the whole command and exports
     #: the event log + snapshot there.  None = telemetry off (default).
     telemetry: Optional[str] = None
     #: run the determinism sanitizer (``--sanitize``): simulators record
     #: per-cycle access sets and flag same-cycle ordering hazards.  Forces
-    #: the cache off (the debug run must actually execute) and the local
-    #: single-worker path (worker subprocesses would not share the
+    #: the cache off (the debug run must actually execute) and the
+    #: in-process path (worker subprocesses would not share the
     #: process-local sanitizer session).
     sanitize: bool = False
 
@@ -101,16 +81,12 @@ class ExecutionOptions:
 _OPTIONS = ExecutionOptions()
 
 #: ExecutionOptions fields settable through the helpers below.
-_OPTION_FIELDS = ("workers", "cache", "store", "worker_id",
-                  "lease_ttl", "sampling", "telemetry", "sanitize")
+_OPTION_FIELDS = ("workers", "cache", "store", "telemetry", "sanitize")
 
 
 def set_execution_options(workers: Optional[int] = None,
                           cache: Optional[bool] = None,
                           store: Optional[str] = None,
-                          worker_id: Optional[str] = None,
-                          lease_ttl: Optional[float] = None,
-                          sampling: Optional[float] = None,
                           telemetry: Optional[str] = None,
                           sanitize: Optional[bool] = None) -> None:
     if workers is not None:
@@ -121,20 +97,6 @@ def set_execution_options(workers: Optional[int] = None,
         _OPTIONS.cache = cache
     if store is not None:
         _OPTIONS.store = store or None
-    if worker_id is not None:
-        _OPTIONS.worker_id = worker_id or None
-    if lease_ttl is not None:
-        if lease_ttl <= 0:
-            raise ValueError("lease_ttl must be > 0")
-        _OPTIONS.lease_ttl = lease_ttl
-    if sampling is not None:
-        # 0 (or any falsy value) means "turn sampling back off".
-        if not sampling:
-            _OPTIONS.sampling = None
-        else:
-            if not 0.0 < sampling < 1.0:
-                raise ValueError("sampling fraction must be in (0, 1)")
-            _OPTIONS.sampling = float(sampling)
     if telemetry is not None:
         _OPTIONS.telemetry = telemetry or None
     if sanitize is not None:
@@ -149,18 +111,13 @@ def get_execution_options() -> ExecutionOptions:
 def execution_options(workers: Optional[int] = None,
                       cache: Optional[bool] = None,
                       store: Optional[str] = None,
-                      worker_id: Optional[str] = None,
-                      lease_ttl: Optional[float] = None,
-                      sampling: Optional[float] = None,
                       telemetry: Optional[str] = None,
                       sanitize: Optional[bool] = None):
     """Temporarily override the active execution policy."""
     previous = replace(_OPTIONS)
     try:
         set_execution_options(workers=workers, cache=cache, store=store,
-                              worker_id=worker_id, lease_ttl=lease_ttl,
-                              sampling=sampling, telemetry=telemetry,
-                              sanitize=sanitize)
+                              telemetry=telemetry, sanitize=sanitize)
         yield _OPTIONS
     finally:
         for name in _OPTION_FIELDS:
@@ -168,7 +125,7 @@ def execution_options(workers: Optional[int] = None,
 
 
 # ----------------------------------------------------------------------
-# Stats (lets the CLI and tests observe hit/miss/reclaim behaviour)
+# Stats (lets the CLI and tests observe hit/miss behaviour)
 # ----------------------------------------------------------------------
 @dataclass
 class RunnerStats:
@@ -178,10 +135,6 @@ class RunnerStats:
     executed: int = 0
     cache_hits: int = 0
     deduplicated: int = 0
-    #: expired leases taken over from crashed/wedged workers.
-    reclaimed: int = 0
-    #: specs another cooperating worker completed while we were draining.
-    completed_elsewhere: int = 0
     sweeps: List[str] = field(default_factory=list)
 
     def reset(self) -> None:
@@ -189,8 +142,6 @@ class RunnerStats:
         self.executed = 0
         self.cache_hits = 0
         self.deduplicated = 0
-        self.reclaimed = 0
-        self.completed_elsewhere = 0
         self.sweeps.clear()
 
     def summary(self) -> str:
@@ -198,12 +149,8 @@ class RunnerStats:
             f"{self.requested} runs: {self.executed} simulated, "
             f"{self.cache_hits} served from cache"
         )
-        if self.completed_elsewhere:
-            text += f", {self.completed_elsewhere} completed by other workers"
         if self.deduplicated:
             text += f", {self.deduplicated} deduplicated"
-        if self.reclaimed:
-            text += f", {self.reclaimed} leases reclaimed"
         return text
 
 
@@ -211,8 +158,8 @@ STATS = RunnerStats()
 
 
 # ----------------------------------------------------------------------
-# Single-spec execution (must be a top-level function: workers pickle
-# only the RunSpec, which is plain data)
+# Single-spec execution (pool workers receive only the RunSpec, which is
+# plain data)
 # ----------------------------------------------------------------------
 @contextlib.contextmanager
 def _scale_env(scale: str):
@@ -229,23 +176,8 @@ def _scale_env(scale: str):
 
 
 def execute_spec(spec: RunSpec) -> Dict:
-    """Run one spec and return its store record body (kind + result).
-
-    When the active :class:`ExecutionOptions` carry a ``sampling`` fraction
-    and the spec's workload is sampleable, the run is shortened and
-    extrapolated (:mod:`repro.harness.sampling`); the record then carries a
-    ``"sampling"`` report and must never be cached — :func:`run_specs`
-    guarantees that by forcing the cache off while sampling is active.
-    Non-sampleable specs run exactly, sampling or not.
-    """
-    from repro.harness.sampling import run_sampled, supports_sampling
-
+    """Run one spec and return its store record body (kind + result)."""
     with get_telemetry().span("spec.execute", spec=spec.describe()):
-        fraction = get_execution_options().sampling
-        if fraction is not None and supports_sampling(spec):
-            metrics, report = run_sampled(spec, fraction)
-            return {"kind": "metrics", "result": metrics.as_dict(),
-                    "spec": spec.describe(), "sampling": report}
         with _scale_env(spec.scale):
             config = spec.config()
             if spec.is_measurement():
@@ -285,123 +217,58 @@ def _storable(body: Dict) -> Dict:
 
 
 # ----------------------------------------------------------------------
-# The pull-based drain (claim -> execute -> publish -> release)
+# The worker pool
 # ----------------------------------------------------------------------
-#: how long an idle worker sleeps before re-scanning for completed
-#: results or expired leases.
-DRAIN_POLL_SECONDS = 0.02
-
-
-def drain(store: ShardedDirStore, board: LeaseBoard,
-          work: Dict[str, RunSpec], worker: str,
-          poll: float = DRAIN_POLL_SECONDS) -> Dict[str, int]:
-    """Pull specs from ``work`` until every key has a durable result.
-
-    The loop makes no assumptions about who else is draining: any number
-    of processes/hosts can run it against the same store concurrently.
-    Returns this worker's counters (``executed`` / ``reclaimed`` /
-    ``completed_elsewhere``).
-
-    Observability: each spec's scan/claim/execute/put phases are telemetry
-    spans, and the worker publishes a heartbeat file next to the
-    LeaseBoard after every state change (``repro top`` tails those).
-    """
-    tel = get_telemetry()
-    executed = reclaimed = elsewhere = 0
-    events_done = 0
-    remaining = dict(work)
-    heartbeat = Heartbeat(store.root, worker)
-
-    def beat(phase: str, current: Optional[str] = None) -> None:
-        heartbeat.update(phase=phase, current=current,
-                         total=len(work), remaining=len(remaining),
-                         executed=executed, reclaimed=reclaimed,
-                         completed_elsewhere=elsewhere,
-                         kernel_events=events_done, done=not remaining)
-
-    beat("scan")
-    while remaining:
-        progressed = False
-        for key in list(remaining):
-            with tel.span("spec.scan", key=key[:12]):
-                done_elsewhere = store.get(key) is not None
-            if done_elsewhere:
-                del remaining[key]
-                elsewhere += 1
-                progressed = True
-                beat("scan")
-                continue
-            with tel.span("spec.claim", key=key[:12]):
-                lease = board.claim(key, worker)
-            if lease is None:
-                continue  # validly held by another worker; come back later
-            if lease.reclaimed:
-                reclaimed += 1
-            # the result may have landed between the get and the claim
-            if store.get(key) is None:
-                spec = remaining[key]
-                beat("execute", current=spec.describe())
-                body = execute_spec(spec)
-                if body.get("kind") == "metrics":
-                    stats = body["result"].get("stats", {})
-                    events_done += int(stats.get("kernel.events_processed", 0))
-                with tel.span("spec.put", key=key[:12]):
-                    store.put(key, _storable(body))
-                executed += 1
-                tel.gauge("sweep.remaining", len(remaining) - 1)
-            else:
-                elsewhere += 1
-            board.release(key)
-            del remaining[key]
-            progressed = True
-            beat("scan")
-        if remaining and not progressed:
-            beat("wait")
-            time.sleep(poll)
-    beat("done")
-    return {"executed": executed, "reclaimed": reclaimed,
-            "completed_elsewhere": elsewhere}
-
-
-def _drain_worker(task: Tuple[str, str, float,
-                              Tuple[Tuple[str, RunSpec], ...]]) -> Dict[str, int]:
-    """Worker-process entry point: reopen the store by root and drain."""
-    root, worker, lease_ttl, work = task
-    store = ShardedDirStore(root)
-    board = LeaseBoard(root, ttl=lease_ttl)
-    try:
-        return drain(store, board, dict(work), worker)
-    finally:
-        # Forked workers inherit the parent's enabled bus; persist each
-        # worker's aggregate before the pool retires the process.
-        get_telemetry().export()
-
-
 def _pool_context():
     methods = multiprocessing.get_all_start_methods()
     return multiprocessing.get_context("fork" if "fork" in methods else "spawn")
 
 
-def _drain_parallel(store: ShardedDirStore, work: Dict[str, RunSpec],
-                    workers: int, worker_id: str,
-                    lease_ttl: float) -> Dict[str, int]:
-    """Fan N pull-workers out as processes; every worker sees all keys."""
-    tasks = [
-        (str(store.root), f"{worker_id}/{i}", lease_ttl,
-         tuple(work.items()))
-        for i in range(min(workers, len(work)))
-    ]
-    with _pool_context().Pool(len(tasks)) as pool:
-        counters = pool.map(_drain_worker, tasks, chunksize=1)
-    totals = {"executed": 0, "reclaimed": 0}
-    for c in counters:
-        for name in totals:
-            totals[name] += c[name]
-    # A key our own pool executed reads as "completed elsewhere" to the
-    # pool's other members; only a shortfall against the whole work list
-    # means an external cooperator (another host/invocation) ran it.
-    totals["completed_elsewhere"] = max(0, len(work) - totals["executed"])
-    return totals
+def _init_worker_telemetry(directory: Optional[str],
+                           worker: Optional[str]) -> None:
+    """Pool initializer: a fresh bus, so a forked worker never re-exports
+    the counters it inherited from the parent."""
+    configure(directory, worker=worker)
+
+
+def _execute_in_worker(spec: RunSpec) -> Dict:
+    """Pool entry point: run one spec, then persist this worker's
+    telemetry snapshot (pool processes exit without a finalizer)."""
+    try:
+        return execute_spec(spec)
+    finally:
+        get_telemetry().export()
+
+
+def _run_pool(pending: Dict[str, RunSpec], workers: int, finish) -> None:
+    """Run ``pending`` in up to ``workers`` forked processes, calling
+    ``finish(key, body)`` in this process as each spec completes.
+
+    Every completed spec is finished before the first failure (a worker's
+    exception, or ``BrokenProcessPool`` when a worker died) is re-raised.
+    """
+    # Imported here: in-process sweeps never load the pool machinery.
+    from concurrent.futures import ProcessPoolExecutor, as_completed
+
+    tel = get_telemetry()
+    fresh_bus = {}
+    if tel.enabled:
+        fresh_bus = {"initializer": _init_worker_telemetry,
+                     "initargs": (tel.directory, tel.worker)}
+    error: Optional[BaseException] = None
+    with ProcessPoolExecutor(max_workers=min(workers, len(pending)),
+                             mp_context=_pool_context(), **fresh_bus) as pool:
+        futures = {pool.submit(_execute_in_worker, spec): key
+                   for key, spec in pending.items()}
+        for future in as_completed(futures):
+            try:
+                body = future.result()
+            except Exception as exc:
+                error = error or exc
+                continue
+            finish(futures[future], body)
+    if error is not None:
+        raise error
 
 
 # ----------------------------------------------------------------------
@@ -418,35 +285,25 @@ def _open_result_store(use_cache: bool,
 
 def run_specs(specs: Sequence[RunSpec], workers: Optional[int] = None,
               cache: Optional[bool] = None,
-              store: Optional[str] = None,
-              worker_id: Optional[str] = None,
-              lease_ttl: Optional[float] = None) -> List[RunResult]:
+              store: Optional[str] = None) -> List[RunResult]:
     """Execute specs (deduplicated) and return results in spec order.
 
     All knobs default to the active :class:`ExecutionOptions` (library
-    default: one worker, no cache).
+    default: one worker, no cache).  Misses run in this process through
+    :func:`execute_spec` when one worker is asked for or only one spec is
+    pending, else in a process pool (see the module docstring).
     """
     options = get_execution_options()
     workers = options.workers if workers is None else workers
     use_cache = options.cache if cache is None else cache
-    worker_id = options.worker_id if worker_id is None else (worker_id or None)
-    lease_ttl = options.lease_ttl if lease_ttl is None else lease_ttl
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    if options.sampling is not None:
-        # Sampled runs are approximations: never let them into the durable
-        # store, and keep execution in this process (worker subprocesses
-        # would re-import the module and lose the sampling option).
-        use_cache = False
-        workers = 1
-        worker_id = None
     if options.sanitize:
         # Sanitized runs are debug runs: they must actually execute (a
         # cache hit would observe nothing) and the process-local sanitizer
         # session is invisible to worker subprocesses.
         use_cache = False
         workers = 1
-        worker_id = None
 
     keys = [spec.cache_key() for spec in specs]
     result_store = _open_result_store(use_cache, store)
@@ -479,53 +336,20 @@ def run_specs(specs: Sequence[RunSpec], workers: Optional[int] = None,
         if cached is None:
             pending[key] = spec
 
-    coordinated = pending and (workers > 1 or worker_id is not None)
-    if not coordinated:
-        # Fast path: one private worker, no coordination overhead.
+    def finish(key: str, body: Dict) -> None:
+        if result_store is not None:
+            result_store.put(key, _storable(body))
+        # Return the locally produced body (it keeps the telemetry.* keys
+        # the stored record legitimately drops); a racing winner is
+        # bit-identical in everything else by the store's contract.
+        results_by_key[key] = _record_to_result(body)
+        STATS.executed += 1
+
+    if workers == 1 or len(pending) < 2:
         for key, spec in pending.items():
-            body = execute_spec(spec)
-            if result_store is not None:
-                result_store.put(key, _storable(body))
-            # Return the locally produced body (it keeps the telemetry.*
-            # keys the stored record legitimately drops); a racing winner
-            # is bit-identical in everything else by the store's contract.
-            results_by_key[key] = _record_to_result(body)
-            STATS.executed += 1
+            finish(key, execute_spec(spec))
     else:
-        scratch_dir = None
-        try:
-            if result_store is not None:
-                drain_store = result_store
-            else:
-                # Cache off: workers meet in an ephemeral store.
-                scratch_dir = tempfile.mkdtemp(prefix="repro-drain-")
-                drain_store = ShardedDirStore(scratch_dir)
-            base_id = worker_id or f"pid{os.getpid()}"
-            if workers > 1:
-                counters = _drain_parallel(drain_store, pending, workers,
-                                           base_id, lease_ttl)
-            else:
-                board = LeaseBoard(drain_store.root, ttl=lease_ttl)
-                counters = drain(drain_store, board, pending, base_id)
-            STATS.executed += counters["executed"]
-            STATS.reclaimed += counters["reclaimed"]
-            STATS.completed_elsewhere += counters["completed_elsewhere"]
-            for key, spec in pending.items():
-                record = drain_store.get(key)
-                if record is None:  # pragma: no cover - drain guarantees it
-                    record = drain_store.put(key, _storable(execute_spec(spec)))
-                    STATS.executed += 1
-                try:
-                    results_by_key[key] = _record_to_result(record)
-                except (TypeError, KeyError, ValueError):
-                    # another (older) worker wrote a schema we can't read;
-                    # recompute locally rather than fail the sweep.
-                    body = execute_spec(spec)
-                    results_by_key[key] = _record_to_result(body)
-                    STATS.executed += 1
-        finally:
-            if scratch_dir is not None:
-                shutil.rmtree(scratch_dir, ignore_errors=True)
+        _run_pool(pending, workers, finish)
 
     STATS.requested += len(specs)
     return [results_by_key[key] for key in keys]
@@ -563,10 +387,7 @@ def probe_specs(specs: Sequence[RunSpec], cache: Optional[bool] = None,
 
 def run_sweep(sweep: SweepSpec, workers: Optional[int] = None,
               cache: Optional[bool] = None,
-              store: Optional[str] = None,
-              worker_id: Optional[str] = None,
-              lease_ttl: Optional[float] = None) -> List[RunResult]:
+              store: Optional[str] = None) -> List[RunResult]:
     """Execute a named sweep; results align with ``sweep.runs`` order."""
     STATS.sweeps.append(sweep.name)
-    return run_specs(sweep.runs, workers=workers, cache=cache, store=store,
-                     worker_id=worker_id, lease_ttl=lease_ttl)
+    return run_specs(sweep.runs, workers=workers, cache=cache, store=store)

@@ -1,4 +1,4 @@
-"""Content-addressed result store + lease coordination.
+"""Content-addressed result store.
 
 Every completed simulation is stored as ONE immutable object keyed by the
 spec's SHA-256 cache key (:meth:`repro.harness.specs.RunSpec.cache_key`)
@@ -7,22 +7,17 @@ per entry under ``objects/<first-2-hex>/<key>.json`` (256-way hash-prefix
 fan-out).  Writes are atomic (temp file + ``os.link``), so readers never
 observe a torn entry; a corrupted file is *quarantined* (moved aside and
 recomputed), never a whole-cache loss.  The publish step runs under a
-per-shard ``flock`` (lock files under ``locks/``, so volumes that support
-POSIX locks serialize racing hosts) and ends with a directory fsync, so
-a completed entry is durable before its lease is released — the same
-store is safe for one process and for many hosts on a shared volume.
+per-shard ``flock`` (lock files under ``locks/``) and ends with a
+directory fsync, so an entry is durable before ``put`` returns and one
+store is safe to share between concurrent processes.
 
 Duplicate completion of the same key is resolved deterministically: the
 FIRST durable write wins (``os.link`` onto the final name fails for
 everyone else), and later writers verify their result is bit-identical to
 the winner — any mismatch raises :class:`StoreIntegrityError`, because two
 byte-different results for one spec hash means the simulator broke its
-determinism contract.
-
-Work distribution uses the sibling :class:`LeaseBoard`: a claim /
-lease-expiry / complete protocol on lease files next to the objects, so N
-worker processes (or hosts) can drain one sweep matrix cooperatively with
-exactly-once execution — see :mod:`repro.harness.runner`.
+determinism contract.  Which specs to simulate, and in which process, is
+the runner's business (:mod:`repro.harness.runner`).
 """
 
 from __future__ import annotations
@@ -34,7 +29,6 @@ import os
 import string
 import tempfile
 import time
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Tuple, Union
 
@@ -48,9 +42,7 @@ except ImportError:  # pragma: no cover - non-POSIX hosts
 
 OBJECTS_DIR = "objects"
 QUARANTINE_DIR = "quarantine"
-LEASES_DIR = "leases"
 LOCKS_DIR = "locks"
-HEARTBEATS_DIR = "heartbeats"
 SHARD_CHARS = 2
 
 #: record kinds the runner produces (RunMetrics vs measurement rows).
@@ -322,11 +314,10 @@ class ShardedDirStore:
         quarantine = self.root / QUARANTINE_DIR
         quarantined = (sum(1 for _ in quarantine.iterdir())
                        if quarantine.is_dir() else 0)
-        board = LeaseBoard(self.root)
         return {"backend": "dir", "root": str(self.root),
                 "entries": entries, "stale": stale, "corrupt": corrupt,
                 "bytes": total_bytes, "shards": len(shards),
-                "quarantined": quarantined, "leases": board.active()}
+                "quarantined": quarantined}
 
     def verify(self) -> Dict:
         """Re-hash every entry; quarantine anything that fails."""
@@ -352,7 +343,7 @@ class ShardedDirStore:
                 "quarantine_total": total}
 
     def gc(self) -> Dict:
-        """Drop stale-version entries, abandoned temp files, dead leases."""
+        """Drop stale-version entries and abandoned temp files."""
         stale_removed = tmp_removed = 0
         now = time.time()
         objects = self._objects()
@@ -384,9 +375,7 @@ class ShardedDirStore:
                     shard.rmdir()  # only succeeds when emptied
                 except OSError:
                     pass
-        leases_removed = LeaseBoard(self.root).sweep()
-        return {"stale_removed": stale_removed, "tmp_removed": tmp_removed,
-                "leases_removed": leases_removed}
+        return {"stale_removed": stale_removed, "tmp_removed": tmp_removed}
 
 
 @contextlib.contextmanager
@@ -412,261 +401,6 @@ def _fsync_dir(directory: Path) -> None:
         pass
     finally:
         os.close(fd)
-
-
-# ----------------------------------------------------------------------
-# Lease board: the claim / expire / complete protocol
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class Lease:
-    """A successful claim on one content key."""
-
-    key: str
-    generation: int
-    worker: str
-    expires_at: float
-    reclaimed: bool = False  # True when taken over from an expired holder
-
-
-class LeaseBoard:
-    """Lease files next to the objects: ``leases/<key>.g<generation>``.
-
-    Claiming creates the next generation atomically (temp file +
-    ``os.link``), so exactly one contender wins each generation.  A lease
-    is live until its embedded deadline passes; a crashed or wedged
-    holder's key becomes claimable again at generation+1 — the survivor's
-    completion then supersedes whatever the zombie later writes (the
-    store's first-durable-write-wins rule resolves it deterministically).
-    """
-
-    def __init__(self, root: Union[str, Path], ttl: float = 60.0):
-        self.dir = Path(root) / LEASES_DIR
-        self.ttl = float(ttl)
-
-    # -- inspection ----------------------------------------------------
-    def _lease_files(self, key: str) -> List[Tuple[int, Path]]:
-        if not self.dir.is_dir():
-            return []
-        out = []
-        prefix = f"{key}.g"
-        for path in self.dir.iterdir():
-            if not path.name.startswith(prefix):
-                continue
-            try:
-                out.append((int(path.name[len(prefix):]), path))
-            except ValueError:
-                continue
-        return sorted(out)
-
-    def current(self, key: str) -> Optional[Tuple[int, float]]:
-        """(generation, expires_at) of the newest lease, or None."""
-        while True:
-            files = self._lease_files(check_key(key))
-            if not files:
-                return None
-            generation, path = files[-1]
-            try:
-                data = json.loads(path.read_text(encoding="utf-8"))
-                expires = float(data["expires_at"])
-            except FileNotFoundError:
-                # vanished between scan and read: the holder released it
-                # (completion), not damage -- re-scan instead of reporting
-                # a phantom expired lease that would read as a reclaim.
-                continue
-            except (OSError, ValueError, KeyError, json.JSONDecodeError):
-                # lease files are link-published (never torn); anything
-                # else unreadable is damage -> treat as expired,
-                # reclaimable.
-                expires = 0.0
-            return generation, expires
-
-    def active(self) -> int:
-        """Count of keys currently under a live lease."""
-        if not self.dir.is_dir():
-            return 0
-        newest: Dict[str, int] = {}
-        for path in self.dir.iterdir():
-            key, sep, gen = path.name.rpartition(".g")
-            if not sep:
-                continue
-            try:
-                newest[key] = max(newest.get(key, 0), int(gen))
-            except ValueError:
-                continue
-        live = 0
-        for key, generation in newest.items():
-            try:
-                data = json.loads(
-                    (self.dir / f"{key}.g{generation:06d}").read_text())
-                if float(data["expires_at"]) > time.time():
-                    live += 1
-            except (OSError, ValueError, KeyError, json.JSONDecodeError):
-                continue
-        return live
-
-    # -- protocol ------------------------------------------------------
-    def _try_create(self, key: str, generation: int, worker: str,
-                    ttl: float) -> Optional[Lease]:
-        self.dir.mkdir(parents=True, exist_ok=True)
-        expires = time.time() + ttl
-        body = json.dumps({"worker": worker, "expires_at": expires,
-                           "claimed_at": time.time()}).encode("utf-8")
-        fd, tmp_name = tempfile.mkstemp(prefix=".tmp-", dir=self.dir)
-        tmp = Path(tmp_name)
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                fh.write(body)
-                fh.flush()
-                os.fsync(fh.fileno())
-            final = self.dir / f"{key}.g{generation:06d}"
-            try:
-                os.link(tmp, final)
-            except FileExistsError:
-                return None
-            except OSError:
-                # no-hardlink filesystem: O_EXCL gives the same atomicity
-                try:
-                    with open(final, "xb") as fh:
-                        fh.write(body)
-                except FileExistsError:
-                    return None
-            return Lease(key=key, generation=generation, worker=worker,
-                         expires_at=expires, reclaimed=generation > 1)
-        finally:
-            try:
-                os.unlink(tmp)
-            except FileNotFoundError:
-                pass
-
-    def claim(self, key: str, worker: str,
-              ttl: Optional[float] = None) -> Optional[Lease]:
-        """Try to become the executor for ``key``.
-
-        Returns a :class:`Lease` on success, None while another worker
-        validly holds it.  An expired (or unreadable) lease is taken over
-        at the next generation; losing that takeover race just means
-        somebody else is now validly working on the key.
-        """
-        ttl = self.ttl if ttl is None else float(ttl)
-        check_key(key)
-        while True:
-            current = self.current(key)
-            if current is None:
-                generation = 1
-            else:
-                held_generation, expires_at = current
-                if expires_at > time.time():
-                    return None
-                generation = held_generation + 1
-            lease = self._try_create(key, generation, worker, ttl)
-            if lease is not None:
-                if generation > 1:
-                    self._drop_generations(key, below=generation)
-                tel = get_telemetry()
-                tel.count("lease.claims")
-                if lease.reclaimed:
-                    tel.count("lease.reclaims")
-                    tel.event("lease.reclaim", key=key, worker=worker,
-                              generation=generation)
-                return lease
-            # lost the creation race; re-read and re-evaluate.
-
-    def release(self, key: str) -> None:
-        """Completion: the result is durable, all leases for the key die."""
-        for _generation, path in self._lease_files(key):
-            try:
-                path.unlink()
-            except FileNotFoundError:
-                pass
-
-    def _drop_generations(self, key: str, below: int) -> None:
-        for generation, path in self._lease_files(key):
-            if generation < below:
-                try:
-                    path.unlink()
-                except FileNotFoundError:
-                    pass
-
-    def sweep(self) -> int:
-        """Remove every expired lease file (``repro cache gc``)."""
-        removed = 0
-        if not self.dir.is_dir():
-            return 0
-        now = time.time()
-        for path in list(self.dir.iterdir()):
-            if path.name.startswith(".tmp-"):
-                continue
-            try:
-                data = json.loads(path.read_text(encoding="utf-8"))
-                expires = float(data["expires_at"])
-            except (OSError, ValueError, KeyError, json.JSONDecodeError):
-                expires = 0.0
-            if expires <= now:
-                try:
-                    path.unlink()
-                    removed += 1
-                except FileNotFoundError:
-                    pass
-        return removed
-
-
-# ----------------------------------------------------------------------
-# Worker heartbeats: the live-progress files `repro top` tails
-# ----------------------------------------------------------------------
-def _heartbeat_name(worker: str) -> str:
-    """Worker ids double as filenames; squash anything unsafe."""
-    safe = "".join(c if c.isalnum() or c in "-._" else "_" for c in worker)
-    return f"{safe or 'worker'}.json"
-
-
-class Heartbeat:
-    """One worker's live progress file: ``heartbeats/<worker>.json``.
-
-    Published next to the :class:`LeaseBoard` so any process with access
-    to the store root (``repro top``, dashboards) can observe an in-flight
-    sweep without talking to the workers.  Writes are atomic
-    (temp + ``os.replace``) so readers never see a torn file; losing a
-    heartbeat is harmless — it is observability, not coordination.
-    """
-
-    def __init__(self, root: Union[str, Path], worker: str):
-        self.dir = Path(root) / HEARTBEATS_DIR
-        self.worker = worker
-        self.path = self.dir / _heartbeat_name(worker)
-        self.started_at = time.time()
-        self._state: Dict = {"worker": worker, "pid": os.getpid(),
-                             "started_at": self.started_at}
-
-    def update(self, **fields) -> None:
-        """Merge ``fields`` into the state and publish it (best effort)."""
-        self._state.update(fields)
-        self._state["time"] = time.time()
-        try:
-            self.dir.mkdir(parents=True, exist_ok=True)
-            fd, tmp_name = tempfile.mkstemp(prefix=".tmp-", dir=self.dir)
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump(self._state, fh)
-            os.replace(tmp_name, self.path)
-        except OSError:
-            pass  # a full/unwritable volume must never kill the worker
-
-
-def read_heartbeats(root: Union[str, Path]) -> List[Dict]:
-    """All readable heartbeat files under ``root``, sorted by worker."""
-    directory = Path(root) / HEARTBEATS_DIR
-    if not directory.is_dir():
-        return []
-    out = []
-    for path in sorted(directory.iterdir()):
-        if not path.name.endswith(".json"):
-            continue
-        try:
-            data = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError):
-            continue  # torn/vanished: best-effort observability
-        if isinstance(data, dict):
-            out.append(data)
-    return sorted(out, key=lambda d: str(d.get("worker", "")))
 
 
 # ----------------------------------------------------------------------

@@ -4,8 +4,8 @@ Every layer of the stack (simulator kernel, sweep runner, result store,
 CLI) reports progress and wall-clock cost through one process-local bus:
 
 - **counters** — monotonically increasing totals (``store.hits``,
-  ``lease.reclaims``).
-- **gauges** — last-written values (``sweep.remaining``).
+  ``sim.runs``).
+- **gauges** — last-written values (``sim.last_events_per_sec``).
 - **spans** — named wall-clock sections with count/total/min/max
   aggregation (``spec.execute``); each completion is also appended to the
   JSONL event log.
@@ -32,8 +32,9 @@ Enable it for a scope with :func:`telemetry_session` (the CLI's
 Exports:
 
 - ``events-<worker>.jsonl`` — append-only event log (one JSON object per
-  line: ``{"ts": ..., "event": ..., ...}``); forked worker processes
-  reopen their own file keyed by pid, so lines are never interleaved.
+  line: ``{"ts": ..., "event": ..., ...}``); each sweep worker process
+  gets a fresh bus writing its own file keyed by pid, so lines are never
+  interleaved and no counter is exported twice.
 - ``snapshot-<worker>.json`` — aggregate snapshot (counters / gauges /
   spans / histograms), written on session exit and on demand.
 - :meth:`Telemetry.prometheus` — the same snapshot in Prometheus text

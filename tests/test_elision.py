@@ -1,6 +1,6 @@
-"""Event-elision kernel: wait-channels, exception parking, and sampling.
+"""Event-elision kernel: wait-channels and exception parking.
 
-Four contracts pinned here:
+Three contracts pinned here:
 
 1. Wait-channel arithmetic — a signalled waiter wakes at exactly the cycle
    its explicit poll chain would have succeeded on, with the correct count
@@ -12,28 +12,14 @@ Four contracts pinned here:
 3. Bit-identity — every RunMetrics counter except the reserved ``kernel.*``
    effort counters is identical with ``elide_waits`` on and off, across
    primitives, structures, topologies, mechanisms, and co-runs.
-4. Sampling honesty — sampled estimates carry bounds that cover the
-   observed error vs. the exact run, spend at most a quarter of the exact
-   run's events, and are never written to the result cache.
 """
 
 import pytest
 
 from repro.analysis.sanitizer import AccessRecorder
-from repro.harness.runner import (
-    STATS,
-    execute_spec,
-    execution_options,
-    run_specs,
-)
-from repro.harness.sampling import (
-    flatten_metrics,
-    run_sampled,
-    sample_plan,
-)
+from repro.harness.runner import execute_spec
 from repro.harness.specs import RunSpec
 from repro.sim.engine import SimulationError, Simulator
-from repro.workloads.base import RunMetrics
 
 # Small machine: 2 units x 3 client cores keeps even bakery scenarios fast.
 SMALL = {"num_units": 2, "cores_per_unit": 4, "client_cores_per_unit": 3}
@@ -274,67 +260,3 @@ def test_elision_on_off_bit_identity(workload, args, mechanism, extra):
         assert results[True]["stats"]["kernel.elided_events"] > 0
         assert (results[True]["stats"]["kernel.events_processed"]
                 < results[False]["stats"]["kernel.events_processed"])
-
-
-# ----------------------------------------------------------------------
-# 4. Sampled simulation honesty
-# ----------------------------------------------------------------------
-def test_sample_plan_invariants():
-    assert sample_plan(64, 0.125) == (2, 4, 8)
-    k0, k1, k2 = sample_plan(50, 0.2)
-    assert 1 <= k0 < k1 < k2 < 50
-    with pytest.raises(ValueError):
-        sample_plan(3, 0.5)  # no room for three distinct points
-    with pytest.raises(ValueError):
-        sample_plan(100, 1.5)
-
-
-def test_sampling_bounds_cover_observed_error_and_cut_work():
-    spec = RunSpec.make(
-        "primitive", mechanism="rmw_spin",
-        args={"primitive": "lock", "interval": 150, "rounds": 64},
-        overrides=SMALL,
-    )
-    metrics, report = run_sampled(spec, 0.125)
-    exact = RunMetrics.from_dict(execute_spec(spec)["result"])
-    flat_exact = flatten_metrics(exact)
-    assert report["sampled"] and report["total_rounds"] == 64
-    for name, cell in report["counters"].items():
-        if name.startswith("stats.kernel."):
-            continue  # effort counters describe the shortened runs
-        observed = abs(cell["estimate"] - flat_exact.get(name, 0.0))
-        assert observed <= cell["bound"], (
-            f"{name}: error {observed} escapes bound {cell['bound']}")
-    # The whole point: at most a quarter of the exact run's kernel events.
-    assert (report["executed_events"]
-            <= 0.25 * flat_exact["stats.kernel.events_processed"])
-    # The extrapolated metrics are shaped like a real run's.
-    assert metrics.mechanism == exact.mechanism
-    assert metrics.cycles > 0 and metrics.operations == exact.operations
-
-
-def test_sampled_results_never_cached(tmp_path):
-    spec = RunSpec.make(
-        "primitive", mechanism="rmw_spin",
-        args={"primitive": "lock", "interval": 150, "rounds": 24},
-        overrides=SMALL,
-    )
-    STATS.reset()
-    with execution_options(cache=True, store=str(tmp_path), sampling=0.2):
-        first = run_specs([spec])
-        second = run_specs([spec])
-    # No approximation may be served back as if it were exact physics.
-    assert STATS.executed == 2 and STATS.cache_hits == 0
-    assert first[0].cycles == second[0].cycles
-    assert not list(tmp_path.rglob("*.json"))
-
-
-def test_sampling_leaves_exact_specs_exact(tmp_path):
-    # A non-sampleable workload under an active fraction still runs exactly.
-    spec = RunSpec.make("corun", mechanism="rmw_spin",
-                        args={"tenants": _CORUN_TENANTS}, overrides=SMALL)
-    with execution_options(cache=False, sampling=0.2):
-        record = execute_spec(spec)
-    assert "sampling" not in record
-    exact = execute_spec(spec)
-    assert record["result"] == exact["result"]

@@ -1,11 +1,10 @@
-"""Content-addressed result store: backends, leases, concurrency, crashes.
+"""Content-addressed result store: layout, concurrency, crashes.
 
 The multi-process tests here pin the store's core guarantees: concurrent
 writers on one store never lose or tear an entry (the first
-durable write wins and later writers verify bit-identity), and a worker
-killed mid-claim only delays its specs until the lease expires — a
-survivor reclaims and completes them with a result set identical to the
-single-worker run.
+durable write wins and later writers verify bit-identity), and a pool
+worker killed mid-spec loses only that spec — the results the parent
+already stored survive, and a rerun simulates just the lost one.
 """
 
 import hashlib
@@ -14,15 +13,15 @@ import multiprocessing
 import os
 import stat
 import time
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
 from repro.cli import main
 from repro.harness import runner as runner_mod
-from repro.harness.runner import drain, run_specs
+from repro.harness.runner import run_specs
 from repro.harness.specs import CACHE_FORMAT_VERSION, RunSpec
 from repro.harness.store import (
-    LeaseBoard,
     ShardedDirStore,
     StoreError,
     StoreIntegrityError,
@@ -187,7 +186,7 @@ class TestShardedDir:
         assert stats["backend"] == "dir"
         assert stats["bytes"] > 0
         assert 1 <= stats["shards"] <= 3
-        assert stats["quarantined"] == 0 and stats["leases"] == 0
+        assert stats["quarantined"] == 0
 
     def test_put_fsyncs_the_shard_directory(self, tmp_path, monkeypatch):
         store = ShardedDirStore(tmp_path)
@@ -222,44 +221,6 @@ class TestShardedDir:
         store.put(key, _body(1))
         lock = tmp_path / "locks" / f"{key[:2]}.lock"
         assert locked == [os.stat(lock).st_ino]
-
-
-# ----------------------------------------------------------------------
-# Lease board protocol
-# ----------------------------------------------------------------------
-class TestLeaseBoard:
-    def test_claim_is_exclusive_until_released(self, tmp_path):
-        board = LeaseBoard(tmp_path, ttl=30)
-        key = _key("a")
-        lease = board.claim(key, "w1")
-        assert lease.generation == 1 and not lease.reclaimed
-        assert board.claim(key, "w2") is None
-        assert board.active() == 1
-        board.release(key)
-        assert board.active() == 0
-        assert board.claim(key, "w2").generation == 1
-
-    def test_expired_lease_is_reclaimed_next_generation(self, tmp_path):
-        board = LeaseBoard(tmp_path, ttl=0.05)
-        key = _key("a")
-        board.claim(key, "crashy")
-        time.sleep(0.06)
-        lease = LeaseBoard(tmp_path, ttl=30).claim(key, "survivor")
-        assert lease is not None
-        assert lease.generation == 2 and lease.reclaimed
-
-    def test_sweep_removes_only_expired(self, tmp_path):
-        board = LeaseBoard(tmp_path, ttl=0.01)
-        board.claim(_key("dead"), "w")
-        LeaseBoard(tmp_path, ttl=60).claim(_key("live"), "w")
-        time.sleep(0.02)
-        assert board.sweep() == 1
-        assert board.active() == 1
-
-    def test_independent_keys_do_not_interfere(self, tmp_path):
-        board = LeaseBoard(tmp_path, ttl=30)
-        assert board.claim(_key("a"), "w1") is not None
-        assert board.claim(_key("b"), "w2") is not None
 
 
 # ----------------------------------------------------------------------
@@ -337,62 +298,47 @@ class TestConcurrentWriters:
 
 
 # ----------------------------------------------------------------------
-# Crash recovery (satellite: kill a worker mid-claim, survivors finish)
+# Crash recovery: a killed pool worker, then a rerun from the store
 # ----------------------------------------------------------------------
-def _claim_then_hang(root, key, ttl, claimed):
-    board = LeaseBoard(root, ttl=ttl)
-    assert board.claim(key, "crashy") is not None
-    claimed.set()
-    time.sleep(120)  # killed long before this returns
-
-
 class TestCrashRecovery:
-    def test_killed_workers_claims_are_reclaimed(self, tmp_path):
+    def test_rerun_after_a_killed_worker_simulates_only_the_lost_spec(
+            self, tmp_path, monkeypatch):
         specs = _specs()
         baseline = run_specs(specs)  # plain single-worker run
-
         root = tmp_path / "store"
-        url = f"dir:{root}"
-        victim_key = specs[0].cache_key()
-        ctx = multiprocessing.get_context("fork")
-        claimed = ctx.Event()
-        proc = ctx.Process(target=_claim_then_hang,
-                           args=(root, victim_key, 0.6, claimed))
-        proc.start()
-        assert claimed.wait(timeout=30)
-        proc.kill()  # dies holding a live lease on specs[0]
-        proc.join(timeout=30)
+        victim = specs[0].cache_key()
+        others = [ShardedDirStore(root).path_for(spec.cache_key())
+                  for spec in specs[1:]]
+        real_execute = runner_mod.execute_spec
+
+        def die_once_the_others_are_stored(spec):
+            if spec.cache_key() != victim:
+                return real_execute(spec)
+            deadline = time.time() + 60
+            while (not all(path.exists() for path in others)
+                   and time.time() < deadline):
+                time.sleep(0.01)
+            os._exit(1)
+
+        # Pool workers fork after the patch, so they run the wrapper.
+        monkeypatch.setattr(runner_mod, "execute_spec",
+                            die_once_the_others_are_stored)
+        with pytest.raises(BrokenProcessPool):
+            run_specs(specs, workers=2, cache=True, store=str(root))
+        monkeypatch.undo()
+        store = ShardedDirStore(root)
+        assert sorted(store.keys()) == sorted(
+            spec.cache_key() for spec in specs[1:])
 
         runner_mod.STATS.reset()
-        start = time.time()
-        results = run_specs(specs, cache=True, store=url,
-                            worker_id="survivor", lease_ttl=0.6)
+        results = run_specs(specs, workers=2, cache=True, store=str(root))
+        assert runner_mod.STATS.executed == 1
+        assert runner_mod.STATS.cache_hits == len(specs) - 1
         assert results == baseline
-        # every spec ran exactly once, and the dead worker's lease was
-        # taken over (not waited on forever, not double-run)
-        assert runner_mod.STATS.executed == len(specs)
-        assert runner_mod.STATS.reclaimed == 1
-        assert time.time() - start < 30
-
-    def test_drain_completes_work_already_leased_to_nobody(self, tmp_path):
-        # expired leases left by a dead worker on EVERY key: one survivor
-        # still finishes the whole matrix.
-        specs = _specs(("central", "syncron"))
-        root = tmp_path / "store"
-        store = ShardedDirStore(root)
-        dead = LeaseBoard(root, ttl=0.01)
-        work = {spec.cache_key(): spec for spec in specs}
-        for key in work:
-            dead.claim(key, "crashy")
-        time.sleep(0.02)
-        counters = drain(store, LeaseBoard(root, ttl=30), work, "survivor")
-        assert counters["executed"] == len(specs)
-        assert counters["reclaimed"] == len(specs)
-        assert sorted(store.keys()) == sorted(work)
 
 
 # ----------------------------------------------------------------------
-# Exactly-once multi-worker drains through run_specs
+# Multi-worker runs through run_specs
 # ----------------------------------------------------------------------
 class TestMultiWorkerDrain:
     def test_three_workers_bit_identical_and_exactly_once(self, tmp_path):
@@ -409,21 +355,9 @@ class TestMultiWorkerDrain:
         assert runner_mod.STATS.executed == 0  # zero simulations
         assert runner_mod.STATS.cache_hits == len(specs)
 
-    def test_worker_id_alone_coordinates_through_the_store(self, tmp_path):
-        # two sequential "hosts" with worker ids: the second simulates 0
-        specs = _specs(("central", "syncron"))
-        url = f"dir:{tmp_path / 'store'}"
-        runner_mod.STATS.reset()
-        first = run_specs(specs, cache=True, store=url, worker_id="host1")
-        assert runner_mod.STATS.executed == len(specs)
-        runner_mod.STATS.reset()
-        second = run_specs(specs, cache=True, store=url, worker_id="host2")
-        assert runner_mod.STATS.executed == 0
-        assert first == second
-
     def test_cache_off_parallel_drain_matches_serial(self):
-        # with no store to coordinate through, workers drain through an
-        # ephemeral dir store; the rows equal the serial run's.
+        # with no store, the parent keeps the pool's results in memory;
+        # the rows equal the serial run's.
         specs = _specs(("central", "syncron"))
         baseline = run_specs(specs)
         runner_mod.STATS.reset()

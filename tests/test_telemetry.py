@@ -11,10 +11,10 @@ Contracts pinned here:
    only the reserved ``telemetry.*`` keys appear, they are stripped from
    every record the result store publishes, and the in-process caller
    still sees them.
-4. Operator surface — worker heartbeats round-trip through ``repro top``'s
-   backend, and the ``top`` / ``report`` CLI one-shot paths work end to
-   end.
-5. Regression gate — ``benchmarks/check_regression.py`` passes the
+4. Pool workers — a multi-worker sweep's per-process snapshots merge to
+   exact totals: each worker exports only what it recorded itself.
+5. CLI — ``--telemetry`` then ``report`` works end to end.
+6. Regression gate — ``benchmarks/check_regression.py`` passes the
    committed baselines against themselves, fails degraded metrics, and
    skips parallel-speedup gates on a one-cpu box.
 """
@@ -27,11 +27,10 @@ from pathlib import Path
 import pytest
 
 from repro import cli
-from repro.harness import topview
 from repro.harness.reporting import format_table
 from repro.harness.runner import execute_spec, execution_options, run_specs
 from repro.harness.specs import RunSpec
-from repro.harness.store import Heartbeat, ShardedDirStore, read_heartbeats
+from repro.harness.store import ShardedDirStore
 from repro.telemetry import (
     HISTOGRAM_BUCKETS,
     NullTelemetry,
@@ -268,72 +267,32 @@ class TestPhysicsIsolation:
 
 
 # ----------------------------------------------------------------------
-# 4. Heartbeats & the top view
+# 4. Pool workers export only their own counters
 # ----------------------------------------------------------------------
-class TestTopView:
-    def _beat(self, root, worker, now, **fields):
-        hb = Heartbeat(root, worker)
-        defaults = {"worker": worker, "pid": 1, "started_at": now - 10.0,
-                    "phase": "execute", "executed": 2, "reclaimed": 0,
-                    "completed_elsewhere": 1, "remaining": 3, "total": 6,
-                    "kernel_events": 5000, "done": False}
-        defaults.update(fields)
-        hb.update(**defaults)
-        # pin the timestamp the test controls
-        path = Path(root) / "heartbeats" / f"{worker}.json"
-        data = json.loads(path.read_text())
-        data["time"] = fields.get("time", now)
-        path.write_text(json.dumps(data))
-
-    def test_heartbeat_roundtrip(self, tmp_path):
-        hb = Heartbeat(tmp_path, "w1")
-        hb.update(phase="scan", executed=0)
-        hb.update(phase="execute", executed=2)
-        (loaded,) = read_heartbeats(tmp_path)
-        assert loaded["worker"] == "w1"
-        assert loaded["phase"] == "execute"
-        assert loaded["executed"] == 2  # merged across updates
-        assert loaded["time"] > 0
-
-    def test_torn_heartbeat_is_skipped(self, tmp_path):
-        Heartbeat(tmp_path, "good").update(phase="scan")
-        (tmp_path / "heartbeats" / "torn.json").write_text("{not json")
-        workers = read_heartbeats(tmp_path)
-        assert [w["worker"] for w in workers] == ["good"]
-
-    def test_gather_totals_and_states(self, tmp_path):
-        now = 1000.0
-        self._beat(tmp_path, "w1", now, remaining=3)
-        self._beat(tmp_path, "w2", now, remaining=4, done=True)
-        self._beat(tmp_path, "w3", now, time=now - 60.0)  # stale
-        snap = topview.gather(tmp_path, now=now)
-        assert snap["found"]
-        states = {w["worker"]: w["state"] for w in snap["workers"]}
-        assert states["w2"] == "done"
-        assert states["w3"] == "stale"
-        assert states["w1"] == "execute"
-        totals = snap["totals"]
-        assert totals["workers"] == 3
-        assert totals["done"] == 1
-        # min across workers' views is the tightest global bound
-        assert totals["remaining"] == 3
-        assert totals["executed"] == 6
-        assert not topview.finished(snap)
-        rendered = topview.render(snap)
-        assert "w1" in rendered and "ETA" in rendered
-
-    def test_finished_and_not_found(self, tmp_path):
-        empty = topview.gather(tmp_path / "nothing", now=0.0)
-        assert not empty["found"] and not topview.finished(empty)
-        assert "no worker heartbeats" in topview.render(empty)
-        now = 50.0
-        self._beat(tmp_path, "w1", now, done=True, remaining=0)
-        snap = topview.gather(tmp_path, now=now)
-        assert topview.finished(snap)
+def test_cold_multiworker_sweep_merges_to_exact_counters(tmp_path):
+    # Forked workers inherit the parent's bus; each must start a fresh one
+    # or the parent's pre-fork store misses are exported again.
+    tel_dir = tmp_path / "tel"
+    rc = cli.main([
+        "sweep", "--primitives", "lock,barrier",
+        "--mechanisms", "central,syncron", "--rounds", "3",
+        "--interval", "120", "--workers", "2",
+        "--store", f"dir:{tmp_path}/cache", "--telemetry", str(tel_dir),
+    ])
+    assert rc == 0
+    snapshots = [json.loads(path.read_text())
+                 for path in tel_dir.glob("snapshot-*.json")]
+    assert len(snapshots) >= 2  # the parent and the pool workers
+    counters = merge_snapshots(snapshots)["counters"]
+    n = 4
+    assert counters["store.misses"] == n
+    assert counters["store.publishes"] == n
+    assert counters.get("store.hits", 0) == 0
+    assert counters["sim.runs"] == n
 
 
 # ----------------------------------------------------------------------
-# 5. CLI: --telemetry / top / report
+# 5. CLI: --telemetry / report
 # ----------------------------------------------------------------------
 class TestCli:
     def test_run_with_telemetry_then_report(self, tmp_path, capsys):
@@ -356,26 +315,6 @@ class TestCli:
 
     def test_report_empty_dir_exits_2(self, tmp_path, capsys):
         assert cli.main(["report", str(tmp_path)]) == 2
-
-    def test_top_once_renders_heartbeats(self, tmp_path, capsys,
-                                         monkeypatch):
-        Heartbeat(tmp_path, "w1").update(
-            worker="w1", started_at=0.0, phase="execute", executed=1,
-            reclaimed=0, completed_elsewhere=0, remaining=2, total=3,
-            kernel_events=100, done=False)
-        rc = cli.main(["top", "--store", f"dir:{tmp_path}", "--once"])
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "w1" in out and "workers @" in out
-
-    def test_top_once_missing_root_exits_1(self, tmp_path, capsys):
-        rc = cli.main(["top", "--store",
-                       f"dir:{tmp_path}/nothing", "--once"])
-        assert rc == 1
-
-    def test_top_memory_store_exits_2(self, capsys):
-        assert cli.main(["top", "--store", "memory:", "--once"]) == 2
-        assert "unknown store scheme" in capsys.readouterr().err
 
     def test_telemetry_disabled_after_cli_run(self, tmp_path):
         cli.main([
