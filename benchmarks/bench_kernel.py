@@ -6,10 +6,12 @@ Run directly::
 
 Two measurements:
 
-1. **Kernel microbenchmark** — pure ``Simulator`` throughput on three event
+1. **Kernel microbenchmark** — pure ``Simulator`` throughput on four event
    patterns that mirror the shapes the messaging layers generate (timer
-   chains, same-cycle fan-out bursts, and a payload-carrying mix where each
-   handler receives a message argument).  The current kernel is compared
+   chains, same-cycle fan-out bursts, a payload-carrying mix where each
+   handler receives a message argument, and a sparse timeline with about
+   one event per timestamp — the e2ebench workloads give the kernel
+   1.03-1.19 events per timestamp).  The current kernel is compared
    against ``LegacySimulator`` — a faithful copy of the seed implementation
    (tuple heap + per-event ``step()`` + closure-only callbacks) — so the
    speedup is measured, not guessed.
@@ -196,6 +198,45 @@ def _message_mix_current(n_messages: int) -> int:
     return handled[0]
 
 
+def _lcg(state: int) -> int:
+    return (state * 1103515245 + 12345) & 0x7FFFFFFF
+
+
+def _sparse_timeline_legacy(n_chains: int, n_ticks: int) -> int:
+    """Independent chains with pseudo-random delays 1-199: timestamps
+    rarely collide, so nearly every schedule opens a new timestamp."""
+    sim = LegacySimulator()
+    fired = [0]
+
+    def tick(state, left):
+        fired[0] += 1
+        if left > 1:
+            state = _lcg(state)
+            sim.schedule(1 + state % 199,
+                         lambda s=state, n=left - 1: tick(s, n))
+
+    for c in range(n_chains):
+        sim.schedule(c, lambda s=c + 1: tick(s, n_ticks))
+    sim.run()
+    return fired[0]
+
+
+def _sparse_timeline_current(n_chains: int, n_ticks: int) -> int:
+    sim = Simulator()
+    fired = [0]
+
+    def tick(state, left):
+        fired[0] += 1
+        if left > 1:
+            state = _lcg(state)
+            sim.schedule(1 + state % 199, tick, state, left - 1)
+
+    for c in range(n_chains):
+        sim.schedule(c, tick, c + 1, n_ticks)
+    sim.run()
+    return fired[0]
+
+
 # ----------------------------------------------------------------------
 # Poll storm: N spinners on one contended flag — the shape the spin
 # baselines (rmw_spin/bakery) generate.  Three implementations:
@@ -308,16 +349,19 @@ def _time_events(fn, *args) -> dict:
 
 
 def kernel_microbench(scale: int = 1) -> dict:
-    """Compare legacy vs current kernel on the three event shapes."""
+    """Compare legacy vs current kernel on the four event shapes."""
     chains = (200, 100 * scale)
     fanout = (400 * scale, 50)
     messages = 120_000 * scale
+    sparse = (32, 1500 * scale)
 
     results = {}
     for name, legacy_fn, current_fn, args in (
         ("timer_chains", _timer_chains_legacy, _timer_chains_current, chains),
         ("same_cycle_fanout", _fanout_legacy, _fanout_current, fanout),
         ("message_mix", _message_mix_legacy, _message_mix_current, (messages,)),
+        ("sparse_timeline", _sparse_timeline_legacy,
+         _sparse_timeline_current, sparse),
     ):
         legacy = _time_events(legacy_fn, *args)
         current = _time_events(current_fn, *args)
@@ -450,8 +494,9 @@ def main(argv=None) -> int:
 
     overall = micro["overall"]
     print("kernel microbenchmark (events/sec):")
-    for name in ("timer_chains", "same_cycle_fanout", "message_mix"):
-        r = micro[name]
+    for name, r in micro.items():
+        if name == "overall":
+            continue
         print(f"  {name:18s} legacy {r['legacy']['events_per_sec']:>12,.0f}"
               f"  current {r['current']['events_per_sec']:>12,.0f}"
               f"  speedup {r['speedup']:.2f}x")

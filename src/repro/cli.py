@@ -179,7 +179,6 @@ def _runner_options(args) -> Dict:
         "workers": args.workers,
         "cache": not args.no_cache,
         "store": args.store,
-        "telemetry": getattr(args, "telemetry", None),
         "sanitize": getattr(args, "sanitize", False),
     }
 

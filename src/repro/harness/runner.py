@@ -60,10 +60,6 @@ class ExecutionOptions:
     #: store url (``dir:PATH`` or a bare path); None = the deployment
     #: default, ``dir:$REPRO_CACHE_DIR`` (see :meth:`resolved_store_url`).
     store: Optional[str] = None
-    #: telemetry output directory (``--telemetry DIR``): the CLI enables
-    #: the :mod:`repro.telemetry` bus for the whole command and exports
-    #: the event log + snapshot there.  None = telemetry off (default).
-    telemetry: Optional[str] = None
     #: run the determinism sanitizer (``--sanitize``): simulators record
     #: per-cycle access sets and flag same-cycle ordering hazards.  Forces
     #: the cache off (the debug run must actually execute) and the
@@ -81,13 +77,12 @@ class ExecutionOptions:
 _OPTIONS = ExecutionOptions()
 
 #: ExecutionOptions fields settable through the helpers below.
-_OPTION_FIELDS = ("workers", "cache", "store", "telemetry", "sanitize")
+_OPTION_FIELDS = ("workers", "cache", "store", "sanitize")
 
 
 def set_execution_options(workers: Optional[int] = None,
                           cache: Optional[bool] = None,
                           store: Optional[str] = None,
-                          telemetry: Optional[str] = None,
                           sanitize: Optional[bool] = None) -> None:
     if workers is not None:
         if workers < 1:
@@ -97,8 +92,6 @@ def set_execution_options(workers: Optional[int] = None,
         _OPTIONS.cache = cache
     if store is not None:
         _OPTIONS.store = store or None
-    if telemetry is not None:
-        _OPTIONS.telemetry = telemetry or None
     if sanitize is not None:
         _OPTIONS.sanitize = sanitize
 
@@ -111,13 +104,12 @@ def get_execution_options() -> ExecutionOptions:
 def execution_options(workers: Optional[int] = None,
                       cache: Optional[bool] = None,
                       store: Optional[str] = None,
-                      telemetry: Optional[str] = None,
                       sanitize: Optional[bool] = None):
     """Temporarily override the active execution policy."""
     previous = replace(_OPTIONS)
     try:
         set_execution_options(workers=workers, cache=cache, store=store,
-                              telemetry=telemetry, sanitize=sanitize)
+                              sanitize=sanitize)
         yield _OPTIONS
     finally:
         for name in _OPTION_FIELDS:

@@ -20,15 +20,30 @@ written for throughput first:
   instead of allocating a closure per event — by far the largest win in the
   event storm generated by the messaging layers.
 - The pending set is a **bucket queue**: a dict mapping timestamp -> flat
-  event list ``[cb, args, cb, args, ...]`` plus a heap of *distinct*
-  timestamps.  Components cluster heavily on shared cycles (SE service
-  slots, barrier releases, back-to-back link transfers), so most schedules
-  are a dict hit + two list appends instead of an O(log n) heap push of a
-  comparison-heavy tuple; the heap holds plain ints and only one per
-  timestamp.  Insertion order within a timestamp is the list order — no
-  sequence counter needed.
-- ``run`` drains buckets in a tight loop with everything bound to locals,
-  paying clock/bookkeeping once per timestamp instead of once per event.
+  event list ``[cb, args, cb, args, ...]`` plus a min-heap of *distinct*
+  timestamps (plain ints, one per bucket).  Insertion order within a
+  timestamp is the list order — no sequence counter needed.
+- The queue is tuned for the traffic it measurably gets: **about one event
+  per timestamp**.  At seed 0 the e2ebench workloads run 735,942 /
+  629,180 / 110,779 events over 618,276 / 604,206 / 107,586 distinct
+  timestamps (1.19 / 1.04 / 1.03 events per timestamp on ``apps`` /
+  ``structures`` / ``spin``), so 84-97% of schedules open a new bucket.
+  ``schedule``/``schedule_at`` therefore take the miss with
+  ``buckets.get`` (about half the cost of a raised and caught
+  ``KeyError``); a hit is two list appends.
+- The fast drain **detaches** each bucket (``buckets.pop``) before running
+  it, paying clock/bookkeeping once per timestamp.  A one-event bucket is
+  one direct call, with no iterator.  A same-cycle schedule made while a
+  bucket runs misses the dict, opens a fresh bucket and re-pushes the
+  timestamp; that bucket drains right after, so ``(time, insertion)``
+  order is unchanged.  The observed drain (``_drain``) keeps its running
+  bucket in the dict instead, so same-cycle schedules append to it and
+  the observers' ``origin`` bookkeeping sees them in place.
+- When a callback raises, :meth:`Simulator._park` requeues the bucket's
+  un-executed tail *ahead of* any fresh same-time bucket the bucket's
+  callbacks opened, and never merges the observed drain's in-dict bucket
+  with itself, so resuming fires the rest in the order an uninterrupted
+  run would have.
 - Past-scheduling validation is real kernel-misuse detection, but it costs a
   branch on every scheduling call; it stays on by default (``validate=None``
   honours the ``REPRO_SIM_VALIDATE`` environment variable) and large
@@ -445,9 +460,8 @@ class Simulator:
         if delay < 0 and self._validate:
             raise SimulationError(f"cannot schedule {delay} cycles into the past")
         time = self.now + delay
-        try:
-            bucket = self._buckets[time]
-        except KeyError:
+        bucket = self._buckets.get(time)
+        if bucket is None:
             self._buckets[time] = [callback, args]
             heappush(self._times, time)
         else:
@@ -461,9 +475,8 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule at t={time}, current time is {self.now}"
             )
-        try:
-            bucket = self._buckets[time]
-        except KeyError:
+        bucket = self._buckets.get(time)
+        if bucket is None:
             self._buckets[time] = [callback, args]
             heappush(self._times, time)
         else:
@@ -511,23 +524,30 @@ class Simulator:
                 if self.profile is not None:
                     self.profile.wall_seconds += perf_counter() - t0
             return
-        # Fast path: drain everything.  One clock store and one bucket
-        # teardown per distinct timestamp.  The bucket may grow while
-        # draining (same-cycle scheduling): the list iterator picks appended
-        # pairs up in insertion order, and zip-ing an iterator with itself
-        # walks (callback, args) pairs at C speed.
+        # Fast path: drain everything, detaching each bucket before it runs
+        # (see the module docstring).  A one-event bucket, most of them,
+        # is a single direct call.
         times = self._times
-        buckets = self._buckets
+        detach = self._buckets.pop
         pop = heappop
         processed = 0
         try:
             while times:
                 time = pop(times)
                 self.now = time
-                bucket = buckets[time]
+                bucket = detach(time)
+                if len(bucket) == 2:
+                    # Counted before the call: a raiser counts once and,
+                    # already detached, has no tail to park.
+                    processed += 1
+                    callback, args = bucket
+                    callback(*args)
+                    continue
                 count = 0
                 it = iter(bucket)
                 try:
+                    # zip-ing an iterator with itself walks (callback,
+                    # args) pairs at C speed.
                     for callback, args in zip(it, it):
                         count += 1
                         callback(*args)
@@ -537,7 +557,6 @@ class Simulator:
                     self._park(time, bucket, count * 2)
                     processed += count
                     raise
-                del buckets[time]
                 processed += count
         finally:
             self._events_processed += processed
@@ -610,13 +629,25 @@ class Simulator:
             self.now = until
 
     def _park(self, time: int, bucket: list, i: int) -> None:
-        """Keep only the un-executed tail of a bucket (exception unwinding)."""
+        """Requeue the un-executed tail ``bucket[i:]`` (exception unwinding).
+
+        The drain popped ``time`` off the heap.  The observed drain keeps
+        its running bucket in the dict (same-cycle schedules append to
+        it), so the tail already holds them.  The fast drain detached its
+        bucket, so a fresh bucket at ``time`` holds events scheduled after
+        the tail's: the tail goes ahead of them, under the heap entry the
+        fresh bucket pushed.
+        """
+        buckets = self._buckets
         rest = bucket[i:]
-        if rest:
-            self._buckets[time] = rest
+        fresh = buckets.get(time)
+        if fresh is not None and fresh is not bucket:
+            buckets[time] = rest + fresh
+        elif rest:
+            buckets[time] = rest
             heappush(self._times, time)
-        else:
-            del self._buckets[time]
+        elif fresh is bucket:
+            del buckets[time]
 
     @property
     def events_processed(self) -> int:

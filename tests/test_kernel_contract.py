@@ -9,6 +9,8 @@ relies on so a future optimization cannot silently reorder events:
 - ``until`` / ``max_events`` semantics;
 - ``Process.resume`` after finish;
 - scheduling-validation behaviour;
+- exception parking around same-cycle schedules, and one firing order
+  across every drain (fast, bounded, observed, stepped);
 - both ``tests/`` and ``benchmarks/`` collect cleanly from the repo root
   (the seed shipped with a conftest-shadowing bug that broke all 16 test
   modules importing shared helpers).
@@ -20,6 +22,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.sim.engine import Process, SimulationError, Simulator
 
@@ -152,6 +155,118 @@ class TestRunBounds:
         sim.run(until=9, max_events=50)
         assert fired == list(range(10))
         assert sim.now == 9
+
+
+class TestSameCycleRaiser:
+    """A raiser that schedules a same-cycle event, then raises.
+
+    The fast drain detaches each bucket before running it, so the raiser's
+    same-cycle schedule opens a fresh bucket; parking must put the
+    un-executed tail ahead of it.  The observed drain appends to the
+    running bucket instead.  Either way resuming fires ``a, b, late``.
+    """
+
+    @staticmethod
+    def _run(layout, mode):
+        sim = Simulator()
+        if mode == "profile":
+            sim.enable_profile()
+        bounds = {"until": 20} if mode == "until" else {}
+        fired = []
+        raised = []
+
+        def ok(tag):
+            fired.append(tag)
+
+        def boom():
+            raised.append(sim.now)
+            sim.schedule(0, ok, "late")
+            raise RuntimeError("boom")
+
+        if layout == "multi":
+            # boom shares its bucket with a (before) and b (after).
+            sim.schedule(5, ok, "a")
+            sim.schedule(5, boom)
+            sim.schedule(5, ok, "b")
+            before = ["a"]
+        else:
+            # boom is alone in its bucket.
+            sim.schedule(4, ok, "a")
+            sim.schedule(4, ok, "b")
+            sim.schedule(5, boom)
+            before = ["a", "b"]
+        with pytest.raises(RuntimeError, match="boom"):
+            sim.run(**bounds)
+        assert fired == before
+        assert sim.events_processed == len(before) + 1
+        sim.run(**bounds)
+        assert fired == ["a", "b", "late"]
+        assert raised == [5]
+        assert sim.events_processed == 4
+        assert sim.pending_events == 0
+
+    @pytest.mark.parametrize("mode", ["run", "until", "profile"])
+    @pytest.mark.parametrize("layout", ["multi", "single"])
+    def test_resume_fires_tail_then_late(self, layout, mode):
+        self._run(layout, mode)
+
+
+#: one node of a random schedule program: (parent, delay, absolute).
+_NODE = st.tuples(st.integers(0, 1000), st.integers(0, 6), st.booleans())
+
+
+def _program_trace(nodes, drive):
+    """Fire a random schedule tree under ``drive``; return what it saw.
+
+    Node ``i`` hangs under an earlier node (or is a root scheduled before
+    the run).  A fired node schedules its children in order, each with
+    ``schedule(delay)`` or ``schedule_at(now + delay)``; delay 0 lands in
+    the running timestamp.
+    """
+    children = {i: [] for i in range(-1, len(nodes))}
+    for i, (raw, _delay, _absolute) in enumerate(nodes):
+        children[raw % (i + 1) - 1].append(i)
+    sim = Simulator()
+    fired = []
+
+    def push(i):
+        _raw, delay, absolute = nodes[i]
+        if absolute:
+            sim.schedule_at(sim.now + delay, fire, i)
+        else:
+            sim.schedule(delay, fire, i)
+
+    def fire(i):
+        fired.append((sim.now, i))
+        for child in children[i]:
+            push(child)
+
+    for root in children[-1]:
+        push(root)
+    drive(sim)
+    assert sim.pending_events == 0
+    return fired, sim.events_processed
+
+
+def _drive_step(sim):
+    while sim.step():
+        pass
+
+
+def _drive_observed(sim):
+    sim.enable_profile(sample_every=1)
+    sim.run()
+
+
+class TestDrainEquivalence:
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(_NODE, max_size=40))
+    def test_every_drain_fires_the_same_program_identically(self, nodes):
+        reference = _program_trace(nodes, lambda sim: sim.run())
+        assert len(reference[0]) == len(nodes) == reference[1]
+        for drive in (lambda sim: sim.run(until=10**9), _drive_observed,
+                      _drive_step):
+            assert _program_trace(nodes, drive) == reference
 
 
 class TestValidation:
