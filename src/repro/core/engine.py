@@ -386,12 +386,10 @@ class SynCronMechanism(MechanismBase):
 
     def _inject(self, core, msg: Message) -> None:
         self.stats.sync_messages_local += 1
-        latency = self.interconnect.local_latency(
-            core.unit_id, self.sim.now, REQUEST_BYTES
-        )
-        self.ses[core.unit_id].receive(
-            msg, self.sim.now + latency, sender=core.sender_token
-        )
+        unit = core.unit_id
+        now = self.sim.now
+        latency = self.interconnect.transfer_latency(unit, unit, now, REQUEST_BYTES)
+        self.ses[unit].receive(msg, now + latency, sender=core.sender_token)
 
     def request(self, core, op, var, info, callback) -> None:
         if core.core_id in self._pending:

@@ -162,6 +162,6 @@ class MemorySystem:
         home = self.addrmap.unit_of(addr)
         if home != unit:
             raise ValueError("device_access must target the device's own unit")
-        latency = self.interconnect.local_latency(unit, now, REQUEST_BYTES)
+        latency = self.interconnect.transfer_latency(unit, unit, now, REQUEST_BYTES)
         latency += self.drams[home].access(addr, is_write=is_write, now=now + latency)
         return latency

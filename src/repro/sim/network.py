@@ -77,6 +77,19 @@ class Crossbar:
     memo is bounded; elapsed intervals long enough that the decay
     underflows to exactly 0.0 short-cut without touching ``exp``.  Values
     are bit-identical to the uncached computation.
+
+    Zero-wait bound: the service time is ``s = max(nbytes / bpc, 1)``, so a
+    load estimate ``rate <= 0.5 * bpc / s`` gives ``rho * s <= 1/2`` and
+    ``rho <= 1/2``, hence ``W = rho * s / (2 * (1 - rho)) <= 1/2`` and
+    ``int(W) == 0``; float rounding moves those bounds by a few ulps, far
+    from 1.  The inline steps of :meth:`Interconnect.transfer_latency` and
+    :meth:`Interconnect.round_trips` test that predicate first and charge
+    only :attr:`_base_cycles` when it holds, with the load-estimate update
+    unchanged, so their results are bit-identical to :meth:`queue_wait`,
+    which keeps the full formula as the reference.  That is the common case
+    by far: every crossbar step of the three e2ebench workloads runs at
+    ``rho < 0.07``, and none of the 0.80M / 0.94M / 2.35M seed-0 steps of
+    ``apps`` / ``structures`` / ``spin`` needs the formula.
     """
 
     __slots__ = ("config", "unit_id", "_rate", "_last_time", "_decay_cache",
@@ -467,6 +480,9 @@ class Interconnect:
                 self._down_since[channel] = now
 
     # ------------------------------------------------------------------
+    # The simulator calls transfer_latency directly.  These two delegations
+    # have no caller under src/; they stay only because e2ebench/layers.py
+    # wraps them by name, and go once its tracer stops doing so.
     def local_latency(self, unit: int, now: int, nbytes: int) -> int:
         """Move a packet within ``unit`` (see :meth:`transfer_latency`)."""
         return self.transfer_latency(unit, unit, now, nbytes)
@@ -493,7 +509,10 @@ class Interconnect:
         reservation (:meth:`Link.reserve`) run as inline arithmetic, as in
         :meth:`round_trips`; those methods stay the definitions that
         :func:`repro.testing.per_hop_transfer` composes and
-        ``tests/test_transfer_path.py`` checks this path against.
+        ``tests/test_transfer_path.py`` checks this path against.  A
+        crossbar step whose load estimate is at most ``0.5 * bpc /
+        service`` skips the M/D/1 formula: its wait is provably 0 (see
+        :class:`Crossbar`), which is every step the e2ebench workloads make.
         """
         stats = self.stats
         tenant = stats.active
@@ -512,10 +531,14 @@ class Interconnect:
         service = nbytes / bpc
         if service < 1.0:
             service = 1.0
-        rho = rate / bpc
-        if rho > 0.95:
-            rho = 0.95
-        latency = xbar._base_cycles + int(rho * service / (2.0 * (1.0 - rho)))
+        # At or below this load estimate the M/D/1 wait is 0 (Crossbar).
+        limit = 0.5 * bpc / service
+        latency = xbar._base_cycles
+        if rate > limit:
+            rho = rate / bpc
+            if rho > 0.95:
+                rho = 0.95
+            latency += int(rho * service / (2.0 * (1.0 - rho)))
         if src_unit == dst_unit:
             stats.bytes_inside_units += nbytes
             stats.local_bit_hops += nbytes * self._local_bits
@@ -553,11 +576,12 @@ class Interconnect:
         rate = xbar._rate * decay + (nbytes / elapsed) * (1.0 - decay)
         xbar._rate = rate
         xbar._last_time = t
-        rho = rate / bpc
-        if rho > 0.95:
-            rho = 0.95
-        latency = (t - now) + xbar._base_cycles + int(
-            rho * service / (2.0 * (1.0 - rho)))
+        latency = (t - now) + xbar._base_cycles
+        if rate > limit:
+            rho = rate / bpc
+            if rho > 0.95:
+                rho = 0.95
+            latency += int(rho * service / (2.0 * (1.0 - rho)))
         stats.bytes_inside_units += 2 * nbytes
         stats.local_bit_hops += 2 * nbytes * self._local_bits
         stats.bytes_across_units += nbytes
@@ -591,7 +615,11 @@ class Interconnect:
         opens ``addr``'s row; nothing else runs during the burst, so every
         later access is a row hit on that bank, resolved inline (wait for
         the bank, the hit latency, then the write-recovery hold on a store)
-        with the bank and the DRAM counters written back once too.
+        with the bank and the DRAM counters written back once too.  The
+        zero-wait limits of the request and response sizes are computed once
+        per burst; a crossbar step whose load estimate is at or below its
+        limit skips the M/D/1 formula, as in :meth:`transfer_latency` (the
+        bound and the measured traffic are in :class:`Crossbar`).
         Degraded and adaptive fabrics, whose routes may change per packet,
         resolve every transfer through :meth:`transfer_latency` and every
         access through ``dram.access`` instead.
@@ -629,6 +657,9 @@ class Interconnect:
         resp_service = response_bytes / bpc
         if resp_service < 1.0:
             resp_service = 1.0
+        # At or below these load estimates the M/D/1 wait is 0 (Crossbar).
+        req_limit = 0.5 * bpc / req_service
+        resp_limit = 0.5 * bpc / resp_service
         src_rate, src_last = src._rate, src._last_time
         src_memo, src_decay = src._decay_cache, src._decay
         if local:
@@ -643,10 +674,12 @@ class Interconnect:
                     decay = src_decay(elapsed)
                 src_rate = src_rate * decay + (request_bytes / elapsed) * (1.0 - decay)
                 src_last = cursor
-                rho = src_rate / bpc
-                if rho > 0.95:
-                    rho = 0.95
-                t = cursor + base + int(rho * req_service / (2.0 * (1.0 - rho)))
+                t = cursor + base
+                if src_rate > req_limit:
+                    rho = src_rate / bpc
+                    if rho > 0.95:
+                        rho = 0.95
+                    t += int(rho * req_service / (2.0 * (1.0 - rho)))
                 if bank_free is None:
                     t += access(addr, is_write, t)
                     bank_free = bank_next_free[bank]
@@ -664,10 +697,12 @@ class Interconnect:
                     decay = src_decay(elapsed)
                 src_rate = src_rate * decay + (response_bytes / elapsed) * (1.0 - decay)
                 src_last = t
-                rho = src_rate / bpc
-                if rho > 0.95:
-                    rho = 0.95
-                t += base + int(rho * resp_service / (2.0 * (1.0 - rho)))
+                t += base
+                if src_rate > resp_limit:
+                    rho = src_rate / bpc
+                    if rho > 0.95:
+                        rho = 0.95
+                    t += int(rho * resp_service / (2.0 * (1.0 - rho)))
                 cursor = t if t > cursor else cursor + 1
         else:
             dst = self.crossbars[dst_unit]
@@ -695,10 +730,12 @@ class Interconnect:
                     decay = src_decay(elapsed)
                 src_rate = src_rate * decay + (request_bytes / elapsed) * (1.0 - decay)
                 src_last = cursor
-                rho = src_rate / bpc
-                if rho > 0.95:
-                    rho = 0.95
-                t = cursor + base + int(rho * req_service / (2.0 * (1.0 - rho)))
+                t = cursor + base
+                if src_rate > req_limit:
+                    rho = src_rate / bpc
+                    if rho > 0.95:
+                        rho = 0.95
+                    t += int(rho * req_service / (2.0 * (1.0 - rho)))
                 # request: each link on the route
                 for i in out_hops:
                     start = out_free[i]
@@ -716,10 +753,12 @@ class Interconnect:
                     decay = dst_decay(elapsed)
                 dst_rate = dst_rate * decay + (request_bytes / elapsed) * (1.0 - decay)
                 dst_last = t
-                rho = dst_rate / bpc
-                if rho > 0.95:
-                    rho = 0.95
-                t += base + int(rho * req_service / (2.0 * (1.0 - rho)))
+                t += base
+                if dst_rate > req_limit:
+                    rho = dst_rate / bpc
+                    if rho > 0.95:
+                        rho = 0.95
+                    t += int(rho * req_service / (2.0 * (1.0 - rho)))
                 if bank_free is None:
                     t += access(addr, is_write, t)
                     bank_free = bank_next_free[bank]
@@ -737,10 +776,12 @@ class Interconnect:
                     decay = dst_decay(elapsed)
                 dst_rate = dst_rate * decay + (response_bytes / elapsed) * (1.0 - decay)
                 dst_last = t
-                rho = dst_rate / bpc
-                if rho > 0.95:
-                    rho = 0.95
-                t += base + int(rho * resp_service / (2.0 * (1.0 - rho)))
+                t += base
+                if dst_rate > resp_limit:
+                    rho = dst_rate / bpc
+                    if rho > 0.95:
+                        rho = 0.95
+                    t += int(rho * resp_service / (2.0 * (1.0 - rho)))
                 # response: each link on the way back
                 for i in back_hops:
                     start = back_free[i]
@@ -758,10 +799,12 @@ class Interconnect:
                     decay = src_decay(elapsed)
                 src_rate = src_rate * decay + (response_bytes / elapsed) * (1.0 - decay)
                 src_last = t
-                rho = src_rate / bpc
-                if rho > 0.95:
-                    rho = 0.95
-                t += base + int(rho * resp_service / (2.0 * (1.0 - rho)))
+                t += base
+                if src_rate > resp_limit:
+                    rho = src_rate / bpc
+                    if rho > 0.95:
+                        rho = 0.95
+                    t += int(rho * resp_service / (2.0 * (1.0 - rho)))
                 cursor = t if t > cursor else cursor + 1
             dst._rate, dst._last_time = dst_rate, dst_last
             for link, free in zip(out, out_free):

@@ -149,7 +149,7 @@ class _AbortOverflowMechanism(SynCronMechanism):
         for unit in range(self.config.num_units):
             if unit == se.unit:
                 self.stats.sync_messages_local += 1
-                self.interconnect.local_latency(unit, now, RESPONSE_BYTES)
+                self.interconnect.transfer_latency(unit, unit, now, RESPONSE_BYTES)
             else:
                 self.stats.sync_messages_global += 1
                 self.interconnect.transfer_latency(se.unit, unit, now, RESPONSE_BYTES)
@@ -208,7 +208,8 @@ class _AbortOverflowMechanism(SynCronMechanism):
             depart = self.sim.now + se._extra
             if target.unit == se.unit:
                 self.stats.sync_messages_local += 1
-                latency = self.interconnect.local_latency(se.unit, depart, msg.bytes)
+                latency = self.interconnect.transfer_latency(
+                    se.unit, se.unit, depart, msg.bytes)
             else:
                 self.stats.sync_messages_global += 1
                 latency = self.interconnect.transfer_latency(

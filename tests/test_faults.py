@@ -110,11 +110,11 @@ class TestInterconnectFaults:
     def test_reroutes_counted_once_per_pair_per_fault_epoch(self):
         inter, stats = self.make()
         inter.fail_link((0, 1), 0)
-        inter.remote_latency(0, 1, 10, 64)
-        inter.remote_latency(0, 1, 20, 64)
+        inter.transfer_latency(0, 1, 10, 64)
+        inter.transfer_latency(0, 1, 20, 64)
         assert stats.reroutes == 1  # memoized within the epoch
         inter.fail_link((4, 5), 100)  # new epoch: routes re-resolve
-        inter.remote_latency(0, 1, 110, 64)
+        inter.transfer_latency(0, 1, 110, 64)
         assert stats.reroutes == 2
 
     def test_partition_raises_at_injection_time(self):
@@ -146,7 +146,7 @@ class TestInterconnectFaults:
     def test_detour_bits_are_charged_on_top_of_route_bits(self):
         inter, stats = self.make()
         inter.fail_link((0, 1), 0)
-        inter.remote_latency(0, 1, 10, 64)
+        inter.transfer_latency(0, 1, 10, 64)
         # 7-hop detour vs 1-hop pristine: 6 extra hops of 64 bytes.
         assert stats.detour_bit_hops == 64 * 8 * 6
         assert stats.link_bit_hops == 64 * 8 * 7
@@ -155,9 +155,9 @@ class TestInterconnectFaults:
 class TestLinkProfile:
     def test_profile_shifts_timing_by_the_predicted_delta(self):
         cfg = ndp_2_5d(num_units=4)  # all_to_all: (0, 1) is private
-        base = Interconnect(cfg, SystemStats()).remote_latency(0, 1, 0, 64)
+        base = Interconnect(cfg, SystemStats()).transfer_latency(0, 1, 0, 64)
         slow = ndp_2_5d(num_units=4, link_profile=((0, 1, 1.28, 80.0),))
-        profiled = Interconnect(slow, SystemStats()).remote_latency(0, 1, 0, 64)
+        profiled = Interconnect(slow, SystemStats()).transfer_latency(0, 1, 0, 64)
         expected = (
             math.ceil(64 / (1.28 / 2.5)) - math.ceil(64 / cfg.link_bytes_per_cycle)
             + core_cycles_from_ns(80.0) - cfg.link_latency_cycles
@@ -202,8 +202,8 @@ class TestRoutingPolicies:
             SystemStats())
         assert static.remote_hops(0, 1) == 1
         assert degraded.remote_hops(0, 1) == 3
-        assert (degraded.remote_latency(0, 1, 0, 64)
-                < static.remote_latency(0, 1, 0, 64))
+        assert (degraded.transfer_latency(0, 1, 0, 64)
+                < static.transfer_latency(0, 1, 0, 64))
 
     def test_load_aware_policy_avoids_the_congested_route(self):
         # 0 -> 3 on a 2x2 mesh has two minimal routes; pre-loading the
@@ -213,8 +213,8 @@ class TestRoutingPolicies:
             cfg = ndp_2_5d(num_units=4, topology="mesh2d",
                            routing_policy=policy)
             inter = Interconnect(cfg, SystemStats())
-            inter.remote_latency(0, 1, 0, 100_000)
-            return inter.remote_latency(0, 3, 0, 64)
+            inter.transfer_latency(0, 1, 0, 100_000)
+            return inter.transfer_latency(0, 3, 0, 64)
 
         assert congested("load_aware") < congested("static")
 

@@ -1,7 +1,9 @@
 """Unit tests for clock, config, address map, DRAM, cache, and network."""
 
+import math
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.sim.cache import L1Cache
 from repro.sim.clock import (
@@ -284,3 +286,40 @@ class TestNetwork:
         busy = xbar._rate
         xbar.queue_wait(10_000, 1)
         assert xbar._rate < busy
+
+    @staticmethod
+    def md1_wait(rate, nbytes, bpc):
+        """:meth:`Crossbar.queue_wait`'s full formula at load estimate
+        ``rate``: a one-cycle interval whose decay is pinned to 1.0 leaves
+        the estimate exactly ``rate``."""
+        xbar = Crossbar(ndp_2_5d(), 0)
+        xbar._bytes_per_cycle = bpc
+        xbar._rate = rate
+        xbar._decay_cache[1] = 1.0
+        wait = xbar.queue_wait(0, nbytes)
+        assert xbar._rate == rate
+        return wait
+
+    @settings(max_examples=300, deadline=None)
+    @given(nbytes=st.integers(0, 100_000),
+           bpc=st.floats(0.01, 10_000.0),
+           fraction=st.floats(0.0, 1.0),
+           rate=st.floats(0.0, 1e6))
+    def test_zero_wait_predicate_implies_zero_wait(self, nbytes, bpc,
+                                                   fraction, rate):
+        # The predicate the inline crossbar steps of transfer_latency and
+        # round_trips test before skipping the M/D/1 formula.
+        service = max(nbytes / bpc, 1.0)
+        limit = 0.5 * bpc / service
+        below = math.nextafter(limit, 0.0)
+        above = math.nextafter(limit, math.inf)
+        assert below <= limit < above
+        for estimate in (rate, fraction * limit, below, limit, above):
+            if estimate <= limit:
+                assert self.md1_wait(estimate, nbytes, bpc) == 0
+        # The bound has slack: one ulp past the limit still waits 0 cycles.
+        assert self.md1_wait(above, nbytes, bpc) == 0
+
+    def test_zero_wait_limit_is_not_vacuous(self):
+        # Well past the limit the formula charges a real wait.
+        assert self.md1_wait(0.9 * 32.0, 6400, 32.0) > 0

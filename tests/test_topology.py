@@ -212,31 +212,31 @@ class TestRoutedInterconnect:
             first = base + src_xbar.queue_wait(now, 64)
             second = link.reserve(now + first, 64)
             third = base + dst_xbar.queue_wait(now + first + second, 64)
-            assert routed.remote_latency(0, 1, now, 64) == first + second + third
+            assert routed.transfer_latency(0, 1, now, 64) == first + second + third
 
     def test_distance_costs_cycles_on_a_ring(self):
         cfg = ndp_2_5d(num_units=8, topology="ring")
-        near = Interconnect(cfg, SystemStats()).remote_latency(0, 1, 0, 64)
-        far = Interconnect(cfg, SystemStats()).remote_latency(0, 4, 0, 64)
+        near = Interconnect(cfg, SystemStats()).transfer_latency(0, 1, 0, 64)
+        far = Interconnect(cfg, SystemStats()).transfer_latency(0, 4, 0, 64)
         # 4 hops pay ~4x the propagation+serialization of 1 hop.
         assert far > near + 2 * cfg.link_latency_cycles
 
     def test_shared_channel_contention_emerges(self):
         # ring routes 0->2 and 1->2 share the physical channel (1, 2).
         cfg = ndp_2_5d(num_units=4, topology="ring")
-        quiet = Interconnect(cfg, SystemStats()).remote_latency(1, 2, 0, 6400)
+        quiet = Interconnect(cfg, SystemStats()).transfer_latency(1, 2, 0, 6400)
         contended = Interconnect(cfg, SystemStats())
-        contended.remote_latency(0, 2, 0, 6400)
-        assert contended.remote_latency(1, 2, 0, 6400) > quiet
+        contended.transfer_latency(0, 2, 0, 6400)
+        assert contended.transfer_latency(1, 2, 0, 6400) > quiet
 
     def test_all_to_all_never_contends_across_pairs(self):
         # disjoint pairs keep private channels: same latency with or
         # without background traffic between other units.
         cfg = ndp_2_5d(num_units=4)
-        quiet = Interconnect(cfg, SystemStats()).remote_latency(2, 3, 0, 6400)
+        quiet = Interconnect(cfg, SystemStats()).transfer_latency(2, 3, 0, 6400)
         busy = Interconnect(cfg, SystemStats())
-        busy.remote_latency(0, 1, 0, 6400)
-        assert busy.remote_latency(2, 3, 0, 6400) == quiet
+        busy.transfer_latency(0, 1, 0, 6400)
+        assert busy.transfer_latency(2, 3, 0, 6400) == quiet
 
     @pytest.mark.parametrize("topology", sorted(TOPOLOGIES))
     def test_byte_conservation_under_every_topology(self, topology):

@@ -11,9 +11,10 @@ load-aware and heterogeneous.
 
 The burst tests compare :meth:`MemorySystem.uncacheable_burst` with a loop
 of single accesses, which themselves go through ``transfer_latency``; the
-last test here repeats that comparison with the per-hop reference patched
+last tests here repeat that comparison with the per-hop reference patched
 in, so the inlined burst loop is also checked against code it shares
-nothing with.
+nothing with, on bursts whose crossbar estimates fall below the zero-wait
+limit mid-burst and on bursts whose estimates rise past it.
 """
 
 import random
@@ -118,12 +119,9 @@ class TestTransferMatchesPerHop:
         replay(case, packets, tenant_from)
 
 
-@pytest.mark.parametrize("case", sorted(CASES))
-@pytest.mark.parametrize("home", ["local", "mid", "far"])
-@pytest.mark.parametrize("size", [8, 2048])
-def test_burst_matches_per_hop_accesses(monkeypatch, case, home, size):
-    """A scan through the inlined burst loop equals the same accesses issued
-    one at a time over the per-hop reference."""
+def burst_against_per_hop(monkeypatch, case, home, size, flood):
+    """One scan through the inlined burst loop and the same accesses issued
+    one at a time over the per-hop reference: (cycles, fabric state) each."""
     results = []
     for patched in (False, True):
         with monkeypatch.context() as patch:
@@ -142,12 +140,19 @@ def test_burst_matches_per_hop_accesses(monkeypatch, case, home, size):
                                      cacheable=False, now=now)
             # "mid" is unit 2: across the profiled fabric's slow (0, 2) link.
             target = {"local": 0, "mid": 2, "far": units - 1}[home]
-            # Flood both endpoint crossbars so the burst starts with their
-            # utilization estimate above the M/D/1 cap.
-            for _ in range(40):
-                now += 1
-                for unit in {0, target}:
-                    system.interconnect.transfer_latency(unit, unit, now, 6400)
+            if flood:
+                # Flood both endpoint crossbars so the burst starts with
+                # their utilization estimate above the M/D/1 cap; it can
+                # decay below the zero-wait limit mid-burst.
+                for _ in range(40):
+                    now += 1
+                    for unit in {0, target}:
+                        system.interconnect.transfer_latency(
+                            unit, unit, now, 6400)
+            else:
+                # A quiet spell: the burst starts at a near-zero estimate
+                # and its own packets push it past the zero-wait limit.
+                now += 1_000_000
             addr = system.addrmap.alloc(target, 64)
             issue = per_access_burst if patched else MemorySystem.uncacheable_burst
             # 2 KiB words load the crossbars enough for M/D/1 waits to
@@ -155,4 +160,25 @@ def test_burst_matches_per_hop_accesses(monkeypatch, case, home, size):
             cycles = issue(system.memsys, 0, addr, now, stores=20, loads=100,
                            size=size, for_sync=True)
             results.append((cycles, fabric_snapshot(system)))
-    assert results[0] == results[1]
+    return results
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+@pytest.mark.parametrize("home", ["local", "mid", "far"])
+@pytest.mark.parametrize("size", [8, 2048])
+def test_burst_matches_per_hop_accesses(monkeypatch, case, home, size):
+    """A scan through the inlined burst loop equals the same accesses issued
+    one at a time over the per-hop reference."""
+    fused, reference = burst_against_per_hop(monkeypatch, case, home, size,
+                                             flood=True)
+    assert fused == reference
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+@pytest.mark.parametrize("home", ["local", "far"])
+def test_burst_rising_past_zero_wait_limit(monkeypatch, case, home):
+    """A burst that starts on idle crossbars and loads them itself: its
+    first steps take the zero-wait path and later ones the M/D/1 formula."""
+    fused, reference = burst_against_per_hop(monkeypatch, case, home, 2048,
+                                             flood=False)
+    assert fused == reference
