@@ -31,6 +31,7 @@ if str(REPO_ROOT / "src") not in sys.path:
     sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.harness.experiments import interference, isolation_check  # noqa: E402
+from repro.harness.runner import run_plan  # noqa: E402
 from repro.sim.config import ndp_2_5d  # noqa: E402
 from repro.sim.system import NDPSystem  # noqa: E402
 from repro.workloads.corun import CorunWorkload, TenantSpec  # noqa: E402
@@ -83,8 +84,8 @@ def main(argv=None) -> int:
                         help="write results as JSON to this path")
     args = parser.parse_args(argv)
 
-    identity = isolation_check(descs=("lock",), mechanisms=MECHANISMS,
-                               interval=INTERVAL, rounds=ROUNDS)
+    identity = run_plan(isolation_check(descs=("lock",), mechanisms=MECHANISMS,
+                                        interval=INTERVAL, rounds=ROUNDS))
     broken = [r for r in identity if not r["identical"]]
     if broken:
         raise AssertionError(
@@ -93,15 +94,15 @@ def main(argv=None) -> int:
         )
 
     wall_start = time.perf_counter()
-    unit_rows = interference(groups=[("lock", "barrier")],
-                             mechanisms=MECHANISMS,
-                             topologies=("all_to_all", "ring"),
-                             interval=INTERVAL, rounds=ROUNDS)
-    core_rows = interference(groups=[("lock", "barrier")],
-                             mechanisms=MECHANISMS,
-                             topologies=("all_to_all",),
-                             interval=INTERVAL, rounds=ROUNDS,
-                             core_split=(10, 50))
+    unit_rows = run_plan(interference(groups=[("lock", "barrier")],
+                                      mechanisms=MECHANISMS,
+                                      topologies=("all_to_all", "ring"),
+                                      interval=INTERVAL, rounds=ROUNDS))
+    core_rows = run_plan(interference(groups=[("lock", "barrier")],
+                                      mechanisms=MECHANISMS,
+                                      topologies=("all_to_all",),
+                                      interval=INTERVAL, rounds=ROUNDS,
+                                      core_split=(10, 50)))
     sweep_seconds = time.perf_counter() - wall_start
 
     def cell(rows, mech, topo):

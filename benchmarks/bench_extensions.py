@@ -12,12 +12,14 @@ These quantify the repository's additions beyond the paper's own figures
 from repro.harness import ablations
 from repro.harness.plotting import bar_chart, line_chart
 from repro.harness.reporting import format_table
+from repro.harness.runner import run_plan
 
 
 def test_spin_baselines_lose_under_contention(once):
     """Bakery < remote atomics < message passing < SynCron < Ideal on a
     contended lock — the Sec. 2.2.1 ordering."""
-    rows = once(lambda: ablations.spin_baselines(core_steps=(15, 30, 60)))
+    rows = once(lambda: run_plan(
+        ablations.spin_baselines(core_steps=(15, 30, 60))))
     print()
     print(format_table(rows, columns=(
         "cores", "bakery", "rmw_spin", "central", "hier", "syncron", "ideal",
@@ -39,7 +41,8 @@ def test_spin_baselines_lose_under_contention(once):
 def test_overflow_target_shared_cache(once):
     """Sec. 4.6: with DDR4 main memory, shared-cache overflow state beats
     DRAM-resident syncronVar once the ST actually overflows."""
-    rows = once(lambda: ablations.overflow_target_sweep(st_sizes=(8, 16, 64)))
+    rows = once(lambda: run_plan(
+        ablations.overflow_target_sweep(st_sizes=(8, 16, 64))))
     print()
     print(format_table(rows, title="Extension: overflow target (BST_FG, DDR4)"))
     overflowing = [row for row in rows if row["memory_overflow_pct"] > 5.0]
@@ -55,9 +58,9 @@ def test_overflow_target_shared_cache(once):
 def test_rwlock_beats_mutex_when_read_heavy(once):
     """The rw-lock extension: readers share, so read-heavy mixes overtake
     a plain mutex; write-heavy mixes pay the one-level coordination."""
-    rows = once(lambda: ablations.rwlock_read_ratio(
+    rows = once(lambda: run_plan(ablations.rwlock_read_ratio(
         read_pcts=(0, 50, 90, 100)
-    ))
+    )))
     print()
     print(format_table(rows, title="Extension: rw lock vs mutex (Mops/s)"))
     print()
@@ -78,7 +81,8 @@ def test_rwlock_beats_mutex_when_read_heavy(once):
 def test_unionfind_rw_beats_mutex(once):
     """The realistic rw-lock application: read-locked finds dominate a
     dense edge stream, so the rw lock outruns the mutex."""
-    rows = once(lambda: ablations.unionfind_connectivity(datasets=("wk",)))
+    rows = once(lambda: run_plan(
+        ablations.unionfind_connectivity(datasets=("wk",))))
     print()
     print(format_table(rows, title="Extension: union-find connectivity"))
     for row in rows:
@@ -88,7 +92,8 @@ def test_unionfind_rw_beats_mutex(once):
 def test_fairness_threshold_trade(once):
     """Sec. 4.4.2: a small threshold collapses the cross-unit finish-time
     spread at some throughput cost."""
-    rows = once(lambda: ablations.fairness_sweep(thresholds=(0, 2, 8)))
+    rows = once(lambda: run_plan(
+        ablations.fairness_sweep(thresholds=(0, 2, 8))))
     print()
     print(format_table(rows, title="Extension: fairness threshold (2 units)"))
     unfair = rows[0]
@@ -102,7 +107,7 @@ def test_smt_contexts_hide_stalls(once):
     """Sec. 4 SMT note: splitting each core's work across 2 contexts cuts
     makespan by overlapping sync/memory stalls; 4 contexts saturate the
     shared 1-IPC pipeline."""
-    rows = once(lambda: ablations.smt_sweep(thread_counts=(1, 2, 4)))
+    rows = once(lambda: run_plan(ablations.smt_sweep(thread_counts=(1, 2, 4))))
     print()
     print(format_table(rows, title="Extension: hardware thread contexts per core"))
     one, two = rows[0], rows[1]
@@ -116,7 +121,8 @@ def test_smt_contexts_hide_stalls(once):
 def test_se_latency_knee(once):
     """SynCron's edge over Hier survives a much slower SPU: the advantage
     comes from the ST and hierarchy, not just the 12-cycle service."""
-    rows = once(lambda: ablations.se_vs_server_latency(se_cycles=(3, 12, 96)))
+    rows = once(lambda: run_plan(
+        ablations.se_vs_server_latency(se_cycles=(3, 12, 96))))
     print()
     print(format_table(rows, title="Extension: SE service-time knee (stack)"))
     assert rows[0]["syncron_vs_hier"] >= rows[-1]["syncron_vs_hier"]

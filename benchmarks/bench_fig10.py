@@ -6,6 +6,7 @@ import pytest
 
 from repro.harness.experiments import FIG10_INTERVALS, fig10
 from repro.harness.reporting import format_table
+from repro.harness.runner import run_plan
 
 MECHS = ("central", "hier", "syncron", "ideal")
 
@@ -13,7 +14,8 @@ MECHS = ("central", "hier", "syncron", "ideal")
 @pytest.mark.parametrize("primitive", ("lock", "barrier", "semaphore", "condvar"))
 def test_fig10_primitive_speedups(once, primitive):
     intervals = FIG10_INTERVALS[primitive][:5]
-    rows = once(lambda: fig10(primitive, intervals=intervals, mechanisms=MECHS))
+    rows = once(lambda: run_plan(
+        fig10(primitive, intervals=intervals, mechanisms=MECHS)))
     print()
     print(format_table(
         rows, columns=["interval"] + list(MECHS),

@@ -4,6 +4,7 @@ import pytest
 
 from repro.harness.experiments import MECHANISMS, fig11
 from repro.harness.reporting import format_table
+from repro.harness.runner import run_plan
 
 HIGH_CONTENTION = ("stack", "queue", "arraymap", "priority_queue")
 MEDIUM_CONTENTION = ("skiplist", "hashtable")
@@ -15,7 +16,7 @@ ALL = HIGH_CONTENTION + MEDIUM_CONTENTION + HIGH_DEMAND + NEGLIGIBLE
 
 @pytest.mark.parametrize("structure", ALL)
 def test_fig11_structure_throughput(once, structure):
-    rows = once(lambda: fig11(structure, core_steps=(15, 30, 60)))
+    rows = once(lambda: run_plan(fig11(structure, core_steps=(15, 30, 60))))
     print()
     print(format_table(
         rows, columns=["cores"] + list(MECHANISMS),

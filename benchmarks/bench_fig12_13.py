@@ -13,6 +13,7 @@ from repro.harness.experiments import (
     headline_summary,
 )
 from repro.harness.reporting import format_table
+from repro.harness.runner import run_plan
 
 # the full 26-combo sweep is for REPRO_SCALE>=medium runs; small scale uses
 # a representative subset per kernel family to keep the suite brisk.
@@ -27,7 +28,7 @@ def _combos():
 
 
 def test_fig12_real_application_speedups(once):
-    rows = once(lambda: fig12(combos=_combos()))
+    rows = once(lambda: run_plan(fig12(combos=_combos())))
     print()
     print(format_table(rows, columns=["app"] + list(MECHANISMS),
                        title="Fig 12: speedup over Central"))
@@ -46,7 +47,7 @@ def test_fig12_real_application_speedups(once):
 def test_fig13_syncron_scalability(once):
     combos = ("pr.wk", "ts.air") if os.environ.get("REPRO_SCALE", "small") == "small" \
         else ("bfs.sl", "cc.sx", "sssp.co", "pr.wk", "tf.sl", "tc.sx", "ts.air", "ts.pow")
-    rows = once(lambda: fig13(combos=combos))
+    rows = once(lambda: run_plan(fig13(combos=combos)))
     print()
     print(format_table(rows, title="Fig 13: SynCron speedup vs 1 NDP unit"))
     for row in rows:

@@ -2,12 +2,13 @@
 
 from repro.harness.experiments import fig14, fig15
 from repro.harness.reporting import format_table
+from repro.harness.runner import run_plan
 
 COMBOS = ("cc.wk", "pr.wk", "ts.air")
 
 
 def test_fig14_energy_breakdown(once):
-    rows = once(lambda: fig14(combos=COMBOS))
+    rows = once(lambda: run_plan(fig14(combos=COMBOS)))
     print()
     flat = []
     for row in rows:
@@ -29,7 +30,7 @@ def test_fig14_energy_breakdown(once):
 
 
 def test_fig15_data_movement(once):
-    rows = once(lambda: fig15(combos=COMBOS))
+    rows = once(lambda: run_plan(fig15(combos=COMBOS)))
     print()
     flat = []
     for row in rows:

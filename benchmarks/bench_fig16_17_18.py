@@ -5,13 +5,14 @@ import os
 
 from repro.harness.experiments import fig16, fig17, fig18
 from repro.harness.reporting import format_table
+from repro.harness.runner import run_plan
 
 
 def test_fig16_high_contention_link_sensitivity(once):
     latencies = (40, 200, 1000, 4500) if os.environ.get("REPRO_SCALE", "small") == "small" \
         else (40, 100, 200, 500, 1000, 2000, 4500, 9000)
-    rows = once(lambda: fig16(structures=("stack", "priority_queue"),
-                              latencies_ns=latencies))
+    rows = once(lambda: run_plan(fig16(structures=("stack", "priority_queue"),
+                                       latencies_ns=latencies)))
     print()
     print(format_table(rows, title="Fig 16: throughput (Mops/s) vs link latency"))
     by_structure = {}
@@ -30,7 +31,7 @@ def test_fig16_high_contention_link_sensitivity(once):
 
 
 def test_fig17_low_contention_link_sensitivity(once):
-    rows = once(lambda: fig17(latencies_ns=(40, 100, 200, 500)))
+    rows = once(lambda: run_plan(fig17(latencies_ns=(40, 100, 200, 500))))
     print()
     print(format_table(rows, title="Fig 17: pr.wk slowdown vs Ideal (lower is better)"))
     # Paper at 500 ns: Central 2.67, Hier 1.37, SynCron 1.17.
@@ -43,7 +44,7 @@ def test_fig17_low_contention_link_sensitivity(once):
 
 def test_fig18_memory_technologies(once):
     combos = ("cc.wk", "ts.pow")
-    rows = once(lambda: fig18(combos=combos))
+    rows = once(lambda: run_plan(fig18(combos=combos)))
     print()
     print(format_table(rows, title="Fig 18: speedup over Central per memory tech"))
     for row in rows:

@@ -4,12 +4,13 @@ import os
 
 from repro.harness.experiments import fig19, fig20, fig21a, fig21b
 from repro.harness.reporting import format_table
+from repro.harness.runner import run_plan
 
 
 def test_fig19_partitioning_effect(once):
     datasets = ("wk",) if os.environ.get("REPRO_SCALE", "small") == "small" \
         else ("wk", "sl", "sx", "co")
-    rows = once(lambda: fig19(datasets=datasets))
+    rows = once(lambda: run_plan(fig19(datasets=datasets)))
     print()
     print(format_table(
         rows,
@@ -32,7 +33,7 @@ def test_fig19_partitioning_effect(once):
 def test_fig20_flat_vs_hier_low_contention(once):
     combos = ("bfs.wk", "cc.sl", "pr.wk", "tc.sx") \
         if os.environ.get("REPRO_SCALE", "small") == "small" else None
-    rows = once(lambda: fig20(combos=combos))
+    rows = once(lambda: run_plan(fig20(combos=combos)))
     print()
     print(format_table(rows, title="Fig 20: SynCron speedup normalized to flat"))
     # Low contention + sync non-intensive: flat and hierarchical are close
@@ -44,7 +45,7 @@ def test_fig20_flat_vs_hier_low_contention(once):
 
 
 def test_fig21a_flat_vs_hier_sync_intensive(once):
-    rows = once(lambda: fig21a(latencies_ns=(40, 500)))
+    rows = once(lambda: run_plan(fig21a(latencies_ns=(40, 500))))
     print()
     print(format_table(rows, title="Fig 21a: ts, SynCron normalized to flat"))
     # Paper: SynCron is a few % behind flat at 40 ns and the gap narrows as
@@ -56,7 +57,8 @@ def test_fig21a_flat_vs_hier_sync_intensive(once):
 
 
 def test_fig21b_flat_vs_hier_high_contention(once):
-    rows = once(lambda: fig21b(latencies_ns=(40, 500), core_counts=(30, 60)))
+    rows = once(lambda: run_plan(
+        fig21b(latencies_ns=(40, 500), core_counts=(30, 60))))
     print()
     print(format_table(rows, title="Fig 21b: queue, SynCron normalized to flat"))
     # High contention: hierarchy wins, and wins harder as non-uniformity

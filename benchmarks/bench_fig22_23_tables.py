@@ -5,12 +5,14 @@ import os
 from repro.core.area import se_area, table4_comparison, table8_rows
 from repro.harness.experiments import APP_INPUTS, fig22, fig23, table7
 from repro.harness.reporting import format_table
+from repro.harness.runner import run_plan
 
 
 def test_fig22_st_size_sensitivity(once):
     combos = ("ts.air", "ts.pow") if os.environ.get("REPRO_SCALE", "small") == "small" \
         else ("cc.wk", "pr.wk", "ts.air", "ts.pow")
-    rows = once(lambda: fig22(combos=combos, st_sizes=(64, 16, 4, 2)))
+    rows = once(lambda: run_plan(
+        fig22(combos=combos, st_sizes=(64, 16, 4, 2))))
     print()
     print(format_table(rows, title="Fig 22: slowdown vs 64-entry ST "
                                    "(+ % overflowed requests)"))
@@ -24,7 +26,7 @@ def test_fig22_st_size_sensitivity(once):
 
 
 def test_fig23_overflow_schemes(once):
-    rows = once(lambda: fig23(st_sizes=(8, 16, 32, 64)))
+    rows = once(lambda: run_plan(fig23(st_sizes=(8, 16, 32, 64))))
     print()
     print(format_table(
         rows,
@@ -47,7 +49,7 @@ def test_fig23_overflow_schemes(once):
 def test_table7_st_occupancy(once):
     combos = ("bfs.wk", "pr.wk", "ts.air", "ts.pow") \
         if os.environ.get("REPRO_SCALE", "small") == "small" else tuple(APP_INPUTS)
-    rows = once(lambda: table7(combos=combos))
+    rows = once(lambda: run_plan(table7(combos=combos)))
     print()
     print(format_table(rows, title="Table 7: ST occupancy (max/avg %)"))
     by_app = {r["app"]: r for r in rows}

@@ -2,10 +2,11 @@
 
 from repro.harness.motivation import fig2, table1
 from repro.harness.reporting import format_table
+from repro.harness.runner import run_plan
 
 
 def test_table1_coherence_lock_throughput(once):
-    rows = once(table1)
+    rows = once(lambda: run_plan(table1()))
     print()
     print(format_table(rows, title="Table 1: lock throughput (Mops/s), 2-socket CPU"))
     for row in rows:
@@ -17,7 +18,7 @@ def test_table1_coherence_lock_throughput(once):
 
 
 def test_fig2_mesi_lock_stack_slowdown(once):
-    result = once(fig2)
+    result = once(lambda: run_plan(fig2()))
     print()
     print(format_table(result["a_cores"],
                        title="Fig 2a: stack slowdown (mesi-lock / ideal-lock), 1 unit"))

@@ -36,6 +36,7 @@ if str(REPO_ROOT / "src") not in sys.path:
 
 from repro import NDPSystem, api  # noqa: E402
 from repro.harness.experiments import ALL_TOPOLOGIES, topo_sensitivity  # noqa: E402
+from repro.harness.runner import run_plan  # noqa: E402
 from repro.sim import Compute  # noqa: E402
 from repro.sim.config import ndp_2_5d  # noqa: E402
 from repro.sim.network import Interconnect  # noqa: E402
@@ -124,8 +125,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     wall_start = time.perf_counter()
-    rows = topo_sensitivity(topologies=ALL_TOPOLOGIES, unit_steps=UNIT_STEPS,
-                            mechanisms=MECHANISMS)
+    rows = run_plan(topo_sensitivity(topologies=ALL_TOPOLOGIES,
+                                     unit_steps=UNIT_STEPS,
+                                     mechanisms=MECHANISMS))
     sweep_seconds = time.perf_counter() - wall_start
 
     by_key = {(r["units"], r["topology"]): r for r in rows}

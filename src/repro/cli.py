@@ -19,9 +19,9 @@
     python -m repro corun --tenants lock --check-isolation
     python -m repro quickstart               # the README example
 
-Each ``run`` target calls the corresponding function in
-:mod:`repro.harness.experiments` / :mod:`repro.harness.motivation` /
-:mod:`repro.harness.ablations` and prints its rows as a text table;
+Each ``run`` target is a :data:`repro.harness.registry.EXPERIMENTS` record;
+``--arg KEY=VALUE`` items must name its plan's parameters (a scalar for a
+sequence parameter becomes a 1-tuple), and its rows print as a table;
 ``--plot`` adds a terminal chart in the figure's shape.  ``--workers N``
 simulates the figure's cache misses in up to N worker processes; results
 land in a content-addressed store under ``$REPRO_CACHE_DIR`` (default
@@ -37,119 +37,23 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import inspect
 import sys
 from typing import Dict, List, Optional, Tuple
 
-from repro.harness import ablations, experiments, motivation
-from repro.harness.plotting import bar_chart, line_chart
+from repro.harness.experiments import MECHANISMS
+from repro.harness.registry import EXPERIMENTS, find
 from repro.harness.reporting import format_table
 from repro.harness.runner import (
     STATS,
     ExecutionOptions,
     execution_options,
     probe_specs,
-    run_sweep,
+    run_plan,
+    run_specs,
 )
-from repro.harness.specs import SweepSpec, expand_matrix, validate_names
+from repro.harness.specs import expand_matrix, validate_names
 from repro.harness.store import StoreError, open_store
-
-#: experiment name -> (callable, description).
-EXPERIMENTS: Dict[str, tuple] = {
-    "table1": (motivation.table1, "coherence-lock throughput on a NUMA CPU"),
-    "fig2": (motivation.fig2, "mesi-lock stack slowdown vs ideal-lock"),
-    "fig10": (experiments.fig10, "primitive speedups vs interval (needs primitive=...)"),
-    "fig11": (experiments.fig11, "data-structure throughput (needs structure=...)"),
-    "fig12": (experiments.fig12, "real-application speedups over Central"),
-    "fig13": (experiments.fig13, "SynCron scalability across NDP units"),
-    "fig14": (experiments.fig14, "energy breakdown"),
-    "fig15": (experiments.fig15, "data movement"),
-    "fig16": (experiments.fig16, "high-contention link-latency sensitivity"),
-    "fig17": (experiments.fig17, "low-contention link-latency sensitivity"),
-    "fig18": (experiments.fig18, "memory-technology sweep"),
-    "fig19": (experiments.fig19, "graph-partitioning effect"),
-    "fig20": (experiments.fig20, "SynCron vs flat (graphs)"),
-    "fig21a": (experiments.fig21a, "SynCron vs flat (time series)"),
-    "fig21b": (experiments.fig21b, "SynCron vs flat (queue)"),
-    "fig22": (experiments.fig22, "ST size sensitivity"),
-    "fig23": (experiments.fig23, "overflow-management schemes"),
-    "table7": (experiments.table7, "ST occupancy per application"),
-    # Extension experiments (beyond the paper's own figures).
-    "ext_spin": (ablations.spin_baselines,
-                 "spin-wait baselines (bakery / remote atomics) vs messaging"),
-    "ext_overflow": (ablations.overflow_target_sweep,
-                     "Sec. 4.6 shared-cache vs memory overflow target"),
-    "ext_rwlock": (ablations.rwlock_read_ratio,
-                   "reader-writer lock vs plain mutex across read ratios"),
-    "ext_fairness": (ablations.fairness_sweep,
-                     "Sec. 4.4.2 fairness threshold trade-off"),
-    "ext_se_knee": (ablations.se_vs_server_latency,
-                    "SE service-time knee vs the Hier software server"),
-    "ext_smt": (ablations.smt_sweep,
-                "hardware thread contexts per core (Sec. 4 SMT note)"),
-    "ext_unionfind": (ablations.unionfind_connectivity,
-                      "rw-lock union-find connectivity vs mutex"),
-    "topo_sensitivity": (experiments.topo_sensitivity,
-                         "interconnect fabric slowdown (mechanism x "
-                         "topology x unit count)"),
-    "interference": (experiments.interference,
-                     "co-run tenant slowdown vs alone (tenant pairs x "
-                     "mechanisms x fabrics)"),
-    "degradation": (experiments.degradation,
-                    "graceful degradation under link faults (mechanism x "
-                    "fabric x fault severity)"),
-}
-
-#: experiment name -> how to draw it (chart kind, x/group key, series).
-_MECHS: Tuple[str, ...] = ("central", "hier", "syncron", "ideal")
-_PLOTS: Dict[str, tuple] = {
-    "fig10": ("line", "interval", _MECHS, True),
-    "fig11": ("line", "cores", _MECHS, False),
-    "fig12": ("bars", "app", ("hier", "syncron", "ideal"), False),
-    "fig16": ("line", "latency_ns", _MECHS, True),
-    "fig17": ("line", "latency_ns", ("central", "hier", "syncron"), True),
-    "fig22": ("bars", "app", ("ST_64", "ST_32", "ST_8"), False),
-    "ext_spin": ("line", "cores",
-                 ("bakery", "rmw_spin", "syncron", "ideal"), False),
-    "ext_rwlock": ("line", "read_pct",
-                   ("mutex", "syncron", "rmw_spin", "ideal"), False),
-    "ext_fairness": ("line", "threshold",
-                     ("makespan", "unit_finish_spread"), False),
-    "ext_se_knee": ("line", "se_service_cycles",
-                    ("syncron_ops_ms", "hier_ops_ms"), False),
-    "ext_smt": ("line", "threads_per_core", ("syncron", "ideal"), False),
-    "topo_sensitivity": ("bars", "label", _MECHS, False),
-    "degradation": ("bars", "label", ("central", "hier", "syncron"), False),
-}
-
-
-def render_plot(name: str, rows) -> Optional[str]:
-    """Terminal chart for an experiment's rows, or None when unmapped."""
-    spec = _PLOTS.get(name)
-    if spec is None or not isinstance(rows, list):
-        return None
-    kind, key, series, log_x = spec
-    series = [s for s in series if rows and s in rows[0]]
-    if not series:
-        return None
-    if kind == "line":
-        return line_chart(rows, key, series, title=name, log_x=log_x)
-    charts = []
-    for row in rows:
-        charts.append(bar_chart(
-            {s: float(row[s]) for s in series},
-            title=str(row.get(key, "")),
-        ))
-    return "\n\n".join(charts)
-
-_POSITIONAL = {"fig10": "primitive", "fig11": "structure"}
-
-#: experiment kwargs that take sequences; scalar --arg values are wrapped.
-_SEQUENCE_PARAMS = frozenset({
-    "combos", "core_steps", "st_sizes", "latencies_ns", "intervals",
-    "datasets", "structures", "unit_steps", "core_counts", "mechanisms",
-    "topologies", "groups", "descs", "unit_split", "core_split",
-    "severities",
-})
 
 
 def _parse_value(text: str):
@@ -162,6 +66,39 @@ def _parse_value(text: str):
         except ValueError:
             continue
     return text
+
+
+def _takes_sequence(param: inspect.Parameter) -> bool:
+    """Whether a plan parameter is a sequence (a scalar --arg is wrapped)."""
+    return (isinstance(param.default, tuple)
+            or "Sequence" in str(param.annotation))
+
+
+def _plan_kwargs(name: str, plan, items: List[str], **flags) -> Dict:
+    """Plan kwargs from ``--arg KEY=VALUE`` items plus the given ``flags``
+    (``--faults`` / ``--link-profile``); ValueError (exit 2) for a malformed
+    item, a key the plan does not take, or a missing required parameter."""
+    params = inspect.signature(plan).parameters
+    kwargs = {}
+    for item in items:
+        if "=" not in item:
+            raise ValueError(f"--arg expects key=value, got {item!r}")
+        key, value = item.split("=", 1)
+        parsed = _parse_value(value)
+        if (key in params and _takes_sequence(params[key])
+                and not isinstance(parsed, tuple)):
+            parsed = (parsed,)
+        kwargs[key] = parsed
+    kwargs.update((key, value) for key, value in flags.items()
+                  if value is not None)
+    for key in kwargs:
+        if key not in params:
+            raise ValueError(f"{name} takes no argument {key!r}; accepted: "
+                             f"{', '.join(params)}")
+    for param in params.values():
+        if param.default is param.empty and param.name not in kwargs:
+            raise ValueError(f"{name} needs --arg {param.name}=...")
+    return kwargs
 
 
 def _print_result(name: str, result) -> None:
@@ -218,53 +155,33 @@ def _sanitizer_scope(args):
 def cmd_list(_args) -> int:
     print(f"{'experiment':10s} description")
     print("-" * 60)
-    for name, (_fn, description) in EXPERIMENTS.items():
-        print(f"{name:10s} {description}")
+    for experiment in EXPERIMENTS:
+        print(f"{experiment.name:10s} {experiment.description}")
     return 0
 
 
 def cmd_run(args) -> int:
     name = args.experiment
-    if name not in EXPERIMENTS:
+    experiment = find(name)
+    if experiment is None:
         print(f"unknown experiment {name!r}; try `python -m repro list`",
               file=sys.stderr)
         return 2
-    fn, _description = EXPERIMENTS[name]
-    kwargs = {}
-    for item in args.arg or []:
-        if "=" not in item:
-            print(f"--arg expects key=value, got {item!r}", file=sys.stderr)
-            return 2
-        key, value = item.split("=", 1)
-        parsed = _parse_value(value)
-        if key in _SEQUENCE_PARAMS and not isinstance(parsed, tuple):
-            parsed = (parsed,)
-        kwargs[key] = parsed
-    if name in _POSITIONAL and _POSITIONAL[name] not in kwargs:
-        print(f"{name} needs --arg {_POSITIONAL[name]}=...", file=sys.stderr)
+    try:
+        kwargs = _plan_kwargs(name, experiment.plan, args.arg or [],
+                              faults=args.faults,
+                              link_profile=args.link_profile)
+    except ValueError as exc:
+        print(exc, file=sys.stderr)
         return 2
-    # --faults / --link-profile are convenience spellings of the same-named
-    # experiment kwargs; only experiments that declare them accept them.
-    import inspect
-
-    accepted = inspect.signature(fn).parameters
-    for flag in ("faults", "link_profile"):
-        value = getattr(args, flag, None)
-        if value is None:
-            continue
-        if flag not in accepted:
-            print(f"{name} does not take --{flag.replace('_', '-')}",
-                  file=sys.stderr)
-            return 2
-        kwargs[flag] = value
     STATS.reset()
     with _telemetry_scope(args), _sanitizer_scope(args) as sanitizer, \
             execution_options(**_runner_options(args)):
-        result = fn(**kwargs)
+        result = run_plan(experiment.plan(**kwargs))
     _print_result(name, result)
     print(f"[runner] {STATS.summary()}", file=sys.stderr)
     if getattr(args, "plot", False):
-        chart = render_plot(name, result)
+        chart = experiment.chart(result)
         if chart is None:
             print(f"(no plot mapping for {name})", file=sys.stderr)
         else:
@@ -306,7 +223,7 @@ def cmd_sweep(args) -> int:
         print("sweep needs at least one workload: --apps, --structures, "
               "or --primitives", file=sys.stderr)
         return 2
-    mechanisms = _csv(args.mechanisms) or _MECHS
+    mechanisms = _csv(args.mechanisms) or MECHANISMS
     # fail fast on typos — workers must never see bad names mid-sweep.
     error = validate_names(apps=apps, structures=structures,
                            primitives=primitives, mechanisms=mechanisms)
@@ -357,8 +274,7 @@ def cmd_sweep(args) -> int:
 
     STATS.reset()
     with _telemetry_scope(args), execution_options(**_runner_options(args)):
-        results = run_sweep(SweepSpec.of(
-            "cli_sweep", (spec for _label, spec in labeled)))
+        results = run_specs([spec for _label, spec in labeled])
 
     # One table row per (workload, vary combo); mechanisms are columns.
     # expand_matrix emits mechanisms innermost, so chunk by their count.
@@ -424,11 +340,11 @@ def cmd_corun(args) -> int:
                     print("corun: --check-isolation is whole-machine by "
                           "definition; drop --units/--cores", file=sys.stderr)
                     return 2
-                rows = isolation_check(
+                rows = run_plan(isolation_check(
                     descs=tenants, mechanisms=mechanisms,
                     topologies=topologies, interval=args.interval,
                     rounds=args.rounds, preset=args.preset,
-                )
+                ))
                 print(format_table(rows, title="corun isolation check"))
                 broken = [r for r in rows if not r["identical"]]
                 if broken:
@@ -443,12 +359,12 @@ def cmd_corun(args) -> int:
                     print("corun interference needs at least two --tenants "
                           "(or pass --check-isolation)", file=sys.stderr)
                     return 2
-                rows = interference(
+                rows = run_plan(interference(
                     groups=[tuple(tenants)], mechanisms=mechanisms,
                     topologies=topologies, interval=args.interval,
                     rounds=args.rounds, unit_split=unit_split,
                     core_split=core_split, preset=args.preset,
-                )
+                ))
                 print(format_table(rows, title="corun interference"))
         except ValueError as exc:
             print(f"corun: {exc}", file=sys.stderr)

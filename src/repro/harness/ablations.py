@@ -1,7 +1,7 @@
 """Extension experiments beyond the paper's own figures.
 
-Each function quantifies one of the repository's extension features against
-the paper's mechanisms, returning rows in the same shape as
+Each function plans one of the repository's extension features against
+the paper's mechanisms, returning ``(specs, render)`` like the plans in
 :mod:`repro.harness.experiments`:
 
 - :func:`spin_baselines` — the Sec. 2.2.1 argument, measured: remote-atomics
@@ -14,15 +14,15 @@ the paper's mechanisms, returning rows in the same shape as
 - :func:`fairness_sweep` — the Sec. 4.4.2 fairness threshold: throughput
   cost vs cross-unit grant spread.
 
-All are sweep declarations executed by :mod:`repro.harness.runner`.
+:func:`~repro.harness.runner.run_plan` executes a plan and renders its rows.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import Dict, Sequence
 
-from repro.harness.runner import run_sweep
-from repro.harness.specs import RunSpec, SweepSpec
+from repro.harness.runner import Plan
+from repro.harness.specs import RunSpec
 from repro.workloads.base import scaled
 
 #: mechanisms the spin-baseline comparison covers, slowest first.
@@ -34,7 +34,7 @@ def spin_baselines(
     mechanisms: Sequence[str] = SPIN_COMPARISON,
     interval: int = 200,
     rounds: int = None,
-) -> List[Dict]:
+) -> Plan:
     """Contended-lock throughput of shared-memory spinning vs messaging.
 
     The Sec. 2.2.1 claims, quantified: bakery pays O(N) loads per retry,
@@ -42,61 +42,68 @@ def spin_baselines(
     message passing as soon as multiple units contend.
     """
     rounds = rounds if rounds is not None else scaled(15)
-    units_per_step = [max(cores // 15, 1) for cores in core_steps]
-    specs = [
-        RunSpec.make("primitive", mech,
-                     args={"primitive": "lock", "interval": interval,
-                           "rounds": rounds},
-                     overrides={"num_units": units})
-        for units in units_per_step
+    units = {cores: max(cores // 15, 1) for cores in core_steps}
+    spec = {
+        (cores, mech): RunSpec.make(
+            "primitive", mech,
+            args={"primitive": "lock", "interval": interval, "rounds": rounds},
+            overrides={"num_units": units[cores]})
+        for cores in core_steps
         for mech in mechanisms
-    ]
-    results = iter(run_sweep(SweepSpec.of("ext_spin", specs)))
-    rows = []
-    for cores, units in zip(core_steps, units_per_step):
-        row: Dict[str, object] = {"cores": cores, "units": units}
-        for mech in mechanisms:
-            metrics = next(results)
-            row[mech] = metrics.ops_per_second / 1e6
-            row[f"{mech}_global_msgs"] = metrics.stats["sync_messages_global"]
-        rows.append(row)
-    return rows
+    }
+
+    def render(results):
+        rows = []
+        for cores in core_steps:
+            row: Dict[str, object] = {"cores": cores, "units": units[cores]}
+            for mech in mechanisms:
+                metrics = results[spec[cores, mech]]
+                row[mech] = metrics.ops_per_second / 1e6
+                row[f"{mech}_global_msgs"] = metrics.stats["sync_messages_global"]
+            rows.append(row)
+        return rows
+
+    return tuple(spec.values()), render
 
 
 def overflow_target_sweep(
     st_sizes: Sequence[int] = (8, 16, 32, 64),
     targets: Sequence[str] = ("memory", "shared_cache"),
-) -> List[Dict]:
+) -> Plan:
     """BST_FG throughput per overflow target and ST size (Sec. 4.6).
 
     Run on the DDR4 (conventional-memory) configuration, where the shared
     cache's latency advantage over a DRAM row access is what the adaptation
     banks on.
     """
-    specs = [
-        RunSpec.make("structure", "syncron", args={"structure": "bst_fg"},
-                     overrides={"st_entries": st, "overflow_target": target,
-                                "memory": "DDR4"})
+    spec = {
+        (st, target): RunSpec.make(
+            "structure", "syncron", args={"structure": "bst_fg"},
+            overrides={"st_entries": st, "overflow_target": target,
+                       "memory": "DDR4"})
         for st in st_sizes
         for target in targets
-    ]
-    results = iter(run_sweep(SweepSpec.of("ext_overflow", specs)))
-    rows = []
-    for st in st_sizes:
-        row: Dict[str, object] = {"st_entries": st}
-        for target in targets:
-            metrics = next(results)
-            row[target] = metrics.ops_per_ms
-            row[f"{target}_overflow_pct"] = metrics.overflow_request_pct
-        rows.append(row)
-    return rows
+    }
+
+    def render(results):
+        rows = []
+        for st in st_sizes:
+            row: Dict[str, object] = {"st_entries": st}
+            for target in targets:
+                metrics = results[spec[st, target]]
+                row[target] = metrics.ops_per_ms
+                row[f"{target}_overflow_pct"] = metrics.overflow_request_pct
+            rows.append(row)
+        return rows
+
+    return tuple(spec.values()), render
 
 
 def rwlock_read_ratio(
     read_pcts: Sequence[int] = (0, 50, 90, 100),
     mechanisms: Sequence[str] = ("syncron", "rmw_spin", "ideal"),
     rounds: int = None,
-) -> List[Dict]:
+) -> Plan:
     """Reader-writer lock vs plain mutex across read ratios.
 
     The ``mutex`` column runs the same operation mix under a plain lock
@@ -104,33 +111,31 @@ def rwlock_read_ratio(
     The gap should widen as the read share grows.
     """
     rounds = rounds if rounds is not None else scaled(15)
-    specs = []
+    spec = {}
     for read_pct in read_pcts:
-        specs.append(RunSpec.make(
+        spec[read_pct, "mutex"] = RunSpec.make(
             "rwbench", "syncron",
             args={"read_pct": read_pct, "rounds": rounds, "mutex_mode": True},
-        ))
-        specs.extend(
-            RunSpec.make("rwbench", mech,
-                         args={"read_pct": read_pct, "rounds": rounds})
-            for mech in mechanisms
         )
-    results = iter(run_sweep(SweepSpec.of("ext_rwlock", specs)))
-    rows = []
-    for read_pct in read_pcts:
-        row: Dict[str, object] = {"read_pct": read_pct}
-        row["mutex"] = next(results).ops_per_second / 1e6
         for mech in mechanisms:
-            row[mech] = next(results).ops_per_second / 1e6
-        rows.append(row)
-    return rows
+            spec[read_pct, mech] = RunSpec.make(
+                "rwbench", mech, args={"read_pct": read_pct, "rounds": rounds})
+
+    def render(results):
+        return [{
+            "read_pct": read_pct,
+            **{column: results[spec[read_pct, column]].ops_per_second / 1e6
+               for column in ("mutex", *mechanisms)},
+        } for read_pct in read_pcts]
+
+    return tuple(spec.values()), render
 
 
 def unionfind_connectivity(
     datasets: Sequence[str] = ("wk", "sl"),
     mechanisms: Sequence[str] = ("syncron", "ideal"),
     edge_limit: int = None,
-) -> List[Dict]:
+) -> Plan:
     """Union-find edge-stream connectivity: rw lock vs mutex per dataset.
 
     The realistic rw-lock application: finds are read-locked pointer
@@ -138,32 +143,36 @@ def unionfind_connectivity(
     read-dominated because most edges land inside an existing component.
     """
     edge_limit = edge_limit if edge_limit is not None else scaled(300)
-    specs = [
-        RunSpec.make("unionfind", mech,
-                     args={"dataset": dataset, "edge_limit": edge_limit,
-                           "mutex_mode": mutex_mode})
+    spec = {
+        (dataset, mech, mutex_mode): RunSpec.make(
+            "unionfind", mech,
+            args={"dataset": dataset, "edge_limit": edge_limit,
+                  "mutex_mode": mutex_mode})
         for dataset in datasets
         for mech in mechanisms
         for mutex_mode in (False, True)
-    ]
-    results = iter(run_sweep(SweepSpec.of("ext_unionfind", specs)))
-    rows = []
-    for dataset in datasets:
-        row: Dict[str, object] = {"dataset": dataset}
-        for mech in mechanisms:
-            rw = next(results)
-            mutex = next(results)
-            row[f"{mech}_rw_ops_ms"] = rw.ops_per_ms
-            row[f"{mech}_mutex_ops_ms"] = mutex.ops_per_ms
-            row[f"{mech}_rw_speedup"] = mutex.cycles / rw.cycles
-        rows.append(row)
-    return rows
+    }
+
+    def render(results):
+        rows = []
+        for dataset in datasets:
+            row: Dict[str, object] = {"dataset": dataset}
+            for mech in mechanisms:
+                rw = results[spec[dataset, mech, False]]
+                mutex = results[spec[dataset, mech, True]]
+                row[f"{mech}_rw_ops_ms"] = rw.ops_per_ms
+                row[f"{mech}_mutex_ops_ms"] = mutex.ops_per_ms
+                row[f"{mech}_rw_speedup"] = mutex.cycles / rw.cycles
+            rows.append(row)
+        return rows
+
+    return tuple(spec.values()), render
 
 
 def fairness_sweep(
     thresholds: Sequence[int] = (0, 1, 4, 16),
     rounds: int = None,
-) -> List[Dict]:
+) -> Plan:
     """Throughput vs cross-unit fairness as the Sec. 4.4.2 threshold varies.
 
     ``unit_finish_spread`` is the gap between the first and last unit to
@@ -171,24 +180,25 @@ def fairness_sweep(
     hogs it and remote units finish late.
     """
     rounds = rounds if rounds is not None else scaled(20)
-    specs = [
-        RunSpec.make("fairness", "syncron", args={"rounds": rounds},
-                     overrides={"num_units": 2, "fairness_threshold": threshold})
+    spec = {
+        threshold: RunSpec.make(
+            "fairness", "syncron", args={"rounds": rounds},
+            overrides={"num_units": 2, "fairness_threshold": threshold})
         for threshold in thresholds
-    ]
-    results = iter(run_sweep(SweepSpec.of("ext_fairness", specs)))
-    rows = []
-    for threshold in thresholds:
-        point = next(results)
-        rows.append({"threshold": threshold, **point})
-    return rows
+    }
+
+    def render(results):
+        return [{"threshold": threshold, **results[spec[threshold]]}
+                for threshold in thresholds]
+
+    return tuple(spec.values()), render
 
 
 def smt_sweep(
     thread_counts: Sequence[int] = (1, 2, 4),
     rounds_per_core: int = 48,
     mechanisms: Sequence[str] = ("syncron", "ideal"),
-) -> List[Dict]:
+) -> Plan:
     """Hardware thread contexts per core (Sec. 4's SMT note), measured.
 
     Fixed total work per *physical* core, split across its contexts:
@@ -196,46 +206,52 @@ def smt_sweep(
     memory stalls, saturating once the shared pipeline (1 IPC) becomes
     the bottleneck.
     """
-    specs = [
-        RunSpec.make("smt", mech, args={"rounds_per_core": rounds_per_core},
-                     overrides={"num_units": 2, "threads_per_core": threads})
+    spec = {
+        (threads, mech): RunSpec.make(
+            "smt", mech, args={"rounds_per_core": rounds_per_core},
+            overrides={"num_units": 2, "threads_per_core": threads})
         for threads in thread_counts
         for mech in mechanisms
-    ]
-    results = iter(run_sweep(SweepSpec.of("ext_smt", specs)))
-    rows = []
-    for threads in thread_counts:
-        row: Dict[str, object] = {"threads_per_core": threads}
-        for mech in mechanisms:
-            row[mech] = next(results)["makespan"]
-        rows.append(row)
-    return rows
+    }
+
+    def render(results):
+        return [{
+            "threads_per_core": threads,
+            **{mech: results[spec[threads, mech]]["makespan"]
+               for mech in mechanisms},
+        } for threads in thread_counts]
+
+    return tuple(spec.values()), render
 
 
 def se_vs_server_latency(
     se_cycles: Sequence[int] = (3, 12, 24, 48, 96),
-) -> List[Dict]:
+) -> Plan:
     """How slow can the SE get before it degenerates into Hier?
 
     Sweeps the SPU's per-message service time on a contended stack and
     reports where SynCron's advantage over the software server disappears —
     the ablation DESIGN.md calls out for the paper's 12-cycle choice.
     """
-    specs = [
-        RunSpec.make("structure", mech, args={"structure": "stack"},
-                     overrides={"se_service_se_cycles": cycles})
+    spec = {
+        (cycles, mech): RunSpec.make(
+            "structure", mech, args={"structure": "stack"},
+            overrides={"se_service_se_cycles": cycles})
         for cycles in se_cycles
         for mech in ("syncron", "hier")
-    ]
-    results = iter(run_sweep(SweepSpec.of("ext_se_knee", specs)))
-    rows = []
-    for cycles in se_cycles:
-        syncron = next(results)
-        hier = next(results)
-        rows.append({
-            "se_service_cycles": cycles,
-            "syncron_ops_ms": syncron.ops_per_ms,
-            "hier_ops_ms": hier.ops_per_ms,
-            "syncron_vs_hier": hier.cycles / syncron.cycles,
-        })
-    return rows
+    }
+
+    def render(results):
+        rows = []
+        for cycles in se_cycles:
+            syncron = results[spec[cycles, "syncron"]]
+            hier = results[spec[cycles, "hier"]]
+            rows.append({
+                "se_service_cycles": cycles,
+                "syncron_ops_ms": syncron.ops_per_ms,
+                "hier_ops_ms": hier.ops_per_ms,
+                "syncron_vs_hier": hier.cycles / syncron.cycles,
+            })
+        return rows
+
+    return tuple(spec.values()), render

@@ -1,26 +1,25 @@
 """Per-figure experiment reproductions (evaluation Section 6).
 
-Every public function regenerates one table or figure of the paper and
-returns structured rows; ``benchmarks/`` wraps each in a pytest-benchmark
-target and prints the same series the paper plots.  Absolute numbers differ
-from the paper (different simulator, scaled-down inputs — see
+Every public function plans one table or figure of the paper: it
+normalizes its arguments once and returns ``(specs, render)`` (a
+:data:`~repro.harness.runner.Plan`), where ``render`` maps
+``{spec: result}`` to the figure's rows by looking each result up by its
+spec.  Planning simulates nothing; :func:`~repro.harness.runner.run_plan`
+executes the specs (deduplicated, cached, across ``--workers``
+processes) and renders, so parallel and serial execution produce
+bit-identical rows.  ``benchmarks/`` wraps each in a pytest-benchmark
+target and prints the same series the paper plots.  Absolute numbers
+differ from the paper (different simulator, scaled-down inputs — see
 EXPERIMENTS.md); the *shape* (who wins, crossover positions) is the
 reproduction target.
-
-Each figure is now a *sweep declaration*: it builds a list of
-:class:`~repro.harness.specs.RunSpec` and feeds
-:func:`~repro.harness.runner.run_sweep`, which deduplicates, consults the
-result cache, and fans misses out across ``--workers`` processes.  Row
-assembly happens afterwards from the returned metrics, so parallel and
-serial execution produce bit-identical rows.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
-from repro.harness.runner import run_sweep
-from repro.harness.specs import RunSpec, SweepSpec, split_combo
+from repro.harness.runner import Plan
+from repro.harness.specs import RunSpec, split_combo
 from repro.sim.config import MEMORY_TECHNOLOGIES, PRESETS, ndp_2_5d
 from repro.sim.topo.faults import parse_fault_spec, parse_link_profile
 from repro.workloads.base import scaled
@@ -50,8 +49,11 @@ def _app_spec(combo: str, mechanism: str, overrides: Optional[dict] = None,
     return RunSpec.make("app", mechanism, args=args, overrides=overrides)
 
 
-def _units_overrides(num_units: int) -> dict:
-    return {"num_units": num_units}
+def _app_grid(combos: Sequence[str],
+              mechanisms: Sequence[str]) -> Dict[tuple, RunSpec]:
+    """``(combo, mechanism) -> spec`` for every application run."""
+    return {(combo, mech): _app_spec(combo, mech)
+            for combo in combos for mech in mechanisms}
 
 
 # ======================================================================
@@ -67,76 +69,85 @@ FIG10_INTERVALS = {
 
 def fig10(primitive: str, intervals: Optional[Sequence[int]] = None,
           mechanisms: Sequence[str] = MECHANISMS,
-          rounds: Optional[int] = None) -> List[Dict]:
+          rounds: Optional[int] = None) -> Plan:
     """Speedup (vs Central) of each mechanism at each interval."""
     if primitive not in PRIMITIVES:
         raise ValueError(f"primitive must be one of {PRIMITIVES}")
     intervals = intervals or FIG10_INTERVALS[primitive]
     rounds = rounds if rounds is not None else scaled(25)
-    specs = [
-        RunSpec.make("primitive", mech,
-                     args={"primitive": primitive, "interval": interval,
-                           "rounds": rounds})
+    spec = {
+        (interval, mech): RunSpec.make(
+            "primitive", mech,
+            args={"primitive": primitive, "interval": interval,
+                  "rounds": rounds})
         for interval in intervals
         for mech in mechanisms
-    ]
-    results = iter(run_sweep(SweepSpec.of(f"fig10:{primitive}", specs)))
-    rows = []
-    for interval in intervals:
-        runs = {mech: next(results) for mech in mechanisms}
-        base = runs[mechanisms[0]].cycles
-        row = {"interval": interval}
-        for mech, metrics in runs.items():
-            row[mech] = base / metrics.cycles
-            row[f"{mech}_cycles"] = metrics.cycles
-        rows.append(row)
-    return rows
+    }
+
+    def render(results):
+        rows = []
+        for interval in intervals:
+            base = results[spec[interval, mechanisms[0]]].cycles
+            row = {"interval": interval}
+            for mech in mechanisms:
+                metrics = results[spec[interval, mech]]
+                row[mech] = base / metrics.cycles
+                row[f"{mech}_cycles"] = metrics.cycles
+            rows.append(row)
+        return rows
+
+    return tuple(spec.values()), render
 
 
 # ======================================================================
 # Fig. 11 — data-structure throughput vs core count
 # ======================================================================
 def fig11(structure: str, core_steps: Sequence[int] = (15, 30, 45, 60),
-          mechanisms: Sequence[str] = MECHANISMS) -> List[Dict]:
+          mechanisms: Sequence[str] = MECHANISMS) -> Plan:
     """Throughput (Mops/s) per mechanism as NDP units are added."""
-    units_per_step = [max(cores // 15, 1) for cores in core_steps]
-    specs = [
-        RunSpec.make("structure", mech, args={"structure": structure},
-                     overrides=_units_overrides(units))
-        for units in units_per_step
+    units = {cores: max(cores // 15, 1) for cores in core_steps}
+    spec = {
+        (cores, mech): RunSpec.make(
+            "structure", mech, args={"structure": structure},
+            overrides={"num_units": units[cores]})
+        for cores in core_steps
         for mech in mechanisms
-    ]
-    results = iter(run_sweep(SweepSpec.of(f"fig11:{structure}", specs)))
-    rows = []
-    for cores, units in zip(core_steps, units_per_step):
-        row = {"cores": cores, "units": units}
-        for mech in mechanisms:
-            metrics = next(results)
-            row[mech] = metrics.ops_per_second / 1e6
-            row[f"{mech}_cycles"] = metrics.cycles
-        rows.append(row)
-    return rows
+    }
+
+    def render(results):
+        rows = []
+        for cores in core_steps:
+            row = {"cores": cores, "units": units[cores]}
+            for mech in mechanisms:
+                metrics = results[spec[cores, mech]]
+                row[mech] = metrics.ops_per_second / 1e6
+                row[f"{mech}_cycles"] = metrics.cycles
+            rows.append(row)
+        return rows
+
+    return tuple(spec.values()), render
 
 
 # ======================================================================
 # Fig. 12 — real applications, speedup over Central
 # ======================================================================
 def fig12(combos: Sequence[str] = tuple(APP_INPUTS),
-          mechanisms: Sequence[str] = MECHANISMS) -> List[Dict]:
-    specs = [
-        _app_spec(combo, mech) for combo in combos for mech in mechanisms
-    ]
-    results = iter(run_sweep(SweepSpec.of("fig12", specs)))
-    rows = []
-    for combo in combos:
-        runs = {mech: next(results) for mech in mechanisms}
-        base = runs["central"].cycles if "central" in runs else runs[mechanisms[0]].cycles
-        row = {"app": combo}
-        for mech, metrics in runs.items():
-            row[mech] = base / metrics.cycles
-            row[f"{mech}_cycles"] = metrics.cycles
-        rows.append(row)
-    return rows
+          mechanisms: Sequence[str] = MECHANISMS) -> Plan:
+    spec = _app_grid(combos, mechanisms)
+
+    def render(results):
+        rows = []
+        for combo in combos:
+            runs = {mech: results[spec[combo, mech]] for mech in mechanisms}
+            base = runs.get("central", runs[mechanisms[0]]).cycles
+            row = {"app": combo}
+            for mech, metrics in runs.items():
+                row[mech] = base / metrics.cycles
+                row[f"{mech}_cycles"] = metrics.cycles
+            rows.append(row)
+        return rows
+
+    return tuple(spec.values()), render
 
 
 def headline_summary(rows: List[Dict]) -> Dict[str, float]:
@@ -160,22 +171,25 @@ def headline_summary(rows: List[Dict]) -> Dict[str, float]:
 # ======================================================================
 def fig13(combos: Sequence[str] = ("bfs.sl", "cc.sx", "sssp.co", "pr.wk",
                                    "tf.sl", "tc.sx", "ts.air", "ts.pow"),
-          unit_steps: Sequence[int] = (1, 2, 3, 4)) -> List[Dict]:
-    specs = [
-        _app_spec(combo, "syncron", overrides=_units_overrides(units))
+          unit_steps: Sequence[int] = (1, 2, 3, 4)) -> Plan:
+    spec = {
+        (combo, units): _app_spec(combo, "syncron",
+                                  overrides={"num_units": units})
         for combo in combos
         for units in unit_steps
-    ]
-    results = iter(run_sweep(SweepSpec.of("fig13", specs)))
-    rows = []
-    for combo in combos:
-        cycles = {units: next(results).cycles for units in unit_steps}
-        base = cycles[unit_steps[0]]
-        row = {"app": combo}
-        for units in unit_steps:
-            row[f"{units}_units"] = base / cycles[units]
-        rows.append(row)
-    return rows
+    }
+
+    def render(results):
+        rows = []
+        for combo in combos:
+            base = results[spec[combo, unit_steps[0]]].cycles
+            row = {"app": combo}
+            for units in unit_steps:
+                row[f"{units}_units"] = base / results[spec[combo, units]].cycles
+            rows.append(row)
+        return rows
+
+    return tuple(spec.values()), render
 
 
 # ======================================================================
@@ -183,44 +197,45 @@ def fig13(combos: Sequence[str] = ("bfs.sl", "cc.sx", "sssp.co", "pr.wk",
 # ======================================================================
 def fig14(combos: Sequence[str] = ("bfs.sl", "cc.sx", "sssp.co", "pr.wk",
                                    "tf.sl", "tc.sx", "ts.air", "ts.pow"),
-          mechanisms: Sequence[str] = MECHANISMS) -> List[Dict]:
+          mechanisms: Sequence[str] = MECHANISMS) -> Plan:
     """Energy by component, normalized to Central's total per app."""
-    specs = [
-        _app_spec(combo, mech) for combo in combos for mech in mechanisms
-    ]
-    results = iter(run_sweep(SweepSpec.of("fig14", specs)))
-    rows = []
-    for combo in combos:
-        runs = {mech: next(results) for mech in mechanisms}
-        baseline = runs["central"].energy
-        row = {"app": combo}
-        for mech, metrics in runs.items():
-            row[mech] = metrics.energy.normalized(baseline)
-        rows.append(row)
-    return rows
+    spec = _app_grid(combos, mechanisms)
+
+    def render(results):
+        rows = []
+        for combo in combos:
+            baseline = results[spec[combo, "central"]].energy
+            row = {"app": combo}
+            for mech in mechanisms:
+                row[mech] = results[spec[combo, mech]].energy.normalized(baseline)
+            rows.append(row)
+        return rows
+
+    return tuple(spec.values()), render
 
 
 def fig15(combos: Sequence[str] = ("bfs.sl", "cc.sx", "sssp.co", "pr.wk",
                                    "tf.sl", "tc.sx", "ts.air", "ts.pow"),
-          mechanisms: Sequence[str] = MECHANISMS) -> List[Dict]:
+          mechanisms: Sequence[str] = MECHANISMS) -> Plan:
     """Bytes moved inside/across NDP units, normalized to Central."""
-    specs = [
-        _app_spec(combo, mech) for combo in combos for mech in mechanisms
-    ]
-    results = iter(run_sweep(SweepSpec.of("fig15", specs)))
-    rows = []
-    for combo in combos:
-        runs = {mech: next(results) for mech in mechanisms}
-        base_total = runs["central"].total_bytes or 1
-        row = {"app": combo}
-        for mech, metrics in runs.items():
-            row[mech] = {
-                "inside": metrics.bytes_inside_units / base_total,
-                "across": metrics.bytes_across_units / base_total,
-                "total": metrics.total_bytes / base_total,
-            }
-        rows.append(row)
-    return rows
+    spec = _app_grid(combos, mechanisms)
+
+    def render(results):
+        rows = []
+        for combo in combos:
+            base_total = results[spec[combo, "central"]].total_bytes or 1
+            row = {"app": combo}
+            for mech in mechanisms:
+                metrics = results[spec[combo, mech]]
+                row[mech] = {
+                    "inside": metrics.bytes_inside_units / base_total,
+                    "across": metrics.bytes_across_units / base_total,
+                    "total": metrics.total_bytes / base_total,
+                }
+            rows.append(row)
+        return rows
+
+    return tuple(spec.values()), render
 
 
 # ======================================================================
@@ -231,220 +246,237 @@ FIG16_LATENCIES_NS = (40, 100, 200, 500, 1000, 2000, 4500, 9000)
 
 def fig16(structures: Sequence[str] = ("stack", "priority_queue"),
           latencies_ns: Sequence[float] = FIG16_LATENCIES_NS,
-          mechanisms: Sequence[str] = MECHANISMS) -> List[Dict]:
-    specs = [
-        RunSpec.make("structure", mech, args={"structure": structure},
-                     overrides={"link_latency_ns": float(latency)})
+          mechanisms: Sequence[str] = MECHANISMS) -> Plan:
+    spec = {
+        (structure, latency, mech): RunSpec.make(
+            "structure", mech, args={"structure": structure},
+            overrides={"link_latency_ns": float(latency)})
         for structure in structures
         for latency in latencies_ns
         for mech in mechanisms
-    ]
-    results = iter(run_sweep(SweepSpec.of("fig16", specs)))
-    rows = []
-    for structure in structures:
-        for latency in latencies_ns:
-            row = {"structure": structure, "latency_ns": latency}
-            for mech in mechanisms:
-                row[mech] = next(results).ops_per_second / 1e6
-            rows.append(row)
-    return rows
+    }
+
+    def render(results):
+        rows = []
+        for structure in structures:
+            for latency in latencies_ns:
+                row = {"structure": structure, "latency_ns": latency}
+                for mech in mechanisms:
+                    row[mech] = results[
+                        spec[structure, latency, mech]].ops_per_second / 1e6
+                rows.append(row)
+        return rows
+
+    return tuple(spec.values()), render
 
 
 def fig17(latencies_ns: Sequence[float] = (40, 100, 200, 500),
           mechanisms: Sequence[str] = ("central", "hier", "syncron"),
-          combo: str = "pr.wk") -> List[Dict]:
+          combo: str = "pr.wk") -> Plan:
     """Slowdown vs Ideal (lower is better), per link latency."""
-    specs = [
-        _app_spec(combo, mech, overrides={"link_latency_ns": float(latency)})
+    spec = {
+        (latency, mech): _app_spec(
+            combo, mech, overrides={"link_latency_ns": float(latency)})
         for latency in latencies_ns
         for mech in ("ideal", *mechanisms)
-    ]
-    results = iter(run_sweep(SweepSpec.of("fig17", specs)))
-    rows = []
-    for latency in latencies_ns:
-        ideal = next(results)
-        row = {"latency_ns": latency, "ideal_cycles": ideal.cycles}
-        for mech in mechanisms:
-            row[mech] = next(results).cycles / ideal.cycles
-        rows.append(row)
-    return rows
+    }
+
+    def render(results):
+        rows = []
+        for latency in latencies_ns:
+            ideal = results[spec[latency, "ideal"]]
+            row = {"latency_ns": latency, "ideal_cycles": ideal.cycles}
+            for mech in mechanisms:
+                row[mech] = results[spec[latency, mech]].cycles / ideal.cycles
+            rows.append(row)
+        return rows
+
+    return tuple(spec.values()), render
 
 
 # ======================================================================
 # Fig. 18 — memory technologies
 # ======================================================================
 def fig18(combos: Sequence[str] = ("cc.wk", "pr.wk", "ts.pow"),
-          mechanisms: Sequence[str] = MECHANISMS) -> List[Dict]:
+          mechanisms: Sequence[str] = MECHANISMS) -> Plan:
     memories = tuple(MEMORY_TECHNOLOGIES)
-    specs = [
-        _app_spec(combo, mech, overrides={"memory": memory_name})
+    spec = {
+        (combo, memory_name, mech): _app_spec(
+            combo, mech, overrides={"memory": memory_name})
         for combo in combos
         for memory_name in memories
         for mech in mechanisms
-    ]
-    results = iter(run_sweep(SweepSpec.of("fig18", specs)))
-    rows = []
-    for combo in combos:
-        for memory_name in memories:
-            runs = {mech: next(results) for mech in mechanisms}
-            base = runs["central"].cycles
-            row = {"app": combo, "memory": memory_name}
-            for mech, metrics in runs.items():
-                row[mech] = base / metrics.cycles
-            rows.append(row)
-    return rows
+    }
+
+    def render(results):
+        rows = []
+        for combo in combos:
+            for memory_name in memories:
+                base = results[spec[combo, memory_name, "central"]].cycles
+                row = {"app": combo, "memory": memory_name}
+                for mech in mechanisms:
+                    row[mech] = base / results[spec[combo, memory_name, mech]].cycles
+                rows.append(row)
+        return rows
+
+    return tuple(spec.values()), render
 
 
 # ======================================================================
 # Fig. 19 — data placement (METIS-substitute partitioning)
 # ======================================================================
 def fig19(datasets: Sequence[str] = GRAPH_DATASETS,
-          mechanisms: Sequence[str] = MECHANISMS) -> List[Dict]:
-    config = ndp_2_5d()
+          mechanisms: Sequence[str] = MECHANISMS) -> Plan:
     partitionings = ("random", "metis")
-    specs = [
-        _app_spec(f"pr.{dataset}", mech, partitioner=label)
+    spec = {
+        (dataset, label, mech): _app_spec(f"pr.{dataset}", mech,
+                                          partitioner=label)
         for dataset in datasets
         for label in partitionings
         for mech in mechanisms
-    ]
-    results = iter(run_sweep(SweepSpec.of("fig19", specs)))
-    rows = []
-    for dataset in datasets:
-        graph = load_dataset(dataset)
-        cut_random = edge_cut(graph, random_partition(graph, config.num_units, seed=7))
-        cut_metis = edge_cut(graph, bfs_partition(graph, config.num_units))
-        for label in partitionings:
-            runs = {mech: next(results) for mech in mechanisms}
-            base = runs["central"].cycles
-            row = {
-                "dataset": dataset,
-                "partitioning": label,
-                "edge_cut_random": cut_random,
-                "edge_cut_metis": cut_metis,
-            }
-            for mech, metrics in runs.items():
-                row[mech] = base / metrics.cycles
-            row["max_st_occupancy_pct"] = runs["syncron"].st_occupancy_max_pct
-            rows.append(row)
-    return rows
+    }
+
+    def render(results):
+        num_units = ndp_2_5d().num_units
+        rows = []
+        for dataset in datasets:
+            graph = load_dataset(dataset)
+            cut_random = edge_cut(graph, random_partition(graph, num_units, seed=7))
+            cut_metis = edge_cut(graph, bfs_partition(graph, num_units))
+            for label in partitionings:
+                runs = {mech: results[spec[dataset, label, mech]]
+                        for mech in mechanisms}
+                base = runs["central"].cycles
+                row = {
+                    "dataset": dataset,
+                    "partitioning": label,
+                    "edge_cut_random": cut_random,
+                    "edge_cut_metis": cut_metis,
+                }
+                for mech, metrics in runs.items():
+                    row[mech] = base / metrics.cycles
+                row["max_st_occupancy_pct"] = runs["syncron"].st_occupancy_max_pct
+                rows.append(row)
+        return rows
+
+    return tuple(spec.values()), render
 
 
 # ======================================================================
 # Fig. 20 / Fig. 21 — hierarchical vs flat
 # ======================================================================
-def fig20(combos: Optional[Sequence[str]] = None) -> List[Dict]:
+def fig20(combos: Optional[Sequence[str]] = None) -> Plan:
     """SynCron speedup normalized to flat on graph workloads."""
     combos = combos or [c for c in APP_INPUTS if not c.startswith("ts.")]
-    specs = [
-        _app_spec(combo, mech)
-        for combo in combos
-        for mech in ("syncron_flat", "syncron")
-    ]
-    results = iter(run_sweep(SweepSpec.of("fig20", specs)))
-    rows = []
-    for combo in combos:
-        flat, hier = next(results), next(results)
-        rows.append({
+    spec = _app_grid(combos, ("syncron_flat", "syncron"))
+
+    def render(results):
+        return [{
             "app": combo,
-            "syncron_vs_flat": flat.cycles / hier.cycles,
-        })
-    return rows
+            "syncron_vs_flat": (results[spec[combo, "syncron_flat"]].cycles
+                                / results[spec[combo, "syncron"]].cycles),
+        } for combo in combos]
+
+    return tuple(spec.values()), render
 
 
-def fig21a(latencies_ns: Sequence[float] = (40, 100, 200, 500)) -> List[Dict]:
-    specs = [
-        _app_spec(f"ts.{dataset}", mech,
-                  overrides={"link_latency_ns": float(latency)})
+def fig21a(latencies_ns: Sequence[float] = (40, 100, 200, 500)) -> Plan:
+    spec = {
+        (dataset, latency, mech): _app_spec(
+            f"ts.{dataset}", mech,
+            overrides={"link_latency_ns": float(latency)})
         for dataset in TS_DATASETS
         for latency in latencies_ns
         for mech in ("syncron_flat", "syncron")
-    ]
-    results = iter(run_sweep(SweepSpec.of("fig21a", specs)))
-    rows = []
-    for dataset in TS_DATASETS:
-        for latency in latencies_ns:
-            flat, hier = next(results), next(results)
-            rows.append({
-                "app": f"ts.{dataset}",
-                "latency_ns": latency,
-                "syncron_vs_flat": flat.cycles / hier.cycles,
-            })
-    return rows
+    }
+
+    def render(results):
+        return [{
+            "app": f"ts.{dataset}",
+            "latency_ns": latency,
+            "syncron_vs_flat": (
+                results[spec[dataset, latency, "syncron_flat"]].cycles
+                / results[spec[dataset, latency, "syncron"]].cycles),
+        } for dataset in TS_DATASETS for latency in latencies_ns]
+
+    return tuple(spec.values()), render
 
 
 def fig21b(latencies_ns: Sequence[float] = (40, 100, 200, 500),
-           core_counts: Sequence[int] = (30, 60)) -> List[Dict]:
-    specs = [
-        RunSpec.make("structure", mech, args={"structure": "queue"},
-                     overrides={"num_units": cores // 15,
-                                "link_latency_ns": float(latency)})
+           core_counts: Sequence[int] = (30, 60)) -> Plan:
+    spec = {
+        (cores, latency, mech): RunSpec.make(
+            "structure", mech, args={"structure": "queue"},
+            overrides={"num_units": cores // 15,
+                       "link_latency_ns": float(latency)})
         for cores in core_counts
         for latency in latencies_ns
         for mech in ("syncron_flat", "syncron")
-    ]
-    results = iter(run_sweep(SweepSpec.of("fig21b", specs)))
-    rows = []
-    for cores in core_counts:
-        for latency in latencies_ns:
-            flat, hier = next(results), next(results)
-            rows.append({
-                "cores": cores,
-                "latency_ns": latency,
-                "syncron_vs_flat": flat.cycles / hier.cycles,
-            })
-    return rows
+    }
+
+    def render(results):
+        return [{
+            "cores": cores,
+            "latency_ns": latency,
+            "syncron_vs_flat": (
+                results[spec[cores, latency, "syncron_flat"]].cycles
+                / results[spec[cores, latency, "syncron"]].cycles),
+        } for cores in core_counts for latency in latencies_ns]
+
+    return tuple(spec.values()), render
 
 
 # ======================================================================
 # Fig. 22 — ST size sensitivity
 # ======================================================================
 def fig22(combos: Sequence[str] = ("cc.wk", "pr.wk", "ts.air", "ts.pow"),
-          st_sizes: Sequence[int] = (64, 48, 32, 16, 8)) -> List[Dict]:
-    specs = [
-        _app_spec(combo, "syncron", overrides={"st_entries": st})
+          st_sizes: Sequence[int] = (64, 48, 32, 16, 8)) -> Plan:
+    spec = {
+        (combo, st): _app_spec(combo, "syncron", overrides={"st_entries": st})
         for combo in combos
         for st in st_sizes
-    ]
-    results = iter(run_sweep(SweepSpec.of("fig22", specs)))
-    rows = []
-    for combo in combos:
-        cycles = {}
-        overflow = {}
-        for st in st_sizes:
-            metrics = next(results)
-            cycles[st] = metrics.cycles
-            overflow[st] = metrics.overflow_request_pct
-        base = cycles[st_sizes[0]]
-        row = {"app": combo}
-        for st in st_sizes:
-            row[f"ST_{st}"] = cycles[st] / base
-            row[f"ST_{st}_overflow_pct"] = overflow[st]
-        rows.append(row)
-    return rows
+    }
+
+    def render(results):
+        rows = []
+        for combo in combos:
+            base = results[spec[combo, st_sizes[0]]].cycles
+            row = {"app": combo}
+            for st in st_sizes:
+                metrics = results[spec[combo, st]]
+                row[f"ST_{st}"] = metrics.cycles / base
+                row[f"ST_{st}_overflow_pct"] = metrics.overflow_request_pct
+            rows.append(row)
+        return rows
+
+    return tuple(spec.values()), render
 
 
 # ======================================================================
 # Fig. 23 — overflow management schemes
 # ======================================================================
-def fig23(st_sizes: Sequence[int] = (16, 32, 48, 64, 128, 256)) -> List[Dict]:
+def fig23(st_sizes: Sequence[int] = (16, 32, 48, 64, 128, 256)) -> Plan:
     schemes = ("syncron", "syncron_central_ovrfl", "syncron_distrib_ovrfl")
-    specs = [
-        RunSpec.make("structure", scheme, args={"structure": "bst_fg"},
-                     overrides={"st_entries": st})
+    spec = {
+        (st, scheme): RunSpec.make(
+            "structure", scheme, args={"structure": "bst_fg"},
+            overrides={"st_entries": st})
         for st in st_sizes
         for scheme in schemes
-    ]
-    results = iter(run_sweep(SweepSpec.of("fig23", specs)))
-    rows = []
-    for st in st_sizes:
-        row = {"st_entries": st}
-        for scheme in schemes:
-            metrics = next(results)
-            row[scheme] = metrics.ops_per_ms
-            row[f"{scheme}_overflow_pct"] = metrics.overflow_request_pct
-        rows.append(row)
-    return rows
+    }
+
+    def render(results):
+        rows = []
+        for st in st_sizes:
+            row = {"st_entries": st}
+            for scheme in schemes:
+                metrics = results[spec[st, scheme]]
+                row[scheme] = metrics.ops_per_ms
+                row[f"{scheme}_overflow_pct"] = metrics.overflow_request_pct
+            rows.append(row)
+        return rows
+
+    return tuple(spec.values()), render
 
 
 # ======================================================================
@@ -458,7 +490,7 @@ def topo_sensitivity(topologies: Sequence[str] = ALL_TOPOLOGIES,
                      unit_steps: Sequence[int] = (4, 16),
                      mechanisms: Sequence[str] = ("hier", "syncron"),
                      interval: int = 200,
-                     rounds: Optional[int] = None) -> List[Dict]:
+                     rounds: Optional[int] = None) -> Plan:
     """Slowdown of each fabric vs the ideal all-to-all interconnect.
 
     The paper evaluates on an implicit all-to-all fabric (a dedicated
@@ -476,38 +508,35 @@ def topo_sensitivity(topologies: Sequence[str] = ALL_TOPOLOGIES,
     if "all_to_all" not in topologies:  # the normalization baseline
         topologies = ("all_to_all", *topologies)
     rounds = rounds if rounds is not None else scaled(8)
-    sweep = SweepSpec.matrix(
-        "topo_sensitivity",
-        workloads=[("primitive", {"primitive": "lock", "interval": interval,
-                                  "rounds": rounds})],
-        mechanisms=tuple(mechanisms),
-        vary={"num_units": tuple(int(u) for u in unit_steps),
-              "topology": tuple(topologies)},
-        base_overrides={"cores_per_unit": 4, "client_cores_per_unit": 3},
-    )
-    results = iter(run_sweep(sweep))
-    # matrix order: vary combos (num_units outer, topology inner), then
-    # mechanisms innermost.
-    cycles: Dict[tuple, int] = {}
-    for units in unit_steps:
-        for topo in topologies:
-            for mech in mechanisms:
-                cycles[(units, topo, mech)] = next(results).cycles
-    rows = []
-    for units in unit_steps:
-        for topo in topologies:
-            row: Dict[str, object] = {
-                "units": units,
-                "topology": topo,
-                "label": f"{topo}@{units}u",
-            }
-            for mech in mechanisms:
-                makespan = cycles[(units, topo, mech)]
-                baseline = cycles[(units, "all_to_all", mech)]
-                row[mech] = makespan / baseline if baseline else float("inf")
-                row[f"{mech}_cycles"] = makespan
-            rows.append(row)
-    return rows
+    spec = {
+        (units, topo, mech): RunSpec.make(
+            "primitive", mech,
+            args={"primitive": "lock", "interval": interval, "rounds": rounds},
+            overrides={"cores_per_unit": 4, "client_cores_per_unit": 3,
+                       "num_units": int(units), "topology": topo})
+        for units in unit_steps
+        for topo in topologies
+        for mech in mechanisms
+    }
+
+    def render(results):
+        rows = []
+        for units in unit_steps:
+            for topo in topologies:
+                row: Dict[str, object] = {
+                    "units": units,
+                    "topology": topo,
+                    "label": f"{topo}@{units}u",
+                }
+                for mech in mechanisms:
+                    makespan = results[spec[units, topo, mech]].cycles
+                    baseline = results[spec[units, "all_to_all", mech]].cycles
+                    row[mech] = makespan / baseline if baseline else float("inf")
+                    row[f"{mech}_cycles"] = makespan
+                rows.append(row)
+        return rows
+
+    return tuple(spec.values()), render
 
 
 # ======================================================================
@@ -527,7 +556,7 @@ def degradation(topologies: Sequence[str] = ("ring", "mesh2d"),
                 policy: str = "static",
                 window: int = 8_000,
                 faults: Optional[str] = None,
-                link_profile: Optional[str] = None) -> List[Dict]:
+                link_profile: Optional[str] = None) -> Plan:
     """How each mechanism degrades as the fabric loses links.
 
     Sweeps mechanism x fabric x fault severity over the cross-unit-heavy
@@ -565,43 +594,36 @@ def degradation(topologies: Sequence[str] = ("ring", "mesh2d"),
         base.update(parse_fault_spec(faults))
     if link_profile:
         base["link_profile"] = parse_link_profile(link_profile)
-    sweep = SweepSpec.matrix(
-        "degradation",
-        workloads=[("primitive", {"primitive": "lock", "interval": interval,
-                                  "rounds": rounds})],
-        mechanisms=tuple(mechanisms),
-        vary={"topology": tuple(topologies),
-              "fault_link_rate": severities},
-        base_overrides=base,
-    )
-    results = iter(run_sweep(sweep))
-    # matrix order: vary combos (topology outer, severity inner), then
-    # mechanisms innermost.
-    metrics: Dict[tuple, object] = {}
-    for topo in topologies:
-        for severity in severities:
-            for mech in mechanisms:
-                metrics[(topo, severity, mech)] = next(results)
-    probes = iter(run_sweep(SweepSpec.of("degradation_probe", [
-        RunSpec.make("fabric_probe", mechanism=mechanisms[0],
-                     overrides={**base, "topology": topo,
-                                "fault_link_rate": severity})
-        for topo in topologies for severity in severities
-    ])))
-    rows = []
-    for topo in topologies:
-        for severity in severities:
-            probe = next(probes)
+    cells = [(topo, severity) for topo in topologies for severity in severities]
+    spec = {
+        (topo, severity, mech): RunSpec.make(
+            "primitive", mech,
+            args={"primitive": "lock", "interval": interval, "rounds": rounds},
+            overrides={**base, "topology": topo, "fault_link_rate": severity})
+        for topo, severity in cells
+        for mech in mechanisms
+    }
+    probe = {
+        (topo, severity): RunSpec.make(
+            "fabric_probe", mechanism=mechanisms[0],
+            overrides={**base, "topology": topo, "fault_link_rate": severity})
+        for topo, severity in cells
+    }
+
+    def render(results):
+        rows = []
+        for topo, severity in cells:
+            geometry = results[probe[topo, severity]]
             row: Dict[str, object] = {
                 "topology": topo,
                 "severity": severity,
                 "label": f"{topo}@{severity:g}",
-                "links_failed": int(probe["links_failed"]),
-                "hop_inflation": round(probe["hop_inflation"], 4),
+                "links_failed": int(geometry["links_failed"]),
+                "hop_inflation": round(geometry["hop_inflation"], 4),
             }
             for mech in mechanisms:
-                run = metrics[(topo, severity, mech)]
-                healthy = metrics[(topo, 0.0, mech)]
+                run = results[spec[topo, severity, mech]]
+                healthy = results[spec[topo, 0.0, mech]]
                 row[mech] = (run.cycles / healthy.cycles
                              if healthy.cycles else float("inf"))
                 row[f"{mech}_cycles"] = run.cycles
@@ -609,7 +631,9 @@ def degradation(topologies: Sequence[str] = ("ring", "mesh2d"),
                 row[f"{mech}_detour_bit_hops"] = int(
                     run.stats["detour_bit_hops"])
             rows.append(row)
-    return rows
+        return rows
+
+    return (*spec.values(), *probe.values()), render
 
 
 # ======================================================================
@@ -697,7 +721,7 @@ def interference(groups: Sequence = (("lock", "bfs.wk"), ("lock", "stack")),
                  unit_split: Optional[Sequence[int]] = None,
                  core_split: Optional[Sequence[int]] = None,
                  preset: str = "ndp_2_5d",
-                 base_overrides: Optional[Dict] = None) -> List[Dict]:
+                 base_overrides: Optional[Dict] = None) -> Plan:
     """Per-tenant slowdown vs running alone, across mechanisms x fabrics.
 
     Each *group* is a tuple of tenant shorthands (see :func:`tenant_desc`);
@@ -735,8 +759,7 @@ def interference(groups: Sequence = (("lock", "bfs.wk"), ("lock", "stack")),
             overrides={**overrides, "topology": topo},
         )
 
-    cells = []  # (group, tenants, topo, mech)
-    specs: List[RunSpec] = []
+    cells = []  # (group, tenants, topo, mech, co-run spec, solo specs)
     for group in groups:
         if core_split is not None:
             if len(core_split) != len(group):
@@ -770,35 +793,36 @@ def interference(groups: Sequence = (("lock", "bfs.wk"), ("lock", "stack")),
                 group, interval, rounds,
                 unit_slices=_unit_slices(num_units, counts),
             )
-        for topo in topologies:
-            for mech in mechanisms:
-                cells.append((group, tenants, topo, mech))
-                specs.append(corun_spec(tenants, mech, topo))
-                specs.extend(
-                    corun_spec([tenant], mech, topo) for tenant in tenants
-                )
+        cells.extend(
+            (group, tenants, topo, mech, corun_spec(tenants, mech, topo),
+             [corun_spec([tenant], mech, topo) for tenant in tenants])
+            for topo in topologies
+            for mech in mechanisms
+        )
 
-    results = iter(run_sweep(SweepSpec.of("interference", specs)))
-    rows = []
-    for group, tenants, topo, mech in cells:
-        corun = next(results)
-        row: Dict[str, object] = {
-            "pair": "+".join(group),
-            "topology": topo,
-            "mechanism": mech,
-            "makespan": corun.cycles,
-            "fairness": corun.stats.get("tenant_summary.fairness", 1.0),
-        }
-        for tenant in tenants:
-            solo = next(results)
-            name = tenant["name"]
-            together = corun.stats[f"tenant.{name}.cycles"]
-            alone = solo.stats[f"tenant.{name}.cycles"]
-            row[f"{name}_slowdown"] = together / alone if alone else float("inf")
-            row[f"{name}_cycles"] = together
-            row[f"{name}_alone_cycles"] = alone
-        rows.append(row)
-    return rows
+    def render(results):
+        rows = []
+        for group, tenants, topo, mech, together_spec, solo_specs in cells:
+            corun = results[together_spec]
+            row: Dict[str, object] = {
+                "pair": "+".join(group),
+                "topology": topo,
+                "mechanism": mech,
+                "makespan": corun.cycles,
+                "fairness": corun.stats.get("tenant_summary.fairness", 1.0),
+            }
+            for tenant, solo_spec in zip(tenants, solo_specs):
+                name = tenant["name"]
+                together = corun.stats[f"tenant.{name}.cycles"]
+                alone = results[solo_spec].stats[f"tenant.{name}.cycles"]
+                row[f"{name}_slowdown"] = together / alone if alone else float("inf")
+                row[f"{name}_cycles"] = together
+                row[f"{name}_alone_cycles"] = alone
+            rows.append(row)
+        return rows
+
+    return tuple(spec for *_, together, solos in cells
+                 for spec in (together, *solos)), render
 
 
 def isolation_check(descs: Sequence[str] = ("lock",),
@@ -807,66 +831,65 @@ def isolation_check(descs: Sequence[str] = ("lock",),
                     interval: int = 200,
                     rounds: Optional[int] = None,
                     preset: str = "ndp_2_5d",
-                    base_overrides: Optional[Dict] = None) -> List[Dict]:
+                    base_overrides: Optional[Dict] = None) -> Plan:
     """Bit-identity of a whole-machine single tenant vs the plain run.
 
     The co-run path's sanity anchor: one tenant owning all cores must
     reproduce the single-workload simulation exactly — same cycles, same
     energy breakdown, same byte counters — under every requested mechanism
-    and fabric.  Returns one row per (workload, mechanism, topology) with
+    and fabric.  Renders one row per (workload, mechanism, topology) with
     an ``identical`` verdict; the CI smoke run and
     ``repro corun --check-isolation`` fail when any row is False.
     """
     rounds = rounds if rounds is not None else scaled(10)
-    specs: List[RunSpec] = []
-    cells = []
+    cells = []  # (desc, mech, topo, plain spec, co-run spec)
     for desc in descs:
         tenant = {"name": desc, **tenant_desc(desc, interval, rounds)}
         for topo in topologies:
             overrides = {**(base_overrides or {}), "topology": topo}
-            for mech in mechanisms:
-                cells.append((desc, mech, topo))
-                specs.append(RunSpec.make(
-                    tenant["workload"], mech, args=tenant["args"],
-                    preset=preset, overrides=overrides,
-                ))
-                specs.append(RunSpec.make(
-                    "corun", mech, args={"tenants": [tenant]}, preset=preset,
-                    overrides=overrides,
-                ))
-    results = iter(run_sweep(SweepSpec.of("isolation_check", specs)))
-    rows = []
-    for desc, mech, topo in cells:
-        solo, corun = next(results), next(results)
-        identical = (
-            solo.cycles == corun.cycles
-            and solo.energy == corun.energy
-            and solo.bytes_inside_units == corun.bytes_inside_units
-            and solo.bytes_across_units == corun.bytes_across_units
-        )
-        rows.append({
-            "workload": desc,
-            "mechanism": mech,
-            "topology": topo,
-            "solo_cycles": solo.cycles,
-            "corun_cycles": corun.cycles,
-            "identical": identical,
-        })
-    return rows
+            cells.extend((
+                desc, mech, topo,
+                RunSpec.make(tenant["workload"], mech, args=tenant["args"],
+                             preset=preset, overrides=overrides),
+                RunSpec.make("corun", mech, args={"tenants": [tenant]},
+                             preset=preset, overrides=overrides),
+            ) for mech in mechanisms)
+
+    def render(results):
+        rows = []
+        for desc, mech, topo, solo_spec, corun_spec in cells:
+            solo, corun = results[solo_spec], results[corun_spec]
+            identical = (
+                solo.cycles == corun.cycles
+                and solo.energy == corun.energy
+                and solo.bytes_inside_units == corun.bytes_inside_units
+                and solo.bytes_across_units == corun.bytes_across_units
+            )
+            rows.append({
+                "workload": desc,
+                "mechanism": mech,
+                "topology": topo,
+                "solo_cycles": solo.cycles,
+                "corun_cycles": corun.cycles,
+                "identical": identical,
+            })
+        return rows
+
+    return tuple(spec for *_, solo, corun in cells
+                 for spec in (solo, corun)), render
 
 
 # ======================================================================
 # Table 7 — ST occupancy across real applications
 # ======================================================================
-def table7(combos: Sequence[str] = tuple(APP_INPUTS)) -> List[Dict]:
-    specs = [_app_spec(combo, "syncron") for combo in combos]
-    results = iter(run_sweep(SweepSpec.of("table7", specs)))
-    rows = []
-    for combo in combos:
-        metrics = next(results)
-        rows.append({
+def table7(combos: Sequence[str] = tuple(APP_INPUTS)) -> Plan:
+    spec = {combo: _app_spec(combo, "syncron") for combo in combos}
+
+    def render(results):
+        return [{
             "app": combo,
-            "max_pct": metrics.st_occupancy_max_pct,
-            "avg_pct": metrics.st_occupancy_avg_pct,
-        })
-    return rows
+            "max_pct": results[spec[combo]].st_occupancy_max_pct,
+            "avg_pct": results[spec[combo]].st_occupancy_avg_pct,
+        } for combo in combos]
+
+    return tuple(spec.values()), render

@@ -10,21 +10,19 @@ synchronization does not fit NDP systems:
   (``mesi-lock``) over an ideal zero-cost lock (``ideal-lock``), varying
   (a) cores within one NDP unit and (b) NDP units at constant core count.
 
-Both are sweep declarations over the measurement functions in
+Both are plans over the measurement functions in
 :mod:`repro.harness.measurements`, executed (and cached/parallelized) by
-:mod:`repro.harness.runner`.
+:func:`~repro.harness.runner.run_plan`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List
-
-from repro.harness.runner import run_sweep
-from repro.harness.specs import RunSpec, SweepSpec
+from repro.harness.runner import Plan
+from repro.harness.specs import RunSpec
 from repro.workloads.base import scaled
 
 
-def table1(ops_per_thread: int = None) -> List[Dict]:
+def table1(ops_per_thread: int = None) -> Plan:
     """Throughput (Mops/s) for the four Table 1 configurations."""
     ops = ops_per_thread if ops_per_thread is not None else scaled(150)
     cases = [
@@ -34,21 +32,23 @@ def table1(ops_per_thread: int = None) -> List[Dict]:
         ("2 threads different-socket", (0, 14)),
     ]
     lock_kinds = ("ttas", "htl")
-    specs = [
-        RunSpec.make("coherence_lock", "coherent", preset="cpu_numa",
-                     args={"lock_kind": lock_kind, "core_ids": core_ids,
-                           "ops_per_thread": ops})
+    spec = {
+        (lock_kind, label): RunSpec.make(
+            "coherence_lock", "coherent", preset="cpu_numa",
+            args={"lock_kind": lock_kind, "core_ids": core_ids,
+                  "ops_per_thread": ops})
         for lock_kind in lock_kinds
-        for _label, core_ids in cases
-    ]
-    results = iter(run_sweep(SweepSpec.of("table1", specs)))
-    rows = []
-    for lock_kind in lock_kinds:
-        row = {"lock": "TTAS lock" if lock_kind == "ttas" else "Hierarchical Ticket lock"}
-        for label, _core_ids in cases:
-            row[label] = next(results)["mops"]
-        rows.append(row)
-    return rows
+        for label, core_ids in cases
+    }
+
+    def render(results):
+        return [{
+            "lock": "TTAS lock" if lock_kind == "ttas" else "Hierarchical Ticket lock",
+            **{label: results[spec[lock_kind, label]]["mops"]
+               for label, _core_ids in cases},
+        } for lock_kind in lock_kinds]
+
+    return tuple(spec.values()), render
 
 
 # ----------------------------------------------------------------------
@@ -67,43 +67,29 @@ def _stack_spec(num_units: int, cores_per_unit: int, mechanism: str,
     )
 
 
-def fig2(ops_per_core: int = None) -> Dict[str, List[Dict]]:
+def fig2(ops_per_core: int = None) -> Plan:
     """Slowdown of mesi-lock over ideal-lock.
 
     Part (a): 15/30/45/60 cores in one NDP unit.
     Part (b): 1..4 NDP units at 60 total cores.
     """
     ops = ops_per_core if ops_per_core is not None else scaled(20)
-    part_a_steps = (15, 30, 45, 60)
-    part_b_steps = (1, 2, 3, 4)
-    specs = [
-        _stack_spec(1, cores, mech, ops)
-        for cores in part_a_steps
-        for mech in ("ideal", "mesi")
-    ] + [
-        _stack_spec(units, 60 // units, mech, ops)
-        for units in part_b_steps
-        for mech in ("ideal", "mesi")
-    ]
-    results = iter(run_sweep(SweepSpec.of("fig2", specs)))
-    part_a = []
-    for cores in part_a_steps:
-        ideal = next(results)["cycles"]
-        mesi = next(results)["cycles"]
-        part_a.append({
-            "ndp_cores": cores,
-            "slowdown": mesi / ideal,
-            "ideal_cycles": ideal,
-            "mesi_cycles": mesi,
-        })
-    part_b = []
-    for units in part_b_steps:
-        ideal = next(results)["cycles"]
-        mesi = next(results)["cycles"]
-        part_b.append({
-            "ndp_units": units,
-            "slowdown": mesi / ideal,
-            "ideal_cycles": ideal,
-            "mesi_cycles": mesi,
-        })
-    return {"a_cores": part_a, "b_units": part_b}
+    part_a = (15, 30, 45, 60)
+    part_b = (1, 2, 3, 4)
+    mechanisms = ("ideal", "mesi")
+    spec = {("a", cores, mech): _stack_spec(1, cores, mech, ops)
+            for cores in part_a for mech in mechanisms}
+    spec.update({("b", units, mech): _stack_spec(units, 60 // units, mech, ops)
+                 for units in part_b for mech in mechanisms})
+
+    def render(results):
+        def row(key, part, step):
+            ideal = results[spec[part, step, "ideal"]]["cycles"]
+            mesi = results[spec[part, step, "mesi"]]["cycles"]
+            return {key: step, "slowdown": mesi / ideal,
+                    "ideal_cycles": ideal, "mesi_cycles": mesi}
+
+        return {"a_cores": [row("ndp_cores", "a", cores) for cores in part_a],
+                "b_units": [row("ndp_units", "b", units) for units in part_b]}
+
+    return tuple(spec.values()), render

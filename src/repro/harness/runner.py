@@ -1,8 +1,8 @@
 """Sweep execution: one single-host executor over the content store.
 
-Every harness figure and the CLI ``sweep`` subcommand funnel through
-:func:`run_sweep` / :func:`run_specs`: specs are deduplicated by cache key,
-hits are served from the content-addressed
+Every experiment plan (through :func:`run_plan`) and the CLI ``sweep``
+subcommand funnel through :func:`run_specs`: specs are deduplicated by
+cache key, hits are served from the content-addressed
 :class:`~repro.harness.store.ShardedDirStore`, and only the misses are
 simulated.  Because every simulation is
 deterministic (explicit seeds everywhere — see
@@ -35,10 +35,10 @@ from __future__ import annotations
 import contextlib
 import multiprocessing
 import os
-from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Union
+from dataclasses import dataclass, replace
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
-from repro.harness.specs import RunSpec, SweepSpec
+from repro.harness.specs import RunSpec
 from repro.harness.store import ShardedDirStore, open_store
 from repro.telemetry import configure, get_telemetry, strip_volatile_stats
 from repro.workloads.base import RunMetrics, run_workload
@@ -47,13 +47,17 @@ from repro.workloads.base import RunMetrics, run_workload
 #: measurement specs.
 RunResult = Union[RunMetrics, Dict]
 
+#: what an experiment function returns: the runs it needs, and a render
+#: that turns ``{spec: result}`` into the experiment's rows.
+Plan = Tuple[Tuple[RunSpec, ...], Callable[[Mapping[RunSpec, RunResult]], Any]]
+
 
 # ----------------------------------------------------------------------
-# Execution options (how the CLI hands --workers/--store to figure code)
+# Execution options (how the CLI hands --workers/--store to run_specs)
 # ----------------------------------------------------------------------
 @dataclass
 class ExecutionOptions:
-    """Active sweep-execution policy; figures read it via the module state."""
+    """Active sweep-execution policy; run_specs reads it via the module state."""
 
     workers: int = 1
     cache: bool = False
@@ -127,14 +131,12 @@ class RunnerStats:
     executed: int = 0
     cache_hits: int = 0
     deduplicated: int = 0
-    sweeps: List[str] = field(default_factory=list)
 
     def reset(self) -> None:
         self.requested = 0
         self.executed = 0
         self.cache_hits = 0
         self.deduplicated = 0
-        self.sweeps.clear()
 
     def summary(self) -> str:
         text = (
@@ -377,9 +379,7 @@ def probe_specs(specs: Sequence[RunSpec], cache: Optional[bool] = None,
     return statuses
 
 
-def run_sweep(sweep: SweepSpec, workers: Optional[int] = None,
-              cache: Optional[bool] = None,
-              store: Optional[str] = None) -> List[RunResult]:
-    """Execute a named sweep; results align with ``sweep.runs`` order."""
-    STATS.sweeps.append(sweep.name)
-    return run_specs(sweep.runs, workers=workers, cache=cache, store=store)
+def run_plan(plan: Plan):
+    """Run a plan's specs through :func:`run_specs` and render its rows."""
+    specs, render = plan
+    return render(dict(zip(specs, run_specs(specs))))

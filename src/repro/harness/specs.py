@@ -7,10 +7,9 @@ preset + overrides to use, and an optional seed.  Because a spec contains
 only plain data it can cross process boundaries (``--workers N``) and be hashed
 into a stable cache key, so a figure re-run only simulates cache misses.
 
-A :class:`SweepSpec` is a named tuple of runs; :meth:`SweepSpec.matrix`
-builds the cross product of workloads x mechanisms x config overrides —
-which is how the CLI ``sweep`` subcommand composes scenario matrices the
-paper never ran.
+:func:`expand_matrix` builds the cross product of workloads x mechanisms x
+config overrides — which is how the CLI ``sweep`` subcommand composes
+scenario matrices the paper never ran.
 
 Two kinds of registry targets exist:
 
@@ -30,7 +29,7 @@ import hashlib
 import importlib
 import json
 from dataclasses import dataclass, fields as dataclass_fields
-from typing import Any, Callable, Dict, Iterable, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Mapping, Optional, Sequence, Tuple
 
 from repro.sim.config import MEMORY_TECHNOLOGIES, PRESETS, SystemConfig
 from repro.sim.system import MECHANISM_NAMES
@@ -243,48 +242,6 @@ def _canonical_overrides(overrides: Optional[Mapping]) -> Dict[str, Any]:
             value = int(value)
         result[key] = value
     return result
-
-
-# ----------------------------------------------------------------------
-# SweepSpec
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class SweepSpec:
-    """A named, ordered collection of runs (one figure, one CLI matrix)."""
-
-    name: str
-    runs: Tuple[RunSpec, ...] = ()
-
-    def __len__(self) -> int:
-        return len(self.runs)
-
-    def __iter__(self):
-        return iter(self.runs)
-
-    @classmethod
-    def of(cls, name: str, runs: Iterable[RunSpec]) -> "SweepSpec":
-        return cls(name=name, runs=tuple(runs))
-
-    @classmethod
-    def matrix(cls, name: str,
-               workloads: Sequence[Tuple[str, Mapping]],
-               mechanisms: Sequence[str],
-               vary: Optional[Mapping[str, Sequence]] = None,
-               preset: str = "ndp_2_5d",
-               base_overrides: Optional[Mapping] = None,
-               seed: Optional[int] = None) -> "SweepSpec":
-        """Cross product: workloads x mechanisms x every ``vary`` combo.
-
-        ``workloads`` is a sequence of ``(registry_key, args)`` pairs;
-        ``vary`` maps SystemConfig field -> values to sweep (all
-        combinations are expanded, rightmost fastest).
-        """
-        return cls.of(name, (
-            spec for _label, spec in expand_matrix(
-                workloads, mechanisms, vary=vary, preset=preset,
-                base_overrides=base_overrides, seed=seed,
-            )
-        ))
 
 
 def expand_matrix(workloads: Sequence[Tuple[str, Mapping]],

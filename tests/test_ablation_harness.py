@@ -7,6 +7,7 @@ Small parameterizations keep these fast; the full-size versions live in
 import pytest
 
 from repro.harness import ablations
+from repro.harness.runner import run_plan
 from repro.sim.config import ndp_2_5d
 from repro.workloads.base import run_workload
 from repro.workloads.rwbench import RWLockMicrobench
@@ -57,37 +58,37 @@ class TestRWLockMicrobench:
 
 class TestAblationRows:
     def test_spin_baselines_schema_and_ordering(self):
-        rows = ablations.spin_baselines(
+        rows = run_plan(ablations.spin_baselines(
             core_steps=(15,), mechanisms=("bakery", "rmw_spin", "syncron"),
             rounds=4,
-        )
+        ))
         assert len(rows) == 1
         row = rows[0]
         assert row["cores"] == 15 and row["units"] == 1
         assert row["bakery"] < row["rmw_spin"] < row["syncron"]
 
     def test_overflow_target_sweep_schema(self):
-        rows = ablations.overflow_target_sweep(st_sizes=(4,))
+        rows = run_plan(ablations.overflow_target_sweep(st_sizes=(4,)))
         row = rows[0]
         assert row["st_entries"] == 4
         assert row["memory_overflow_pct"] > 0
         assert row["shared_cache"] > 0 and row["memory"] > 0
 
     def test_rwlock_read_ratio_monotone(self):
-        rows = ablations.rwlock_read_ratio(
+        rows = run_plan(ablations.rwlock_read_ratio(
             read_pcts=(0, 100), mechanisms=("syncron",), rounds=5
-        )
+        ))
         assert rows[0]["syncron"] < rows[1]["syncron"]
         assert rows[1]["syncron"] > rows[1]["mutex"]
 
     def test_fairness_sweep_reduces_spread(self):
-        rows = ablations.fairness_sweep(thresholds=(0, 2), rounds=8)
+        rows = run_plan(ablations.fairness_sweep(thresholds=(0, 2), rounds=8))
         unfair, fair = rows
         assert unfair["acquires"] == fair["acquires"]
         assert fair["unit_finish_spread"] < unfair["unit_finish_spread"]
 
     def test_se_knee_monotone_in_service_time(self):
-        rows = ablations.se_vs_server_latency(se_cycles=(3, 96))
+        rows = run_plan(ablations.se_vs_server_latency(se_cycles=(3, 96)))
         assert rows[0]["syncron_ops_ms"] >= rows[1]["syncron_ops_ms"]
         # Hier is untouched by the SE knob.
         assert rows[0]["hier_ops_ms"] == rows[1]["hier_ops_ms"]

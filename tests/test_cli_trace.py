@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.cli import EXPERIMENTS, _parse_value, build_parser, main
+from repro.cli import _parse_value, build_parser, main
 from repro.core import api
+from repro.harness.registry import EXPERIMENTS, find
 from repro.sim.program import Compute
 from repro.sim.trace import MessageTracer
 
@@ -26,9 +27,9 @@ class TestCliParsing:
             build_parser().parse_args([])
 
     def test_every_experiment_has_a_description(self):
-        for name, (fn, description) in EXPERIMENTS.items():
-            assert callable(fn)
-            assert description
+        for experiment in EXPERIMENTS:
+            assert callable(experiment.plan)
+            assert experiment.description
 
 
 class TestCliCommands:
@@ -45,6 +46,18 @@ class TestCliCommands:
 
     def test_run_bad_arg_syntax(self, capsys):
         assert main(["run", "fig22", "--arg", "nonsense"]) == 2
+
+    def test_run_unknown_arg_key_lists_accepted_names(self, capsys):
+        assert main(["run", "fig12", "--arg", "combo=bfs.wk"]) == 2
+        err = capsys.readouterr().err
+        assert "'combo'" in err and "combos, mechanisms" in err
+
+    def test_run_scalar_for_a_sequence_kwarg(self, capsys):
+        code = main(["run", "ext_rwlock", "--arg", "read_pcts=50",
+                     "--arg", "mechanisms=ideal", "--arg", "rounds=2",
+                     "--no-cache"])
+        assert code == 0
+        assert "50" in capsys.readouterr().out
 
     def test_run_fig11_scalar_sequence_coercion(self, capsys):
         code = main(["run", "fig11", "--arg", "structure=hashtable",
@@ -87,33 +100,25 @@ class TestCliCommands:
 
 class TestRenderPlot:
     def test_line_mapping(self):
-        from repro.cli import render_plot
-
         rows = [
             {"cores": 15, "bakery": 1.0, "rmw_spin": 2.0,
              "syncron": 3.0, "ideal": 4.0},
             {"cores": 30, "bakery": 0.5, "rmw_spin": 1.5,
              "syncron": 3.5, "ideal": 5.0},
         ]
-        chart = render_plot("ext_spin", rows)
+        chart = find("ext_spin").chart(rows)
         assert chart is not None
         assert "o=bakery" in chart
 
     def test_unknown_experiment_returns_none(self):
-        from repro.cli import render_plot
-
-        assert render_plot("table1", [{"a": 1}]) is None
+        assert find("table1").chart([{"a": 1}]) is None
 
     def test_missing_series_returns_none(self):
-        from repro.cli import render_plot
-
-        assert render_plot("ext_spin", [{"cores": 15}]) is None
+        assert find("ext_spin").chart([{"cores": 15}]) is None
 
     def test_bar_mapping(self):
-        from repro.cli import render_plot
-
         rows = [{"app": "bfs.wk", "hier": 1.1, "syncron": 1.4, "ideal": 1.6}]
-        chart = render_plot("fig12", rows)
+        chart = find("fig12").chart(rows)
         assert "syncron" in chart and "#" in chart
 
 

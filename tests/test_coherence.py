@@ -175,8 +175,9 @@ class TestCoherentLocks:
 class TestMotivationShapes:
     def test_table1_contention_and_numa_penalties(self):
         from repro.harness.motivation import table1
+        from repro.harness.runner import run_plan
 
-        rows = table1(ops_per_thread=40)
+        rows = run_plan(table1(ops_per_thread=40))
         ttas = rows[0]
         # throughput collapses with 14 contenders …
         assert ttas["14 threads single-socket"] < ttas["1 thread single-socket"]
@@ -186,7 +187,8 @@ class TestMotivationShapes:
 
     def test_fig2_mesi_lock_slowdown(self):
         from repro.harness.motivation import fig2
+        from repro.harness.runner import run_plan
 
-        result = fig2(ops_per_core=6)
+        result = run_plan(fig2(ops_per_core=6))
         for row in result["a_cores"] + result["b_units"]:
             assert row["slowdown"] > 1.3, "mesi-lock must visibly hurt"

@@ -309,15 +309,16 @@ class TestCorunSpecs:
 class TestInterferenceExperiment:
     def test_emits_slowdown_vs_alone_per_cell(self):
         from repro.harness.experiments import interference
+        from repro.harness.runner import run_plan
 
-        rows = interference(
+        rows = run_plan(interference(
             groups=[("lock", "barrier")],
             mechanisms=("central", "syncron"),
             topologies=("all_to_all", "ring"),
             interval=60, rounds=2,
             base_overrides={"num_units": 2, "cores_per_unit": 4,
                             "client_cores_per_unit": 3},
-        )
+        ))
         assert len(rows) == 4  # 1 group x 2 fabrics x 2 mechanisms
         for row in rows:
             assert row["pair"] == "lock+barrier"
@@ -332,15 +333,16 @@ class TestInterferenceExperiment:
         """The 'alone' run of a core-granular tenant must occupy exactly the
         cores it had in the co-run (not a fresh slice from core 0)."""
         from repro.harness.experiments import interference
+        from repro.harness.runner import run_plan
 
-        rows = interference(
+        rows = run_plan(interference(
             groups=[("lock", "barrier")],
             mechanisms=("syncron",),
             topologies=("all_to_all",),
             interval=60, rounds=2, core_split=(2, 4),
             base_overrides={"num_units": 2, "cores_per_unit": 4,
                             "client_cores_per_unit": 3},
-        )
+        ))
         [row] = rows
         # both tenants share unit 0 -> the lock tenant sees real slowdown,
         # and its baseline ran on its own cores (0,1), not somewhere else
@@ -364,13 +366,14 @@ class TestInterferenceExperiment:
 
     def test_isolation_check_rows(self):
         from repro.harness.experiments import isolation_check
+        from repro.harness.runner import run_plan
 
-        rows = isolation_check(
+        rows = run_plan(isolation_check(
             descs=("lock",), mechanisms=("syncron", "ideal"),
             interval=60, rounds=2,
             base_overrides={"num_units": 2, "cores_per_unit": 4,
                             "client_cores_per_unit": 3},
-        )
+        ))
         assert [r["mechanism"] for r in rows] == ["syncron", "ideal"]
         assert all(r["identical"] for r in rows)
 

@@ -15,6 +15,7 @@ import pytest
 
 from repro import NDPSystem, api
 from repro.harness.experiments import degradation
+from repro.harness.runner import run_plan
 from repro.harness.specs import RunSpec
 from repro.sim import Compute
 from repro.sim.clock import core_cycles_from_ns
@@ -345,9 +346,10 @@ class TestConfigAndCacheKeys:
 
 class TestDegradationExperiment:
     def test_smoke_rows_and_counters(self):
-        rows = degradation(topologies=("ring",), severities=(0.25,),
-                           mechanisms=("central", "syncron"), num_units=4,
-                           rounds=2, window=4_000)
+        rows = run_plan(degradation(
+            topologies=("ring",), severities=(0.25,),
+            mechanisms=("central", "syncron"), num_units=4,
+            rounds=2, window=4_000))
         assert [r["severity"] for r in rows] == [0.0, 0.25]
         healthy, degraded = rows
         for mech in ("central", "syncron"):

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core import api
 from repro.core.rmw import RMW_OPS, RmwExtension
+from repro.harness.runner import run_plan
 from repro.sim.config import ndp_2_5d
 from repro.sim.energy import compute_energy
 from repro.sim.program import Compute, Load
@@ -150,34 +151,35 @@ class TestHarnessSmoke:
     def test_fig10(self):
         from repro.harness.experiments import fig10
 
-        rows = fig10("lock", intervals=(200,), rounds=4,
-                     mechanisms=("central", "syncron"))
+        rows = run_plan(fig10("lock", intervals=(200,), rounds=4,
+                              mechanisms=("central", "syncron")))
         assert rows[0]["syncron"] > 0
 
     def test_fig11(self):
         from repro.harness.experiments import fig11
 
-        rows = fig11("stack", core_steps=(15,), mechanisms=("central", "syncron"))
+        rows = run_plan(fig11("stack", core_steps=(15,),
+                              mechanisms=("central", "syncron")))
         assert rows[0]["syncron"] > 0
 
     def test_fig12_and_headline(self):
         from repro.harness.experiments import fig12, headline_summary
 
-        rows = fig12(combos=("tc.wk",),
-                     mechanisms=("central", "hier", "syncron", "ideal"))
+        rows = run_plan(fig12(combos=("tc.wk",),
+                              mechanisms=("central", "hier", "syncron", "ideal")))
         summary = headline_summary(rows)
         assert summary["syncron_vs_central"] >= 1.0
 
     def test_fig22(self):
         from repro.harness.experiments import fig22
 
-        rows = fig22(combos=("tc.wk",), st_sizes=(64, 4))
+        rows = run_plan(fig22(combos=("tc.wk",), st_sizes=(64, 4)))
         assert rows[0]["ST_64"] == pytest.approx(1.0)
 
     def test_table7(self):
         from repro.harness.experiments import table7
 
-        rows = table7(combos=("tc.wk",))
+        rows = run_plan(table7(combos=("tc.wk",)))
         assert 0 <= rows[0]["avg_pct"] <= rows[0]["max_pct"] <= 100
 
     def test_reporting(self):

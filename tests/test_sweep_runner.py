@@ -7,13 +7,13 @@ import pytest
 from repro.harness import runner as runner_mod
 from repro.harness.runner import (
     execution_options,
+    run_plan,
     run_specs,
-    run_sweep,
 )
 from repro.harness.specs import (
     CACHE_FORMAT_VERSION,
     RunSpec,
-    SweepSpec,
+    expand_matrix,
     freeze,
 )
 from repro.harness.store import ShardedDirStore
@@ -162,9 +162,9 @@ class TestParallelDeterminism:
 
         combos = ("tc.wk", "bfs.wk")
         mechanisms = ("central", "syncron")
-        serial = fig12(combos=combos, mechanisms=mechanisms)
+        serial = run_plan(fig12(combos=combos, mechanisms=mechanisms))
         with execution_options(workers=2):
-            parallel = fig12(combos=combos, mechanisms=mechanisms)
+            parallel = run_plan(fig12(combos=combos, mechanisms=mechanisms))
         assert parallel == serial
 
     def test_parallel_run_specs_order_matches_spec_order(self):
@@ -184,12 +184,11 @@ class TestParallelDeterminism:
 
 class TestSweepSpec:
     def test_matrix_cross_product(self):
-        sweep = SweepSpec.matrix(
-            "m",
+        sweep = [spec for _label, spec in expand_matrix(
             workloads=[("app", {"combo": "bfs.wk"}), ("app", {"combo": "cc.sl"})],
             mechanisms=("syncron", "hier"),
             vary={"link_latency": (1, 4, 16)},
-        )
+        )]
         assert len(sweep) == 2 * 3 * 2
         # every spec resolves to a distinct cache key
         assert len({spec.cache_key() for spec in sweep}) == len(sweep)

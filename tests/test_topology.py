@@ -16,7 +16,7 @@ import pytest
 
 from repro.cli import main as cli_main
 from repro.harness.experiments import topo_sensitivity
-from repro.harness.runner import probe_specs
+from repro.harness.runner import probe_specs, run_plan
 from repro.harness.specs import RunSpec
 from repro.sim.config import SystemConfig, ndp_2_5d, ndp_mesh
 from repro.sim.network import Crossbar, Interconnect, Link
@@ -311,8 +311,8 @@ class TestLinkEdgeCases:
 
 class TestTopoSensitivity:
     def test_all_to_all_is_the_unit_baseline(self):
-        rows = topo_sensitivity(unit_steps=(2, 4), mechanisms=("syncron",),
-                                rounds=2)
+        rows = run_plan(topo_sensitivity(
+            unit_steps=(2, 4), mechanisms=("syncron",), rounds=2))
         assert len(rows) == 2 * 4  # unit steps x fabrics
         by_key = {(r["units"], r["topology"]): r for r in rows}
         for units in (2, 4):
@@ -321,9 +321,9 @@ class TestTopoSensitivity:
         assert by_key[(4, "ring")]["syncron"] >= 1.0
 
     def test_routed_fabrics_are_no_faster_at_16_units(self):
-        rows = topo_sensitivity(topologies=("all_to_all", "ring", "mesh2d"),
-                                unit_steps=(16,), mechanisms=("syncron",),
-                                rounds=1)
+        rows = run_plan(topo_sensitivity(
+            topologies=("all_to_all", "ring", "mesh2d"),
+            unit_steps=(16,), mechanisms=("syncron",), rounds=1))
         by_topo = {r["topology"]: r for r in rows}
         assert by_topo["ring"]["syncron"] >= 1.0
         assert by_topo["mesh2d"]["syncron"] >= 1.0
