@@ -49,7 +49,7 @@ MECHANISMS = ("hier", "syncron")
 #: the degraded scenario: both directions of ring channel (0, 1) fail
 #: permanently at cycle 400 — early enough to land mid-run.
 DEGRADED_UNITS = 8
-DEGRADED_FAULTS = ((0, 1, 400, 0), (1, 0, 400, 0))
+DEGRADED_FAULTS = ((0, 1, 400), (1, 0, 400))
 DEGRADED_ROUNDS = 8
 
 

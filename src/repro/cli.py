@@ -171,13 +171,16 @@ def cmd_run(args) -> int:
         kwargs = _plan_kwargs(name, experiment.plan, args.arg or [],
                               faults=args.faults,
                               link_profile=args.link_profile)
+        # planning validates every spec's config (RunSpec.make), so a bad
+        # override exits 2 here instead of failing mid-simulation.
+        plan = experiment.plan(**kwargs)
     except ValueError as exc:
         print(exc, file=sys.stderr)
         return 2
     STATS.reset()
     with _telemetry_scope(args), _sanitizer_scope(args) as sanitizer, \
             execution_options(**_runner_options(args)):
-        result = run_plan(experiment.plan(**kwargs))
+        result = run_plan(plan)
     _print_result(name, result)
     print(f"[runner] {STATS.summary()}", file=sys.stderr)
     if getattr(args, "plot", False):
@@ -581,9 +584,9 @@ def build_parser() -> argparse.ArgumentParser:
                      help="also draw a terminal chart in the figure's shape")
     run.add_argument("--faults", default=None, metavar="SPEC",
                      help="fault plan for fault-aware experiments "
-                          "(degradation): comma-separated events like "
-                          "'0>1@100', '2-3@50+500', 'unit:1@200', or "
-                          "scalars 'rate=0.1', 'seed=7'")
+                          "(degradation): comma-separated permanent link "
+                          "failures like '0>1@100', '2-3@50', or scalars "
+                          "'rate=0.1', 'seed=7', 'window=8000'")
     run.add_argument("--link-profile", default=None, metavar="SPEC",
                      help="per-channel overrides like "
                           "'0>1=25.6:80,2-3=:200' (GB/s and/or ns)")
@@ -619,9 +622,9 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--seed", type=int, default=None,
                        help="workload seed forwarded to seedable workloads")
     sweep.add_argument("--faults", default=None, metavar="SPEC",
-                       help="inject a fault plan into every run: events like "
-                            "'0>1@100', '2-3@50+500', 'unit:1@200', or "
-                            "scalars 'rate=0.1', 'transient=0.05', 'seed=7'")
+                       help="inject a fault plan into every run: permanent "
+                            "link failures like '0>1@100', '2-3@50', or "
+                            "scalars 'rate=0.1', 'seed=7', 'window=8000'")
     sweep.add_argument("--link-profile", default=None, metavar="SPEC",
                        help="per-channel bandwidth/latency overrides for "
                             "every run, e.g. '0>1=25.6:80,2-3=:200'")

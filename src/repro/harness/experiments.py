@@ -553,7 +553,6 @@ def degradation(topologies: Sequence[str] = ("ring", "mesh2d"),
                 interval: int = 200,
                 rounds: Optional[int] = None,
                 fault_seed: int = 1,
-                policy: str = "static",
                 window: int = 8_000,
                 faults: Optional[str] = None,
                 link_profile: Optional[str] = None) -> Plan:
@@ -574,9 +573,9 @@ def degradation(topologies: Sequence[str] = ("ring", "mesh2d"),
     from the run's counters; ``links_failed`` / ``hop_inflation`` describe
     the surviving geometry (via the ``fabric_probe`` measurement).
 
-    ``faults`` / ``policy`` / ``link_profile`` expose the CLI knobs: an
-    explicit ``--faults`` spec (parsed, applied to *every* cell on top of
-    the severity), the routing policy, and a ``--link-profile`` spec.
+    ``faults`` / ``link_profile`` expose the CLI knobs: an explicit
+    ``--faults`` spec (parsed, applied to *every* cell on top of the
+    severity) and a ``--link-profile`` spec.
     """
     severities = tuple(float(s) for s in severities)
     if 0.0 not in severities:  # the normalization baseline
@@ -588,7 +587,6 @@ def degradation(topologies: Sequence[str] = ("ring", "mesh2d"),
         "client_cores_per_unit": 3,
         "fault_seed": int(fault_seed),
         "fault_window_cycles": int(window),
-        "routing_policy": policy,
     }
     if faults:
         base.update(parse_fault_spec(faults))

@@ -197,12 +197,11 @@ def smt_point(config: SystemConfig, mechanism: str,
 # Degraded-fabric geometry probe (no workload; pure routing)
 # ----------------------------------------------------------------------
 def fabric_probe(config: SystemConfig, mechanism: str) -> Dict[str, float]:
-    """Route inflation of a fabric under its config's *permanent* faults.
+    """Route inflation of a fabric under its config's faults.
 
     Applies the deterministic :class:`~repro.sim.topo.faults.FaultPlan`'s
-    permanent failures instantly (transients are a timing effect, invisible
-    to steady-state geometry) and compares every ordered pair's surviving
-    route against the pristine table.  ``mechanism`` is unused — fabric
+    failures instantly and compares every ordered pair's surviving route
+    against the pristine table.  ``mechanism`` is unused — fabric
     geometry is mechanism-independent — and rides along so the spec shape
     stays uniform.
     """
@@ -216,12 +215,7 @@ def fabric_probe(config: SystemConfig, mechanism: str) -> Dict[str, float]:
     topology = interconnect.topology
     plan = FaultPlan.from_config(config, topology)
     for event in plan.events:
-        if not event.permanent:
-            continue
-        if event.kind == "link":
-            interconnect.fail_link(event.target, event.at)
-        else:
-            interconnect.fail_unit(event.target, event.at)
+        interconnect.fail_link(event.channel, event.at)
     pairs = [
         (src, dst)
         for src in range(config.num_units)
@@ -233,7 +227,6 @@ def fabric_probe(config: SystemConfig, mechanism: str) -> Dict[str, float]:
     return {
         "pairs": len(pairs),
         "links_failed": len(interconnect.dead_channels),
-        "units_failed": len(interconnect.dead_units),
         "plan_events": len(plan.events),
         "plan_skipped": len(plan.skipped),
         "mean_hops": pristine / len(pairs) if pairs else 0.0,

@@ -58,7 +58,6 @@ CONFIG_ALIASES = {
     "elide": "elide_waits",
     "fault_rate": "fault_link_rate",
     "link_latency": "link_latency_ns",
-    "policy": "routing_policy",
     "st": "st_entries",
     "topo": "topology",
     "units": "num_units",
@@ -131,7 +130,7 @@ class RunSpec:
             # the seed is never forwarded to these, so hashing it would
             # split cache entries between physically identical runs.
             seed = None
-        return cls(
+        spec = cls(
             workload=workload,
             args=_frozen_kwargs(args),
             mechanism=mechanism,
@@ -140,6 +139,10 @@ class RunSpec:
             seed=seed,
             scale=run_scale or scale(),
         )
+        # Every plan, sweep and co-run builds its specs here, so a bad
+        # override fails while planning, before any worker simulates.
+        spec.config().validate()
+        return spec
 
     # ------------------------------------------------------------------
     def args_dict(self) -> Dict[str, Any]:

@@ -43,32 +43,13 @@ def _norm_link_profile(entries) -> Tuple:
 
 
 def _norm_fault_links(entries) -> Tuple:
-    """Canonical ``(src, dst, at_cycle, down_cycles)``; 3-tuples mean permanent."""
+    """Canonical ``(src, dst, at_cycle)`` int tuples."""
     out = []
     for entry in entries:
         entry = tuple(entry)
-        if len(entry) == 3:
-            entry = entry + (0,)
-        if len(entry) != 4:
-            raise ValueError(
-                "fault_links entries must be (src, dst, at_cycle[, "
-                f"down_cycles]), got {entry!r}"
-            )
-        out.append(tuple(int(v) for v in entry))
-    return tuple(out)
-
-
-def _norm_fault_units(entries) -> Tuple:
-    """Canonical ``(unit, at_cycle, down_cycles)``; 2-tuples mean permanent."""
-    out = []
-    for entry in entries:
-        entry = tuple(entry)
-        if len(entry) == 2:
-            entry = entry + (0,)
         if len(entry) != 3:
             raise ValueError(
-                "fault_units entries must be (unit, at_cycle[, down_cycles]), "
-                f"got {entry!r}"
+                f"fault_links entries must be (src, dst, at_cycle), got {entry!r}"
             )
         out.append(tuple(int(v) for v in entry))
     return tuple(out)
@@ -195,33 +176,18 @@ class SystemConfig:
     #: (``link_bandwidth_gbps`` / ``link_latency_ns``).  Channels not listed
     #: use the globals, so ``()`` — the default — is the uniform fabric.
     link_profile: Tuple = ()
-    #: route selection over the fabric (see :mod:`repro.sim.topo.policies`):
-    #: ``"static"`` (pristine table; BFS fallback only when a fault severs
-    #: the path), ``"degraded"`` (least-cost over surviving channels by
-    #: per-link latency + serialization), or ``"load_aware"`` (per-transfer
-    #: choice among minimal routes by live link queue depth).
-    routing_policy: str = "static"
 
     # --- fault injection (see :mod:`repro.sim.topo.faults`) -------------
+    # Every fault is a permanent link failure; routes detour around it.
     #: seed for the rate-derived part of the fault plan.
     fault_seed: int = 0
-    #: explicit link faults: ``(src, dst, at_cycle, down_cycles)`` with
-    #: ``down_cycles == 0`` meaning permanent (3-tuples are normalized).
+    #: explicit link faults: ``(src, dst, at_cycle)`` per directed channel.
     fault_links: Tuple = ()
-    #: explicit unit faults: ``(unit, at_cycle, down_cycles)``.  A failed
-    #: unit stops *forwarding* transit traffic but remains reachable as an
-    #: endpoint (its cores and memory still operate).
-    fault_units: Tuple = ()
-    #: fraction of physical channels that fail permanently at a
-    #: seed-derived time within ``fault_window_cycles``.
+    #: fraction of physical channels that fail at a seed-derived time
+    #: within ``fault_window_cycles``.
     fault_link_rate: float = 0.0
-    #: fraction of physical channels that fail transiently (down for
-    #: ``fault_repair_cycles``) at a seed-derived time.
-    fault_transient_rate: float = 0.0
     #: rate-derived fault times are drawn uniformly from [0, window).
     fault_window_cycles: int = 20_000
-    #: downtime of one rate-derived transient fault.
-    fault_repair_cycles: int = 4_000
 
     # --- Synchronization Engine ------------------------------------------
     st_entries: int = 64
@@ -275,8 +241,6 @@ class SystemConfig:
                            _norm_link_profile(self.link_profile))
         object.__setattr__(self, "fault_links",
                            _norm_fault_links(self.fault_links))
-        object.__setattr__(self, "fault_units",
-                           _norm_fault_units(self.fault_units))
         if self.topo_rows > 0:
             # negative rows stay as-is for validate() to reject.
             from repro.sim.topo.regular import TOPOLOGIES
@@ -349,7 +313,6 @@ class SystemConfig:
         # imported here: repro.sim.topo has no module-level config import,
         # but keeping this lazy makes the layering obvious and cycle-proof.
         from repro.sim.topo import build_topology
-        from repro.sim.topo.policies import POLICIES
 
         if self.num_units < 1:
             raise ValueError("need at least one NDP unit")
@@ -358,13 +321,7 @@ class SystemConfig:
         # raises for unknown topology names (and, for grid fabrics, rows
         # that don't divide num_units).  Non-grid fabrics can't reach here
         # with rows set: __post_init__ normalized them to 0.
-        build_topology(self)
-        if self.routing_policy not in POLICIES:
-            raise ValueError(
-                f"unknown routing_policy {self.routing_policy!r}; choose "
-                f"from {sorted(POLICIES)}"
-            )
-        self._validate_fabric_overrides()
+        self._validate_fabric_overrides(build_topology(self))
         if not 0 < self.client_cores_per_unit <= self.cores_per_unit:
             raise ValueError("client cores must be in (0, cores_per_unit]")
         if self.threads_per_core < 1:
@@ -429,28 +386,16 @@ class SystemConfig:
                 or isinstance(self.fault_seed, bool):
             raise ValueError("fault_seed must be an int")
 
-    def _validate_fabric_overrides(self) -> None:
-        """Shape/range checks for link_profile and the fault fields.
-
-        Whether a profiled or faulted channel physically exists in the
-        chosen fabric is checked where the channel set is known — by the
-        :class:`~repro.sim.network.Interconnect` (profiles) and
-        :class:`~repro.sim.topo.faults.FaultPlan` (faults).
-        """
+    def _validate_fabric_overrides(self, topology) -> None:
+        """Shape/range checks for link_profile and the fault fields, and
+        that every profiled or faulted channel exists in ``topology``."""
         n = self.num_units
         if not 0.0 <= self.fault_link_rate <= 1.0:
             raise ValueError(
                 f"fault_link_rate must be in [0, 1], got {self.fault_link_rate}"
             )
-        if not 0.0 <= self.fault_transient_rate <= 1.0:
-            raise ValueError(
-                "fault_transient_rate must be in [0, 1], got "
-                f"{self.fault_transient_rate}"
-            )
         if self.fault_window_cycles < 1:
             raise ValueError("fault_window_cycles must be positive")
-        if self.fault_repair_cycles < 1:
-            raise ValueError("fault_repair_cycles must be positive")
         seen = set()
         for src, dst, gbps, lat in self.link_profile:
             if src == dst or not (0 <= src < n and 0 <= dst < n):
@@ -471,19 +416,25 @@ class SystemConfig:
                 raise ValueError("link_profile bandwidth must be positive")
             if lat is not None and lat < 0:
                 raise ValueError("link_profile latency must be non-negative")
-        for src, dst, at, down in self.fault_links:
+        for src, dst, at in self.fault_links:
             if src == dst or not (0 <= src < n and 0 <= dst < n):
                 raise ValueError(
                     f"fault_links channel ({src}, {dst}) is not an ordered "
                     f"pair of distinct units in [0, {n})"
                 )
-            if at < 0 or down < 0:
-                raise ValueError("fault times and durations must be >= 0")
-        for unit, at, down in self.fault_units:
-            if not 0 <= unit < n:
-                raise ValueError(f"fault_units unit {unit} not in [0, {n})")
-            if at < 0 or down < 0:
-                raise ValueError("fault times and durations must be >= 0")
+            if at < 0:
+                raise ValueError("fault times must be >= 0")
+        if not (self.link_profile or self.fault_links):
+            return  # skip forcing the full routing table
+        channels = set(topology.channels())
+        for field_name, entries in (("link_profile", self.link_profile),
+                                    ("fault_links", self.fault_links)):
+            for entry in entries:
+                if entry[:2] not in channels:
+                    raise ValueError(
+                        f"{field_name} channel {entry[:2]} does not exist "
+                        f"in the {topology.name!r} fabric"
+                    )
 
 
 def ndp_2_5d(**overrides) -> SystemConfig:

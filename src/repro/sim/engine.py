@@ -44,10 +44,8 @@ written for throughput first:
   callbacks opened, and never merges the observed drain's in-dict bucket
   with itself, so resuming fires the rest in the order an uninterrupted
   run would have.
-- Past-scheduling validation is real kernel-misuse detection, but it costs a
-  branch on every scheduling call; it stays on by default (``validate=None``
-  honours the ``REPRO_SIM_VALIDATE`` environment variable) and large
-  production sweeps can construct ``Simulator(validate=False)``.
+- Past-scheduling validation is always on: the ``delay < 0`` /
+  ``time < now`` compare is the branch the valid path takes anyway.
 - ``__slots__`` on :class:`Simulator` and :class:`Process` keep the millions
   of attribute accesses on the hot path dict-free.
 
@@ -93,17 +91,11 @@ simulated state.
 
 from __future__ import annotations
 
-import os
 from heapq import heappop, heappush
 from time import perf_counter
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 _INFINITY = float("inf")
-
-
-def _default_validate() -> bool:
-    """Validation default: on, unless ``REPRO_SIM_VALIDATE=0`` is exported."""
-    return os.environ.get("REPRO_SIM_VALIDATE", "1") != "0"
 
 
 class SimulationError(RuntimeError):
@@ -343,20 +335,16 @@ class Simulator:
     """
 
     __slots__ = ("now", "_times", "_buckets", "_events_processed",
-                 "_validate", "_elide", "_waiting", "elided_events",
+                 "_elide", "_waiting", "elided_events",
                  "profile", "wake_log", "sanitizer", "_observers")
 
-    def __init__(self, validate: Optional[bool] = None,
-                 elide_waits: bool = True) -> None:
+    def __init__(self, elide_waits: bool = True) -> None:
         self.now: int = 0
         #: min-heap of distinct pending timestamps (plain ints).
         self._times: List[int] = []
         #: timestamp -> flat event list [cb, args, cb, args, ...].
         self._buckets: Dict[int, list] = {}
         self._events_processed: int = 0
-        self._validate: bool = (
-            _default_validate() if validate is None else validate
-        )
         #: elide wait-channel poll chains (see the module docstring);
         #: False materializes them as burn events.
         self._elide: bool = elide_waits
@@ -455,9 +443,7 @@ class Simulator:
         in this codebase are ints by construction, and the kernel relies on
         that (timestamps are dict keys and heap entries).
         """
-        # The int compare short-circuits first so the common (valid) case
-        # never loads the validation flag.
-        if delay < 0 and self._validate:
+        if delay < 0:
             raise SimulationError(f"cannot schedule {delay} cycles into the past")
         time = self.now + delay
         bucket = self._buckets.get(time)
@@ -471,7 +457,7 @@ class Simulator:
     def schedule_at(self, time: int, callback: Callable[..., None], *args) -> None:
         """Schedule ``callback(*args)`` to run at absolute cycle ``time``
         (a whole number of cycles; see :meth:`schedule`)."""
-        if time < self.now and self._validate:
+        if time < self.now:
             raise SimulationError(
                 f"cannot schedule at t={time}, current time is {self.now}"
             )

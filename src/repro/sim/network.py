@@ -22,13 +22,12 @@ channel per ordered unit pair and reproduces the pre-topology simulator
 bit-identically.
 
 Degraded and heterogeneous fabrics: ``SystemConfig.link_profile`` gives
-individual channels their own bandwidth/latency, a
-:class:`~repro.sim.topo.faults.FaultPlan` kills channels or unit routers
-mid-run (see :meth:`Interconnect.fail_link`), and the configured
-:mod:`routing policy <repro.sim.topo.policies>` decides how routes are
-recomputed over the survivors.  The zero-fault, uniform-profile, static
-path is the memoized pristine table — bit-identical to a fabric that has
-none of this machinery.
+individual channels their own bandwidth/latency, and a
+:class:`~repro.sim.topo.faults.FaultPlan` kills channels permanently
+mid-run (see :meth:`Interconnect.fail_link`).  Routing is static: each pair
+keeps its pristine route until a fault severs it, then takes the shortest
+surviving path.  The zero-fault path is the memoized pristine table —
+bit-identical to a fabric that has none of this machinery.
 
 Both components are timing only.  :meth:`Interconnect.transfer_latency`
 is the one packet path: it runs the crossbar and link steps and records the
@@ -54,9 +53,7 @@ from repro.sim.topo import (
     Channel,
     FabricPartitionedError,
     Topology,
-    build_policy,
     build_topology,
-    route_intact,
     unreachable_pairs,
 )
 from repro.telemetry import get_telemetry
@@ -180,12 +177,6 @@ class Link:
         #: distinct sizes, so each is computed once.
         self._serialization: Dict[int, int] = {}
 
-    def queue_delay(self, now: int) -> int:
-        """Cycles a packet injected at ``now`` would wait behind earlier
-        traffic (the load-aware policy's selection signal; read-only)."""
-        wait = self._next_free - now
-        return wait if wait > 0 else 0
-
     def serialization_cycles(self, nbytes: int) -> int:
         """Cycles to clock ``nbytes`` onto the channel (at least one)."""
         serialization = self._serialization.get(nbytes)
@@ -219,21 +210,18 @@ class Interconnect:
     routes that share a channel share its reservation queue) and memoizes
     each ordered pair's route as a tuple of Link objects for the hot path.
 
-    Fault state lives here too: :meth:`fail_link` / :meth:`fail_unit`
-    (driven by :meth:`FaultPlan.arm <repro.sim.topo.faults.FaultPlan.arm>`
-    timers) mark channels/routers dead, invalidate the memoized routes, and
-    let the configured routing policy recompute over the survivors.  The
-    fabric stays on the policy path once the first fault lands
-    (``_degraded`` is sticky) so downtime accounting and reroute detection
-    stay deterministic across repair churn; a fault that disconnects live
-    units raises :class:`FabricPartitionedError` at injection — loudly,
-    never as a hang.
+    Fault state lives here too: :meth:`fail_link` (driven by
+    :meth:`FaultPlan.arm <repro.sim.topo.faults.FaultPlan.arm>` timers)
+    marks a channel dead for the rest of the run and invalidates the
+    memoized routes; each pair then keeps its pristine route if it
+    survives, else takes the shortest surviving path (:meth:`_resolve`).
+    A fault that disconnects live units raises
+    :class:`FabricPartitionedError` at injection — loudly, never as a hang.
     """
 
     __slots__ = ("config", "stats", "crossbars", "topology", "_links",
-                 "_routes", "_profiles", "_policy", "_adaptive", "_degraded",
-                 "_dead_channels", "_dead_units", "_down_since", "_resolved",
-                 "_local_bits")
+                 "_routes", "_profiles", "_degraded", "_dead_channels",
+                 "_down_since", "_resolved", "_local_bits")
 
     def __init__(self, config: SystemConfig, stats: SystemStats):
         self.config = config
@@ -243,19 +231,13 @@ class Interconnect:
         self._links: Dict[Channel, Link] = {}
         self._routes: Dict[Tuple[int, int], Tuple[Link, ...]] = {}
         self._profiles = self._build_profiles(config)
-        self._policy = build_policy(config.routing_policy, self.topology, self)
-        #: multipath policies resolve per transfer; single-path memoize.
-        self._adaptive = self._policy.multipath
-        #: sticky: flips on the first fault and stays on, moving the hot
-        #: path from the pristine table to the policy layer for the rest of
-        #: the run.  A non-static policy starts there — e.g. "degraded"
-        #: reshapes routes around slow profiled links with nothing failed.
-        self._degraded = self._policy.name != "static"
+        #: flips on the first fault, moving the hot path from the pristine
+        #: table to :meth:`_resolve` for the rest of the run.
+        self._degraded = False
         self._dead_channels: Set[Channel] = set()
-        self._dead_units: Set[int] = set()
         self._down_since: Dict[Channel, int] = {}
-        #: (src, dst) -> ((links, extra_hops), ...) candidates under the
-        #: policy; cleared whenever fabric state changes.
+        #: (src, dst) -> (links, extra_hops) on the faulted fabric; cleared
+        #: whenever a channel fails.
         self._resolved: Dict[Tuple[int, int], Tuple] = {}
         #: local_bit_hops per payload byte crossing one crossbar.
         self._local_bits = 8 * config.local_hops
@@ -264,21 +246,15 @@ class Interconnect:
     # Heterogeneous link parameters
     # ------------------------------------------------------------------
     def _build_profiles(self, config: SystemConfig) -> Dict[Channel, Tuple[float, int]]:
-        """channel -> (bytes/cycle, latency cycles) from the link profile."""
+        """channel -> (bytes/cycle, latency cycles) from the link profile
+        (whose channels :meth:`SystemConfig.validate` checked exist)."""
         if not config.link_profile:
             return {}
-        valid = set(self.topology.channels())
         default_bpc = config.link_bytes_per_cycle
         default_lat = config.link_latency_cycles
         profiles: Dict[Channel, Tuple[float, int]] = {}
         for src, dst, gbps, lat_ns in config.link_profile:
-            channel = (src, dst)
-            if channel not in valid:
-                raise ValueError(
-                    f"link_profile channel {channel} does not exist in the "
-                    f"{self.topology.name!r} fabric"
-                )
-            profiles[channel] = (
+            profiles[(src, dst)] = (
                 # GB/s -> bytes/core-cycle, same conversion as the
                 # SystemConfig.link_bytes_per_cycle property.
                 default_bpc if gbps is None else gbps / 2.5,
@@ -292,12 +268,6 @@ class Interconnect:
         if profile is not None:
             return profile
         return self.config.link_bytes_per_cycle, self.config.link_latency_cycles
-
-    def link_cost(self, channel: Channel) -> float:
-        """Route cost of one channel for the degraded-shortest-path policy:
-        propagation latency plus one cache line's serialization time."""
-        bytes_per_cycle, latency = self.link_parameters(channel)
-        return latency + self.config.cache_line_bytes / bytes_per_cycle
 
     def _link_for(self, channel: Channel) -> Link:
         link = self._links.get(channel)
@@ -323,73 +293,58 @@ class Interconnect:
             self._routes[key] = route
         return route
 
-    def _resolve(self, key: Tuple[int, int]) -> Tuple:
-        """Policy-layer route candidates for one pair (memoized).
+    def _resolve(self, src_unit: int, dst_unit: int) -> Tuple:
+        """(links, extra_hops) of one pair on a faulted fabric (memoized).
 
-        Counts a ``reroute`` (and emits telemetry) when the pristine route
-        is severed by the current fault state — once per pair per fault
-        epoch, since every fabric-state change clears the memo.
+        The pristine route while none of its channels is dead, else the
+        shortest surviving path (:meth:`Topology.fallback_route
+        <repro.sim.topo.base.Topology.fallback_route>`), which counts a
+        ``reroute`` (and emits telemetry) once per pair per fault epoch:
+        every failure clears the memo.
         """
-        src_unit, dst_unit = key
         pristine = self.topology.route(src_unit, dst_unit)
-        tel = get_telemetry()
-        if tel.enabled:
-            with tel.span("fabric.resolve", policy=self._policy.name):
-                routes = self._policy.candidates(src_unit, dst_unit)
-        else:
-            routes = self._policy.candidates(src_unit, dst_unit)
-        if (self._dead_channels or self._dead_units) and not route_intact(
-                pristine, self._dead_channels, self._dead_units):
+        dead = self._dead_channels
+        route = pristine
+        if any(channel in dead for channel in pristine):
+            tel = get_telemetry()
+            with tel.span("fabric.resolve"):
+                route = self.topology.fallback_route(src_unit, dst_unit, dead)
+            if route is None:
+                raise FabricPartitionedError(
+                    f"no surviving route {src_unit} -> {dst_unit} on the "
+                    f"{self.topology.name!r} fabric ({len(dead)} dead "
+                    "channels)"
+                )
             self.stats.reroutes += 1
             if tel.enabled:
                 tel.count("fabric.reroutes")
                 tel.event("fabric.reroute", src=src_unit, dst=dst_unit,
                           pristine_hops=len(pristine),
-                          detour_hops=len(routes[0]))
-        pristine_hops = len(pristine)
-        candidates = tuple(
-            (
-                tuple(self._link_for(channel) for channel in route),
-                len(route) - pristine_hops if len(route) > pristine_hops else 0,
-            )
-            for route in routes
-        )
-        self._resolved[key] = candidates
-        return candidates
+                          detour_hops=len(route))
+        extra = len(route) - len(pristine)
+        resolved = (tuple(self._link_for(channel) for channel in route),
+                    extra if extra > 0 else 0)
+        self._resolved[(src_unit, dst_unit)] = resolved
+        return resolved
 
-    def _routed(self, src_unit: int, dst_unit: int, now: int) -> Tuple:
-        """(links, extra_hops) for one transfer under the active policy."""
-        candidates = self._resolved.get((src_unit, dst_unit))
-        if candidates is None:
-            candidates = self._resolve((src_unit, dst_unit))
-        if len(candidates) == 1:
-            return candidates[0]
-        # Load-aware: pick the candidate with the least queued backlog at
-        # injection time; ties keep enumeration (lexicographic) order.
-        best = candidates[0]
-        best_wait = -1
-        for candidate in candidates:
-            wait = 0
-            for link in candidate[0]:
-                wait += link.queue_delay(now)
-            if best_wait < 0 or wait < best_wait:
-                best, best_wait = candidate, wait
-        return best
+    def _routed(self, src_unit: int, dst_unit: int) -> Tuple:
+        """(links, extra_hops) of one pair on a faulted fabric."""
+        resolved = self._resolved.get((src_unit, dst_unit))
+        if resolved is None:
+            resolved = self._resolve(src_unit, dst_unit)
+        return resolved
 
     def remote_hops(self, src_unit: int, dst_unit: int) -> int:
         """Physical links a ``src -> dst`` transfer crosses (0 if local).
 
-        On a degraded or adaptive fabric this is the policy's primary
-        route, so analytically-charged (elided) transfers account the same
-        hop count real packets pay.
+        On a faulted fabric this is the current (possibly detoured) route,
+        so analytically-charged (elided) transfers account the same hop
+        count real packets pay.
         """
         if src_unit == dst_unit:
             return 0
-        if self._degraded or self._adaptive:
-            candidates = self._resolved.get((src_unit, dst_unit))
-            if candidates is None:
-                candidates = self._resolve((src_unit, dst_unit))
-            return len(candidates[0][0])
+        if self._degraded:
+            return len(self._routed(src_unit, dst_unit)[0])
         return self.topology.hops(src_unit, dst_unit)
 
     # ------------------------------------------------------------------
@@ -399,25 +354,8 @@ class Interconnect:
     def dead_channels(self) -> Set[Channel]:
         return self._dead_channels
 
-    @property
-    def dead_units(self) -> Set[int]:
-        return self._dead_units
-
-    def _invalidate(self) -> None:
-        self._routes.clear()
-        self._resolved.clear()
-
-    def _check_connected(self, now: int) -> None:
-        gaps = unreachable_pairs(
-            self.topology, self._dead_channels, self._dead_units)
-        if gaps:
-            raise FabricPartitionedError(
-                f"fault at t={now} partitioned the {self.topology.name!r} "
-                f"fabric: {len(gaps)} unreachable unit pairs (e.g. {gaps[:4]})"
-            )
-
     def fail_link(self, channel: Channel, now: int = 0) -> None:
-        """Kill one directed channel (idempotent while already down)."""
+        """Kill one directed channel for the rest of the run (idempotent)."""
         channel = (channel[0], channel[1])
         if channel in self._dead_channels:
             return
@@ -426,54 +364,22 @@ class Interconnect:
             self._dead_channels.add(channel)
             self._down_since[channel] = now
             self._degraded = True
-            self._invalidate()
+            self._resolved.clear()
             if tel.enabled:
                 tel.count("fabric.faults")
                 tel.event("fabric.fault", kind="link", src=channel[0],
                           dst=channel[1], at=now)
-            self._check_connected(now)
-
-    def repair_link(self, channel: Channel, now: int = 0) -> None:
-        """Bring a dead channel back; charges its downtime."""
-        channel = (channel[0], channel[1])
-        if channel not in self._dead_channels:
-            return
-        self._dead_channels.discard(channel)
-        down_since = self._down_since.pop(channel)
-        if now > down_since:
-            self.stats.failed_link_cycles += now - down_since
-        self._invalidate()
-        tel = get_telemetry()
-        if tel.enabled:
-            tel.event("fabric.repair", kind="link", src=channel[0],
-                      dst=channel[1], at=now, down=now - down_since)
-
-    def fail_unit(self, unit: int, now: int = 0) -> None:
-        """Kill one unit's router: no transit, but still a valid endpoint."""
-        if unit in self._dead_units:
-            return
-        tel = get_telemetry()
-        with tel.span("fabric.fault", kind="unit"):
-            self._dead_units.add(unit)
-            self._degraded = True
-            self._invalidate()
-            if tel.enabled:
-                tel.count("fabric.faults")
-                tel.event("fabric.fault", kind="unit", unit=unit, at=now)
-            self._check_connected(now)
-
-    def repair_unit(self, unit: int, now: int = 0) -> None:
-        if unit not in self._dead_units:
-            return
-        self._dead_units.discard(unit)
-        self._invalidate()
-        tel = get_telemetry()
-        if tel.enabled:
-            tel.event("fabric.repair", kind="unit", unit=unit, at=now)
+            gaps = unreachable_pairs(self.topology, self._dead_channels)
+            if gaps:
+                raise FabricPartitionedError(
+                    f"fault at t={now} partitioned the {self.topology.name!r} "
+                    f"fabric: {len(gaps)} unreachable unit pairs "
+                    f"(e.g. {gaps[:4]})"
+                )
 
     def finalize_faults(self, now: int) -> None:
-        """Charge downtime of links still dead at end of run (permanent
-        faults never see a repair event; idempotent at a fixed ``now``)."""
+        """Charge the downtime of every dead link up to ``now``, the end
+        of the run (idempotent at a fixed ``now``)."""
         for channel, since in self._down_since.items():
             if now > since:
                 self.stats.failed_link_cycles += now - since
@@ -545,8 +451,8 @@ class Interconnect:
             if tenant is not None:
                 tenant.bytes_inside_units += nbytes
             return latency
-        if self._degraded or self._adaptive:
-            route, extra = self._routed(src_unit, dst_unit, now + latency)
+        if self._degraded:
+            route, extra = self._routed(src_unit, dst_unit)
             if extra:
                 stats.detour_bit_hops += nbytes * 8 * extra
         else:
@@ -620,16 +526,16 @@ class Interconnect:
         per burst; a crossbar step whose load estimate is at or below its
         limit skips the M/D/1 formula, as in :meth:`transfer_latency` (the
         bound and the measured traffic are in :class:`Crossbar`).
-        Degraded and adaptive fabrics, whose routes may change per packet,
-        resolve every transfer through :meth:`transfer_latency` and every
-        access through ``dram.access`` instead.
+        A faulted fabric, whose routes may change mid-burst, resolves every
+        transfer through :meth:`transfer_latency` and every access through
+        ``dram.access`` instead.
         """
         if count <= 0:
             return 0
         cursor = now
         local = src_unit == dst_unit
         access = dram.access
-        if not local and (self._degraded or self._adaptive):
+        if not local and self._degraded:
             transfer = self.transfer_latency
             for _ in range(count):
                 latency = transfer(src_unit, dst_unit, cursor, request_bytes)

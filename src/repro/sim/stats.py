@@ -38,10 +38,8 @@ from typing import Dict, FrozenSet, List, Optional
 #: counter that every report reads as zero; the RP006 lint rule requires
 #: each ``stats.extra[...]`` store to use a string literal from this set.
 EXTRA_COUNTERS: FrozenSet[str] = frozenset({
-    #: bakery-mutex waitlist scans performed by server cores.
+    #: doorway scans of the bakery lock baseline.
     "bakery_scans",
-    #: bakery-mutex ticket re-polls (spin iterations at the SE).
-    "bakery_polls",
     #: failed lock/CAS attempts retried by spinning baselines.
     "spin_retries",
     #: read-modify-write operations executed by remote-atomics baselines.
@@ -131,7 +129,7 @@ class SystemStats:
     #: and switched to a surviving detour (once per pair per fault epoch).
     reroutes: int = 0
     #: cycles x links of downtime: every failed link's unavailable time,
-    #: charged on repair (transients) or at end of run (permanent faults).
+    #: charged at the end of the run.
     failed_link_cycles: int = 0
     #: the share of ``link_bit_hops`` that exists only because transfers
     #: detoured around faults (bits x extra links vs. the pristine route).

@@ -89,6 +89,9 @@ class MechanismBase:
     """Shared bookkeeping for mechanism implementations."""
 
     name = "base"
+    #: the sync ops :meth:`request` implements; a baseline that models
+    #: only what its experiments measure narrows this.
+    OPS: Tuple[str, ...] = tuple(OP_KINDS)
 
     def __init__(self, system: "object"):
         self.system = system
@@ -126,6 +129,13 @@ class MechanismBase:
     # Subclasses override these two.
     def request(self, core, op, var, info, callback) -> None:  # pragma: no cover
         raise NotImplementedError
+
+    def _unimplemented(self, op: str) -> NotImplementedError:
+        """The error :meth:`request` raises for an op outside :attr:`OPS`."""
+        return NotImplementedError(
+            f"mechanism {self.name!r} does not implement {op!r}; it "
+            f"implements {', '.join(self.OPS)}"
+        )
 
     def request_async(self, core, op, var, info) -> int:
         """Default: model req_async as a request whose ACK nobody waits for."""

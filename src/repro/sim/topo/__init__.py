@@ -2,10 +2,10 @@
 
 See :mod:`repro.sim.topo.base` for the interface,
 :mod:`repro.sim.topo.regular` for the concrete fabrics
-(``all_to_all`` / ``ring`` / ``mesh2d`` / ``torus2d``),
-:mod:`repro.sim.topo.faults` for link/unit fault plans, and
-:mod:`repro.sim.topo.policies` for the routing policies that pick routes
-over a (possibly degraded) fabric.
+(``all_to_all`` / ``ring`` / ``mesh2d`` / ``torus2d``), and
+:mod:`repro.sim.topo.faults` for permanent link-fault plans.  Routing is
+static: the pristine shortest-path table, with a BFS detour around dead
+channels once a fault severs a route.
 """
 
 from repro.sim.topo.base import (
@@ -23,12 +23,6 @@ from repro.sim.topo.faults import (
     parse_link_profile,
     unreachable_pairs,
 )
-from repro.sim.topo.policies import (
-    POLICIES,
-    RoutingPolicy,
-    build_policy,
-    route_intact,
-)
 from repro.sim.topo.regular import TOPOLOGIES, AllToAll, Mesh2D, Ring, Torus2D
 
 __all__ = [
@@ -38,18 +32,14 @@ __all__ = [
     "FaultEvent",
     "FaultPlan",
     "Mesh2D",
-    "POLICIES",
     "Ring",
     "Route",
-    "RoutingPolicy",
     "TOPOLOGIES",
     "Topology",
     "Torus2D",
-    "build_policy",
     "build_topology",
     "mesh_shape",
     "parse_fault_spec",
     "parse_link_profile",
-    "route_intact",
     "unreachable_pairs",
 ]

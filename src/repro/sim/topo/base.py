@@ -21,18 +21,9 @@ Concrete fabrics live in :mod:`repro.sim.topo.regular`;
 
 from __future__ import annotations
 
-import heapq
 import math
 import warnings
-from typing import (
-    AbstractSet,
-    Callable,
-    Dict,
-    List,
-    Optional,
-    Tuple,
-    TYPE_CHECKING,
-)
+from typing import AbstractSet, Dict, List, Optional, Tuple, TYPE_CHECKING
 
 if TYPE_CHECKING:  # avoid an import cycle: config validates via this package
     from repro.sim.config import SystemConfig
@@ -102,7 +93,7 @@ class Topology:
         return sum(remote) / len(remote) if remote else 0.0
 
     # ------------------------------------------------------------------
-    # Graph view (degraded-fabric routing: faults + adaptive policies)
+    # Graph view (rerouting around failed links)
     # ------------------------------------------------------------------
     def adjacency(self) -> Dict[int, Tuple[int, ...]]:
         """node -> neighbors one physical channel away, sorted (memoized).
@@ -120,30 +111,22 @@ class Topology:
             }
         return self._adjacency
 
-    def _check_pair(self, src: int, dst: int) -> None:
-        if not (0 <= src < self.num_nodes and 0 <= dst < self.num_nodes):
-            raise ValueError(
-                f"nodes must be in [0, {self.num_nodes}), got {src}->{dst}"
-            )
-
     def fallback_route(
         self,
         src: int,
         dst: int,
         dead_channels: AbstractSet[Channel] = frozenset(),
-        dead_units: AbstractSet[int] = frozenset(),
     ) -> Optional[Route]:
-        """Shortest surviving path by BFS, or ``None`` if unreachable.
-
-        Fault semantics: a dead channel carries nothing; a dead *unit*
-        forwards nothing (its router is down) but is still a valid endpoint
-        — its cores and memory operate, so packets may originate at or be
-        delivered to it, just never transit through it.
+        """Shortest path avoiding ``dead_channels`` by BFS, or ``None`` if
+        ``dst`` is unreachable.
 
         Deterministic: layers expand in sorted-neighbor order, so equal-
         length alternatives always resolve the same way.
         """
-        self._check_pair(src, dst)
+        if not (0 <= src < self.num_nodes and 0 <= dst < self.num_nodes):
+            raise ValueError(
+                f"nodes must be in [0, {self.num_nodes}), got {src}->{dst}"
+            )
         if src == dst:
             return ()
         adjacency = self.adjacency()
@@ -152,8 +135,6 @@ class Topology:
         while frontier:
             next_frontier = []
             for node in frontier:
-                if node != src and node in dead_units:
-                    continue  # reachable as endpoint, no transit
                 for nbr in adjacency[node]:
                     if nbr in parent or (node, nbr) in dead_channels:
                         continue
@@ -166,104 +147,6 @@ class Topology:
                         return tuple(zip(path, path[1:]))
                     next_frontier.append(nbr)
             frontier = next_frontier
-        return None
-
-    def minimal_routes(
-        self,
-        src: int,
-        dst: int,
-        dead_channels: AbstractSet[Channel] = frozenset(),
-        dead_units: AbstractSet[int] = frozenset(),
-        limit: int = 8,
-    ) -> Tuple[Route, ...]:
-        """Up to ``limit`` distinct minimal-hop routes over the survivors.
-
-        Enumerated lexicographically (sorted-neighbor DFS over the
-        shortest-path DAG), so the tuple is deterministic and its first
-        entry equals :meth:`fallback_route`'s choice up to tie-breaking.
-        Empty when ``dst`` is unreachable.
-        """
-        self._check_pair(src, dst)
-        if src == dst:
-            return ((),)
-        adjacency = self.adjacency()
-        # BFS distance labels under the same transit rule as fallback_route.
-        dist: Dict[int, int] = {src: 0}
-        frontier = [src]
-        depth = 0
-        while frontier and dst not in dist:
-            depth += 1
-            next_frontier = []
-            for node in frontier:
-                if node != src and node in dead_units:
-                    continue
-                for nbr in adjacency[node]:
-                    if nbr in dist or (node, nbr) in dead_channels:
-                        continue
-                    dist[nbr] = depth
-                    next_frontier.append(nbr)
-            frontier = next_frontier
-        target = dist.get(dst)
-        if target is None:
-            return ()
-        routes: List[Route] = []
-
-        def extend(node: int, path: List[int]) -> None:
-            if len(routes) >= limit:
-                return
-            if node == dst:
-                routes.append(tuple(zip(path, path[1:])))
-                return
-            if node != src and node in dead_units:
-                return
-            here = len(path) - 1
-            for nbr in adjacency[node]:
-                if (node, nbr) in dead_channels or dist.get(nbr) != here + 1:
-                    continue
-                path.append(nbr)
-                extend(nbr, path)
-                path.pop()
-
-        extend(src, [src])
-        return tuple(routes)
-
-    def weighted_route(
-        self,
-        src: int,
-        dst: int,
-        cost_fn: Callable[[Channel], float],
-        dead_channels: AbstractSet[Channel] = frozenset(),
-        dead_units: AbstractSet[int] = frozenset(),
-    ) -> Optional[Route]:
-        """Least-cost surviving path (Dijkstra), or ``None`` if unreachable.
-
-        ``cost_fn`` maps a channel to a non-negative cost.  Ties break by
-        hop count, then by the node sequence itself, so the result is
-        deterministic for any cost function.
-        """
-        self._check_pair(src, dst)
-        if src == dst:
-            return ()
-        adjacency = self.adjacency()
-        heap: List[Tuple[float, int, Tuple[int, ...]]] = [(0.0, 0, (src,))]
-        settled: set = set()
-        while heap:
-            cost, hops, path = heapq.heappop(heap)
-            node = path[-1]
-            if node == dst:
-                return tuple(zip(path, path[1:]))
-            if node in settled:
-                continue
-            settled.add(node)
-            if node != src and node in dead_units:
-                continue
-            for nbr in adjacency[node]:
-                if nbr in settled or (node, nbr) in dead_channels:
-                    continue
-                heapq.heappush(
-                    heap,
-                    (cost + cost_fn((node, nbr)), hops + 1, path + (nbr,)),
-                )
         return None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

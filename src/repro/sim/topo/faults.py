@@ -1,28 +1,23 @@
-"""Deterministic link/unit fault plans for the inter-unit fabric.
+"""Deterministic link fault plans for the inter-unit fabric.
 
 A :class:`FaultPlan` is the full failure schedule of one run, fixed before
-the first simulated cycle: explicit faults listed in the config
-(``fault_links`` / ``fault_units``) plus rate-derived faults drawn from a
-seeded RNG over the fabric's channel set.  :meth:`FaultPlan.arm` turns the
-schedule into :class:`~repro.sim.engine.Simulator` timers that call into
-the :class:`~repro.sim.network.Interconnect` mid-run; the interconnect
-invalidates its memoized routes and recomputes over the surviving channels.
+the first simulated cycle: explicit link faults listed in the config
+(``fault_links``) plus rate-derived faults drawn from a seeded RNG over the
+fabric's channel set.  :meth:`FaultPlan.arm` turns the schedule into
+:class:`~repro.sim.engine.Simulator` timers that call
+:meth:`Interconnect.fail_link <repro.sim.network.Interconnect.fail_link>`
+mid-run; the interconnect invalidates its memoized routes and reroutes
+around the dead channels.
 
-Fault semantics:
-
-- A **link fault** kills one directed physical channel.
-- A **unit fault** kills a unit's *router*: the unit forwards no transit
-  traffic, but stays a valid endpoint — its cores and memory still operate.
-- ``down_cycles == 0`` means permanent; otherwise the fault is transient
-  and repairs itself after that many cycles.
+A fault kills one directed physical channel for the rest of the run.
 
 Determinism and partitions:
 
 - The rate-derived schedule depends only on ``fault_seed`` + the fabric, so
   the same config always produces the same plan (cache keys stay sound).
 - Rate-derived faults are *connectivity-guarded*: any drawn fault that
-  would disconnect a live unit pair at its scheduled time is dropped (kept
-  in :attr:`FaultPlan.skipped` for reporting), so a severity sweep degrades
+  would disconnect a unit pair at its scheduled time is dropped (kept in
+  :attr:`FaultPlan.skipped` for reporting), so a severity sweep degrades
   the fabric without ever cutting it apart.
 - *Explicit* faults are obeyed verbatim; if they partition the fabric the
   run fails loudly with :class:`FabricPartitionedError` at injection time —
@@ -48,29 +43,18 @@ class FabricPartitionedError(RuntimeError):
 
 @dataclass(frozen=True)
 class FaultEvent:
-    """One scheduled failure: what breaks, when, and for how long."""
+    """One scheduled permanent link failure."""
 
-    kind: str  # "link" | "unit"
-    target: object  # Channel for links, unit id for units
+    channel: Channel
     at: int
-    down: int = 0  # 0 = permanent
     source: str = "explicit"  # "explicit" | "random"
-
-    @property
-    def permanent(self) -> bool:
-        return self.down == 0
 
 
 def unreachable_pairs(
     topology: Topology,
     dead_channels: AbstractSet[Channel],
-    dead_units: AbstractSet[int],
 ) -> List[Tuple[int, int]]:
-    """Ordered unit pairs with no surviving route (empty = connected).
-
-    Uses the same transit rule as :meth:`Topology.fallback_route`: dead
-    units forward nothing but remain valid endpoints.
-    """
+    """Ordered unit pairs with no surviving route (empty = connected)."""
     adjacency = topology.adjacency()
     n = topology.num_nodes
     gaps: List[Tuple[int, int]] = []
@@ -80,8 +64,6 @@ def unreachable_pairs(
         while frontier:
             next_frontier = []
             for node in frontier:
-                if node != src and node in dead_units:
-                    continue
                 for nbr in adjacency[node]:
                     if nbr in reached or (node, nbr) in dead_channels:
                         continue
@@ -110,71 +92,40 @@ class FaultPlan:
 
         Cheap by construction for the default config: when no fault field
         is set this returns the empty plan without forcing the topology's
-        full routing table.
+        full routing table.  :meth:`SystemConfig.validate
+        <repro.sim.config.SystemConfig.validate>` has already checked that
+        every explicit channel exists.
         """
-        if not (config.fault_links or config.fault_units
-                or config.fault_link_rate or config.fault_transient_rate):
+        if not (config.fault_links or config.fault_link_rate):
             return cls()
 
-        explicit = [
-            FaultEvent("link", (src, dst), at, down)
-            for src, dst, at, down in config.fault_links
-        ]
-        explicit += [
-            FaultEvent("unit", unit, at, down)
-            for unit, at, down in config.fault_units
-        ]
-        channels = topology.channels()
-        channel_set = set(channels)
-        for event in explicit:
-            if event.kind == "link" and event.target not in channel_set:
-                raise ValueError(
-                    f"fault_links channel {event.target} does not exist in "
-                    f"the {topology.name!r} fabric"
-                )
-
+        explicit = [FaultEvent((src, dst), at)
+                    for src, dst, at in config.fault_links]
         randoms: List[FaultEvent] = []
-        if config.fault_link_rate or config.fault_transient_rate:
+        if config.fault_link_rate:
+            channels = topology.channels()
             rng = random.Random(f"faultplan:{config.fault_seed}")
-            n_perm = int(round(config.fault_link_rate * len(channels)))
-            n_trans = int(round(config.fault_transient_rate * len(channels)))
-            picks = rng.sample(channels, min(n_perm + n_trans, len(channels)))
+            count = int(round(config.fault_link_rate * len(channels)))
             window = config.fault_window_cycles
-            for channel in picks[:n_perm]:
+            for channel in rng.sample(channels, min(count, len(channels))):
                 randoms.append(FaultEvent(
-                    "link", channel, rng.randrange(window), 0, "random"))
-            for channel in picks[n_perm:n_perm + n_trans]:
-                randoms.append(FaultEvent(
-                    "link", channel, rng.randrange(window),
-                    config.fault_repair_cycles, "random"))
+                    channel, rng.randrange(window), "random"))
 
         kept, skipped = _guard_connectivity(topology, explicit, randoms)
         return cls(events=tuple(kept), skipped=tuple(skipped))
 
     # ------------------------------------------------------------------
     def arm(self, sim, interconnect) -> None:
-        """Schedule every event (and its repair) as simulator timers.
+        """Schedule every failure as a simulator timer, in plan order.
 
         The callbacks receive the event's own timestamp, so the
-        interconnect's downtime accounting never reads the clock.  Timers
-        are issued in the exact order the connectivity guard replayed —
-        repairs before failures at the same instant — so a guarded plan
+        interconnect's downtime accounting never reads the clock.  The plan
+        is in the order the connectivity guard replayed, so a guarded plan
         can never trip the interconnect's runtime partition check.
         """
-        timeline: List[Tuple[int, int, int, str, FaultEvent]] = []
-        for seq, event in enumerate(self.events):
-            timeline.append((event.at, 1, seq, "fail", event))
-            if event.down:
-                timeline.append((event.at + event.down, 0, seq, "repair", event))
-        timeline.sort(key=lambda item: item[:3])
-        for at, _phase, _seq, action, event in timeline:
-            if event.kind == "link":
-                fn = (interconnect.fail_link if action == "fail"
-                      else interconnect.repair_link)
-            else:
-                fn = (interconnect.fail_unit if action == "fail"
-                      else interconnect.repair_unit)
-            sim.schedule_at(at, fn, event.target, at)
+        for event in self.events:
+            sim.schedule_at(event.at, interconnect.fail_link, event.channel,
+                            event.at)
 
 
 def _guard_connectivity(
@@ -184,54 +135,34 @@ def _guard_connectivity(
 ) -> Tuple[List[FaultEvent], List[FaultEvent]]:
     """Drop rate-derived events that would partition at their fire time.
 
-    Replays the combined fail/repair timeline chronologically (repairs
-    before failures at the same instant, then schedule order) and checks
-    connectivity after each tentative random failure.  Explicit events are
-    applied unconditionally — they are the user's stated scenario, and the
-    interconnect raises :class:`FabricPartitionedError` at injection if
-    they cut the fabric.
+    Replays the combined failures chronologically (then in schedule order)
+    and checks connectivity after each tentative random failure.  Explicit
+    events are applied unconditionally — they are the user's stated
+    scenario, and the interconnect raises :class:`FabricPartitionedError`
+    at injection if they cut the fabric.  Returns ``(kept, skipped)``,
+    each in replay order.
     """
     ordered = sorted(
         enumerate(explicit + randoms), key=lambda item: (item[1].at, item[0])
     )
-    timeline: List[Tuple[int, int, int, str, FaultEvent]] = []
-    for seq, event in ordered:
-        timeline.append((event.at, 1, seq, "fail", event))
-        if event.down:
-            timeline.append((event.at + event.down, 0, seq, "repair", event))
-    timeline.sort(key=lambda item: item[:3])
-
     dead_channels: Set[Channel] = set()
-    dead_units: Set[int] = set()
-    dropped: Set[int] = set()
+    kept: List[FaultEvent] = []
     skipped: List[FaultEvent] = []
-    for _at, _phase, seq, action, event in timeline:
-        if seq in dropped:
-            continue
-        targets = dead_channels if event.kind == "link" else dead_units
-        if action == "repair":
-            targets.discard(event.target)
-            continue
-        targets.add(event.target)
+    for _seq, event in ordered:
+        dead_channels.add(event.channel)
         if event.source == "random" and unreachable_pairs(
-                topology, dead_channels, dead_units):
-            targets.discard(event.target)
-            dropped.add(seq)
+                topology, dead_channels):
+            dead_channels.discard(event.channel)
             skipped.append(event)
-    kept = [
-        event for seq, event in ordered
-        if seq not in dropped
-    ]
+        else:
+            kept.append(event)
     return kept, skipped
 
 
 # ----------------------------------------------------------------------
 # CLI spec grammars (``repro run --faults`` / ``--link-profile``)
 # ----------------------------------------------------------------------
-_LINK_FAULT_RE = re.compile(
-    r"^(\d+)\s*([>-])\s*(\d+)\s*@\s*(\d+)(?:\s*\+\s*(\d+))?$"
-)
-_UNIT_FAULT_RE = re.compile(r"^unit\s*:\s*(\d+)\s*@\s*(\d+)(?:\s*\+\s*(\d+))?$")
+_LINK_FAULT_RE = re.compile(r"^(\d+)\s*([>-])\s*(\d+)\s*@\s*(\d+)$")
 _PROFILE_RE = re.compile(
     r"^(\d+)\s*([>-])\s*(\d+)\s*=\s*([0-9.]*)(?::\s*([0-9.]+))?$"
 )
@@ -242,28 +173,23 @@ def parse_fault_spec(text: str) -> Dict[str, object]:
 
     Comma-separated clauses::
 
-        0>1@100        directed channel (0, 1) fails permanently at cycle 100
+        0>1@100        directed channel (0, 1) fails at cycle 100
         0-1@100        both directions fail
-        0>1@100+500    transient: down for 500 cycles
-        unit:2@50      unit 2 stops forwarding at cycle 50 (+D = transient)
-        rate=0.1       fraction of channels failed permanently (seed-derived)
-        transient=0.05 fraction of channels flapping once (seed-derived)
+        rate=0.1       fraction of channels failed (seed-derived)
         seed=7         fault_seed for the rate-derived draws
         window=20000   rate-derived fault times drawn from [0, window)
-        repair=4000    downtime of rate-derived transient faults
+
+    Every fault is permanent.
 
     Returns only the fields the spec mentions, ready for
     ``SystemConfig.with_`` or a sweep's ``base_overrides``.
     """
-    links: List[Tuple[int, int, int, int]] = []
-    units: List[Tuple[int, int, int]] = []
+    links: List[Tuple[int, int, int]] = []
     overrides: Dict[str, object] = {}
     scalar_fields = {
         "rate": ("fault_link_rate", float),
-        "transient": ("fault_transient_rate", float),
         "seed": ("fault_seed", int),
         "window": ("fault_window_cycles", int),
-        "repair": ("fault_repair_cycles", int),
     }
     for raw in text.split(","):
         clause = raw.strip()
@@ -280,28 +206,19 @@ def parse_fault_spec(text: str) -> Dict[str, object]:
                     f"{cast.__name__}"
                 )
             continue
-        match = _UNIT_FAULT_RE.match(clause)
-        if match:
-            unit, at, down = match.groups()
-            units.append((int(unit), int(at), int(down or 0)))
-            continue
         match = _LINK_FAULT_RE.match(clause)
         if match:
-            src, direction, dst, at, down = match.groups()
-            entry = (int(src), int(dst), int(at), int(down or 0))
-            links.append(entry)
+            src, direction, dst, at = match.groups()
+            links.append((int(src), int(dst), int(at)))
             if direction == "-":
-                links.append((entry[1], entry[0], entry[2], entry[3]))
+                links.append((int(dst), int(src), int(at)))
             continue
         raise ValueError(
-            f"bad --faults clause {clause!r}; expected SRC>DST@AT[+DOWN], "
-            "SRC-DST@AT[+DOWN], unit:U@AT[+DOWN], or "
-            f"{'/'.join(sorted(scalar_fields))}=VALUE"
+            f"bad --faults clause {clause!r}; expected SRC>DST@AT, "
+            f"SRC-DST@AT, or {'/'.join(sorted(scalar_fields))}=VALUE"
         )
     if links:
         overrides["fault_links"] = tuple(links)
-    if units:
-        overrides["fault_units"] = tuple(units)
     if not overrides:
         raise ValueError("--faults spec is empty")
     return overrides

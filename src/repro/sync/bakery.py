@@ -31,10 +31,10 @@ Ordering (who holds the lock) is tracked by ticket order, which the scans
 discover; grant timing is when the winner's first *successful* scan
 completes after the previous owner resets its number.
 
-Higher-level primitives (barrier, semaphore, condition variable) follow the
-textbook construction: a bakery lock guards the primitive's state word;
-waiters poll the state word (one uncacheable load per poll) between
-critical sections.
+Only the lock is implemented: it is the primitive the Sec. 2.2.1
+comparison measures (``ext_spin``, the e2ebench ``spin`` workload).  Any
+other op raises :class:`NotImplementedError`, as
+:meth:`~repro.sim.syncif.MechanismBase.rmw` does for this baseline.
 """
 
 from __future__ import annotations
@@ -42,21 +42,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Callable, Deque, Dict, Optional, Tuple
 
-from repro.sim.program import (
-    BARRIER_WAIT_ACROSS_UNITS,
-    BARRIER_WAIT_WITHIN_UNIT,
-    COND_BROADCAST,
-    COND_SIGNAL,
-    COND_WAIT,
-    LOCK_ACQUIRE,
-    LOCK_RELEASE,
-    RW_READ_ACQUIRE,
-    RW_READ_RELEASE,
-    RW_WRITE_ACQUIRE,
-    RW_WRITE_RELEASE,
-    SEM_POST,
-    SEM_WAIT,
-)
+from repro.sim.program import LOCK_ACQUIRE, LOCK_RELEASE
 from repro.sim.memsys import REQUEST_BYTES
 from repro.sim.stats import charge_transfers
 from repro.sim.syncif import MechanismBase, SpinWaitMixin, SyncVar, _no_waiter
@@ -69,11 +55,11 @@ class _BakeryLockState:
     """Logical state of one bakery lock: ticket order is FIFO.
 
     Ownership is per *ticket*, not per core: one core can have several
-    acquisitions of the same lock in flight at once (an async ``sem_post``
-    plus the next ``sem_wait`` both take the guard lock), and each must be
-    granted exactly once.  Tracking the owner by core id let every parked
-    attempt of the owning core believe it held the lock, enter the critical
-    section, and double-release.
+    acquisitions of the same lock in flight at once (an async
+    ``lock_release`` still storing while the next ``lock_acquire`` takes a
+    ticket), and each must be granted exactly once.  Tracking the owner by
+    core id let every parked attempt of the owning core believe it held the
+    lock, enter the critical section, and double-release.
     """
 
     __slots__ = ("next_ticket", "owner", "owner_core", "queue", "held")
@@ -129,28 +115,23 @@ class BakeryMechanism(SpinWaitMixin, MechanismBase):
 
     Waiting is wait-channel based (no event per poll): doorway scanners
     park on the per-variable ``"L"`` channel, signalled by every lock
-    release; state-word pollers park on the ``"W"`` channel, signalled
-    whenever a guarded critical section actually changes a word.  A woken
-    core runs one real, fully-charged rescan/attempt; the elided rounds in
-    between are charged analytically (a virtual scan still pays its
-    ``2N``-load traffic — the O(N) bakery wall survives elision).
+    release.  A woken core runs one real, fully-charged rescan; the elided
+    rounds in between are charged analytically (a virtual scan still pays
+    its ``2N``-load traffic — the O(N) bakery wall survives elision).
     """
+
+    #: the sync ops this baseline implements.
+    OPS = (LOCK_ACQUIRE, LOCK_RELEASE)
 
     name = "bakery"
 
     def __init__(self, system):
         super().__init__(system)
         self._locks: Dict[int, _BakeryLockState] = {}
-        #: state words for barrier/semaphore/condvar (addr, field) -> value.
-        self._words: Dict[Tuple[int, str], int] = {}
-        self._sem_initialized: Dict[int, bool] = {}
         #: per-core duration of the most recent charged access sequence —
         #: the physical length of one poll, folded into the virtual period.
         self._seq_cycles: Dict[int, int] = {}
         self.scan_rounds = 0
-        #: set by :meth:`_set_word` inside a critical section's observe
-        #: hook; tells :meth:`_guarded_update` to signal the "W" channel.
-        self._mutated = False
         self._init_spin_channels()
 
     # ------------------------------------------------------------------
@@ -206,14 +187,6 @@ class BakeryMechanism(SpinWaitMixin, MechanismBase):
         if tenant is not None:
             tenant.sync_memory_accesses += count
 
-    def _set_word(self, var: SyncVar, field: str, value: int) -> None:
-        """Write a state word from inside a critical section's observe
-        hook, flagging the change so the section signals waiters."""
-        key = (var.addr, field)
-        if self._words.get(key, 0) != value:
-            self._words[key] = value
-            self._mutated = True
-
     @property
     def _backoff(self) -> int:
         return max(self.config.spin_backoff_cycles, 1)
@@ -224,8 +197,8 @@ class BakeryMechanism(SpinWaitMixin, MechanismBase):
         The explicit chain re-polls one backoff after the previous poll's
         charged access sequence *completed* — a scan cannot overlap itself —
         so the honest period is that sequence's measured duration (the
-        core's most recent :meth:`_charge_sequence`, which at every wait
-        site is exactly the scan/probe being repeated) plus the backoff.
+        core's most recent :meth:`_charge_sequence`, which is exactly the
+        scan being repeated) plus the backoff.
         Pacing virtual polls at the bare backoff would count and charge
         polls faster than the in-order core could physically issue them.
         """
@@ -252,28 +225,8 @@ class BakeryMechanism(SpinWaitMixin, MechanismBase):
             self._lock_acquire(core, var, callback)
         elif op == LOCK_RELEASE:
             self._lock_release(core, var, callback)
-        elif op in (BARRIER_WAIT_WITHIN_UNIT, BARRIER_WAIT_ACROSS_UNITS):
-            self._barrier_wait(core, var, info, callback)
-        elif op == SEM_WAIT:
-            self._sem_wait(core, var, info, callback)
-        elif op == SEM_POST:
-            self._guarded_update(core, var, "sem", lambda v: v + 1, callback)
-        elif op == COND_WAIT:
-            self._cond_wait(core, var, info, callback)
-        elif op == COND_SIGNAL:
-            self._guarded_update(core, var, "credits", lambda v: v + 1, callback)
-        elif op == COND_BROADCAST:
-            self._guarded_update(core, var, "gen", lambda v: v + 1, callback)
-        elif op == RW_READ_ACQUIRE:
-            self._rw_acquire(core, var, callback, write=False)
-        elif op == RW_READ_RELEASE:
-            self._guarded_update(core, var, "readers", lambda v: v - 1, callback)
-        elif op == RW_WRITE_ACQUIRE:
-            self._rw_acquire(core, var, callback, write=True)
-        elif op == RW_WRITE_RELEASE:
-            self._guarded_update(core, var, "writer", lambda _v: 0, callback)
         else:
-            raise ValueError(f"unknown sync op {op!r}")
+            raise self._unimplemented(op)
 
     def request_async(self, core, op, var, info) -> int:
         self.request(core, op, var, info, callback=_no_waiter)
@@ -340,238 +293,11 @@ class BakeryMechanism(SpinWaitMixin, MechanismBase):
         self._charge_sequence(core, var, loads=0, stores=1, done=after_store)
 
     # ------------------------------------------------------------------
-    # Guarded state updates (barrier / semaphore / condvar bodies)
-    # ------------------------------------------------------------------
-    def _guarded_update(self, core, var, field: str,
-                        fn: Callable[[int], int], callback,
-                        observe: Optional[Callable[[int, int], None]] = None) -> None:
-        """bakery-lock(var) { old = word; word = fn(old) } unlock; callback.
-
-        ``observe(old, new)`` runs inside the critical section.
-        """
-        def in_critical_section() -> None:
-            key = (var.addr, field)
-            old = self._words.get(key, 0)
-            new = fn(old)
-            changed = new != old
-            if changed:
-                self._words[key] = new
-            self._mutated = False
-            if observe is not None:
-                observe(old, new)
-            if changed or self._mutated:
-                # A state word actually changed: wake the pollers.  Failed
-                # attempts (identity updates) stay silent, so losing races
-                # cannot cascade into wake storms.
-                self._spin_signal(var.addr, "W")
-            # read + write of the state word, then release.
-            self._charge_sequence(core, var, loads=1, stores=1, done=release)
-
-        def release() -> None:
-            self._lock_release(core, var, callback)
-
-        self._lock_acquire(core, var, in_critical_section)
-
-    def _poll_until(self, core, var, field: str,
-                    satisfied: Callable[[int], bool], callback) -> None:
-        """Spin-load the state word until ``satisfied(value)``."""
-        channel = self._spin_channel(var.addr, "W")
-
-        def poll() -> None:
-            def after_load() -> None:
-                if satisfied(self._words.get((var.addr, field), 0)):
-                    callback()
-                else:
-                    # Decision and wait share this frame: no seen guard.
-                    self.stats.extra["bakery_polls"] += 1
-                    delay = self._virtual_period(core)
-                    channel.wait(self._poll_woken, delay, delay,
-                                 core, var, poll)
-
-            self._charge_sequence(core, var, loads=1, stores=0, done=after_load)
-
-        poll()
-
-    def _poll_woken(self, polls: int, core, var, poll) -> None:
-        """Account ``polls`` elided word loads, then poll once for real."""
-        if polls:
-            self.stats.extra["bakery_polls"] += polls
-            self._charge_elided_loads(core, var, polls)
-        poll()
-
-    # ------------------------------------------------------------------
-    # Barrier / semaphore / condvar over the guarded word
-    # ------------------------------------------------------------------
-    def _barrier_wait(self, core, var, expected: int, callback) -> None:
-        if expected < 1:
-            raise ValueError("barrier needs a positive participant count")
-
-        def on_arrival(old: int, new: int) -> None:
-            if new >= expected:
-                # Last arriver: reset count, bump generation (still inside
-                # the critical section, so no extra lock round).
-                self._set_word(var, "count", 0)
-                self._set_word(var, "gen",
-                               self._words.get((var.addr, "gen"), 0) + 1)
-                arrival_outcome["last"] = True
-            else:
-                arrival_outcome["generation"] = self._words.get((var.addr, "gen"), 0)
-
-        def after_update() -> None:
-            if arrival_outcome.get("last"):
-                callback()
-            else:
-                my_generation = arrival_outcome["generation"]
-                self._poll_until(
-                    core, var, "gen", lambda g: g > my_generation, callback
-                )
-
-        arrival_outcome: Dict[str, object] = {}
-        self._guarded_update(
-            core, var, "count", lambda v: v + 1, after_update, observe=on_arrival
-        )
-
-    def _sem_wait(self, core, var, initial: int, callback) -> None:
-        if not self._sem_initialized.get(var.addr):
-            self._sem_initialized[var.addr] = True
-            self._words[(var.addr, "sem")] = initial
-
-        channel = self._spin_channel(var.addr, "W")
-
-        def attempt() -> None:
-            outcome: Dict[str, int] = {}
-
-            def on_value(old: int, _new: int) -> None:
-                outcome["granted"] = old > 0
-                # The sem word was *observed* in this frame; snapshot for
-                # the lost-wakeup guard — a post completing between our
-                # critical section and the wait registration must wake us.
-                outcome["seen"] = channel.signals
-
-            def after_update() -> None:
-                if outcome["granted"]:
-                    callback()
-                else:
-                    delay = self._virtual_period(core)
-                    channel.wait(self._poll_woken, delay, delay,
-                                 core, var, attempt, seen=outcome["seen"])
-
-            self._guarded_update(
-                core, var, "sem",
-                lambda v: v - 1 if v > 0 else v,
-                after_update, observe=on_value,
-            )
-
-        attempt()
-
-    def _cond_wait(self, core, var, lock_var, callback) -> None:
-        snapshot: Dict[str, int] = {}
-
-        def on_snapshot(old: int, _new: int) -> None:
-            snapshot["generation"] = self._words.get((var.addr, "gen"), 0)
-
-        def after_snapshot() -> None:
-            # Release the caller's lock, then poll for a wakeup.
-            self._lock_release(core, lock_var, spin)
-
-        def spin() -> None:
-            my_generation = snapshot["generation"]
-
-            def woken_by(credits_or_gen: int) -> bool:
-                del credits_or_gen
-                generation = self._words.get((var.addr, "gen"), 0)
-                credits = self._words.get((var.addr, "credits"), 0)
-                return generation > my_generation or credits > 0
-
-            def consume() -> None:
-                generation = self._words.get((var.addr, "gen"), 0)
-                if generation > snapshot["generation"]:
-                    reacquire()
-                    return
-                outcome: Dict[str, bool] = {}
-
-                def on_credit(old: int, _new: int) -> None:
-                    outcome["granted"] = old > 0
-
-                def after_consume() -> None:
-                    if outcome["granted"]:
-                        reacquire()
-                    else:
-                        spin()
-
-                self._guarded_update(
-                    core, var, "credits",
-                    lambda v: v - 1 if v > 0 else v,
-                    after_consume, observe=on_credit,
-                )
-
-            self._poll_until(core, var, "credits", woken_by, consume)
-
-        def reacquire() -> None:
-            self._lock_acquire(core, lock_var, callback)
-
-        # Snapshot the generation under the condvar's own bakery lock so a
-        # broadcast cannot slip between snapshot and lock release unnoticed
-        # (credits are counting, so signals cannot be lost either way).
-        self._guarded_update(
-            core, var, "gen", lambda v: v, after_snapshot, observe=on_snapshot
-        )
-
-    # ------------------------------------------------------------------
-    # Reader-writer lock: readers/writer words guarded by the bakery lock
-    # ------------------------------------------------------------------
-    def _rw_acquire(self, core, var, callback, write: bool) -> None:
-        channel = self._spin_channel(var.addr, "W")
-
-        def attempt() -> None:
-            outcome: Dict[str, int] = {}
-
-            def try_take(_old: int, _new: int) -> None:
-                readers = self._words.get((var.addr, "readers"), 0)
-                writer = self._words.get((var.addr, "writer"), 0)
-                outcome["seen"] = channel.signals
-                if write:
-                    if readers == 0 and writer == 0:
-                        self._set_word(var, "writer", 1)
-                        outcome["granted"] = True
-                    else:
-                        outcome["granted"] = False
-                else:
-                    if writer == 0:
-                        self._set_word(var, "readers", readers + 1)
-                        outcome["granted"] = True
-                    else:
-                        outcome["granted"] = False
-
-            def after_update() -> None:
-                if outcome["granted"]:
-                    callback()
-                else:
-                    delay = self._virtual_period(core)
-                    channel.wait(self._poll_woken, delay, delay,
-                                 core, var, attempt, seen=outcome["seen"])
-
-            # The guarded field is irrelevant (identity update); try_take
-            # inspects and mutates both rw words inside the critical section.
-            self._guarded_update(
-                core, var, "rw_probe", lambda v: v, after_update, observe=try_take
-            )
-
-        attempt()
-
-    # ------------------------------------------------------------------
     # Introspection (tests)
     # ------------------------------------------------------------------
-    def word(self, var: SyncVar, field: str) -> int:
-        return self._words.get((var.addr, field), 0)
-
     def lock_owner(self, var: SyncVar) -> Optional[int]:
         state = self._locks.get(var.addr)
         return state.owner_core if state else None
 
     def destroy_var(self, var: SyncVar) -> None:
         self._locks.pop(var.addr, None)
-        self._sem_initialized.pop(var.addr, None)
-        for field in ("count", "gen", "sem", "credits", "readers", "writer",
-                      "rw_probe"):
-            self._words.pop((var.addr, field), None)

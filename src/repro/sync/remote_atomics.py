@@ -12,26 +12,15 @@ Implementation sketch (one honest spin algorithm per primitive):
 
 - **Lock** — test-and-set: ``swap(1)``; acquired iff the old value was 0.
   Release is ``swap(0)``.  Failed attempts retry after a backoff.
-- **Barrier** — sense-reversing counter packed with a generation word:
-  ``packed = generation << 32 | count``.  Arrival is ``fetch_add(1)``; the
-  last arriver's second ``fetch_add((1 << 32) - expected)`` resets the count
-  and bumps the generation in one atomic.  Everyone else spin-loads until
-  the generation advances.
 - **Semaphore** — load + compare-and-swap loop decrementing a positive
   value (two messages per attempt under contention).
-- **Condition variable** — a credits/generation word
-  (``packed = generation << 32 | credits``): ``signal`` is
-  ``fetch_add(1)`` (one credit, wakes one waiter), ``broadcast`` is
-  ``fetch_add(1 << 32)`` (generation bump, wakes the current waiters).
-  A waiter snapshots the generation, releases the associated lock, spins
-  until the generation advances or it CAS-consumes a credit, then
-  re-acquires the lock with the TAS loop.
+- **Reader-writer lock** — a writer bit plus a reader count in one word.
+- **User-level rmw** (Sec. 4.4.1) — this baseline's native operation.
 
-Semantic notes (documented differences from the POSIX reference): signals
-posted while nobody waits persist as credits (counting semantics) instead
-of being lost — the standard behaviour of credit-based spin condvars.
-Programs that signal under the lock with a predicate (all our workloads)
-observe identical outcomes.
+The three primitives are the ones experiments measure: the lock
+(``ext_spin``, the e2ebench ``spin`` workload), the semaphore (e2ebench
+``spin``) and the reader-writer lock (``ext_rwlock``).  Barriers and
+condition variables raise :class:`NotImplementedError`.
 
 Every atomic visit and every spin-load travels to the home unit's
 :class:`AtomicUnit` (crossbar, inter-unit link when remote, one DRAM bank
@@ -44,11 +33,6 @@ from __future__ import annotations
 from typing import Callable, Dict, Optional, Tuple
 
 from repro.sim.program import (
-    BARRIER_WAIT_ACROSS_UNITS,
-    BARRIER_WAIT_WITHIN_UNIT,
-    COND_BROADCAST,
-    COND_SIGNAL,
-    COND_WAIT,
     LOCK_ACQUIRE,
     LOCK_RELEASE,
     RW_READ_ACQUIRE,
@@ -68,24 +52,8 @@ RMW_RESPONSE_BYTES = 10
 #: cycles the atomic unit's ALU adds on top of the DRAM bank access.
 ALU_CYCLES = 1
 
-#: generation field shift for the packed barrier / condvar words.
-GEN_SHIFT = 32
-COUNT_MASK = (1 << GEN_SHIFT) - 1
-
 #: writer bit of the reader-writer lock word (low bits count readers).
 WRITER_BIT = 1 << 62
-
-
-def pack(generation: int, count: int) -> int:
-    """Pack a (generation, count) pair into one 64-bit word."""
-    if count < 0 or count > COUNT_MASK:
-        raise ValueError(f"count {count} does not fit the packed word")
-    return (generation << GEN_SHIFT) | count
-
-
-def unpack(word: int) -> Tuple[int, int]:
-    """Split a packed word into (generation, count)."""
-    return word >> GEN_SHIFT, word & COUNT_MASK
 
 
 class AtomicUnit:
@@ -131,6 +99,9 @@ class RemoteAtomicsMechanism(SpinWaitMixin, MechanismBase):
     """
 
     name = "rmw_spin"
+    #: the sync ops this baseline implements.
+    OPS = (LOCK_ACQUIRE, LOCK_RELEASE, SEM_WAIT, SEM_POST, RW_READ_ACQUIRE,
+           RW_READ_RELEASE, RW_WRITE_ACQUIRE, RW_WRITE_RELEASE)
 
     def __init__(self, system):
         super().__init__(system)
@@ -263,18 +234,10 @@ class RemoteAtomicsMechanism(SpinWaitMixin, MechanismBase):
             self._lock_acquire(core, var, callback)
         elif op == LOCK_RELEASE:
             self._lock_release(core, var, callback)
-        elif op in (BARRIER_WAIT_WITHIN_UNIT, BARRIER_WAIT_ACROSS_UNITS):
-            self._barrier_wait(core, var, info, callback)
         elif op == SEM_WAIT:
             self._sem_wait(core, var, info, callback)
         elif op == SEM_POST:
             self._sem_post(core, var, callback)
-        elif op == COND_WAIT:
-            self._cond_wait(core, var, info, callback)
-        elif op == COND_SIGNAL:
-            self._cond_signal(core, var, callback)
-        elif op == COND_BROADCAST:
-            self._cond_broadcast(core, var, callback)
         elif op == RW_READ_ACQUIRE:
             self._rw_read_acquire(core, var, callback)
         elif op == RW_READ_RELEASE:
@@ -287,7 +250,7 @@ class RemoteAtomicsMechanism(SpinWaitMixin, MechanismBase):
                 lambda _old: callback(),
             )
         else:
-            raise ValueError(f"unknown sync op {op!r}")
+            raise self._unimplemented(op)
 
     def request_async(self, core, op, var, info) -> int:
         # Releases are fire-and-forget: the rmw travels, nobody waits.
@@ -319,45 +282,6 @@ class RemoteAtomicsMechanism(SpinWaitMixin, MechanismBase):
 
     def _lock_release(self, core, var, callback) -> None:
         self._rmw(core, var, "lock", lambda _old: 0, lambda _old: callback())
-
-    # ------------------------------------------------------------------
-    # Barrier: packed generation/count word
-    # ------------------------------------------------------------------
-    def _barrier_wait(self, core, var, expected: int, callback) -> None:
-        if expected < 1:
-            raise ValueError("barrier needs a positive participant count")
-
-        def on_arrive(old: int) -> None:
-            generation, count = unpack(old)
-            if count + 1 >= expected:
-                # Last arriver: reset the count, bump the generation.
-                self._rmw(
-                    core, var, "bar",
-                    lambda w: w + (1 << GEN_SHIFT) - expected,
-                    lambda _old: callback(),
-                )
-            else:
-                spin(generation)
-
-        def spin(my_generation: int) -> None:
-            channel = self._spin_channel(var.addr, "bar")
-            seen = 0
-
-            def poll() -> None:
-                nonlocal seen
-                self._rmw(core, var, "bar", None, on_poll)
-                seen = channel.signals
-
-            def on_poll(word: int) -> None:
-                generation, _count = unpack(word)
-                if generation > my_generation:
-                    callback()
-                else:
-                    self._retry(core, var, channel, poll, seen)
-
-            poll()
-
-        self._rmw(core, var, "bar", lambda w: w + 1, on_arrive)
 
     # ------------------------------------------------------------------
     # Semaphore: load + CAS loop
@@ -402,68 +326,6 @@ class RemoteAtomicsMechanism(SpinWaitMixin, MechanismBase):
 
     def _sem_post(self, core, var, callback) -> None:
         self._rmw(core, var, "sem", lambda v: v + 1, lambda _old: callback())
-
-    # ------------------------------------------------------------------
-    # Condition variable: credits + generation word, then lock re-acquire
-    # ------------------------------------------------------------------
-    def _cond_wait(self, core, var, lock_var, callback) -> None:
-        def on_snapshot(word: int) -> None:
-            my_generation, _credits = unpack(word)
-            # Atomically-enough: release the lock, then start polling.  A
-            # signal between snapshot and release is still observed because
-            # credits are counting, not transient.
-            self._rmw(
-                core, lock_var, "lock", lambda _old: 0,
-                lambda _old: spin(my_generation),
-            )
-
-        def spin(my_generation: int) -> None:
-            channel = self._spin_channel(var.addr, "cond")
-            seen = 0
-
-            def poll() -> None:
-                nonlocal seen
-                self._rmw(core, var, "cond", None, on_poll)
-                seen = channel.signals
-
-            def on_poll(word: int) -> None:
-                generation, credits = unpack(word)
-                if generation > my_generation:
-                    reacquire()
-                elif credits > 0:
-                    def on_cas(old: int) -> None:
-                        if old == word:
-                            reacquire()
-                        else:
-                            self._retry(core, var, channel, poll, seen)
-
-                    # CAS-consume one credit.  As with the semaphore, the
-                    # retry guard keeps the poll's issue-frame snapshot so a
-                    # signal landing in the poll->CAS window wakes the loser
-                    # immediately instead of being silently absorbed.
-                    self._rmw(
-                        core, var, "cond",
-                        lambda cur: cur - 1 if cur == word else cur,
-                        on_cas,
-                    )
-                else:
-                    self._retry(core, var, channel, poll, seen)
-
-            poll()
-
-        def reacquire() -> None:
-            self._lock_acquire(core, lock_var, callback)
-
-        self._rmw(core, var, "cond", None, on_snapshot)
-
-    def _cond_signal(self, core, var, callback) -> None:
-        self._rmw(core, var, "cond", lambda w: w + 1, lambda _old: callback())
-
-    def _cond_broadcast(self, core, var, callback) -> None:
-        self._rmw(
-            core, var, "cond", lambda w: w + (1 << GEN_SHIFT),
-            lambda _old: callback(),
-        )
 
     # ------------------------------------------------------------------
     # Reader-writer lock: writer bit + reader count in one word
@@ -566,6 +428,6 @@ class RemoteAtomicsMechanism(SpinWaitMixin, MechanismBase):
         return self._fields.get((var.addr, field), 0)
 
     def destroy_var(self, var: SyncVar) -> None:
-        for field in ("lock", "bar", "sem", "cond", "rw"):
+        for field in ("lock", "sem", "rw"):
             self._fields.pop((var.addr, field), None)
         self._sem_initialized.pop(var.addr, None)

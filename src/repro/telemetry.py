@@ -37,13 +37,11 @@ Exports:
   interleaved and no counter is exported twice.
 - ``snapshot-<worker>.json`` — aggregate snapshot (counters / gauges /
   spans / histograms), written on session exit and on demand.
-- :meth:`Telemetry.prometheus` — the same snapshot in Prometheus text
-  exposition format, for scraping once the daemon front end lands.
 
 Degraded-fabric instrumentation lives under the ``fabric.*`` namespace
-(:mod:`repro.sim.network`): ``fabric.fault`` / ``fabric.repair`` events
-(plus a ``fabric.fault`` span around fail+reconnectivity-check),
-``fabric.resolve`` spans around each policy route resolution,
+(:mod:`repro.sim.network`): ``fabric.fault`` events (plus a
+``fabric.fault`` span around fail+reconnectivity-check),
+``fabric.resolve`` spans around each detour search,
 ``fabric.reroute`` events carrying ``src``/``dst``/``pristine_hops``/
 ``detour_hops``, and the ``fabric.reroutes`` / ``fabric.faults``
 counters.  Like everything else on the bus these only fire when a
@@ -69,7 +67,7 @@ _NAME_RE = re.compile(r"[^a-zA-Z0-9_]")
 
 
 def _sanitize(name: str) -> str:
-    """A telemetry name as a Prometheus metric / filename fragment."""
+    """A worker name as a filename fragment (``[a-zA-Z0-9_]`` only)."""
     return _NAME_RE.sub("_", name)
 
 
@@ -120,9 +118,6 @@ class NullTelemetry:
 
     def export(self) -> Optional[str]:
         return None
-
-    def prometheus(self) -> str:
-        return ""
 
     def close(self) -> None:
         pass
@@ -295,41 +290,6 @@ class Telemetry:
             json.dump(self.snapshot(), fh, indent=2, sort_keys=True)
         os.replace(tmp, path)
         return path
-
-    def prometheus(self) -> str:
-        """The snapshot in Prometheus text exposition format."""
-        label = f'{{worker="{self.worker}"}}' if self.worker else ""
-        lines = []
-        for name, value in sorted(self.counters.items()):
-            metric = f"repro_{_sanitize(name)}_total"
-            lines.append(f"# TYPE {metric} counter")
-            lines.append(f"{metric}{label} {value}")
-        for name, value in sorted(self.gauges.items()):
-            metric = f"repro_{_sanitize(name)}"
-            lines.append(f"# TYPE {metric} gauge")
-            lines.append(f"{metric}{label} {value}")
-        for name, cell in sorted(self.spans.items()):
-            metric = f"repro_{_sanitize(name)}_seconds"
-            lines.append(f"# TYPE {metric} summary")
-            lines.append(f"{metric}_count{label} {int(cell[0])}")
-            lines.append(f"{metric}_sum{label} {cell[1]}")
-        for name, hist in sorted(self.hists.items()):
-            metric = f"repro_{_sanitize(name)}"
-            lines.append(f"# TYPE {metric} histogram")
-            cumulative = 0
-            for i, bound in enumerate(HISTOGRAM_BUCKETS):
-                cumulative += hist[i]
-                le = f'le="{bound}"'
-                tags = (f'{{worker="{self.worker}",{le}}}'
-                        if self.worker else f"{{{le}}}")
-                lines.append(f"{metric}_bucket{tags} {cumulative}")
-            cumulative += hist[len(HISTOGRAM_BUCKETS)]
-            inf_tags = (f'{{worker="{self.worker}",le="+Inf"}}'
-                        if self.worker else '{le="+Inf"}')
-            lines.append(f"{metric}_bucket{inf_tags} {cumulative}")
-            lines.append(f"{metric}_sum{label} {hist[-2]}")
-            lines.append(f"{metric}_count{label} {int(hist[-1])}")
-        return "\n".join(lines) + ("\n" if lines else "")
 
     def close(self) -> None:
         if self._sink is not None:

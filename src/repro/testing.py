@@ -34,22 +34,20 @@ ALL_MECHANISMS = (
     "syncron_distrib_ovrfl",
 )
 
-#: Sec. 2.2.1 spin-wait baselines.  Kept out of ALL_MECHANISMS because their
-#: condition-variable semantics differ deliberately (credits persist instead
-#: of POSIX lost signals) — see test_spin_baselines.py for their coverage.
+#: Sec. 2.2.1 spin-wait baselines.  Kept out of ALL_MECHANISMS because they
+#: implement only the primitives their experiments measure: the bakery its
+#: lock, ``rmw_spin`` its lock, semaphore, reader-writer lock and rmw —
+#: see test_spin_baselines.py for their coverage.
 SPIN_MECHANISMS = ("rmw_spin", "bakery")
 
 
 #: ``ndp_2_5d`` overrides for the fabrics the fused packet and burst paths
 #: must match their references on: the pristine single-path table, routed
-#: multi-hop fabrics, per-packet policies, and heterogeneous links.
+#: multi-hop fabrics, and heterogeneous links.
 FABRICS = {
     "all_to_all": dict(num_units=4),
     "ring": dict(num_units=4, topology="ring"),
     "mesh2d": dict(num_units=8, topology="mesh2d"),
-    "load_aware": dict(num_units=8, topology="mesh2d",
-                       routing_policy="load_aware"),
-    "degraded": dict(num_units=4, topology="ring", routing_policy="degraded"),
     "profiled": dict(num_units=4, link_profile=((0, 2, 3.2, 100.0),)),
 }
 
@@ -82,8 +80,8 @@ def per_hop_transfer(interconnect, src_unit: int, dst_unit: int, now: int,
     latency = xbar._base_cycles + xbar.queue_wait(now, nbytes)
     route = ()
     if not local:
-        if interconnect._degraded or interconnect._adaptive:
-            route, extra = interconnect._routed(src_unit, dst_unit, now + latency)
+        if interconnect._degraded:
+            route, extra = interconnect._routed(src_unit, dst_unit)
             stats.detour_bit_hops += nbytes * 8 * extra
         else:
             route = interconnect._route(src_unit, dst_unit)

@@ -4,6 +4,7 @@ import pytest
 
 from repro.cli import _parse_value, build_parser, main
 from repro.core import api
+from repro.harness import runner
 from repro.harness.registry import EXPERIMENTS, find
 from repro.sim.program import Compute
 from repro.sim.trace import MessageTracer
@@ -51,6 +52,24 @@ class TestCliCommands:
         assert main(["run", "fig12", "--arg", "combo=bfs.wk"]) == 2
         err = capsys.readouterr().err
         assert "'combo'" in err and "combos, mechanisms" in err
+
+    @pytest.mark.parametrize("argv,message", [
+        (["run", "degradation", "--faults", "garbage"],
+         "bad --faults clause 'garbage'"),
+        (["run", "fig16", "--arg", "latencies_ns=-5"],
+         "link_latency_ns must be non-negative"),
+        (["sweep", "--primitives", "lock", "--mechanisms", "syncron",
+          "--faults", "0>2@100", "--vary", "topology=ring", "--no-cache"],
+         "fault_links channel (0, 2) does not exist in the 'ring' fabric"),
+    ], ids=["run-bad-faults", "run-negative-latency", "sweep-missing-channel"])
+    def test_invalid_override_exits_2_before_simulating(
+            self, monkeypatch, capsys, argv, message):
+        def simulate(spec):
+            raise AssertionError(f"simulated {spec.describe()}")
+
+        monkeypatch.setattr(runner, "execute_spec", simulate)
+        assert main(argv) == 2
+        assert message in capsys.readouterr().err
 
     def test_run_scalar_for_a_sequence_kwarg(self, capsys):
         code = main(["run", "ext_rwlock", "--arg", "read_pcts=50",

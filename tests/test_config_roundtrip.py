@@ -42,14 +42,10 @@ PERTURBATIONS = {
     "topology": "mesh2d",
     "topo_rows": 2,
     "link_profile": ((0, 1, 3.2, 80.0),),
-    "routing_policy": "adaptive",
     "fault_seed": 7,
     "fault_links": ((0, 1, 100),),
-    "fault_units": ((0, 100),),
     "fault_link_rate": 0.1,
-    "fault_transient_rate": 0.05,
     "fault_window_cycles": 10000,
-    "fault_repair_cycles": 2000,
     "st_entries": 128,
     "indexing_counters": 512,
     "se_service_se_cycles": 20,

@@ -198,18 +198,8 @@ SCENARIOS = [
     ("primitive", _LOCK, "bakery", {}),
     ("primitive", _LOCK, "syncron", {}),
     ("primitive", _LOCK, "central", {}),
-    ("primitive", {"primitive": "barrier", "interval": 60, "rounds": 8},
-     "rmw_spin", {}),
-    ("primitive", {"primitive": "barrier", "interval": 60, "rounds": 8},
-     "bakery", {}),
     ("primitive", {"primitive": "semaphore", "interval": 80, "rounds": 8},
      "rmw_spin", {}),
-    ("primitive", {"primitive": "semaphore", "interval": 80, "rounds": 8},
-     "bakery", {}),
-    ("primitive", {"primitive": "condvar", "interval": 80, "rounds": 6},
-     "rmw_spin", {}),
-    ("primitive", {"primitive": "condvar", "interval": 80, "rounds": 6},
-     "bakery", {}),
     ("structure", {"structure": "stack", "ops_per_core": 6}, "rmw_spin", {}),
     ("structure", {"structure": "stack", "ops_per_core": 6}, "bakery", {}),
     ("structure", {"structure": "queue", "ops_per_core": 6}, "rmw_spin", {}),

@@ -3,10 +3,10 @@
 Covers the :mod:`repro.sim.topo.faults` fault plans (determinism,
 connectivity guard, CLI spec grammars), the
 :class:`~repro.sim.network.Interconnect`'s live fault handling (reroute /
-repair / downtime accounting / loud partition failure), heterogeneous
-``link_profile`` timing, the adaptive routing policies, the new
-``SystemStats`` degradation counters, cache-key soundness of every new
-config field, and the ``degradation`` experiment.
+downtime accounting / loud partition failure), heterogeneous
+``link_profile`` timing, the ``SystemStats`` degradation counters,
+config validation and cache-key soundness of the fault fields, and the
+``degradation`` experiment.
 """
 
 import math
@@ -63,7 +63,7 @@ class TestGracefulDegradation:
         slows the run down but never hangs or corrupts it."""
         _, pristine = run_lock(ndp_2_5d(**RING4))
         system, cycles = run_lock(
-            ndp_2_5d(**RING4, fault_links=((0, 1, 50, 0),)))
+            ndp_2_5d(**RING4, fault_links=((0, 1, 50),)))
         assert cycles > pristine
         assert system.stats.reroutes > 0
         assert system.stats.detour_bit_hops > 0
@@ -89,7 +89,7 @@ class TestGracefulDegradation:
     def test_explicit_partition_fails_loudly(self):
         # cutting all four channels touching unit 1 isolates it; the run
         # must raise at injection time, never hang.
-        cut = ((0, 1, 100, 0), (1, 0, 100, 0), (1, 2, 100, 0), (2, 1, 100, 0))
+        cut = ((0, 1, 100), (1, 0, 100), (1, 2, 100), (2, 1, 100))
         with pytest.raises(FabricPartitionedError):
             run_lock(ndp_2_5d(**RING4, fault_links=cut))
 
@@ -100,13 +100,12 @@ class TestInterconnectFaults:
         stats = SystemStats()
         return Interconnect(cfg, stats), stats
 
-    def test_reroute_then_repair_restores_the_pristine_route(self):
+    def test_reroute_takes_the_surviving_path(self):
         inter, _ = self.make()
         assert inter.remote_hops(0, 1) == 1
         inter.fail_link((0, 1), 0)
         assert inter.remote_hops(0, 1) == 7  # all the way around
-        inter.repair_link((0, 1), 500)
-        assert inter.remote_hops(0, 1) == 1
+        assert inter.remote_hops(1, 0) == 1  # the reverse channel survives
 
     def test_reroutes_counted_once_per_pair_per_fault_epoch(self):
         inter, stats = self.make()
@@ -125,24 +124,14 @@ class TestInterconnectFaults:
         with pytest.raises(FabricPartitionedError):
             inter.fail_link((1, 2), 0)  # now unit 1 cannot send at all
 
-    def test_transient_downtime_accounting(self):
+    def test_downtime_accounting(self):
         inter, stats = self.make()
         inter.fail_link((0, 1), 100)
-        inter.repair_link((0, 1), 700)
-        assert stats.failed_link_cycles == 600
         inter.fail_link((2, 3), 1000)
         inter.finalize_faults(1500)
-        assert stats.failed_link_cycles == 1100
+        assert stats.failed_link_cycles == 1400 + 500
         inter.finalize_faults(1500)  # idempotent at a fixed instant
-        assert stats.failed_link_cycles == 1100
-
-    def test_dead_unit_forwards_nothing_but_stays_an_endpoint(self):
-        cfg = ndp_2_5d(num_units=9, topology="mesh2d")  # 3x3, center = 4
-        inter = Interconnect(cfg, SystemStats())
-        assert inter.remote_hops(3, 5) == 2  # dimension-order through 4
-        inter.fail_unit(4, 0)
-        assert inter.remote_hops(3, 5) == 4  # around the center
-        assert inter.remote_hops(3, 4) == 1  # still a valid destination
+        assert stats.failed_link_cycles == 1900
 
     def test_detour_bits_are_charged_on_top_of_route_bits(self):
         inter, stats = self.make()
@@ -178,8 +167,9 @@ class TestLinkProfile:
     def test_profile_for_a_nonexistent_channel_is_rejected(self):
         # the ring has no direct (0, 2) channel.
         cfg = ndp_2_5d(**RING4, link_profile=((0, 2, 6.4, None),))
-        with pytest.raises(ValueError):
-            Interconnect(cfg, SystemStats())
+        with pytest.raises(ValueError, match=r"channel \(0, 2\) does not "
+                                             "exist in the 'ring' fabric"):
+            cfg.validate()
 
     def test_validate_rejects_malformed_profiles(self):
         with pytest.raises(ValueError):
@@ -188,42 +178,6 @@ class TestLinkProfile:
             ndp_2_5d(link_profile=((0, 1, None, None),)).validate()  # no-op
         with pytest.raises(ValueError):
             ndp_2_5d(link_profile=((0, 0, 6.4, None),)).validate()  # loop
-
-
-class TestRoutingPolicies:
-    def test_degraded_policy_routes_around_a_slow_link(self):
-        # 2x2 mesh; (0, 1) is crippled: 3 fast hops beat 1 slow hop.
-        slow = ((0, 1, 0.05, 4000.0),)
-        static = Interconnect(
-            ndp_2_5d(num_units=4, topology="mesh2d", link_profile=slow),
-            SystemStats())
-        degraded = Interconnect(
-            ndp_2_5d(num_units=4, topology="mesh2d", link_profile=slow,
-                     routing_policy="degraded"),
-            SystemStats())
-        assert static.remote_hops(0, 1) == 1
-        assert degraded.remote_hops(0, 1) == 3
-        assert (degraded.transfer_latency(0, 1, 0, 64)
-                < static.transfer_latency(0, 1, 0, 64))
-
-    def test_load_aware_policy_avoids_the_congested_route(self):
-        # 0 -> 3 on a 2x2 mesh has two minimal routes; pre-loading the
-        # dimension-order one (via channel (0, 1)) drives load_aware to
-        # the other, so it beats static under the same congestion.
-        def congested(policy):
-            cfg = ndp_2_5d(num_units=4, topology="mesh2d",
-                           routing_policy=policy)
-            inter = Interconnect(cfg, SystemStats())
-            inter.transfer_latency(0, 1, 0, 100_000)
-            return inter.transfer_latency(0, 3, 0, 64)
-
-        assert congested("load_aware") < congested("static")
-
-    def test_unknown_policy_rejected(self):
-        with pytest.raises(ValueError):
-            ndp_2_5d(routing_policy="magic").validate()
-        with pytest.raises(ValueError):
-            Interconnect(ndp_2_5d(routing_policy="magic"), SystemStats())
 
 
 class TestFaultPlan:
@@ -250,10 +204,9 @@ class TestFaultPlan:
         topo = build_topology(cfg)
         plan = FaultPlan.from_config(cfg, topo)
         assert plan.skipped
-        dead = {e.target for e in plan.events
-                if e.kind == "link" and e.permanent}
+        dead = {e.channel for e in plan.events}
         assert dead  # the fabric still degrades...
-        assert not unreachable_pairs(topo, dead, set())  # ...but never splits
+        assert not unreachable_pairs(topo, dead)  # ...but never splits
 
     def test_guarded_plan_survives_a_full_run(self):
         system, cycles = run_lock(ndp_2_5d(
@@ -263,28 +216,33 @@ class TestFaultPlan:
         assert system.interconnect.dead_channels  # faults really landed
 
     def test_explicit_fault_on_a_nonexistent_channel_rejected(self):
-        cfg = ndp_2_5d(**RING4, fault_links=((0, 2, 10, 0),))
-        with pytest.raises(ValueError):
-            FaultPlan.from_config(cfg, build_topology(cfg))
+        cfg = ndp_2_5d(**RING4, fault_links=((0, 2, 10),))
+        with pytest.raises(ValueError, match=r"channel \(0, 2\) does not "
+                                             "exist in the 'ring' fabric"):
+            cfg.validate()
+        # planning rejects it too, before anything simulates.
+        with pytest.raises(ValueError, match="does not exist"):
+            RunSpec.make("primitive", "syncron",
+                         args={"primitive": "lock"},
+                         overrides={**RING4, "fault_links": ((0, 2, 10),)})
 
 
 class TestSpecGrammars:
     def test_fault_spec_clauses(self):
         assert parse_fault_spec("0>1@100") == {
-            "fault_links": ((0, 1, 100, 0),)}
-        assert parse_fault_spec("2-3@50+500") == {
-            "fault_links": ((2, 3, 50, 500), (3, 2, 50, 500))}
-        assert parse_fault_spec("unit:1@200") == {
-            "fault_units": ((1, 200, 0),)}
-        assert parse_fault_spec(
-            "rate=0.1, transient=0.05, seed=7, window=1000, repair=200"
-        ) == {
-            "fault_link_rate": 0.1, "fault_transient_rate": 0.05,
-            "fault_seed": 7, "fault_window_cycles": 1000,
-            "fault_repair_cycles": 200,
+            "fault_links": ((0, 1, 100),)}
+        assert parse_fault_spec("2-3@50") == {
+            "fault_links": ((2, 3, 50), (3, 2, 50))}
+        assert parse_fault_spec("rate=0.1, seed=7, window=1000") == {
+            "fault_link_rate": 0.1, "fault_seed": 7,
+            "fault_window_cycles": 1000,
         }
 
-    @pytest.mark.parametrize("bad", ["", "0>@", "1>2", "rate=x", "unit:@5"])
+    # the last four name fault kinds the simulator does not implement:
+    # unit faults, transient link faults and rate-derived transients.
+    @pytest.mark.parametrize("bad", ["", "0>@", "1>2", "rate=x", "unit:@5",
+                                     "unit:1@200", "0>1@100+500",
+                                     "transient=0.05", "repair=200"])
     def test_fault_spec_rejects_garbage(self, bad):
         with pytest.raises(ValueError):
             parse_fault_spec(bad)
@@ -302,18 +260,18 @@ class TestSpecGrammars:
 
 
 class TestConfigAndCacheKeys:
-    def test_three_tuple_fault_links_normalize_to_permanent(self):
-        cfg = ndp_2_5d(fault_links=((0, 1, 100),))
-        assert cfg.fault_links == ((0, 1, 100, 0),)
+    def test_fault_links_are_src_dst_at_triples(self):
+        cfg = ndp_2_5d(fault_links=[[0, 1, 100]])
+        assert cfg.fault_links == ((0, 1, 100),)
         assert SystemConfig.from_dict(cfg.as_dict()) == cfg
+        with pytest.raises(ValueError, match=r"\(src, dst, at_cycle\)"):
+            ndp_2_5d(fault_links=((0, 1, 100, 500),))
 
     def test_round_trip_preserves_every_fault_field(self):
         cfg = ndp_2_5d(
             link_profile=((0, 1, 6.4, 80.0), (1, 0, None, 100.0)),
-            routing_policy="load_aware", fault_seed=9,
-            fault_links=((0, 1, 100, 0),), fault_units=((2, 50, 400),),
-            fault_link_rate=0.1, fault_transient_rate=0.05,
-            fault_window_cycles=5000, fault_repair_cycles=250,
+            fault_seed=9, fault_links=((0, 1, 100),), fault_link_rate=0.1,
+            fault_window_cycles=5000,
         )
         cfg.validate()
         assert SystemConfig.from_dict(cfg.as_dict()) == cfg
@@ -325,18 +283,13 @@ class TestConfigAndCacheKeys:
                              overrides={"fault_rate": 0.1}).cache_key()
                 == RunSpec.make("primitive", "syncron", **base,
                                 overrides={"fault_link_rate": 0.1}).cache_key())
-        assert (RunSpec.make("primitive", "syncron", **base,
-                             overrides={"policy": "load_aware"}).cache_key()
-                == RunSpec.make("primitive", "syncron", **base,
-                                overrides={"routing_policy": "load_aware"}
-                                ).cache_key())
 
     def test_fault_fields_split_the_cache_key(self):
         base = dict(args={"primitive": "lock", "interval": 100, "rounds": 2})
         plain = RunSpec.make("primitive", "syncron", **base)
         faulted = RunSpec.make(
             "primitive", "syncron", **base,
-            overrides={"fault_links": ((0, 1, 100, 0),)})
+            overrides={"fault_links": ((0, 1, 100),)})
         reseeded = RunSpec.make(
             "primitive", "syncron", **base,
             overrides={"fault_link_rate": 0.1, "fault_seed": 5})

@@ -280,19 +280,6 @@ class TestValidation:
         with pytest.raises(SimulationError):
             sim.run()
 
-    def test_validation_can_be_disabled(self):
-        sim = Simulator(validate=False)
-        sim.schedule(-5, lambda: None)  # accepted: caller opted out
-        sim.run()
-
-    def test_validation_env_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SIM_VALIDATE", "0")
-        sim = Simulator()
-        sim.schedule(-5, lambda: None)
-        monkeypatch.setenv("REPRO_SIM_VALIDATE", "1")
-        with pytest.raises(SimulationError):
-            Simulator().schedule(-1, lambda: None)
-
 
 class TestProcessResume:
     def test_resume_after_finish_returns_none_and_fires_hook_once(self):

@@ -191,13 +191,14 @@ class TestBurstDramSteps:
                                                (2, 1, 5, 100)])
         assert burst == reference
 
-    @pytest.mark.parametrize("fabric,burst_calls", [
-        ("all_to_all", [True, False]),
-        ("degraded", [True] * 3 + [False] * 7),
-    ])
-    def test_dram_access_calls(self, monkeypatch, fabric, burst_calls):
+    @pytest.mark.parametrize("fabric,failed_link,burst_calls", [
+        ("all_to_all", None, [True, False]),
+        ("ring", (0, 1), [True] * 3 + [False] * 7),
+    ], ids=["all_to_all", "faulted_ring"])
+    def test_dram_access_calls(self, monkeypatch, fabric, failed_link,
+                               burst_calls):
         """A pristine fabric calls ``DramDevice.access`` once per run of
-        stores or loads; a degraded one falls back to once per access."""
+        stores or loads; a faulted one falls back to once per access."""
         calls = []
         access = DramDevice.access
 
@@ -205,29 +206,30 @@ class TestBurstDramSteps:
             calls.append(is_write)
             return access(self, addr, is_write, now)
 
+        def fail(system, _addr):
+            if failed_link is not None:
+                system.interconnect.fail_link(failed_link, now=0)
+
         monkeypatch.setattr(DramDevice, "access", counted)
-        burst, reference = run_bursts(fabric, [(0, 3, 7, None)])
+        burst, reference = run_bursts(fabric, [(0, 3, 7, None)], fail)
         assert burst == reference
         assert calls == burst_calls + [True] * 3 + [False] * 7
 
 
 def test_bakery_run_matches_per_access_model(monkeypatch):
-    """End to end: a contended bakery lock + barrier run is bit-identical
-    when every burst is replaced by the per-access reference loop."""
+    """End to end: a contended bakery lock run is bit-identical when every
+    burst is replaced by the per-access reference loop."""
     def run():
         system = build_system(
             ndp_2_5d(num_units=2, cores_per_unit=3, client_cores_per_unit=3),
             "bakery")
         lock = system.create_syncvar(unit=1)
-        barrier = system.create_syncvar(unit=0)
-        clients = len(system.cores)
 
         def worker():
             for _ in range(3):
                 yield api.lock_acquire(lock)
                 yield Compute(40)
                 yield api.lock_release(lock)
-            yield api.barrier_wait_across_units(barrier, clients)
 
         cycles = system.run_programs(
             {core.core_id: worker() for core in system.cores})

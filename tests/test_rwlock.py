@@ -14,9 +14,10 @@ from repro.core.protocol import ProtocolError
 from repro.sim.program import Compute, RW_READ_ACQUIRE, RW_WRITE_ACQUIRE
 from repro.sync.logic import LogicError, SyncLogic
 
-from repro.testing import ALL_MECHANISMS, SPIN_MECHANISMS, build_system
+from repro.testing import ALL_MECHANISMS, build_system
 
-RW_MECHANISMS = ALL_MECHANISMS + SPIN_MECHANISMS
+#: the bakery baseline implements no rw lock.
+RW_MECHANISMS = ALL_MECHANISMS + ("rmw_spin",)
 
 
 def run_rw_workload(system, rwlock, reader_every=3, rounds=5, cs=15):
@@ -75,16 +76,13 @@ class TestRWLockAcrossMechanisms:
         system = build_system(tiny_config, mechanism)
         rwlock = system.create_syncvar(name="RW")
         state = {"readers": 0, "max_readers": 0}
-        # The bakery's O(N)-loads acquire takes thousands of cycles, so its
-        # critical section must be long enough for overlap to be observable.
-        section = 60000 if mechanism == "bakery" else 4000
 
         def reader():
             for _ in range(4):
                 yield api.rw_read_acquire(rwlock)
                 state["readers"] += 1
                 state["max_readers"] = max(state["max_readers"], state["readers"])
-                yield Compute(section)
+                yield Compute(4000)
                 state["readers"] -= 1
                 yield api.rw_read_release(rwlock)
 

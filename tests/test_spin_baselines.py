@@ -1,10 +1,10 @@
 """The Sec. 2.2.1 spin-wait baselines: remote atomics and Lamport bakery.
 
-Semantics tests mirror the cross-mechanism suites (mutual exclusion, barrier
-phases, bounded semaphores, producer/consumer condvars) and are joined by
-cost-model tests for the claims the baselines exist to demonstrate: spinning
-hammers the variable's home unit (traffic, retries) and the bakery scan cost
-grows with the core count.
+Semantics tests cover the primitives each baseline implements (mutual
+exclusion on both; bounded semaphores on ``rmw_spin``) and that every other
+op is rejected by name.  They are joined by cost-model tests for the claims
+the baselines exist to demonstrate: spinning hammers the variable's home
+unit (traffic, retries) and the bakery scan cost grows with the core count.
 """
 
 import pytest
@@ -14,13 +14,7 @@ from repro.sim.config import ndp_2_5d
 from repro.sim.program import Compute
 from repro.sim.system import NDPSystem
 from repro.sync.bakery import BakeryMechanism, _BakeryLockState
-from repro.sync.remote_atomics import (
-    GEN_SHIFT,
-    RemoteAtomicsMechanism,
-    WRITER_BIT,
-    pack,
-    unpack,
-)
+from repro.sync.remote_atomics import RemoteAtomicsMechanism, WRITER_BIT
 
 from repro.testing import SPIN_MECHANISMS, build_system
 
@@ -29,23 +23,6 @@ from repro.testing import SPIN_MECHANISMS, build_system
 # Packed-word helpers
 # ----------------------------------------------------------------------
 class TestPackedWords:
-    def test_pack_unpack_roundtrip(self):
-        for generation, count in [(0, 0), (1, 5), (123, 456), (7, (1 << 32) - 1)]:
-            assert unpack(pack(generation, count)) == (generation, count)
-
-    def test_pack_rejects_oversized_count(self):
-        with pytest.raises(ValueError):
-            pack(0, 1 << 32)
-
-    def test_fetch_add_rollover_resets_count_and_bumps_generation(self):
-        """The last barrier arriver's single fetch_add must atomically
-        reset the count and advance the generation."""
-        expected = 6
-        word = pack(3, expected - 1)
-        word += 1  # this arrival fills the barrier
-        word += (1 << GEN_SHIFT) - expected
-        assert unpack(word) == (4, 0)
-
     def test_writer_bit_does_not_collide_with_reader_counts(self):
         assert WRITER_BIT > (1 << 32)
         word = WRITER_BIT
@@ -56,8 +33,8 @@ class TestPackedWords:
 # ----------------------------------------------------------------------
 # Primitive semantics on both baselines
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("mechanism", SPIN_MECHANISMS)
 class TestSpinPrimitives:
+    @pytest.mark.parametrize("mechanism", SPIN_MECHANISMS)
     def test_lock_mutual_exclusion(self, tiny_config, mechanism):
         system = build_system(tiny_config, mechanism)
         lock = system.create_syncvar(name="L")
@@ -77,6 +54,7 @@ class TestSpinPrimitives:
         assert state["max_inside"] == 1
         assert state["counter"] == 6 * len(system.cores)
 
+    @pytest.mark.parametrize("mechanism", SPIN_MECHANISMS)
     def test_lock_on_remote_unit(self, tiny_config, mechanism):
         system = build_system(tiny_config, mechanism)
         lock = system.create_syncvar(unit=1)
@@ -93,41 +71,7 @@ class TestSpinPrimitives:
         )
         assert state["counter"] == 4 * len(system.cores_in_unit(0))
 
-    def test_barrier_separates_phases(self, tiny_config, mechanism):
-        system = build_system(tiny_config, mechanism)
-        bar = system.create_syncvar(name="B")
-        n = len(system.cores)
-        phase_counts = [0, 0, 0]
-        errors = []
-
-        def worker():
-            for phase in range(3):
-                # Before arriving, earlier phases must be fully populated.
-                for earlier in range(phase):
-                    if phase_counts[earlier] != n:
-                        errors.append((phase, earlier, phase_counts[earlier]))
-                phase_counts[phase] += 1
-                yield api.barrier_wait_across_units(bar, n)
-
-        system.run_programs({c.core_id: worker() for c in system.cores})
-        assert not errors
-        assert phase_counts == [n, n, n]
-
-    def test_barrier_is_reusable(self, tiny_config, mechanism):
-        """Generation-based barriers must not deadlock across many phases."""
-        system = build_system(tiny_config, mechanism)
-        bar = system.create_syncvar(name="B")
-        n = len(system.cores)
-
-        def worker():
-            for _ in range(8):
-                yield api.barrier_wait_across_units(bar, n)
-
-        makespan = system.run_programs(
-            {c.core_id: worker() for c in system.cores}
-        )
-        assert makespan > 0
-
+    @pytest.mark.parametrize("mechanism", ["rmw_spin"])
     def test_semaphore_bounds_concurrency(self, tiny_config, mechanism):
         system = build_system(tiny_config, mechanism)
         sem = system.create_syncvar(name="S")
@@ -148,94 +92,38 @@ class TestSpinPrimitives:
         assert state["max_inside"] <= K
         assert state["completed"] == 3 * len(system.cores)
 
-    def test_condvar_producer_consumer(self, tiny_config, mechanism):
+    @pytest.mark.parametrize("mechanism,program", [
+        ("bakery", lambda v, lock: [api.barrier_wait_across_units(v, 1)]),
+        ("bakery", lambda v, lock: [api.sem_post(v)]),
+        ("bakery", lambda v, lock: [api.cond_signal(v)]),
+        ("bakery", lambda v, lock: [api.rw_read_acquire(v)]),
+        ("rmw_spin", lambda v, lock: [api.barrier_wait_within_unit(v, 1)]),
+        ("rmw_spin", lambda v, lock: [api.lock_acquire(lock),
+                                      api.cond_wait(v, lock)]),
+    ], ids=["bakery-barrier", "bakery-semaphore", "bakery-condvar",
+            "bakery-rwlock", "rmw_spin-barrier", "rmw_spin-condvar"])
+    def test_unimplemented_op_raises_naming_what_is_implemented(
+            self, tiny_config, mechanism, program):
+        """Each baseline implements only the primitives its experiments
+        measure; any other op fails loudly instead of simulating."""
         system = build_system(tiny_config, mechanism)
-        cond = system.create_syncvar(name="C")
-        lock = system.create_syncvar(name="CL")
-        box = {"ready": 0, "consumed": 0}
-        cores = system.cores
-        half = len(cores) // 2
-        rounds = 3
+        var = system.create_syncvar(name="V")
+        lock = system.create_syncvar(name="L")
+        ops = program(var, lock)
 
-        def producer():
-            for _ in range(rounds):
-                yield api.lock_acquire(lock)
-                box["ready"] += 1
-                yield api.lock_release(lock)
-                yield api.cond_signal(cond)
-                yield Compute(40)
+        def worker():
+            yield from ops
 
-        def consumer():
-            for _ in range(rounds):
-                yield api.lock_acquire(lock)
-                while box["ready"] == 0:
-                    yield api.cond_wait(cond, lock)
-                box["ready"] -= 1
-                box["consumed"] += 1
-                yield api.lock_release(lock)
+        implemented = ", ".join(system.mechanism.OPS)
+        with pytest.raises(NotImplementedError) as info:
+            system.run_programs({system.cores[0].core_id: worker()})
+        message = str(info.value)
+        assert f"mechanism {mechanism!r}" in message
+        assert repr(ops[-1].op) in message
+        assert message.endswith(f"it implements {implemented}")
+        assert "lock_acquire" in implemented
 
-        programs = {}
-        for i, core in enumerate(cores):
-            programs[core.core_id] = producer() if i < half else consumer()
-        system.run_programs(programs)
-        assert box["consumed"] == rounds * (len(cores) - half)
-        assert box["ready"] >= 0
-
-    def test_condvar_broadcast_wakes_everyone(self, tiny_config, mechanism):
-        system = build_system(tiny_config, mechanism)
-        cond = system.create_syncvar(name="C")
-        lock = system.create_syncvar(name="CL")
-        flags = {"go": False, "woken": 0}
-        cores = system.cores
-        waiters = cores[:-1]
-
-        def waiter():
-            yield api.lock_acquire(lock)
-            while not flags["go"]:
-                yield api.cond_wait(cond, lock)
-            flags["woken"] += 1
-            yield api.lock_release(lock)
-
-        def broadcaster():
-            yield Compute(500)
-            yield api.lock_acquire(lock)
-            flags["go"] = True
-            yield api.lock_release(lock)
-            yield api.cond_broadcast(cond)
-
-        programs = {c.core_id: waiter() for c in waiters}
-        programs[cores[-1].core_id] = broadcaster()
-        system.run_programs(programs)
-        assert flags["woken"] == len(waiters)
-
-    def test_signal_credit_persists(self, tiny_config, mechanism):
-        """The documented semantic difference: a signal posted before any
-        waiter arrives is consumed by the next waiter (counting credits),
-        unlike the POSIX lost signal."""
-        system = build_system(tiny_config, mechanism)
-        cond = system.create_syncvar(name="C")
-        lock = system.create_syncvar(name="CL")
-        done = {"woken": False}
-        cores = system.cores
-
-        def early_signaller():
-            yield api.cond_signal(cond)
-
-        def late_waiter():
-            yield Compute(2000)
-            yield api.lock_acquire(lock)
-            yield api.cond_wait(cond, lock)
-            done["woken"] = True
-            yield api.lock_release(lock)
-
-        system.run_programs(
-            {
-                cores[0].core_id: early_signaller(),
-                cores[1].core_id: late_waiter(),
-            }
-        )
-        assert done["woken"]
-
+    @pytest.mark.parametrize("mechanism", SPIN_MECHANISMS)
     def test_variable_destroy_clears_state(self, tiny_config, mechanism):
         system = build_system(tiny_config, mechanism)
         lock = system.create_syncvar(name="L")
@@ -372,9 +260,9 @@ class TestBakeryLockState:
             state.release(7)
 
     def test_concurrent_acquisitions_by_one_core_grant_once_each(self):
-        # One core with several acquisitions in flight (async sem_post plus
-        # the next sem_wait): ownership is per ticket, so each acquisition
-        # is granted and released exactly once, in FIFO order.
+        # One core with several acquisitions in flight (an async release
+        # plus the next acquire): ownership is per ticket, so each
+        # acquisition is granted and released exactly once, in FIFO order.
         state = _BakeryLockState()
         a = state.take_ticket(3)
         b = state.take_ticket(3)

@@ -3,8 +3,7 @@
 Contracts pinned here:
 
 1. Bus mechanics — counters/gauges/spans/histograms aggregate correctly,
-   the JSONL event log and snapshot exports are well-formed, and the
-   Prometheus rendering parses as text exposition format.
+   and the JSONL event log and snapshot exports are well-formed.
 2. Off-by-default — ``get_telemetry()`` is a no-op bus unless a session
    enabled one, and sessions restore the previous bus on exit.
 3. Physics isolation — enabling telemetry changes *no* simulated counter;
@@ -112,29 +111,6 @@ class TestBus:
         assert loaded["counters"]["c"] == 2
         assert loaded["worker"] == "w1"
 
-    def test_prometheus_exposition_shape(self):
-        tel = Telemetry(worker="w1")
-        tel.count("store.hits", 3)
-        tel.gauge("sweep.remaining", 7)
-        with tel.span("spec.execute"):
-            pass
-        tel.observe("store.publish_seconds", 0.002)
-        text = tel.prometheus()
-        assert 'repro_store_hits_total{worker="w1"} 3' in text
-        assert 'repro_sweep_remaining{worker="w1"} 7' in text
-        assert 'repro_spec_execute_seconds_count{worker="w1"} 1' in text
-        # histogram: cumulative buckets ending in +Inf == count
-        assert 'le="+Inf"' in text
-        inf_line = [l for l in text.splitlines() if 'le="+Inf"' in l][0]
-        assert inf_line.endswith(" 1")
-        # every sample line is "name{labels} value"
-        for line in text.splitlines():
-            if line.startswith("#"):
-                continue
-            name, _, value = line.rpartition(" ")
-            float(value)
-            assert name
-
     def test_null_bus_is_inert(self):
         null = NullTelemetry()
         assert not null.enabled
@@ -145,7 +121,6 @@ class TestBus:
             null.event("e")
         assert null.snapshot() == {}
         assert null.export() is None
-        assert null.prometheus() == ""
 
 
 # ----------------------------------------------------------------------

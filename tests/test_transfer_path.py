@@ -6,8 +6,8 @@ step inline.  :func:`repro.testing.per_hop_transfer` composes the same
 packet from :meth:`Crossbar.queue_wait`, each :meth:`Link.reserve` and
 :func:`charge_transfers`.  After every packet the two must agree on the
 latency, on every counter (tenant counters included) and on the crossbar,
-link and DRAM state, on every fabric — pristine, routed, faulted,
-load-aware and heterogeneous.
+link and DRAM state, on every fabric — pristine, routed, faulted and
+heterogeneous.
 
 The burst tests compare :meth:`MemorySystem.uncacheable_burst` with a loop
 of single accesses, which themselves go through ``transfer_latency``; the
