@@ -14,8 +14,9 @@ Three angles on the multi-tenant subsystem:
    shared server should couple) and a core-interleaved pair (tenants share
    units, so even SynCron shows real contention).
 3. **Host overhead** — simulated events/second of the two-tenant co-run vs
-   the same workloads run back-to-back, so the attribution hooks on the
-   core/SE/network hot paths are guarded against regressions.
+   the same workloads run back-to-back, so the co-run path (tenant views,
+   merged programs, post-run per-tenant cycles) is guarded against
+   regressions.
 """
 
 from __future__ import annotations

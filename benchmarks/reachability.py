@@ -86,6 +86,9 @@ CI_COMMANDS: Tuple[Tuple[str, ...], ...] = (
      "--topologies", "all_to_all,ring", "--workers", "1"),
     ("corun", "--tenants", "lock", "--rounds", "3",
      "--mechanisms", "syncron,hier,central", "--check-isolation"),
+    ("run", "interference", "--arg", "groups=lock+barrier",
+     "--arg", "rounds=2", "--arg", "topologies=all_to_all", "--sanitize"),
+    ("run", "interference", "--arg", "core_split=0,10"),
 )
 
 #: the benchmark scripts CI runs, each with ``--output``.

@@ -46,10 +46,6 @@ synchronization, not a race.  The kernel's observed drain reports each
 event's same-cycle parent (the event that inserted it) and the hazard
 reduction skips ancestor-descendant pairs.
 
-Known-benign last-writer-wins state (e.g. ``SystemStats.active``, the
-multi-tenant attribution pointer, documented as "components set it, they
-never clear it") is excluded via :data:`DEFAULT_ALLOWLIST`.
-
 The sanitizer is observational: enabling it never changes simulated
 results, only wall-clock cost.  It is a debug mode — expect a few times
 slowdown — hence opt-in via ``repro run ... --sanitize``.
@@ -65,11 +61,6 @@ from typing import Any, Dict, Iterator, List, Optional, Set, Tuple
 #: *by design*.  Type names match against the owner's whole MRO, so one
 #: base-class entry covers subclasses.  Every entry needs a justification:
 DEFAULT_ALLOWLIST: Set[Tuple[str, str]] = {
-    # The multi-tenant attribution pointer: components overwrite it at the
-    # start of each service context; the last writer in a cycle is the
-    # component whose charge-site runs next, which is insertion-order by
-    # construction and documented in repro.sim.stats.
-    ("SystemStats", "active"),
     # Request/grant rendezvous: a core's issue event writes the timestamp,
     # its grant event clears it.  The grant is causally after the request
     # through the mechanism's waitlist (a grant for this core cannot exist

@@ -169,10 +169,6 @@ class SyncEngine(ProtocolMixin):
         # One occupancy sample per message, folded by the ST (see
         # SynchronizationTable.unsampled).
         self.st.unsampled += 1
-        # Everything this dispatch does (messages, syncronVar accesses,
-        # server-core loads/stores) is on behalf of the variable's tenant.
-        var = msg.var
-        self.stats.active = var.owner if var is not None else None
         self.dispatch(msg)
         if self._extra > 0:
             self.sim.schedule(self._extra, self._start_next)
@@ -206,7 +202,7 @@ class SyncEngine(ProtocolMixin):
         )
         if not overflow:
             entry = self.st.allocate(msg.var)
-            self.stats.count_st_allocation()
+            self.stats.st_allocations += 1
             if sem_init is not None:
                 entry.table_info = sem_init
             return entry, False
@@ -304,7 +300,7 @@ class SyncEngine(ProtocolMixin):
             self.store.drop(var.addr)
         else:
             if self.st.release_if_idle(state):
-                self.stats.count_st_release()
+                self.stats.st_releases += 1
 
     # ------------------------------------------------------------------
     # Outbound messages
@@ -379,7 +375,7 @@ class SynCronMechanism(MechanismBase):
 
     # ------------------------------------------------------------------
     def _prepare(self, core, op: str, var: SyncVar, info) -> Message:
-        self._admit(core, op, var)
+        self._admit(op, var)
         if op == SEM_WAIT:
             self.sem_initial.setdefault(var.addr, info)
         return Message(_REQUEST_OPCODES[op], var, core=core.core_id, info=info)

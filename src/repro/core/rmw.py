@@ -72,12 +72,8 @@ class RmwExtension:
         se = self.mech.se(master_unit)
         arrival = now + latency
         start = max(arrival, se._last_arrival.get(("rmw", core.core_id), 0) + 1)
-        tenant = getattr(core, "tstats", None)
 
         def execute() -> None:
-            # Runs as its own event: restore the requester's tenant context
-            # so the response transfer is attributed correctly.
-            self.stats.active = tenant
             old = self._values.get(addr, 0)
             self._values[addr] = fn(old, operand)
             self.operations_executed += 1

@@ -765,6 +765,8 @@ def interference(groups: Sequence = (("lock", "bfs.wk"), ("lock", "stack")),
                     f"core split {tuple(core_split)} does not match "
                     f"group {group}"
                 )
+            if any(count < 1 for count in core_split):
+                raise ValueError("every tenant needs at least one core")
             if sum(core_split) > total_clients:
                 raise ValueError(
                     f"core split {tuple(core_split)} exceeds the "

@@ -51,7 +51,10 @@ from repro.workloads.unionfind import UnionFindWorkload
 #: v4: the Barabási-Albert generator now inserts each new vertex's edges
 #: in sorted target order (RP002 determinism fix) — every generated graph,
 #: and hence every graph-workload result, changed.
-CACHE_FORMAT_VERSION = 4
+#: v5: co-run records dropped the per-tenant sync request, byte, sync
+#: memory access, ST and footprint keys (only tenant cycles/operations and
+#: the tenant summary remain).
+CACHE_FORMAT_VERSION = 5
 
 #: CLI-friendly aliases for SystemConfig override fields.
 CONFIG_ALIASES = {
@@ -395,7 +398,7 @@ def build_corun(tenants) -> Workload:
 
         {"name": "locky", "workload": "primitive",
          "args": {"primitive": "lock", "interval": 200, "rounds": 25},
-         "units": [0, 1]}   # or "cores": 6, "core_ids": [0, 1, 2], neither
+         "units": [0, 1]}   # or "core_ids": [0, 1, 2], or neither
 
     ``workload`` is any (non-corun) :data:`WORKLOAD_BUILDERS` key; the
     partition knobs match :class:`repro.workloads.corun.TenantSpec`.
@@ -424,7 +427,6 @@ def build_corun(tenants) -> Workload:
         specs.append(TenantSpec(
             name=str(tenant.get("name") or f"t{i}"),
             factory=lambda builder=builder, args=dict(args): builder(**args),
-            cores=tenant.get("cores"),
             units=tuple(int(u) for u in units) if units is not None else None,
             core_ids=(tuple(int(c) for c in core_ids)
                       if core_ids is not None else None),

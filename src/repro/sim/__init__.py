@@ -34,7 +34,7 @@ from repro.sim.program import (
     batch,
 )
 from repro.sim.smt import IssuePort
-from repro.sim.stats import SystemStats, TenantStats
+from repro.sim.stats import SystemStats
 from repro.sim.syncif import SyncUsageError, SyncVar
 from repro.sim.system import MECHANISM_NAMES, NDPSystem
 from repro.sim.tenancy import TenantView
@@ -66,7 +66,6 @@ __all__ = [
     "SyncVar",
     "SystemConfig",
     "SystemStats",
-    "TenantStats",
     "TenantView",
     "compute_energy",
     "cpu_numa",

@@ -35,8 +35,7 @@ class NDPCore:
     __slots__ = ("sim", "core_id", "unit_id", "local_id", "l1", "memsys",
                  "mechanism", "config", "port", "process", "finished",
                  "finish_time", "instructions_retired", "sync_requests_issued",
-                 "_waiting_since", "cycles_waiting_sync", "sender_token",
-                 "tstats")
+                 "_waiting_since", "cycles_waiting_sync", "sender_token")
 
     def __init__(
         self,
@@ -64,10 +63,6 @@ class NDPCore:
         #: shared in-order pipeline when several hardware thread contexts
         #: live on one physical core (Sec. 4 SMT note); None = sole owner.
         self.port = port
-
-        #: the tenant this core is bound to in co-run scenarios (None when
-        #: the whole machine runs one workload).
-        self.tstats = None
 
         self.process: Optional[Process] = None
         self.finished = False
@@ -98,40 +93,15 @@ class NDPCore:
     # ------------------------------------------------------------------
     def _advance(self, value=None) -> None:
         """Resume the program and dispatch its next operation."""
-        tstats = self.tstats
-        if tstats is not None:
-            # Everything this micro-step does inline (memory accesses,
-            # mechanism request injection) is on this tenant's behalf.
-            self.memsys.stats.active = tstats
         op = self.process.resume(value)
         if op is None:
             return
-        # Exact-type dispatch (one dict hit) with an isinstance fallback for
-        # subclassed operations; this runs once per core micro-step.
+        # Exact-type dispatch (one dict hit); this runs once per core
+        # micro-step.
         handler = _OP_DISPATCH.get(op.__class__)
-        if handler is not None:
-            handler(self, op)
-        else:
-            self._advance_slow(op)
-
-    def _advance_slow(self, op) -> None:
-        """isinstance-based dispatch for subclassed operation types."""
-        if isinstance(op, Compute):
-            self._compute_op(op)
-        elif isinstance(op, Load):
-            self._load_op(op)
-        elif isinstance(op, Store):
-            self._store_op(op)
-        elif isinstance(op, Batch):
-            self._batch_op(op)
-        elif isinstance(op, SyncOp):
-            self._sync_op(op)
-        elif isinstance(op, SyncAsyncOp):
-            self._sync_async_op(op)
-        elif isinstance(op, RmwOp):
-            self._rmw_op(op)
-        else:
+        if handler is None:
             raise TypeError(f"program yielded unknown operation {op!r}")
+        handler(self, op)
 
     def _compute_op(self, op: Compute) -> None:
         instructions = op.instructions

@@ -64,9 +64,6 @@ class MemorySystem:
         """Full latency in cycles of one core access issued at ``now``."""
         if for_sync:
             self.stats.sync_memory_accesses += 1
-            tenant = self.stats.active
-            if tenant is not None:
-                tenant.sync_memory_accesses += 1
         if cacheable and l1 is not None:
             return self._cacheable_access(src_unit, l1, addr, is_write, now)
         return self._uncacheable_access(src_unit, addr, is_write, now, size)
@@ -131,9 +128,6 @@ class MemorySystem:
         count = stores + loads
         if for_sync:
             self.stats.sync_memory_accesses += count
-            tenant = self.stats.active
-            if tenant is not None:
-                tenant.sync_memory_accesses += count
         home = self.addrmap.unit_of(addr)
         dram = self.drams[home]
         payload = size if size > 8 else 8
@@ -156,9 +150,6 @@ class MemorySystem:
         Master SE reading a ``syncronVar`` from its local memory arrays)."""
         if for_sync:
             self.stats.sync_memory_accesses += 1
-            tenant = self.stats.active
-            if tenant is not None:
-                tenant.sync_memory_accesses += 1
         home = self.addrmap.unit_of(addr)
         if home != unit:
             raise ValueError("device_access must target the device's own unit")

@@ -421,7 +421,6 @@ class Interconnect:
         :class:`Crossbar`), which is every step the e2ebench workloads make.
         """
         stats = self.stats
-        tenant = stats.active
         # Source crossbar: Crossbar.queue_wait, inline.
         xbar = self.crossbars[src_unit]
         elapsed = now - xbar._last_time
@@ -448,8 +447,6 @@ class Interconnect:
         if src_unit == dst_unit:
             stats.bytes_inside_units += nbytes
             stats.local_bit_hops += nbytes * self._local_bits
-            if tenant is not None:
-                tenant.bytes_inside_units += nbytes
             return latency
         if self._degraded:
             route, extra = self._routed(src_unit, dst_unit)
@@ -492,9 +489,6 @@ class Interconnect:
         stats.local_bit_hops += 2 * nbytes * self._local_bits
         stats.bytes_across_units += nbytes
         stats.link_bit_hops += nbytes * 8 * len(route)
-        if tenant is not None:
-            tenant.bytes_inside_units += 2 * nbytes
-            tenant.bytes_across_units += nbytes
         return latency
 
     def round_trips(self, src_unit: int, dst_unit: int, now: int, count: int,

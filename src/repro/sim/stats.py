@@ -11,27 +11,13 @@ attribute store on a slotted instance is the cheapest mutation Python offers.
 Per-SE occupancy accounting uses flat lists indexed by SE id, fed once per
 ST allocate/release with the messages served since the previous change
 rather than once per message.
-
-Multi-tenant attribution
-------------------------
-
-Co-run scenarios (:mod:`repro.workloads.corun`) host several independent
-*tenants* on one system, so shared-resource counters additionally need a
-per-tenant split.  Attribution works through an explicit context:
-components that begin servicing on behalf of a tenant (a core resuming its
-program, an SE dispatching a message for a tenant-owned variable, a spin
-baseline charging a retry) point :attr:`SystemStats.active` at that tenant's
-:class:`TenantStats`; the byte/ST/sync chokepoints then charge the active
-tenant alongside the global counter.  In single-workload runs no tenant is
-ever registered, ``active`` stays ``None``, and every global counter is
-bit-identical to the pre-tenancy simulator.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional
+from typing import Dict, FrozenSet, List
 
 #: Declared inventory of ``SystemStats.extra`` counter keys.  ``extra`` is a
 #: Counter, so a typo'd key at a bump site silently creates a parallel
@@ -47,51 +33,6 @@ EXTRA_COUNTERS: FrozenSet[str] = frozenset({
     #: shared-LLC accesses made on behalf of synchronization.
     "llc_sync_accesses",
 })
-
-
-@dataclass(slots=True)
-class TenantStats:
-    """Per-tenant share of the shared-resource counters.
-
-    ``cycles``/``operations`` are filled in after the run (the tenant's own
-    makespan and application operation count); everything else accumulates
-    during simulation via the :attr:`SystemStats.active` context.
-    """
-
-    name: str
-    index: int
-    #: makespan of this tenant's cores (max finish time), set post-run.
-    cycles: int = 0
-    #: application-level operations performed by this tenant, set post-run.
-    operations: int = 0
-    sync_requests: int = 0
-    bytes_inside_units: int = 0
-    bytes_across_units: int = 0
-    sync_memory_accesses: int = 0
-    st_allocations: int = 0
-    st_released: int = 0
-    #: ST entries currently held by this tenant's variables / peak held.
-    st_held: int = 0
-    st_held_max: int = 0
-    #: bytes this tenant's arena allocated (memory footprint, not traffic).
-    bytes_allocated: int = 0
-
-    @property
-    def total_bytes(self) -> int:
-        return self.bytes_inside_units + self.bytes_across_units
-
-    def as_dict(self) -> Dict[str, float]:
-        return {
-            "cycles": self.cycles,
-            "operations": self.operations,
-            "sync_requests": self.sync_requests,
-            "bytes_inside_units": self.bytes_inside_units,
-            "bytes_across_units": self.bytes_across_units,
-            "sync_memory_accesses": self.sync_memory_accesses,
-            "st_allocations": self.st_allocations,
-            "st_held_max": self.st_held_max,
-            "bytes_allocated": self.bytes_allocated,
-        }
 
 
 @dataclass(slots=True)
@@ -149,65 +90,12 @@ class SystemStats:
     # Per-category extras (extensible without schema churn).
     extra: Counter = field(default_factory=Counter)
 
-    # Multi-tenant attribution (empty / None outside co-run scenarios).
-    tenants: List[TenantStats] = field(default_factory=list)
-    #: the tenant currently being serviced; chokepoints charge it alongside
-    #: the global counter.  Components set it, they never clear it — the
-    #: next service context overwrites it.
-    active: Optional[TenantStats] = None
-
     # Occupancy integrals, indexed by SE id: running max, sum over sampling
     # points (one per served message) of occupied entries, and sample
     # counts.  See record_st_occupancy for when they are folded in.
     _occ_max: List[int] = field(default_factory=list)
     _occ_sum: List[int] = field(default_factory=list)
     _occ_samples: List[int] = field(default_factory=list)
-
-    # ------------------------------------------------------------------
-    # Tenants
-    # ------------------------------------------------------------------
-    def add_tenant(self, name: str) -> TenantStats:
-        """Register one tenant; names must be unique within a run."""
-        if any(t.name == name for t in self.tenants):
-            raise ValueError(f"duplicate tenant name {name!r}")
-        tenant = TenantStats(name=name, index=len(self.tenants))
-        self.tenants.append(tenant)
-        return tenant
-
-    def count_st_allocation(self) -> None:
-        """One ST entry allocated (charged to the active tenant, if any)."""
-        self.st_allocations += 1
-        tenant = self.active
-        if tenant is not None:
-            tenant.st_allocations += 1
-            tenant.st_held += 1
-            if tenant.st_held > tenant.st_held_max:
-                tenant.st_held_max = tenant.st_held
-
-    def count_st_release(self) -> None:
-        """One ST entry released back to the table."""
-        self.st_releases += 1
-        tenant = self.active
-        if tenant is not None:
-            tenant.st_released += 1
-            if tenant.st_held > 0:
-                tenant.st_held -= 1
-
-    def tenant_summary(self) -> Dict[str, float]:
-        """Makespan/fairness across tenants (empty outside co-runs).
-
-        ``fairness`` is min/max of the per-tenant makespans: 1.0 means all
-        tenants finished together, values near 0 mean one tenant was starved.
-        """
-        if not self.tenants:
-            return {}
-        cycles = [t.cycles for t in self.tenants]
-        makespan = max(cycles)
-        return {
-            "tenants": len(self.tenants),
-            "makespan": makespan,
-            "fairness": (min(cycles) / makespan) if makespan else 1.0,
-        }
 
     # ------------------------------------------------------------------
     def record_st_occupancy(self, se_id: int, occupied: int,
@@ -271,22 +159,7 @@ class SystemStats:
         return self.bytes_inside_units + self.bytes_across_units
 
     def as_dict(self) -> Dict[str, float]:
-        """Flat snapshot for reporting.
-
-        Per-tenant counters appear as ``tenant.<name>.<counter>`` keys so
-        they survive the sweep runner's JSON result cache unchanged;
-        single-workload runs emit exactly the pre-tenancy key set.
-        """
-        result = self._global_dict()
-        if self.tenants:
-            for tenant in self.tenants:
-                for key, value in tenant.as_dict().items():
-                    result[f"tenant.{tenant.name}.{key}"] = value
-            for key, value in self.tenant_summary().items():
-                result[f"tenant_summary.{key}"] = value
-        return result
-
-    def _global_dict(self) -> Dict[str, float]:
+        """Flat snapshot for reporting."""
         return {
             "cache_hits": self.cache_hits,
             "cache_misses": self.cache_misses,
@@ -322,19 +195,13 @@ def charge_transfers(stats: SystemStats, nbytes: int, count: int,
     banks, links, or crossbar slots (see the wait-channel model notes in
     EXPERIMENTS.md).
     """
-    tenant = stats.active
     payload = nbytes * count
     if local:
         stats.bytes_inside_units += payload
         stats.local_bit_hops += payload * 8 * local_hops
-        if tenant is not None:
-            tenant.bytes_inside_units += payload
     else:
         # Both endpoint crossbars see the packet; links carry it once.
         stats.bytes_inside_units += 2 * payload
         stats.local_bit_hops += 2 * payload * 8 * local_hops
         stats.bytes_across_units += payload
         stats.link_bit_hops += payload * 8 * link_hops
-        if tenant is not None:
-            tenant.bytes_inside_units += 2 * payload
-            tenant.bytes_across_units += payload

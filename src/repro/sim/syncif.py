@@ -46,20 +46,16 @@ class SyncVar:
     memory; the owning unit determines the *Master SE*.  The ``kind`` is set
     on first use and checked afterwards — using one variable as both a lock
     and a barrier is a programming error the real API also cannot express.
-    ``owner`` ties the variable to a tenant's
-    :class:`~repro.sim.stats.TenantStats` in co-run scenarios (None outside
-    them) so SE-side service can be attributed.
     """
 
-    __slots__ = ("addr", "unit", "kind", "uid", "name", "owner")
+    __slots__ = ("addr", "unit", "kind", "uid", "name")
 
-    def __init__(self, addr: int, unit: int, name: str = "", owner=None):
+    def __init__(self, addr: int, unit: int, name: str = ""):
         self.addr = addr
         self.unit = unit
         self.kind: Optional[str] = None
         self.uid = next(_var_ids)
         self.name = name or f"svar{self.uid}"
-        self.owner = owner
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"SyncVar({self.name}, addr={self.addr:#x}, unit={self.unit})"
@@ -100,7 +96,7 @@ class MechanismBase:
         self.stats = system.stats
         self.interconnect = system.interconnect
 
-    def _admit(self, core, op: str, var: SyncVar) -> None:
+    def _admit(self, op: str, var: SyncVar) -> None:
         """Shared per-request admission: every mechanism calls this first.
 
         Enforces the :class:`SyncVar` single-use rule (the ``kind`` pinned
@@ -116,11 +112,7 @@ class MechanismBase:
             raise SyncUsageError(
                 f"variable {var.name} used as {var.kind} and now as {kind}"
             )
-        stats = self.stats
-        stats.sync_requests_total += 1
-        tenant = getattr(core, "tstats", None) or var.owner
-        if tenant is not None:
-            tenant.sync_requests += 1
+        self.stats.sync_requests_total += 1
 
     def end_run(self) -> None:
         """Called when ``NDPSystem.run_programs`` returns: fold any

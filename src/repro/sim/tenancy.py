@@ -13,10 +13,10 @@ machine.
 The interconnect, memory system, and synchronization mechanism stay shared —
 that sharing is the whole point of co-run interference studies.  Allocation
 goes through a :class:`TenantArena` facade that forwards to the system
-:class:`~repro.sim.memmap.AddressMap` (so tenant arenas interleave in the
-single physical address space) while tagging footprint per tenant, and every
-synchronization variable a view creates is tagged with the tenant's
-:class:`~repro.sim.stats.TenantStats` so SE-side service is attributable.
+:class:`~repro.sim.memmap.AddressMap`, so tenant arenas interleave in the
+single physical address space.  The simulator never learns which tenant
+issued what: a co-run reports per-tenant cycles from core finish times
+after the run (:mod:`repro.workloads.corun`).
 
 A view over *all* units with *all* cores is an identity mapping: it produces
 bit-identical allocations, placements, and programs to building against the
@@ -27,7 +27,6 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence, Tuple
 
-from repro.sim.stats import TenantStats
 from repro.sim.syncif import SyncVar
 
 
@@ -55,17 +54,16 @@ class TenantCoreHandle:
 
 
 class TenantArena:
-    """Tenant-tagged allocation facade over the system address map.
+    """Allocation facade over the system address map for one tenant.
 
     Logical unit indices (0..k-1) map onto the tenant's physical units;
     allocations land in the shared bump allocator, so tenants interleave in
     physical memory exactly like co-located applications would.
     """
 
-    def __init__(self, addrmap, units: Sequence[int], tstats: TenantStats):
+    def __init__(self, addrmap, units: Sequence[int]):
         self._map = addrmap
         self.units = tuple(units)
-        self.tstats = tstats
         self.num_units = len(self.units)
         self.unit_memory_bytes = addrmap.unit_memory_bytes
         self.line_bytes = addrmap.line_bytes
@@ -98,9 +96,7 @@ class TenantArena:
 
     # ------------------------------------------------------------------
     def alloc(self, unit: int, nbytes: int, align: int = 8) -> int:
-        addr = self._map.alloc(self.physical_unit(unit), nbytes, align=align)
-        self.tstats.bytes_allocated += nbytes
-        return addr
+        return self._map.alloc(self.physical_unit(unit), nbytes, align=align)
 
     def alloc_line(self, unit: int) -> int:
         return self.alloc(unit, self.line_bytes, align=self.line_bytes)
@@ -134,25 +130,24 @@ class TenantView:
     ids; ``config`` mirrors the system configuration with ``num_units``
     narrowed to the tenant's unit count (identical object when the tenant
     spans the whole machine, so the single-tenant path is bit-identical);
-    ``create_syncvar`` round-robins over the tenant's units and tags every
-    variable with the tenant for attribution.
+    ``create_syncvar`` round-robins over the tenant's units.
     """
 
-    def __init__(self, system, tstats: TenantStats, cores: Sequence,
+    def __init__(self, system, name: str, cores: Sequence,
                  units: Sequence[int]):
         self.system = system
-        self.tstats = tstats
+        self.name = name
         self.units = tuple(units)
         if len(set(self.units)) != len(self.units):
             raise ValueError(f"duplicate units in tenant slice: {self.units}")
         self.physical_cores = list(cores)
         if not self.physical_cores:
-            raise ValueError(f"tenant {tstats.name!r} has no cores")
+            raise ValueError(f"tenant {name!r} has no cores")
         self._unit_index = {u: i for i, u in enumerate(self.units)}
         uncovered = {c.unit_id for c in self.physical_cores} - set(self.units)
         if uncovered:
             raise ValueError(
-                f"tenant {tstats.name!r} has cores in units {sorted(uncovered)} "
+                f"tenant {name!r} has cores in units {sorted(uncovered)} "
                 f"outside its unit slice {self.units}"
             )
         identity = self.units == tuple(range(system.config.num_units))
@@ -160,7 +155,7 @@ class TenantView:
             system.config if identity
             else system.config.with_(num_units=len(self.units))
         )
-        self.addrmap = TenantArena(system.addrmap, self.units, tstats)
+        self.addrmap = TenantArena(system.addrmap, self.units)
         self.cores = [
             TenantCoreHandle(c, self._unit_index[c.unit_id])
             for c in self.physical_cores
@@ -187,7 +182,7 @@ class TenantView:
 
     # ------------------------------------------------------------------
     def create_syncvar(self, unit: Optional[int] = None, name: str = "") -> SyncVar:
-        """Allocate a tenant-owned variable in a (logical) unit's memory."""
+        """Allocate a variable in a (logical) unit's memory."""
         if unit is None:
             unit = self._next_var_unit
             self._next_var_unit = (self._next_var_unit + 1) % len(self.units)
@@ -195,10 +190,7 @@ class TenantView:
             raise ValueError(
                 f"no such tenant unit: {unit} (tenant owns {len(self.units)})"
             )
-        var = self.system.create_syncvar(unit=self.units[unit], name=name)
-        var.owner = self.tstats
-        self.tstats.bytes_allocated += self.system.addrmap.line_bytes
-        return var
+        return self.system.create_syncvar(unit=self.units[unit], name=name)
 
     def destroy_syncvar(self, var: SyncVar) -> None:
         self.system.destroy_syncvar(var)

@@ -143,9 +143,6 @@ class BakeryMechanism(SpinWaitMixin, MechanismBase):
         accesses to ``var``'s home unit, then call ``done``.  One memory
         burst and one simulator event for the whole sequence (the in-order
         core cannot overlap them anyway)."""
-        # Retry chains re-enter here from scheduled events, so re-establish
-        # the requesting core's tenant as the attribution context.
-        self.stats.active = getattr(core, "tstats", None)
         cycles = self.system.memsys.uncacheable_burst(
             core.unit_id, var.addr, self.sim.now, stores=stores, loads=loads,
             for_sync=True,
@@ -166,8 +163,6 @@ class BakeryMechanism(SpinWaitMixin, MechanismBase):
         row hits), without touching bank/link reservation state.
         """
         stats = self.stats
-        stats.active = getattr(core, "tstats", None)
-        tenant = stats.active
         home = var.unit
         local = core.unit_id == home
         if local:
@@ -184,8 +179,6 @@ class BakeryMechanism(SpinWaitMixin, MechanismBase):
         stats.dram_reads += count
         stats.dram_row_hits += count
         stats.sync_memory_accesses += count
-        if tenant is not None:
-            tenant.sync_memory_accesses += count
 
     @property
     def _backoff(self) -> int:
@@ -220,7 +213,7 @@ class BakeryMechanism(SpinWaitMixin, MechanismBase):
     # Mechanism interface
     # ------------------------------------------------------------------
     def request(self, core, op, var, info, callback) -> None:
-        self._admit(core, op, var)
+        self._admit(op, var)
         if op == LOCK_ACQUIRE:
             self._lock_acquire(core, var, callback)
         elif op == LOCK_RELEASE:

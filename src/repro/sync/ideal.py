@@ -25,12 +25,12 @@ class IdealMechanism(MechanismBase):
 
     # ------------------------------------------------------------------
     def request(self, core, op, var, info, callback) -> None:
-        self._admit(core, op, var)
+        self._admit(op, var)
         self._pending[core.core_id] = callback
         self._wake_all(self.logic.apply(core.core_id, op, var, info))
 
     def request_async(self, core, op, var, info) -> int:
-        self._admit(core, op, var)
+        self._admit(op, var)
         self._wake_all(self.logic.apply(core.core_id, op, var, info))
         return self.config.async_issue_cycles
 

@@ -54,14 +54,14 @@ class _AbortModeSE(SyncEngine):
                 self._redirect_overflow(msg)
                 return None, False
             entry = self.st.allocate(msg.var)
-            self.stats.count_st_allocation()
+            self.stats.st_allocations += 1
             if sem_init is not None:
                 entry.table_info = sem_init
             return entry, False
         # Master SE with no entry.
         if not self.st.is_full:
             entry = self.st.allocate(msg.var)
-            self.stats.count_st_allocation()
+            self.stats.st_allocations += 1
             if sem_init is not None:
                 entry.table_info = sem_init
             return entry, False

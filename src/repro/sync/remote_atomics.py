@@ -78,11 +78,7 @@ class AtomicUnit:
         service = dram.access(addr, is_write=is_write, now=start) + ALU_CYCLES
         self._next_free = start + service
         self.visits += 1
-        stats = self.mech.stats
-        stats.sync_memory_accesses += 1
-        tenant = stats.active
-        if tenant is not None:
-            tenant.sync_memory_accesses += 1
+        self.mech.stats.sync_memory_accesses += 1
         return start, start + service
 
 
@@ -130,9 +126,6 @@ class RemoteAtomicsMechanism(SpinWaitMixin, MechanismBase):
     ) -> None:
         """Visit ``var``'s atomic unit; ``callback(old_value)`` fires when
         the response reaches the core.  ``fn=None`` is a pure load."""
-        # Spin retries re-enter here from scheduled events, so re-establish
-        # the requesting core's tenant as the attribution context.
-        self.stats.active = getattr(core, "tstats", None)
         home = var.unit
         now = self.sim.now
         if core.unit_id == home:
@@ -204,8 +197,6 @@ class RemoteAtomicsMechanism(SpinWaitMixin, MechanismBase):
         notes in EXPERIMENTS.md.
         """
         stats = self.stats
-        stats.active = getattr(core, "tstats", None)
-        tenant = stats.active
         home = var.unit
         local = core.unit_id == home
         if local:
@@ -222,14 +213,12 @@ class RemoteAtomicsMechanism(SpinWaitMixin, MechanismBase):
         stats.dram_reads += count
         stats.dram_row_hits += count
         stats.sync_memory_accesses += count
-        if tenant is not None:
-            tenant.sync_memory_accesses += count
 
     # ------------------------------------------------------------------
     # Mechanism interface
     # ------------------------------------------------------------------
     def request(self, core, op, var, info, callback) -> None:
-        self._admit(core, op, var)
+        self._admit(op, var)
         if op == LOCK_ACQUIRE:
             self._lock_acquire(core, var, callback)
         elif op == LOCK_RELEASE:

@@ -98,9 +98,5 @@ class ServerEngine(SyncEngine):
         )
         rest = accesses - 1
         if rest:
-            stats = self.stats
-            stats.sync_memory_accesses += rest
-            tenant = stats.active
-            if tenant is not None:
-                tenant.sync_memory_accesses += rest
+            self.stats.sync_memory_accesses += rest
             self._extra += self.l1.hit_resident(addr, rest, dirty=True)

@@ -54,8 +54,8 @@ FABRICS = {
 
 def fabric_snapshot(system) -> tuple:
     """Every piece of state a transfer or burst touches: a copy of every
-    counter (tenants included), each crossbar's load estimate, each link's
-    reservation, and each DRAM's banks."""
+    counter, each crossbar's load estimate, each link's reservation, and
+    each DRAM's banks."""
     interconnect = system.interconnect
     return (
         copy.deepcopy(system.stats),
@@ -126,9 +126,7 @@ def _queued_start_next(se) -> None:
 
 def _queued_finish(se, msg) -> None:
     se._extra = 0
-    stats = se.stats
-    stats.record_st_occupancy(se.se_id, len(se.st))
-    stats.active = msg.var.owner if msg.var is not None else None
+    se.stats.record_st_occupancy(se.se_id, len(se.st))
     se.dispatch(msg)
     if se._extra > 0:
         se.sim.schedule(se._extra, se._start_next)

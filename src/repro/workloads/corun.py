@@ -7,16 +7,18 @@ capacity, memory, and (since the topology subsystem) shared fabric links.
 This module adds that scenario axis:
 
 - a :class:`TenantSpec` names one tenant: a workload factory plus its share
-  of the machine (an explicit unit slice, a client-core count, or an equal
-  share of whatever remains);
+  of the machine (an explicit unit slice, explicit client core ids, or an
+  equal share of whatever remains);
 - :class:`CorunWorkload` partitions the system's cores deterministically,
   builds each tenant's workload against a
   :class:`~repro.sim.tenancy.TenantView` of its slice, merges the per-core
   programs, and runs them all on the one shared system;
-- per-tenant attribution (cycles-to-completion, sync requests, bytes, ST
-  occupancy) accumulates in :class:`~repro.sim.stats.TenantStats` and is
-  reported through ``RunMetrics.stats`` as ``tenant.<name>.<counter>`` keys,
-  so co-run results cache and round-trip like any other run.
+- after the run, :meth:`CorunWorkload.run` adds each tenant's cycles (the
+  latest finish time of its cores) and operations to ``RunMetrics.stats``
+  as ``tenant.<name>.cycles``/``operations``, plus ``tenant_summary.*``
+  (tenant count, makespan, fairness), so co-run results cache and
+  round-trip like any other run.  Shared-resource counters stay
+  whole-machine: the simulator never learns which tenant issued what.
 
 Isolation property: a single tenant owning all cores is an identity mapping
 — same allocations, same programs, bit-identical cycles/energy/bytes to
@@ -42,8 +44,6 @@ class TenantSpec:
     - ``units`` — unit-granular slice: the tenant gets *all* client cores of
       those physical units (the shape per-unit workloads like the graph
       kernels want);
-    - ``cores`` — a contiguous slice of that many yet-unassigned client
-      cores (fine for symmetric workloads like the primitive microbenches);
     - ``core_ids`` — an explicit list of client core ids (what the
       interference experiment uses to run a tenant *alone on exactly the
       slice it occupied in a co-run*);
@@ -53,20 +53,14 @@ class TenantSpec:
 
     name: str
     factory: Callable[[], Workload]
-    cores: Optional[int] = None
     units: Optional[Tuple[int, ...]] = None
     core_ids: Optional[Tuple[int, ...]] = None
 
     def __post_init__(self) -> None:
-        knobs = sum(k is not None for k in (self.cores, self.units,
-                                            self.core_ids))
-        if knobs > 1:
+        if self.units is not None and self.core_ids is not None:
             raise ValueError(
-                f"tenant {self.name!r}: give at most one of cores=, units=, "
-                f"core_ids="
+                f"tenant {self.name!r}: give at most one of units=, core_ids="
             )
-        if self.cores is not None and self.cores < 1:
-            raise ValueError(f"tenant {self.name!r}: cores must be positive")
 
 
 def partition_cores(system: NDPSystem, tenants: Sequence[TenantSpec]
@@ -75,9 +69,9 @@ def partition_cores(system: NDPSystem, tenants: Sequence[TenantSpec]
 
     Returns one ``(cores, units)`` pair per tenant, in declaration order.
     Fully-determined tenants claim first (explicit ``units`` take whole
-    units, explicit ``core_ids`` take exactly those cores), then ``cores``
-    tenants take contiguous slices of the remainder, then the unconstrained
-    tenants split what is left evenly (earlier tenants get the odd cores).
+    units, explicit ``core_ids`` take exactly those cores), then the
+    unconstrained tenants split what is left evenly (earlier tenants get the
+    odd cores).
     """
     if not tenants:
         raise ValueError("a co-run needs at least one tenant")
@@ -123,19 +117,6 @@ def partition_cores(system: NDPSystem, tenants: Sequence[TenantSpec]
             claim(cores, spec)
             assignments[i] = (cores, derive_units(cores))
 
-    for i, spec in enumerate(tenants):
-        if spec.cores is None or assignments[i] is not None:
-            continue
-        free = [c for c in pool if c.core_id not in claimed]
-        if spec.cores > len(free):
-            raise ValueError(
-                f"tenant {spec.name!r} wants {spec.cores} cores, only "
-                f"{len(free)} remain"
-            )
-        cores = free[: spec.cores]
-        claim(cores, spec)
-        assignments[i] = (cores, derive_units(cores))
-
     rest = [i for i, a in enumerate(assignments) if a is None]
     if rest:
         free = [c for c in pool if c.core_id not in claimed]
@@ -174,10 +155,7 @@ class CorunWorkload(Workload):
         assignments = partition_cores(system, self.tenants)
         programs: Dict[int, object] = {}
         for spec, (cores, units) in zip(self.tenants, assignments):
-            tstats = system.stats.add_tenant(spec.name)
-            for core in cores:
-                core.tstats = tstats
-            view = TenantView(system, tstats, cores, units)
+            view = TenantView(system, spec.name, cores, units)
             workload = spec.factory()
             tenant_programs = workload.build(view)
             own = {c.core_id for c in cores}
@@ -197,15 +175,28 @@ class CorunWorkload(Workload):
     def run(self, system: NDPSystem, max_events: Optional[int] = None) -> RunMetrics:
         programs = self.build(system)
         cycles = system.run_programs(programs, max_events=max_events)
+        for view, workload in zip(self.views, self.inner):
+            workload.verify(view)
+        metrics = collect_metrics(system, cycles, self.operations())
+        stats = metrics.stats
+        makespans = []
         for view, workload, core_ids in zip(self.views, self.inner,
                                             self._program_cores):
-            tstats = view.tstats
-            tstats.cycles = max(
+            makespan = max(
                 (system.cores[cid].finish_time for cid in core_ids), default=0
             )
-            tstats.operations = workload.operations()
-            workload.verify(view)
-        return collect_metrics(system, cycles, self.operations())
+            makespans.append(makespan)
+            stats[f"tenant.{view.name}.cycles"] = makespan
+            stats[f"tenant.{view.name}.operations"] = workload.operations()
+        # fairness: min/max of the tenant makespans (1.0 = all finished
+        # together, near 0 = one tenant was starved).
+        makespan = max(makespans)
+        stats["tenant_summary.tenants"] = len(makespans)
+        stats["tenant_summary.makespan"] = makespan
+        stats["tenant_summary.fairness"] = (
+            min(makespans) / makespan if makespan else 1.0
+        )
+        return metrics
 
     def verify(self, system: NDPSystem) -> None:
         """Per-tenant verification happens inside :meth:`run` (each inner
@@ -213,11 +204,3 @@ class CorunWorkload(Workload):
 
     def operations(self) -> int:
         return sum(workload.operations() for workload in self.inner)
-
-    # ------------------------------------------------------------------
-    def tenant_metrics(self) -> List[Dict[str, float]]:
-        """Per-tenant counter snapshots (after :meth:`run`)."""
-        return [
-            {"name": view.tstats.name, **view.tstats.as_dict()}
-            for view in self.views
-        ]

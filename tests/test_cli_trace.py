@@ -61,7 +61,13 @@ class TestCliCommands:
         (["sweep", "--primitives", "lock", "--mechanisms", "syncron",
           "--faults", "0>2@100", "--vary", "topology=ring", "--no-cache"],
          "fault_links channel (0, 2) does not exist in the 'ring' fabric"),
-    ], ids=["run-bad-faults", "run-negative-latency", "sweep-missing-channel"])
+        (["run", "interference", "--arg", "groups=lock+barrier",
+          "--arg", "core_split=0,10", "--arg", "rounds=1", "--no-cache"],
+         "every tenant needs at least one core"),
+        (["corun", "--tenants", "lock,barrier", "--cores", "0,10"],
+         "every tenant needs at least one core"),
+    ], ids=["run-bad-faults", "run-negative-latency", "sweep-missing-channel",
+            "run-zero-core-split", "corun-zero-cores"])
     def test_invalid_override_exits_2_before_simulating(
             self, monkeypatch, capsys, argv, message):
         def simulate(spec):

@@ -1,5 +1,5 @@
 """Multi-tenant co-run scenarios: partitioning, tenant views, per-tenant
-attribution, the single-tenant isolation bit-identity, and the baseline
+cycles, the single-tenant isolation bit-identity, and the baseline
 correctness fixes that ride along (shared kind rule, configured async issue
 cost, owned-slot striped allocation, speedup guard)."""
 
@@ -51,15 +51,14 @@ class TestPartitioning:
         assert {c.unit_id for c in b_cores} == {2, 3}
         assert len(a_cores) + len(b_cores) == len(system.cores)
 
-    def test_core_counts_are_contiguous_and_rest_splits_evenly(self, quad_config):
+    def test_rest_splits_evenly(self, quad_config):
         system = build_system(quad_config)
         (a, _), (b, _), (c, _) = partition_cores(system, [
-            TenantSpec("a", _lock_bench, cores=5),
+            TenantSpec("a", _lock_bench, core_ids=tuple(range(5))),
             TenantSpec("b", _lock_bench),
             TenantSpec("c", _lock_bench),
         ])
         total = len(system.cores)
-        assert [x.core_id for x in a] == list(range(5))
         assert len(b) + len(c) == total - 5
         assert abs(len(b) - len(c)) <= 1
         # no overlap, full coverage
@@ -93,14 +92,15 @@ class TestPartitioning:
 
     def test_oversubscription_rejected(self, tiny_config):
         system = build_system(tiny_config)
-        with pytest.raises(ValueError, match="only"):
+        with pytest.raises(ValueError, match="no cores"):
             partition_cores(system, [
-                TenantSpec("a", _lock_bench, cores=len(system.cores) + 1),
+                TenantSpec(f"t{i}", _lock_bench)
+                for i in range(len(system.cores) + 1)
             ])
 
     def test_units_and_cores_both_given_rejected(self):
         with pytest.raises(ValueError, match="at most one"):
-            TenantSpec("a", _lock_bench, cores=3, units=(0,))
+            TenantSpec("a", _lock_bench, core_ids=(0, 1, 2), units=(0,))
 
     def test_duplicate_tenant_names_rejected(self):
         with pytest.raises(ValueError, match="unique"):
@@ -113,9 +113,8 @@ class TestPartitioning:
 # ----------------------------------------------------------------------
 class TestTenantView:
     def _view(self, system, units):
-        tstats = system.stats.add_tenant("t")
         cores = [c for c in system.cores if c.unit_id in set(units)]
-        return TenantView(system, tstats, cores, units)
+        return TenantView(system, "t", cores, units)
 
     def test_logical_unit_remapping(self, quad_config):
         system = build_system(quad_config)
@@ -133,7 +132,6 @@ class TestTenantView:
         view = self._view(system, (1, 3))
         vars_ = [view.create_syncvar() for _ in range(4)]
         assert [v.unit for v in vars_] == [1, 3, 1, 3]
-        assert all(v.owner is view.tstats for v in vars_)
 
     def test_whole_machine_view_is_identity(self, quad_config):
         system = build_system(quad_config)
@@ -192,13 +190,12 @@ class TestIsolation:
         assert corun.bytes_inside_units == solo.bytes_inside_units
         assert corun.bytes_across_units == solo.bytes_across_units
         assert corun.sync_requests == solo.sync_requests
-        # and the whole-machine tenant is attributed everything
+        # and the whole-machine tenant's cycles are the run's
         assert corun.stats["tenant.only.cycles"] == solo.cycles
-        assert corun.stats["tenant.only.sync_requests"] == solo.sync_requests
 
 
 # ----------------------------------------------------------------------
-# Two-tenant co-runs: attribution and summaries
+# Two-tenant co-runs: per-tenant cycles and summaries
 # ----------------------------------------------------------------------
 class TestCorunAttribution:
     def _corun(self, config, mechanism="syncron"):
@@ -209,21 +206,21 @@ class TestCorunAttribution:
         system = NDPSystem(config, mechanism=mechanism)
         return workload.run(system), workload, system
 
-    def test_per_tenant_counters_present_and_bounded(self, tiny_config):
+    def test_stats_are_single_workload_keys_plus_tenant_cycles(
+            self, tiny_config):
         metrics, workload, system = self._corun(tiny_config)
-        stats = metrics.stats
-        for name in ("locky", "barry"):
-            assert stats[f"tenant.{name}.cycles"] > 0
-            assert stats[f"tenant.{name}.sync_requests"] > 0
-        # attribution never exceeds the global counters
-        for field in ("sync_requests", "bytes_inside_units",
-                      "bytes_across_units"):
-            total = sum(
-                stats[f"tenant.{t}.{field}"] for t in ("locky", "barry")
-            )
-            global_field = ("sync_requests_total" if field == "sync_requests"
-                            else field)
-            assert total <= stats[global_field]
+        solo = run_workload(_lock_bench, tiny_config, "syncron")
+        tenant_keys = {
+            f"tenant.{name}.{key}"
+            for name in ("locky", "barry") for key in ("cycles", "operations")
+        } | {f"tenant_summary.{key}"
+             for key in ("tenants", "makespan", "fairness")}
+        assert set(metrics.stats) == set(solo.stats) | tenant_keys
+        assert metrics.stats["tenant_summary.tenants"] == 2
+        for name, tenant in zip(("locky", "barry"), workload.inner):
+            assert metrics.stats[f"tenant.{name}.cycles"] > 0
+            assert (metrics.stats[f"tenant.{name}.operations"]
+                    == tenant.operations())
 
     def test_makespan_and_fairness_summary(self, tiny_config):
         metrics, workload, system = self._corun(tiny_config)

@@ -238,7 +238,7 @@ def test_elision_on_off_bit_identity(workload, args, mechanism, extra):
         record = execute_spec(spec)
         results[elide] = record["result"]
     # Every physics counter — cycles, energy, bytes, occupancy, per-tenant
-    # attribution — must match bit-for-bit; only kernel effort may differ.
+    # cycles — must match bit-for-bit; only kernel effort may differ.
     assert _strip_kernel(results[True]) == _strip_kernel(results[False])
     if mechanism in ("rmw_spin", "bakery") and args.get("primitive") != "semaphore":
         # Spin mechanisms must actually exercise elision, or this whole

@@ -45,7 +45,7 @@ def warm_up(system, seed, accesses=40):
     return now
 
 
-def run_both(fabric, src, home, stores, loads, size=8, seed=0, tenant=False,
+def run_both(fabric, src, home, stores, loads, size=8, seed=0,
              failed_link=None):
     """(cycles, follow-up latency, state) after a burst and after the
     reference loop, each on a fresh system with the same warm-up."""
@@ -53,8 +53,6 @@ def run_both(fabric, src, home, stores, loads, size=8, seed=0, tenant=False,
     for issue in (MemorySystem.uncacheable_burst, per_access_burst):
         system = make_system(fabric, failed_link)
         now = warm_up(system, seed)
-        if tenant:
-            system.stats.active = system.stats.add_tenant("t0")
         addr = system.addrmap.alloc(home, 64)
         cycles = issue(system.memsys, src, addr, now, stores=stores,
                        loads=loads, size=size, for_sync=True)
@@ -78,12 +76,6 @@ class TestBurstMatchesPerAccessLoop:
     def test_store_load_mixes(self, stores, loads):
         burst, reference = run_both("ring", 1, 3, stores, loads, size=16)
         assert burst == reference
-
-    def test_tenant_counters_match(self):
-        burst, reference = run_both("all_to_all", 2, 0, stores=1, loads=8,
-                                    tenant=True)
-        assert burst == reference
-        assert burst[2][0].tenants[0].sync_memory_accesses == 9
 
     def test_failed_link_detours_match(self):
         burst, reference = run_both("ring", 0, 1, stores=2, loads=10,

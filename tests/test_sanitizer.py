@@ -20,6 +20,7 @@ from repro.sim.engine import Simulator
 from repro.testing import ALL_MECHANISMS, SPIN_MECHANISMS
 from repro.workloads import PrimitiveMicrobench
 from repro.workloads.base import run_workload
+from repro.workloads.corun import CorunWorkload, TenantSpec
 
 
 class Mailbox:
@@ -295,6 +296,28 @@ class TestMechanismsClean:
                 lambda: PrimitiveMicrobench(primitive, interval=10, rounds=5),
                 tiny_config, mechanism)
         assert metrics.cycles > 0
+        assert session.events_observed > 0
+        assert session.hazards == [], "\n".join(
+            h.describe() for h in session.hazards)
+
+    # The spin baselines implement no barrier, so they co-run two locks.
+    @pytest.mark.parametrize("mechanism,primitives", [
+        ("syncron", ("lock", "barrier")),
+        ("central", ("lock", "barrier")),
+        ("rmw_spin", ("lock", "lock")),
+        ("bakery", ("lock", "lock")),
+    ])
+    def test_two_tenant_corun_hazard_free(self, tiny_config, mechanism,
+                                          primitives):
+        tenants = [
+            TenantSpec(f"t{i}", lambda primitive=primitive: PrimitiveMicrobench(
+                primitive, interval=10, rounds=5))
+            for i, primitive in enumerate(primitives)
+        ]
+        with sanitize_session() as session:
+            metrics = run_workload(lambda: CorunWorkload(tenants),
+                                   tiny_config, mechanism)
+        assert metrics.stats["tenant_summary.tenants"] == 2
         assert session.events_observed > 0
         assert session.hazards == [], "\n".join(
             h.describe() for h in session.hazards)

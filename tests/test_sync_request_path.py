@@ -149,9 +149,8 @@ def l1_state(l1):
 
 
 def server_pair(mechanism, accesses, scenario):
-    """Two identical systems with a one-line server L1, a tenant active,
-    the state line warmed / cold / behind a dirty line, per ``scenario``.
-    Returns [(system, server, var, other_addr)] for each."""
+    """Two identical systems with a one-line server L1 and the state line
+    warmed / cold / behind a dirty line, per ``scenario``.  Returns [(system, server, var, other_addr)] for each."""
     config = ndp_2_5d(num_units=2, cores_per_unit=4, client_cores_per_unit=3,
                       l1_size_bytes=64, l1_ways=1,
                       server_handler_accesses=accesses)
@@ -161,8 +160,6 @@ def server_pair(mechanism, accesses, scenario):
         server = system.mechanism.ses[0]
         var = system.create_syncvar(unit=1)
         other = system.addrmap.alloc_line(0)
-        stats = system.stats
-        stats.active = stats.add_tenant("t0")
         memsys = system.memsys
         addr = server._state_address(var)
         if scenario == "hit":
@@ -187,8 +184,6 @@ def test_server_fold_equals_separate_accesses(mechanism, accesses, scenario):
     assert l1_state(f_server.l1) == l1_state(r_server.l1)
     assert fabric_snapshot(fused) == fabric_snapshot(ref)
     for system in (fused, ref):
-        tenant = system.stats.tenants[0]
-        assert tenant.sync_memory_accesses == accesses
         assert system.stats.sync_memory_accesses == accesses
     if accesses:
         hit = scenario == "hit"

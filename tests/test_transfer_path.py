@@ -5,7 +5,7 @@ accounting, the route lookup, the link loop and the destination crossbar
 step inline.  :func:`repro.testing.per_hop_transfer` composes the same
 packet from :meth:`Crossbar.queue_wait`, each :meth:`Link.reserve` and
 :func:`charge_transfers`.  After every packet the two must agree on the
-latency, on every counter (tenant counters included) and on the crossbar,
+latency, on every counter and on the crossbar,
 link and DRAM state, on every fabric — pristine, routed, faulted and
 heterogeneous.
 
@@ -47,7 +47,7 @@ def make_system(case):
     return system
 
 
-def replay(case, packets, tenant_from=None):
+def replay(case, packets):
     """Drive the same packet sequence through ``transfer_latency`` on one
     system and through the per-hop reference on another, comparing
     latency and state after every packet."""
@@ -55,9 +55,6 @@ def replay(case, packets, tenant_from=None):
     units = fused.config.num_units
     now = 0
     for index, (src, dst, gap, nbytes) in enumerate(packets):
-        if index == tenant_from:
-            for system in (fused, reference):
-                system.stats.active = system.stats.add_tenant("t0")
         now += gap
         src, dst = src % units, dst % units
         latency = fused.interconnect.transfer_latency(src, dst, now, nbytes)
@@ -79,9 +76,8 @@ def random_packets(seed, count=120):
 class TestTransferMatchesPerHop:
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_random_traffic(self, case):
-        system = replay(case, random_packets(seed=len(case)), tenant_from=60)
+        system = replay(case, random_packets(seed=len(case)))
         assert system.stats.bytes_across_units > 0
-        assert system.stats.tenants[0].bytes_inside_units > 0
 
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_every_pair_local_and_remote(self, case):
@@ -113,10 +109,9 @@ class TestTransferMatchesPerHop:
                st.tuples(st.integers(0, 7), st.integers(0, 7),
                          st.sampled_from((0, 1, 2, 50, 3000, 2_000_000)),
                          st.sampled_from(SIZES)),
-               min_size=1, max_size=30),
-           tenant_from=st.one_of(st.none(), st.integers(0, 29)))
-    def test_random_sequences(self, case, packets, tenant_from):
-        replay(case, packets, tenant_from)
+               min_size=1, max_size=30))
+    def test_random_sequences(self, case, packets):
+        replay(case, packets)
 
 
 def burst_against_per_hop(monkeypatch, case, home, size, flood):
