@@ -9,7 +9,8 @@ the repository measures or checks outside its unit tests:
 - every ``repro`` command the CI workflow runs (``--workers`` forced to 1,
   stores and telemetry in a temporary directory);
 - the five benchmark scripts CI runs (``bench_kernel``, ``bench_memsys``,
-  ``bench_topology``, ``bench_corun``, ``bench_sweep``).
+  ``bench_topology``, ``bench_corun``, ``bench_sweep``);
+- every ``examples/*.py`` script, as CI runs them.
 
 Calls are recorded with :func:`sys.setprofile`.  Every ``def`` under
 ``src/repro/`` is then matched to the recorded code objects by file and
@@ -33,9 +34,11 @@ import argparse
 import ast
 import contextlib
 import importlib.util
+import glob
 import io
 import json
 import os
+import runpy
 import sys
 import tempfile
 import threading
@@ -153,6 +156,15 @@ def _benchmarks(tmp: str) -> None:
                   file=sys.stderr)
 
 
+def _examples() -> None:
+    for path in sorted(glob.glob(os.path.join(ROOT, "examples", "*.py"))):
+        try:
+            runpy.run_path(path, run_name="__main__")
+        except (Exception, SystemExit) as exc:
+            print(f"[reachability] {os.path.basename(path)}: "
+                  f"{type(exc).__name__}: {exc}", file=sys.stderr)
+
+
 def record_calls() -> Set[Tuple[str, int]]:
     """Run the loop; the ``(file, co_firstlineno)`` of every called code."""
     from repro.harness.runner import execution_options
@@ -175,6 +187,7 @@ def record_calls() -> Set[Tuple[str, int]]:
                 _e2ebench()
             _ci_commands(tmp)
             _benchmarks(tmp)
+            _examples()
         finally:
             sys.setprofile(None)
             threading.setprofile(None)

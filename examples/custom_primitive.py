@@ -1,19 +1,16 @@
 #!/usr/bin/env python3
-"""Building on SynCron's API: a producer/consumer pipeline and SE-side rmw.
+"""Building on SynCron's API: a producer/consumer pipeline and lock fairness.
 
 Shows the parts of the API the other examples don't touch:
 
 1. semaphores + condition variables composing into a bounded buffer
    (producers and consumers on different NDP units);
-2. the Sec. 4.4.1 rmw extension: SE-side fetch&add as a contention-free
-   statistics counter;
-3. the Sec. 4.4.2 lock-fairness knob.
+2. the Sec. 4.4.2 lock-fairness knob.
 
 Run:  python examples/custom_primitive.py
 """
 
 from repro import NDPSystem, api, ndp_2_5d
-from repro.core.rmw import RmwExtension
 from repro.sim import Compute
 
 
@@ -61,28 +58,6 @@ def bounded_buffer_demo() -> None:
           f"max depth {stats['max_depth']}, {cycles} cycles\n")
 
 
-def rmw_counter_demo() -> None:
-    print("== SE-side atomic rmw (Sec. 4.4.1 extension) ==")
-    system = NDPSystem(ndp_2_5d(), mechanism="syncron")
-    rmw = RmwExtension(system.mechanism)
-    counter_addr = system.addrmap.alloc(0, 8)
-    INCREMENTS = 5
-
-    def chain(core, remaining):
-        if remaining == 0:
-            return
-        rmw.rmw(core, counter_addr, "fetch_add", 1,
-                lambda old: chain(core, remaining - 1))
-
-    for core in system.cores:
-        chain(core, INCREMENTS)
-    system.sim.run()
-    total = rmw.value(counter_addr)
-    assert total == INCREMENTS * len(system.cores)
-    print(f"  {total} atomic increments executed at the Master SE "
-          f"({rmw.operations_executed} ALU ops, no locks, no retries)\n")
-
-
 def fairness_demo() -> None:
     print("== lock fairness threshold (Sec. 4.4.2) ==")
     for threshold in (0, 2):
@@ -108,7 +83,6 @@ def fairness_demo() -> None:
 
 def main() -> None:
     bounded_buffer_demo()
-    rmw_counter_demo()
     fairness_demo()
 
 

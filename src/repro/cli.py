@@ -153,10 +153,11 @@ def _sanitizer_scope(args):
 
 
 def cmd_list(_args) -> int:
-    print(f"{'experiment':10s} description")
+    width = max(len("experiment"), *(len(e.name) for e in EXPERIMENTS))
+    print(f"{'experiment':{width}s} description")
     print("-" * 60)
     for experiment in EXPERIMENTS:
-        print(f"{experiment.name:10s} {experiment.description}")
+        print(f"{experiment.name:{width}s} {experiment.description}")
     return 0
 
 
@@ -227,9 +228,9 @@ def cmd_sweep(args) -> int:
               "or --primitives", file=sys.stderr)
         return 2
     mechanisms = _csv(args.mechanisms) or MECHANISMS
-    # fail fast on typos — workers must never see bad names mid-sweep.
-    error = validate_names(apps=apps, structures=structures,
-                           primitives=primitives, mechanisms=mechanisms)
+    # fail fast on typos — workers must never see bad names mid-sweep
+    # (RunSpec.make rejects bad workload names while expanding the matrix).
+    error = validate_names(mechanisms=mechanisms)
     if error:
         print(f"sweep: {error}", file=sys.stderr)
         return 2
@@ -539,14 +540,17 @@ def cmd_quickstart(_args) -> int:
     def worker():
         for _ in range(10):
             yield api.lock_acquire(lock)
-            shared["counter"] += 1
+            # read, work, write back: an overlapping section loses an update
+            value = shared["counter"]
             yield Compute(20)
+            shared["counter"] = value + 1
             yield api.lock_release(lock)
 
     cycles = system.run_programs({c.core_id: worker() for c in system.cores})
+    lost = 10 * len(system.cores) - shared["counter"]
     print(f"{len(system.cores)} cores, {shared['counter']} lock-protected "
-          f"increments, {cycles} cycles, 0 lost updates")
-    return 0
+          f"increments, {cycles} cycles, {lost} lost updates")
+    return 1 if lost else 0
 
 
 _STORE_HELP = ("result store: dir:PATH or a bare PATH (default "

@@ -12,7 +12,6 @@ from repro.core.engine import SynCronMechanism, SyncEngine
 from repro.core.indexing import IndexingCounters
 from repro.core.messages import Message, Opcode, REQUEST_BYTES, RESPONSE_BYTES
 from repro.core.protocol import ProtocolError
-from repro.core.rmw import RMW_OPS, RmwExtension
 from repro.core.sync_table import STEntry, STFullError, SynchronizationTable
 from repro.core.syncronvar import SyncronVar, SyncronVarStore
 
@@ -25,8 +24,6 @@ __all__ = [
     "ProtocolError",
     "REQUEST_BYTES",
     "RESPONSE_BYTES",
-    "RMW_OPS",
-    "RmwExtension",
     "STEntry",
     "STFullError",
     "SynCronMechanism",

@@ -360,7 +360,6 @@ class SynCronMechanism(MechanismBase):
         self.ses = [SyncEngine(self, se_id) for se_id in range(self.config.num_units)]
         self.sem_initial: Dict[int, int] = {}
         self._pending: Dict[int, Callable[[], None]] = {}
-        self._rmw_ext = None  # built on first use (Sec. 4.4.1 extension)
 
     # ------------------------------------------------------------------
     def se(self, se_id: int) -> SyncEngine:
@@ -428,21 +427,6 @@ class SynCronMechanism(MechanismBase):
 
     def core_unit(self, core_id: int) -> int:
         return self.system.cores[core_id].unit_id
-
-    # ------------------------------------------------------------------
-    def rmw(self, core, addr, op, operand, callback) -> None:
-        """Sec. 4.4.1: execute an atomic rmw at the Master SE's ALU."""
-        if self._rmw_ext is None:
-            from repro.core.rmw import RmwExtension
-
-            self._rmw_ext = RmwExtension(self)
-        self.stats.extra["rmw_ops"] += 1
-        self._rmw_ext.rmw(core, addr, op, operand, callback)
-
-    def rmw_value(self, addr: int) -> int:
-        """Current memory value at an rmw-managed address (for tests and
-        workload verification)."""
-        return self._rmw_ext.value(addr) if self._rmw_ext else 0
 
     # Diagnostics -------------------------------------------------------
     def pending_cores(self):

@@ -129,6 +129,9 @@ class RunSpec:
                 f"unknown workload {workload!r}; choose from "
                 f"{sorted([*WORKLOAD_BUILDERS, *MEASUREMENTS])}"
             )
+        error = _args_error(workload, args or {})
+        if error:
+            raise ValueError(error)
         if workload not in SEEDABLE_WORKLOADS:
             # the seed is never forwarded to these, so hashing it would
             # split cache entries between physically identical runs.
@@ -333,6 +336,23 @@ def validate_names(apps: Sequence[str] = (), structures: Sequence[str] = (),
     for m in mechanisms:
         if m not in MECHANISM_NAMES:
             return f"unknown mechanism {m!r}; choose from {sorted(MECHANISM_NAMES)}"
+    return None
+
+
+def _args_error(workload: str, args: Mapping) -> Optional[str]:
+    """The first bad name or non-int count in a workload's ``args``, or
+    None: what would otherwise fail mid-run, inside the builder."""
+    if workload == "app" and "combo" in args:
+        return validate_names(apps=(str(args["combo"]),))
+    if workload == "structure" and "structure" in args:
+        return validate_names(structures=(args["structure"],))
+    if workload == "primitive":
+        for key in ("interval", "rounds"):
+            value = args.get(key, 0)
+            if not isinstance(value, int) or isinstance(value, bool):
+                return f"primitive {key} must be an int, got {value!r}"
+        if "primitive" in args:
+            return validate_names(primitives=(args["primitive"],))
     return None
 
 

@@ -27,7 +27,6 @@ from repro.sim.program import (
     Batch,
     Compute,
     Load,
-    RmwOp,
     Store,
     SyncAsyncOp,
     SyncOp,
@@ -44,7 +43,6 @@ __all__ = [
     "Batch",
     "IssuePort",
     "MessageTracer",
-    "RmwOp",
     "batch",
     "DDR4",
     "HBM",

@@ -22,7 +22,6 @@ from repro.sim.program import (
     Batch,
     Compute,
     Load,
-    RmwOp,
     Store,
     SyncAsyncOp,
     SyncOp,
@@ -91,9 +90,9 @@ class NDPCore:
         return hook
 
     # ------------------------------------------------------------------
-    def _advance(self, value=None) -> None:
+    def _advance(self) -> None:
         """Resume the program and dispatch its next operation."""
-        op = self.process.resume(value)
+        op = self.process.resume()
         if op is None:
             return
         # Exact-type dispatch (one dict hit); this runs once per core
@@ -194,22 +193,6 @@ class NDPCore:
         issue_cost = self.mechanism.request_async(self, op.op, op.var, op.info)
         self.sim.schedule(max(issue_cost, 1), self._advance)
 
-    def _rmw_op(self, op: RmwOp) -> None:
-        """Atomic rmw at the address's Master SE (Sec. 4.4.1); the program
-        resumes with the old value."""
-        self.instructions_retired += 1
-        self._waiting_since = self.sim.now
-        self._issue_then(
-            self.mechanism.rmw, self, op.addr, op.op, op.operand,
-            self._rmw_granted,
-        )
-
-    def _rmw_granted(self, old_value: int) -> None:
-        if self._waiting_since is not None:
-            self.cycles_waiting_sync += self.sim.now - self._waiting_since
-            self._waiting_since = None
-        self._advance(old_value)
-
     # ------------------------------------------------------------------
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"NDPCore(id={self.core_id}, unit={self.unit_id}, local={self.local_id})"
@@ -223,5 +206,4 @@ _OP_DISPATCH = {
     Batch: NDPCore._batch_op,
     SyncOp: NDPCore._sync_op,
     SyncAsyncOp: NDPCore._sync_async_op,
-    RmwOp: NDPCore._rmw_op,
 }

@@ -171,35 +171,3 @@ class SyncAsyncOp:
             raise ValueError(
                 f"req_async is only valid for release-type ops, got {self.op!r}"
             )
-
-
-#: atomic rmw opcodes the SE's lightweight ALU supports (Sec. 4.4.1).
-RMW_OPS = (
-    "fetch_add", "fetch_and", "fetch_or", "fetch_xor",
-    "swap", "fetch_max", "fetch_min",
-)
-
-
-@dataclass(slots=True, unsafe_hash=True)
-class RmwOp:
-    """An atomic read-modify-write executed at the Master SE (Sec. 4.4.1).
-
-    The yielding program receives the *old* value (fetch semantics)::
-
-        old = yield RmwOp("fetch_add", histogram_base + bin * 8, 1)
-
-    Supported by every SE-based mechanism (the Master SE's ALU executes
-    the operation), by Ideal (zero cost) and by the remote-atomics baseline
-    (its atomic units are exactly this hardware); the bakery baseline has
-    no rmw hardware by definition and rejects it.
-    """
-
-    op: str
-    addr: int
-    operand: int = 1
-
-    def __post_init__(self):
-        if self.op not in RMW_OPS:
-            raise ValueError(f"unknown rmw op {self.op!r}; one of {RMW_OPS}")
-        if self.addr < 0:
-            raise ValueError("rmw address must be non-negative")

@@ -28,8 +28,6 @@ EXTRA_COUNTERS: FrozenSet[str] = frozenset({
     "bakery_scans",
     #: failed lock/CAS attempts retried by spinning baselines.
     "spin_retries",
-    #: read-modify-write operations executed by remote-atomics baselines.
-    "rmw_ops",
     #: shared-LLC accesses made on behalf of synchronization.
     "llc_sync_accesses",
 })

@@ -134,18 +134,6 @@ class MechanismBase:
         self.request(core, op, var, info, callback=_no_waiter)
         return self.config.async_issue_cycles
 
-    def rmw(self, core, addr: int, op: str, operand: int,
-            callback: Callable[[int], None]) -> None:
-        """Atomic read-modify-write at ``addr`` (Sec. 4.4.1 extension).
-
-        ``callback(old_value)`` fires when the response reaches the core.
-        Mechanisms without rmw hardware (the bakery software baseline)
-        keep this default and reject the operation.
-        """
-        raise NotImplementedError(
-            f"mechanism {self.name!r} has no atomic rmw support"
-        )
-
 
 class SpinWaitMixin:
     """Wait-channel plumbing shared by the spin baselines (rmw_spin, bakery).

@@ -33,8 +33,7 @@ completes after the previous owner resets its number.
 
 Only the lock is implemented: it is the primitive the Sec. 2.2.1
 comparison measures (``ext_spin``, the e2ebench ``spin`` workload).  Any
-other op raises :class:`NotImplementedError`, as
-:meth:`~repro.sim.syncif.MechanismBase.rmw` does for this baseline.
+other op raises :class:`NotImplementedError`.
 """
 
 from __future__ import annotations

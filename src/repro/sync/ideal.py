@@ -40,22 +40,3 @@ class IdealMechanism(MechanismBase):
             if callback is not None:
                 # Zero-latency grant; schedule(0) keeps event ordering sane.
                 self.sim.schedule(0, callback)
-
-    # ------------------------------------------------------------------
-    def rmw(self, core, addr, op, operand, callback) -> None:
-        """Zero-overhead atomic rmw: atomicity for free, like all of Ideal."""
-        from repro.core.rmw import RMW_OPS
-
-        fn = RMW_OPS.get(op)
-        if fn is None:
-            raise ValueError(f"unknown rmw op {op!r}")
-        values = getattr(self, "_rmw_values", None)
-        if values is None:
-            values = self._rmw_values = {}
-        old = values.get(addr, 0)
-        values[addr] = fn(old, operand)
-        self.stats.extra["rmw_ops"] += 1
-        self.sim.schedule(0, callback, old)
-
-    def rmw_value(self, addr: int) -> int:
-        return getattr(self, "_rmw_values", {}).get(addr, 0)

@@ -15,7 +15,6 @@ Implementation sketch (one honest spin algorithm per primitive):
 - **Semaphore** — load + compare-and-swap loop decrementing a positive
   value (two messages per attempt under contention).
 - **Reader-writer lock** — a writer bit plus a reader count in one word.
-- **User-level rmw** (Sec. 4.4.1) — this baseline's native operation.
 
 The three primitives are the ones experiments measure: the lock
 (``ext_spin``, the e2ebench ``spin`` workload), the semaphore (e2ebench
@@ -376,39 +375,6 @@ class RemoteAtomicsMechanism(SpinWaitMixin, MechanismBase):
                 self._retry(core, var, channel, attempt, seen)
 
         attempt()
-
-    # ------------------------------------------------------------------
-    # User-level atomic rmw (Sec. 4.4.1): this baseline's native operation
-    # ------------------------------------------------------------------
-    def rmw(self, core, addr: int, op: str, operand: int, callback) -> None:
-        from repro.core.rmw import RMW_OPS
-
-        fn = RMW_OPS.get(op)
-        if fn is None:
-            raise ValueError(f"unknown rmw op {op!r}")
-        home = self.system.addrmap.unit_of(addr)
-        now = self.sim.now
-        if core.unit_id == home:
-            self.stats.sync_messages_local += 2
-        else:
-            self.stats.sync_messages_global += 2
-        self.stats.extra["rmw_ops"] += 1
-        latency = self.interconnect.transfer_latency(
-            core.unit_id, home, now, RMW_REQUEST_BYTES
-        )
-        _, done = self.atomic_units[home].visit(
-            addr, is_write=True, arrival=now + latency
-        )
-        key = (addr, "user")
-        old = self._fields.get(key, 0)
-        self._fields[key] = fn(old, operand)
-        back = self.interconnect.transfer_latency(
-            home, core.unit_id, done, RMW_RESPONSE_BYTES
-        )
-        self.sim.schedule_at(done + back, callback, old)
-
-    def rmw_value(self, addr: int) -> int:
-        return self._fields.get((addr, "user"), 0)
 
     # ------------------------------------------------------------------
     # Introspection (tests)

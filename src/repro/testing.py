@@ -36,8 +36,8 @@ ALL_MECHANISMS = (
 
 #: Sec. 2.2.1 spin-wait baselines.  Kept out of ALL_MECHANISMS because they
 #: implement only the primitives their experiments measure: the bakery its
-#: lock, ``rmw_spin`` its lock, semaphore, reader-writer lock and rmw —
-#: see test_spin_baselines.py for their coverage.
+#: lock, ``rmw_spin`` its lock, semaphore and reader-writer lock — see
+#: test_spin_baselines.py for their coverage.
 SPIN_MECHANISMS = ("rmw_spin", "bakery")
 
 

@@ -66,8 +66,16 @@ class TestCliCommands:
          "every tenant needs at least one core"),
         (["corun", "--tenants", "lock,barrier", "--cores", "0,10"],
          "every tenant needs at least one core"),
+        (["run", "fig12", "--arg", "combos=bfs.wk,xx.yy", "--no-cache"],
+         "unknown application 'xx'"),
+        (["run", "fig11", "--arg", "structure=nosuch", "--no-cache"],
+         "unknown structure 'nosuch'"),
+        (["run", "fig10", "--arg", "primitive=lock", "--arg", "intervals=abc",
+          "--no-cache"],
+         "primitive interval must be an int, got 'abc'"),
     ], ids=["run-bad-faults", "run-negative-latency", "sweep-missing-channel",
-            "run-zero-core-split", "corun-zero-cores"])
+            "run-zero-core-split", "corun-zero-cores", "run-unknown-combo",
+            "run-unknown-structure", "run-non-int-interval"])
     def test_invalid_override_exits_2_before_simulating(
             self, monkeypatch, capsys, argv, message):
         def simulate(spec):

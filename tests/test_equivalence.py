@@ -1,7 +1,7 @@
 """Property-based cross-mechanism equivalence.
 
 Hypothesis generates structured random programs (lock-protected critical
-sections, rw-lock sections, rmw updates, compute gaps) and every mechanism
+sections, rw-lock sections, compute gaps) and every mechanism
 must produce the *same functional outcome* — same final counters, no
 exclusion violations — even though their timing differs by orders of
 magnitude.  A protocol bug that double-grants, drops a grant, or loses an
@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core import api
 from repro.sim.config import ndp_2_5d
-from repro.sim.program import Compute, RmwOp
+from repro.sim.program import Compute
 from repro.sim.system import NDPSystem
 
 #: mechanisms compared for functional equivalence (bakery excluded only
@@ -27,7 +27,7 @@ CONFIG = ndp_2_5d(num_units=2, cores_per_unit=4, client_cores_per_unit=3)
 
 #: one program step: (kind, variable index, section length, gap length).
 step_strategy = st.tuples(
-    st.sampled_from(("lock", "rw_read", "rw_write", "rmw")),
+    st.sampled_from(("lock", "rw_read", "rw_write")),
     st.integers(min_value=0, max_value=2),
     st.integers(min_value=0, max_value=40),
     st.integers(min_value=0, max_value=60),
@@ -46,11 +46,9 @@ def run_spec(mechanism: str, spec, st_entries: int = 64):
     system = NDPSystem(config, mechanism=mechanism)
     locks = [system.create_syncvar(name=f"l{i}") for i in range(3)]
     rwlocks = [system.create_syncvar(name=f"rw{i}") for i in range(3)]
-    rmw_addrs = [system.addrmap.alloc(unit=i % 2, nbytes=8) for i in range(3)]
 
     counters = [0] * 3
     rw_counts = [0] * 3
-    rmw_sums = [0] * 3
     guards = {"lock": [0] * 3, "writer": [0] * 3, "readers": [0] * 3,
               "violations": 0}
 
@@ -78,7 +76,7 @@ def run_spec(mechanism: str, spec, st_entries: int = 64):
                 guards["readers"][var] -= 1
                 rw_counts[var] += 1
                 yield api.rw_read_release(rwlocks[var])
-            elif kind == "rw_write":
+            else:  # rw_write
                 yield api.rw_write_acquire(rwlocks[var])
                 guards["writer"][var] += 1
                 if guards["writer"][var] > 1 or guards["readers"][var]:
@@ -88,9 +86,6 @@ def run_spec(mechanism: str, spec, st_entries: int = 64):
                     yield Compute(section)
                 guards["writer"][var] -= 1
                 yield api.rw_write_release(rwlocks[var])
-            else:  # rmw
-                old = yield RmwOp("fetch_add", rmw_addrs[var], 1)
-                rmw_sums[var] = max(rmw_sums[var], old + 1)
 
     cores = system.cores
     programs = {
@@ -98,11 +93,9 @@ def run_spec(mechanism: str, spec, st_entries: int = 64):
         for i, steps in enumerate(spec[: len(cores)])
     }
     makespan = system.run_programs(programs)
-    final_rmw = [system.mechanism.rmw_value(addr) for addr in rmw_addrs]
     return {
         "counters": counters,
         "rw_counts": rw_counts,
-        "rmw": final_rmw,
         "violations": guards["violations"],
         "makespan": makespan,
     }
@@ -120,7 +113,6 @@ def test_all_mechanisms_agree_functionally(spec):
         assert outcome["violations"] == 0, mechanism
         assert outcome["counters"] == reference["counters"], mechanism
         assert outcome["rw_counts"] == reference["rw_counts"], mechanism
-        assert outcome["rmw"] == reference["rmw"], mechanism
 
 
 @settings(max_examples=10, deadline=None)
@@ -133,7 +125,6 @@ def test_overflow_path_is_functionally_invisible(spec):
     assert tight["violations"] == 0
     assert tight["counters"] == roomy["counters"]
     assert tight["rw_counts"] == roomy["rw_counts"]
-    assert tight["rmw"] == roomy["rmw"]
 
 
 @settings(max_examples=8, deadline=None)

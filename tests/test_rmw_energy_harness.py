@@ -1,63 +1,11 @@
-"""RMW extension, energy accounting, stats, and harness smoke tests."""
+"""Energy accounting, stats, and harness smoke tests."""
 
 import pytest
 
-from repro.core import api
-from repro.core.rmw import RMW_OPS, RmwExtension
 from repro.harness.runner import run_plan
 from repro.sim.config import ndp_2_5d
 from repro.sim.energy import compute_energy
-from repro.sim.program import Compute, Load
 from repro.sim.stats import SystemStats
-
-from repro.testing import build_system
-
-
-class TestRmwExtension:
-    def test_fetch_add_serializes_at_master(self, tiny_config):
-        system = build_system(tiny_config, "syncron")
-        rmw = RmwExtension(system.mechanism)
-        addr = system.addrmap.alloc(0, 8)
-        olds = []
-
-        def issue(core, count):
-            def do(remaining):
-                if remaining == 0:
-                    return
-                rmw.rmw(core, addr, "fetch_add", 1,
-                        lambda old: (olds.append(old), do(remaining - 1)))
-
-            do(count)
-
-        for core in system.cores:
-            issue(core, 3)
-        system.sim.run()
-        assert rmw.value(addr) == 3 * len(system.cores)
-        # atomicity: every intermediate value observed exactly once.
-        assert sorted(olds) == list(range(3 * len(system.cores)))
-
-    def test_all_ops_have_correct_semantics(self):
-        assert RMW_OPS["fetch_add"](5, 3) == 8
-        assert RMW_OPS["fetch_and"](0b1100, 0b1010) == 0b1000
-        assert RMW_OPS["fetch_or"](0b1100, 0b0011) == 0b1111
-        assert RMW_OPS["fetch_xor"](0b1100, 0b1010) == 0b0110
-        assert RMW_OPS["swap"](7, 9) == 9
-        assert RMW_OPS["fetch_max"](4, 9) == 9
-        assert RMW_OPS["fetch_min"](4, 9) == 4
-
-    def test_unknown_op_rejected(self, tiny_config):
-        system = build_system(tiny_config)
-        rmw = RmwExtension(system.mechanism)
-        with pytest.raises(ValueError):
-            rmw.rmw(system.cores[0], 0, "fetch_mul", 2, lambda old: None)
-
-    def test_remote_rmw_counts_global_messages(self, tiny_config):
-        system = build_system(tiny_config)
-        rmw = RmwExtension(system.mechanism)
-        addr = system.addrmap.alloc(1, 8)  # master in unit 1
-        rmw.rmw(system.cores[0], addr, "fetch_add", 1, lambda old: None)
-        system.sim.run()
-        assert system.stats.sync_messages_global == 2  # request + response
 
 
 class TestEnergyModel:

@@ -11,7 +11,7 @@ import pytest
 
 from repro.core import api
 from repro.sim.config import ndp_2_5d
-from repro.sim.program import Compute, Load, RmwOp, batch
+from repro.sim.program import Compute, Load, batch
 from repro.sim.smt import IssuePort
 from repro.sim.system import NDPSystem
 
@@ -227,17 +227,6 @@ class TestSynchronizationAcrossContexts:
         )
         assert phases["done"] == n
         assert makespan > 0
-
-    def test_rmw_across_contexts(self):
-        system = NDPSystem(smt_config(2), mechanism="syncron")
-        addr = system.addrmap.alloc(unit=0, nbytes=8)
-
-        def worker():
-            for _ in range(8):
-                yield RmwOp("fetch_add", addr, 1)
-
-        system.run_programs({c.core_id: worker() for c in system.cores})
-        assert system.mechanism.rmw_value(addr) == 8 * len(system.cores)
 
     def test_smt_hides_sync_latency_on_real_mix(self):
         """Doubling contexts on a sync+compute mix should cut the makespan

@@ -22,7 +22,7 @@ from repro.core.sync_table import STEntry, SynchronizationTable
 from repro.harness.specs import RunSpec
 from repro.sim.config import ndp_2_5d
 from repro.sim.program import (
-    LOCK_ACQUIRE, LOCK_RELEASE, Batch, Compute, Load, RmwOp, Store, SyncAsyncOp,
+    LOCK_ACQUIRE, LOCK_RELEASE, Batch, Compute, Load, Store, SyncAsyncOp,
     SyncOp, batch)
 from repro.sim.stats import SystemStats
 from repro.sim.syncif import SyncVar
@@ -252,7 +252,6 @@ OPS = [
     batch(Load(0x80), Compute(2)),
     SyncOp(LOCK_ACQUIRE, VAR),
     SyncAsyncOp(LOCK_RELEASE, VAR, info=1),
-    RmwOp("fetch_add", 0x100, 2),
 ]
 
 
@@ -286,10 +285,7 @@ def test_ops_of_different_kinds_differ():
     (lambda: SyncAsyncOp(LOCK_ACQUIRE, VAR), ValueError),
     (lambda: Batch((Load(0), SyncOp(LOCK_ACQUIRE, VAR))), TypeError),
     (lambda: batch(SyncOp(LOCK_RELEASE, VAR)), TypeError),
-    (lambda: RmwOp("fetch_nand", 0x100), ValueError),
-    (lambda: RmwOp("fetch_add", -8), ValueError),
-], ids=["compute", "sync_op", "async_acquire", "batch_sync", "batch_helper",
-        "rmw_op", "rmw_addr"])
+], ids=["compute", "sync_op", "async_acquire", "batch_sync", "batch_helper"])
 def test_op_validation_still_raises(build, error):
     with pytest.raises(error):
         build()
