@@ -123,7 +123,12 @@ class MemorySystem:
         once per burst, and each of the (at most two) runs is one
         :meth:`Interconnect.round_trips
         <repro.sim.network.Interconnect.round_trips>` call that resolves its
-        packets and DRAM row hits inline.
+        packets and DRAM row hits inline.  Within a run, once an exchange
+        waited at no crossbar and ended in the relative fabric state it
+        started in, the later exchanges repeat it shifted in time, and
+        ``round_trips`` resolves them in a loop of crossbar load-estimate
+        updates alone (still bit-identical; the argument is in its
+        docstring).  A bakery scan gets there within a few accesses.
         """
         count = stores + loads
         if for_sync:

@@ -37,7 +37,14 @@ fabric additionally counts ``link_bit_hops`` (bits x links traversed) for
 per-hop link energy.  :meth:`Interconnect.round_trips` resolves a burst of
 request/response exchanges to one DRAM address (a bakery scan) with the
 same arithmetic inline, its DRAM row hits included, and charges its traffic
-once per burst.
+once per burst.  Once an exchange of the burst waited nowhere and left the
+fabric, relative to its end, as it found it relative to its start, the
+following exchanges repeat it shifted in time: a steady-state loop then
+advances only the crossbar load estimates, stops at the first step whose
+estimate leaves the zero-wait range, and shifts every reservation by the
+exchanges it repeated.  The floats are computed by the same expressions in
+the same order and the shifts are exact integers, so the result is
+bit-identical to resolving every exchange.
 """
 
 from __future__ import annotations
@@ -86,7 +93,9 @@ class Crossbar:
     which keeps the full formula as the reference.  That is the common case
     by far: every crossbar step of the three e2ebench workloads runs at
     ``rho < 0.07``, and none of the 0.80M / 0.94M / 2.35M seed-0 steps of
-    ``apps`` / ``structures`` / ``spin`` needs the formula.
+    ``apps`` / ``structures`` / ``spin`` needs the formula.  It is also why
+    a burst in steady state (:meth:`Interconnect.round_trips`) needs
+    nothing of a step but its load-estimate update and this predicate.
     """
 
     __slots__ = ("config", "unit_id", "_rate", "_last_time", "_decay_cache",
@@ -520,6 +529,31 @@ class Interconnect:
         per burst; a crossbar step whose load estimate is at or below its
         limit skips the M/D/1 formula, as in :meth:`transfer_latency` (the
         bound and the measured traffic are in :class:`Crossbar`).
+
+        Steady state.  With zero-wait crossbar steps an exchange is a pure
+        function of its start state relative to the cursor: the elapsed
+        cycles since each crossbar's last step (``cursor - src_last``,
+        ``cursor - dst_last``), each link's ``_next_free - cursor`` and the
+        bank's ``bank_free - cursor``.  The load estimates enter only
+        through the zero-wait predicate ``rate > limit``.  So once an
+        exchange took the zero-wait branch at every crossbar step and ended
+        in the relative state it started in, the next exchange repeats it
+        shifted by its period, for as long as every step stays at or below
+        its limit.  A tight loop then runs only each step's load-estimate
+        update ``rate = rate * decay + inject``, with ``decay`` and
+        ``inject = (nbytes / elapsed) * (1.0 - decay)`` taken from that
+        exchange's elapsed values, and checks each step's limit.  On the
+        first step above its limit it stops before committing that
+        exchange, and the general loop resumes there.  The ``n`` committed
+        exchanges shift the cursor, both crossbars' last-step times, every
+        link's next-free time and the bank's by ``n`` periods.  Every float
+        is the same expression in the same order as in the general loop and
+        every shift is an exact integer, so the result stays bit-identical.
+        An exchange that waited never seeds the loop: its wait before the
+        first link is invisible in the relative state, and its period
+        includes waits the repeats would not pay.  A bakery scan reaches
+        this state after two or three exchanges.
+
         A faulted fabric, whose routes may change mid-burst, resolves every
         transfer through :meth:`transfer_latency` and every access through
         ``dram.access`` instead.
@@ -562,20 +596,27 @@ class Interconnect:
         resp_limit = 0.5 * bpc / resp_service
         src_rate, src_last = src._rate, src._last_time
         src_memo, src_decay = src._decay_cache, src._decay
+        # Exchanges resolved so far, and the relative state the last one
+        # ended in (the next one's start state).
+        done = 0
+        entry = None
         if local:
             out = back = ()
-            for _ in range(count):
+            while done < count:
+                begin = cursor
+                waited = False
                 # request: source crossbar step
-                elapsed = cursor - src_last
-                if elapsed < 1:
-                    elapsed = 1
-                decay = src_memo.get(elapsed)
-                if decay is None:
-                    decay = src_decay(elapsed)
-                src_rate = src_rate * decay + (request_bytes / elapsed) * (1.0 - decay)
+                e1 = cursor - src_last
+                if e1 < 1:
+                    e1 = 1
+                d1 = src_memo.get(e1)
+                if d1 is None:
+                    d1 = src_decay(e1)
+                src_rate = src_rate * d1 + (request_bytes / e1) * (1.0 - d1)
                 src_last = cursor
                 t = cursor + base
                 if src_rate > req_limit:
+                    waited = True
                     rho = src_rate / bpc
                     if rho > 0.95:
                         rho = 0.95
@@ -589,21 +630,49 @@ class Interconnect:
                     t += hit
                     bank_free = t + recovery
                 # response: the same crossbar again
-                elapsed = t - src_last
-                if elapsed < 1:
-                    elapsed = 1
-                decay = src_memo.get(elapsed)
-                if decay is None:
-                    decay = src_decay(elapsed)
-                src_rate = src_rate * decay + (response_bytes / elapsed) * (1.0 - decay)
+                e2 = t - src_last
+                if e2 < 1:
+                    e2 = 1
+                d2 = src_memo.get(e2)
+                if d2 is None:
+                    d2 = src_decay(e2)
+                src_rate = src_rate * d2 + (response_bytes / e2) * (1.0 - d2)
                 src_last = t
                 t += base
                 if src_rate > resp_limit:
+                    waited = True
                     rho = src_rate / bpc
                     if rho > 0.95:
                         rho = 0.95
                     t += int(rho * resp_service / (2.0 * (1.0 - rho)))
                 cursor = t if t > cursor else cursor + 1
+                done += 1
+                state = (cursor - src_last, bank_free - cursor)
+                if waited or state != entry:
+                    entry = state
+                    continue
+                # Steady state: repeat this exchange while both steps stay
+                # at or below their limits.
+                inject1 = (request_bytes / e1) * (1.0 - d1)
+                inject2 = (response_bytes / e2) * (1.0 - d2)
+                src_r = src_rate
+                for repeats in range(count - done):
+                    src_next = src_r * d1 + inject1
+                    if src_next > req_limit:
+                        break
+                    src_next = src_next * d2 + inject2
+                    if src_next > resp_limit:
+                        break
+                    src_r = src_next
+                else:
+                    repeats = count - done
+                if repeats:
+                    src_rate = src_r
+                    shift = repeats * (cursor - begin)
+                    cursor += shift
+                    src_last += shift
+                    bank_free += shift
+                    done += repeats
         else:
             dst = self.crossbars[dst_unit]
             dst_rate, dst_last = dst._rate, dst._last_time
@@ -620,18 +689,21 @@ class Interconnect:
             back_lat = [link._latency_cycles for link in back]
             out_hops = range(len(out))
             back_hops = range(len(back))
-            for _ in range(count):
+            while done < count:
+                begin = cursor
+                waited = False
                 # request: source crossbar step
-                elapsed = cursor - src_last
-                if elapsed < 1:
-                    elapsed = 1
-                decay = src_memo.get(elapsed)
-                if decay is None:
-                    decay = src_decay(elapsed)
-                src_rate = src_rate * decay + (request_bytes / elapsed) * (1.0 - decay)
+                e1 = cursor - src_last
+                if e1 < 1:
+                    e1 = 1
+                d1 = src_memo.get(e1)
+                if d1 is None:
+                    d1 = src_decay(e1)
+                src_rate = src_rate * d1 + (request_bytes / e1) * (1.0 - d1)
                 src_last = cursor
                 t = cursor + base
                 if src_rate > req_limit:
+                    waited = True
                     rho = src_rate / bpc
                     if rho > 0.95:
                         rho = 0.95
@@ -645,16 +717,17 @@ class Interconnect:
                     out_free[i] = start
                     t = start + out_lat[i]
                 # request: destination crossbar step
-                elapsed = t - dst_last
-                if elapsed < 1:
-                    elapsed = 1
-                decay = dst_memo.get(elapsed)
-                if decay is None:
-                    decay = dst_decay(elapsed)
-                dst_rate = dst_rate * decay + (request_bytes / elapsed) * (1.0 - decay)
+                e2 = t - dst_last
+                if e2 < 1:
+                    e2 = 1
+                d2 = dst_memo.get(e2)
+                if d2 is None:
+                    d2 = dst_decay(e2)
+                dst_rate = dst_rate * d2 + (request_bytes / e2) * (1.0 - d2)
                 dst_last = t
                 t += base
                 if dst_rate > req_limit:
+                    waited = True
                     rho = dst_rate / bpc
                     if rho > 0.95:
                         rho = 0.95
@@ -668,16 +741,17 @@ class Interconnect:
                     t += hit
                     bank_free = t + recovery
                 # response: destination crossbar step
-                elapsed = t - dst_last
-                if elapsed < 1:
-                    elapsed = 1
-                decay = dst_memo.get(elapsed)
-                if decay is None:
-                    decay = dst_decay(elapsed)
-                dst_rate = dst_rate * decay + (response_bytes / elapsed) * (1.0 - decay)
+                e3 = t - dst_last
+                if e3 < 1:
+                    e3 = 1
+                d3 = dst_memo.get(e3)
+                if d3 is None:
+                    d3 = dst_decay(e3)
+                dst_rate = dst_rate * d3 + (response_bytes / e3) * (1.0 - d3)
                 dst_last = t
                 t += base
                 if dst_rate > resp_limit:
+                    waited = True
                     rho = dst_rate / bpc
                     if rho > 0.95:
                         rho = 0.95
@@ -691,21 +765,65 @@ class Interconnect:
                     back_free[i] = start
                     t = start + back_lat[i]
                 # response: source crossbar step
-                elapsed = t - src_last
-                if elapsed < 1:
-                    elapsed = 1
-                decay = src_memo.get(elapsed)
-                if decay is None:
-                    decay = src_decay(elapsed)
-                src_rate = src_rate * decay + (response_bytes / elapsed) * (1.0 - decay)
+                e4 = t - src_last
+                if e4 < 1:
+                    e4 = 1
+                d4 = src_memo.get(e4)
+                if d4 is None:
+                    d4 = src_decay(e4)
+                src_rate = src_rate * d4 + (response_bytes / e4) * (1.0 - d4)
                 src_last = t
                 t += base
                 if src_rate > resp_limit:
+                    waited = True
                     rho = src_rate / bpc
                     if rho > 0.95:
                         rho = 0.95
                     t += int(rho * resp_service / (2.0 * (1.0 - rho)))
                 cursor = t if t > cursor else cursor + 1
+                done += 1
+                state = (cursor - src_last, cursor - dst_last,
+                         bank_free - cursor,
+                         [free - cursor for free in out_free],
+                         [free - cursor for free in back_free])
+                if waited or state != entry:
+                    entry = state
+                    continue
+                # Steady state: repeat this exchange while all four steps
+                # stay at or below their limits.
+                inject1 = (request_bytes / e1) * (1.0 - d1)
+                inject2 = (request_bytes / e2) * (1.0 - d2)
+                inject3 = (response_bytes / e3) * (1.0 - d3)
+                inject4 = (response_bytes / e4) * (1.0 - d4)
+                src_r, dst_r = src_rate, dst_rate
+                for repeats in range(count - done):
+                    src_next = src_r * d1 + inject1
+                    if src_next > req_limit:
+                        break
+                    dst_next = dst_r * d2 + inject2
+                    if dst_next > req_limit:
+                        break
+                    dst_next = dst_next * d3 + inject3
+                    if dst_next > resp_limit:
+                        break
+                    src_next = src_next * d4 + inject4
+                    if src_next > resp_limit:
+                        break
+                    src_r, dst_r = src_next, dst_next
+                else:
+                    repeats = count - done
+                if repeats:
+                    src_rate, dst_rate = src_r, dst_r
+                    shift = repeats * (cursor - begin)
+                    cursor += shift
+                    src_last += shift
+                    dst_last += shift
+                    bank_free += shift
+                    for i in out_hops:
+                        out_free[i] += shift
+                    for i in back_hops:
+                        back_free[i] += shift
+                    done += repeats
             dst._rate, dst._last_time = dst_rate, dst_last
             for link, free in zip(out, out_free):
                 link._next_free = free

@@ -101,6 +101,20 @@ class TestBurstMatchesPerAccessLoop:
                                     stores, loads, size, seed)
         assert burst == reference
 
+    @settings(max_examples=40, deadline=None)
+    @given(fabric=st.sampled_from(sorted(FABRICS)),
+           src=st.integers(0, 7), home=st.integers(0, 7),
+           stores=st.integers(0, 3), loads=st.integers(60, 197),
+           size=st.sampled_from([8, 16, 64, 512]), seed=st.integers(0, 99))
+    def test_random_long_bursts(self, fabric, src, home, stores, loads, size,
+                                seed):
+        """Bakery-scan lengths (60-200 accesses), where the steady-state
+        loop resolves most exchanges of a pristine fabric's burst."""
+        units = FABRICS[fabric]["num_units"]
+        burst, reference = run_both(fabric, src % units, home % units,
+                                    stores, loads, size, seed)
+        assert burst == reference
+
 
 def run_bursts(fabric, bursts, prepare=None):
     """Each burst's cycles and the final state, for the burst path and the

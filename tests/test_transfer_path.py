@@ -14,7 +14,10 @@ of single accesses, which themselves go through ``transfer_latency``; the
 last tests here repeat that comparison with the per-hop reference patched
 in, so the inlined burst loop is also checked against code it shares
 nothing with, on bursts whose crossbar estimates fall below the zero-wait
-limit mid-burst and on bursts whose estimates rise past it.
+limit mid-burst and on bursts whose estimates rise past it.  Long scans
+cover the burst's steady-state loop: estimates that rise past a limit
+while it runs, estimates that fall until it starts, and an exchange that
+waited yet left the same relative state, which must never start it.
 """
 
 import random
@@ -37,10 +40,11 @@ CASES["faulted_ring"] = (dict(num_units=4, topology="ring"), (0, 1))
 SIZES = (0, 8, 16, 24, 64, 6400)
 
 
-def make_system(case):
+def make_system(case, **config):
     overrides, failed = CASES[case]
     system = build_system(
-        ndp_2_5d(cores_per_unit=2, client_cores_per_unit=2, **overrides),
+        ndp_2_5d(cores_per_unit=2, client_cores_per_unit=2, **overrides,
+                 **config),
         "bakery")
     if failed is not None:
         system.interconnect.fail_link(failed, now=0)
@@ -114,16 +118,25 @@ class TestTransferMatchesPerHop:
         replay(case, packets)
 
 
-def burst_against_per_hop(monkeypatch, case, home, size, flood):
+def burst_against_per_hop(monkeypatch, case, home, size, flood=(),
+                          packets=40, quiet=0, stores=20, loads=100,
+                          latencies=None, **overrides):
     """One scan through the inlined burst loop and the same accesses issued
-    one at a time over the per-hop reference: (cycles, fabric state) each."""
+    one at a time over the per-hop reference: (cycles, fabric state) each.
+
+    After a random warm-up, ``quiet`` idle cycles pass; then ``flood``
+    names the endpoint crossbars (``"src"``, ``"home"``) that ``packets``
+    6400-byte packets, one a cycle, load just before the scan.
+    ``overrides`` go to the config, and ``latencies``, if given, collects
+    each reference access's cycles.
+    """
     results = []
     for patched in (False, True):
         with monkeypatch.context() as patch:
             if patched:
                 patch.setattr(Interconnect, "transfer_latency",
                               per_hop_transfer)
-            system = make_system(case)
+            system = make_system(case, **overrides)
             rng = random.Random(7)
             units = system.config.num_units
             addrs = [system.addrmap.alloc(u, 64) for u in range(units)]
@@ -135,25 +148,28 @@ def burst_against_per_hop(monkeypatch, case, home, size, flood):
                                      cacheable=False, now=now)
             # "mid" is unit 2: across the profiled fabric's slow (0, 2) link.
             target = {"local": 0, "mid": 2, "far": units - 1}[home]
-            if flood:
-                # Flood both endpoint crossbars so the burst starts with
-                # their utilization estimate above the M/D/1 cap; it can
-                # decay below the zero-wait limit mid-burst.
-                for _ in range(40):
-                    now += 1
-                    for unit in {0, target}:
-                        system.interconnect.transfer_latency(
-                            unit, unit, now, 6400)
-            else:
-                # A quiet spell: the burst starts at a near-zero estimate
-                # and its own packets push it past the zero-wait limit.
-                now += 1_000_000
+            now += quiet
+            # Flooded crossbars start the burst with their utilization
+            # estimate above the M/D/1 cap; it can decay below the
+            # zero-wait limit mid-burst.
+            roles = {"src": 0, "home": target}
+            for _ in range(packets if flood else 0):
+                now += 1
+                for unit in {roles[role] for role in flood}:
+                    system.interconnect.transfer_latency(unit, unit, now, 6400)
             addr = system.addrmap.alloc(target, 64)
             issue = per_access_burst if patched else MemorySystem.uncacheable_burst
-            # 2 KiB words load the crossbars enough for M/D/1 waits to
-            # show, and give requests and responses different service times.
-            cycles = issue(system.memsys, 0, addr, now, stores=20, loads=100,
-                           size=size, for_sync=True)
+            if patched and latencies is not None:
+                access = MemorySystem.access
+
+                def recorded(memsys, *args, **kwargs):
+                    latency = access(memsys, *args, **kwargs)
+                    latencies.append(latency)
+                    return latency
+
+                patch.setattr(MemorySystem, "access", recorded)
+            cycles = issue(system.memsys, 0, addr, now, stores=stores,
+                           loads=loads, size=size, for_sync=True)
             results.append((cycles, fabric_snapshot(system)))
     return results
 
@@ -164,8 +180,10 @@ def burst_against_per_hop(monkeypatch, case, home, size, flood):
 def test_burst_matches_per_hop_accesses(monkeypatch, case, home, size):
     """A scan through the inlined burst loop equals the same accesses issued
     one at a time over the per-hop reference."""
+    # 2 KiB words load the crossbars enough for M/D/1 waits to show, and
+    # give requests and responses different service times.
     fused, reference = burst_against_per_hop(monkeypatch, case, home, size,
-                                             flood=True)
+                                             flood=("src", "home"))
     assert fused == reference
 
 
@@ -174,6 +192,68 @@ def test_burst_matches_per_hop_accesses(monkeypatch, case, home, size):
 def test_burst_rising_past_zero_wait_limit(monkeypatch, case, home):
     """A burst that starts on idle crossbars and loads them itself: its
     first steps take the zero-wait path and later ones the M/D/1 formula."""
+    # After a quiet spell the burst starts at a near-zero estimate and its
+    # own packets push it past the zero-wait limit.
     fused, reference = burst_against_per_hop(monkeypatch, case, home, 2048,
-                                             flood=False)
+                                             quiet=1_000_000)
+    assert fused == reference
+
+
+@pytest.mark.parametrize("case", sorted(FABRICS))
+@pytest.mark.parametrize("home", ["local", "far"])
+def test_burst_rising_past_zero_wait_limit_in_steady_state(monkeypatch, case,
+                                                           home):
+    """512-byte words on idle crossbars: the scan's first exchanges take
+    the zero-wait path and settle into one repeated exchange, whose own
+    528-byte responses then push the estimates past the response limit,
+    and on to M/D/1 waits, while the steady-state loop runs.  Fast links
+    keep a far scan's period short enough for that."""
+    fused, reference = burst_against_per_hop(
+        monkeypatch, case, home, 512, quiet=1_000_000, stores=0, loads=200,
+        link_latency_ns=4.0, link_bandwidth_gbps=1000.0)
+    assert fused == reference
+
+
+@pytest.mark.parametrize("case", sorted(FABRICS))
+@pytest.mark.parametrize("home,packets", [("local", 25), ("far", 400)])
+def test_burst_falling_below_zero_wait_limit(monkeypatch, case, home,
+                                             packets):
+    """A long 8-byte scan on 500 ns links from idle links and banks, just
+    after both crossbars were flooded: the first exchanges wait, then the
+    estimates decay below the zero-wait limits and the scan settles into
+    one repeated exchange (the burst's steady-state loop).  A far scan's
+    long period decays the estimates fast, so it starts from a bigger
+    flood."""
+    latencies = []
+    fused, reference = burst_against_per_hop(
+        monkeypatch, case, home, 8, flood=("src", "home"), packets=packets,
+        quiet=1_000_000, stores=0, loads=160, latencies=latencies,
+        link_latency_ns=500.0)
+    assert fused == reference
+    # Every access after the first is a row hit, so only crossbar waits
+    # tell them apart.
+    settled = latencies[-1]
+    assert set(latencies[-20:]) == {settled}
+    # mesh2d's far home is four 500 ns hops away: the first exchange alone
+    # takes long enough to decay any flood below the limits.
+    if (case, home) != ("mesh2d", "far"):
+        assert sum(latency > settled for latency in latencies[1:]) >= 3
+
+
+@pytest.mark.parametrize("case,home,packets", [
+    ("all_to_all", "far", 350), ("profiled", "far", 350), ("ring", "far", 350),
+    # two 500 ns hops; four make the period too long for capped waits to
+    # last two exchanges
+    ("mesh2d", "mid", 800),
+])
+def test_waiting_exchange_never_seeds_steady_state(monkeypatch, case, home,
+                                                   packets):
+    """Only the home crossbar is flooded.  On 500 ns links two exchanges
+    pay the same capped M/D/1 waits there, so the second one ends in the
+    relative state it started in, yet the next exchange is below every
+    zero-wait limit: repeating the waiting exchange would charge waits
+    the scan no longer pays."""
+    fused, reference = burst_against_per_hop(
+        monkeypatch, case, home, 8, flood=("home",), packets=packets,
+        quiet=1_000_000, stores=0, loads=100, link_latency_ns=500.0)
     assert fused == reference
