@@ -2,7 +2,8 @@
 """Perf-regression gate: compare fresh BENCH_*.json against committed baselines.
 
 The benchmark suite (``benchmarks/bench_kernel.py``, ``bench_memsys.py``,
-``bench_sweep.py``, ``bench_topology.py``, ``bench_corun.py``) writes
+``bench_sweep.py``, ``bench_topology.py``, ``bench_corun.py``,
+``bench_e2e.py``) writes
 machine-readable artifacts; this script diffs a fresh set against the
 committed baselines with per-metric tolerances and exits non-zero on
 regression, so CI catches "the kernel got 3x slower" or "warm cache
@@ -12,6 +13,8 @@ Gate kinds:
 
 - ``min_ratio`` — fresh must be >= baseline * (1 - tol).  For speedups
   and throughputs, where *higher is better* and noise is expected.
+- ``max_ratio`` — fresh must be <= baseline * (1 + tol).  For host-scaled
+  times, where *lower is better* and noise is expected.
 - ``within``    — |fresh - baseline| <= tol * |baseline|.  For
   deterministic simulated physics (slowdowns, fairness, makespans) where
   drift in either direction means behaviour changed.
@@ -89,6 +92,16 @@ GATES: Dict[str, List[Tuple]] = {
         ("equals", "transfer.*.simulated_cycles", None, None),
         ("equals", "scan.*.simulated_cycles", None, None),
         ("equals", "bakery_lock.simulated_cycles", None, None),
+    ],
+    "BENCH_e2e.json": [
+        # End-to-end regeneration time per e2ebench workload, host-scaled
+        # by e2ebench's calibration probe.  Medians of one tree spread by
+        # 5.5-10.9% (IQR) on a noisy 2-vCPU host, so the ceiling sits well
+        # above that.
+        ("max_ratio", "workloads.*.wall_s", 0.3, None),
+        ("max_ratio", "workloads.*.spec_p90_s", 0.3, None),
+        # Every spec's physics digest must match e2ebench/digests.json.
+        ("expect", "workloads.*.failed", 0, None),
     ],
     "BENCH_sweep.json": [
         # A warm store must serve everything from cache.
@@ -180,6 +193,11 @@ def check_gate(kind: str, path: str, arg, fresh: Dict, base: Dict) -> Dict:
         ok = fresh_value >= floor
         entry.update(status="PASS" if ok else "FAIL",
                      detail=f"floor {floor:.4g} (baseline - {arg:.0%})")
+    elif kind == "max_ratio":
+        ceiling = base_value * (1.0 + arg)
+        ok = fresh_value <= ceiling
+        entry.update(status="PASS" if ok else "FAIL",
+                     detail=f"ceiling {ceiling:.4g} (baseline + {arg:.0%})")
     elif kind == "within":
         band = abs(arg * base_value)
         ok = abs(fresh_value - base_value) <= band

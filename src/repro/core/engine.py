@@ -318,7 +318,7 @@ class SyncEngine(ProtocolMixin):
         latency = self.mech.interconnect.transfer_latency(
             self.unit, dst_se, depart, OPCODE_BYTES[opcode]
         )
-        self.mech.se(dst_se).receive(msg, depart + latency, sender=self.sender_token)
+        self.mech.ses[dst_se].receive(msg, depart + latency, self.sender_token)
 
     def send_grant(self, core_id: int) -> None:
         """Direct notification of one waiting core (Table 4).
@@ -328,15 +328,16 @@ class SyncEngine(ProtocolMixin):
         crosses the inter-unit link.
         """
         depart = self.sim.now + self._extra
-        dst_unit = self.mech.core_unit(core_id)
+        mech = self.mech
+        dst_unit = mech.system.cores[core_id].unit_id
         if dst_unit == self.unit:
             self.stats.sync_messages_local += 1
         else:
             self.stats.sync_messages_global += 1
-        latency = self.mech.interconnect.transfer_latency(
+        latency = mech.interconnect.transfer_latency(
             self.unit, dst_unit, depart, RESPONSE_BYTES
         )
-        self.sim.schedule_at(depart + latency, self.mech.wake, core_id)
+        self.sim.schedule_at(depart + latency, mech.wake, core_id)
 
     def _internal_request(self, msg: Message) -> None:
         """The SE issues a request on behalf of a core (condition variables:
@@ -362,9 +363,6 @@ class SynCronMechanism(MechanismBase):
         self._pending: Dict[int, Callable[[], None]] = {}
 
     # ------------------------------------------------------------------
-    def se(self, se_id: int) -> SyncEngine:
-        return self.ses[se_id]
-
     @property
     def total_clients(self) -> int:
         return self.config.total_clients
@@ -377,14 +375,14 @@ class SynCronMechanism(MechanismBase):
         self._admit(op, var)
         if op == SEM_WAIT:
             self.sem_initial.setdefault(var.addr, info)
-        return Message(_REQUEST_OPCODES[op], var, core=core.core_id, info=info)
+        return Message(_REQUEST_OPCODES[op], var, core.core_id, None, info)
 
     def _inject(self, core, msg: Message) -> None:
         self.stats.sync_messages_local += 1
         unit = core.unit_id
         now = self.sim.now
         latency = self.interconnect.transfer_latency(unit, unit, now, REQUEST_BYTES)
-        self.ses[unit].receive(msg, now + latency, sender=core.sender_token)
+        self.ses[unit].receive(msg, now + latency, core.sender_token)
 
     def request(self, core, op, var, info, callback) -> None:
         if core.core_id in self._pending:

@@ -58,13 +58,15 @@ class L1Cache:
         self._sets: Dict[int, OrderedDict] = {}
 
     # ------------------------------------------------------------------
-    def _set_index(self, line: int) -> int:
-        return line % self.num_sets
-
     def access(self, addr: int, is_write: bool) -> AccessResult:
-        """Look up ``addr``; allocate on miss; return hit/miss + victim."""
+        """Look up ``addr``; allocate on miss; return hit/miss + victim.
+
+        :meth:`MemorySystem.access <repro.sim.memsys.MemorySystem.access>`
+        resolves hits inline and calls this only on a miss; this stays the
+        whole lookup, which :func:`repro.testing.per_access_reference`
+        composes."""
         line = addr // self.line_bytes
-        idx = self._set_index(line)
+        idx = line % self.num_sets
         cset = self._sets.get(idx)
         if cset is None:
             cset = self._sets[idx] = OrderedDict()
@@ -97,12 +99,12 @@ class L1Cache:
 
     def contains(self, addr: int) -> bool:
         line = addr // self.line_bytes
-        return line in self._sets.get(self._set_index(line), ())
+        return line in self._sets.get(line % self.num_sets, ())
 
     def invalidate(self, addr: int) -> bool:
         """Drop a line (software coherence / flush); returns True if present."""
         line = addr // self.line_bytes
-        cset = self._sets.get(self._set_index(line))
+        cset = self._sets.get(line % self.num_sets)
         if cset and line in cset:
             del cset[line]
             return True

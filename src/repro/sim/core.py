@@ -29,7 +29,19 @@ from repro.sim.program import (
 
 
 class NDPCore:
-    """One in-order NDP core executing a single program."""
+    """One in-order NDP core executing a single program.
+
+    :meth:`_advance` resumes the program's generator itself (the
+    :class:`~repro.sim.engine.Process` it wraps keeps the ``finished`` /
+    ``result`` / ``on_finish`` bookkeeping) and hands each yielded
+    operation to its handler.  On a core with no shared SMT pipeline
+    (``port is None``, one context per core) a load or store
+    is one :meth:`MemorySystem.access
+    <repro.sim.memsys.MemorySystem.access>` call from its handler
+    (:meth:`_memory_op`), and a sync request goes straight to the
+    mechanism; with a port each first claims an issue slot
+    (:meth:`_issue_then` for sync requests).
+    """
 
     __slots__ = ("sim", "core_id", "unit_id", "local_id", "l1", "memsys",
                  "mechanism", "config", "port", "process", "finished",
@@ -91,14 +103,30 @@ class NDPCore:
 
     # ------------------------------------------------------------------
     def _advance(self) -> None:
-        """Resume the program and dispatch its next operation."""
-        op = self.process.resume()
-        if op is None:
+        """Resume the program and dispatch its next operation.
+
+        Drives the generator itself, as :meth:`Process.resume
+        <repro.sim.engine.Process.resume>` would: on exhaustion the process
+        is marked finished, keeps the generator's return value and fires its
+        ``on_finish`` once; a finished process is never resumed again.
+        """
+        process = self.process
+        if process.finished:
+            return
+        try:
+            op = process._send(None)
+        except StopIteration as stop:
+            process.finished = True
+            process.result = stop.value
+            if process.on_finish is not None:
+                process.on_finish()
             return
         # Exact-type dispatch (one dict hit); this runs once per core
         # micro-step.
         handler = _OP_DISPATCH.get(op.__class__)
         if handler is None:
+            if op is None:
+                return
             raise TypeError(f"program yielded unknown operation {op!r}")
         handler(self, op)
 
@@ -114,55 +142,48 @@ class NDPCore:
             delay = (start - self.sim.now) + instructions
         self.sim.schedule(delay, self._advance)
 
-    def _load_op(self, op: Load) -> None:
-        self._memory_op(op.addr, is_write=False, cacheable=op.cacheable, size=op.size)
-
-    def _store_op(self, op: Store) -> None:
-        self._memory_op(op.addr, is_write=True, cacheable=op.cacheable, size=op.size)
+    def _memory_op(self, op) -> None:
+        """A :class:`Load` or :class:`Store`: one memory access, issued
+        once the (possibly shared) pipeline takes it; the program resumes
+        when it completes."""
+        self.instructions_retired += 1
+        sim = self.sim
+        now = sim.now
+        start = now if self.port is None else self.port.reserve(now, 1)
+        latency = self.memsys.access(self.unit_id, self.l1, op.addr,
+                                     op.__class__ is Store, op.cacheable,
+                                     start, op.size)
+        sim.schedule((start - now) + (latency if latency > 1 else 1),
+                     self._advance)
 
     def _batch_op(self, op: Batch) -> None:
         """Resolve a whole Compute/Load/Store sequence in one event."""
-        cursor = self.sim.now
-        if self.port is not None and op.ops:
+        now = self.sim.now
+        cursor = now
+        ops = op.ops
+        if self.port is not None and ops:
             # Claim one issue slot per operation; the memory time of each
             # access still runs on this context's own clock.
-            cursor = self.port.reserve(cursor, len(op.ops))
-        for sub in op.ops:
+            cursor = self.port.reserve(cursor, len(ops))
+        access = self.memsys.access
+        unit, l1 = self.unit_id, self.l1
+        retired = 0
+        for sub in ops:
             if isinstance(sub, Compute):
-                self.instructions_retired += sub.instructions
+                retired += sub.instructions
                 cursor += sub.instructions
             else:
-                self.instructions_retired += 1
-                is_write = isinstance(sub, Store)
-                cursor += max(
-                    self.memsys.access(
-                        self.unit_id, self.l1, sub.addr, is_write,
-                        sub.cacheable, cursor, size=sub.size,
-                    ),
-                    1,
-                )
-        self.sim.schedule(max(cursor - self.sim.now, 1), self._advance)
-
-    def _memory_op(self, addr: int, is_write: bool, cacheable: bool, size: int) -> None:
-        self.instructions_retired += 1
-        issue_stall = 0
-        now = self.sim.now
-        if self.port is not None:
-            start = self.port.reserve(now, 1)
-            issue_stall = start - now
-            now = start
-        latency = self.memsys.access(
-            self.unit_id, self.l1, addr, is_write, cacheable, now, size=size
-        )
-        self.sim.schedule(issue_stall + max(latency, 1), self._advance)
+                retired += 1
+                latency = access(unit, l1, sub.addr, isinstance(sub, Store),
+                                 sub.cacheable, cursor, sub.size)
+                cursor += latency if latency > 1 else 1
+        self.instructions_retired += retired
+        delay = cursor - now
+        self.sim.schedule(delay if delay > 1 else 1, self._advance)
 
     def _issue_then(self, action, *args) -> None:
-        """Run ``action(*args)`` once the (possibly shared) pipeline issues
-        it.  On single-context cores (no port) this is a plain call — no
-        closure, no event."""
-        if self.port is None:
-            action(*args)
-            return
+        """Run ``action(*args)`` once the shared (SMT) pipeline issues it;
+        single-context cores (no port) call ``action`` directly instead."""
         start = self.port.reserve(self.sim.now, 1)
         if start == self.sim.now:
             action(*args)
@@ -173,6 +194,10 @@ class NDPCore:
         self.instructions_retired += 1
         self.sync_requests_issued += 1
         self._waiting_since = self.sim.now
+        if self.port is None:
+            self.mechanism.request(self, op.op, op.var, op.info,
+                                   self._sync_granted)
+            return
         self._issue_then(
             self.mechanism.request, self, op.op, op.var, op.info,
             self._sync_granted,
@@ -187,6 +212,9 @@ class NDPCore:
     def _sync_async_op(self, op: SyncAsyncOp) -> None:
         self.instructions_retired += 1
         self.sync_requests_issued += 1
+        if self.port is None:
+            self._issue_async(op)
+            return
         self._issue_then(self._issue_async, op)
 
     def _issue_async(self, op: SyncAsyncOp) -> None:
@@ -201,8 +229,8 @@ class NDPCore:
 #: exact operation type -> unbound handler, resolved once at import.
 _OP_DISPATCH = {
     Compute: NDPCore._compute_op,
-    Load: NDPCore._load_op,
-    Store: NDPCore._store_op,
+    Load: NDPCore._memory_op,
+    Store: NDPCore._memory_op,
     Batch: NDPCore._batch_op,
     SyncOp: NDPCore._sync_op,
     SyncAsyncOp: NDPCore._sync_async_op,

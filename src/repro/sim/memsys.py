@@ -29,10 +29,24 @@ REQUEST_BYTES = 16
 
 
 class MemorySystem:
-    """Timing oracle for all data accesses in the system."""
+    """Timing oracle for all data accesses in the system.
+
+    :meth:`access` is the per-access path of every core load and store.  It
+    resolves the two common cases in its own frame: an L1 hit (the LRU
+    move, the dirty bit and the hit counter of :meth:`L1Cache.access
+    <repro.sim.cache.L1Cache.access>`'s hit branch) and an uncacheable
+    request -> home DRAM -> response exchange (the home unit computed
+    inline, each packet one :meth:`Interconnect.transfer_latency
+    <repro.sim.network.Interconnect.transfer_latency>` call, the DRAM step
+    one :meth:`DramDevice.access <repro.sim.dram.DramDevice.access>` call).
+    Only an L1 miss goes through ``L1Cache.access`` and :meth:`_line_fill`.
+    :func:`repro.testing.per_access_reference` composes the same access
+    from those building blocks and ``tests/test_access_path.py`` checks the
+    two against each other.
+    """
 
     __slots__ = ("config", "stats", "interconnect", "drams", "addrmap",
-                 "_line_bytes")
+                 "_line_bytes", "_unit_bytes", "_num_units")
 
     def __init__(
         self,
@@ -48,6 +62,9 @@ class MemorySystem:
         self.drams = drams
         self.addrmap = addrmap
         self._line_bytes = config.cache_line_bytes
+        # AddressMap.unit_of's geometry, for the inline home lookup.
+        self._unit_bytes = addrmap.unit_memory_bytes
+        self._num_units = addrmap.num_units
 
     # ------------------------------------------------------------------
     def access(
@@ -65,21 +82,37 @@ class MemorySystem:
         if for_sync:
             self.stats.sync_memory_accesses += 1
         if cacheable and l1 is not None:
-            return self._cacheable_access(src_unit, l1, addr, is_write, now)
-        return self._uncacheable_access(src_unit, addr, is_write, now, size)
-
-    # ------------------------------------------------------------------
-    def _cacheable_access(self, src_unit, l1, addr, is_write, now) -> int:
-        result = l1.access(addr, is_write)
-        if result.hit:
-            return l1.hit_cycles
-
-        latency = l1.hit_cycles  # tag check before the miss goes out
-        latency += self._line_fill(src_unit, addr, now + latency)
-        if result.writeback_line is not None:
-            self._background_writeback(src_unit, result.writeback_line, now)
+            # L1 hit: L1Cache.access's hit branch, inline.
+            line = addr // l1.line_bytes
+            cset = l1._sets.get(line % l1.num_sets)
+            if cset is not None and line in cset:
+                cset.move_to_end(line)
+                if is_write:
+                    cset[line] = True
+                l1.stats.cache_hits += 1
+                return l1.hit_cycles
+            result = l1.access(addr, is_write)
+            latency = l1.hit_cycles  # tag check before the miss goes out
+            latency += self._line_fill(src_unit, addr, now + latency)
+            if result.writeback_line is not None:
+                self._background_writeback(src_unit, result.writeback_line, now)
+            return latency
+        # Uncacheable: a word-grain request to the home DRAM and back.
+        home = addr // self._unit_bytes
+        if not 0 <= home < self._num_units:
+            raise ValueError(f"address {addr:#x} outside the memory map")
+        payload = size if size > 8 else 8
+        if is_write:
+            request, response = REQUEST_BYTES + payload, REQUEST_BYTES
+        else:
+            request, response = REQUEST_BYTES, REQUEST_BYTES + payload
+        transfer = self.interconnect.transfer_latency
+        latency = transfer(src_unit, home, now, request)
+        latency += self.drams[home].access(addr, is_write, now + latency)
+        latency += transfer(home, src_unit, now + latency, response)
         return latency
 
+    # ------------------------------------------------------------------
     def _line_fill(self, src_unit: int, addr: int, now: int) -> int:
         """Request to home DRAM and 64 B line back."""
         interconnect = self.interconnect
@@ -98,17 +131,6 @@ class MemorySystem:
         home = self.addrmap.unit_of(addr)
         self.interconnect.transfer_latency(src_unit, home, now, self._line_bytes)
         self.drams[home].access(addr, is_write=True, now=now)
-
-    def _uncacheable_access(self, src_unit, addr, is_write, now, size) -> int:
-        interconnect = self.interconnect
-        home = self.addrmap.unit_of(addr)
-        payload = size if size > 8 else 8
-        request = REQUEST_BYTES + (payload if is_write else 0)
-        response = REQUEST_BYTES + (0 if is_write else payload)
-        latency = interconnect.transfer_latency(src_unit, home, now, request)
-        latency += self.drams[home].access(addr, is_write=is_write, now=now + latency)
-        latency += interconnect.transfer_latency(home, src_unit, now + latency, response)
-        return latency
 
     def uncacheable_burst(self, src_unit: int, addr: int, now: int,
                           stores: int = 0, loads: int = 0, size: int = 8,

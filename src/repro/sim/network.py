@@ -26,7 +26,8 @@ individual channels their own bandwidth/latency, and a
 :class:`~repro.sim.topo.faults.FaultPlan` kills channels permanently
 mid-run (see :meth:`Interconnect.fail_link`).  Routing is static: each pair
 keeps its pristine route until a fault severs it, then takes the shortest
-surviving path.  The zero-fault path is the memoized pristine table —
+surviving path.  The zero-fault path reads the pristine route from a
+per-pair ``[src][dst]`` table, filled on each pair's first packet —
 bit-identical to a fabric that has none of this machinery.
 
 Both components are timing only.  :meth:`Interconnect.transfer_latency`
@@ -34,7 +35,10 @@ is the one packet path: it runs the crossbar and link steps and records the
 packet's traffic into :class:`~repro.sim.stats.SystemStats`, so the energy
 model and the Fig. 15 data-movement results need no extra hooks; the
 fabric additionally counts ``link_bit_hops`` (bits x links traversed) for
-per-hop link energy.  :meth:`Interconnect.round_trips` resolves a burst of
+per-hop link energy.  Its crossbar steps take the zero-wait load limit of
+each packet size from a memo, so a step that cannot wait (every step of
+the e2ebench workloads) computes no service time.
+:meth:`Interconnect.round_trips` resolves a burst of
 request/response exchanges to one DRAM address (a bakery scan) with the
 same arithmetic inline, its DRAM row hits included, and charges its traffic
 once per burst.  Once an exchange of the burst waited nowhere and left the
@@ -50,7 +54,7 @@ bit-identical to resolving every exchange.
 from __future__ import annotations
 
 import math
-from typing import Dict, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.sim.clock import core_cycles_from_ns
 from repro.sim.config import SystemConfig
@@ -217,7 +221,8 @@ class Interconnect:
     The :class:`~repro.sim.topo.Topology` decides the physical channels and
     each pair's route; this class owns one :class:`Link` per channel (so
     routes that share a channel share its reservation queue) and memoizes
-    each ordered pair's route as a tuple of Link objects for the hot path.
+    each ordered pair's route as a tuple of Link objects in a per-pair
+    ``[src][dst]`` table for the hot path.
 
     Fault state lives here too: :meth:`fail_link` (driven by
     :meth:`FaultPlan.arm <repro.sim.topo.faults.FaultPlan.arm>` timers)
@@ -229,8 +234,8 @@ class Interconnect:
     """
 
     __slots__ = ("config", "stats", "crossbars", "topology", "_links",
-                 "_routes", "_profiles", "_degraded", "_dead_channels",
-                 "_down_since", "_resolved", "_local_bits")
+                 "_pristine", "_limits", "_profiles", "_degraded",
+                 "_dead_channels", "_down_since", "_resolved", "_local_bits")
 
     def __init__(self, config: SystemConfig, stats: SystemStats):
         self.config = config
@@ -238,7 +243,13 @@ class Interconnect:
         self.crossbars = [Crossbar(config, u) for u in range(config.num_units)]
         self.topology: Topology = build_topology(config)
         self._links: Dict[Channel, Link] = {}
-        self._routes: Dict[Tuple[int, int], Tuple[Link, ...]] = {}
+        #: ``[src][dst]`` -> pristine route as Link objects, or None until
+        #: :meth:`_route` first resolves the pair.
+        self._pristine: List[List[Optional[Tuple[Link, ...]]]] = [
+            [None] * config.num_units for _ in range(config.num_units)]
+        #: packet size -> the crossbars' zero-wait load limit (every
+        #: crossbar is built from one config, so one bandwidth).
+        self._limits: Dict[int, float] = {}
         self._profiles = self._build_profiles(config)
         #: flips on the first fault, moving the hot path from the pristine
         #: table to :meth:`_resolve` for the rest of the run.
@@ -291,15 +302,16 @@ class Interconnect:
     # Routing
     # ------------------------------------------------------------------
     def _route(self, src_unit: int, dst_unit: int) -> Tuple[Link, ...]:
-        """Pristine route as Link objects, in order (memoized)."""
-        key = (src_unit, dst_unit)
-        route = self._routes.get(key)
+        """Pristine route as Link objects, in order (memoized in the
+        per-pair table)."""
+        row = self._pristine[src_unit]
+        route = row[dst_unit]
         if route is None:
             route = tuple(
                 self._link_for(channel)
                 for channel in self.topology.route(src_unit, dst_unit)
             )
-            self._routes[key] = route
+            row[dst_unit] = route
         return route
 
     def _resolve(self, src_unit: int, dst_unit: int) -> Tuple:
@@ -428,8 +440,16 @@ class Interconnect:
         crossbar step whose load estimate is at most ``0.5 * bpc /
         service`` skips the M/D/1 formula: its wait is provably 0 (see
         :class:`Crossbar`), which is every step the e2ebench workloads make.
+        That limit is memoized per packet size (:meth:`_zero_wait_limit`),
+        so the service time is only computed on a step that may wait.  On
+        a pristine fabric the route is one read of the per-pair table that
+        :meth:`_route` fills on a pair's first packet; once a fault has
+        struck, every packet takes :meth:`_routed` instead.
         """
         stats = self.stats
+        limit = self._limits.get(nbytes)
+        if limit is None:
+            limit = self._zero_wait_limit(nbytes)
         # Source crossbar: Crossbar.queue_wait, inline.
         xbar = self.crossbars[src_unit]
         elapsed = now - xbar._last_time
@@ -441,14 +461,12 @@ class Interconnect:
         rate = xbar._rate * decay + (nbytes / elapsed) * (1.0 - decay)
         xbar._rate = rate
         xbar._last_time = now
-        bpc = xbar._bytes_per_cycle
-        service = nbytes / bpc
-        if service < 1.0:
-            service = 1.0
-        # At or below this load estimate the M/D/1 wait is 0 (Crossbar).
-        limit = 0.5 * bpc / service
         latency = xbar._base_cycles
         if rate > limit:
+            bpc = xbar._bytes_per_cycle
+            service = nbytes / bpc
+            if service < 1.0:
+                service = 1.0
             rho = rate / bpc
             if rho > 0.95:
                 rho = 0.95
@@ -462,7 +480,7 @@ class Interconnect:
             if extra:
                 stats.detour_bit_hops += nbytes * 8 * extra
         else:
-            route = self._routes.get((src_unit, dst_unit))
+            route = self._pristine[src_unit][dst_unit]
             if route is None:
                 route = self._route(src_unit, dst_unit)
         # Each link on the route: Link.reserve, inline.
@@ -490,6 +508,10 @@ class Interconnect:
         xbar._last_time = t
         latency = (t - now) + xbar._base_cycles
         if rate > limit:
+            bpc = xbar._bytes_per_cycle
+            service = nbytes / bpc
+            if service < 1.0:
+                service = 1.0
             rho = rate / bpc
             if rho > 0.95:
                 rho = 0.95
@@ -499,6 +521,16 @@ class Interconnect:
         stats.bytes_across_units += nbytes
         stats.link_bit_hops += nbytes * 8 * len(route)
         return latency
+
+    def _zero_wait_limit(self, nbytes: int) -> float:
+        """Load estimate at or below which an ``nbytes`` packet's crossbar
+        wait is 0 (the bound in :class:`Crossbar`), memoized per size."""
+        bpc = self.config.crossbar_bytes_per_cycle
+        service = nbytes / bpc
+        if service < 1.0:
+            service = 1.0
+        limit = self._limits[nbytes] = 0.5 * bpc / service
+        return limit
 
     def round_trips(self, src_unit: int, dst_unit: int, now: int, count: int,
                     request_bytes: int, response_bytes: int, dram: DramDevice,

@@ -93,8 +93,8 @@ class ServerEngine(SyncEngine):
         if accesses <= 0:
             return
         self._extra += self.mech.memsys.access(
-            self.unit, self.l1, addr, is_write=(accesses == 1),
-            cacheable=True, now=self.sim.now + self._extra, for_sync=True,
+            self.unit, self.l1, addr, accesses == 1, True,
+            self.sim.now + self._extra, 8, True,   # size, for_sync
         )
         rest = accesses - 1
         if rest:

@@ -14,6 +14,7 @@ import copy
 import types
 
 from repro.sim.config import SystemConfig
+from repro.sim.memsys import REQUEST_BYTES
 from repro.sim.stats import charge_transfers
 from repro.sim.system import NDPSystem
 
@@ -91,6 +92,50 @@ def per_hop_transfer(interconnect, src_unit: int, dst_unit: int, now: int,
         latency += xbar._base_cycles + xbar.queue_wait(now + latency, nbytes)
     charge_transfers(stats, nbytes, 1, local, interconnect.config.local_hops,
                      len(route))
+    return latency
+
+
+def per_access_reference(memsys, src_unit: int, l1, addr: int,
+                         is_write: bool, cacheable: bool, now: int,
+                         size: int = 8, for_sync: bool = False) -> int:
+    """Reference for :meth:`MemorySystem.access
+    <repro.sim.memsys.MemorySystem.access>`, composed from its building
+    blocks: :meth:`L1Cache.access <repro.sim.cache.L1Cache.access>` for a
+    cacheable access (a miss then fills the line from the home DRAM and
+    writes any dirty victim back off the critical path), else a word-grain
+    request / :meth:`DramDevice.access <repro.sim.dram.DramDevice.access>`
+    / response exchange; every packet is one :func:`per_hop_transfer`."""
+    interconnect = memsys.interconnect
+    addrmap = memsys.addrmap
+    line_bytes = memsys.config.cache_line_bytes
+    if for_sync:
+        memsys.stats.sync_memory_accesses += 1
+    if cacheable and l1 is not None:
+        result = l1.access(addr, is_write)
+        if result.hit:
+            return l1.hit_cycles
+        latency = l1.hit_cycles
+        home = addrmap.unit_of(addr)
+        latency += per_hop_transfer(interconnect, src_unit, home,
+                                    now + latency, REQUEST_BYTES)
+        latency += memsys.drams[home].access(addr, False, now + latency)
+        latency += per_hop_transfer(interconnect, home, src_unit,
+                                    now + latency, line_bytes)
+        if result.writeback_line is not None:
+            victim = result.writeback_line * line_bytes
+            victim_home = addrmap.unit_of(victim)
+            per_hop_transfer(interconnect, src_unit, victim_home, now,
+                             line_bytes)
+            memsys.drams[victim_home].access(victim, True, now)
+        return latency
+    home = addrmap.unit_of(addr)
+    payload = size if size > 8 else 8
+    request = REQUEST_BYTES + (payload if is_write else 0)
+    response = REQUEST_BYTES + (0 if is_write else payload)
+    latency = per_hop_transfer(interconnect, src_unit, home, now, request)
+    latency += memsys.drams[home].access(addr, is_write, now + latency)
+    latency += per_hop_transfer(interconnect, home, src_unit, now + latency,
+                                response)
     return latency
 
 

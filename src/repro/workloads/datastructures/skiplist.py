@@ -75,16 +75,18 @@ class SkipListWorkload(DataStructureWorkload):
         return node, candidate, path
 
     def _unlink(self, pred: Node, node: Node) -> None:
+        """Unlink ``node`` from every level it is on, in one top-down
+        predecessor walk: every chain is sorted by key and keys are
+        unique, so at each level the walk stops right before ``node``."""
         node.deleted = True
-        for level in range(len(node.level_next)):
-            scan = self.head
-            while (level < len(scan.level_next)
-                   and scan.level_next[level] is not node):
-                nxt = scan.level_next[level] if level < len(scan.level_next) else None
-                if nxt is None:
-                    break
+        key = node.key
+        scan = self.head
+        for level in range(len(node.level_next) - 1, -1, -1):
+            nxt = scan.level_next[level]
+            while nxt is not None and nxt.key < key:
                 scan = nxt
-            if level < len(scan.level_next) and scan.level_next[level] is node:
+                nxt = scan.level_next[level]
+            if nxt is node:
                 scan.level_next[level] = node.level_next[level]
 
     # ------------------------------------------------------------------

@@ -1,7 +1,9 @@
 """Concurrent data structures: functional invariants across mechanisms."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.sim.config import ndp_2_5d
 from repro.workloads.base import run_workload
 from repro.workloads.datastructures import (
     ALL_STRUCTURES,
@@ -15,6 +17,7 @@ from repro.workloads.datastructures import (
     SkipListWorkload,
     StackWorkload,
 )
+from repro.workloads.datastructures.skiplist import MAX_LEVEL
 
 from repro.testing import build_system
 
@@ -72,12 +75,71 @@ class TestPriorityQueue:
         assert set(workload.deleted_keys) == set(range(n_deleted))
 
 
+def _head_scan_unlink(head, node):
+    """Reference for ``SkipListWorkload._unlink``: the per-level scan from
+    the head it replaced."""
+    node.deleted = True
+    for level in range(len(node.level_next)):
+        scan = head
+        while (level < len(scan.level_next)
+               and scan.level_next[level] is not node):
+            nxt = scan.level_next[level] if level < len(scan.level_next) else None
+            if nxt is None:
+                break
+            scan = nxt
+        if level < len(scan.level_next) and scan.level_next[level] is node:
+            scan.level_next[level] = node.level_next[level]
+
+
+def _skiplist_chains(head):
+    """Keys of every level's chain, bottom level first."""
+    chains = []
+    for level in range(MAX_LEVEL):
+        keys, node = [], head.level_next[level]
+        while node is not None:
+            keys.append(node.key)
+            node = node.level_next[level]
+        chains.append(keys)
+    return chains
+
+
+SKIPLIST_KEYS = 60
+
+
 class TestSkipList:
     def test_every_core_deletes_its_keys(self, tiny_config):
         system = build_system(tiny_config)
         workload = SkipListWorkload(ops_per_core=4)
         workload.run(system)
         assert workload.deleted_count == 4 * len(system.cores)
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 1000),
+           order=st.permutations(range(SKIPLIST_KEYS)),
+           deletions=st.integers(1, SKIPLIST_KEYS))
+    def test_unlink_matches_head_scan(self, seed, order, deletions):
+        """Any deletion order leaves every level's chain as the head scan
+        leaves it."""
+        config = ndp_2_5d(num_units=2, cores_per_unit=4,
+                          client_cores_per_unit=3)
+        lists = []
+        for _ in range(2):
+            workload = SkipListWorkload(initial_size=SKIPLIST_KEYS,
+                                        ops_per_core=1, seed=seed)
+            workload.setup(build_system(config))
+            nodes, node = {}, workload.head.level_next[0]
+            while node is not None:
+                nodes[node.key] = node
+                node = node.level_next[0]
+            lists.append((workload, nodes))
+        (fast, fast_nodes), (ref, ref_nodes) = lists
+        assert _skiplist_chains(fast.head) == _skiplist_chains(ref.head)
+        assert max(len(n.level_next) for n in fast_nodes.values()) > 1
+        for key in order[:deletions]:
+            fast._unlink(None, fast_nodes[key])
+            _head_scan_unlink(ref.head, ref_nodes[key])
+            assert _skiplist_chains(fast.head) == _skiplist_chains(ref.head)
+            assert fast_nodes[key].deleted
 
 
 class TestLinkedList:

@@ -367,6 +367,29 @@ class TestRegressionGate:
         out = capsys.readouterr().out
         assert out.count("benchmark not run") == len(gate.GATES)
 
+    def test_max_ratio_gate(self, gate):
+        """Lower is better: a fresh value may rise by at most the
+        tolerance, and any fall passes."""
+        base = {"t": 2.0}
+        for fresh, status in ((2.5, "PASS"), (2.51, "FAIL"), (0.5, "PASS")):
+            entry = gate.check_gate("max_ratio", "t", 0.25, {"t": fresh},
+                                    base)
+            assert entry["status"] == status, fresh
+        missing = gate.check_gate("max_ratio", "t", 0.25, {}, base)
+        assert missing["status"] == "FAIL"
+
+    def test_slower_e2e_fails(self, gate, tmp_path, capsys):
+        doc = json.loads((REPO_ROOT / "BENCH_e2e.json").read_text())
+        doc["workloads"]["structures"]["wall_s"] *= 1.5
+        doc["workloads"]["spin"]["failed"] = 1
+        (tmp_path / "BENCH_e2e.json").write_text(json.dumps(doc))
+        assert gate.main(["--fresh", str(tmp_path)]) == 1
+        failed = [l for l in capsys.readouterr().out.splitlines()
+                  if l.startswith("[FAIL]")]
+        assert len(failed) == 2
+        assert any("workloads.structures.wall_s" in l for l in failed)
+        assert any("workloads.spin.failed" in l for l in failed)
+
     def test_wildcard_expansion(self, gate):
         doc = {"a": {"x": {"v": 1}, "y": {"v": 2}}, "b": 3}
         assert gate.expand_paths(doc, "a.*.v") == ["a.x.v", "a.y.v"]
