@@ -12,9 +12,11 @@ re-simulates" before merge.
 Gate kinds:
 
 - ``min_ratio`` — fresh must be >= baseline * (1 - tol).  For speedups
-  and throughputs, where *higher is better* and noise is expected.
+  and throughputs, where *higher is better* and noise is expected; with
+  tol 0, for counts that must not fall.
 - ``max_ratio`` — fresh must be <= baseline * (1 + tol).  For host-scaled
-  times, where *lower is better* and noise is expected.
+  times and memory, where *lower is better* and noise is expected; with
+  tol 0, for work counts that must not rise.
 - ``within``    — |fresh - baseline| <= tol * |baseline|.  For
   deterministic simulated physics (slowdowns, fairness, makespans) where
   drift in either direction means behaviour changed.
@@ -37,6 +39,8 @@ Usage::
     python benchmarks/check_regression.py                   # repo root vs itself
     python benchmarks/check_regression.py --fresh fresh-bench/
     python benchmarks/check_regression.py --fresh fresh-bench/ --json
+    python benchmarks/check_regression.py --fresh fresh-bench/ \
+        --only BENCH_e2e.json                               # one artifact
 """
 
 from __future__ import annotations
@@ -100,6 +104,12 @@ GATES: Dict[str, List[Tuple]] = {
         # above that.
         ("max_ratio", "workloads.*.wall_s", 0.3, None),
         ("max_ratio", "workloads.*.spec_p90_s", 0.3, None),
+        # Peak RSS spreads under 1% between runs (e2ebench/README.md).
+        ("max_ratio", "workloads.*.peak_rss_mb", 0.1, None),
+        # The traced run's work counts repeat exactly for a tree: work
+        # must not rise, and the kernel must not elide fewer events.
+        ("max_ratio", "workloads.*.work.*", 0.0, None),
+        ("min_ratio", "workloads.*.engine_elided", 0.0, None),
         # Every spec's physics digest must match e2ebench/digests.json.
         ("expect", "workloads.*.failed", 0, None),
     ],
@@ -253,12 +263,14 @@ def main(argv: Optional[List[str]] = None) -> int:
                              "(default: repo root)")
     parser.add_argument("--json", action="store_true",
                         help="machine-readable report on stdout")
+    parser.add_argument("--only", choices=sorted(GATES), metavar="NAME",
+                        help="check only this artifact's gates")
     args = parser.parse_args(argv)
 
     fresh_dir = Path(args.fresh)
     base_dir = Path(args.baseline)
     results: List[Dict] = []
-    for name in sorted(GATES):
+    for name in [args.only] if args.only else sorted(GATES):
         results.extend(check_file(name, fresh_dir, base_dir))
 
     failed = [r for r in results if r["status"] == "FAIL"]

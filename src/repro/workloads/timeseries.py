@@ -14,13 +14,24 @@ compute the matrix profile by diagonals:
 Synchronization intensity is high — every improved minimum takes a lock —
 which is why the paper singles out ts as its most sync-intensive real
 application (Fig. 12/14/21a).
+
+The programs yield ops that :meth:`TimeSeriesWorkload.build` constructs
+once per run: each profile entry's lock acquire/release and uncacheable
+load/store, each unit's series loads and the step's ``Compute(8)``.  Sharing
+one op object between yields and cores is safe because ops are value
+objects the core model only reads (:mod:`repro.sim.program`).  The pair
+distances and the brute-force reference profile are memoized per process on
+``(dataset, length, seed, window)``, the inputs that fix the series, so the
+four mechanisms of one input compute them once.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from typing import Dict, List
+from array import array
+from functools import lru_cache
+from typing import Dict, List, Optional, Tuple
 
 from repro.core import api
 from repro.sim.program import Batch, Compute, Load, Store
@@ -74,6 +85,38 @@ def matrix_profile_reference(series: List[float], window: int) -> List[float]:
     return profile
 
 
+@lru_cache(maxsize=2)
+def pair_distances(dataset: str, length: int, seed: int,
+                   window: int) -> Tuple[Optional[memoryview], ...]:
+    """Squared distance of every pair the SCRIMP program visits, by diagonal.
+
+    Entry ``k`` (``k >= window``) holds, at index ``i``, the distance of the
+    subsequences starting at ``i`` and ``i + k``, as a read-only view of an
+    ``array('d')`` (one table serves every run on the same input); the
+    entries below ``window`` are ``None`` (the exclusion zone, never read).
+    Only two tables are kept, as one is ~3.6 MB at ``REPRO_SCALE=full``;
+    fig12 runs each input's mechanisms back to back.
+    """
+    series = generate_series(dataset, length, seed)
+    profile_len = length - window + 1
+    diagonals: List[Optional[memoryview]] = [None] * profile_len
+    for k in range(window, profile_len):
+        diagonals[k] = memoryview(array("d", (
+            sum((series[i + t] - series[i + k + t]) ** 2
+                for t in range(window))
+            for i in range(profile_len - k)))).toreadonly()
+    return tuple(diagonals)
+
+
+@lru_cache(maxsize=16)
+def reference_profile(dataset: str, length: int, seed: int,
+                      window: int) -> Tuple[float, ...]:
+    """:func:`matrix_profile_reference` of the generated series, memoized;
+    computed from the series alone, never from :func:`pair_distances`."""
+    return tuple(matrix_profile_reference(
+        generate_series(dataset, length, seed), window))
+
+
 class TimeSeriesWorkload(Workload):
     """SCRIMP: diagonal-order matrix profile with per-entry locks."""
 
@@ -108,6 +151,20 @@ class TimeSeriesWorkload(Workload):
             self.profile_addr[i] = system.addrmap.alloc(unit, 8)
             self.profile_lock[i] = system.create_syncvar(unit=unit)
 
+        # ops whose fields are fixed for the run, shared by every program.
+        self._acquire = [api.lock_acquire(lock) for lock in self.profile_lock]
+        self._release = [api.lock_release(lock) for lock in self.profile_lock]
+        self._read = [Load(addr, cacheable=False) for addr in self.profile_addr]
+        self._write = [Store(addr, cacheable=False)
+                       for addr in self.profile_addr]
+        self._series_loads = [
+            [Load(base + 8 * index) for index in range(self.length)]
+            for base in self.series_addr
+        ]
+        self._step_compute = Compute(8)
+        self._distances = pair_distances(self.dataset, self.length,
+                                         self.seed, self.window)
+
         self.barrier = system.create_syncvar(unit=0, name="ts_barrier")
         cores = system.cores
         participants = len(cores)
@@ -125,47 +182,45 @@ class TimeSeriesWorkload(Workload):
         }
 
     def _core_program(self, core, diagonals: List[int], participants: int):
-        unit = core.unit_id
-        series_base = None  # resolved lazily; build() fills series_addr first
+        loads = self._series_loads[core.unit_id]
 
         def program():
-            base = self.series_addr[unit]
+            acquire, release = self._acquire, self._release
+            read, write = self._read, self._write
+            compute = self._step_compute
+            profile = self.profile
+            last = self.window - 1
             for k in diagonals:
+                distances = self._distances[k]
                 # walk diagonal k: pairs (i, i+k).
                 for i in range(0, self.profile_len - k):
                     j = i + k
                     self._steps += 1
                     # incremental update: two multiplies, two adds + the
                     # two new sample loads (cacheable, replicated input).
-                    yield Batch((
-                        Load(base + 8 * (i + self.window - 1)),
-                        Load(base + 8 * (j + self.window - 1)),
-                        Compute(8),
-                    ))
-                    dist = sum(
-                        (self.series[i + t] - self.series[j + t]) ** 2
-                        for t in range(self.window)
-                    )
+                    yield Batch((loads[i + last], loads[j + last], compute))
+                    dist = distances[i]
                     # SCRIMP's min-update: the comparison itself reads the
                     # shared profile entry, so it happens under that entry's
                     # lock — this is what makes ts the paper's most
                     # synchronization-intensive application (Sec. 6.1.3,
                     # Table 7's 44% average ST occupancy).
                     for target in (i, j):
-                        yield api.lock_acquire(self.profile_lock[target])
-                        yield Load(self.profile_addr[target], cacheable=False)
-                        if dist < self.profile[target]:
-                            self.profile[target] = dist
+                        yield acquire[target]
+                        yield read[target]
+                        if dist < profile[target]:
+                            profile[target] = dist
                             self._updates += 1
-                            yield Store(self.profile_addr[target], cacheable=False)
-                        yield api.lock_release(self.profile_lock[target])
+                            yield write[target]
+                        yield release[target]
             yield api.barrier_wait_across_units(self.barrier, participants)
 
         return program()
 
     # ------------------------------------------------------------------
     def verify(self, system: NDPSystem) -> None:
-        reference = matrix_profile_reference(self.series, self.window)
+        reference = reference_profile(self.dataset, self.length, self.seed,
+                                      self.window)
         for mine, ref in zip(self.profile, reference):
             if not math.isclose(mine, ref, rel_tol=1e-9, abs_tol=1e-12):
                 raise AssertionError("matrix profile does not match brute force")

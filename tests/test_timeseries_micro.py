@@ -11,6 +11,7 @@ from repro.workloads.timeseries import (
     TimeSeriesWorkload,
     generate_series,
     matrix_profile_reference,
+    pair_distances,
 )
 
 from repro.testing import build_system
@@ -67,6 +68,51 @@ class TestTimeSeriesWorkload:
     def test_bad_dataset_rejected(self):
         with pytest.raises(ValueError):
             TimeSeriesWorkload("nope")
+
+
+class TestDistanceCache:
+    """The per-process pair-distance table and memoized reference."""
+
+    @pytest.mark.parametrize("dataset", DATASETS)
+    def test_every_read_distance_equals_per_pair_sum(self, dataset):
+        for seed in (0, 5):
+            series = generate_series(dataset, 48, seed)
+            window = 8
+            profile_len = len(series) - window + 1
+            table = pair_distances(dataset, 48, seed, window)
+            assert table[:window] == (None,) * window
+            for k in range(window, profile_len):
+                assert len(table[k]) == profile_len - k
+                for i in range(profile_len - k):
+                    j = i + k
+                    assert table[k][i] == sum(
+                        (series[i + t] - series[j + t]) ** 2
+                        for t in range(window))
+            with pytest.raises(TypeError):  # shared: read-only
+                table[window][0] = 0.0
+
+    def test_rerun_after_another_seed_is_identical(self, tiny_config):
+        assert generate_series("air", 48, 3) != generate_series("air", 48, 4)
+        runs = []
+        for seed in (3, 4, 3):
+            workload = TimeSeriesWorkload("air", length=48, seed=seed)
+            metrics = run_workload(lambda: workload, tiny_config, "syncron")
+            # each run's profile is its own series' brute-force profile,
+            # computed here without either memo.
+            assert workload.profile == matrix_profile_reference(
+                generate_series("air", 48, seed), workload.window)
+            runs.append(metrics.as_dict())
+        assert runs[0] == runs[2]
+        assert runs[0] != runs[1]
+
+    def test_verify_rejects_a_changed_profile_entry(self, tiny_config):
+        system = build_system(tiny_config)
+        workload = TimeSeriesWorkload("pow", length=40)
+        workload.run(system)
+        workload.verify(system)  # the memoized reference again
+        workload.profile[3] += 1.0
+        with pytest.raises(AssertionError):
+            workload.verify(system)
 
 
 class TestMicrobench:
