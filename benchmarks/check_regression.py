@@ -39,8 +39,6 @@ Usage::
     python benchmarks/check_regression.py                   # repo root vs itself
     python benchmarks/check_regression.py --fresh fresh-bench/
     python benchmarks/check_regression.py --fresh fresh-bench/ --json
-    python benchmarks/check_regression.py --fresh fresh-bench/ \
-        --only BENCH_e2e.json                               # one artifact
 """
 
 from __future__ import annotations
@@ -263,14 +261,12 @@ def main(argv: Optional[List[str]] = None) -> int:
                              "(default: repo root)")
     parser.add_argument("--json", action="store_true",
                         help="machine-readable report on stdout")
-    parser.add_argument("--only", choices=sorted(GATES), metavar="NAME",
-                        help="check only this artifact's gates")
     args = parser.parse_args(argv)
 
     fresh_dir = Path(args.fresh)
     base_dir = Path(args.baseline)
     results: List[Dict] = []
-    for name in [args.only] if args.only else sorted(GATES):
+    for name in sorted(GATES):
         results.extend(check_file(name, fresh_dir, base_dir))
 
     failed = [r for r in results if r["status"] == "FAIL"]

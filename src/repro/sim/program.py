@@ -23,14 +23,12 @@ Operations:
 Ops are value objects: they compare and hash by their fields and are never
 mutated after they are built; the core model only reads them.  So one op
 object may be yielded any number of times, by any number of programs: the
-hot programs (the graph kernels' lock-protected updates in
-:mod:`repro.workloads.graphs.runtime`, the SCRIMP step in
-:mod:`repro.workloads.timeseries`) yield ops their workload's ``build``
-constructed once per run.  Other programs allocate one per yield, so the
-ops are slotted, unfrozen dataclasses; a frozen dataclass's ``__init__``
-sets every field through ``object.__setattr__``, which costs about three
-times as much per op.  Each class's ``__post_init__`` still validates it
-once, on construction.
+SCRIMP step in :mod:`repro.workloads.timeseries`, the hottest program,
+yields ops its workload's ``build`` constructed once per run.  Other
+programs allocate one per yield, so the ops are slotted, unfrozen
+dataclasses; a frozen dataclass's ``__init__`` sets every field through
+``object.__setattr__``, which costs about three times as much per op.
+Each class's ``__post_init__`` still validates it once, on construction.
 """
 
 from __future__ import annotations

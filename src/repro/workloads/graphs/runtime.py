@@ -17,13 +17,6 @@ common machinery:
 
 Kernels subclass :class:`GraphKernelWorkload` and implement
 ``vertex_program`` (+ ``init_state`` / ``reference``).
-
-The lock-protected update helpers yield ops that
-:meth:`GraphKernelWorkload.build` constructs once per run: each vertex's
-lock acquire/release, uncacheable property load and store, and the
-``(load, Compute(2))`` update batch, plus the per-edge compute op.  Sharing
-one op object between yields and cores is safe because ops are value
-objects the core model only reads (:mod:`repro.sim.program`).
 """
 
 from __future__ import annotations
@@ -97,7 +90,7 @@ class GraphKernelWorkload(Workload):
         """Timing ops for scanning vertex u's adjacency row (cacheable) and
         its own property word (uncacheable)."""
         degree = self.graph.degree(u)
-        ops = [self._read[u]]
+        ops = [Load(self.vertex_addr[u], cacheable=False)]
         base = self.edge_addr[u]
         ops.extend(Load(base + 8 * i) for i in range(degree))
         ops.append(Compute(2 * degree + 2))
@@ -115,14 +108,17 @@ class GraphKernelWorkload(Workload):
         mutation performed by the caller right after (still "inside" the
         critical section — the release below is what publishes it).
         """
-        yield self._edge_compute
-        yield self._acquire[v]
-        yield self._update[v]
+        yield Compute(self.edge_compute_cycles)
+        yield api.lock_acquire(self.vertex_lock[v])
+        yield Batch((
+            Load(self.vertex_addr[v], cacheable=False),
+            Compute(2),
+        ))
 
     def unlock_after_update(self, v: int, wrote: bool = True):
         if wrote:
-            yield self._write[v]
-        yield self._release[v]
+            yield Store(self.vertex_addr[v], cacheable=False)
+        yield api.lock_release(self.vertex_lock[v])
 
     # ------------------------------------------------------------------
     # Build
@@ -144,15 +140,6 @@ class GraphKernelWorkload(Workload):
                 unit, max(8 * graph.degree(v), 8)
             )
             self.vertex_lock[v] = system.create_syncvar(unit=unit)
-
-        # ops whose fields are fixed for the run, shared by every program.
-        self._edge_compute = Compute(self.edge_compute_cycles)
-        self._acquire = [api.lock_acquire(lock) for lock in self.vertex_lock]
-        self._release = [api.lock_release(lock) for lock in self.vertex_lock]
-        self._read = [Load(addr, cacheable=False) for addr in self.vertex_addr]
-        self._write = [Store(addr, cacheable=False) for addr in self.vertex_addr]
-        update_compute = Compute(2)
-        self._update = [Batch((read, update_compute)) for read in self._read]
 
         # distribute each unit's vertices across that unit's client cores.
         cores_by_unit: Dict[int, List[int]] = {}

@@ -130,7 +130,6 @@ class TimeSeriesWorkload(Workload):
         self.length = length if length is not None else scaled(96)
         self.window = window
         self.seed = seed
-        self.series = generate_series(dataset, self.length, seed)
         self.profile_len = self.length - window + 1
         self.profile = [float("inf")] * self.profile_len
         self._updates = 0

@@ -169,44 +169,6 @@ class TestKernelPlumbing:
         for v in range(SMALL_GRAPH.num_vertices):
             assert workload.vertex_lock[v].unit == workload.assignment[v]
 
-    def test_update_helpers_yield_shared_unmutated_ops(self, tiny_config):
-        from repro.core import api
-        from repro.harness.specs import build_app
-        from repro.sim.program import Batch, Compute, Load, Store
-        from repro.testing import build_system
-
-        system = build_system(tiny_config)
-        workload = build_app("cc.sx")
-        programs = workload.build(system)
-
-        def helper_ops(v):
-            return (list(workload.locked_update(v))
-                    + list(workload.unlock_after_update(v, wrote=True)))
-
-        def fresh_ops(v):
-            addr, lock = workload.vertex_addr[v], workload.vertex_lock[v]
-            return [Compute(workload.edge_compute_cycles),
-                    api.lock_acquire(lock),
-                    Batch((Load(addr, cacheable=False), Compute(2))),
-                    Store(addr, cacheable=False),
-                    api.lock_release(lock)]
-
-        def assert_fresh(ops, v):
-            fresh = fresh_ops(v)
-            assert ops == fresh
-            assert [hash(op) for op in ops] == [hash(op) for op in fresh]
-
-        vertices = range(workload.graph.num_vertices)
-        before = {v: helper_ops(v) for v in vertices}
-        for v in vertices:
-            assert all(a is b for a, b in zip(before[v], helper_ops(v)))
-            assert_fresh(before[v], v)
-        system.run_programs(programs)
-        workload.verify(system)
-        assert workload.operations() > 0
-        for v in vertices:  # no shared op was mutated by the run
-            assert_fresh(before[v], v)
-
     def test_rounds_bounded(self, tiny_config):
         workload = ConnectedComponentsWorkload(graph=SMALL_GRAPH)
         run_workload(lambda: workload, tiny_config, "syncron")

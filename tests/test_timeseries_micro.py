@@ -51,7 +51,8 @@ class TestTimeSeriesWorkload:
         metrics = run_workload(lambda: workload, tiny_config, "syncron")
         assert metrics.operations == workload._steps
         # verify() already compared to brute force; spot-check one entry.
-        reference = matrix_profile_reference(workload.series, workload.window)
+        reference = matrix_profile_reference(
+            generate_series(dataset, 48), workload.window)
         assert math.isclose(workload.profile[0], reference[0], rel_tol=1e-9)
 
     @pytest.mark.parametrize("mechanism", ("central", "hier", "ideal"))
