@@ -4,7 +4,8 @@ Runs, in one process with one worker and the result cache off, everything
 the repository measures or checks outside its unit tests:
 
 - every registered experiment at ``REPRO_SCALE=small`` (``fig10`` once per
-  primitive, ``fig11`` once per data structure);
+  primitive, ``fig11`` once per data structure, ``sweep`` on the lock
+  microbenchmark);
 - the three e2ebench spec lists (``apps``, ``structures``, ``spin``; seed 0);
 - every ``repro`` command the CI workflow runs (``--workers`` forced to 1,
   stores and telemetry in a temporary directory);
@@ -63,32 +64,34 @@ CI_COMMANDS: Tuple[Tuple[str, ...], ...] = (
     ("cache", "stats", "--store", "{tmp}/cache", "--json"),
     ("run", "ext_rwlock", "--arg", "read_pcts=50", "--no-cache"),
     ("run", "fig12", "--arg", "combo=bfs.wk"),
-    ("sweep", "--primitives", "lock,barrier",
-     "--mechanisms", "central,syncron,ideal", "--rounds", "3",
-     "--interval", "120", "--vary", "link_latency=40,100",
+    ("run", "sweep", "--arg", "workloads=lock,barrier",
+     "--arg", "mechanisms=central,syncron,ideal", "--arg", "rounds=3",
+     "--arg", "interval=120", "--vary", "link_latency=40,100",
      "--store", "dir:{tmp}/shared", "--workers", "1",
      "--telemetry", "{tmp}/telemetry-out"),
     ("cache", "verify", "--store", "{tmp}/shared"),
     ("report", "{tmp}/telemetry-out"),
     ("run", "topo_sensitivity", "--arg", "unit_steps=2,4",
      "--arg", "mechanisms=syncron", "--arg", "rounds=2"),
-    ("sweep", "--primitives", "lock", "--mechanisms", "syncron",
-     "--rounds", "3", "--interval", "120",
+    ("run", "sweep", "--arg", "workloads=lock", "--arg", "mechanisms=syncron",
+     "--arg", "rounds=3", "--arg", "interval=120",
      "--vary", "topology=all_to_all,ring,mesh2d,torus2d", "--dry-run"),
     ("run", "degradation", "--arg", "topologies=ring",
      "--arg", "severities=0.25", "--arg", "mechanisms=central,syncron",
      "--arg", "num_units=4", "--arg", "rounds=2", "--arg", "window=4000"),
-    ("sweep", "--primitives", "lock", "--mechanisms", "central,syncron",
-     "--rounds", "2", "--interval", "120", "--faults", "0>1@100",
+    ("run", "sweep", "--arg", "workloads=lock",
+     "--arg", "mechanisms=central,syncron", "--arg", "rounds=2",
+     "--arg", "interval=120", "--faults", "0>1@100",
      "--link-profile", "2>3=6.4:80", "--vary", "topology=ring"),
     ("run", "degradation", "--faults", "unit:1@200"),
     ("run", "degradation", "--faults", "0>1@100+500"),
-    ("sweep", "--primitives", "lock", "--mechanisms", "syncron",
+    ("run", "sweep", "--arg", "workloads=lock", "--arg", "mechanisms=syncron",
      "--faults", "0>2@100", "--vary", "topology=ring", "--no-cache"),
-    ("corun", "--tenants", "lock,barrier", "--rounds", "3",
-     "--topologies", "all_to_all,ring", "--workers", "1"),
-    ("corun", "--tenants", "lock", "--rounds", "3",
-     "--mechanisms", "syncron,hier,central", "--check-isolation"),
+    ("run", "interference", "--arg", "groups=lock+barrier",
+     "--arg", "rounds=3", "--arg", "topologies=all_to_all,ring",
+     "--workers", "1"),
+    ("run", "isolation", "--arg", "descs=lock", "--arg", "rounds=3",
+     "--arg", "mechanisms=syncron,hier,central"),
     ("run", "interference", "--arg", "groups=lock+barrier",
      "--arg", "rounds=2", "--arg", "topologies=all_to_all", "--sanitize"),
     ("run", "interference", "--arg", "core_split=0,10"),
@@ -113,6 +116,8 @@ def _experiments() -> None:
             calls = [{"primitive": p} for p in PRIMITIVES]
         elif experiment.name == "fig11":
             calls = [{"structure": s} for s in ALL_STRUCTURES]
+        elif experiment.name == "sweep":
+            calls = [{"workloads": ("lock",)}]
         else:
             calls = [{}]
         for kwargs in calls:

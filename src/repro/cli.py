@@ -8,29 +8,32 @@
     python -m repro run fig22 --arg combos=ts.air
     python -m repro run fig10 --arg primitive=lock --plot
     python -m repro run fig12 --workers 4    # parallel sweep + result cache
+    python -m repro run fig12 --dry-run      # the runs, cached or not
     python -m repro run ext_rwlock --plot    # extension experiments
-    python -m repro sweep --mechanisms syncron,hier --apps bfs.wk,cc.sl \
+    python -m repro run sweep --arg workloads=bfs.wk,cc.sl \
+        --arg mechanisms=syncron,hier \
         --vary link_latency=1,4,16           # ad-hoc scenario matrices
     python -m repro run topo_sensitivity     # routed-fabric sensitivity
-    python -m repro sweep --structures stack --mechanisms syncron \
-        --vary topology=all_to_all,ring,mesh2d,torus2d --dry-run
-    python -m repro corun --tenants lock,bfs.wk \
-        --topologies all_to_all,ring       # co-run interference matrix
-    python -m repro corun --tenants lock --check-isolation
+    python -m repro run interference --arg groups=lock+bfs.wk \
+        --arg topologies=all_to_all,ring     # co-run interference matrix
+    python -m repro run isolation --arg descs=lock
     python -m repro quickstart               # the README example
 
 Each ``run`` target is a :data:`repro.harness.registry.EXPERIMENTS` record;
 ``--arg KEY=VALUE`` items must name its plan's parameters (a scalar for a
-sequence parameter becomes a 1-tuple), and its rows print as a table;
-``--plot`` adds a terminal chart in the figure's shape.  ``--workers N``
+sequence parameter becomes a 1-tuple; comma-separated items are stripped),
+and its rows print as a table; ``--plot`` adds a terminal chart in the
+figure's shape.  ``--faults``, ``--link-profile`` and ``--vary`` are
+forwarded to the plans that take them (``degradation``, ``sweep``); any
+other plan rejects them.  ``--dry-run`` lists the plan's runs and whether
+the store already holds each, simulating nothing.  ``--workers N``
 simulates the figure's cache misses in up to N worker processes; results
 land in a content-addressed store under ``$REPRO_CACHE_DIR`` (default
 ``.repro-cache/``) so re-runs only simulate misses (``--no-cache``
 disables that, ``--store PATH`` puts the store elsewhere; concurrent
-invocations may share one store).  ``sweep`` composes scenario matrices
-no figure hard-codes: any workload set x mechanisms x swept SystemConfig
-fields; ``cache`` inspects and maintains the store (stats/verify/gc);
-``report`` renders the telemetry a ``--telemetry DIR`` run left behind.
+invocations may share one store).  ``cache`` inspects and maintains the
+store (stats/verify/gc); ``report`` renders the telemetry a
+``--telemetry DIR`` run left behind.
 """
 
 from __future__ import annotations
@@ -39,9 +42,8 @@ import argparse
 import contextlib
 import inspect
 import sys
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
-from repro.harness.experiments import MECHANISMS
 from repro.harness.registry import EXPERIMENTS, find
 from repro.harness.reporting import format_table
 from repro.harness.runner import (
@@ -50,16 +52,15 @@ from repro.harness.runner import (
     execution_options,
     probe_specs,
     run_plan,
-    run_specs,
 )
-from repro.harness.specs import expand_matrix, validate_names
 from repro.harness.store import StoreError, open_store
 
 
 def _parse_value(text: str):
     """Best-effort literal parsing for --arg values."""
     if "," in text:
-        return tuple(_parse_value(part) for part in text.split(",") if part)
+        parts = (part.strip() for part in text.split(","))
+        return tuple(_parse_value(part) for part in parts if part)
     for caster in (int, float):
         try:
             return caster(text)
@@ -68,23 +69,37 @@ def _parse_value(text: str):
     return text
 
 
+def _key_value(flag: str, item: str) -> Tuple[str, object]:
+    """``KEY=VALUE`` split and parsed; ValueError (exit 2) without ``=``."""
+    if "=" not in item:
+        raise ValueError(f"{flag} expects key=value, got {item!r}")
+    key, value = item.split("=", 1)
+    return key, _parse_value(value)
+
+
 def _takes_sequence(param: inspect.Parameter) -> bool:
     """Whether a plan parameter is a sequence (a scalar --arg is wrapped)."""
     return (isinstance(param.default, tuple)
             or "Sequence" in str(param.annotation))
 
 
+def _takes_mapping(param: inspect.Parameter) -> bool:
+    """Whether a plan parameter is a mapping, which no --arg text gives."""
+    return any(kind in str(param.annotation) for kind in ("Dict", "Mapping"))
+
+
 def _plan_kwargs(name: str, plan, items: List[str], **flags) -> Dict:
     """Plan kwargs from ``--arg KEY=VALUE`` items plus the given ``flags``
-    (``--faults`` / ``--link-profile``); ValueError (exit 2) for a malformed
-    item, a key the plan does not take, or a missing required parameter."""
+    (``--faults`` / ``--link-profile`` / ``--vary``); ValueError (exit 2)
+    for a malformed item, a key the plan does not take, or a missing
+    required parameter."""
     params = inspect.signature(plan).parameters
     kwargs = {}
     for item in items:
-        if "=" not in item:
-            raise ValueError(f"--arg expects key=value, got {item!r}")
-        key, value = item.split("=", 1)
-        parsed = _parse_value(value)
+        key, parsed = _key_value("--arg", item)
+        if key in params and _takes_mapping(params[key]):
+            raise ValueError(f"{name}'s {key!r} is a mapping; --arg cannot "
+                             f"set it")
         if (key in params and _takes_sequence(params[key])
                 and not isinstance(parsed, tuple)):
             parsed = (parsed,)
@@ -110,20 +125,9 @@ def _print_result(name: str, result) -> None:
         print(format_table(result, title=name))
 
 
-def _runner_options(args) -> Dict:
-    """The execution_options kwargs every runner-flagged subcommand shares."""
-    return {
-        "workers": args.workers,
-        "cache": not args.no_cache,
-        "store": args.store,
-        "sanitize": getattr(args, "sanitize", False),
-    }
-
-
 @contextlib.contextmanager
-def _telemetry_scope(args):
+def _telemetry_scope(directory):
     """Enable the telemetry bus for a command when --telemetry DIR is set."""
-    directory = getattr(args, "telemetry", None)
     if not directory:
         yield
         return
@@ -137,13 +141,13 @@ def _telemetry_scope(args):
 
 
 @contextlib.contextmanager
-def _sanitizer_scope(args):
+def _sanitizer_scope(enabled: bool):
     """Activate the determinism sanitizer for a command when --sanitize.
 
     Yields the active session (or None): the caller prints the hazard
     report and turns hazards into a non-zero exit after the scope closes.
     """
-    if not getattr(args, "sanitize", False):
+    if not enabled:
         yield None
         return
     from repro.analysis.sanitizer import sanitize_session
@@ -169,22 +173,38 @@ def cmd_run(args) -> int:
               file=sys.stderr)
         return 2
     try:
+        vary = (dict(_key_value("--vary", item) for item in args.vary)
+                if args.vary else None)
         kwargs = _plan_kwargs(name, experiment.plan, args.arg or [],
                               faults=args.faults,
-                              link_profile=args.link_profile)
+                              link_profile=args.link_profile, vary=vary)
         # planning validates every spec's config (RunSpec.make), so a bad
         # override exits 2 here instead of failing mid-simulation.
         plan = experiment.plan(**kwargs)
     except ValueError as exc:
         print(exc, file=sys.stderr)
         return 2
+    if args.dry_run:
+        specs = plan[0]
+        with execution_options(cache=not args.no_cache, store=args.store):
+            statuses = probe_specs(specs)
+        print(format_table([{"run": spec.describe(), "status": status}
+                            for spec, status in zip(specs, statuses)],
+                           title=f"{name} (dry run)"))
+        print(f"[dry-run] {len(specs)} runs: "
+              f"{statuses.count('cached')} cached, "
+              f"{statuses.count('simulate')} to simulate, "
+              f"{statuses.count('duplicate')} deduplicated", file=sys.stderr)
+        return 0
     STATS.reset()
-    with _telemetry_scope(args), _sanitizer_scope(args) as sanitizer, \
-            execution_options(**_runner_options(args)):
+    with _telemetry_scope(args.telemetry), \
+            _sanitizer_scope(args.sanitize) as sanitizer, \
+            execution_options(workers=args.workers, cache=not args.no_cache,
+                              store=args.store, sanitize=args.sanitize):
         result = run_plan(plan)
     _print_result(name, result)
     print(f"[runner] {STATS.summary()}", file=sys.stderr)
-    if getattr(args, "plot", False):
+    if args.plot:
         chart = experiment.chart(result)
         if chart is None:
             print(f"(no plot mapping for {name})", file=sys.stderr)
@@ -196,185 +216,6 @@ def cmd_run(args) -> int:
         if sanitizer.hazards:
             return 1
     return 0
-
-
-# ----------------------------------------------------------------------
-# sweep: ad-hoc scenario matrices (beyond any hard-coded figure)
-# ----------------------------------------------------------------------
-_SWEEP_LABEL_KEYS = {"app": "combo", "structure": "structure",
-                     "primitive": "primitive"}
-
-
-def _csv(text: Optional[str]) -> Tuple[str, ...]:
-    if not text:
-        return ()
-    return tuple(part for part in (p.strip() for p in text.split(",")) if part)
-
-
-def cmd_sweep(args) -> int:
-    apps = _csv(args.apps)
-    structures = _csv(args.structures)
-    primitives = _csv(args.primitives)
-    workloads: List[Tuple[str, Dict]] = []
-    workloads.extend(("app", {"combo": combo}) for combo in apps)
-    workloads.extend(("structure", {"structure": s}) for s in structures)
-    workloads.extend(
-        ("primitive", {"primitive": p, "interval": args.interval,
-                       "rounds": args.rounds})
-        for p in primitives
-    )
-    if not workloads:
-        print("sweep needs at least one workload: --apps, --structures, "
-              "or --primitives", file=sys.stderr)
-        return 2
-    mechanisms = _csv(args.mechanisms) or MECHANISMS
-    # fail fast on typos — workers must never see bad names mid-sweep
-    # (RunSpec.make rejects bad workload names while expanding the matrix).
-    error = validate_names(mechanisms=mechanisms)
-    if error:
-        print(f"sweep: {error}", file=sys.stderr)
-        return 2
-    vary: Dict[str, tuple] = {}
-    for item in args.vary or []:
-        if "=" not in item:
-            print(f"--vary expects field=v1,v2,..., got {item!r}", file=sys.stderr)
-            return 2
-        key, values = item.split("=", 1)
-        parsed = _parse_value(values)
-        vary[key] = parsed if isinstance(parsed, tuple) else (parsed,)
-
-    base_overrides: Dict[str, object] = {}
-    try:
-        if args.faults:
-            from repro.sim.topo.faults import parse_fault_spec
-            base_overrides.update(parse_fault_spec(args.faults))
-        if args.link_profile:
-            from repro.sim.topo.faults import parse_link_profile
-            base_overrides["link_profile"] = parse_link_profile(
-                args.link_profile)
-        labeled = expand_matrix(workloads, mechanisms, vary=vary,
-                                preset=args.preset, seed=args.seed,
-                                base_overrides=base_overrides)
-    except ValueError as exc:
-        print(f"sweep: {exc}", file=sys.stderr)
-        return 2
-
-    if args.dry_run:
-        with execution_options(cache=not args.no_cache, store=args.store):
-            statuses = probe_specs([spec for _label, spec in labeled])
-        rows = [
-            {"run": spec.describe(), "status": status}
-            for (_label, spec), status in zip(labeled, statuses)
-        ]
-        print(format_table(rows, title="sweep (dry run)"))
-        print(
-            f"[dry-run] {len(labeled)} runs: "
-            f"{statuses.count('cached')} cached, "
-            f"{statuses.count('simulate')} to simulate, "
-            f"{statuses.count('duplicate')} deduplicated",
-            file=sys.stderr,
-        )
-        return 0
-
-    STATS.reset()
-    with _telemetry_scope(args), execution_options(**_runner_options(args)):
-        results = run_specs([spec for _label, spec in labeled])
-
-    # One table row per (workload, vary combo); mechanisms are columns.
-    # expand_matrix emits mechanisms innermost, so chunk by their count.
-    rows = []
-    for start in range(0, len(labeled), len(mechanisms)):
-        chunk = labeled[start:start + len(mechanisms)]
-        label = chunk[0][0]
-        row: Dict[str, object] = {
-            "workload": label["args"][_SWEEP_LABEL_KEYS[label["workload"]]],
-        }
-        # vary columns only: --faults/--link-profile base overrides are
-        # shared by every row and would just repeat long tuples.
-        row.update({k: v for k, v in label["overrides"].items() if k in vary})
-        metrics = {
-            lbl["mechanism"]: m
-            for (lbl, _spec), m in zip(chunk, results[start:start + len(mechanisms)])
-        }
-        base = metrics[mechanisms[0]].cycles
-        for mech, m in metrics.items():
-            row[f"{mech}_cycles"] = m.cycles
-            row[f"{mech}_speedup"] = base / m.cycles if m.cycles else float("inf")
-        rows.append(row)
-    print(format_table(rows, title="sweep"))
-    print(f"[runner] {STATS.summary()}", file=sys.stderr)
-    return 0
-
-
-# ----------------------------------------------------------------------
-# corun: multi-tenant co-run scenarios (interference / isolation)
-# ----------------------------------------------------------------------
-def cmd_corun(args) -> int:
-    from repro.harness.experiments import (
-        CORUN_MECHANISMS, interference, isolation_check,
-    )
-
-    tenants = _csv(args.tenants)
-    if not tenants:
-        print("corun needs --tenants, e.g. --tenants lock,bfs.wk",
-              file=sys.stderr)
-        return 2
-    mechanisms = _csv(args.mechanisms) or CORUN_MECHANISMS
-    error = validate_names(mechanisms=mechanisms)
-    if error:
-        print(f"corun: {error}", file=sys.stderr)
-        return 2
-    topologies = _csv(args.topologies) or ("all_to_all",)
-    unit_split = core_split = None
-    try:
-        if args.units:
-            unit_split = tuple(int(u) for u in _csv(args.units))
-        if args.cores:
-            core_split = tuple(int(c) for c in _csv(args.cores))
-    except ValueError:
-        print("--units/--cores expect counts like 2,2", file=sys.stderr)
-        return 2
-
-    STATS.reset()
-    status = 0
-    with _telemetry_scope(args), execution_options(**_runner_options(args)):
-        try:
-            if args.check_isolation:
-                if unit_split or core_split:
-                    print("corun: --check-isolation is whole-machine by "
-                          "definition; drop --units/--cores", file=sys.stderr)
-                    return 2
-                rows = run_plan(isolation_check(
-                    descs=tenants, mechanisms=mechanisms,
-                    topologies=topologies, interval=args.interval,
-                    rounds=args.rounds, preset=args.preset,
-                ))
-                print(format_table(rows, title="corun isolation check"))
-                broken = [r for r in rows if not r["identical"]]
-                if broken:
-                    print(
-                        f"corun: isolation violated for "
-                        f"{[(r['workload'], r['mechanism']) for r in broken]}",
-                        file=sys.stderr,
-                    )
-                    status = 1
-            else:
-                if len(tenants) < 2:
-                    print("corun interference needs at least two --tenants "
-                          "(or pass --check-isolation)", file=sys.stderr)
-                    return 2
-                rows = run_plan(interference(
-                    groups=[tuple(tenants)], mechanisms=mechanisms,
-                    topologies=topologies, interval=args.interval,
-                    rounds=args.rounds, unit_split=unit_split,
-                    core_split=core_split, preset=args.preset,
-                ))
-                print(format_table(rows, title="corun interference"))
-        except ValueError as exc:
-            print(f"corun: {exc}", file=sys.stderr)
-            return 2
-    print(f"[runner] {STATS.summary()}", file=sys.stderr)
-    return status
 
 
 # ----------------------------------------------------------------------
@@ -567,19 +408,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("list", help="list reproducible tables/figures")
 
-    def add_runner_flags(cmd):
-        cmd.add_argument("--workers", type=int, default=1, metavar="N",
-                         help="worker processes simulating the cache misses "
-                              "(default 1)")
-        cmd.add_argument("--no-cache", action="store_true",
-                         help="ignore and don't write the on-disk result store")
-        cmd.add_argument("--store", default=None, metavar="PATH",
-                         help=_STORE_HELP)
-        cmd.add_argument("--telemetry", default=None, metavar="DIR",
-                         help="write a JSONL event log + aggregate snapshot "
-                              "of this command's execution to DIR (render "
-                              "afterwards with `repro report DIR`)")
-
     run = sub.add_parser("run", help="run one experiment and print its table")
     run.add_argument("experiment", help="e.g. fig11, table1, ext_rwlock")
     run.add_argument("--arg", action="append", metavar="KEY=VALUE",
@@ -588,83 +416,35 @@ def build_parser() -> argparse.ArgumentParser:
                      help="also draw a terminal chart in the figure's shape")
     run.add_argument("--faults", default=None, metavar="SPEC",
                      help="fault plan for fault-aware experiments "
-                          "(degradation): comma-separated permanent link "
-                          "failures like '0>1@100', '2-3@50', or scalars "
-                          "'rate=0.1', 'seed=7', 'window=8000'")
+                          "(degradation, sweep): comma-separated permanent "
+                          "link failures like '0>1@100', '2-3@50', or "
+                          "scalars 'rate=0.1', 'seed=7', 'window=8000'")
     run.add_argument("--link-profile", default=None, metavar="SPEC",
                      help="per-channel overrides like "
                           "'0>1=25.6:80,2-3=:200' (GB/s and/or ns)")
+    run.add_argument("--vary", action="append", metavar="FIELD=V1,V2,...",
+                     help="sweep a SystemConfig field in the sweep plan "
+                          "(repeatable; cross product), e.g. "
+                          "link_latency=40,100,500")
+    run.add_argument("--dry-run", action="store_true",
+                     help="print the plan's runs and cache hit/miss counts "
+                          "without simulating anything")
     run.add_argument("--sanitize", action="store_true",
                      help="runtime determinism sanitizer: record per-cycle "
                           "access sets and flag same-cycle ordering hazards "
                           "(debug mode: forces --no-cache and one worker; "
                           "non-zero exit on hazards)")
-    add_runner_flags(run)
-
-    sweep = sub.add_parser(
-        "sweep",
-        help="run an ad-hoc scenario matrix (workloads x mechanisms x config)",
-    )
-    sweep.add_argument("--apps", metavar="A,B,...",
-                       help="application-input combos, e.g. bfs.wk,cc.sl,ts.air")
-    sweep.add_argument("--structures", metavar="S,T,...",
-                       help="data structures, e.g. stack,queue,bst_fg")
-    sweep.add_argument("--primitives", metavar="P,Q,...",
-                       help="sync primitives, e.g. lock,barrier")
-    sweep.add_argument("--interval", type=int, default=200,
-                       help="instruction interval for --primitives (default 200)")
-    sweep.add_argument("--rounds", type=int, default=25,
-                       help="rounds for --primitives (default 25)")
-    sweep.add_argument("--mechanisms", metavar="M,N,...",
-                       help="mechanisms to compare (default central,hier,"
-                            "syncron,ideal); first is the speedup baseline")
-    sweep.add_argument("--vary", action="append", metavar="FIELD=V1,V2,...",
-                       help="sweep a SystemConfig field (repeatable; cross "
-                            "product), e.g. link_latency=40,100,500")
-    sweep.add_argument("--preset", default="ndp_2_5d",
-                       help="base SystemConfig preset (default ndp_2_5d)")
-    sweep.add_argument("--seed", type=int, default=None,
-                       help="workload seed forwarded to seedable workloads")
-    sweep.add_argument("--faults", default=None, metavar="SPEC",
-                       help="inject a fault plan into every run: permanent "
-                            "link failures like '0>1@100', '2-3@50', or "
-                            "scalars 'rate=0.1', 'seed=7', 'window=8000'")
-    sweep.add_argument("--link-profile", default=None, metavar="SPEC",
-                       help="per-channel bandwidth/latency overrides for "
-                            "every run, e.g. '0>1=25.6:80,2-3=:200'")
-    sweep.add_argument("--dry-run", action="store_true",
-                       help="print the resolved run matrix and cache "
-                            "hit/miss counts without simulating anything")
-    add_runner_flags(sweep)
-
-    corun = sub.add_parser(
-        "corun",
-        help="co-run tenants on one machine (interference / isolation)",
-    )
-    corun.add_argument("--tenants", metavar="T1,T2,...",
-                       help="tenant workloads: primitives (lock), app combos "
-                            "(bfs.wk), or structures (stack)")
-    corun.add_argument("--units", metavar="N1,N2,...",
-                       help="units per tenant (contiguous slices; default "
-                            "even split)")
-    corun.add_argument("--cores", metavar="N1,N2,...",
-                       help="client cores per tenant instead of whole units "
-                            "(tenants then share units/SEs/crossbars)")
-    corun.add_argument("--mechanisms", metavar="M,N,...",
-                       help="mechanisms to compare (default central,syncron)")
-    corun.add_argument("--topologies", metavar="T,U,...",
-                       help="fabrics to sweep (default all_to_all)")
-    corun.add_argument("--interval", type=int, default=200,
-                       help="instruction interval for primitive tenants "
-                            "(default 200)")
-    corun.add_argument("--rounds", type=int, default=None,
-                       help="rounds for primitive tenants (default scaled)")
-    corun.add_argument("--preset", default="ndp_2_5d",
-                       help="base SystemConfig preset (default ndp_2_5d)")
-    corun.add_argument("--check-isolation", action="store_true",
-                       help="assert a whole-machine single tenant is "
-                            "bit-identical to the plain run (exit 1 if not)")
-    add_runner_flags(corun)
+    run.add_argument("--workers", type=int, default=1, metavar="N",
+                     help="worker processes simulating the cache misses "
+                          "(default 1)")
+    run.add_argument("--no-cache", action="store_true",
+                     help="ignore and don't write the on-disk result store")
+    run.add_argument("--store", default=None, metavar="PATH",
+                     help=_STORE_HELP)
+    run.add_argument("--telemetry", default=None, metavar="DIR",
+                     help="write a JSONL event log + aggregate snapshot "
+                          "of this command's execution to DIR (render "
+                          "afterwards with `repro report DIR`)")
 
     cache = sub.add_parser(
         "cache",
@@ -714,9 +494,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: List[str] = None) -> int:
     args = build_parser().parse_args(argv)
-    handler = {"list": cmd_list, "run": cmd_run, "sweep": cmd_sweep,
-               "corun": cmd_corun, "cache": cmd_cache, "report": cmd_report,
-               "lint": cmd_lint, "quickstart": cmd_quickstart}
+    handler = {"list": cmd_list, "run": cmd_run, "cache": cmd_cache,
+               "report": cmd_report, "lint": cmd_lint,
+               "quickstart": cmd_quickstart}
     return handler[args.command](args)
 
 

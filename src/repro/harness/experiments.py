@@ -16,7 +16,7 @@ reproduction target.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence
 
 from repro.harness.runner import Plan
 from repro.harness.specs import RunSpec, split_combo
@@ -644,8 +644,9 @@ CORUN_MECHANISMS = ("central", "syncron")
 
 
 def tenant_desc(desc: str, interval: int = 200, rounds: int = 25) -> Dict:
-    """Shorthand tenant description: ``lock`` (primitive), ``bfs.wk``
-    (application combo), ``stack`` (data structure)."""
+    """Shorthand workload description (co-run tenants, :func:`sweep`
+    workloads): ``lock`` (primitive), ``bfs.wk`` (application combo),
+    ``stack`` (data structure)."""
     if desc in PRIMITIVES:
         return {"workload": "primitive",
                 "args": {"primitive": desc, "interval": interval,
@@ -656,7 +657,7 @@ def tenant_desc(desc: str, interval: int = 200, rounds: int = 25) -> Dict:
     if desc in ALL_STRUCTURES:
         return {"workload": "structure", "args": {"structure": desc}}
     raise ValueError(
-        f"unknown tenant workload {desc!r}; use a primitive "
+        f"unknown workload {desc!r}; choose from a primitive "
         f"({sorted(PRIMITIVES)}), an app combo like 'bfs.wk', or a "
         f"structure ({sorted(ALL_STRUCTURES)})"
     )
@@ -838,8 +839,8 @@ def isolation_check(descs: Sequence[str] = ("lock",),
     reproduce the single-workload simulation exactly — same cycles, same
     energy breakdown, same byte counters — under every requested mechanism
     and fabric.  Renders one row per (workload, mechanism, topology) with
-    an ``identical`` verdict; the CI smoke run and
-    ``repro corun --check-isolation`` fail when any row is False.
+    an ``identical`` verdict (``repro run isolation``); the CI smoke run
+    fails when any row is False.
     """
     rounds = rounds if rounds is not None else scaled(10)
     cells = []  # (desc, mech, topo, plain spec, co-run spec)
@@ -877,6 +878,67 @@ def isolation_check(descs: Sequence[str] = ("lock",),
 
     return tuple(spec for *_, solo, corun in cells
                  for spec in (solo, corun)), render
+
+
+# ======================================================================
+# Ad-hoc scenario matrices — workloads x config combos x mechanisms
+# ======================================================================
+def sweep(workloads: Sequence[str],
+          mechanisms: Sequence[str] = MECHANISMS,
+          vary: Optional[Mapping[str, tuple]] = None,
+          interval: int = 200,
+          rounds: int = 25,
+          preset: str = "ndp_2_5d",
+          seed: Optional[int] = None,
+          faults: Optional[str] = None,
+          link_profile: Optional[str] = None) -> Plan:
+    """A scenario matrix no figure hard-codes.
+
+    ``workloads`` are :func:`tenant_desc` shorthands (``lock``, ``bfs.wk``,
+    ``stack``); ``interval``/``rounds`` size the primitives and ``seed``
+    goes to the seedable workloads.  ``vary`` maps SystemConfig fields (or
+    their ``CONFIG_ALIASES``) to the values to sweep, crossed in the given
+    order (the CLI's ``--vary FIELD=V1,V2``); ``faults``/``link_profile``
+    apply to every run, as in :func:`degradation`.
+
+    Rows: one per (workload, vary combo) with the combo's fields and, per
+    mechanism, ``<mech>_cycles`` and ``<mech>_speedup`` over the first.
+    """
+    if not workloads or not mechanisms:
+        raise ValueError("sweep needs at least one workload and mechanism")
+    base: Dict[str, object] = {}
+    if faults:
+        base.update(parse_fault_spec(faults))
+    if link_profile:
+        base["link_profile"] = parse_link_profile(link_profile)
+    combos: List[Dict] = [{}]
+    for field, values in (vary or {}).items():
+        values = values if isinstance(values, tuple) else (values,)
+        combos = [{**combo, field: value}
+                  for combo in combos for value in values]
+    cells = [(desc, combo) for desc in workloads for combo in combos]
+    spec = {}
+    for cell, (desc, combo) in enumerate(cells):
+        workload = tenant_desc(desc, interval, rounds)
+        for mech in mechanisms:
+            spec[cell, mech] = RunSpec.make(
+                workload["workload"], mech, args=workload["args"],
+                preset=preset, overrides={**base, **combo}, seed=seed)
+
+    def render(results):
+        rows = []
+        for cell, (desc, combo) in enumerate(cells):
+            row: Dict[str, object] = {"workload": desc, **combo}
+            base_cycles = results[spec[cell, mechanisms[0]]].cycles
+            for mech in mechanisms:
+                cycles = results[spec[cell, mech]].cycles
+                row[f"{mech}_cycles"] = cycles
+                row[f"{mech}_speedup"] = (base_cycles / cycles if cycles
+                                          else float("inf"))
+            rows.append(row)
+        return rows
+
+    return tuple(spec.values()), render
 
 
 # ======================================================================

@@ -89,10 +89,15 @@ EXPERIMENTS: Tuple[Experiment, ...] = (
                ("bars", "label", MECHANISMS, False)),
     Experiment("interference", experiments.interference,
                "co-run tenant slowdown vs alone (tenant pairs x mechanisms x fabrics)"),
+    Experiment("isolation", experiments.isolation_check,
+               "whole-machine single tenant vs the plain run (bit-identity)"),
     Experiment("degradation", experiments.degradation,
                "graceful degradation under link faults (mechanism x fabric x "
                "fault severity)",
                ("bars", "label", ("central", "hier", "syncron"), False)),
+    Experiment("sweep", experiments.sweep,
+               "ad-hoc matrix: workloads x --vary config x mechanisms "
+               "(needs workloads=...)"),
 )
 
 

@@ -1,7 +1,7 @@
 """Sweep execution: one single-host executor over the content store.
 
-Every experiment plan (through :func:`run_plan`) and the CLI ``sweep``
-subcommand funnel through :func:`run_specs`: specs are deduplicated by
+Every experiment plan (through :func:`run_plan`, which ``repro run``
+calls) funnels through :func:`run_specs`: specs are deduplicated by
 cache key, hits are served from the content-addressed
 :class:`~repro.harness.store.ShardedDirStore`, and only the misses are
 simulated.  Because every simulation is
@@ -356,7 +356,7 @@ def probe_specs(specs: Sequence[RunSpec], cache: Optional[bool] = None,
     Returns one status per spec, in order: ``"cached"`` (a valid result is
     already durable), ``"simulate"`` (a cold run would execute it), or
     ``"duplicate"`` (an earlier spec in the sequence shares its cache key).
-    This is the ``sweep --dry-run`` backend; with caching disabled every
+    This is the ``repro run --dry-run`` backend; with caching disabled every
     non-duplicate spec reports ``"simulate"``.
     """
     use_cache = get_execution_options().cache if cache is None else cache

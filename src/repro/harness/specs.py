@@ -7,10 +7,6 @@ preset + overrides to use, and an optional seed.  Because a spec contains
 only plain data it can cross process boundaries (``--workers N``) and be hashed
 into a stable cache key, so a figure re-run only simulates cache misses.
 
-:func:`expand_matrix` builds the cross product of workloads x mechanisms x
-config overrides — which is how the CLI ``sweep`` subcommand composes
-scenario matrices the paper never ran.
-
 Two kinds of registry targets exist:
 
 - **workloads** (:data:`WORKLOAD_BUILDERS`): builders returning a
@@ -132,6 +128,13 @@ class RunSpec:
         error = _args_error(workload, args or {})
         if error:
             raise ValueError(error)
+        # measurements legitimately run baselines no NDPSystem has
+        # (coherent / mesi in Table 1 and Fig. 2).
+        if workload in WORKLOAD_BUILDERS and mechanism not in MECHANISM_NAMES:
+            raise ValueError(f"unknown mechanism {mechanism!r}; choose from "
+                             f"{sorted(MECHANISM_NAMES)}")
+        if seed is not None and type(seed) is not int:
+            raise ValueError(f"seed must be an int, got {seed!r}")
         if workload not in SEEDABLE_WORKLOADS:
             # the seed is never forwarded to these, so hashing it would
             # split cache entries between physically identical runs.
@@ -253,37 +256,6 @@ def _canonical_overrides(overrides: Optional[Mapping]) -> Dict[str, Any]:
     return result
 
 
-def expand_matrix(workloads: Sequence[Tuple[str, Mapping]],
-                  mechanisms: Sequence[str],
-                  vary: Optional[Mapping[str, Sequence]] = None,
-                  preset: str = "ndp_2_5d",
-                  base_overrides: Optional[Mapping] = None,
-                  seed: Optional[int] = None
-                  ) -> list:
-    """The one matrix expansion: ``(label, RunSpec)`` pairs in run order.
-
-    ``label`` carries the as-given workload args, vary combo (pre-alias
-    field names), and mechanism, so callers that label output rows
-    (the CLI ``sweep`` table) can never drift from the spec order.
-    """
-    combos: list = [dict(base_overrides or {})]
-    for key, values in (vary or {}).items():
-        combos = [
-            {**combo, key: value} for combo in combos for value in values
-        ]
-    pairs = []
-    for workload, args in workloads:
-        for combo in combos:
-            for mech in mechanisms:
-                label = {"workload": workload, "args": dict(args),
-                         "overrides": dict(combo), "mechanism": mech}
-                pairs.append((label, RunSpec.make(
-                    workload, mechanism=mech, args=args, preset=preset,
-                    overrides=combo, seed=seed,
-                )))
-    return pairs
-
-
 # ----------------------------------------------------------------------
 # Workload registry
 # ----------------------------------------------------------------------
@@ -315,12 +287,11 @@ def split_combo(combo: str) -> Tuple[str, str]:
 
 
 def validate_names(apps: Sequence[str] = (), structures: Sequence[str] = (),
-                   primitives: Sequence[str] = (),
-                   mechanisms: Sequence[str] = ()) -> Optional[str]:
-    """First invalid-name error among the given sweep inputs, or None.
+                   primitives: Sequence[str] = ()) -> Optional[str]:
+    """First invalid workload name among the given ones, or None.
 
-    Lets callers (the CLI) fail fast with a friendly message instead of
-    surfacing a worker-process traceback mid-sweep.
+    Lets planning fail fast with a friendly message instead of surfacing a
+    worker-process traceback mid-sweep.
     """
     try:
         for combo in apps:
@@ -333,9 +304,6 @@ def validate_names(apps: Sequence[str] = (), structures: Sequence[str] = (),
     for p in primitives:
         if p not in PRIMITIVES:
             return f"unknown primitive {p!r}; choose from {sorted(PRIMITIVES)}"
-    for m in mechanisms:
-        if m not in MECHANISM_NAMES:
-            return f"unknown mechanism {m!r}; choose from {sorted(MECHANISM_NAMES)}"
     return None
 
 

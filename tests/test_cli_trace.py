@@ -58,13 +58,15 @@ class TestCliCommands:
          "bad --faults clause 'garbage'"),
         (["run", "fig16", "--arg", "latencies_ns=-5"],
          "link_latency_ns must be non-negative"),
-        (["sweep", "--primitives", "lock", "--mechanisms", "syncron",
-          "--faults", "0>2@100", "--vary", "topology=ring", "--no-cache"],
+        (["run", "sweep", "--arg", "workloads=lock",
+          "--arg", "mechanisms=syncron", "--faults", "0>2@100",
+          "--vary", "topology=ring", "--no-cache"],
          "fault_links channel (0, 2) does not exist in the 'ring' fabric"),
         (["run", "interference", "--arg", "groups=lock+barrier",
           "--arg", "core_split=0,10", "--arg", "rounds=1", "--no-cache"],
          "every tenant needs at least one core"),
-        (["corun", "--tenants", "lock,barrier", "--cores", "0,10"],
+        (["run", "interference", "--arg", "groups=lock+barrier",
+          "--arg", "core_split=0,10"],
          "every tenant needs at least one core"),
         (["run", "fig12", "--arg", "combos=bfs.wk,xx.yy", "--no-cache"],
          "unknown application 'xx'"),
@@ -73,9 +75,25 @@ class TestCliCommands:
         (["run", "fig10", "--arg", "primitive=lock", "--arg", "intervals=abc",
           "--no-cache"],
          "primitive interval must be an int, got 'abc'"),
+        (["run", "fig12", "--arg", "mechanisms=quantum",
+          "--arg", "combos=tc.sx", "--no-cache"],
+         "unknown mechanism 'quantum'; choose from"),
+        (["run", "fig12", "--vary", "link_latency=40,100"],
+         "fig12 takes no argument 'vary'"),
+        (["run", "sweep", "--arg", "workloads=lock", "--vary", "topology"],
+         "--vary expects key=value, got 'topology'"),
+        (["run", "sweep", "--arg", "workloads=lock", "--arg", "vary=st"],
+         "sweep's 'vary' is a mapping; --arg cannot set it"),
+        (["run", "isolation", "--arg", "base_overrides=5"],
+         "isolation's 'base_overrides' is a mapping; --arg cannot set it"),
+        (["run", "sweep", "--arg", "workloads=stack", "--arg", "seed=abc"],
+         "seed must be an int, got 'abc'"),
     ], ids=["run-bad-faults", "run-negative-latency", "sweep-missing-channel",
             "run-zero-core-split", "corun-zero-cores", "run-unknown-combo",
-            "run-unknown-structure", "run-non-int-interval"])
+            "run-unknown-structure", "run-non-int-interval",
+            "run-unknown-mechanism", "run-vary-on-other-plan",
+            "run-vary-without-values", "run-vary-through-arg",
+            "run-mapping-through-arg", "run-non-int-seed"])
     def test_invalid_override_exits_2_before_simulating(
             self, monkeypatch, capsys, argv, message):
         def simulate(spec):
@@ -84,6 +102,31 @@ class TestCliCommands:
         monkeypatch.setattr(runner, "execute_spec", simulate)
         assert main(argv) == 2
         assert message in capsys.readouterr().err
+
+    def test_dry_run_simulates_nothing(self, monkeypatch, capsys):
+        def simulate(spec):
+            raise AssertionError(f"simulated {spec.describe()}")
+
+        monkeypatch.setattr(runner, "execute_spec", simulate)
+        assert main(["run", "fig12", "--dry-run", "--no-cache"]) == 0
+        out = capsys.readouterr()
+        assert "fig12 (dry run)" in out.out
+        assert "app(combo=tc.sx)/syncron" in out.out
+        assert ("[dry-run] 104 runs: 0 cached, 104 to simulate, "
+                "0 deduplicated") in out.err
+
+    def test_run_isolation_reports_identical_rows(self, capsys):
+        code = main(["run", "isolation", "--arg", "descs=lock",
+                     "--arg", "mechanisms=syncron,central",
+                     "--arg", "rounds=2", "--no-cache"])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert out.count("True") == 2 and "False" not in out
+
+    def test_sweep_and_corun_subcommands_are_gone(self):
+        for command in ("sweep", "corun"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args([command])
 
     def test_run_scalar_for_a_sequence_kwarg(self, capsys):
         code = main(["run", "ext_rwlock", "--arg", "read_pcts=50",

@@ -15,9 +15,11 @@ from repro.harness.specs import RunSpec
 from repro.workloads.datastructures import ALL_STRUCTURES
 from repro.workloads.microbench import PRIMITIVES
 
-#: the required parameter of each plan that has one, and every value to try.
+#: the required parameter of each plan that has one, and every ``--arg``
+#: value to try.
 REQUIRED = {"fig10": ("primitive", PRIMITIVES),
-            "fig11": ("structure", tuple(ALL_STRUCTURES))}
+            "fig11": ("structure", tuple(ALL_STRUCTURES)),
+            "sweep": ("workloads", ("lock", "bfs.wk", "stack"))}
 
 
 @pytest.fixture
@@ -33,17 +35,18 @@ def _plan_calls():
         if experiment.name in REQUIRED:
             key, values = REQUIRED[experiment.name]
             for value in values:
-                yield pytest.param(experiment, {key: value},
+                yield pytest.param(experiment, [f"{key}={value}"],
                                    id=f"{experiment.name}-{value}")
         else:
-            yield pytest.param(experiment, {}, id=experiment.name)
+            yield pytest.param(experiment, [], id=experiment.name)
 
 
 class TestPlansNeverSimulate:
-    @pytest.mark.parametrize("experiment,kwargs", list(_plan_calls()))
-    def test_plan_returns_specs_and_render(self, experiment, kwargs,
+    @pytest.mark.parametrize("experiment,items", list(_plan_calls()))
+    def test_plan_returns_specs_and_render(self, experiment, items,
                                            no_simulation):
-        specs, render = experiment.plan(**kwargs)
+        specs, render = experiment.plan(
+            **_plan_kwargs(experiment.name, experiment.plan, items))
         assert isinstance(specs, tuple) and specs
         assert all(isinstance(spec, RunSpec) for spec in specs)
         assert callable(render)
@@ -63,7 +66,7 @@ class TestPlansNeverSimulate:
 #: ``--arg`` text for sequence parameters whose default is no tuple of
 #: scalars, and the extra items that make such a value plannable.
 FALLBACK = {"intervals": "200", "combos": "bfs.wk", "groups": "lock+barrier",
-            "unit_split": "1", "core_split": "3"}
+            "unit_split": "1", "core_split": "3", "workloads": "lock"}
 EXTRA = {"unit_split": ["groups=lock"], "core_split": ["groups=lock"]}
 
 

@@ -13,7 +13,6 @@ from repro.harness.runner import (
 from repro.harness.specs import (
     CACHE_FORMAT_VERSION,
     RunSpec,
-    expand_matrix,
     freeze,
 )
 from repro.harness.store import ShardedDirStore
@@ -184,23 +183,24 @@ class TestParallelDeterminism:
 
 class TestSweepSpec:
     def test_matrix_cross_product(self):
-        sweep = [spec for _label, spec in expand_matrix(
-            workloads=[("app", {"combo": "bfs.wk"}), ("app", {"combo": "cc.sl"})],
-            mechanisms=("syncron", "hier"),
+        from repro.harness.experiments import sweep
+
+        specs, _render = sweep(
+            ("bfs.wk", "cc.sl"), mechanisms=("syncron", "hier"),
             vary={"link_latency": (1, 4, 16)},
-        )]
-        assert len(sweep) == 2 * 3 * 2
+        )
+        assert len(specs) == 2 * 3 * 2
         # every spec resolves to a distinct cache key
-        assert len({spec.cache_key() for spec in sweep}) == len(sweep)
-        latencies = {spec.config().link_latency_ns for spec in sweep}
+        assert len({spec.cache_key() for spec in specs}) == len(specs)
+        latencies = {spec.config().link_latency_ns for spec in specs}
         assert latencies == {1, 4, 16}
 
     def test_cli_sweep_expresses_a_non_figure_matrix(self, capsys):
         from repro.cli import main
 
         code = main([
-            "sweep", "--mechanisms", "syncron,ideal",
-            "--structures", "stack",
+            "run", "sweep", "--arg", "mechanisms=syncron,ideal",
+            "--arg", "workloads=stack",
             "--vary", "fairness_threshold=0,2",
             "--no-cache",
         ])
@@ -212,27 +212,32 @@ class TestSweepSpec:
     def test_cli_sweep_rejects_unknown_field(self, capsys):
         from repro.cli import main
 
-        assert main(["sweep", "--structures", "stack",
+        assert main(["run", "sweep", "--arg", "workloads=stack",
                      "--vary", "bogus=1,2"]) == 2
 
     @pytest.mark.parametrize("argv", [
-        ["--apps", "bfs.typo"],
-        ["--apps", "nope.wk"],
-        ["--apps", "ts.nope"],
-        ["--structures", "dequeue"],
-        ["--primitives", "mutex"],
-        ["--structures", "stack", "--mechanisms", "syncron,quantum"],
+        ["--arg", "workloads=bfs.typo"],
+        ["--arg", "workloads=nope.wk"],
+        ["--arg", "workloads=ts.nope"],
+        ["--arg", "workloads=dequeue"],
+        ["--arg", "workloads=mutex"],
+        ["--arg", "workloads=stack", "--arg", "mechanisms=syncron,quantum"],
     ])
-    def test_cli_sweep_rejects_bad_names_before_running(self, argv, capsys):
+    def test_cli_sweep_rejects_bad_names_before_running(self, argv, capsys,
+                                                        monkeypatch):
         from repro.cli import main
 
-        assert main(["sweep", "--no-cache", *argv]) == 2
+        def simulate(spec):
+            raise AssertionError(f"simulated {spec.describe()}")
+
+        monkeypatch.setattr(runner_mod, "execute_spec", simulate)
+        assert main(["run", "sweep", "--no-cache", *argv]) == 2
         assert "choose from" in capsys.readouterr().err
 
     def test_cli_csv_strips_whitespace(self):
-        from repro.cli import _csv
+        from repro.cli import _parse_value
 
-        assert _csv("bfs.wk, cc.sl ,") == ("bfs.wk", "cc.sl")
+        assert _parse_value("bfs.wk, cc.sl ,") == ("bfs.wk", "cc.sl")
 
     def test_seed_on_unseedable_workload_does_not_crash(self):
         # --seed on a mixed CLI sweep must not break deterministic

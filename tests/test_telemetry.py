@@ -249,9 +249,9 @@ def test_cold_multiworker_sweep_merges_to_exact_counters(tmp_path):
     # or the parent's pre-fork store misses are exported again.
     tel_dir = tmp_path / "tel"
     rc = cli.main([
-        "sweep", "--primitives", "lock,barrier",
-        "--mechanisms", "central,syncron", "--rounds", "3",
-        "--interval", "120", "--workers", "2",
+        "run", "sweep", "--arg", "workloads=lock,barrier",
+        "--arg", "mechanisms=central,syncron", "--arg", "rounds=3",
+        "--arg", "interval=120", "--workers", "2",
         "--store", f"dir:{tmp_path}/cache", "--telemetry", str(tel_dir),
     ])
     assert rc == 0
@@ -273,8 +273,9 @@ class TestCli:
     def test_run_with_telemetry_then_report(self, tmp_path, capsys):
         tel_dir = tmp_path / "tel"
         rc = cli.main([
-            "sweep", "--primitives", "lock", "--mechanisms", "syncron",
-            "--rounds", "4", "--interval", "120",
+            "run", "sweep", "--arg", "workloads=lock",
+            "--arg", "mechanisms=syncron", "--arg", "rounds=4",
+            "--arg", "interval=120",
             "--store", f"dir:{tmp_path}/cache",
             "--telemetry", str(tel_dir),
         ])
@@ -293,8 +294,9 @@ class TestCli:
 
     def test_telemetry_disabled_after_cli_run(self, tmp_path):
         cli.main([
-            "sweep", "--primitives", "lock", "--mechanisms", "syncron",
-            "--rounds", "3", "--interval", "120", "--no-cache",
+            "run", "sweep", "--arg", "workloads=lock",
+            "--arg", "mechanisms=syncron", "--arg", "rounds=3",
+            "--arg", "interval=120", "--no-cache",
             "--telemetry", str(tmp_path / "tel"),
         ])
         assert get_telemetry().enabled is False

@@ -332,9 +332,9 @@ class TestTopoSensitivity:
 
 
 class TestSweepDryRun:
-    ARGS = ["sweep", "--primitives", "lock", "--mechanisms", "syncron",
-            "--rounds", "1", "--interval", "120",
-            "--vary", "topology=all_to_all,ring"]
+    ARGS = ["run", "sweep", "--arg", "workloads=lock",
+            "--arg", "mechanisms=syncron", "--arg", "rounds=1",
+            "--arg", "interval=120", "--vary", "topology=all_to_all,ring"]
 
     def test_probe_specs_classifies_without_executing(self):
         spec = RunSpec.make("primitive", "syncron",
