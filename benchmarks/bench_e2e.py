@@ -18,6 +18,12 @@ run, and records from their final JSON lines:
   ``max_ratio`` (lower is better), with a tolerance above the run-to-run
   spread of these medians.
 - ``peak_rss_mb`` — the untraced run's peak resident memory of a pass.
+- ``setup_s`` — the median host time from a pass's process start to its
+  first spec (interpreter start, imports, spec planning), host-scaled like
+  ``wall_s``.  Most of it is compiling ``repro`` when the process may not
+  write bytecode, so the report's top-level ``writes_bytecode`` records
+  whether e2ebench's processes could (``PYTHONDONTWRITEBYTECODE`` unset);
+  the gate compares ``setup_s`` only between runs that agree on it.
 - ``work`` — the traced run's deterministic work counts (kernel events,
   core dispatches, mechanism calls and dispatches, memory accesses, DRAM
   calls, packet transfers), and ``engine_elided`` — kernel events the
@@ -36,6 +42,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -44,7 +51,7 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 RUNNER = REPO_ROOT / "e2ebench" / "run.py"
 WORKLOADS = ("apps", "structures", "spin")
 #: end-to-end metrics recorded per workload from the untraced run.
-METRICS = ("wall_s", "spec_p90_s", "peak_rss_mb")
+METRICS = ("wall_s", "spec_p90_s", "peak_rss_mb", "setup_s")
 #: the traced run's work counts, recorded under ``work`` with ``_`` for
 #: e2ebench's ``.`` (the gate's paths are dotted).
 WORK_COUNTS = ("engine.events", "core.dispatches", "mechanism.calls",
@@ -89,12 +96,15 @@ def main(argv=None) -> int:
 
     report = {"seed": args.seed, "seconds": args.seconds,
               "units": "host seconds scaled to e2ebench's reference host",
+              # e2ebench's processes inherit this environment.
+              "writes_bytecode": not os.environ.get("PYTHONDONTWRITEBYTECODE"),
               "workloads": {}}
     for workload in WORKLOADS:
         row = run_workload(workload, args.seed, args.seconds)
         report["workloads"][workload] = row
         print(f"{workload:10s} wall {row['wall_s']:.3f} s, spec p90 "
-              f"{row['spec_p90_s']:.3f} s, peak RSS "
+              f"{row['spec_p90_s']:.3f} s, setup {row['setup_s']:.3f} s, "
+              f"peak RSS "
               f"{row['peak_rss_mb']:.1f} MB, {row['work']['engine_events']} "
               f"events, {row['failed']} of {row['attempted']} specs failed "
               f"their digest")
@@ -109,7 +119,7 @@ def main(argv=None) -> int:
 def test_e2e_bench_smoke():
     row = run_workload("spin", seed=0, seconds=1)
     assert row["attempted"] > 0 and row["failed"] == 0
-    assert row["wall_s"] > 0 and row["spec_p90_s"] > 0
+    assert row["wall_s"] > 0 and row["spec_p90_s"] > 0 and row["setup_s"] > 0
     assert row["peak_rss_mb"] > 0 and row["work"]["engine_events"] > 0
 
 

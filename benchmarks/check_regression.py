@@ -31,6 +31,8 @@ then looked up in the fresh one — a path that disappeared is a FAIL).
 
 Wall-clock gates are skipped when either run says parallelism is "not
 measurable (cpu_count=1)" — a 1-cpu CI box cannot show parallel speedup.
+The e2e start-up gate is skipped when the two runs differ in whether their
+processes could write bytecode: with it, start-up time roughly halves.
 A BENCH file missing from the fresh directory SKIPs its gates with a
 notice (partial benchmark runs stay usable).
 
@@ -63,6 +65,15 @@ def _cpu1(fresh: Dict, base: Dict) -> Optional[str]:
         note = str(doc.get("parallelism", ""))
         if "not measurable" in note:
             return f"{who} run: {note}"
+    return None
+
+
+def _bytecode_differs(fresh: Dict, base: Dict) -> Optional[str]:
+    """Skip-reason when only one run's processes could write bytecode."""
+    if fresh.get("writes_bytecode") != base.get("writes_bytecode"):
+        return (f"writes_bytecode differs (fresh "
+                f"{fresh.get('writes_bytecode')}, baseline "
+                f"{base.get('writes_bytecode')}): start-up not comparable")
     return None
 
 
@@ -102,6 +113,9 @@ GATES: Dict[str, List[Tuple]] = {
         # above that.
         ("max_ratio", "workloads.*.wall_s", 0.3, None),
         ("max_ratio", "workloads.*.spec_p90_s", 0.3, None),
+        # Process start to first spec, host-scaled; mostly compiling repro
+        # unless bytecode may be cached, so only like runs compare.
+        ("max_ratio", "workloads.*.setup_s", 0.3, _bytecode_differs),
         # Peak RSS spreads under 1% between runs (e2ebench/README.md).
         ("max_ratio", "workloads.*.peak_rss_mb", 0.1, None),
         # The traced run's work counts repeat exactly for a tree: work

@@ -18,16 +18,8 @@ recurring failure modes into machine-checked rules:
 
 The CLI entry point is ``repro lint`` (see :mod:`repro.cli`); CI runs it
 as a gate next to the perf-regression gate.
+
+The package re-exports nothing: every simulation imports the sanitizer
+(:mod:`repro.sim.system` asks whether a session is active), and that must
+not compile the lint engine and its rules.  Import the submodules by name.
 """
-
-from repro.analysis.base import Finding, Rule, RULES
-from repro.analysis.engine import LintReport, lint_package, lint_paths
-
-__all__ = [
-    "Finding",
-    "Rule",
-    "RULES",
-    "LintReport",
-    "lint_package",
-    "lint_paths",
-]

@@ -3,11 +3,11 @@
 Synchronization Engines (one per NDP unit) with a Synchronization Table,
 indexing counters, hierarchical message-passing, and hardware-only overflow
 management via in-memory ``syncronVar`` structures — plus the programmer API
-of Table 2 and the area/power model of Table 8.
+of Table 2 and the area/power model of Table 8
+(:mod:`repro.core.area`, imported by name: no simulation uses it).
 """
 
 from repro.core import api
-from repro.core.area import AreaReport, se_area, table4_comparison, table8_rows
 from repro.core.engine import SynCronMechanism, SyncEngine
 from repro.core.indexing import IndexingCounters
 from repro.core.messages import Message, Opcode, REQUEST_BYTES, RESPONSE_BYTES
@@ -17,7 +17,6 @@ from repro.core.syncronvar import SyncronVar, SyncronVarStore
 
 __all__ = [
     "api",
-    "AreaReport",
     "IndexingCounters",
     "Message",
     "Opcode",
@@ -31,7 +30,4 @@ __all__ = [
     "SynchronizationTable",
     "SyncronVar",
     "SyncronVarStore",
-    "se_area",
-    "table4_comparison",
-    "table8_rows",
 ]

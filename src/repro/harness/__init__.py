@@ -4,10 +4,12 @@ Layering: :mod:`~repro.harness.specs` declares runs,
 :mod:`~repro.harness.runner` executes them (parallel workers + result
 cache), and :mod:`~repro.harness.experiments` / ``motivation`` /
 ``ablations`` plan figures as ``(specs, render)`` for :func:`run_plan`.
+
+Only the execution path is re-exported: a process that runs specs never
+compiles the figure planners or the table formatting.  Import those
+submodules by name (``from repro.harness import experiments``).
 """
 
-from repro.harness import experiments, motivation
-from repro.harness.reporting import format_table, geomean, summarize_speedups
 from repro.harness.runner import (
     execution_options,
     run_plan,
@@ -17,7 +19,5 @@ from repro.harness.runner import (
 from repro.harness.specs import RunSpec
 from repro.harness.store import ShardedDirStore, open_store
 
-__all__ = ["experiments", "motivation", "format_table", "geomean",
-           "summarize_speedups", "RunSpec", "run_plan", "run_specs",
-           "execution_options", "set_execution_options",
-           "ShardedDirStore", "open_store"]
+__all__ = ["RunSpec", "run_plan", "run_specs", "execution_options",
+           "set_execution_options", "ShardedDirStore", "open_store"]

@@ -17,6 +17,13 @@ Two kinds of registry targets exist:
   ``fn(config, mechanism, **args) -> dict`` for experiments that drive a
   system directly (Table 1, Fig. 2, the fairness/SMT ablations); the runner
   caches the returned plain dict.
+
+Each workload family other than the primitive microbenchmark (which
+:mod:`repro.workloads` loads anyway) is imported where it is first
+needed, by the validation in :meth:`RunSpec.make` or by its builder, so
+a process compiles only the families its specs run.  ``RunSpec.make``
+validates an ``app``/``structure`` spec's names, which imports that
+family before the first spec runs.
 """
 
 from __future__ import annotations
@@ -30,13 +37,7 @@ from typing import Any, Callable, Dict, Mapping, Optional, Sequence, Tuple
 from repro.sim.config import MEMORY_TECHNOLOGIES, PRESETS, SystemConfig
 from repro.sim.system import MECHANISM_NAMES
 from repro.workloads.base import Workload, scale
-from repro.workloads.datastructures import ALL_STRUCTURES
-from repro.workloads.graphs import ALL_KERNELS
-from repro.workloads.graphs.datasets import DATASETS as GRAPH_DATASET_NAMES
 from repro.workloads.microbench import PRIMITIVES, PrimitiveMicrobench
-from repro.workloads.rwbench import RWLockMicrobench
-from repro.workloads.timeseries import DATASETS as TS_DATASET_NAMES, TimeSeriesWorkload
-from repro.workloads.unionfind import UnionFindWorkload
 
 #: bump to invalidate every cached result (simulator behaviour changes are
 #: NOT part of the cache key — see EXPERIMENTS.md).  v2: the spin baselines
@@ -269,16 +270,22 @@ def split_combo(combo: str) -> Tuple[str, str]:
     if not dataset:
         raise ValueError(f"app combo must look like 'bfs.wk', got {combo!r}")
     if app == "ts":
+        from repro.workloads.timeseries import DATASETS as TS_DATASET_NAMES
+
         if dataset not in TS_DATASET_NAMES:
             raise ValueError(
                 f"unknown ts dataset {dataset!r}; choose from "
                 f"{sorted(TS_DATASET_NAMES)}"
             )
-    elif app not in ALL_KERNELS:
+        return app, dataset
+    from repro.workloads.graphs import ALL_KERNELS
+    from repro.workloads.graphs.datasets import DATASETS as GRAPH_DATASET_NAMES
+
+    if app not in ALL_KERNELS:
         raise ValueError(
             f"unknown application {app!r}; choose from {sorted(ALL_KERNELS)} or 'ts'"
         )
-    elif dataset not in GRAPH_DATASET_NAMES:
+    if dataset not in GRAPH_DATASET_NAMES:
         raise ValueError(
             f"unknown graph dataset {dataset!r}; choose from "
             f"{sorted(GRAPH_DATASET_NAMES)}"
@@ -298,9 +305,12 @@ def validate_names(apps: Sequence[str] = (), structures: Sequence[str] = (),
             split_combo(combo)
     except ValueError as exc:
         return str(exc)
-    for s in structures:
-        if s not in ALL_STRUCTURES:
-            return f"unknown structure {s!r}; choose from {sorted(ALL_STRUCTURES)}"
+    if structures:
+        from repro.workloads.datastructures import ALL_STRUCTURES
+
+        for s in structures:
+            if s not in ALL_STRUCTURES:
+                return f"unknown structure {s!r}; choose from {sorted(ALL_STRUCTURES)}"
     for p in primitives:
         if p not in PRIMITIVES:
             return f"unknown primitive {p!r}; choose from {sorted(PRIMITIVES)}"
@@ -329,8 +339,12 @@ def build_app(combo: str, partitioner: Optional[str] = None,
     """One of the paper's application-input combos, e.g. ``bfs.wk``/``ts.air``."""
     app, dataset = split_combo(combo)
     if app == "ts":
+        from repro.workloads.timeseries import TimeSeriesWorkload
+
         kwargs = {} if seed is None else {"seed": seed}
         return TimeSeriesWorkload(dataset, **kwargs)
+    from repro.workloads.graphs import ALL_KERNELS
+
     kwargs = {"dataset": dataset}
     if partitioner is not None:
         kwargs["partitioner"] = partitioner
@@ -341,6 +355,8 @@ def build_app(combo: str, partitioner: Optional[str] = None,
 
 def build_structure(structure: str, **kwargs) -> Workload:
     """A Table 6 concurrent data structure by name (e.g. ``stack``)."""
+    from repro.workloads.datastructures import ALL_STRUCTURES
+
     try:
         cls = ALL_STRUCTURES[structure]
     except KeyError:
@@ -355,10 +371,14 @@ def build_primitive(primitive: str, interval: int, rounds: int = 50) -> Workload
 
 
 def build_rwbench(**kwargs) -> Workload:
+    from repro.workloads.rwbench import RWLockMicrobench
+
     return RWLockMicrobench(**kwargs)
 
 
 def build_unionfind(**kwargs) -> Workload:
+    from repro.workloads.unionfind import UnionFindWorkload
+
     return UnionFindWorkload(**kwargs)
 
 

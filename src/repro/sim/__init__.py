@@ -5,6 +5,10 @@ simulator: a deterministic discrete-event model of NDP units (in-order cores
 with private L1s), per-unit crossbars with M/D/1 queueing, inter-unit serial
 links, banked DRAM (HBM / HMC / DDR4), and event-counting energy/traffic
 accounting.
+
+Co-run tenancy (:mod:`repro.sim.tenancy`) and the message tracer
+(:mod:`repro.sim.trace`) are imported by name, so a plain simulation does
+not load them.
 """
 
 from repro.sim.config import (
@@ -36,13 +40,10 @@ from repro.sim.smt import IssuePort
 from repro.sim.stats import SystemStats
 from repro.sim.syncif import SyncUsageError, SyncVar
 from repro.sim.system import MECHANISM_NAMES, NDPSystem
-from repro.sim.tenancy import TenantView
-from repro.sim.trace import MessageTracer
 
 __all__ = [
     "Batch",
     "IssuePort",
-    "MessageTracer",
     "batch",
     "DDR4",
     "HBM",
@@ -64,7 +65,6 @@ __all__ = [
     "SyncVar",
     "SystemConfig",
     "SystemStats",
-    "TenantView",
     "compute_energy",
     "cpu_numa",
     "ndp_2_5d",

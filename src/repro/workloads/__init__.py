@@ -1,4 +1,10 @@
-"""Workloads: microbenchmarks, data structures, graphs, time series."""
+"""Workloads: microbenchmarks, data structures, graphs, time series.
+
+Only the plumbing and the primitive microbenchmark are re-exported; each
+workload family (``datastructures``, ``graphs``, ``timeseries``, ``corun``,
+...) is imported by name where a run needs it, so a process pays only for
+the families it runs.
+"""
 
 from repro.workloads.base import (
     RunMetrics,
@@ -8,17 +14,12 @@ from repro.workloads.base import (
     scale,
     scaled,
 )
-from repro.workloads.corun import CorunWorkload, TenantSpec
 from repro.workloads.microbench import PRIMITIVES, PrimitiveMicrobench
-from repro.workloads.timeseries import TimeSeriesWorkload
 
 __all__ = [
-    "CorunWorkload",
     "PRIMITIVES",
     "PrimitiveMicrobench",
     "RunMetrics",
-    "TenantSpec",
-    "TimeSeriesWorkload",
     "Workload",
     "collect_metrics",
     "run_workload",

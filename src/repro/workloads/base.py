@@ -217,8 +217,11 @@ def run_workload(
 
     ``workload_factory`` is a zero-argument callable returning a fresh
     :class:`Workload`; instances are single-use (they allocate addresses and
-    synchronization variables during :meth:`Workload.build`).
+    synchronization variables during :meth:`Workload.build`).  The system
+    is released (:meth:`NDPSystem.release`) once its metrics are taken.
     """
     system = NDPSystem(config, mechanism=mechanism)
     workload = workload_factory()
-    return workload.run(system, max_events=max_events)
+    metrics = workload.run(system, max_events=max_events)
+    system.release()
+    return metrics

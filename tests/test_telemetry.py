@@ -392,6 +392,26 @@ class TestRegressionGate:
         assert any("workloads.structures.wall_s" in l for l in failed)
         assert any("workloads.spin.failed" in l for l in failed)
 
+    def test_slower_e2e_setup_fails(self, gate, tmp_path, capsys):
+        doc = json.loads((REPO_ROOT / "BENCH_e2e.json").read_text())
+        doc["workloads"]["spin"]["setup_s"] *= 1.5
+        (tmp_path / "BENCH_e2e.json").write_text(json.dumps(doc))
+        assert gate.main(["--fresh", str(tmp_path)]) == 1
+        failed = [l for l in capsys.readouterr().out.splitlines()
+                  if l.startswith("[FAIL]")]
+        assert len(failed) == 1 and "workloads.spin.setup_s" in failed[0]
+
+    def test_bytecode_mismatch_skips_setup_gate(self, gate, tmp_path,
+                                                capsys):
+        doc = json.loads((REPO_ROOT / "BENCH_e2e.json").read_text())
+        doc["writes_bytecode"] = not doc["writes_bytecode"]
+        doc["workloads"]["spin"]["setup_s"] *= 1.5
+        (tmp_path / "BENCH_e2e.json").write_text(json.dumps(doc))
+        assert gate.main(["--fresh", str(tmp_path)]) == 0
+        line = [l for l in capsys.readouterr().out.splitlines()
+                if "workloads.*.setup_s" in l][0]
+        assert "[SKIP]" in line and "writes_bytecode differs" in line
+
     def test_wildcard_expansion(self, gate):
         doc = {"a": {"x": {"v": 1}, "y": {"v": 2}}, "b": 3}
         assert gate.expand_paths(doc, "a.*.v") == ["a.x.v", "a.y.v"]
