@@ -3,7 +3,7 @@
 Every rule here exists because this repository has already had (and fixed)
 the bug it guards — see CHANGES.md: per-process-randomized ``hash(name)``
 seeds (PR 2), config fields missed by ``as_dict``/``stable_hash`` forcing
-``CACHE_FORMAT_VERSION`` bumps (PRs 2/3/7/8), closure-allocating
+hand-made cache-version bumps, closure-allocating
 ``schedule(lambda: ...)`` call sites regressing the PR-1 hot path, and
 telemetry that must never touch physics.  Rules are deliberately scoped to
 the module namespaces where the invariant matters; a violation elsewhere
@@ -243,7 +243,7 @@ class ConfigFieldCoverage(Rule):
 
     A field missing from ``as_dict``/``from_dict``/``stable_hash`` silently
     falls out of cache keys (two different machines collide on one cached
-    result — the PR-2/3/7/8 ``CACHE_FORMAT_VERSION`` bug class); a field
+    result — the cache-version bug class); a field
     no validation ever reads can drift into nonsense without an error.
     Full-coverage idioms (``asdict(self)``, ``cls(**payload)``, hashing
     ``self.as_dict()``) satisfy the serialization legs wholesale.

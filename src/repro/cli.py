@@ -454,7 +454,8 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=("stats", "verify", "gc"),
                        help="stats: entries/bytes/shards; verify: re-hash "
                             "entries and quarantine corruption; gc: drop "
-                            "stale-version entries and abandoned temp files")
+                            "entries written by other source code (another "
+                            "epoch) and abandoned temp files")
     cache.add_argument("--store", default=None, metavar="PATH",
                        help=_STORE_HELP)
     cache.add_argument("--json", action="store_true",

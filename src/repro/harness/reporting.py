@@ -49,23 +49,3 @@ def format_table(rows: List[Dict], columns: Sequence[str] = None,
     for r in table:
         lines.append("  ".join(r[i].ljust(widths[i]) for i in range(len(columns))))
     return "\n".join(lines)
-
-
-def geomean(values: Sequence[float]) -> float:
-    import math
-
-    values = [v for v in values if v > 0]
-    if not values:
-        return float("nan")
-    return math.exp(sum(math.log(v) for v in values) / len(values))
-
-
-def summarize_speedups(rows: List[Dict], mechanism: str, baseline: str) -> Dict[str, float]:
-    """avg / max speedup of ``mechanism`` over ``baseline`` across rows."""
-    ratios = [row[mechanism] / row[baseline] for row in rows
-              if baseline in row and mechanism in row]
-    return {
-        "avg": geomean(ratios),
-        "max": max(ratios) if ratios else float("nan"),
-        "min": min(ratios) if ratios else float("nan"),
-    }

@@ -22,9 +22,9 @@ bit-identity verification; at worst both simulate the same spec.
 The default store is ``dir:$REPRO_CACHE_DIR`` (default ``.repro-cache/``),
 sharded one-file-per-result.  Keys cover the full resolved
 :class:`~repro.sim.config.SystemConfig`, workload kwargs, mechanism, seed
-and scale — but NOT the simulator's code, so run ``repro cache gc`` after
-bumping :data:`repro.harness.specs.CACHE_FORMAT_VERSION` (or delete the
-directory / pass ``--no-cache``) when simulation behaviour changes.
+and scale, plus the :func:`~repro.harness.specs.source_epoch` (a hash of
+the ``repro`` package's source): after any code edit every spec misses
+and every old record reads as stale, which ``repro cache gc`` deletes.
 
 Caching defaults OFF for library calls (tests must never observe stale
 physics) and ON in the CLI.
@@ -302,10 +302,7 @@ def run_specs(specs: Sequence[RunSpec], workers: Optional[int] = None,
     keys = [spec.cache_key() for spec in specs]
     result_store = _open_result_store(use_cache, store)
 
-    # Deduplicate: identical specs simulate once per sweep.  Hits are
-    # materialized eagerly; a record that no longer matches the current
-    # RunMetrics schema (stale cache after a code change without a
-    # CACHE_FORMAT_VERSION bump) falls back to re-simulation.
+    # Deduplicate: identical specs simulate once per sweep.
     results_by_key: Dict[str, RunResult] = {}
     pending: Dict[str, RunSpec] = {}
     seen = set()
@@ -315,20 +312,11 @@ def run_specs(specs: Sequence[RunSpec], workers: Optional[int] = None,
             continue
         seen.add(key)
         cached = result_store.get(key) if result_store is not None else None
-        if cached is not None:
-            try:
-                results_by_key[key] = _record_to_result(cached)
-            except (TypeError, KeyError, ValueError):
-                # intact entry, unreadable schema (code changed without a
-                # CACHE_FORMAT_VERSION bump): drop it so the recomputed
-                # result can be published without tripping the
-                # bit-identity check against the stale winner.
-                result_store.discard(key)
-                cached = None
-            else:
-                STATS.cache_hits += 1
         if cached is None:
             pending[key] = spec
+        else:
+            results_by_key[key] = _record_to_result(cached)
+            STATS.cache_hits += 1
 
     def finish(key: str, body: Dict) -> None:
         if result_store is not None:
@@ -369,13 +357,8 @@ def probe_specs(specs: Sequence[RunSpec], cache: Optional[bool] = None,
             statuses.append("duplicate")
             continue
         seen.add(key)
-        cached = result_store.get(key) if result_store is not None else None
-        if cached is not None:
-            try:
-                _record_to_result(cached)
-            except (TypeError, KeyError, ValueError):
-                cached = None  # stale schema -> a real run would re-simulate
-        statuses.append("cached" if cached is not None else "simulate")
+        cached = result_store is not None and result_store.get(key) is not None
+        statuses.append("cached" if cached else "simulate")
     return statuses
 
 

@@ -28,9 +28,11 @@ family before the first spec runs.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import importlib
 import json
+import os
 from dataclasses import dataclass, fields as dataclass_fields
 from typing import Any, Callable, Dict, Mapping, Optional, Sequence, Tuple
 
@@ -39,19 +41,39 @@ from repro.sim.system import MECHANISM_NAMES
 from repro.workloads.base import Workload, scale
 from repro.workloads.microbench import PRIMITIVES, PrimitiveMicrobench
 
-#: bump to invalidate every cached result (simulator behaviour changes are
-#: NOT part of the cache key — see EXPERIMENTS.md).  v2: the spin baselines
-#: (rmw_spin/bakery) moved from explicit poll chains to wait-channels with
-#: analytically-charged elided polls, changing their reference numbers.
-#: v3: RunMetrics.stats gained the degraded-fabric counters (reroutes /
-#: failed_link_cycles / detour_bit_hops), changing the cached schema.
-#: v4: the Barabási-Albert generator now inserts each new vertex's edges
-#: in sorted target order (RP002 determinism fix) — every generated graph,
-#: and hence every graph-workload result, changed.
-#: v5: co-run records dropped the per-tenant sync request, byte, sync
-#: memory access, ST and footprint keys (only tenant cycles/operations and
-#: the tenant summary remain).
-CACHE_FORMAT_VERSION = 5
+#: the installed ``repro`` package, whose source the store epoch hashes.
+PACKAGE_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def tree_digest(root: "str | os.PathLike") -> str:
+    """SHA-256 over the relative path and bytes of every ``.py`` file
+    under ``root``, in sorted path order (``__pycache__`` skipped)."""
+    paths = []
+    for directory, subdirs, files in os.walk(root):
+        subdirs[:] = [name for name in subdirs if name != "__pycache__"]
+        rel = os.path.relpath(directory, root).replace(os.sep, "/")
+        prefix = "" if rel == "." else rel + "/"
+        paths.extend(prefix + name for name in files if name.endswith(".py"))
+    if not paths:
+        raise RuntimeError(f"no Python source under {root}")
+    digest = hashlib.sha256()
+    for path in sorted(paths):
+        with open(os.path.join(root, path), "rb") as fh:
+            data = fh.read()
+        digest.update(f"{path}\0{len(data)}\0".encode("utf-8"))
+        digest.update(data)
+    return digest.hexdigest()
+
+
+@functools.lru_cache(maxsize=None)
+def source_epoch() -> str:
+    """The result-store epoch: :func:`tree_digest` of the ``repro`` package.
+
+    Simulator code, workload inputs, measurements and the record schema
+    all live in the package, so any edit to a ``.py`` file gives every
+    spec a new cache key and marks every stored record stale.
+    """
+    return tree_digest(PACKAGE_ROOT)
 
 #: CLI-friendly aliases for SystemConfig override fields.
 CONFIG_ALIASES = {
@@ -199,10 +221,11 @@ class RunSpec:
 
         The *resolved* config is hashed (not preset + overrides), so any
         changed field — including nested DramTiming/EnergyParams values or
-        a changed preset default — produces a different key.
+        a changed preset default — produces a different key.  The
+        :func:`source_epoch` is hashed too, so any code change does as well.
         """
         payload = {
-            "version": CACHE_FORMAT_VERSION,
+            "epoch": source_epoch(),
             "workload": self.workload,
             "args": _jsonable(self.args),
             "mechanism": self.mechanism,

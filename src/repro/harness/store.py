@@ -32,7 +32,7 @@ import time
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Tuple, Union
 
-from repro.harness.specs import CACHE_FORMAT_VERSION
+from repro.harness.specs import source_epoch
 from repro.telemetry import get_telemetry
 
 try:
@@ -78,7 +78,7 @@ def normalize_record(key: str, body: Dict) -> Dict:
     """Body (kind/result/spec) -> full self-verifying record."""
     payload = {k: v for k, v in body.items()
                if k not in ("version", "key", "digest")}
-    record = {"version": CACHE_FORMAT_VERSION, "key": key, **payload}
+    record = {"version": source_epoch(), "key": key, **payload}
     record["digest"] = payload_digest(record)
     return record
 
@@ -86,9 +86,11 @@ def normalize_record(key: str, body: Dict) -> Dict:
 def record_status(record, key: Optional[str] = None) -> str:
     """Classify a decoded record: ``"ok"`` / ``"stale"`` / ``"corrupt"``.
 
-    ``stale`` means shape-valid but written under another
-    :data:`CACHE_FORMAT_VERSION` (``gc`` drops these); everything
-    unusable for any version is ``corrupt`` (quarantined on sight).
+    ``stale`` means shape-valid but written by other source code (its
+    ``version`` is not this process's
+    :func:`~repro.harness.specs.source_epoch`; ``gc`` drops these);
+    everything unusable under any epoch is ``corrupt`` (quarantined on
+    sight).
     """
     if (
         not isinstance(record, dict)
@@ -101,7 +103,7 @@ def record_status(record, key: Optional[str] = None) -> str:
         return "corrupt"
     if "digest" in record and record["digest"] != payload_digest(record):
         return "corrupt"
-    if record.get("version") != CACHE_FORMAT_VERSION:
+    if record.get("version") != source_epoch():
         return "stale"
     return "ok"
 
@@ -172,7 +174,7 @@ class ShardedDirStore:
         return record, record_status(record, key)
 
     def get(self, key: str) -> Optional[Dict]:
-        """The valid current-version record for ``key``, or None."""
+        """The valid current-epoch record for ``key``, or None."""
         check_key(key)
         memo = self._memo.get(key)
         if memo is not None:
@@ -187,15 +189,6 @@ class ShardedDirStore:
             self._quarantine(self._path(key))
         get_telemetry().count("store.misses")
         return None  # missing / stale / corrupt all mean "recompute"
-
-    def discard(self, key: str) -> None:
-        """Drop ``key``'s entry (e.g. its schema is unreadable to this
-        code version and the caller is about to recompute it)."""
-        self._memo.pop(check_key(key), None)
-        try:
-            os.unlink(self._path(key))
-        except FileNotFoundError:
-            pass
 
     # -- write ---------------------------------------------------------
     def _publish(self, tmp: Path, final: Path) -> bool:
@@ -258,7 +251,7 @@ class ShardedDirStore:
                         self._memo[key] = existing
                         return existing
                     if status == "stale":
-                        # current-version result supersedes an old-version
+                        # current-epoch result supersedes an other-epoch
                         # entry (racing writers produce identical bytes).
                         os.replace(tmp, final)
                         break
@@ -343,7 +336,7 @@ class ShardedDirStore:
                 "quarantine_total": total}
 
     def gc(self) -> Dict:
-        """Drop stale-version entries and abandoned temp files."""
+        """Drop other-epoch entries and abandoned temp files."""
         stale_removed = tmp_removed = 0
         now = time.time()
         objects = self._objects()

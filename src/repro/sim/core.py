@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import Callable, Iterator, Optional
 
 from repro.sim.cache import L1Cache
-from repro.sim.engine import Process, Simulator
+from repro.sim.engine import Simulator
 from repro.sim.program import (
     Batch,
     Compute,
@@ -31,12 +31,11 @@ from repro.sim.program import (
 class NDPCore:
     """One in-order NDP core executing a single program.
 
-    :meth:`_advance` resumes the program's generator itself (the
-    :class:`~repro.sim.engine.Process` it wraps keeps the ``finished`` /
-    ``result`` / ``on_finish`` bookkeeping) and hands each yielded
-    operation to its handler.  On a core with no shared SMT pipeline
-    (``port is None``, one context per core) a load or store
-    is one :meth:`MemorySystem.access
+    :meth:`_advance` resumes the program's generator and hands each
+    yielded operation to its handler; when the generator is exhausted the
+    core is finished and its ``on_finish`` hook fires once.  On a core
+    with no shared SMT pipeline (``port is None``, one context per core)
+    a load or store is one :meth:`MemorySystem.access
     <repro.sim.memsys.MemorySystem.access>` call from its handler
     (:meth:`_memory_op`), and a sync request goes straight to the
     mechanism; with a port each first claims an issue slot
@@ -44,9 +43,10 @@ class NDPCore:
     """
 
     __slots__ = ("sim", "core_id", "unit_id", "local_id", "l1", "memsys",
-                 "mechanism", "config", "port", "process", "finished",
-                 "finish_time", "instructions_retired", "sync_requests_issued",
-                 "_waiting_since", "cycles_waiting_sync", "sender_token")
+                 "mechanism", "config", "port", "_send", "_on_finish",
+                 "finished", "finish_time", "instructions_retired",
+                 "sync_requests_issued", "_waiting_since",
+                 "cycles_waiting_sync", "sender_token")
 
     def __init__(
         self,
@@ -75,7 +75,9 @@ class NDPCore:
         #: live on one physical core (Sec. 4 SMT note); None = sole owner.
         self.port = port
 
-        self.process: Optional[Process] = None
+        #: the running program's ``send``, and the hook its end fires.
+        self._send: Optional[Callable] = None
+        self._on_finish: Optional[Callable[[], None]] = None
         self.finished = False
         self.finish_time: Optional[int] = None
         self.instructions_retired = 0
@@ -86,40 +88,31 @@ class NDPCore:
     # ------------------------------------------------------------------
     def run_program(self, program: Iterator, on_finish: Optional[Callable[[], None]] = None) -> None:
         """Attach and start a program at the current simulation time."""
-        if self.process is not None and not self.finished:
+        if self._send is not None and not self.finished:
             raise RuntimeError(f"core {self.core_id} is already running a program")
         self.finished = False
         self.finish_time = None
-        self.process = Process(program, on_finish=self._make_finish_hook(on_finish))
+        self._send = program.send
+        self._on_finish = on_finish
         self.sim.schedule(0, self._advance)
-
-    def _make_finish_hook(self, user_hook):
-        def hook():
-            self.finished = True
-            self.finish_time = self.sim.now
-            if user_hook is not None:
-                user_hook()
-        return hook
 
     # ------------------------------------------------------------------
     def _advance(self) -> None:
         """Resume the program and dispatch its next operation.
 
-        Drives the generator itself, as :meth:`Process.resume
-        <repro.sim.engine.Process.resume>` would: on exhaustion the process
-        is marked finished, keeps the generator's return value and fires its
-        ``on_finish`` once; a finished process is never resumed again.
+        On exhaustion the core is marked finished (at the current cycle)
+        and fires its ``on_finish`` once; a finished program is never
+        resumed again.
         """
-        process = self.process
-        if process.finished:
+        if self.finished:
             return
         try:
-            op = process._send(None)
-        except StopIteration as stop:
-            process.finished = True
-            process.result = stop.value
-            if process.on_finish is not None:
-                process.on_finish()
+            op = self._send(None)
+        except StopIteration:
+            self.finished = True
+            self.finish_time = self.sim.now
+            if self._on_finish is not None:
+                self._on_finish()
             return
         # Exact-type dispatch (one dict hit); this runs once per core
         # micro-step.

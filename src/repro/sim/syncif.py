@@ -14,6 +14,7 @@ import itertools
 from typing import TYPE_CHECKING, Callable, Dict, Optional, Protocol, Tuple, runtime_checkable
 
 from repro.sim.program import OP_KINDS
+from repro.sim.stats import charge_transfers
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.engine import WaitChannel
@@ -147,7 +148,7 @@ class SpinWaitMixin:
     lost the race, so contention behaviour (thundering herds, hotspot
     queueing at the home unit) is still resolved by real messages — only
     the provably-futile polls in between are elided, with their traffic
-    and energy charged analytically by the owning mechanism.
+    and energy charged analytically (:meth:`_charge_elided_polls`).
 
     Signalling is conservative: a state change may wake waiters it cannot
     satisfy (spurious wakeups, resolved by the real re-check).  The rule
@@ -176,3 +177,34 @@ class SpinWaitMixin:
 
     def _spin_signal(self, addr: int, tag: str) -> None:
         self._spin_channel(addr, tag).signal()
+
+    def _charge_elided_polls(self, core, var: "SyncVar", count: int,
+                             request_bytes: int, response_bytes: int,
+                             messages: int) -> None:
+        """Analytic traffic/energy of ``count`` elided polls of ``var``.
+
+        Each poll is what one explicit poll would have issued: a
+        ``request_bytes`` request and a ``response_bytes`` response between
+        the core and the home unit (``messages`` sync messages) plus
+        one DRAM read there, charged as a row hit (spin polls hammer one
+        open row).  Counters and energy match the explicit chain's;
+        reservation state (banks, links, crossbar load) is deliberately
+        untouched — see the model notes in EXPERIMENTS.md.
+        """
+        stats = self.stats
+        home = var.unit
+        local = core.unit_id == home
+        if local:
+            stats.sync_messages_local += messages * count
+            link_hops = 0
+        else:
+            stats.sync_messages_global += messages * count
+            link_hops = self.interconnect.remote_hops(core.unit_id, home)
+        local_hops = self.config.local_hops
+        charge_transfers(stats, request_bytes, count, local,
+                         local_hops, link_hops)
+        charge_transfers(stats, response_bytes, count, local,
+                         local_hops, link_hops)
+        stats.dram_reads += count
+        stats.dram_row_hits += count
+        stats.sync_memory_accesses += count

@@ -220,15 +220,10 @@ class NDPSystem:
     def release(self) -> None:
         """Break the reference cycles of a system that will not run again.
 
-        Each core and its program's finish hook point at each other, and
-        the mechanism points at the system and at SEs or server state that
+        The mechanism points at the system and at SEs or server state that
         point back, so a dropped system is cyclic garbage that only a full
         collection frees: a process running many specs then peaks at a
         memory use set by when that collection happens to run.  After this
-        the system is freed as soon as its last reference goes (the spin
-        baselines' retry closures still form one short cycle per request,
-        which may hold a core until the next young-generation collection).
+        the system is freed as soon as its last reference goes.
         """
-        for core in self.cores:
-            core.process = None
         vars(self.mechanism).clear()

@@ -43,7 +43,6 @@ from typing import Callable, Deque, Dict, Optional, Tuple
 
 from repro.sim.program import LOCK_ACQUIRE, LOCK_RELEASE
 from repro.sim.memsys import REQUEST_BYTES
-from repro.sim.stats import charge_transfers
 from repro.sim.syncif import MechanismBase, SpinWaitMixin, SyncVar, _no_waiter
 
 #: bytes of one word-grain uncacheable access (header + payload).
@@ -130,6 +129,8 @@ class BakeryMechanism(SpinWaitMixin, MechanismBase):
         #: per-core duration of the most recent charged access sequence —
         #: the physical length of one poll, folded into the virtual period.
         self._seq_cycles: Dict[int, int] = {}
+        #: participants the bakery arrays are sized for.
+        self._n = self.config.total_clients
         self.scan_rounds = 0
         self._init_spin_channels()
 
@@ -137,11 +138,11 @@ class BakeryMechanism(SpinWaitMixin, MechanismBase):
     # Memory-access cost model
     # ------------------------------------------------------------------
     def _charge_sequence(self, core, var: SyncVar, loads: int, stores: int,
-                         done: Callable[[], None]) -> None:
+                         done: Callable[..., None], *args) -> None:
         """Charge ``stores`` then ``loads`` back-to-back uncacheable word
-        accesses to ``var``'s home unit, then call ``done``.  One memory
-        burst and one simulator event for the whole sequence (the in-order
-        core cannot overlap them anyway)."""
+        accesses to ``var``'s home unit, then call ``done(*args)``.  One
+        memory burst and one simulator event for the whole sequence (the
+        in-order core cannot overlap them anyway)."""
         cycles = self.system.memsys.uncacheable_burst(
             core.unit_id, var.addr, self.sim.now, stores=stores, loads=loads,
             for_sync=True,
@@ -151,33 +152,7 @@ class BakeryMechanism(SpinWaitMixin, MechanismBase):
         else:
             self.stats.sync_messages_global += loads + stores
         self._seq_cycles[core.core_id] = cycles
-        self.sim.schedule(cycles, done)
-
-    def _charge_elided_loads(self, core, var: SyncVar, count: int) -> None:
-        """Analytic traffic/energy of ``count`` elided uncacheable loads.
-
-        Mirrors what ``count`` real polls through ``memsys.access`` plus
-        :meth:`_charge_sequence`'s message accounting would charge (request
-        + word response to the home unit, one DRAM read each, charged as
-        row hits), without touching bank/link reservation state.
-        """
-        stats = self.stats
-        home = var.unit
-        local = core.unit_id == home
-        if local:
-            stats.sync_messages_local += count
-            link_hops = 0
-        else:
-            stats.sync_messages_global += count
-            link_hops = self.interconnect.remote_hops(core.unit_id, home)
-        local_hops = self.config.local_hops
-        charge_transfers(stats, REQUEST_BYTES, count, local,
-                         local_hops, link_hops)
-        charge_transfers(stats, REQUEST_BYTES + 8, count, local,
-                         local_hops, link_hops)
-        stats.dram_reads += count
-        stats.dram_row_hits += count
-        stats.sync_memory_accesses += count
+        self.sim.schedule(cycles, done, *args)
 
     @property
     def _backoff(self) -> int:
@@ -195,11 +170,6 @@ class BakeryMechanism(SpinWaitMixin, MechanismBase):
         polls faster than the in-order core could physically issue them.
         """
         return self._seq_cycles.get(core.core_id, 1) + self._backoff
-
-    @property
-    def _n(self) -> int:
-        """Participants the bakery arrays are sized for."""
-        return self.config.total_clients
 
     def _lock_state(self, addr: int) -> _BakeryLockState:
         state = self._locks.get(addr)
@@ -227,62 +197,66 @@ class BakeryMechanism(SpinWaitMixin, MechanismBase):
     # ------------------------------------------------------------------
     # The bakery lock itself
     # ------------------------------------------------------------------
+    # Each step is a method that takes the acquisition's state as
+    # arguments: closures that reschedule themselves would leave one
+    # reference cycle per request.
     def _lock_acquire(self, core, var, callback) -> None:
         state = self._lock_state(var.addr)
         ticket = state.take_ticket(core.core_id)
-        n = self._n
-
         # Doorway: choosing[i]=1, read N numbers, number[i]=max+1,
         # choosing[i]=0 — 2 stores + N loads + 1 store.
-        def after_doorway() -> None:
-            if state.owner == ticket:
-                # First scan still walks every rival once.
-                self._charge_sequence(core, var, loads=2 * n, stores=0, done=callback)
-            else:
-                scan()
+        self._charge_sequence(core, var, self._n, 3, self._after_doorway,
+                              core, var, state, ticket, callback)
 
-        def scan() -> None:
-            self.scan_rounds += 1
-            self.stats.extra["bakery_scans"] += 1
+    def _after_doorway(self, core, var, state, ticket, callback) -> None:
+        if state.owner == ticket:
+            # First scan still walks every rival once.
+            self._charge_sequence(core, var, 2 * self._n, 0, callback)
+        else:
+            self._scan(core, var, state, ticket, callback)
 
-            def after_scan() -> None:
-                if state.owner == ticket:
-                    callback()
-                else:
-                    # Ownership can only change on a release, which signals
-                    # the "L" channel; park instead of rescanning blind.
-                    # The decision and the wait share this event frame, so
-                    # no ``seen`` guard is needed.
-                    channel = self._spin_channel(var.addr, "L")
-                    delay = self._virtual_period(core)
-                    channel.wait(self._scan_woken, delay, delay,
-                                 core, var, scan)
+    def _scan(self, core, var, state, ticket, callback) -> None:
+        self.scan_rounds += 1
+        self.stats.extra["bakery_scans"] += 1
+        self._charge_sequence(core, var, 2 * self._n, 0, self._after_scan,
+                              core, var, state, ticket, callback)
 
-            self._charge_sequence(core, var, loads=2 * n, stores=0, done=after_scan)
+    def _after_scan(self, core, var, state, ticket, callback) -> None:
+        if state.owner == ticket:
+            callback()
+            return
+        # Ownership can only change on a release, which signals the "L"
+        # channel; park instead of rescanning blind.  The decision and
+        # the wait share this event frame, so no ``seen`` guard is needed.
+        channel = self._spin_channel(var.addr, "L")
+        delay = self._virtual_period(core)
+        channel.wait(self._scan_woken, delay, delay,
+                     core, var, state, ticket, callback)
 
-        self._charge_sequence(core, var, loads=n, stores=3, done=after_doorway)
-
-    def _scan_woken(self, rounds: int, core, var, scan) -> None:
+    def _scan_woken(self, rounds: int, core, var, state, ticket,
+                    callback) -> None:
         """Account ``rounds`` elided doorway scans, then rescan for real."""
         if rounds:
             self.scan_rounds += rounds
             self.stats.extra["bakery_scans"] += rounds
-            self._charge_elided_loads(core, var, 2 * self._n * rounds)
-        scan()
+            # Each elided scan is 2N uncacheable word loads: a request
+            # plus a word response, one message per load.
+            self._charge_elided_polls(core, var, 2 * self._n * rounds,
+                                      REQUEST_BYTES, REQUEST_BYTES + 8, 1)
+        self._scan(core, var, state, ticket, callback)
 
     def _lock_release(self, core, var, callback) -> None:
-        state = self._lock_state(var.addr)
-
-        def after_store() -> None:
-            state.release(core.core_id)
-            # Wake every doorway scanner: each rescans once for real and
-            # only the new FIFO owner proceeds — the O(N) release herd the
-            # bakery algorithm is measured for.
-            self._spin_signal(var.addr, "L")
-            callback()
-
         # number[i] = 0: one store.
-        self._charge_sequence(core, var, loads=0, stores=1, done=after_store)
+        self._charge_sequence(core, var, 0, 1, self._released,
+                              core, var, self._lock_state(var.addr), callback)
+
+    def _released(self, core, var, state, callback) -> None:
+        state.release(core.core_id)
+        # Wake every doorway scanner: each rescans once for real and only
+        # the new FIFO owner proceeds — the O(N) release herd the bakery
+        # algorithm is measured for.
+        self._spin_signal(var.addr, "L")
+        callback()
 
     # ------------------------------------------------------------------
     # Introspection (tests)

@@ -41,7 +41,6 @@ from repro.sim.program import (
     SEM_POST,
     SEM_WAIT,
 )
-from repro.sim.stats import charge_transfers
 from repro.sim.syncif import MechanismBase, SpinWaitMixin, SyncVar, _no_waiter
 
 #: bytes of an rmw request / response message (address + opcode + operand).
@@ -90,7 +89,8 @@ class RemoteAtomicsMechanism(SpinWaitMixin, MechanismBase):
     cycle its next backoff-spaced poll would have landed.  The woken core
     issues one real rmw attempt (full traffic, hotspot queueing at the
     home :class:`AtomicUnit`); the elided polls in between are charged
-    analytically by :meth:`_charge_elided_polls`.
+    analytically (:meth:`SpinWaitMixin._charge_elided_polls
+    <repro.sim.syncif.SpinWaitMixin._charge_elided_polls>`).
     """
 
     name = "rmw_spin"
@@ -115,16 +115,11 @@ class RemoteAtomicsMechanism(SpinWaitMixin, MechanismBase):
     # ------------------------------------------------------------------
     # Low-level: one rmw (or pure load) round trip to the home unit
     # ------------------------------------------------------------------
-    def _rmw(
-        self,
-        core,
-        var: SyncVar,
-        field: str,
-        fn: Optional[Callable[[int], int]],
-        callback: Callable[[int], None],
-    ) -> None:
-        """Visit ``var``'s atomic unit; ``callback(old_value)`` fires when
-        the response reaches the core.  ``fn=None`` is a pure load."""
+    def _visit(self, core, var: SyncVar, field: str,
+               fn: Optional[Callable[[int], int]]) -> Tuple[int, int]:
+        """Send one rmw to ``var``'s atomic unit and apply ``fn`` to the
+        field (``fn=None`` is a pure load); returns ``(response arrival
+        at the core, old value)``."""
         home = var.unit
         now = self.sim.now
         if core.unit_id == home:
@@ -151,11 +146,20 @@ class RemoteAtomicsMechanism(SpinWaitMixin, MechanismBase):
             home, core.unit_id, done, RMW_RESPONSE_BYTES
         )
         self._rtt[core.core_id] = (done + back) - now
-        self.sim.schedule_at(done + back, callback, old)
+        return done + back, old
 
-    def _retry(self, core, var: SyncVar, channel, attempt: Callable[[], None],
-               seen: int) -> None:
-        """Park until ``channel`` is signalled, then re-attempt.
+    def _rmw(self, core, var: SyncVar, field: str,
+             fn: Optional[Callable[[int], int]],
+             callback: Callable[..., None], *args) -> None:
+        """One rmw round trip; ``callback(old_value, *args)`` fires when
+        the response reaches the core."""
+        arrival, old = self._visit(core, var, field, fn)
+        self.sim.schedule_at(arrival, callback, old, *args)
+
+    def _retry(self, core, var: SyncVar, channel,
+               attempt: Callable[..., None], seen: int, callback) -> None:
+        """Park until ``channel`` is signalled, then run
+        ``attempt(core, var, channel, callback)`` again.
 
         The virtual polls keep the legacy spin cadence: a retry starts one
         backoff after the previous attempt's *response arrived*, and its
@@ -174,44 +178,20 @@ class RemoteAtomicsMechanism(SpinWaitMixin, MechanismBase):
                  + self._rtt.get(core.core_id, 0))
         if delay < 1:
             delay = 1
-        channel.wait(self._woken, delay, delay, core, var, attempt, seen=seen)
+        channel.wait(self._woken, delay, delay, core, var, channel, attempt,
+                     callback, seen=seen)
 
-    def _woken(self, polls: int, core, var: SyncVar,
-               attempt: Callable[[], None]) -> None:
+    def _woken(self, polls: int, core, var: SyncVar, channel,
+               attempt: Callable[..., None], callback) -> None:
         """Account the elided polls, then run one real attempt."""
         if polls:
             self.spin_retries += polls
             self.stats.extra["spin_retries"] += polls
-            self._charge_elided_polls(core, var, polls)
-        attempt()
-
-    def _charge_elided_polls(self, core, var: SyncVar, count: int) -> None:
-        """Analytic traffic/energy of ``count`` elided spin polls.
-
-        Each virtual poll is what one legacy retry issued: an rmw request
-        and response to the home unit plus one controller-side DRAM read
-        (charged as a row hit — spin polls hammer one open row).  Counters
-        and energy match the legacy charge; reservation state (banks,
-        links, crossbar load) is deliberately untouched — see the model
-        notes in EXPERIMENTS.md.
-        """
-        stats = self.stats
-        home = var.unit
-        local = core.unit_id == home
-        if local:
-            stats.sync_messages_local += 2 * count
-            link_hops = 0
-        else:
-            stats.sync_messages_global += 2 * count
-            link_hops = self.interconnect.remote_hops(core.unit_id, home)
-        local_hops = self.config.local_hops
-        charge_transfers(stats, RMW_REQUEST_BYTES, count, local,
-                         local_hops, link_hops)
-        charge_transfers(stats, RMW_RESPONSE_BYTES, count, local,
-                         local_hops, link_hops)
-        stats.dram_reads += count
-        stats.dram_row_hits += count
-        stats.sync_memory_accesses += count
+            # Each elided poll is one legacy retry: an rmw request and
+            # response plus one controller-side DRAM read.
+            self._charge_elided_polls(core, var, polls, RMW_REQUEST_BYTES,
+                                      RMW_RESPONSE_BYTES, 2)
+        attempt(core, var, channel, callback)
 
     # ------------------------------------------------------------------
     # Mechanism interface
@@ -219,24 +199,27 @@ class RemoteAtomicsMechanism(SpinWaitMixin, MechanismBase):
     def request(self, core, op, var, info, callback) -> None:
         self._admit(op, var)
         if op == LOCK_ACQUIRE:
-            self._lock_acquire(core, var, callback)
+            channel = self._spin_channel(var.addr, "lock")
+            self._lock_attempt(core, var, channel, callback)
         elif op == LOCK_RELEASE:
-            self._lock_release(core, var, callback)
+            self._rmw(core, var, "lock", lambda _old: 0,
+                      lambda _old: callback())
         elif op == SEM_WAIT:
             self._sem_wait(core, var, info, callback)
         elif op == SEM_POST:
-            self._sem_post(core, var, callback)
+            self._rmw(core, var, "sem", lambda v: v + 1,
+                      lambda _old: callback())
         elif op == RW_READ_ACQUIRE:
-            self._rw_read_acquire(core, var, callback)
+            channel = self._spin_channel(var.addr, "rw")
+            self._rw_read_attempt(core, var, channel, callback)
         elif op == RW_READ_RELEASE:
             self._rmw(core, var, "rw", lambda w: w - 1, lambda _old: callback())
         elif op == RW_WRITE_ACQUIRE:
-            self._rw_write_acquire(core, var, callback)
+            channel = self._spin_channel(var.addr, "rw")
+            self._rw_write_attempt(core, var, channel, callback)
         elif op == RW_WRITE_RELEASE:
-            self._rmw(
-                core, var, "rw", lambda w: w & ~WRITER_BIT,
-                lambda _old: callback(),
-            )
+            self._rmw(core, var, "rw", lambda w: w & ~WRITER_BIT,
+                      lambda _old: callback())
         else:
             raise self._unimplemented(op)
 
@@ -245,31 +228,28 @@ class RemoteAtomicsMechanism(SpinWaitMixin, MechanismBase):
         self.request(core, op, var, info, callback=_no_waiter)
         return self.config.async_issue_cycles
 
+    # Every spin loop below is a set of methods that take the request's
+    # state as arguments: closures that reschedule each other would leave
+    # one reference cycle per request.  An attempt passes its response
+    # handler ``seen``, the channel's ``signals`` right after its own
+    # issue frame, so a change landing before the response wakes the
+    # retry (the lost-wakeup guard), but the attempt's own write cannot.
+
     # ------------------------------------------------------------------
     # Lock: test-and-set spin
     # ------------------------------------------------------------------
-    def _lock_acquire(self, core, var, callback) -> None:
-        channel = self._spin_channel(var.addr, "lock")
-        seen = 0
+    def _lock_attempt(self, core, var, channel, callback) -> None:
+        arrival, old = self._visit(core, var, "lock", lambda _old: 1)
+        self.sim.schedule_at(arrival, self._lock_swapped, old, core, var,
+                             channel, channel.signals, callback)
 
-        def attempt() -> None:
-            nonlocal seen
-            self._rmw(core, var, "lock", lambda _old: 1, on_old)
-            # Snapshot after the issue frame's own mutations/signals so a
-            # release landing before the response wakes us (seen guard),
-            # but our own TAS write cannot.
-            seen = channel.signals
-
-        def on_old(old: int) -> None:
-            if old == 0:
-                callback()
-            else:
-                self._retry(core, var, channel, attempt, seen)
-
-        attempt()
-
-    def _lock_release(self, core, var, callback) -> None:
-        self._rmw(core, var, "lock", lambda _old: 0, lambda _old: callback())
+    def _lock_swapped(self, old: int, core, var, channel, seen: int,
+                      callback) -> None:
+        if old == 0:
+            callback()
+        else:
+            self._retry(core, var, channel, self._lock_attempt, seen,
+                        callback)
 
     # ------------------------------------------------------------------
     # Semaphore: load + CAS loop
@@ -278,42 +258,37 @@ class RemoteAtomicsMechanism(SpinWaitMixin, MechanismBase):
         if not self._sem_initialized.get(var.addr):
             self._sem_initialized[var.addr] = True
             self._fields[(var.addr, "sem")] = initial
-
         channel = self._spin_channel(var.addr, "sem")
-        seen = 0
+        self._sem_attempt(core, var, channel, callback)
 
-        def attempt() -> None:
-            nonlocal seen
-            self._rmw(core, var, "sem", None, on_load)
-            seen = channel.signals
+    def _sem_attempt(self, core, var, channel, callback) -> None:
+        arrival, value = self._visit(core, var, "sem", None)
+        self.sim.schedule_at(arrival, self._sem_loaded, value, core, var,
+                             channel, channel.signals, callback)
 
-        def on_load(value: int) -> None:
-            if value <= 0:
-                self._retry(core, var, channel, attempt, seen)
-                return
+    def _sem_loaded(self, value: int, core, var, channel, seen: int,
+                    callback) -> None:
+        if value <= 0:
+            self._retry(core, var, channel, self._sem_attempt, seen,
+                        callback)
+            return
+        # CAS(value -> value - 1); succeeds iff nobody raced us.  The
+        # retry guard stays at the *load's* issue-frame snapshot: a failed
+        # CAS means the word changed since that observation, and any post
+        # landing in the load->CAS window must trip the guard
+        # (re-snapshotting here once swallowed a final post and parked the
+        # waiter forever beside a positive semaphore).
+        self._rmw(core, var, "sem",
+                  lambda cur: cur - 1 if cur == value else cur,
+                  self._sem_swapped, value, core, var, channel, seen, callback)
 
-            def on_cas(old: int) -> None:
-                if old == value:
-                    callback()
-                else:
-                    self._retry(core, var, channel, attempt, seen)
-
-            # CAS(value -> value - 1); succeeds iff nobody raced us.  The
-            # retry guard stays at the *load's* issue-frame snapshot: a
-            # failed CAS means the word changed since that observation, and
-            # any post landing in the load->CAS window must trip the guard
-            # (re-snapshotting here once swallowed a final post and parked
-            # the waiter forever beside a positive semaphore).
-            self._rmw(
-                core, var, "sem",
-                lambda cur: cur - 1 if cur == value else cur,
-                on_cas,
-            )
-
-        attempt()
-
-    def _sem_post(self, core, var, callback) -> None:
-        self._rmw(core, var, "sem", lambda v: v + 1, lambda _old: callback())
+    def _sem_swapped(self, old: int, value: int, core, var, channel,
+                     seen: int, callback) -> None:
+        if old == value:
+            callback()
+        else:
+            self._retry(core, var, channel, self._sem_attempt, seen,
+                        callback)
 
     # ------------------------------------------------------------------
     # Reader-writer lock: writer bit + reader count in one word
@@ -325,56 +300,45 @@ class RemoteAtomicsMechanism(SpinWaitMixin, MechanismBase):
     # qualitative deficiencies of spin-based synchronization the paper's
     # Table 4 alludes to.
 
-    def _rw_read_acquire(self, core, var, callback) -> None:
-        channel = self._spin_channel(var.addr, "rw")
-        seen = 0
+    def _rw_read_attempt(self, core, var, channel, callback) -> None:
+        arrival, old = self._visit(core, var, "rw", lambda w: w + 1)
+        self.sim.schedule_at(arrival, self._rw_read_added, old, core, var,
+                             channel, channel.signals, callback)
 
-        def attempt() -> None:
-            nonlocal seen
-            self._rmw(core, var, "rw", lambda w: w + 1, on_old)
-            seen = channel.signals
+    def _rw_read_added(self, old: int, core, var, channel, seen: int,
+                       callback) -> None:
+        if not old & WRITER_BIT:
+            callback()
+            return
+        # Writer active: undo the optimistic increment and retry.  The
+        # retry decision is based on ``old``, observed at the increment's
+        # issue frame — so the seen baseline is the snapshot taken there
+        # (it already covers our own increment signal), plus one for the
+        # undo below, whose decrement of a positive count always changes
+        # the word and signals.  Any other signal between the increment
+        # and the park — e.g. a writer releasing while our response was in
+        # flight — then trips the guard and wakes us immediately.
+        self._rmw(core, var, "rw", lambda w: w - 1, self._rw_read_undone,
+                  core, var, channel, seen + 1, callback)
 
-        def on_old(old: int) -> None:
-            if old & WRITER_BIT:
-                # Writer active: undo the optimistic increment and retry.
-                # The retry decision is based on ``old``, observed at the
-                # increment's issue frame — so the seen baseline is the
-                # snapshot taken there (it already covers our own increment
-                # signal), plus one for the undo below, whose decrement of a
-                # positive count always changes the word and signals.  Any
-                # other signal between the increment and the park — e.g. a
-                # writer releasing while our response was in flight — then
-                # trips the guard and wakes us immediately.
-                expect = seen + 1
-                self._rmw(
-                    core, var, "rw", lambda w: w - 1,
-                    lambda _old: self._retry(core, var, channel, attempt, expect),
-                )
-            else:
-                callback()
+    def _rw_read_undone(self, _old: int, core, var, channel, seen: int,
+                        callback) -> None:
+        self._retry(core, var, channel, self._rw_read_attempt, seen,
+                    callback)
 
-        attempt()
+    def _rw_write_attempt(self, core, var, channel, callback) -> None:
+        arrival, old = self._visit(core, var, "rw",
+                                   lambda w: WRITER_BIT if w == 0 else w)
+        self.sim.schedule_at(arrival, self._rw_write_claimed, old, core, var,
+                             channel, channel.signals, callback)
 
-    def _rw_write_acquire(self, core, var, callback) -> None:
-        channel = self._spin_channel(var.addr, "rw")
-        seen = 0
-
-        def attempt() -> None:
-            nonlocal seen
-            self._rmw(
-                core, var, "rw",
-                lambda w: WRITER_BIT if w == 0 else w,
-                on_old,
-            )
-            seen = channel.signals
-
-        def on_old(old: int) -> None:
-            if old == 0:
-                callback()
-            else:
-                self._retry(core, var, channel, attempt, seen)
-
-        attempt()
+    def _rw_write_claimed(self, old: int, core, var, channel, seen: int,
+                          callback) -> None:
+        if old == 0:
+            callback()
+        else:
+            self._retry(core, var, channel, self._rw_write_attempt, seen,
+                        callback)
 
     # ------------------------------------------------------------------
     # Introspection (tests)

@@ -83,7 +83,7 @@ def barabasi_albert(n: int, m: int, seed: int, name: str = "ba") -> Graph:
         # detail, and edge insertion order shapes every adjacency list (and
         # therefore access patterns in every graph workload).  sorted()
         # pins the order to the vertex ids themselves.  Changing this
-        # changed the generated graphs — CACHE_FORMAT_VERSION was bumped.
+        # changed every generated graph (and every cached graph result).
         for v in sorted(targets):
             adjacency[u].append(v)
             adjacency[v].append(u)

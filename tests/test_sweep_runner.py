@@ -1,6 +1,7 @@
 """Spec hashing, result store, and parallel sweep determinism."""
 
 import json
+import shutil
 
 import pytest
 
@@ -10,11 +11,8 @@ from repro.harness.runner import (
     run_plan,
     run_specs,
 )
-from repro.harness.specs import (
-    CACHE_FORMAT_VERSION,
-    RunSpec,
-    freeze,
-)
+from repro.harness import specs as specs_mod
+from repro.harness.specs import RunSpec, freeze
 from repro.harness.store import ShardedDirStore
 from repro.sim.config import SystemConfig, ndp_2_5d
 from repro.workloads.base import RunMetrics
@@ -91,6 +89,65 @@ class TestSpecHashing:
         assert SystemConfig.from_dict(config.as_dict()) == config
 
 
+class TestSourceEpoch:
+    """The store epoch is a hash of the package source: every ``.py`` edit
+    moves every cache key, and nothing else does."""
+
+    @pytest.fixture
+    def package(self, tmp_path):
+        root = tmp_path / "repro"
+        shutil.copytree(specs_mod.PACKAGE_ROOT, root,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        return root
+
+    def test_installed_package_is_hashed_once(self):
+        assert specs_mod.source_epoch() == specs_mod.tree_digest(
+            specs_mod.PACKAGE_ROOT)
+        assert specs_mod.source_epoch.cache_info().currsize == 1
+
+    def test_one_byte_of_any_source_file_changes_the_epoch(self, package):
+        base = specs_mod.tree_digest(package)
+        sources = sorted(package.rglob("*.py"))
+        assert len(sources) > 50
+        digests = set()
+        for path in sources:
+            data = path.read_bytes()
+            path.write_bytes(data[:-1] + bytes([data[-1] ^ 1]) if data
+                             else b"\n")
+            digests.add(specs_mod.tree_digest(package))
+            path.write_bytes(data)
+        assert base not in digests and len(digests) == len(sources)
+        assert specs_mod.tree_digest(package) == base
+
+    def test_renaming_a_source_file_changes_the_epoch(self, package):
+        base = specs_mod.tree_digest(package)
+        (package / "sim" / "clock.py").rename(package / "sim" / "clock2.py")
+        assert specs_mod.tree_digest(package) != base
+
+    def test_pycache_and_other_files_are_ignored(self, package):
+        base = specs_mod.tree_digest(package)
+        cache = package / "sim" / "__pycache__"
+        cache.mkdir()
+        (cache / "clock.cpython-311.pyc").write_bytes(b"\0" * 16)
+        (cache / "stray.py").write_text("x = 1\n")
+        (package / "notes.txt").write_text("not source\n")
+        (package / "analysis" / "baseline.json").write_text("{}\n")
+        assert specs_mod.tree_digest(package) == base
+
+    def test_tree_without_source_is_an_error(self, tmp_path):
+        (tmp_path / "data.json").write_text("{}\n")
+        with pytest.raises(RuntimeError, match="no Python source"):
+            specs_mod.tree_digest(tmp_path)
+
+    def test_cache_key_changes_with_the_epoch(self, monkeypatch):
+        key = _lock_spec().cache_key()
+        monkeypatch.setattr(specs_mod, "source_epoch", lambda: "0" * 64)
+        edited = _lock_spec().cache_key()
+        assert edited != key
+        monkeypatch.setattr(specs_mod, "source_epoch", lambda: "1" * 64)
+        assert _lock_spec().cache_key() not in (key, edited)
+
+
 class TestResultCache:
     def test_hit_after_put(self, tmp_path):
         spec = _lock_spec()
@@ -129,7 +186,7 @@ class TestResultCache:
         run_specs([spec], cache=True, store=str(tmp_path))
         path = _entry_path(tmp_path, spec)
         record = json.loads(path.read_text())
-        record["version"] = CACHE_FORMAT_VERSION + 1
+        record["version"] = "0" * 64  # written by other source code
         path.write_text(json.dumps(record) + "\n")
         runner_mod.STATS.reset()
         run_specs([spec], cache=True, store=str(tmp_path))
@@ -261,23 +318,6 @@ class TestSweepSpec:
         d = _lock_spec(overrides={"st_entries": 8})
         assert c.cache_key() == d.cache_key()
         assert isinstance(c.config().st_entries, int)
-
-    def test_stale_schema_cache_record_falls_back_to_simulation(self, tmp_path):
-        spec = _lock_spec()
-        first = run_specs([spec], cache=True, store=str(tmp_path))
-        path = _entry_path(tmp_path, spec)
-        record = json.loads(path.read_text())
-        # simulate a RunMetrics schema change without a version bump; the
-        # entry's self-digest is recomputed so it still reads as intact
-        record["result"]["renamed_field"] = record["result"].pop("cycles")
-        from repro.harness.store import payload_digest
-
-        record["digest"] = payload_digest(record)
-        path.write_text(json.dumps(record) + "\n")
-        runner_mod.STATS.reset()
-        again = run_specs([spec], cache=True, store=str(tmp_path))
-        assert runner_mod.STATS.executed == 1
-        assert again[0] == first[0]
 
     def test_seed_changes_structure_results_key(self):
         a = RunSpec.make("structure", args={"structure": "stack"}, seed=1)
