@@ -14,11 +14,14 @@ the repository measures or checks outside its unit tests:
 - every ``examples/*.py`` script, as CI runs them.
 
 Calls are recorded with :func:`sys.setprofile`.  Every ``def`` under
-``src/repro/`` is then matched to the recorded code objects by file and
-``co_firstlineno`` (for a decorated function that is the line of its first
-decorator, not of the ``def``), and the script prints the functions no call
-reached, with their line counts, per file.  Nested functions inside an
-unreached function count their lines once.
+``src/repro/`` is parsed when the run starts and matched to the recorded
+code objects by file and ``co_firstlineno`` (for a decorated function that
+is the line of its first decorator, not of the ``def``), and the script
+prints the functions no call reached, with their line counts, per file.
+Nested functions inside an unreached function count their lines once.  A
+source file edited during the run would shift the lines of the code it
+ran, so when any file's mtime changed the script reports nothing, names
+the files and exits 2.
 
 Takes about six minutes on a 2-vCPU machine; it is not part of tier-1 or
 CI.  ``--json OUT`` writes the reached and unreached function names;
@@ -203,45 +206,63 @@ def record_calls() -> Set[Tuple[str, int]]:
 # ----------------------------------------------------------------------
 # Static function table
 # ----------------------------------------------------------------------
-def function_table() -> List[Tuple[str, str, int, int]]:
+def _sources(src: str):
+    """``(path, relpath)`` of every ``.py`` file under ``src``, sorted."""
+    for dirpath, _dirs, files in sorted(os.walk(src)):
+        for filename in sorted(files):
+            if filename.endswith(".py"):
+                path = os.path.join(dirpath, filename)
+                yield path, os.path.relpath(path, os.path.dirname(src))
+
+
+def source_mtimes(src: str) -> Dict[str, int]:
+    """relpath -> mtime (ns) of every ``.py`` file under ``src``."""
+    return {rel: os.stat(path).st_mtime_ns for path, rel in _sources(src)}
+
+
+def changed_sources(before: Dict[str, int], src: str) -> List[str]:
+    """Files under ``src`` added, removed or modified since ``before``."""
+    after = source_mtimes(src)
+    return sorted(rel for rel in before.keys() | after.keys()
+                  if before.get(rel) != after.get(rel))
+
+
+def function_table(src: str) -> List[Tuple[str, str, int, int]]:
     """``(relpath, qualname, first line, last line)`` of every ``def``."""
     table = []
-    for dirpath, _dirs, files in sorted(os.walk(SRC)):
-        for filename in sorted(files):
-            if not filename.endswith(".py"):
-                continue
-            path = os.path.join(dirpath, filename)
-            rel = os.path.relpath(path, os.path.dirname(SRC))
-            with open(path, encoding="utf-8") as fh:
-                tree = ast.parse(fh.read(), filename=path)
-            names: Dict[str, int] = {}
+    for path, rel in _sources(src):
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), filename=path)
+        names: Dict[str, int] = {}
 
-            def visit(node, prefix: str) -> None:
-                for child in ast.iter_child_nodes(node):
-                    if isinstance(child, ast.ClassDef):
-                        visit(child, f"{prefix}{child.name}.")
-                    elif isinstance(child, (ast.FunctionDef,
-                                            ast.AsyncFunctionDef)):
-                        first = min([child.lineno] + [
-                            d.lineno for d in child.decorator_list])
-                        qualname = f"{prefix}{child.name}"
-                        names[qualname] = names.get(qualname, 0) + 1
-                        if names[qualname] > 1:  # property setters etc.
-                            qualname += f"#{names[qualname]}"
-                        table.append((rel, qualname, first, child.end_lineno))
-                        visit(child, f"{qualname}.")
-                    else:
-                        visit(child, prefix)
+        def visit(node, prefix: str) -> None:
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, ast.ClassDef):
+                    visit(child, f"{prefix}{child.name}.")
+                elif isinstance(child, (ast.FunctionDef,
+                                        ast.AsyncFunctionDef)):
+                    first = min([child.lineno] + [
+                        d.lineno for d in child.decorator_list])
+                    qualname = f"{prefix}{child.name}"
+                    names[qualname] = names.get(qualname, 0) + 1
+                    if names[qualname] > 1:  # property setters etc.
+                        qualname += f"#{names[qualname]}"
+                    table.append((rel, qualname, first, child.end_lineno))
+                    visit(child, f"{qualname}.")
+                else:
+                    visit(child, prefix)
 
-            visit(tree, "")
+        visit(tree, "")
     return table
 
 
-def unreached(reached: Set[Tuple[str, int]]):
-    """Split the function table into reached names and unreached entries."""
+def unreached(table: List[Tuple[str, str, int, int]],
+              reached: Set[Tuple[str, int]], src: str):
+    """Split ``table`` (of ``src``) into reached names and unreached
+    entries."""
     reached_names, missing = [], []
-    for rel, qualname, first, last in function_table():
-        path = os.path.realpath(os.path.join(os.path.dirname(SRC), rel))
+    for rel, qualname, first, last in table:
+        path = os.path.realpath(os.path.join(os.path.dirname(src), rel))
         if (path, first) in reached:
             reached_names.append(f"{rel}:{qualname}")
         else:
@@ -268,7 +289,15 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     os.environ.setdefault("REPRO_SCALE", "small")
 
-    reached_names, missing = unreached(record_calls())
+    mtimes = source_mtimes(SRC)
+    defs = function_table(SRC)
+    reached = record_calls()
+    changed = changed_sources(mtimes, SRC)
+    if changed:
+        print("[reachability] not reporting: source files changed during "
+              f"the run: {', '.join(changed)}", file=sys.stderr)
+        return 2
+    reached_names, missing = unreached(defs, reached, SRC)
     table = per_file(missing)
     print(f"{'file':44s} {'functions':>9s} {'lines':>6s}")
     for rel, (functions, lines) in sorted(

@@ -33,7 +33,6 @@ physics) and ON in the CLI.
 from __future__ import annotations
 
 import contextlib
-import multiprocessing
 import os
 from dataclasses import dataclass, replace
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
@@ -214,6 +213,8 @@ def _storable(body: Dict) -> Dict:
 # The worker pool
 # ----------------------------------------------------------------------
 def _pool_context():
+    import multiprocessing  # only pool sweeps load it
+
     methods = multiprocessing.get_all_start_methods()
     return multiprocessing.get_context("fork" if "fork" in methods else "spawn")
 

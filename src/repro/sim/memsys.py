@@ -146,9 +146,10 @@ class MemorySystem:
         :meth:`Interconnect.round_trips
         <repro.sim.network.Interconnect.round_trips>` call that resolves its
         packets and DRAM row hits inline.  Within a run, once an exchange
-        waited at no crossbar and ended in the relative fabric state it
-        started in, the later exchanges repeat it shifted in time, and
-        ``round_trips`` resolves them in a loop of crossbar load-estimate
+        waited at no crossbar, ended in the relative fabric state it
+        started in and left every crossbar load estimate safely below the
+        zero-wait limits, no later exchange can wait, and ``round_trips``
+        fast-forwards the rest of the run with crossbar load-estimate
         updates alone (still bit-identical; the argument is in its
         docstring).  A bakery scan gets there within a few accesses.
         """

@@ -188,7 +188,8 @@ def charge_transfers(stats: SystemStats, nbytes: int, count: int,
     call charges — source crossbar (+ fabric links + destination crossbar
     when remote) — without touching any reservation/queueing state.  Two
     callers: :meth:`~repro.sim.network.Interconnect.round_trips` charges a
-    whole burst at once after timing each packet, and elided spin polls
+    whole burst at once after timing it (every packet, or a fast-forwarded
+    run of repeats at a time), and elided spin polls
     account their traffic and energy analytically without contending for
     banks, links, or crossbar slots (see the wait-channel model notes in
     EXPERIMENTS.md).

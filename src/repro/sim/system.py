@@ -13,11 +13,13 @@ one synchronization mechanism chosen by name:
 - ``"rmw_spin"``     — spin-wait over remote atomic units (Sec. 2.2.1).
 - ``"bakery"``       — Lamport-bakery software baseline (Sec. 2.2.1).
 
-Mechanism classes are imported lazily to keep the package layering acyclic.
+Mechanism classes are imported on demand from :data:`MECHANISMS`, which
+keeps the package layering acyclic.
 """
 
 from __future__ import annotations
 
+import importlib
 from typing import Callable, Dict, Iterable, List, Optional
 
 from repro.sim.cache import L1Cache
@@ -36,44 +38,39 @@ from repro.sim.topo.faults import FaultPlan
 from repro.telemetry import get_telemetry
 
 
+#: mechanism name -> ``"module:Class"``, imported when a system first
+#: asks for it (the sync and core packages import sim, and a run loads
+#: only the mechanism it simulates).
+MECHANISMS: Dict[str, str] = {
+    "syncron": "repro.core.engine:SynCronMechanism",
+    "syncron_flat": "repro.sync.flat:FlatSynCronMechanism",
+    "central": "repro.sync.central:CentralMechanism",
+    "hier": "repro.sync.hier:HierMechanism",
+    "ideal": "repro.sync.ideal:IdealMechanism",
+    "syncron_central_ovrfl":
+        "repro.sync.overflow_alt:SynCronCentralOverflowMechanism",
+    "syncron_distrib_ovrfl":
+        "repro.sync.overflow_alt:SynCronDistribOverflowMechanism",
+    "rmw_spin": "repro.sync.remote_atomics:RemoteAtomicsMechanism",
+    "bakery": "repro.sync.bakery:BakeryMechanism",
+}
+
+MECHANISM_NAMES = tuple(MECHANISMS)
+
+
+def mechanism_class(name: str) -> Callable:
+    """The mechanism class registered as ``name``, imported on demand."""
+    target = MECHANISMS.get(name)
+    if target is None:
+        raise ValueError(
+            f"unknown mechanism {name!r}; choose from {sorted(MECHANISMS)}")
+    module, _, cls = target.partition(":")
+    return getattr(importlib.import_module(module), cls)
+
+
 def _mechanism_registry() -> Dict[str, Callable]:
-    """Name -> factory; imported lazily (sync/core packages import sim)."""
-    from repro.core.engine import SynCronMechanism
-    from repro.sync.bakery import BakeryMechanism
-    from repro.sync.central import CentralMechanism
-    from repro.sync.flat import FlatSynCronMechanism
-    from repro.sync.hier import HierMechanism
-    from repro.sync.ideal import IdealMechanism
-    from repro.sync.overflow_alt import (
-        SynCronCentralOverflowMechanism,
-        SynCronDistribOverflowMechanism,
-    )
-    from repro.sync.remote_atomics import RemoteAtomicsMechanism
-
-    return {
-        "syncron": SynCronMechanism,
-        "syncron_flat": FlatSynCronMechanism,
-        "central": CentralMechanism,
-        "hier": HierMechanism,
-        "ideal": IdealMechanism,
-        "syncron_central_ovrfl": SynCronCentralOverflowMechanism,
-        "syncron_distrib_ovrfl": SynCronDistribOverflowMechanism,
-        "rmw_spin": RemoteAtomicsMechanism,
-        "bakery": BakeryMechanism,
-    }
-
-
-MECHANISM_NAMES = (
-    "syncron",
-    "syncron_flat",
-    "central",
-    "hier",
-    "ideal",
-    "syncron_central_ovrfl",
-    "syncron_distrib_ovrfl",
-    "rmw_spin",
-    "bakery",
-)
+    """Name -> class of every mechanism (imports every mechanism module)."""
+    return {name: mechanism_class(name) for name in MECHANISMS}
 
 
 class NDPSystem:
@@ -142,13 +139,9 @@ class NDPSystem:
                     )
                     self.cores.append(core)
 
-        registry = _mechanism_registry()
-        if mechanism not in registry:
-            raise ValueError(
-                f"unknown mechanism {mechanism!r}; choose from {sorted(registry)}"
-            )
+        factory = mechanism_class(mechanism)
         self.mechanism_name = mechanism
-        self.mechanism = registry[mechanism](self)
+        self.mechanism = factory(self)
         for core in self.cores:
             core.mechanism = self.mechanism
 

@@ -5,28 +5,12 @@
 - :class:`~repro.sync.ideal.IdealMechanism` — zero-overhead synchronization.
 - :class:`~repro.sync.flat.FlatSynCronMechanism` — SynCron without hierarchy.
 - :mod:`~repro.sync.overflow_alt` — MiSAR-style overflow variants (Fig. 23).
+- :class:`~repro.sync.remote_atomics.RemoteAtomicsMechanism` and
+  :class:`~repro.sync.bakery.BakeryMechanism` — Sec. 2.2.1 spin-wait
+  baselines.
 - :class:`~repro.sync.logic.SyncLogic` — timing-free reference semantics.
+
+The package re-exports nothing: :data:`repro.sim.system.MECHANISMS` imports
+each mechanism's module when a system first needs it, so a run loads only
+the mechanism it simulates.
 """
-
-from repro.sync.central import CentralMechanism
-from repro.sync.flat import FlatSynCronMechanism
-from repro.sync.hier import HierMechanism
-from repro.sync.ideal import IdealMechanism
-from repro.sync.logic import LogicError, SyncLogic
-from repro.sync.overflow_alt import (
-    SynCronCentralOverflowMechanism,
-    SynCronDistribOverflowMechanism,
-)
-from repro.sync.server import ServerEngine
-
-__all__ = [
-    "CentralMechanism",
-    "FlatSynCronMechanism",
-    "HierMechanism",
-    "IdealMechanism",
-    "LogicError",
-    "ServerEngine",
-    "SynCronCentralOverflowMechanism",
-    "SynCronDistribOverflowMechanism",
-    "SyncLogic",
-]

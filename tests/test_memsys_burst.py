@@ -108,8 +108,8 @@ class TestBurstMatchesPerAccessLoop:
            size=st.sampled_from([8, 16, 64, 512]), seed=st.integers(0, 99))
     def test_random_long_bursts(self, fabric, src, home, stores, loads, size,
                                 seed):
-        """Bakery-scan lengths (60-200 accesses), where the steady-state
-        loop resolves most exchanges of a pristine fabric's burst."""
+        """Bakery-scan lengths (60-200 accesses), where the fast-forward
+        resolves most exchanges of a pristine fabric's burst."""
         units = FABRICS[fabric]["num_units"]
         burst, reference = run_both(fabric, src % units, home % units,
                                     stores, loads, size, seed)

@@ -2,8 +2,9 @@
 
 - A process that runs specs imports only the modules its specs execute:
   the package ``__init__``s re-export no figure planner, lint engine,
-  co-run or tenancy code, and :mod:`repro.harness.specs` imports each
-  workload family where a spec first needs it.
+  co-run or tenancy code, :mod:`repro.harness.specs` imports each
+  workload family where a spec first needs it, a system imports only its
+  own mechanism, and a one-worker sweep never loads ``multiprocessing``.
 - A finished system is freed by reference counting, not left as cyclic
   garbage for a full collection (:meth:`NDPSystem.release`).
 """
@@ -36,21 +37,34 @@ UNUSED_BY_PRIMITIVE = (
     "repro.workloads.datastructures",
 )
 
+#: modules a one-worker ``primitive``/``syncron`` run never executes: the
+#: pool machinery and the other mechanisms.
+UNUSED_BY_SYNCRON_RUN = (
+    "multiprocessing",
+    "repro.sync.bakery",
+    "repro.sync.remote_atomics",
+    "repro.sync.overflow_alt",
+)
+
 _PLAN = """
 import json, sys
-from repro.harness.runner import RunSpec
-RunSpec.make({workload!r}, mechanism="syncron", args={args!r})
-print(json.dumps(sorted(m for m in sys.modules if m.startswith("repro"))))
+from repro.harness.runner import RunSpec, run_specs
+spec = RunSpec.make({workload!r}, mechanism="syncron", args={args!r})
+if {run!r}:
+    run_specs([spec], workers=1)
+print(json.dumps(sorted(sys.modules)))
 """
 
 
-def _modules_after_planning(workload: str, args: dict) -> set:
-    """``repro`` modules a fresh interpreter holds after planning a spec."""
+def _modules_after(workload: str, args: dict, run: bool = False) -> set:
+    """Modules a fresh interpreter holds after planning a spec and, if
+    ``run``, running it with one worker."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(REPO_ROOT / "src"), env.get("PYTHONPATH")) if p)
+    script = _PLAN.format(workload=workload, args=args, run=run)
     result = subprocess.run(
-        [sys.executable, "-c", _PLAN.format(workload=workload, args=args)],
+        [sys.executable, "-c", script],
         cwd=REPO_ROOT, env=env, capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr[-2000:]
     return set(json.loads(result.stdout.strip().splitlines()[-1]))
@@ -58,10 +72,18 @@ def _modules_after_planning(workload: str, args: dict) -> set:
 
 class TestStartupImports:
     def test_primitive_spec_imports_no_unused_module(self):
-        loaded = _modules_after_planning(
+        loaded = _modules_after(
             "primitive", {"primitive": "lock", "interval": 200, "rounds": 5})
         assert "repro.workloads.microbench" in loaded
         assert sorted(loaded.intersection(UNUSED_BY_PRIMITIVE)) == []
+
+    def test_one_worker_syncron_run_imports_only_its_mechanism(self):
+        loaded = _modules_after(
+            "primitive", {"primitive": "lock", "interval": 200, "rounds": 5},
+            run=True)
+        assert "repro.core.engine" in loaded
+        assert sorted(loaded.intersection(
+            UNUSED_BY_PRIMITIVE + UNUSED_BY_SYNCRON_RUN)) == []
 
     # Planning must import the family a spec runs, before the first spec
     # executes: a process that wraps the Workload subclasses between
@@ -76,7 +98,7 @@ class TestStartupImports:
     ])
     def test_planning_imports_only_the_spec_family(self, workload, args,
                                                    family, absent):
-        loaded = _modules_after_planning(workload, args)
+        loaded = _modules_after(workload, args)
         assert family in loaded
         assert absent not in loaded
 

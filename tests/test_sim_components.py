@@ -320,6 +320,20 @@ class TestNetwork:
         # The bound has slack: one ulp past the limit still waits 0 cycles.
         assert self.md1_wait(above, nbytes, bpc) == 0
 
+    @settings(max_examples=300, deadline=None)
+    @given(nbytes=st.integers(0, 100_000), bpc=st.floats(0.01, 10_000.0),
+           rate=st.floats(0.0, 1e6))
+    def test_wait_cycles_is_the_md1_formula(self, nbytes, bpc, rate):
+        # The one copy of the formula, which every crossbar step that may
+        # wait calls.
+        xbar = Crossbar(ndp_2_5d(), 0)
+        xbar._bytes_per_cycle = bpc
+        wait = xbar.wait_cycles(rate, nbytes)
+        assert wait == self.md1_wait(rate, nbytes, bpc)
+        rho = min(rate / bpc, 0.95)
+        assert wait == math.floor(
+            rho * max(nbytes / bpc, 1.0) / (2 * (1 - rho)))
+
     def test_zero_wait_limit_is_not_vacuous(self):
         # Well past the limit the formula charges a real wait.
         assert self.md1_wait(0.9 * 32.0, 6400, 32.0) > 0

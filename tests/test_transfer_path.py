@@ -15,9 +15,11 @@ last tests here repeat that comparison with the per-hop reference patched
 in, so the inlined burst loop is also checked against code it shares
 nothing with, on bursts whose crossbar estimates fall below the zero-wait
 limit mid-burst and on bursts whose estimates rise past it.  Long scans
-cover the burst's steady-state loop: estimates that rise past a limit
-while it runs, estimates that fall until it starts, and an exchange that
-waited yet left the same relative state, which must never start it.
+cover the burst's fast-forward: estimates that rise past a limit in a
+repeating exchange, estimates that fall until it starts, an exchange that
+waited yet left the same relative state, which must never start it, a step
+whose ``n / e`` sits just above its wait-free threshold, and scans of ten
+thousand accesses.
 """
 
 import random
@@ -26,7 +28,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.sim.config import ndp_2_5d
-from repro.sim.memsys import MemorySystem
+from repro.sim.memsys import REQUEST_BYTES, MemorySystem
 from repro.sim.network import Interconnect
 from repro.testing import (
     FABRICS, build_system, fabric_snapshot, per_access_burst, per_hop_transfer)
@@ -206,8 +208,8 @@ def test_burst_rising_past_zero_wait_limit_in_steady_state(monkeypatch, case,
     """512-byte words on idle crossbars: the scan's first exchanges take
     the zero-wait path and settle into one repeated exchange, whose own
     528-byte responses then push the estimates past the response limit,
-    and on to M/D/1 waits, while the steady-state loop runs.  Fast links
-    keep a far scan's period short enough for that."""
+    and on to M/D/1 waits, so the burst must not fast-forward.  Fast
+    links keep a far scan's period short enough for that."""
     fused, reference = burst_against_per_hop(
         monkeypatch, case, home, 512, quiet=1_000_000, stores=0, loads=200,
         link_latency_ns=4.0, link_bandwidth_gbps=1000.0)
@@ -221,7 +223,7 @@ def test_burst_falling_below_zero_wait_limit(monkeypatch, case, home,
     """A long 8-byte scan on 500 ns links from idle links and banks, just
     after both crossbars were flooded: the first exchanges wait, then the
     estimates decay below the zero-wait limits and the scan settles into
-    one repeated exchange (the burst's steady-state loop).  A far scan's
+    one repeated exchange (the burst's fast-forward).  A far scan's
     long period decays the estimates fast, so it starts from a bigger
     flood."""
     latencies = []
@@ -256,4 +258,90 @@ def test_waiting_exchange_never_seeds_steady_state(monkeypatch, case, home,
     fused, reference = burst_against_per_hop(
         monkeypatch, case, home, 8, flood=("home",), packets=packets,
         quiet=1_000_000, stores=0, loads=100, link_latency_ns=500.0)
+    assert fused == reference
+
+
+class _CountingMemo(dict):
+    """A crossbar decay memo that counts lookups: one per resolved step."""
+
+    def __init__(self):
+        super().__init__()
+        self.lookups = 0
+
+    def get(self, key, default=None):
+        self.lookups += 1
+        return dict.get(self, key, default)
+
+
+def burst_and_reference(case, home, stores=0, loads=160, **config):
+    """A fresh system's scan from unit 0 through ``uncacheable_burst`` and
+    through per-access ``access`` calls: (cycles, fabric state) each, and
+    the steps the burst resolved at unit 0's crossbar."""
+    results = []
+    for issue in (MemorySystem.uncacheable_burst, per_access_burst):
+        system = make_system(case, **config)
+        units = system.config.num_units
+        addr = system.addrmap.alloc({"local": 0, "far": units - 1}[home], 64)
+        memo = system.interconnect.crossbars[0]._decay_cache = _CountingMemo()
+        cycles = issue(system.memsys, 0, addr, 100, stores=stores,
+                       loads=loads, size=8, for_sync=True)
+        results.append((cycles, fabric_snapshot(system)))
+        if issue is MemorySystem.uncacheable_burst:
+            steps = memo.lookups
+    return results, steps
+
+
+@pytest.mark.parametrize("case", sorted(FABRICS))
+@pytest.mark.parametrize("home", ["local", "far"])
+def test_step_just_above_wait_free_threshold(case, home):
+    """In a repeating zero-wait scan the request's source-crossbar step
+    comes ``base`` cycles after the previous response's, so its ``n / e``
+    is ``16 / 3``.  At 16 bytes/cycle that equals the 24-byte responses'
+    zero-wait limit: just above the fast-forward's threshold, which sits a
+    rounding margin below the limit, while every estimate stays far below
+    it.  The scan must go on exchange by exchange (two source-crossbar
+    steps each) and still equal the per-access reference; a hair more
+    bandwidth puts the step below the threshold and fast-forwards."""
+    loads = 160
+    system = make_system(case, crossbar_bytes_per_cycle=16.0)
+    base = system.interconnect.crossbars[0]._base_cycles
+    limit = system.interconnect._zero_wait_limit(REQUEST_BYTES + 8)
+    assert REQUEST_BYTES / base == limit == 16 / 3
+    (fused, reference), steps = burst_and_reference(
+        case, home, loads=loads, crossbar_bytes_per_cycle=16.0)
+    assert fused == reference
+    assert steps == 2 * loads
+    (fused, reference), steps = burst_and_reference(
+        case, home, loads=loads, crossbar_bytes_per_cycle=16.0 * (1 + 1e-9))
+    assert fused == reference
+    assert steps < 2 * loads
+
+
+@pytest.mark.parametrize("case", ["all_to_all", "mesh2d"])
+@pytest.mark.parametrize("home", ["local", "far"])
+def test_ten_thousand_access_scan(case, home):
+    """A long fast-forward repeats the same rounded update thousands of
+    times: the estimates must still equal the per-access reference's
+    bit for bit."""
+    (fused, reference), steps = burst_and_reference(
+        case, home, stores=50, loads=10_000)
+    assert fused == reference
+    assert steps < 100
+
+
+@pytest.mark.parametrize("case", ["all_to_all", "profiled", "ring"])
+@pytest.mark.parametrize("packets", [70, 80, 95])
+def test_waiting_exchange_never_fast_forwards(monkeypatch, case, packets):
+    """64-byte stores: the 80-byte requests' zero-wait limit (6.4) lies
+    below the 16-byte responses' (16).  The source crossbar, flooded just
+    before the scan, decays through that gap, so an exchange waits at its
+    request step alone, before the first link, where the wait leaves no
+    trace in the relative state, and ends with every estimate below the
+    fast-forward threshold.  Repeating it would charge a wait the next
+    exchanges no longer pay.  10-cycle hops keep the request step's
+    ``n / e`` (80 / 21) below the threshold."""
+    fused, reference = burst_against_per_hop(
+        monkeypatch, case, "far", 64, flood=("src",), packets=packets,
+        quiet=1_000_000, stores=40, loads=0, link_latency_ns=500.0,
+        hop_cycles=10)
     assert fused == reference
