@@ -16,11 +16,11 @@ interconnect/config and runs one program per core.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Optional
+from typing import Callable, Dict, Iterable, Optional
 
 from repro.coherence.mesi import DirectoryMESI, LOAD, RMW_KINDS, STORE
 from repro.sim.config import SystemConfig
-from repro.sim.engine import Process, Simulator
+from repro.sim.engine import Simulator
 from repro.sim.memmap import AddressMap
 from repro.sim.network import Interconnect
 from repro.sim.program import Compute
@@ -109,22 +109,28 @@ class CoherentCore:
         self.unit_id = unit_id
         self.mesi = mesi
         self.ideal_locks = ideal_locks
-        self.process: Optional[Process] = None
+        self._send: Optional[Callable] = None
         self.finished = False
         self.finish_time: Optional[int] = None
         self.operations = 0
 
     def run_program(self, program) -> None:
-        self.process = Process(iter(program), on_finish=self._on_finish)
+        self._send = iter(program).send
         self.sim.schedule(0, self._advance)
 
-    def _on_finish(self) -> None:
-        self.finished = True
-        self.finish_time = self.sim.now
-
     def _advance(self, value=None) -> None:
-        op = self.process.resume(value)
-        if op is None:
+        """Send ``value`` into the program and dispatch its next op.
+
+        On exhaustion the core is marked finished at the current cycle; a
+        finished program is never resumed again.
+        """
+        if self.finished:
+            return
+        try:
+            op = self._send(value)
+        except StopIteration:
+            self.finished = True
+            self.finish_time = self.sim.now
             return
         self.operations += 1
         if isinstance(op, Compute):

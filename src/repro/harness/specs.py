@@ -23,7 +23,9 @@ Each workload family other than the primitive microbenchmark (which
 needed, by the validation in :meth:`RunSpec.make` or by its builder, so
 a process compiles only the families its specs run.  ``RunSpec.make``
 validates an ``app``/``structure`` spec's names, which imports that
-family before the first spec runs.
+family before the first spec runs, and rejects a mechanism that lacks a
+primitive family the spec's programs issue (:data:`WORKLOAD_FAMILIES`
+against :data:`~repro.sim.system.MECHANISMS`, no mechanism imported).
 """
 
 from __future__ import annotations
@@ -37,9 +39,14 @@ from dataclasses import dataclass, fields as dataclass_fields
 from typing import Any, Callable, Dict, Mapping, Optional, Sequence, Tuple
 
 from repro.sim.config import MEMORY_TECHNOLOGIES, PRESETS, SystemConfig
-from repro.sim.system import MECHANISM_NAMES
+from repro.sim.program import OP_KINDS
+from repro.sim.system import MECHANISM_NAMES, MECHANISMS, mechanism_ops
 from repro.workloads.base import Workload, scale
-from repro.workloads.microbench import PRIMITIVES, PrimitiveMicrobench
+from repro.workloads.microbench import (
+    PRIMITIVE_FAMILIES,
+    PRIMITIVES,
+    PrimitiveMicrobench,
+)
 
 #: the installed ``repro`` package, whose source the store epoch hashes.
 PACKAGE_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -153,9 +160,13 @@ class RunSpec:
             raise ValueError(error)
         # measurements legitimately run baselines no NDPSystem has
         # (coherent / mesi in Table 1 and Fig. 2).
-        if workload in WORKLOAD_BUILDERS and mechanism not in MECHANISM_NAMES:
-            raise ValueError(f"unknown mechanism {mechanism!r}; choose from "
-                             f"{sorted(MECHANISM_NAMES)}")
+        if workload in WORKLOAD_BUILDERS:
+            if mechanism not in MECHANISM_NAMES:
+                raise ValueError(f"unknown mechanism {mechanism!r}; choose "
+                                 f"from {sorted(MECHANISM_NAMES)}")
+            error = _capability_error(workload, mechanism, args or {})
+            if error:
+                raise ValueError(error)
         if seed is not None and type(seed) is not int:
             raise ValueError(f"seed must be an int, got {seed!r}")
         if workload not in SEEDABLE_WORKLOADS:
@@ -357,6 +368,21 @@ def _args_error(workload: str, args: Mapping) -> Optional[str]:
     return None
 
 
+def _capability_error(workload: str, mechanism: str,
+                      args: Mapping) -> Optional[str]:
+    """Why ``mechanism`` cannot run the spec's programs, or None: names
+    the ops of the first primitive family it lacks."""
+    implemented = MECHANISMS[mechanism][1]
+    for family in WORKLOAD_FAMILIES[workload](**args):
+        if family not in implemented:
+            missing = [op for op in OP_KINDS if OP_KINDS[op] == family]
+            return (f"mechanism {mechanism!r} does not implement "
+                    f"{', '.join(missing)}, which the programs of "
+                    f"{workload} {dict(args)} issue; it implements "
+                    f"{', '.join(mechanism_ops(mechanism))}")
+    return None
+
+
 def build_app(combo: str, partitioner: Optional[str] = None,
               seed: Optional[int] = None) -> Workload:
     """One of the paper's application-input combos, e.g. ``bfs.wk``/``ts.air``."""
@@ -473,6 +499,59 @@ WORKLOAD_BUILDERS: Dict[str, Callable[..., Workload]] = {
     "rwbench": build_rwbench,
     "unionfind": build_unionfind,
     "corun": build_corun,
+}
+
+# ----------------------------------------------------------------------
+# Primitive families each builder's programs issue
+# ----------------------------------------------------------------------
+def _primitive_families(primitive=None, **_) -> Tuple[str, ...]:
+    return PRIMITIVE_FAMILIES.get(primitive, ())
+
+
+def _app_families(combo=None, **_) -> Tuple[str, ...]:
+    if combo is None:
+        return ()
+    app = split_combo(str(combo))[0]
+    if app != "ts":
+        from repro.workloads.graphs import ALL_KERNELS
+
+        if not ALL_KERNELS[app].uses_barriers:
+            return ("lock",)
+    return ("lock", "barrier")
+
+
+def _structure_families(**_) -> Tuple[str, ...]:
+    return ("lock",)
+
+
+def _rw_families(mutex_mode=False, **_) -> Tuple[str, ...]:
+    # mutex mode runs the same mix under a plain lock.
+    return ("lock",) if mutex_mode else ("rwlock",)
+
+
+def _corun_families(tenants=(), **_) -> Tuple[str, ...]:
+    families: Dict[str, None] = {}
+    for raw in tenants:
+        tenant = _unfrozen(raw)
+        workload = tenant.get("workload") if isinstance(tenant, dict) else None
+        # a malformed tenant, a nested co-run or an unknown workload fails
+        # in build_corun.
+        if workload != "corun" and workload in WORKLOAD_FAMILIES:
+            families.update(dict.fromkeys(
+                WORKLOAD_FAMILIES[workload](**(tenant.get("args") or {}))))
+    return tuple(families)
+
+
+#: registry key -> ``fn(**args)`` giving the primitive families the
+#: programs of a spec with those args issue; :meth:`RunSpec.make` rejects
+#: a mechanism that lacks one.
+WORKLOAD_FAMILIES: Dict[str, Callable[..., Tuple[str, ...]]] = {
+    "app": _app_families,
+    "structure": _structure_families,
+    "primitive": _primitive_families,
+    "rwbench": _rw_families,
+    "unionfind": _rw_families,
+    "corun": _corun_families,
 }
 
 #: builders whose constructors accept a ``seed`` keyword; RunSpec.seed is

@@ -46,8 +46,9 @@ written for throughput first:
   run would have.
 - Past-scheduling validation is always on: the ``delay < 0`` /
   ``time < now`` compare is the branch the valid path takes anyway.
-- ``__slots__`` on :class:`Simulator` and :class:`Process` keep the millions
-  of attribute accesses on the hot path dict-free.
+- ``__slots__`` on :class:`Simulator`, :class:`WaitChannel` and its
+  waiters keep the millions of attribute accesses on the hot path
+  dict-free.
 
 Event elision
 -------------
@@ -80,108 +81,30 @@ Observers
 
 ``run`` has exactly two drain loops.  The fast path drains everything with
 no per-event hooks.  The bounded drain handles ``until``/``max_events`` and
-calls a plain list of observers: ``before_event(callback, origin)`` and
-``after_event(callback)`` around every callback, ``end_cycle(time)`` once
-per drained timestamp.  ``origin`` is the index (within the timestamp) of
-the event that scheduled this one into the same cycle, or None when it was
-scheduled from an earlier cycle.  :class:`KernelProfile` and the
-sanitizer's ``AccessRecorder`` are the observers; observing never changes
-simulated state.
+the wake log, and calls a plain list of observers:
+``before_event(callback, origin)`` and ``after_event(callback)`` around
+every callback, ``end_cycle(time)`` once per drained timestamp.
+``origin`` is the index (within the timestamp) of the event that
+scheduled this one into the same cycle, or None when it was scheduled
+from an earlier cycle.  The sanitizer's ``AccessRecorder`` is the one
+observer; observing never changes simulated state.
+
+Either drain adds its host seconds to ``Simulator.wall_seconds`` (one
+``perf_counter`` pair per ``run`` call, nothing per event), which is all
+the telemetry bus reads, so a ``--telemetry`` run takes the fast drain.
 """
 
 from __future__ import annotations
 
 from heapq import heappop, heappush
 from time import perf_counter
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 _INFINITY = float("inf")
 
 
 class SimulationError(RuntimeError):
     """Raised for kernel misuse (e.g., scheduling into the past)."""
-
-
-#: sampled-attribution buckets, in display order.
-PROFILE_BUCKETS = ("engine", "mechanism", "memsys", "core", "other")
-
-#: module prefix -> attribution bucket (first match wins).
-_BUCKET_PREFIXES = (
-    ("repro.sim.engine", "engine"),
-    ("repro.sim.memsys", "memsys"),
-    ("repro.sim.dram", "memsys"),
-    ("repro.sim.cache", "memsys"),
-    ("repro.sim.network", "memsys"),
-    ("repro.sim.memmap", "memsys"),
-    ("repro.sim.core", "core"),
-    ("repro.sim.smt", "core"),
-    ("repro.sim.program", "core"),
-    ("repro.core", "mechanism"),
-    ("repro.sync", "mechanism"),
-    ("repro.coherence", "mechanism"),
-)
-
-
-def _classify_module(module: str) -> str:
-    for prefix, bucket in _BUCKET_PREFIXES:
-        if module.startswith(prefix):
-            return bucket
-    return "other"
-
-
-class KernelProfile:
-    """Sampled wall-clock profile of a run (:meth:`Simulator.enable_profile`).
-
-    Accumulates the wall seconds spent inside :meth:`Simulator.run` and a
-    sampled attribution of callbacks to coarse subsystem buckets (every
-    ``sample_every``-th executed event classifies its callback's owning
-    module).  Sampling never touches simulated state, so physics counters
-    stay bit-identical with profiling on or off.
-    """
-
-    __slots__ = ("sample_every", "wall_seconds", "samples", "_bucket_cache",
-                 "_countdown")
-
-    def __init__(self, sample_every: int = 64):
-        if sample_every < 1:
-            raise ValueError(f"sample_every must be >= 1, got {sample_every}")
-        self.sample_every = sample_every
-        self.wall_seconds = 0.0
-        #: bucket name -> sample count.
-        self.samples: Dict[str, int] = {}
-        #: owner class (or bare function) -> bucket, to skip string work.
-        self._bucket_cache: Dict[Any, str] = {}
-        self._countdown = sample_every
-
-    # -- kernel observer hooks -------------------------------------------
-    def before_event(self, callback, origin: Optional[int]) -> None:
-        pass
-
-    def after_event(self, callback) -> None:
-        self._countdown -= 1
-        if self._countdown <= 0:
-            self._countdown = self.sample_every
-            self.sample(callback)
-
-    def end_cycle(self, time: int) -> None:
-        pass
-
-    def sample(self, callback) -> None:
-        obj = getattr(callback, "__self__", None)
-        key = obj.__class__ if obj is not None else callback
-        bucket = self._bucket_cache.get(key)
-        if bucket is None:
-            module = getattr(key, "__module__", "") or ""
-            bucket = self._bucket_cache[key] = _classify_module(module)
-        self.samples[bucket] = self.samples.get(bucket, 0) + 1
-
-    def attribution(self) -> Dict[str, float]:
-        """Sampled share of executed events per bucket (fractions sum to 1)."""
-        total = sum(self.samples.values())
-        if not total:
-            return {}
-        return {bucket: count / total
-                for bucket, count in sorted(self.samples.items())}
 
 
 class _Waiter:
@@ -336,7 +259,7 @@ class Simulator:
 
     __slots__ = ("now", "_times", "_buckets", "_events_processed",
                  "_elide", "_waiting", "elided_events",
-                 "profile", "wake_log", "sanitizer", "_observers")
+                 "wall_seconds", "wake_log", "sanitizer", "_observers")
 
     def __init__(self, elide_waits: bool = True) -> None:
         self.now: int = 0
@@ -352,8 +275,8 @@ class Simulator:
         self._waiting: int = 0
         #: events the kernel accounted for without materializing them.
         self.elided_events: int = 0
-        #: wall-clock profile (None = off; see :meth:`enable_profile`).
-        self.profile: Optional[KernelProfile] = None
+        #: host seconds spent inside :meth:`run`, over all calls.
+        self.wall_seconds: float = 0.0
         #: wake-event log (None = off; see :meth:`record_wakes`).
         self.wake_log: Optional[List[Tuple[int, str, int, int, int, int]]] = None
         #: runtime determinism sanitizer (None = off; see
@@ -374,18 +297,6 @@ class Simulator:
     # ------------------------------------------------------------------
     # Observability
     # ------------------------------------------------------------------
-    def enable_profile(self, sample_every: int = 64) -> KernelProfile:
-        """Turn on the wall-clock profile for subsequent :meth:`run` calls.
-
-        Routes draining through the observed drain, which measures wall
-        time and samples callback attribution; simulated results are
-        unchanged.  Idempotent: re-enabling keeps the existing profile.
-        """
-        if self.profile is None:
-            self.profile = KernelProfile(sample_every)
-            self._observers.append(self.profile)
-        return self.profile
-
     def record_wakes(self) -> List[Tuple[int, str, int, int, int, int]]:
         """Log every :meth:`WaitChannel.signal` that wakes waiters.
 
@@ -501,14 +412,13 @@ class Simulator:
                 exactly ``until`` still execute).
             max_events: safety valve against livelock; raises if exceeded.
         """
+        start = perf_counter()
         if (self._observers or self.wake_log is not None
                 or until is not None or max_events is not None):
-            t0 = perf_counter()
             try:
                 self._drain(until, max_events)
             finally:
-                if self.profile is not None:
-                    self.profile.wall_seconds += perf_counter() - t0
+                self.wall_seconds += perf_counter() - start
             return
         # Fast path: drain everything, detaching each bucket before it runs
         # (see the module docstring).  A one-event bucket, most of them,
@@ -546,6 +456,7 @@ class Simulator:
                 processed += count
         finally:
             self._events_processed += processed
+            self.wall_seconds += perf_counter() - start
 
     def _drain(self, until: Optional[int], max_events: Optional[int]) -> None:
         """The bounded, observed drain loop.
@@ -644,39 +555,3 @@ class Simulator:
         # Computed on demand (diagnostics/tests) so the hot paths don't pay
         # a counter update per event.
         return sum(len(bucket) for bucket in self._buckets.values()) >> 1
-
-
-class Process:
-    """A resumable process driven by an external completion signal.
-
-    Components that model cores wrap a generator: the generator yields
-    *operation* objects, the owner resolves each operation's latency and calls
-    :meth:`resume` (optionally passing a value back into the generator).
-    """
-
-    __slots__ = ("generator", "on_finish", "finished", "result", "_send")
-
-    def __init__(self, generator: Any, on_finish: Optional[Callable[[], None]] = None):
-        self.generator = generator
-        self.on_finish = on_finish
-        self.finished = False
-        self.result: Any = None
-        #: bound-method cache: resume() runs once per core operation.
-        self._send = generator.send
-
-    def resume(self, value: Any = None) -> Any:
-        """Advance the generator; returns the next yielded operation.
-
-        Returns ``None`` once the generator is exhausted (and fires
-        ``on_finish`` exactly once).
-        """
-        if self.finished:
-            return None
-        try:
-            return self._send(value)
-        except StopIteration as stop:
-            self.finished = True
-            self.result = getattr(stop, "value", None)
-            if self.on_finish is not None:
-                self.on_finish()
-            return None

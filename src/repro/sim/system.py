@@ -14,13 +14,15 @@ one synchronization mechanism chosen by name:
 - ``"bakery"``       — Lamport-bakery software baseline (Sec. 2.2.1).
 
 Mechanism classes are imported on demand from :data:`MECHANISMS`, which
-keeps the package layering acyclic.
+keeps the package layering acyclic.  The table also says which primitive
+families each mechanism implements, so planning can reject a spec its
+mechanism cannot run without importing the mechanism.
 """
 
 from __future__ import annotations
 
 import importlib
-from typing import Callable, Dict, Iterable, List, Optional
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.sim.cache import L1Cache
 from repro.sim.config import SystemConfig
@@ -30,41 +32,55 @@ from repro.sim.engine import Simulator
 from repro.sim.memmap import AddressMap
 from repro.sim.memsys import MemorySystem
 from repro.sim.network import Interconnect
+from repro.sim.program import OP_KINDS
 from repro.sim.smt import IssuePort
 from repro.sim.stats import SystemStats
 from repro.sim.syncif import SyncVar
 from repro.analysis.sanitizer import sanitizer_active
 from repro.sim.topo.faults import FaultPlan
-from repro.telemetry import get_telemetry
 
 
-#: mechanism name -> ``"module:Class"``, imported when a system first
+#: every primitive family, in :data:`~repro.sim.program.OP_KINDS` order.
+ALL_FAMILIES: Tuple[str, ...] = tuple(dict.fromkeys(OP_KINDS.values()))
+
+#: mechanism name -> (``"module:Class"``, the primitive families its
+#: ``request`` implements).  The class is imported when a system first
 #: asks for it (the sync and core packages import sim, and a run loads
-#: only the mechanism it simulates).
-MECHANISMS: Dict[str, str] = {
-    "syncron": "repro.core.engine:SynCronMechanism",
-    "syncron_flat": "repro.sync.flat:FlatSynCronMechanism",
-    "central": "repro.sync.central:CentralMechanism",
-    "hier": "repro.sync.hier:HierMechanism",
-    "ideal": "repro.sync.ideal:IdealMechanism",
-    "syncron_central_ovrfl":
+#: only the mechanism it simulates); the families are plain data, so
+#: planning checks them without that import.
+MECHANISMS: Dict[str, Tuple[str, Tuple[str, ...]]] = {
+    "syncron": ("repro.core.engine:SynCronMechanism", ALL_FAMILIES),
+    "syncron_flat": ("repro.sync.flat:FlatSynCronMechanism", ALL_FAMILIES),
+    "central": ("repro.sync.central:CentralMechanism", ALL_FAMILIES),
+    "hier": ("repro.sync.hier:HierMechanism", ALL_FAMILIES),
+    "ideal": ("repro.sync.ideal:IdealMechanism", ALL_FAMILIES),
+    "syncron_central_ovrfl": (
         "repro.sync.overflow_alt:SynCronCentralOverflowMechanism",
-    "syncron_distrib_ovrfl":
+        ALL_FAMILIES),
+    "syncron_distrib_ovrfl": (
         "repro.sync.overflow_alt:SynCronDistribOverflowMechanism",
-    "rmw_spin": "repro.sync.remote_atomics:RemoteAtomicsMechanism",
-    "bakery": "repro.sync.bakery:BakeryMechanism",
+        ALL_FAMILIES),
+    # the spin baselines model only what their experiments measure.
+    "rmw_spin": ("repro.sync.remote_atomics:RemoteAtomicsMechanism",
+                 ("lock", "semaphore", "rwlock")),
+    "bakery": ("repro.sync.bakery:BakeryMechanism", ("lock",)),
 }
 
 MECHANISM_NAMES = tuple(MECHANISMS)
 
 
+def mechanism_ops(name: str) -> Tuple[str, ...]:
+    """The sync ops mechanism ``name`` implements: its families' ops."""
+    families = MECHANISMS[name][1]
+    return tuple(op for op, kind in OP_KINDS.items() if kind in families)
+
+
 def mechanism_class(name: str) -> Callable:
     """The mechanism class registered as ``name``, imported on demand."""
-    target = MECHANISMS.get(name)
-    if target is None:
+    if name not in MECHANISMS:
         raise ValueError(
             f"unknown mechanism {name!r}; choose from {sorted(MECHANISMS)}")
-    module, _, cls = target.partition(":")
+    module, _, cls = MECHANISMS[name][0].partition(":")
     return getattr(importlib.import_module(module), cls)
 
 
@@ -80,11 +96,6 @@ class NDPSystem:
         config.validate()
         self.config = config
         self.sim = Simulator(elide_waits=config.elide_waits)
-        if get_telemetry().enabled:
-            # Telemetry session active: profile the kernel so RunMetrics
-            # gains the reserved telemetry.* wall-clock keys.  Simulated
-            # physics is unaffected (see Simulator.enable_profile).
-            self.sim.enable_profile()
         if sanitizer_active():
             # Determinism-sanitizer session active (repro run --sanitize):
             # record per-cycle access sets and flag same-cycle ordering

@@ -44,6 +44,7 @@ from typing import Callable, Deque, Dict, Optional, Tuple
 from repro.sim.program import LOCK_ACQUIRE, LOCK_RELEASE
 from repro.sim.memsys import REQUEST_BYTES
 from repro.sim.syncif import MechanismBase, SpinWaitMixin, SyncVar, _no_waiter
+from repro.sim.system import mechanism_ops
 
 #: bytes of one word-grain uncacheable access (header + payload).
 WORD_BYTES = 16
@@ -118,8 +119,8 @@ class BakeryMechanism(SpinWaitMixin, MechanismBase):
     its ``2N``-load traffic — the O(N) bakery wall survives elision).
     """
 
-    #: the sync ops this baseline implements.
-    OPS = (LOCK_ACQUIRE, LOCK_RELEASE)
+    #: the sync ops this baseline implements (``MECHANISMS`` declares them).
+    OPS = mechanism_ops("bakery")
 
     name = "bakery"
 

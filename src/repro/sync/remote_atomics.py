@@ -42,6 +42,7 @@ from repro.sim.program import (
     SEM_WAIT,
 )
 from repro.sim.syncif import MechanismBase, SpinWaitMixin, SyncVar, _no_waiter
+from repro.sim.system import mechanism_ops
 
 #: bytes of an rmw request / response message (address + opcode + operand).
 RMW_REQUEST_BYTES = 18
@@ -94,9 +95,8 @@ class RemoteAtomicsMechanism(SpinWaitMixin, MechanismBase):
     """
 
     name = "rmw_spin"
-    #: the sync ops this baseline implements.
-    OPS = (LOCK_ACQUIRE, LOCK_RELEASE, SEM_WAIT, SEM_POST, RW_READ_ACQUIRE,
-           RW_READ_RELEASE, RW_WRITE_ACQUIRE, RW_WRITE_RELEASE)
+    #: the sync ops this baseline implements (``MECHANISMS`` declares them).
+    OPS = mechanism_ops("rmw_spin")
 
     def __init__(self, system):
         super().__init__(system)

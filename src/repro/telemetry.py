@@ -18,9 +18,10 @@ instrumented hot paths pay one attribute load and a cheap call when
 telemetry is off and *never* allocate.  Nothing telemetry records feeds
 back into simulation: simulated physics (cycles, energy, traffic) is
 bit-identical with the bus enabled or disabled — only the reserved
-``telemetry.*`` keys in ``RunMetrics.stats`` (wall-clock profile, see
-:func:`repro.workloads.base.collect_metrics`) appear when it is on, and
-those are stripped before results enter the content-addressed store.
+``telemetry.*`` keys in ``RunMetrics.stats`` (the kernel's wall-clock
+timing, see :func:`repro.workloads.base.collect_metrics`) appear when it
+is on, and those are stripped before results enter the
+content-addressed store.
 
 Enable it for a scope with :func:`telemetry_session` (the CLI's
 ``--telemetry DIR``)::

@@ -19,6 +19,28 @@ from repro.sim.stats import charge_transfers
 from repro.sim.system import NDPSystem
 
 
+class NullObserver:
+    """A kernel drain observer that only counts the events it saw.
+
+    Appending one to ``sim._observers`` routes :meth:`Simulator.run
+    <repro.sim.engine.Simulator.run>` through the observed drain without
+    changing anything it runs, so tests can hold that drain against the
+    fast one.
+    """
+
+    def __init__(self):
+        self.events = 0
+
+    def before_event(self, callback, origin) -> None:
+        pass
+
+    def after_event(self, callback) -> None:
+        self.events += 1
+
+    def end_cycle(self, time) -> None:
+        pass
+
+
 def build_system(config: SystemConfig, mechanism: str = "syncron") -> NDPSystem:
     """Construct an :class:`NDPSystem` for one mechanism under test."""
     return NDPSystem(config, mechanism=mechanism)

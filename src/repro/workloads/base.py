@@ -142,16 +142,16 @@ def collect_metrics(system: NDPSystem, cycles: int, operations: int) -> RunMetri
     # the one part of RunMetrics allowed to differ between elision modes.
     counters["kernel.events_processed"] = float(system.sim.events_processed)
     counters["kernel.elided_events"] = float(system.sim.elided_events)
-    # Wall-clock profile (only when the telemetry bus enabled profiling on
-    # this system): reserved telemetry.* keys, reported like kernel.* but
-    # additionally stripped before results enter the content-addressed
+    # Host wall-clock of the kernel's drains, published only under a
+    # telemetry session: reserved telemetry.* keys, reported like kernel.*
+    # but additionally stripped before results enter the content-addressed
     # store — host wall-clock is not reproducible content.
-    profile = system.sim.profile
-    if profile is not None and profile.wall_seconds > 0.0:
+    tel = get_telemetry()
+    wall = system.sim.wall_seconds
+    if tel.enabled and wall > 0.0:
         events = system.sim.events_processed
         elided = system.sim.elided_events
         logical = events + elided
-        wall = profile.wall_seconds
         counters["telemetry.wall_seconds"] = wall
         counters["telemetry.events_per_sec"] = events / wall
         counters["telemetry.elided_ratio"] = (
@@ -160,15 +160,11 @@ def collect_metrics(system: NDPSystem, cycles: int, operations: int) -> RunMetri
         counters["telemetry.sim_seconds_per_wall_second"] = (
             seconds_from_core_cycles(cycles) / wall
         )
-        for bucket, share in profile.attribution().items():
-            counters[f"telemetry.attr.{bucket}"] = share
-        tel = get_telemetry()
-        if tel.enabled:
-            tel.count("sim.runs")
-            tel.count("sim.events_processed", events)
-            tel.count("sim.elided_events", elided)
-            tel.observe("sim.run_seconds", wall)
-            tel.gauge("sim.last_events_per_sec", events / wall)
+        tel.count("sim.runs")
+        tel.count("sim.events_processed", events)
+        tel.count("sim.elided_events", elided)
+        tel.observe("sim.run_seconds", wall)
+        tel.gauge("sim.last_events_per_sec", events / wall)
     return RunMetrics(
         mechanism=system.mechanism_name,
         cycles=cycles,

@@ -20,7 +20,16 @@ from repro.sim.program import Compute
 from repro.sim.system import NDPSystem
 from repro.workloads.base import Workload
 
-PRIMITIVES = ("lock", "barrier", "semaphore", "condvar")
+#: primitive -> the primitive families its programs issue (the condvar
+#: benchmark holds the condition's lock around every wait and signal).
+PRIMITIVE_FAMILIES = {
+    "lock": ("lock",),
+    "barrier": ("barrier",),
+    "semaphore": ("semaphore",),
+    "condvar": ("lock", "condvar"),
+}
+
+PRIMITIVES = tuple(PRIMITIVE_FAMILIES)
 
 
 class PrimitiveMicrobench(Workload):

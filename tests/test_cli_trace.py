@@ -88,12 +88,21 @@ class TestCliCommands:
          "isolation's 'base_overrides' is a mapping; --arg cannot set it"),
         (["run", "sweep", "--arg", "workloads=stack", "--arg", "seed=abc"],
          "seed must be an int, got 'abc'"),
+        (["run", "sweep", "--arg", "workloads=lock,semaphore",
+          "--arg", "mechanisms=rmw_spin,bakery,syncron", "--arg", "rounds=4",
+          "--dry-run"],
+         "mechanism 'bakery' does not implement sem_wait, sem_post"),
+        (["run", "fig12", "--arg", "combos=bfs.wk",
+          "--arg", "mechanisms=bakery", "--no-cache"],
+         "mechanism 'bakery' does not implement barrier_wait_within_unit, "
+         "barrier_wait_across_units"),
     ], ids=["run-bad-faults", "run-negative-latency", "sweep-missing-channel",
             "run-zero-core-split", "corun-zero-cores", "run-unknown-combo",
             "run-unknown-structure", "run-non-int-interval",
             "run-unknown-mechanism", "run-vary-on-other-plan",
             "run-vary-without-values", "run-vary-through-arg",
-            "run-mapping-through-arg", "run-non-int-seed"])
+            "run-mapping-through-arg", "run-non-int-seed",
+            "dry-run-semaphore-on-bakery", "run-barriers-on-bakery"])
     def test_invalid_override_exits_2_before_simulating(
             self, monkeypatch, capsys, argv, message):
         def simulate(spec):

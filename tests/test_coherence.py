@@ -172,6 +172,29 @@ class TestCoherentLocks:
             system.run_programs({0: bad()})
 
 
+class TestCoherentCore:
+    def test_finished_program_is_never_resumed(self):
+        system = CoherentSystem(cpu_numa())
+        resumes = []
+
+        def program():
+            resumes.append(system.sim.now)
+            yield Compute(10)
+            resumes.append(system.sim.now)
+
+        finish = system.run_programs({0: program()})
+        core = system.cores[0]
+        assert core.finished and core.finish_time == finish == 10
+        # A stray wake-up after the finish neither resumes the program
+        # nor moves its finish time.
+        system.sim.schedule(5, core._advance)
+        system.sim.run()
+        assert system.sim.now == 15
+        assert core.finish_time == 10
+        assert resumes == [0, 10]
+        assert core.operations == 1
+
+
 class TestMotivationShapes:
     def test_table1_contention_and_numa_penalties(self):
         from repro.harness.motivation import table1

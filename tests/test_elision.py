@@ -8,7 +8,7 @@ Three contracts pinned here:
 2. Exception parking — a callback that raises mid-bucket leaves the
    un-executed tail of the queue intact; resuming ``run`` fires each
    remaining event exactly once and never re-fires the raiser, in every
-   drain mode (fast, bounded, profiled, sanitized).
+   drain mode (fast, bounded, observed, sanitized).
 3. Bit-identity — every RunMetrics counter except the reserved ``kernel.*``
    effort counters is identical with ``elide_waits`` on and off, across
    primitives, structures, topologies, mechanisms, and co-runs.
@@ -18,6 +18,7 @@ import pytest
 
 from repro.analysis.sanitizer import AccessRecorder
 from repro.harness.runner import execute_spec
+from repro.testing import NullObserver
 from repro.harness.specs import RunSpec
 from repro.sim.engine import SimulationError, Simulator
 
@@ -111,11 +112,12 @@ def _check_parking(mode):
     """Raise mid-bucket, resume, and pin the parking rule in ``mode``.
 
     ``mode`` picks the drain: ``plain`` takes the fast path, ``until``
-    bounds the run, ``profile``/``sanitizer`` add a drain observer.
+    bounds the run, ``profile`` adds a no-op observer (the hooks a
+    profiler would use) and ``sanitizer`` the sanitizer's recorder.
     """
     sim = Simulator()
     if mode == "profile":
-        sim.enable_profile()
+        sim._observers.append(NullObserver())
     elif mode == "sanitizer":
         sim.enable_sanitizer(AccessRecorder())
     bounds = {"until": 20} if mode == "until" else {}

@@ -7,7 +7,6 @@ relies on so a future optimization cannot silently reorder events:
 - same-timestamp events fire in insertion order, including events inserted
   *during* a same-timestamp batch;
 - ``until`` / ``max_events`` semantics;
-- ``Process.resume`` after finish;
 - scheduling-validation behaviour;
 - exception parking around same-cycle schedules, and one firing order
   across every drain (fast, bounded, observed, stepped);
@@ -24,7 +23,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.sim.engine import Process, SimulationError, Simulator
+from repro.sim.engine import SimulationError, Simulator
+from repro.testing import NullObserver
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -170,7 +170,8 @@ class TestSameCycleRaiser:
     def _run(layout, mode):
         sim = Simulator()
         if mode == "profile":
-            sim.enable_profile()
+            # a no-op observer: the observed drain, as a profiler sees it.
+            sim._observers.append(NullObserver())
         bounds = {"until": 20} if mode == "until" else {}
         fired = []
         raised = []
@@ -254,7 +255,7 @@ def _drive_step(sim):
 
 
 def _drive_observed(sim):
-    sim.enable_profile(sample_every=1)
+    sim._observers.append(NullObserver())
     sim.run()
 
 
@@ -279,34 +280,6 @@ class TestValidation:
         sim.schedule(10, lambda: sim.schedule_at(3, lambda: None))
         with pytest.raises(SimulationError):
             sim.run()
-
-
-class TestProcessResume:
-    def test_resume_after_finish_returns_none_and_fires_hook_once(self):
-        hits = []
-
-        def gen():
-            yield 1
-
-        proc = Process(gen(), on_finish=lambda: hits.append(1))
-        assert proc.resume() == 1
-        assert proc.resume() is None
-        assert proc.resume() is None
-        assert proc.resume() is None
-        assert hits == [1]
-        assert proc.finished
-        assert proc.result is None
-
-    def test_resume_carries_sent_values_and_return(self):
-        def gen():
-            got = yield "op"
-            assert got == 42
-            return "retval"
-
-        proc = Process(gen())
-        assert proc.resume() == "op"
-        assert proc.resume(42) is None
-        assert proc.result == "retval"
 
 
 class TestCollectionSmoke:

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.analysis.sanitizer import AccessRecorder
-from repro.sim.engine import Process, SimulationError, Simulator
+from repro.sim.engine import SimulationError, Simulator
+from repro.testing import NullObserver
 
 
 class TestSimulator:
@@ -96,13 +97,14 @@ class TestSimulator:
 
     def test_profile_and_sanitizer_observe_together(self):
         sim = Simulator()
-        profile = sim.enable_profile(sample_every=8)
+        observer = NullObserver()
+        sim._observers.append(observer)
         recorder = sim.enable_sanitizer(AccessRecorder())
         for i in range(50):
             sim.schedule(i % 7, lambda: None)
         sim.run()
-        assert profile.samples
-        assert profile.wall_seconds > 0
+        assert observer.events == 50
+        assert sim.wall_seconds > 0
         assert recorder.events_observed == 50
 
     @given(st.lists(st.integers(min_value=0, max_value=10_000), min_size=1,
@@ -115,37 +117,3 @@ class TestSimulator:
         sim.run()
         assert seen == sorted(seen)
         assert sim.now == max(delays)
-
-
-class TestProcess:
-    def test_resume_advances_and_returns_yielded(self):
-        def gen():
-            got = yield "first"
-            yield ("second", got)
-
-        proc = Process(gen())
-        assert proc.resume() == "first"
-        assert proc.resume(42) == ("second", 42)
-
-    def test_finish_hook_fires_once(self):
-        hits = []
-
-        def gen():
-            yield 1
-
-        proc = Process(gen(), on_finish=lambda: hits.append(1))
-        proc.resume()
-        assert proc.resume() is None
-        assert proc.resume() is None
-        assert hits == [1]
-        assert proc.finished
-
-    def test_return_value_captured(self):
-        def gen():
-            yield 1
-            return "done"
-
-        proc = Process(gen())
-        proc.resume()
-        proc.resume()
-        assert proc.result == "done"

@@ -7,6 +7,7 @@ import pytest
 
 from repro.harness import runner as runner_mod
 from repro.harness.runner import (
+    execute_spec,
     execution_options,
     run_plan,
     run_specs,
@@ -236,6 +237,111 @@ class TestParallelDeterminism:
         metrics = run_specs([_lock_spec()])[0]
         assert RunMetrics.from_dict(
             json.loads(json.dumps(metrics.as_dict()))) == metrics
+
+
+#: a spec small enough to simulate in a test.
+_TINY = {"num_units": 2, "cores_per_unit": 4, "client_cores_per_unit": 3}
+
+
+def _issued_cases():
+    """(workload, args) per app kernel, structure, primitive, rw mode and
+    a co-run: together they cover every case WORKLOAD_FAMILIES tells apart."""
+    from repro.workloads.datastructures import ALL_STRUCTURES
+    from repro.workloads.graphs import ALL_KERNELS
+
+    primitives = [{"primitive": primitive, "interval": 50, "rounds": 2}
+                  for primitive in ("lock", "barrier", "semaphore",
+                                    "condvar")]
+    return [
+        *(("app", {"combo": f"{kernel}.wk"}) for kernel in ALL_KERNELS),
+        ("app", {"combo": "ts.air"}),
+        *(("structure", {"structure": name}) for name in ALL_STRUCTURES),
+        *(("primitive", args) for args in primitives),
+        *((workload, {"mutex_mode": mode})
+          for workload in ("rwbench", "unionfind") for mode in (False, True)),
+        ("corun", {"tenants": [{"workload": "primitive",
+                                "args": primitives[3]},
+                               {"workload": "rwbench", "args": {}}]}),
+    ]
+
+
+_ISSUED_CASES = _issued_cases()
+
+
+class TestMechanismCapability:
+    """Planning rejects a mechanism that lacks a primitive family the
+    spec's programs issue, and accepts exactly the specs that run."""
+
+    def test_table_declares_each_class_ops(self):
+        from repro.sim.system import MECHANISMS, mechanism_class, mechanism_ops
+
+        for name in MECHANISMS:
+            assert mechanism_class(name).OPS == mechanism_ops(name)
+
+    @pytest.mark.parametrize("mechanism", ["rmw_spin", "bakery"])
+    @pytest.mark.parametrize("primitive",
+                             ["lock", "barrier", "semaphore", "condvar"])
+    def test_planning_accepts_exactly_what_runs(self, mechanism, primitive):
+        args = {"primitive": primitive, "interval": 50, "rounds": 2}
+        try:
+            spec = RunSpec.make("primitive", mechanism, args=args,
+                                overrides=_TINY)
+        except ValueError as exc:
+            assert f"mechanism {mechanism!r} does not implement" in str(exc)
+            return
+        assert execute_spec(spec)["result"]["cycles"] > 0
+
+    @pytest.mark.parametrize("workload,args,mechanism,ok", [
+        ("app", {"combo": "tf.wk"}, "bakery", True),
+        ("app", {"combo": "bfs.wk"}, "bakery", False),
+        ("app", {"combo": "ts.air"}, "bakery", False),
+        ("structure", {"structure": "stack"}, "bakery", True),
+        ("rwbench", {}, "bakery", False),
+        ("rwbench", {"mutex_mode": True}, "bakery", True),
+        ("rwbench", {}, "rmw_spin", True),
+        ("unionfind", {}, "bakery", False),
+        ("unionfind", {"mutex_mode": True}, "bakery", True),
+        ("corun", {"tenants": [
+            {"workload": "primitive",
+             "args": {"primitive": "lock", "interval": 50, "rounds": 2}},
+            {"workload": "primitive",
+             "args": {"primitive": "semaphore", "interval": 50,
+                      "rounds": 2}}]}, "bakery", False),
+        ("corun", {"tenants": [
+            {"workload": "primitive",
+             "args": {"primitive": "semaphore", "interval": 50,
+                      "rounds": 2}}]}, "rmw_spin", True),
+    ])
+    def test_families_per_builder(self, workload, args, mechanism, ok):
+        if ok:
+            RunSpec.make(workload, mechanism, args=args)
+        else:
+            with pytest.raises(ValueError, match="does not implement"):
+                RunSpec.make(workload, mechanism, args=args)
+
+    def test_every_builder_has_issued_cases(self):
+        assert ({workload for workload, _ in _ISSUED_CASES}
+                == set(specs_mod.WORKLOAD_FAMILIES))
+
+    @pytest.mark.parametrize("workload,args", _ISSUED_CASES)
+    def test_declared_families_are_the_issued_ones(self, monkeypatch,
+                                                   workload, args):
+        """WORKLOAD_FAMILIES says what the built programs really issue:
+        every sync request is recorded at admission while the spec runs."""
+        from repro.sim.program import OP_KINDS
+        from repro.sim.syncif import MechanismBase
+
+        issued = set()
+        admit = MechanismBase._admit
+
+        def recording_admit(self, op, var):
+            issued.add(OP_KINDS[op])
+            admit(self, op, var)
+
+        monkeypatch.setattr(MechanismBase, "_admit", recording_admit)
+        spec = RunSpec.make(workload, "ideal", args=args, overrides=_TINY)
+        execute_spec(spec)
+        assert issued == set(specs_mod.WORKLOAD_FAMILIES[workload](**args))
 
 
 class TestSweepSpec:

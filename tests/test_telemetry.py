@@ -30,6 +30,7 @@ from repro.harness.reporting import format_table
 from repro.harness.runner import execute_spec, execution_options, run_specs
 from repro.harness.specs import RunSpec
 from repro.harness.store import ShardedDirStore
+from repro.workloads import base as workloads_base
 from repro.telemetry import (
     HISTOGRAM_BUCKETS,
     NullTelemetry,
@@ -185,24 +186,37 @@ class TestSession:
 # 3. Physics isolation
 # ----------------------------------------------------------------------
 class TestPhysicsIsolation:
-    def test_profiled_run_is_bit_identical_plus_telemetry_keys(self):
-        spec = small_spec()
+    def test_profiled_run_is_bit_identical_plus_telemetry_keys(
+            self, monkeypatch):
+        # rmw_spin elides polls, so every telemetry key reads positive.
+        spec = RunSpec.make("primitive", mechanism="rmw_spin",
+                            args={"primitive": "lock", "interval": 120,
+                                  "rounds": 6}, overrides=SMALL)
         plain = execute_spec(spec)["result"]
+        observers = []
+        collect = workloads_base.collect_metrics
+
+        def spy(system, *args):
+            observers.append(list(system.sim._observers))
+            return collect(system, *args)
+
+        monkeypatch.setattr(workloads_base, "collect_metrics", spy)
         with telemetry_session():
             profiled = execute_spec(spec)["result"]
+        assert observers == [[]]  # telemetry takes the fast drain
         tel_keys = {k for k in profiled["stats"]
                     if k.startswith("telemetry.")}
-        assert tel_keys  # the wall-clock profile was attached
+        assert tel_keys  # the wall-clock timing was published
         assert "telemetry.wall_seconds" in tel_keys
         assert "telemetry.events_per_sec" in tel_keys
         stripped = dict(profiled)
         stripped["stats"] = {k: v for k, v in profiled["stats"].items()
                              if k not in tel_keys}
         assert stripped == plain  # physics bit-identical
-        # attribution fractions cover the whole sampled run
-        attr = [v for k, v in profiled["stats"].items()
-                if k.startswith("telemetry.attr.")]
-        assert attr and sum(attr) == pytest.approx(1.0)
+        for key in ("telemetry.wall_seconds", "telemetry.events_per_sec",
+                    "telemetry.elided_ratio",
+                    "telemetry.sim_seconds_per_wall_second"):
+            assert profiled["stats"][key] > 0
 
     def test_bus_counters_track_simulation(self):
         with telemetry_session() as tel:
@@ -218,7 +232,7 @@ class TestPhysicsIsolation:
             with execution_options(cache=True,
                                    store=f"dir:{tmp_path}/cache"):
                 results = run_specs([spec])
-        # caller still sees the wall-clock profile...
+        # caller still sees the wall-clock timing...
         assert any(k.startswith("telemetry.")
                    for k in results[0].stats)
         # ...but the durable record is reproducible content only
