@@ -12,8 +12,10 @@ interpreter that imports that tree's ``repro`` and builds the workload's
 spec list from that tree's unmodified ``e2ebench/suite.py``.  For every
 round a worker forks a child that runs the whole spec list through
 ``repro.harness.runner.run_specs`` with one worker and an empty result
-store, exactly as an e2ebench pass does, and reports the seconds
-``run_specs`` took and each spec's physics digest.  Forking keeps
+store, exactly as an e2ebench pass does, and reports the wall seconds
+``run_specs`` took, the child's CPU seconds over the same span
+(``time.process_time()``, which a busy neighbour on the host inflates
+less than wall time) and each spec's physics digest.  Forking keeps
 in-process memos (such as the time-series distance cache) empty at the
 start of every round, as they are in a fresh e2ebench pass, while the
 imports stay warm; the worker starts no threads, so forking it is safe.
@@ -22,10 +24,10 @@ Warm rounds exclude start-up: interpreter launch, imports and spec
 planning happen once per worker, so the numbers are not comparable with
 e2ebench's ``wall_s`` (nor host-scaled); they compare the two trees only.
 The trees alternate which goes first each round, so host-speed drift
-lands on both.  The script prints both trees' median seconds, the median
-of the per-round B/A ratios and how many rounds B won, after one untimed
-warm-up round per tree.  It exits 1 if any spec's physics digest differs
-between the trees.
+lands on both.  After one untimed warm-up round per tree, the script
+prints, for wall and for CPU seconds, each tree's median and quartiles,
+the median of the per-round B/A ratios and how many rounds B won.  It
+exits 1 if any spec's physics digest differs between the trees.
 """
 
 from __future__ import annotations
@@ -57,14 +59,16 @@ def serve(tree: str, workload: str, seed: int) -> None:
             os.close(read_fd)
             store = tempfile.mkdtemp(prefix="ab-e2e-store-")
             try:
-                start = time.monotonic()
+                start, cpu_start = time.monotonic(), time.process_time()
                 results = runner.run_specs(specs, workers=1, cache=True,
                                            store=f"dir:{store}")
                 seconds = time.monotonic() - start
+                cpu = time.process_time() - cpu_start
                 digests = {spec.describe(): physics_digest(result)
                            for spec, result in zip(specs, results)}
                 with os.fdopen(write_fd, "w") as out:
-                    json.dump({"seconds": seconds, "digests": digests}, out)
+                    json.dump({"seconds": seconds, "cpu": cpu,
+                               "digests": digests}, out)
             finally:
                 shutil.rmtree(store, ignore_errors=True)
                 os._exit(0)
@@ -73,6 +77,15 @@ def serve(tree: str, workload: str, seed: int) -> None:
             payload = reply.read()
         os.waitpid(pid, 0)
         print(payload or json.dumps({"error": "round failed"}), flush=True)
+
+
+def quartiles(values):
+    """(first quartile, median, third quartile) of ``values``; one value
+    is its own quartiles."""
+    if len(values) < 2:
+        return values[0], values[0], values[0]
+    low, mid, high = statistics.quantiles(values, n=4)
+    return low, mid, high
 
 
 class Worker:
@@ -124,32 +137,40 @@ def main(argv=None) -> int:
     workers = [Worker(tree, args.workload, args.seed) for tree in args.trees]
     try:
         reference, other = (w.run()["digests"] for w in workers)  # warm-up
-        seconds = ([], [])
+        measures = {"wall": ([], []), "cpu": ([], [])}
         mismatched = {label for label in set(reference) | set(other)
                       if reference.get(label) != other.get(label)}
         for index in range(args.rounds):
             order = (0, 1) if index % 2 == 0 else (1, 0)
             for side in order:
                 reply = workers[side].run()
-                seconds[side].append(reply["seconds"])
+                measures["wall"][side].append(reply["seconds"])
+                measures["cpu"][side].append(reply["cpu"])
                 mismatched |= {label for label, digest
                                in reply["digests"].items()
                                if digest != reference.get(label)}
-            print(f"round {index + 1}: A {seconds[0][-1]:.3f} s, "
-                  f"B {seconds[1][-1]:.3f} s "
+            wall, cpu = measures["wall"], measures["cpu"]
+            print(f"round {index + 1}: A {wall[0][-1]:.3f} s "
+                  f"(cpu {cpu[0][-1]:.3f}), B {wall[1][-1]:.3f} s "
+                  f"(cpu {cpu[1][-1]:.3f}) "
                   f"({'A' if order[0] == 0 else 'B'} first)", flush=True)
     finally:
         for worker in workers:
             worker.close()
 
-    ratios = [b / a for a, b in zip(*seconds)]
-    wins = sum(b < a for a, b in zip(*seconds))
     print(f"{args.workload}, seed {args.seed}, {args.rounds} rounds "
           f"(warm workers, start-up excluded)")
-    print(f"  A median {statistics.median(seconds[0]):.3f} s  {workers[0].tree}")
-    print(f"  B median {statistics.median(seconds[1]):.3f} s  {workers[1].tree}")
-    print(f"  median B/A {statistics.median(ratios):.4f}, "
-          f"B faster in {wins} of {args.rounds} rounds")
+    for tree, worker in zip("AB", workers):
+        print(f"  {tree} = {worker.tree}")
+    for name, (a_side, b_side) in measures.items():
+        for tree, values in (("A", a_side), ("B", b_side)):
+            low, mid, high = quartiles(values)
+            print(f"  {name:4} {tree} median {mid:.3f} s, "
+                  f"quartiles {low:.3f}-{high:.3f} s")
+        ratios = [b / a for a, b in zip(a_side, b_side)]
+        wins = sum(b < a for a, b in zip(a_side, b_side))
+        print(f"  {name:4} median B/A {statistics.median(ratios):.4f}, "
+              f"B faster in {wins} of {args.rounds} rounds")
     if mismatched:
         print(f"  physics digests differ on {len(mismatched)} specs: "
               f"{sorted(mismatched)}")

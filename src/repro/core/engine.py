@@ -188,7 +188,7 @@ class SyncEngine(ProtocolMixin):
         (non-master, overflowed) SE redirected the message to the Master SE.
         """
         addr = msg.var.addr
-        entry = self.st.lookup(addr)
+        entry = self.st.entries.get(addr)
         if entry is not None:
             return entry, False
 
@@ -298,9 +298,10 @@ class SyncEngine(ProtocolMixin):
                 self.counters.decrement(var.addr)
                 state.counter_debt -= 1
             self.store.drop(var.addr)
-        else:
-            if self.st.release_if_idle(state):
-                self.stats.st_releases += 1
+        elif state.addr in self.st.entries:
+            # idle was checked above; release without a second check.
+            self.st.release(state.addr)
+            self.stats.st_releases += 1
 
     # ------------------------------------------------------------------
     # Outbound messages
@@ -416,7 +417,7 @@ class SynCronMechanism(MechanismBase):
     def destroy_var(self, var: SyncVar) -> None:
         """Table 2 ``destroy_syncvar``: drop any quiescent state."""
         for se in self.ses:
-            entry = se.st.lookup(var.addr)
+            entry = se.st.entries.get(var.addr)
             if entry is not None:
                 entry.table_info = 0
                 se.st.release_if_idle(entry)

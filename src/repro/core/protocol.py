@@ -119,7 +119,7 @@ class ProtocolMixin:
             self.send_se(item[2], Opcode.LOCK_GRANT_OVERFLOW, var, core=item[1])
 
     def _on_lock_grant_global(self, msg: Message) -> None:
-        entry = self.st.lookup(msg.var.addr)
+        entry = self.st.entries.get(msg.var.addr)
         if entry is None:
             raise ProtocolError(f"lock grant for unknown variable {msg.var.name}")
         entry.has_control = True
@@ -132,7 +132,7 @@ class ProtocolMixin:
         self.send_grant(msg.core)
 
     def _on_lock_release_local(self, msg: Message) -> None:
-        entry = self.st.lookup(msg.var.addr)
+        entry = self.st.entries.get(msg.var.addr)
         if entry is None:
             self._lock_release_no_entry(msg)
             return
@@ -302,7 +302,7 @@ class ProtocolMixin:
         self._maybe_free_state(state, var, in_memory)
 
     def _on_barrier_depart_global(self, msg: Message) -> None:
-        entry = self.st.lookup(msg.var.addr)
+        entry = self.st.entries.get(msg.var.addr)
         if entry is None:
             raise ProtocolError(f"barrier departure for unknown {msg.var.name}")
         for core in entry.local_waitlist:
@@ -362,7 +362,7 @@ class ProtocolMixin:
             state.global_waitlist.append(("ovf", msg.core, msg.src_se))
 
     def _on_sem_grant_global(self, msg: Message) -> None:
-        entry = self.st.lookup(msg.var.addr)
+        entry = self.st.entries.get(msg.var.addr)
         if entry is None or not entry.local_waitlist:
             raise ProtocolError(f"semaphore grant with no local waiter ({msg.var.name})")
         self.send_grant(entry.local_waitlist.popleft())
@@ -478,7 +478,7 @@ class ProtocolMixin:
         self._cond_signal_master(msg, wake_all=True)
 
     def _cond_signal_master(self, msg: Message, wake_all: bool) -> None:
-        entry = self.st.lookup(msg.var.addr)
+        entry = self.st.entries.get(msg.var.addr)
         sv = self.store.lookup(msg.var.addr)
         if entry is None and sv is None:
             return  # no waiters: the signal is lost (POSIX semantics)
@@ -514,7 +514,7 @@ class ProtocolMixin:
         return False
 
     def _on_cond_grant_global(self, msg: Message) -> None:
-        entry = self.st.lookup(msg.var.addr)
+        entry = self.st.entries.get(msg.var.addr)
         if entry is None or not entry.local_waitlist:
             raise ProtocolError(f"condvar grant with no local waiter ({msg.var.name})")
         core, lock_var = entry.local_waitlist.popleft()

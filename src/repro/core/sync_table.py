@@ -21,50 +21,80 @@ budget) so simulations are reproducible.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Deque, Dict, Iterator, Optional
+from typing import Deque, Dict, Iterator, Optional, Set
 
 
 class STFullError(Exception):
     """Raised when allocation is attempted on a fully-occupied ST."""
 
 
-@dataclass(slots=True)
 class STEntry:
-    """One occupied ST entry (Fig. 7).  Slotted: one is built per allocation
-    and per ``syncronVar``."""
+    """One occupied ST entry (Fig. 7).
 
-    addr: int
-    var: "object"
-    #: FIFO of local core ids waiting on this variable (local waiting list).
-    local_waitlist: Deque[int] = field(default_factory=deque)
-    #: FIFO of SE ids waiting on this variable (global waiting list; only
-    #: meaningful at the Master SE).
-    global_waitlist: Deque[int] = field(default_factory=deque)
-    #: primitive-specific payload (TableInfo, Fig. 7).
-    table_info: int = 0
+    A plain slotted class with a hand-written ``__init__``: one is built
+    per allocation and per ``syncronVar``, on the SE message path.  Entries
+    compare by identity; the protocol only ever asks whether an entry is
+    the one in a table.
+    """
 
-    # -- protocol scratch state (registers the SPU keeps per transaction) --
-    #: lock: local core currently owning the lock, if granted locally.
-    local_owner: Optional[int] = None
-    #: lock: SE currently holding lock control at the Master (global id).
-    owner_se: Optional[int] = None
-    #: lock (non-master SE): whether this SE currently holds control.
-    has_control: bool = False
-    #: lock (non-master SE): a global acquire has been sent and not answered.
-    pending_global: bool = False
-    #: barrier: number of local arrivals so far.
-    arrived: int = 0
-    #: barrier: expected arrivals (from MessageInfo).
-    expected: int = 0
-    #: Sec. 4.4.2 fairness: consecutive local grants.
-    local_grant_counter: int = 0
-    #: Master-side: SE ids currently in overflow for this variable (mirrors
-    #: the syncronVar OverflowInfo bits when the master still has an entry).
-    overflow_ses: set = field(default_factory=set)
-    #: Master-side: how many indexing-counter increments this memory-resident
-    #: state has outstanding (balanced when the state is freed).
-    counter_debt: int = 0
+    __slots__ = ("addr", "var", "local_waitlist", "global_waitlist",
+                 "table_info", "local_owner", "owner_se", "has_control",
+                 "pending_global", "arrived", "expected",
+                 "local_grant_counter", "overflow_ses", "counter_debt")
+
+    def __init__(self, addr: int, var: object,
+                 local_waitlist: Optional[Deque[int]] = None,
+                 global_waitlist: Optional[Deque[int]] = None,
+                 table_info: int = 0,
+                 local_owner: Optional[int] = None,
+                 owner_se: Optional[int] = None,
+                 has_control: bool = False,
+                 pending_global: bool = False,
+                 arrived: int = 0,
+                 expected: int = 0,
+                 local_grant_counter: int = 0,
+                 overflow_ses: Optional[Set[int]] = None,
+                 counter_debt: int = 0):
+        self.addr = addr
+        self.var = var
+        #: FIFO of local core ids waiting on this variable (local waiting
+        #: list); a fresh deque when not given.
+        self.local_waitlist = deque() if local_waitlist is None else local_waitlist
+        #: FIFO of SE ids waiting on this variable (global waiting list;
+        #: only meaningful at the Master SE).
+        self.global_waitlist = (deque() if global_waitlist is None
+                                else global_waitlist)
+        #: primitive-specific payload (TableInfo, Fig. 7).
+        self.table_info = table_info
+        # -- protocol scratch state (registers the SPU keeps per transaction)
+        #: lock: local core currently owning the lock, if granted locally.
+        self.local_owner = local_owner
+        #: lock: SE currently holding lock control at the Master (global id).
+        self.owner_se = owner_se
+        #: lock (non-master SE): whether this SE currently holds control.
+        self.has_control = has_control
+        #: lock (non-master SE): a global acquire has been sent and not
+        #: answered.
+        self.pending_global = pending_global
+        #: barrier: number of local arrivals so far.
+        self.arrived = arrived
+        #: barrier: expected arrivals (from MessageInfo).
+        self.expected = expected
+        #: Sec. 4.4.2 fairness: consecutive local grants.
+        self.local_grant_counter = local_grant_counter
+        #: Master-side: SE ids currently in overflow for this variable
+        #: (mirrors the syncronVar OverflowInfo bits when the master still
+        #: has an entry); a fresh set when not given.
+        self.overflow_ses = set() if overflow_ses is None else overflow_ses
+        #: Master-side: how many indexing-counter increments this
+        #: memory-resident state has outstanding (balanced when the state
+        #: is freed).
+        self.counter_debt = counter_debt
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        fields = ", ".join(f"{name}={getattr(self, name)!r}"
+                           for name in self.__slots__)
+        return f"STEntry({fields})"
 
     def is_idle(self) -> bool:
         """True when nothing references the entry and it can be freed."""
@@ -97,7 +127,10 @@ class SynchronizationTable:
         if entries < 1:
             raise ValueError("ST needs at least one entry")
         self.capacity = entries
-        self._entries: Dict[int, STEntry] = {}
+        #: address -> occupied entry.  The SE's handlers look entries up
+        #: here directly (``st.entries.get(addr)``); only :meth:`allocate`
+        #: and :meth:`release` change it, so occupancy folds stay exact.
+        self.entries: Dict[int, STEntry] = {}
         #: where occupancy samples are folded, under this id.
         self._stats = stats
         self.se_id = se_id
@@ -112,37 +145,34 @@ class SynchronizationTable:
         """Book the pending occupancy samples at the current occupancy."""
         if self.unsampled:
             self._stats.record_st_occupancy(
-                self.se_id, len(self._entries), self.unsampled)
+                self.se_id, len(self.entries), self.unsampled)
             self.unsampled = 0
 
     # ------------------------------------------------------------------
-    def lookup(self, addr: int) -> Optional[STEntry]:
-        return self._entries.get(addr)
-
     def allocate(self, var) -> STEntry:
         """Reserve a new entry for ``var``; raises :class:`STFullError`."""
-        if var.addr in self._entries:
+        entries = self.entries
+        addr = var.addr
+        if addr in entries:
             raise ValueError(f"variable {var.name} already has an ST entry")
-        if self.is_full:
+        if len(entries) >= self.capacity:
             raise STFullError(f"ST full ({self.capacity} entries)")
         self.flush_occupancy()
-        entry = STEntry(addr=var.addr, var=var)
-        entries = self._entries
-        entries[var.addr] = entry
+        entry = entries[addr] = STEntry(addr, var)
         self.allocations += 1
         if len(entries) > self.peak_occupancy:
             self.peak_occupancy = len(entries)
         return entry
 
     def release(self, addr: int) -> None:
-        if addr not in self._entries:
+        if addr not in self.entries:
             raise KeyError(f"no ST entry for address {addr:#x}")
         self.flush_occupancy()
-        del self._entries[addr]
+        del self.entries[addr]
 
     def release_if_idle(self, entry: STEntry) -> bool:
         """Free the entry when the protocol no longer needs it."""
-        if entry.addr in self._entries and entry.is_idle():
+        if entry.addr in self.entries and entry.is_idle():
             self.release(entry.addr)
             return True
         return False
@@ -150,14 +180,14 @@ class SynchronizationTable:
     # ------------------------------------------------------------------
     @property
     def occupied(self) -> int:
-        return len(self._entries)
+        return len(self.entries)
 
     @property
     def is_full(self) -> bool:
-        return len(self._entries) >= self.capacity
+        return len(self.entries) >= self.capacity
 
     def __iter__(self) -> Iterator[STEntry]:
-        return iter(self._entries.values())
+        return iter(self.entries.values())
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self.entries)

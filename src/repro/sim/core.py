@@ -150,7 +150,10 @@ class NDPCore:
                      self._advance)
 
     def _batch_op(self, op: Batch) -> None:
-        """Resolve a whole Compute/Load/Store sequence in one event."""
+        """Resolve a whole Compute/Load/Store sequence in one event.
+
+        Sub-ops dispatch by exact class, as :data:`_OP_DISPATCH` does
+        (``Batch`` admits only these three classes, not subclasses)."""
         now = self.sim.now
         cursor = now
         ops = op.ops
@@ -162,12 +165,13 @@ class NDPCore:
         unit, l1 = self.unit_id, self.l1
         retired = 0
         for sub in ops:
-            if isinstance(sub, Compute):
+            cls = sub.__class__
+            if cls is Compute:
                 retired += sub.instructions
                 cursor += sub.instructions
             else:
                 retired += 1
-                latency = access(unit, l1, sub.addr, isinstance(sub, Store),
+                latency = access(unit, l1, sub.addr, cls is Store,
                                  sub.cacheable, cursor, sub.size)
                 cursor += latency if latency > 1 else 1
         self.instructions_retired += retired

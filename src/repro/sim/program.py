@@ -22,11 +22,29 @@ Operations:
 
 Ops are value objects: they compare and hash by their fields and are never
 mutated after they are built; the core model only reads them.  So one op
-object may be yielded any number of times, by any number of programs: the
-SCRIMP step in :mod:`repro.workloads.timeseries`, the hottest program,
-yields ops its workload's ``build`` constructed once per run.  Other
-programs allocate one per yield, so the ops are slotted, unfrozen
-dataclasses; a frozen dataclass's ``__init__`` sets every field through
+object may be yielded any number of times, by any number of programs, and
+the hot programs yield ops built once per run:
+
+- the SCRIMP step in :mod:`repro.workloads.timeseries` builds its fixed
+  ops in the workload's ``build``;
+- the data structures in :mod:`repro.workloads.datastructures`
+  (``linkedlist``, ``skiplist``, ``hashtable``, ``stack``,
+  ``priority_queue`` and both BSTs) give each
+  :class:`~repro.workloads.datastructures.common.Node` its lock's
+  acquire/release ops and an uncacheable load/store of its line when it is
+  allocated, keep per-lock ops for locks outside nodes, and share their
+  ``Compute`` constants (``queue`` and ``arraymap`` still build theirs
+  per yield);
+- the graph kernels build each vertex's ``locked_update`` /
+  ``unlock_after_update`` op tuples on its first update
+  (:class:`~repro.workloads.graphs.runtime.GraphKernelWorkload`), and
+  their round barriers' ops once per run.
+
+A :class:`Batch` whose contents depend on the traversal (a search path, a
+hash chain, a heap's sift path, an adjacency scan) is still built per
+operation, from those prebuilt ops.  The ops are slotted, unfrozen
+dataclasses because the remaining programs still allocate one per yield;
+a frozen dataclass's ``__init__`` sets every field through
 ``object.__setattr__``, which costs about three times as much per op.
 Each class's ``__post_init__`` still validates it once, on construction.
 """
@@ -121,6 +139,9 @@ OP_KINDS = {
 }
 
 
+_BATCHABLE = (Compute, Load, Store)
+
+
 @dataclass(slots=True, unsafe_hash=True)
 class Batch:
     """A sequence of Compute/Load/Store ops resolved in one simulator event.
@@ -130,14 +151,16 @@ class Batch:
     (the batch's resource reservations are not interleaved with other cores
     at sub-batch granularity) for a large event-count reduction — essential
     for traversal-heavy workloads (graph edge scans, tree searches).
-    Synchronization operations are not allowed inside a batch.
+    Synchronization operations are not allowed inside a batch.  Like the
+    core's dispatch, the check is by exact class: a subclass of an op
+    class is not an op the core resolves.
     """
 
     ops: tuple
 
     def __post_init__(self):
         for op in self.ops:
-            if not isinstance(op, (Compute, Load, Store)):
+            if op.__class__ not in _BATCHABLE:
                 raise TypeError(
                     f"Batch only accepts Compute/Load/Store, got {op!r}"
                 )

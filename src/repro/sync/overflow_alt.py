@@ -42,7 +42,7 @@ class _AbortModeSE(SyncEngine):
         if self.is_master(msg.var) and self.mech.is_fallback_var(addr):
             self.mech.forward_to_fallback(self, msg)
             return None, False
-        entry = self.st.lookup(addr)
+        entry = self.st.entries.get(addr)
         if entry is not None:
             return entry, False
         if not self.is_master(msg.var):
@@ -84,7 +84,7 @@ class _FallbackServer(ServerEngine):
         left = self.mech._inflight.get(addr, 0) - 1
         self.mech._inflight[addr] = max(left, 0)
         super().dispatch(msg)
-        if left <= 0 and self.st.lookup(addr) is None:
+        if left <= 0 and addr not in self.st.entries:
             # The last in-flight message has been processed and the state is
             # gone: now the switch back to hardware is safe.
             self.mech.on_fallback_drained(self, msg.var)
@@ -108,7 +108,7 @@ class _FallbackServer(ServerEngine):
 
     def _maybe_free_state(self, state, var, in_memory: bool) -> None:
         super()._maybe_free_state(state, var, in_memory)
-        if self.st.lookup(var.addr) is None and self.mech._inflight.get(var.addr, 0) == 0:
+        if var.addr not in self.st.entries and self.mech._inflight.get(var.addr, 0) == 0:
             self.mech.on_fallback_drained(self, var)
 
 

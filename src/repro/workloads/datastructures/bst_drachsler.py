@@ -12,11 +12,15 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from repro.core import api
-from repro.sim.program import Batch, Compute, Load, Store
+from repro.sim.program import Batch, Compute
 from repro.sim.system import NDPSystem
 from repro.workloads.base import scaled
 from repro.workloads.datastructures.common import DataStructureWorkload, Node
+
+#: a search step's key compare and the back-off before a retry (ops are
+#: shared value objects).
+_SEARCH_COMPUTE = Compute(6)
+_BACKOFF = Compute(10)
 
 
 class BSTDrachslerWorkload(DataStructureWorkload):
@@ -43,7 +47,8 @@ class BSTDrachslerWorkload(DataStructureWorkload):
                 return None
             mid = (lo + hi) // 2
             node = self.alloc_node(
-                system, keys[mid], unit=rng.randrange(units), with_lock=True
+                system, keys[mid], unit=rng.randrange(units), with_lock=True,
+                load=True, store=True,
             )
             node.left = build(lo, mid - 1)
             node.right = build(mid + 1, hi)
@@ -88,8 +93,8 @@ class BSTDrachslerWorkload(DataStructureWorkload):
                 search_ops = []
                 probe = node
                 for _ in range(12):
-                    search_ops.append(Load(probe.addr, cacheable=False))
-                    search_ops.append(Compute(6))
+                    search_ops.append(probe.load)
+                    search_ops.append(_SEARCH_COMPUTE)
                     probe = probe.prev if probe.prev is not None else probe
                 yield Batch(tuple(search_ops))
 
@@ -99,9 +104,9 @@ class BSTDrachslerWorkload(DataStructureWorkload):
                 while True:
                     pred = node.prev
                     first, second = (pred, node) if pred is not None else (node, None)
-                    yield api.lock_acquire(first.lock)
+                    yield first.acquire
                     if second is not None:
-                        yield api.lock_acquire(second.lock)
+                        yield second.acquire
                     valid = node.prev is pred and (
                         pred is None or (not pred.deleted and pred.next is node)
                     )
@@ -112,13 +117,13 @@ class BSTDrachslerWorkload(DataStructureWorkload):
                         if node.next is not None:
                             node.next.prev = node.prev
                         self.deleted_count += 1
-                        yield Store(node.addr, cacheable=False)
+                        yield node.store
                     if second is not None:
-                        yield api.lock_release(second.lock)
-                    yield api.lock_release(first.lock)
+                        yield second.release
+                    yield first.release
                     if valid:
                         break
-                    yield Compute(10)  # back off before re-reading neighbours
+                    yield _BACKOFF  # back off before re-reading neighbours
                 self.record_op()
 
         return program()

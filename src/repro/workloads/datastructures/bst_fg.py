@@ -13,11 +13,15 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from repro.core import api
-from repro.sim.program import Compute, Load
+from repro.sim.program import Batch, Compute, Load
 from repro.sim.system import NDPSystem
 from repro.workloads.base import scaled
 from repro.workloads.datastructures.common import DataStructureWorkload, Node
+
+#: the key compare at each traversal step, and the validate under the locks
+#: (ops are shared value objects).
+_VISIT_COMPUTE = Compute(3)
+_VALIDATE_COMPUTE = Compute(4)
 
 
 class BSTFineGrainedWorkload(DataStructureWorkload):
@@ -43,7 +47,8 @@ class BSTFineGrainedWorkload(DataStructureWorkload):
                 return None
             mid = (lo + hi) // 2
             node = self.alloc_node(
-                system, keys[mid], unit=rng.randrange(units), with_lock=True
+                system, keys[mid], unit=rng.randrange(units), with_lock=True,
+                load=True,
             )
             node.left = build(lo, mid - 1)
             node.right = build(mid + 1, hi)
@@ -54,8 +59,6 @@ class BSTFineGrainedWorkload(DataStructureWorkload):
 
     def core_program(self, system: NDPSystem, core_id: int):
         rng = self.rng_for_core(core_id)
-
-        from repro.sim.program import Batch
 
         def program():
             for _ in range(self.ops_per_core):
@@ -73,24 +76,24 @@ class BSTFineGrainedWorkload(DataStructureWorkload):
                 yield Batch(tuple(
                     op
                     for visited in path
-                    for op in (Load(visited.addr), Compute(3))
+                    for op in (Load(visited.addr), _VISIT_COMPUTE)
                 ))
                 # Operation window: lock parent then node (top-down order on
                 # tree paths — acyclic, hence deadlock-free), validate and
                 # read the payload under the locks.
                 first = parent if parent is not None else node
                 second = node if parent is not None else None
-                yield api.lock_acquire(first.lock)
+                yield first.acquire
                 if second is not None:
-                    yield api.lock_acquire(second.lock)
-                yield Load(first.addr, cacheable=False)
+                    yield second.acquire
+                yield first.load
                 if second is not None:
-                    yield Load(second.addr, cacheable=False)
-                yield Compute(4)
+                    yield second.load
+                yield _VALIDATE_COMPUTE
                 found = node.key == key
                 if second is not None:
-                    yield api.lock_release(second.lock)
-                yield api.lock_release(first.lock)
+                    yield second.release
+                yield first.release
                 if found:
                     self.hits += 1
                 self.record_op()

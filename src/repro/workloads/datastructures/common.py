@@ -20,24 +20,42 @@ from __future__ import annotations
 import random
 from typing import Dict, List, Optional
 
+from repro.core import api
+from repro.sim.program import Load, Store
 from repro.sim.syncif import SyncVar
 from repro.sim.system import NDPSystem
 from repro.workloads.base import Workload, scaled
 
 
 class Node:
-    """A heap node with a simulated address and functional payload."""
+    """A heap node with a simulated address and functional payload.
+
+    A node also carries the ops programs yield for it, built once here
+    (ops are never-mutated value objects, see :mod:`repro.sim.program`):
+    ``acquire`` / ``release`` of its lock when it has one, and, when its
+    structure asks for them, ``load`` / ``store``, an uncacheable access to
+    its line.  Ops not built stay None, so a node holds only what its
+    structure yields.
+    """
 
     __slots__ = ("key", "value", "addr", "unit", "lock", "next", "prev",
-                 "left", "right", "level_next", "deleted")
+                 "left", "right", "level_next", "deleted",
+                 "load", "store", "acquire", "release")
 
     def __init__(self, key: int, addr: int, unit: int,
-                 lock: Optional[SyncVar] = None):
+                 lock: Optional[SyncVar] = None, load: bool = False,
+                 store: bool = False):
         self.key = key
         self.value = key
         self.addr = addr
         self.unit = unit
         self.lock = lock
+        self.acquire = self.release = None
+        if lock is not None:
+            self.acquire = api.lock_acquire(lock)
+            self.release = api.lock_release(lock)
+        self.load = Load(addr, cacheable=False) if load else None
+        self.store = Store(addr, cacheable=False) if store else None
         self.next: Optional["Node"] = None
         self.prev: Optional["Node"] = None
         self.left: Optional["Node"] = None
@@ -62,13 +80,16 @@ class DataStructureWorkload(Workload):
     # Helpers for subclasses
     # ------------------------------------------------------------------
     def alloc_node(self, system: NDPSystem, key: int, unit: Optional[int] = None,
-                   with_lock: bool = False) -> Node:
-        """Allocate a node (one cache line) in ``unit`` (or round-robin)."""
+                   with_lock: bool = False, load: bool = False,
+                   store: bool = False) -> Node:
+        """Allocate a node (one cache line) in ``unit`` (or round-robin),
+        with its lock's ops when ``with_lock`` and the uncacheable
+        ``load`` / ``store`` ops asked for (see :class:`Node`)."""
         if unit is None:
             unit = key % system.config.num_units
         addr = system.addrmap.alloc(unit, 64, align=64)
         lock = system.create_syncvar(unit=unit) if with_lock else None
-        return Node(key, addr, unit, lock)
+        return Node(key, addr, unit, lock, load, store)
 
     def rng_for_core(self, core_id: int) -> random.Random:
         return random.Random((self.seed << 16) ^ core_id)

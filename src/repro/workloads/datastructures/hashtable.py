@@ -10,10 +10,13 @@ from __future__ import annotations
 from typing import List
 
 from repro.core import api
-from repro.sim.program import Batch, Compute, Load
+from repro.sim.program import Batch, Compute
 from repro.sim.system import NDPSystem
 from repro.workloads.base import scaled
 from repro.workloads.datastructures.common import DataStructureWorkload, Node
+
+#: one chain node's key compare (ops are shared value objects).
+_COMPARE = Compute(2)
 
 
 class HashTableWorkload(DataStructureWorkload):
@@ -34,10 +37,13 @@ class HashTableWorkload(DataStructureWorkload):
             system.create_syncvar(unit=b % units, name=f"ht_lock{b}")
             for b in range(self.num_buckets)
         ]
+        # each bucket lock's acquire / release op, built once per run.
+        self._acquire = [api.lock_acquire(lock) for lock in self.bucket_locks]
+        self._release = [api.lock_release(lock) for lock in self.bucket_locks]
         self.buckets = [[] for _ in range(self.num_buckets)]
         for key in range(self.initial_size):
             b = key % self.num_buckets
-            node = self.alloc_node(system, key, unit=b % units)
+            node = self.alloc_node(system, key, unit=b % units, load=True)
             self.buckets[b].append(node)
 
     def core_program(self, system: NDPSystem, core_id: int):
@@ -47,19 +53,19 @@ class HashTableWorkload(DataStructureWorkload):
             for _ in range(self.ops_per_core):
                 key = rng.randrange(self.initial_size)
                 b = key % self.num_buckets
-                yield api.lock_acquire(self.bucket_locks[b])
+                yield self._acquire[b]
                 chain_ops = []
                 found = False
                 for node in self.buckets[b]:
-                    chain_ops.append(Load(node.addr, cacheable=False))
-                    chain_ops.append(Compute(2))
+                    chain_ops.append(node.load)
+                    chain_ops.append(_COMPARE)
                     if node.key == key:
                         found = True
                         break
                 yield Batch(tuple(chain_ops))
                 if found:
                     self.hits += 1
-                yield api.lock_release(self.bucket_locks[b])
+                yield self._release[b]
                 self.record_op()
 
         return program()

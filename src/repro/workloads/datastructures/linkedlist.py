@@ -11,11 +11,13 @@ from __future__ import annotations
 
 from typing import List
 
-from repro.core import api
-from repro.sim.program import Compute, Load
+from repro.sim.program import Compute
 from repro.sim.system import NDPSystem
 from repro.workloads.base import scaled
 from repro.workloads.datastructures.common import DataStructureWorkload, Node
+
+#: the compare at each traversal step (ops are shared value objects).
+_STEP_COMPUTE = Compute(2)
 
 
 class LinkedListWorkload(DataStructureWorkload):
@@ -32,7 +34,7 @@ class LinkedListWorkload(DataStructureWorkload):
     def setup(self, system: NDPSystem) -> None:
         self.head = self.alloc_node(system, -1, unit=0, with_lock=True)
         self.nodes = [
-            self.alloc_node(system, key, with_lock=True)
+            self.alloc_node(system, key, with_lock=True, load=True)
             for key in range(self.initial_size)
         ]
         prev = self.head
@@ -47,20 +49,20 @@ class LinkedListWorkload(DataStructureWorkload):
             for _ in range(self.ops_per_core):
                 key = rng.randrange(self.initial_size)
                 # Hand-over-hand: lock head, then couple down the chain.
-                yield api.lock_acquire(self.head.lock)
+                yield self.head.acquire
                 prev, node = self.head, self.head.next
                 found = False
                 while node is not None:
-                    yield api.lock_acquire(node.lock)
-                    yield Load(node.addr, cacheable=False)
-                    yield Compute(2)
-                    yield api.lock_release(prev.lock)
+                    yield node.acquire
+                    yield node.load
+                    yield _STEP_COMPUTE
+                    yield prev.release
                     if node.key >= key:
                         found = node.key == key
                         prev = node
                         break
                     prev, node = node, node.next
-                yield api.lock_release(prev.lock)
+                yield prev.release
                 if found:
                     self.hits += 1
                 self.record_op()

@@ -10,10 +10,13 @@ from __future__ import annotations
 from typing import List
 
 from repro.core import api
-from repro.sim.program import Batch, Compute, Load, Store
+from repro.sim.program import Batch, Compute
 from repro.sim.system import NDPSystem
 from repro.workloads.base import scaled
 from repro.workloads.datastructures.common import DataStructureWorkload, Node
+
+#: one sift level's compare (ops are shared value objects).
+_SIFT_COMPUTE = Compute(3)
 
 
 class PriorityQueueWorkload(DataStructureWorkload):
@@ -31,10 +34,13 @@ class PriorityQueueWorkload(DataStructureWorkload):
         if self.initial_size is None:
             self.initial_size = self.ops_per_core * len(system.cores) + scaled(64)
         self.lock = system.create_syncvar(unit=0, name="pq_lock")
+        self._acquire = api.lock_acquire(self.lock)
+        self._release = api.lock_release(self.lock)
         rng = self.rng_for_core(12345)
         keys = list(range(self.initial_size))
         rng.shuffle(keys)
-        self.heap = [self.alloc_node(system, key) for key in keys]
+        self.heap = [self.alloc_node(system, key, load=True, store=True)
+                     for key in keys]
         self._heapify()
 
     # -- functional binary heap over self.heap -------------------------
@@ -73,18 +79,20 @@ class PriorityQueueWorkload(DataStructureWorkload):
 
     # ------------------------------------------------------------------
     def core_program(self, system: NDPSystem, core_id: int):
+        acquire, release = self._acquire, self._release
+
         def program():
             for _ in range(self.ops_per_core):
-                yield api.lock_acquire(self.lock)
+                yield acquire
                 root, touched = self._delete_min()
                 self.deleted_keys.append(root.key)
                 ops = []
                 for node in touched[:8]:  # sift path: compare + swap
-                    ops.append(Load(node.addr, cacheable=False))
-                    ops.append(Compute(3))
-                    ops.append(Store(node.addr, cacheable=False))
+                    ops.append(node.load)
+                    ops.append(_SIFT_COMPUTE)
+                    ops.append(node.store)
                 yield Batch(tuple(ops))
-                yield api.lock_release(self.lock)
+                yield release
                 self.record_op()
 
         return program()

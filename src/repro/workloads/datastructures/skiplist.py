@@ -10,13 +10,14 @@ from __future__ import annotations
 import random
 from typing import List, Optional
 
-from repro.core import api
-from repro.sim.program import Batch, Compute, Load, Store
+from repro.sim.program import Batch, Compute
 from repro.sim.system import NDPSystem
 from repro.workloads.base import scaled
 from repro.workloads.datastructures.common import DataStructureWorkload, Node
 
 MAX_LEVEL = 6
+#: the search's key compares (ops are shared value objects).
+_SEARCH_COMPUTE = Compute(4)
 
 
 class SkipListWorkload(DataStructureWorkload):
@@ -36,11 +37,13 @@ class SkipListWorkload(DataStructureWorkload):
             self.initial_size = self.ops_per_core * len(system.cores) + scaled(40)
         rng = random.Random(self.seed)
 
-        self.head = self.alloc_node(system, -1, unit=0, with_lock=True)
+        self.head = self.alloc_node(system, -1, unit=0, with_lock=True,
+                                    store=True)
         self.head.level_next = [None] * MAX_LEVEL
         prev_at_level: List[Node] = [self.head] * MAX_LEVEL
         for key in range(self.initial_size):
-            node = self.alloc_node(system, key, with_lock=True)
+            node = self.alloc_node(system, key, with_lock=True, load=True,
+                                   store=True)
             height = min(1 + rng.getrandbits(2).bit_length(), MAX_LEVEL)
             node.level_next = [None] * height
             for level in range(height):
@@ -96,23 +99,23 @@ class SkipListWorkload(DataStructureWorkload):
         def program():
             for key in targets:
                 pred, node, path = self._search(key)
-                reads = [Load(n.addr, cacheable=False) for n in path[:10]]
-                reads.append(Compute(4))
+                reads = [n.load for n in path[:10]]
+                reads.append(_SEARCH_COMPUTE)
                 yield Batch(tuple(reads))
                 if node is None:
                     # concurrent structure motion; key is gone already.
                     self.record_op()
                     continue
-                yield api.lock_acquire(pred.lock)
-                yield api.lock_acquire(node.lock)
+                yield pred.acquire
+                yield node.acquire
                 # re-validate inside the locks, then unlink.
                 if not node.deleted:
                     self._unlink(pred, node)
                     self.deleted_count += 1
-                yield Store(pred.addr, cacheable=False)
-                yield Store(node.addr, cacheable=False)
-                yield api.lock_release(node.lock)
-                yield api.lock_release(pred.lock)
+                yield pred.store
+                yield node.store
+                yield node.release
+                yield pred.release
                 self.record_op()
 
         return program()

@@ -10,7 +10,7 @@ from __future__ import annotations
 from typing import List
 
 from repro.core import api
-from repro.sim.program import Compute, Load, Store
+from repro.sim.program import Load, Store
 from repro.sim.system import NDPSystem
 from repro.workloads.base import scaled
 from repro.workloads.datastructures.common import DataStructureWorkload, Node
@@ -31,6 +31,11 @@ class StackWorkload(DataStructureWorkload):
         home = 0  # the stack object (top pointer + lock) lives in unit 0
         self.lock = system.create_syncvar(unit=home, name="stack_lock")
         self.top_addr = system.addrmap.alloc(home, 64, align=64)
+        # the ops every push yields, built once per run.
+        self._acquire = api.lock_acquire(self.lock)
+        self._release = api.lock_release(self.lock)
+        self._read_top = Load(self.top_addr, cacheable=False)
+        self._write_top = Store(self.top_addr, cacheable=False)
         self.items = [
             self.alloc_node(system, key) for key in range(self.initial_size)
         ]
@@ -45,17 +50,22 @@ class StackWorkload(DataStructureWorkload):
             for i in range(self.ops_per_core)
         ]
 
+        acquire, release = self._acquire, self._release
+        read_top, write_top = self._read_top, self._write_top
+
         def program():
             for node in new_nodes:
-                # Prepare the node outside the critical section.
+                # Prepare the node outside the critical section.  Each node
+                # is pushed once, so its store is built once either way;
+                # building it here holds none alive between pushes.
                 yield Store(node.addr, cacheable=False)
-                yield api.lock_acquire(self.lock)
+                yield acquire
                 # push: read top, link node, update top.
-                yield Load(self.top_addr, cacheable=False)
+                yield read_top
                 node.next = self.items[-1] if self.items else None
                 self.items.append(node)
-                yield Store(self.top_addr, cacheable=False)
-                yield api.lock_release(self.lock)
+                yield write_top
+                yield release
                 self.record_op()
 
         return program()

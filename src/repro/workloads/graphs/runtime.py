@@ -31,6 +31,10 @@ from repro.workloads.graphs.datasets import Graph, load_dataset
 from repro.workloads.graphs.partition import get_partitioner, random_partition
 
 
+#: the compare-and-compute on a vertex property under its lock.
+_PROPERTY_COMPUTE = Compute(2)
+
+
 class GraphKernelWorkload(Workload):
     """Base class for the six CRONO-style kernels."""
 
@@ -58,6 +62,10 @@ class GraphKernelWorkload(Workload):
         self.vertex_addr: List[int] = []
         self.vertex_lock: List = []
         self.edge_addr: List[int] = []
+        #: per vertex, its locked_update / unlock_after_update op tuples
+        #: once built (on its first update).
+        self._update_ops: List[Optional[tuple]] = []
+        self._unlock_ops: List[Optional[tuple]] = []
         self._my_vertices: Dict[int, List[int]] = {}
         self._edges_processed = 0
         self._changed = False
@@ -101,24 +109,35 @@ class GraphKernelWorkload(Workload):
     #: regime the paper's full-size runs operate in.
     edge_compute_cycles = 24
 
-    def locked_update(self, v: int):
-        """Ops for a lock-protected read-modify-write of property[v].
+    def locked_update(self, v: int) -> tuple:
+        """Ops for a lock-protected read-modify-write of property[v]: the
+        per-edge compute, the acquire of v's lock, and a batch reading
+        property[v].
 
         Usage: ``yield from self.locked_update(v)`` with the functional
         mutation performed by the caller right after (still "inside" the
-        critical section — the release below is what publishes it).
+        critical section — :meth:`unlock_after_update`'s release is what
+        publishes it).  It returns a tuple, built on v's first update and
+        shared by every later one (ops are never-mutated values), so the
+        ``yield from`` makes no generator and no op per edge.
         """
-        yield Compute(self.edge_compute_cycles)
-        yield api.lock_acquire(self.vertex_lock[v])
-        yield Batch((
-            Load(self.vertex_addr[v], cacheable=False),
-            Compute(2),
-        ))
+        ops = self._update_ops[v]
+        if ops is None:
+            addr, lock = self.vertex_addr[v], self.vertex_lock[v]
+            ops = self._update_ops[v] = (
+                self._edge_compute, api.lock_acquire(lock),
+                Batch((Load(addr, cacheable=False), _PROPERTY_COMPUTE)))
+            self._unlock_ops[v] = (Store(addr, cacheable=False),
+                                   api.lock_release(lock))
+        return ops
 
-    def unlock_after_update(self, v: int, wrote: bool = True):
-        if wrote:
-            yield Store(self.vertex_addr[v], cacheable=False)
-        yield api.lock_release(self.vertex_lock[v])
+    def unlock_after_update(self, v: int, wrote: bool = True) -> tuple:
+        """The release half of :meth:`locked_update`, built with it: a
+        store of property[v] when ``wrote``, then the release of v's lock.
+        The tuple is shared when ``wrote``; the rarer release alone is a
+        fresh one-op slice of it."""
+        ops = self._unlock_ops[v]
+        return ops if wrote else ops[1:]
 
     # ------------------------------------------------------------------
     # Build
@@ -140,6 +159,9 @@ class GraphKernelWorkload(Workload):
                 unit, max(8 * graph.degree(v), 8)
             )
             self.vertex_lock[v] = system.create_syncvar(unit=unit)
+        self._update_ops = [None] * graph.num_vertices
+        self._unlock_ops = [None] * graph.num_vertices
+        self._edge_compute = Compute(self.edge_compute_cycles)
 
         # distribute each unit's vertices across that unit's client cores.
         cores_by_unit: Dict[int, List[int]] = {}
@@ -154,23 +176,27 @@ class GraphKernelWorkload(Workload):
             counters[unit] += 1
             self._my_vertices[core_id].append(v)
 
-        self._barriers = [
+        participants = len(system.cores)
+        barriers = (
             system.create_syncvar(unit=0, name="graph_bar0"),
             system.create_syncvar(unit=units - 1, name="graph_bar1"),
-        ]
+        )
+        # the round barriers' ops, shared by every core and round.
+        self._barrier_ops = tuple(
+            api.barrier_wait_across_units(barrier, participants)
+            for barrier in barriers
+        )
         self.init_state()
 
-        participants = len(system.cores)
         leader = system.cores[0].core_id
         return {
-            core.core_id: self._core_program(system, core.core_id,
-                                             participants, leader)
+            core.core_id: self._core_program(system, core.core_id, leader)
             for core in system.cores
         }
 
-    def _core_program(self, system: NDPSystem, core_id: int,
-                      participants: int, leader: int):
+    def _core_program(self, system: NDPSystem, core_id: int, leader: int):
         my_vertices = self._my_vertices[core_id]
+        first_barrier, second_barrier = self._barrier_ops
 
         def program():
             while True:
@@ -179,7 +205,7 @@ class GraphKernelWorkload(Workload):
                 if not self.uses_barriers:
                     break
                 # double-barrier convergence reduction.
-                yield api.barrier_wait_across_units(self._barriers[0], participants)
+                yield first_barrier
                 if core_id == leader:
                     self._round += 1
                     self._continue = (
@@ -187,7 +213,7 @@ class GraphKernelWorkload(Workload):
                     )
                     self._changed = False
                     self.round_finished()
-                yield api.barrier_wait_across_units(self._barriers[1], participants)
+                yield second_barrier
                 if not self._continue:
                     break
 

@@ -196,4 +196,4 @@ class TestNDPSystem:
         tiny_system.run_programs({0: program()})
         tiny_system.destroy_syncvar(lock)
         for se in tiny_system.mechanism.ses:
-            assert se.st.lookup(lock.addr) is None
+            assert lock.addr not in se.st.entries

@@ -1,6 +1,10 @@
 """Unit tests for SynCron's hardware structures: messages, ST, indexing
 counters, syncronVar, and the area model."""
 
+import inspect
+import sys
+from collections import deque
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -12,6 +16,7 @@ from repro.core.messages import (
     LOCAL_OPCODES,
     Message,
     Opcode,
+    OPCODE_BYTES,
     OVERFLOW_OPCODES,
     RELEASE_OPCODES,
     REQUEST_BITS,
@@ -59,7 +64,7 @@ class TestSynchronizationTable:
         table = SynchronizationTable(4)
         var = self.var()
         entry = table.allocate(var)
-        assert table.lookup(var.addr) is entry
+        assert table.entries.get(var.addr) is entry
         assert table.occupied == 1
 
     def test_capacity_enforced(self):
@@ -82,7 +87,7 @@ class TestSynchronizationTable:
         var = self.var()
         table.allocate(var)
         table.release(var.addr)
-        assert table.lookup(var.addr) is None
+        assert var.addr not in table.entries
         with pytest.raises(KeyError):
             table.release(var.addr)
 
@@ -118,6 +123,97 @@ class TestSynchronizationTable:
             except STFullError:
                 break
             assert table.occupied <= capacity
+
+
+class TestSTEntryContract:
+    """``STEntry`` is a hand-written slotted class; it keeps the keyword
+    signature and per-field defaults it had as a dataclass."""
+
+    #: every field with its default, in signature order (addr and var
+    #: have none); the two deques and the set are fresh per entry.
+    DEFAULTS = {
+        "local_waitlist": deque(), "global_waitlist": deque(),
+        "table_info": 0, "local_owner": None, "owner_se": None,
+        "has_control": False, "pending_global": False, "arrived": 0,
+        "expected": 0, "local_grant_counter": 0, "overflow_ses": set(),
+        "counter_debt": 0,
+    }
+
+    def test_signature_lists_every_field(self):
+        params = list(inspect.signature(STEntry).parameters)
+        assert params == ["addr", "var", *self.DEFAULTS]
+        assert list(STEntry.__slots__) == params
+
+    def test_every_field_keeps_its_default(self):
+        entry = STEntry(addr=0x40, var=None)
+        assert (entry.addr, entry.var) == (0x40, None)
+        for name, default in self.DEFAULTS.items():
+            value = getattr(entry, name)
+            assert value == default and type(value) is type(default), name
+
+    def test_containers_are_fresh_per_entry(self):
+        first, second = STEntry(0, None), STEntry(64, None)
+        for name in ("local_waitlist", "global_waitlist", "overflow_ses"):
+            assert getattr(first, name) is not getattr(second, name)
+
+    def test_keywords_set_fields(self):
+        waiters = deque([3])
+        entry = STEntry(addr=0, var="v", local_waitlist=waiters,
+                        table_info=7, owner_se=("se", 1), counter_debt=2)
+        assert entry.local_waitlist is waiters
+        assert (entry.table_info, entry.owner_se, entry.counter_debt) == (
+            7, ("se", 1), 2)
+
+    def test_entries_compare_by_identity(self):
+        assert STEntry(0, None) != STEntry(0, None)
+
+
+class TestOpcodeHashing:
+    """Opcode lookups on the message path run no Python-level frame:
+    ``Opcode`` hashes by identity (``object.__hash__``), not through
+    ``Enum.__hash__``."""
+
+    @staticmethod
+    def python_calls(action) -> int:
+        """Python frames entered by ``action``'s body (not counting its
+        own)."""
+        calls = 0
+
+        def profiler(frame, event, arg):
+            nonlocal calls
+            if event == "call" and frame.f_code is not action.__code__:
+                calls += 1
+
+        sys.setprofile(profiler)
+        try:
+            action()
+        finally:
+            sys.setprofile(None)
+        return calls
+
+    def test_lookups_run_no_python_frame(self):
+        from repro.core.protocol import _HANDLERS
+
+        ops = list(Opcode)
+
+        def lookups():
+            for op in ops:
+                _HANDLERS.get(op)
+                OPCODE_BYTES[op]
+                op in LOCAL_OPCODES
+
+        assert self.python_calls(lookups) == 0
+
+    def test_profiler_counts_python_frames(self):
+        class Slow:
+            def __hash__(self):
+                return 0
+
+        assert self.python_calls(lambda: {Slow(): 0}) == 1
+
+    def test_identity_hash_matches_equality(self):
+        assert Opcode.__hash__ is object.__hash__
+        assert len({op: op.name for op in Opcode}) == len(Opcode)
 
 
 class TestIndexingCounters:
