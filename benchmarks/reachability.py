@@ -59,6 +59,11 @@ CI_COMMANDS: Tuple[Tuple[str, ...], ...] = (
      "--telemetry", "{tmp}/san-tel"),
     ("run", "fig10", "--arg", "primitive=lock", "--no-cache"),
     ("run", "fig10", "--arg", "primitive=lock", "--no-cache", "--sanitize"),
+    ("run", "fig23", "--no-cache"),
+    ("run", "sweep", "--arg", "workloads=condvar", "--arg",
+     "mechanisms=syncron,syncron_flat,syncron_central_ovrfl,"
+     "syncron_distrib_ovrfl",
+     "--vary", "st_entries=1", "--arg", "rounds=4", "--no-cache"),
     ("run", "fig10", "--arg", "primitive=lock", "--workers", "1",
      "--store", "{tmp}/cache"),
     ("run", "fig10", "--arg", "primitive=lock", "--workers", "1",

@@ -74,11 +74,9 @@ _REDIRECT_OPCODES = {
     Opcode.BARRIER_WAIT_LOCAL_WITHIN_UNIT: Opcode.BARRIER_WAIT_OVERFLOW,
     Opcode.BARRIER_WAIT_LOCAL_ACROSS_UNITS: Opcode.BARRIER_WAIT_OVERFLOW,
     Opcode.SEM_WAIT_LOCAL: Opcode.SEM_WAIT_OVERFLOW,
-    Opcode.SEM_POST_LOCAL: Opcode.SEM_POST_OVERFLOW,
     Opcode.COND_WAIT_LOCAL: Opcode.COND_WAIT_OVERFLOW,
-    Opcode.COND_SIGNAL_LOCAL: Opcode.COND_SIGNAL_OVERFLOW,
-    Opcode.COND_BROAD_LOCAL: Opcode.COND_BROAD_OVERFLOW,
 }
+
 
 class SyncEngine(ProtocolMixin):
     """One SE, integrated in the compute die of one NDP unit.
@@ -201,11 +199,7 @@ class SyncEngine(ProtocolMixin):
             or self.counters.is_memory_serviced(addr)
         )
         if not overflow:
-            entry = self.st.allocate(msg.var)
-            self.stats.st_allocations += 1
-            if sem_init is not None:
-                entry.table_info = sem_init
-            return entry, False
+            return self._allocate(msg.var, sem_init)
 
         if not master:
             self._redirect_overflow(msg)
@@ -229,17 +223,42 @@ class SyncEngine(ProtocolMixin):
                 sv.state.counter_debt -= 1
         return sv.state, True
 
+    def _find_state(self, msg: Message):
+        """The existing state of ``msg``'s variable, without allocating:
+        ``(state, in_memory)``, or ``(None, False)`` when there is none."""
+        entry = self.st.entries.get(msg.var.addr)
+        if entry is not None:
+            return entry, False
+        sv = self.store.lookup(msg.var.addr)
+        if sv is None:
+            return None, False
+        self._charge_syncronvar_access(msg.var)
+        return sv.state, True
+
+    def _allocate(self, var: SyncVar, sem_init: Optional[int]):
+        """A fresh ST entry for ``var`` (a semaphore's seeded with its
+        initial count), as :meth:`_get_state` returns it."""
+        entry = self.st.allocate(var)
+        self.stats.st_allocations += 1
+        if sem_init is not None:
+            entry.table_info = sem_init
+        return entry, False
+
     def _redirect_overflow(self, msg: Message, opcode: Optional[Opcode] = None) -> None:
         """Non-master overflow: re-direct the core's message to the Master SE
-        with an overflow opcode; mark the episode in the indexing counters."""
+        with an overflow opcode; mark the episode in the indexing counters.
+        A redirected condvar wait releases its lock here, as an enqueued
+        one does (the Master SE's overflow handler releases nothing)."""
         if opcode is None:
             opcode = _REDIRECT_OPCODES[msg.opcode]
         self.stats.st_overflow_requests += 1
-        if msg.opcode not in (Opcode.LOCK_RELEASE_LOCAL,):
+        if msg.opcode is not Opcode.LOCK_RELEASE_LOCAL:
             self.begin_overflow_episode(msg.var.addr)
         self.send_se(
             self.master_of(msg.var), opcode, msg.var, core=msg.core, info=msg.info
         )
+        if msg.opcode is Opcode.COND_WAIT_LOCAL:
+            self._release_cond_lock(msg)
 
     def begin_overflow_episode(self, addr: int) -> None:
         if addr not in self._redirected:
@@ -328,17 +347,10 @@ class SyncEngine(ProtocolMixin):
         flat variant and the Central baseline also grant remote cores, which
         crosses the inter-unit link.
         """
-        depart = self.sim.now + self._extra
         mech = self.mech
-        dst_unit = mech.system.cores[core_id].unit_id
-        if dst_unit == self.unit:
-            self.stats.sync_messages_local += 1
-        else:
-            self.stats.sync_messages_global += 1
-        latency = mech.interconnect.transfer_latency(
-            self.unit, dst_unit, depart, RESPONSE_BYTES
-        )
-        self.sim.schedule_at(depart + latency, mech.wake, core_id)
+        arrival = mech.send(self.unit, mech.system.cores[core_id].unit_id,
+                            self.sim.now + self._extra, RESPONSE_BYTES)
+        self.sim.schedule_at(arrival, mech.wake, core_id)
 
     def _internal_request(self, msg: Message) -> None:
         """The SE issues a request on behalf of a core (condition variables:
@@ -372,29 +384,40 @@ class SynCronMechanism(MechanismBase):
         return self.config.client_contexts_per_unit
 
     # ------------------------------------------------------------------
-    def _prepare(self, core, op: str, var: SyncVar, info) -> Message:
+    def send(self, src_unit: int, dst_unit: int, depart: int, nbytes: int) -> int:
+        """One synchronization message between units: count it as local
+        or global and return its arrival cycle."""
+        if src_unit == dst_unit:
+            self.stats.sync_messages_local += 1
+        else:
+            self.stats.sync_messages_global += 1
+        return depart + self.interconnect.transfer_latency(
+            src_unit, dst_unit, depart, nbytes)
+
+    def entry_unit(self, core, msg: Message) -> int:
+        """The unit whose engine receives a core's request: its own SE
+        (hierarchical communication)."""
+        return core.unit_id
+
+    def _inject(self, core, op: str, var: SyncVar, info) -> None:
+        """Admit a core's request and send it to its entry engine."""
         self._admit(op, var)
         if op == SEM_WAIT:
             self.sem_initial.setdefault(var.addr, info)
-        return Message(_REQUEST_OPCODES[op], var, core.core_id, None, info)
-
-    def _inject(self, core, msg: Message) -> None:
-        self.stats.sync_messages_local += 1
-        unit = core.unit_id
-        now = self.sim.now
-        latency = self.interconnect.transfer_latency(unit, unit, now, REQUEST_BYTES)
-        self.ses[unit].receive(msg, now + latency, core.sender_token)
+        msg = Message(_REQUEST_OPCODES[op], var, core.core_id, None, info)
+        dst = self.entry_unit(core, msg)
+        self.ses[dst].receive(
+            msg, self.send(core.unit_id, dst, self.sim.now, REQUEST_BYTES),
+            core.sender_token)
 
     def request(self, core, op, var, info, callback) -> None:
         if core.core_id in self._pending:
             raise ProtocolError(f"core {core.core_id} already has a pending request")
-        msg = self._prepare(core, op, var, info)
+        self._inject(core, op, var, info)
         self._pending[core.core_id] = callback
-        self._inject(core, msg)
 
     def request_async(self, core, op, var, info) -> int:
-        msg = self._prepare(core, op, var, info)
-        self._inject(core, msg)
+        self._inject(core, op, var, info)
         # req_async commits once the message is issued (Sec. 4.1).
         return self.config.async_issue_cycles
 
@@ -426,7 +449,3 @@ class SynCronMechanism(MechanismBase):
 
     def core_unit(self, core_id: int) -> int:
         return self.system.cores[core_id].unit_id
-
-    # Diagnostics -------------------------------------------------------
-    def pending_cores(self):
-        return sorted(self._pending)

@@ -99,51 +99,6 @@ OVERFLOW_OPCODES = frozenset(op for op in Opcode if op.name.endswith("_OVERFLOW"
     Opcode.DECREASE_INDEXING_COUNTER,
 }
 
-#: acquire-type opcodes increment indexing counters on overflow (Sec. 4.2.3).
-ACQUIRE_OPCODES = frozenset(
-    {
-        Opcode.LOCK_ACQUIRE_LOCAL,
-        Opcode.LOCK_ACQUIRE_GLOBAL,
-        Opcode.LOCK_ACQUIRE_OVERFLOW,
-        Opcode.BARRIER_WAIT_LOCAL_WITHIN_UNIT,
-        Opcode.BARRIER_WAIT_LOCAL_ACROSS_UNITS,
-        Opcode.BARRIER_WAIT_GLOBAL,
-        Opcode.BARRIER_WAIT_OVERFLOW,
-        Opcode.SEM_WAIT_LOCAL,
-        Opcode.SEM_WAIT_GLOBAL,
-        Opcode.SEM_WAIT_OVERFLOW,
-        Opcode.COND_WAIT_LOCAL,
-        Opcode.COND_WAIT_GLOBAL,
-        Opcode.COND_WAIT_OVERFLOW,
-        Opcode.RW_READ_ACQUIRE_LOCAL,
-        Opcode.RW_READ_ACQUIRE_GLOBAL,
-        Opcode.RW_WRITE_ACQUIRE_LOCAL,
-        Opcode.RW_WRITE_ACQUIRE_GLOBAL,
-    }
-)
-#: release-type opcodes decrement indexing counters (Sec. 4.2.3).
-RELEASE_OPCODES = frozenset(
-    {
-        Opcode.LOCK_RELEASE_LOCAL,
-        Opcode.LOCK_RELEASE_GLOBAL,
-        Opcode.LOCK_RELEASE_OVERFLOW,
-        Opcode.SEM_POST_LOCAL,
-        Opcode.SEM_POST_GLOBAL,
-        Opcode.SEM_POST_OVERFLOW,
-        Opcode.COND_SIGNAL_LOCAL,
-        Opcode.COND_SIGNAL_GLOBAL,
-        Opcode.COND_SIGNAL_OVERFLOW,
-        Opcode.COND_BROAD_LOCAL,
-        Opcode.COND_BROAD_GLOBAL,
-        Opcode.COND_BROAD_OVERFLOW,
-        Opcode.RW_READ_RELEASE_LOCAL,
-        Opcode.RW_READ_RELEASE_GLOBAL,
-        Opcode.RW_WRITE_RELEASE_LOCAL,
-        Opcode.RW_WRITE_RELEASE_GLOBAL,
-    }
-)
-
-
 #: Opcode -> wire size in bytes, precomputed once so the per-message ``bytes``
 #: lookup on the network hot path never scans opcode names.
 OPCODE_BYTES: Dict[Opcode, int] = {

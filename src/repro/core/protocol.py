@@ -14,17 +14,34 @@ Handler conventions
   :meth:`SyncEngine._get_state` decides where state lives and charges the
   Master SE's DRAM read+write on the memory path.
 - ``local_waitlist`` holds core ids (condition variables hold
-  ``(core, lock_var)`` pairs).  ``global_waitlist`` holds tagged tuples:
-  ``("se", se_id)`` for aggregated hierarchical waiters and
-  ``("ovf", core_id, se_id[, lock_var])`` for per-core waiters redirected by
-  an overflowed local SE.
+  ``(core, lock_var)`` pairs).  ``global_waitlist`` holds tagged tuples
+  (:meth:`ProtocolMixin._remote_waiter`): ``("se", se_id)`` for aggregated
+  hierarchical waiters and ``("ovf", core_id, se_id, info)`` for per-core
+  waiters redirected by an overflowed local SE (or, for a partial barrier,
+  by a stateless local SE).  :meth:`ProtocolMixin._send_to_waiter` answers
+  either kind with the matching ``*_GLOBAL`` / ``*_OVERFLOW`` opcode.
 - Grants to cores are *direct notifications* (Table 4): exactly one waiting
   core is woken per grant; nobody spins.
+
+Shared handlers
+---------------
+
+Opcodes that mean the same thing at their receiver share one handler in
+:data:`_HANDLERS`: a ``*_GLOBAL`` and a ``*_OVERFLOW`` request differ only
+in the waiter tag they register; the three ``*_OVERFLOW`` grants all
+forward the grant to the core; the condvar signal and broadcast opcodes
+read ``wake_all`` from the opcode, and the rw-lock acquires read ``write``
+from it.  Requests that only the Master SE serves (semaphore posts, condvar
+signals and broadcasts, every rw-lock request) go through
+:meth:`ProtocolMixin._on_at_master` and its :data:`_MASTER_FORWARDS` table:
+a non-master SE forwards the local opcode as its global opcode, carrying
+the requesting core and ``info`` only where the global handler reads them;
+the Master SE runs the global opcode's handler on the local message.
 """
 
 from __future__ import annotations
 
-from repro.core.messages import Message, Opcode
+from repro.core.messages import Message, Opcode, OVERFLOW_OPCODES
 from repro.sim.syncif import SyncUsageError
 
 
@@ -42,13 +59,53 @@ class ProtocolMixin:
     # Dispatch
     # ==================================================================
     def dispatch(self, msg: Message) -> None:
-        # _HANDLERS is built once at module load; every opcode is mapped, so
-        # the hot path is a single dict hit (KeyError would be kernel misuse).
+        # _HANDLERS is built once at module load and maps every opcode an
+        # engine receives, so the hot path is a single dict hit.  The
+        # SE -> core *_GRANT_LOCAL / BARRIER_DEPART_LOCAL opcodes have no
+        # handler by design: send_grant models them without a Message.
         try:
             handler = _HANDLERS[msg.opcode]
-        except KeyError:  # pragma: no cover - all opcodes are mapped
+        except KeyError:  # pragma: no cover - kernel misuse
             raise ProtocolError(f"no handler for {msg.opcode}") from None
         handler(self, msg)
+
+    def _on_at_master(self, msg: Message) -> None:
+        """A request only the Master SE serves: forward it there, or serve
+        it as the global opcode's handler does."""
+        global_opcode, carries = _MASTER_FORWARDS[msg.opcode]
+        if self.is_master(msg.var):
+            _HANDLERS[global_opcode](self, msg)
+        elif carries:
+            self.send_se(self.master_of(msg.var), global_opcode, msg.var,
+                         core=msg.core, info=msg.info)
+        else:
+            self.send_se(self.master_of(msg.var), global_opcode, msg.var)
+
+    def _remote_waiter(self, state, msg: Message, in_memory: bool) -> tuple:
+        """The global-waitlist tag of a request from another SE: the SE for
+        an aggregated request, else the core (and its ``info``).  An
+        overflow request also records its SE as overflowed."""
+        if msg.core is None:
+            return ("se", msg.src_se)
+        if msg.opcode in OVERFLOW_OPCODES:
+            state.overflow_ses.add(msg.src_se)
+            if in_memory:
+                self._mark_syncronvar_overflow(msg.var, msg.src_se)
+        return ("ovf", msg.core, msg.src_se, msg.info)
+
+    def _send_to_waiter(self, item: tuple, var, global_opcode: Opcode,
+                        overflow_opcode: Opcode) -> None:
+        """Answer one global-waitlist entry: its SE, or the SE that
+        redirected its core (which forwards the answer to the core)."""
+        if item[0] == "se":
+            self.send_se(item[1], global_opcode, var)
+        else:
+            self.send_se(item[2], overflow_opcode, var, core=item[1],
+                         info=item[3])
+
+    def _on_grant_overflow(self, msg: Message) -> None:
+        # The overflowed SE simply forwards the grant to its local core.
+        self.send_grant(msg.core)
 
     # ==================================================================
     # Locks (Sec. 3.2 walk-through)
@@ -67,21 +124,11 @@ class ProtocolMixin:
                 state.pending_global = True
                 self.send_se(self.master_of(msg.var), Opcode.LOCK_ACQUIRE_GLOBAL, msg.var)
 
-    def _on_lock_acquire_global(self, msg: Message) -> None:
+    def _on_lock_acquire_remote(self, msg: Message) -> None:
         state, in_memory = self._get_state(msg, acquire=True)
         if state is None:
             return
-        state.global_waitlist.append(("se", msg.src_se))
-        self._lock_try_grant_master(state, msg.var, in_memory)
-
-    def _on_lock_acquire_overflow(self, msg: Message) -> None:
-        state, in_memory = self._get_state(msg, acquire=True)
-        if state is None:
-            return
-        state.overflow_ses.add(msg.src_se)
-        if in_memory:
-            self._mark_syncronvar_overflow(msg.var, msg.src_se)
-        state.global_waitlist.append(("ovf", msg.core, msg.src_se))
+        state.global_waitlist.append(self._remote_waiter(state, msg, in_memory))
         self._lock_try_grant_master(state, msg.var, in_memory)
 
     def _lock_try_grant_master(self, state, var, in_memory: bool) -> None:
@@ -99,7 +146,9 @@ class ProtocolMixin:
             self._lock_grant_local(state, var)
         elif state.global_waitlist:
             state.local_grant_counter = 0
-            self._lock_grant_global_head(state, var)
+            state.owner_se = state.global_waitlist.popleft()
+            self._send_to_waiter(state.owner_se, var, Opcode.LOCK_GRANT_GLOBAL,
+                                 Opcode.LOCK_GRANT_OVERFLOW)
         else:
             self._maybe_free_state(state, var, in_memory)
 
@@ -109,15 +158,6 @@ class ProtocolMixin:
         state.local_grant_counter += 1
         self.send_grant(core)
 
-    def _lock_grant_global_head(self, state, var) -> None:
-        item = state.global_waitlist.popleft()
-        if item[0] == "se":
-            state.owner_se = item
-            self.send_se(item[1], Opcode.LOCK_GRANT_GLOBAL, var)
-        else:  # ("ovf", core, se): grant straight to the remote core
-            state.owner_se = item
-            self.send_se(item[2], Opcode.LOCK_GRANT_OVERFLOW, var, core=item[1])
-
     def _on_lock_grant_global(self, msg: Message) -> None:
         entry = self.st.entries.get(msg.var.addr)
         if entry is None:
@@ -126,10 +166,6 @@ class ProtocolMixin:
         entry.pending_global = False
         if entry.local_owner is None and entry.local_waitlist:
             self._lock_grant_local(entry, msg.var)
-
-    def _on_lock_grant_overflow(self, msg: Message) -> None:
-        # The overflowed SE simply forwards the grant to its local core.
-        self.send_grant(msg.core)
 
     def _on_lock_release_local(self, msg: Message) -> None:
         entry = self.st.entries.get(msg.var.addr)
@@ -184,27 +220,18 @@ class ProtocolMixin:
         else:
             self._redirect_overflow(msg, Opcode.LOCK_RELEASE_OVERFLOW)
 
-    def _on_lock_release_global(self, msg: Message) -> None:
+    def _on_lock_release_remote(self, msg: Message) -> None:
         state, in_memory = self._get_state(msg, acquire=False)
         if state is None:
             return
-        if state.owner_se != ("se", msg.src_se):
+        if msg.opcode is Opcode.LOCK_RELEASE_OVERFLOW:
+            releaser = ("ovf", msg.core)
+        else:
+            releaser = ("se", msg.src_se)
+        if state.owner_se is None or state.owner_se[:2] != releaser:
             raise ProtocolError(
-                f"SE {msg.src_se} released lock {msg.var.name} held by "
-                f"{state.owner_se}"
-            )
-        state.owner_se = None
-        self._lock_try_grant_master(state, msg.var, in_memory)
-
-    def _on_lock_release_overflow(self, msg: Message) -> None:
-        state, in_memory = self._get_state(msg, acquire=False)
-        if state is None:
-            return
-        if not (state.owner_se and state.owner_se[0] == "ovf"
-                and state.owner_se[1] == msg.core):
-            raise ProtocolError(
-                f"overflow release of {msg.var.name} by core {msg.core}, "
-                f"owner is {state.owner_se}"
+                f"{msg.opcode.name} of {msg.var.name} by {releaser}, owner "
+                f"is {state.owner_se}"
             )
         state.owner_se = None
         self._lock_try_grant_master(state, msg.var, in_memory)
@@ -252,34 +279,19 @@ class ProtocolMixin:
                     msg.var, info=(state.arrived, total),
                 )
 
-    def _on_barrier_wait_global(self, msg: Message) -> None:
+    def _on_barrier_wait_remote(self, msg: Message) -> None:
         state, in_memory = self._get_state(msg, acquire=True)
         if state is None:
             return
-        if msg.core is not None:
-            # one-level mode: an individual redirected core; info is the
-            # barrier's total participant count.
-            state.expected = msg.info
-            state.global_waitlist.append(("ovf", msg.core, msg.src_se))
-            state.table_info += 1
+        if msg.core is None:
+            count, total = msg.info  # an SE's aggregated arrivals
         else:
-            count, total = msg.info
-            state.expected = total
-            state.global_waitlist.append(("se", msg.src_se))
-            state.table_info += count
-        if state.expected and state.table_info >= state.expected:
-            self._barrier_complete(state, msg.var, in_memory)
-
-    def _on_barrier_wait_overflow(self, msg: Message) -> None:
-        state, in_memory = self._get_state(msg, acquire=True)
-        if state is None:
-            return
-        state.overflow_ses.add(msg.src_se)
-        if in_memory:
-            self._mark_syncronvar_overflow(msg.var, msg.src_se)
-        state.expected = msg.info
-        state.global_waitlist.append(("ovf", msg.core, msg.src_se))
-        state.table_info += 1
+            # one core, redirected by a one-level or an overflowed SE;
+            # info is the barrier's total participant count.
+            count, total = 1, msg.info
+        state.expected = total
+        state.global_waitlist.append(self._remote_waiter(state, msg, in_memory))
+        state.table_info += count
         if state.expected and state.table_info >= state.expected:
             self._barrier_complete(state, msg.var, in_memory)
 
@@ -289,12 +301,8 @@ class ProtocolMixin:
             self.send_grant(core)
         state.local_waitlist.clear()
         for item in state.global_waitlist:
-            if item[0] == "se":
-                self.send_se(item[1], Opcode.BARRIER_DEPART_GLOBAL, var)
-            else:
-                self.send_se(
-                    item[2], Opcode.BARRIER_DEPARTURE_OVERFLOW, var, core=item[1]
-                )
+            self._send_to_waiter(item, var, Opcode.BARRIER_DEPART_GLOBAL,
+                                 Opcode.BARRIER_DEPARTURE_OVERFLOW)
         state.global_waitlist.clear()
         state.arrived = 0
         state.expected = 0
@@ -311,9 +319,6 @@ class ProtocolMixin:
         entry.arrived = 0
         entry.expected = 0
         self.st.release_if_idle(entry)
-
-    def _on_barrier_departure_overflow(self, msg: Message) -> None:
-        self.send_grant(msg.core)
 
     # ==================================================================
     # Semaphores
@@ -336,30 +341,18 @@ class ProtocolMixin:
                 info=msg.info,
             )
 
-    def _on_sem_wait_global(self, msg: Message) -> None:
+    def _on_sem_wait_remote(self, msg: Message) -> None:
         state, in_memory = self._get_state(msg, acquire=True, sem_init=msg.info)
         if state is None:
             return
+        waiter = self._remote_waiter(state, msg, in_memory)
         if state.table_info > 0:
             state.table_info -= 1
-            self.send_se(msg.src_se, Opcode.SEM_GRANT_GLOBAL, msg.var)
+            self._send_to_waiter(waiter, msg.var, Opcode.SEM_GRANT_GLOBAL,
+                                 Opcode.SEM_GRANT_OVERFLOW)
             self._maybe_free_sem(state, msg.var, in_memory)
         else:
-            state.global_waitlist.append(("se", msg.src_se))
-
-    def _on_sem_wait_overflow(self, msg: Message) -> None:
-        state, in_memory = self._get_state(msg, acquire=True, sem_init=msg.info)
-        if state is None:
-            return
-        state.overflow_ses.add(msg.src_se)
-        if in_memory:
-            self._mark_syncronvar_overflow(msg.var, msg.src_se)
-        if state.table_info > 0:
-            state.table_info -= 1
-            self.send_se(msg.src_se, Opcode.SEM_GRANT_OVERFLOW, msg.var, core=msg.core)
-            self._maybe_free_sem(state, msg.var, in_memory)
-        else:
-            state.global_waitlist.append(("ovf", msg.core, msg.src_se))
+            state.global_waitlist.append(waiter)
 
     def _on_sem_grant_global(self, msg: Message) -> None:
         entry = self.st.entries.get(msg.var.addr)
@@ -368,46 +361,23 @@ class ProtocolMixin:
         self.send_grant(entry.local_waitlist.popleft())
         self.st.release_if_idle(entry)
 
-    def _on_sem_grant_overflow(self, msg: Message) -> None:
-        self.send_grant(msg.core)
-
-    def _on_sem_post_local(self, msg: Message) -> None:
-        if not self.is_master(msg.var):
-            self.send_se(self.master_of(msg.var), Opcode.SEM_POST_GLOBAL, msg.var)
-            return
-        state, in_memory = self._get_state(msg, acquire=False, sem_init=None)
+    def _on_sem_post(self, msg: Message) -> None:
+        state, in_memory = self._get_state(msg, acquire=False)
         if state is None:
             return
-        self._sem_post_master(state, msg.var, in_memory)
-
-    def _on_sem_post_global(self, msg: Message) -> None:
-        state, in_memory = self._get_state(msg, acquire=False, sem_init=None)
-        if state is None:
-            return
-        self._sem_post_master(state, msg.var, in_memory)
-
-    def _on_sem_post_overflow(self, msg: Message) -> None:
-        state, in_memory = self._get_state(msg, acquire=False, sem_init=None)
-        if state is None:
-            return
-        self._sem_post_master(state, msg.var, in_memory)
-
-    def _sem_post_master(self, state, var, in_memory: bool) -> None:
         if state.local_waitlist:
             self.send_grant(state.local_waitlist.popleft())
         elif state.global_waitlist:
-            item = state.global_waitlist.popleft()
-            if item[0] == "se":
-                self.send_se(item[1], Opcode.SEM_GRANT_GLOBAL, var)
-            else:
-                self.send_se(item[2], Opcode.SEM_GRANT_OVERFLOW, var, core=item[1])
+            self._send_to_waiter(state.global_waitlist.popleft(), msg.var,
+                                 Opcode.SEM_GRANT_GLOBAL, Opcode.SEM_GRANT_OVERFLOW)
         else:
             state.table_info += 1
-        self._maybe_free_sem(state, var, in_memory)
+        self._maybe_free_sem(state, msg.var, in_memory)
 
     def _maybe_free_sem(self, state, var, in_memory: bool) -> None:
         """A semaphore's state is releasable once it is back at its initial
-        value with nobody waiting (the count would otherwise be lost)."""
+        value with nobody waiting (the count would otherwise be lost); a
+        memory-resident one stays until it drains."""
         initial = self.mech.sem_initial.get(var.addr)
         if (
             initial is not None
@@ -417,81 +387,44 @@ class ProtocolMixin:
         ):
             state.table_info = 0
             self._maybe_free_state(state, var, in_memory)
-        elif in_memory:
-            pass  # stays resident in memory until it drains
 
     # ==================================================================
     # Condition variables
     # ==================================================================
     def _on_cond_wait_local(self, msg: Message) -> None:
-        lock_var = msg.info  # the associated lock (Fig. 5 MessageInfo)
         state, in_memory = self._get_state(msg, acquire=True)
-        if state is not None:
-            state.local_waitlist.append((msg.core, lock_var))
-            if not self.is_master(msg.var):
-                self.send_se(self.master_of(msg.var), Opcode.COND_WAIT_GLOBAL, msg.var)
-        # Whether buffered here or redirected to the Master SE, the caller's
-        # lock must be released now (pthread_cond_wait semantics); the
-        # enqueue above happens in the same SE service slot, so no signal
-        # can slip between enqueue and release.
+        if state is None:
+            # Redirected to the Master SE (the redirect released the lock)
+            # or handed whole to another engine, whose run of this handler
+            # releases it.
+            return
+        lock_var = msg.info  # the associated lock (Fig. 5 MessageInfo)
+        state.local_waitlist.append((msg.core, lock_var))
+        if not self.is_master(msg.var):
+            self.send_se(self.master_of(msg.var), Opcode.COND_WAIT_GLOBAL, msg.var)
+        self._release_cond_lock(msg)
+
+    def _release_cond_lock(self, msg: Message) -> None:
+        """Release a condvar waiter's lock (pthread_cond_wait semantics) in
+        the SE service slot that enqueued it, so no signal can slip
+        between enqueue and release."""
         self._internal_request(
-            Message(Opcode.LOCK_RELEASE_LOCAL, lock_var, core=msg.core)
+            Message(Opcode.LOCK_RELEASE_LOCAL, msg.info, core=msg.core)
         )
 
-    def _on_cond_wait_global(self, msg: Message) -> None:
+    def _on_cond_wait_remote(self, msg: Message) -> None:
         state, in_memory = self._get_state(msg, acquire=True)
         if state is None:
             return
-        state.global_waitlist.append(("se", msg.src_se))
+        state.global_waitlist.append(self._remote_waiter(state, msg, in_memory))
 
-    def _on_cond_wait_overflow(self, msg: Message) -> None:
-        state, in_memory = self._get_state(msg, acquire=True)
+    def _on_cond_signal(self, msg: Message) -> None:
+        state, in_memory = self._find_state(msg)
         if state is None:
-            return
-        state.overflow_ses.add(msg.src_se)
-        if in_memory:
-            self._mark_syncronvar_overflow(msg.var, msg.src_se)
-        state.global_waitlist.append(("ovf", msg.core, msg.src_se, msg.info))
-
-    def _on_cond_signal_local(self, msg: Message) -> None:
-        if not self.is_master(msg.var):
-            self.send_se(self.master_of(msg.var), Opcode.COND_SIGNAL_GLOBAL, msg.var)
-            return
-        self._cond_signal_master(msg, wake_all=False)
-
-    def _on_cond_signal_global(self, msg: Message) -> None:
-        self._cond_signal_master(msg, wake_all=False)
-
-    def _on_cond_signal_overflow(self, msg: Message) -> None:
-        self._cond_signal_master(msg, wake_all=False)
-
-    def _on_cond_broadcast_local(self, msg: Message) -> None:
-        if not self.is_master(msg.var):
-            self.send_se(self.master_of(msg.var), Opcode.COND_BROAD_GLOBAL, msg.var)
-            return
-        self._cond_signal_master(msg, wake_all=True)
-
-    def _on_cond_broadcast_global(self, msg: Message) -> None:
-        self._cond_signal_master(msg, wake_all=True)
-
-    def _on_cond_broadcast_overflow(self, msg: Message) -> None:
-        self._cond_signal_master(msg, wake_all=True)
-
-    def _cond_signal_master(self, msg: Message, wake_all: bool) -> None:
-        entry = self.st.entries.get(msg.var.addr)
-        sv = self.store.lookup(msg.var.addr)
-        if entry is None and sv is None:
             return  # no waiters: the signal is lost (POSIX semantics)
-        if entry is not None:
-            state, in_memory = entry, False
-        else:
-            state, in_memory = sv.state, True
-            self._charge_syncronvar_access(msg.var)
-        woken = True
-        while woken:
-            woken = self._cond_wake_one(state, msg.var)
-            if not wake_all:
-                break
+        wake_all = msg.opcode in _BROADCASTS
+        while self._cond_wake_one(state, msg.var) and wake_all:
+            pass
         self._maybe_free_state(state, msg.var, in_memory)
 
     def _cond_wake_one(self, state, var) -> bool:
@@ -504,12 +437,8 @@ class ProtocolMixin:
             )
             return True
         if state.global_waitlist:
-            item = state.global_waitlist.popleft()
-            if item[0] == "se":
-                self.send_se(item[1], Opcode.COND_GRANT_GLOBAL, var)
-            else:
-                self.send_se(item[2], Opcode.COND_GRANT_OVERFLOW, var,
-                             core=item[1], info=item[3])
+            self._send_to_waiter(state.global_waitlist.popleft(), var,
+                                 Opcode.COND_GRANT_GLOBAL, Opcode.COND_GRANT_OVERFLOW)
             return True
         return False
 
@@ -534,42 +463,18 @@ class ProtocolMixin:
     # ==================================================================
     # Master-coordinated one-level scheme, like the across-units barrier
     # with a partial participant set (Sec. 4.1.2): local SEs statelessly
-    # forward requests to the Master SE, which queues and grants.  State
-    # reuses the ST entry: ``table_info`` counts active readers,
-    # ``local_owner`` holds the active writer, ``global_waitlist`` is the
-    # fair FIFO of ("r"/"w", core) waiters — a writer in line blocks later
-    # readers, so writers cannot starve.
+    # forward requests to the Master SE (_on_at_master), which queues and
+    # grants.  State reuses the ST entry: ``table_info`` counts active
+    # readers, ``local_owner`` holds the active writer, ``global_waitlist``
+    # is the fair FIFO of ("r"/"w", core) waiters — a writer in line blocks
+    # later readers, so writers cannot starve.
 
-    def _rw_forward(self, msg: Message, global_opcode: Opcode) -> None:
-        self.send_se(
-            self.master_of(msg.var), global_opcode, msg.var,
-            core=msg.core, info=msg.info,
-        )
-
-    def _on_rw_read_acquire_local(self, msg: Message) -> None:
-        if not self.is_master(msg.var):
-            self._rw_forward(msg, Opcode.RW_READ_ACQUIRE_GLOBAL)
-            return
-        self._rw_acquire(msg, write=False)
-
-    def _on_rw_read_acquire_global(self, msg: Message) -> None:
-        self._rw_acquire(msg, write=False)
-
-    def _on_rw_write_acquire_local(self, msg: Message) -> None:
-        if not self.is_master(msg.var):
-            self._rw_forward(msg, Opcode.RW_WRITE_ACQUIRE_GLOBAL)
-            return
-        self._rw_acquire(msg, write=True)
-
-    def _on_rw_write_acquire_global(self, msg: Message) -> None:
-        self._rw_acquire(msg, write=True)
-
-    def _rw_acquire(self, msg: Message, write: bool) -> None:
+    def _on_rw_acquire(self, msg: Message) -> None:
         state, in_memory = self._get_state(msg, acquire=True)
         if state is None:
             return
         queue = state.global_waitlist
-        if write:
+        if msg.opcode in _RW_WRITE_ACQUIRES:
             if state.local_owner is None and state.table_info == 0 and not queue:
                 state.local_owner = msg.core
                 self.send_grant(msg.core)
@@ -583,25 +488,7 @@ class ProtocolMixin:
             else:
                 queue.append(("r", msg.core))
 
-    def _on_rw_read_release_local(self, msg: Message) -> None:
-        if not self.is_master(msg.var):
-            self._rw_forward(msg, Opcode.RW_READ_RELEASE_GLOBAL)
-            return
-        self._rw_read_release(msg)
-
-    def _on_rw_read_release_global(self, msg: Message) -> None:
-        self._rw_read_release(msg)
-
-    def _on_rw_write_release_local(self, msg: Message) -> None:
-        if not self.is_master(msg.var):
-            self._rw_forward(msg, Opcode.RW_WRITE_RELEASE_GLOBAL)
-            return
-        self._rw_write_release(msg)
-
-    def _on_rw_write_release_global(self, msg: Message) -> None:
-        self._rw_write_release(msg)
-
-    def _rw_read_release(self, msg: Message) -> None:
+    def _on_rw_read_release(self, msg: Message) -> None:
         state, in_memory = self._get_state(msg, acquire=False)
         if state is None:
             return
@@ -612,7 +499,7 @@ class ProtocolMixin:
         state.table_info -= 1
         self._rw_wake(state, msg.var, in_memory)
 
-    def _rw_write_release(self, msg: Message) -> None:
+    def _on_rw_write_release(self, msg: Message) -> None:
         state, in_memory = self._get_state(msg, acquire=False)
         if state is None:
             return
@@ -625,7 +512,9 @@ class ProtocolMixin:
         self._rw_wake(state, msg.var, in_memory)
 
     def _rw_wake(self, state, var, in_memory: bool) -> None:
-        """Grant the FIFO head: one writer, or every leading reader."""
+        """Grant the FIFO head: one writer, or every leading reader; then
+        free the state once truly idle (readers are tracked in
+        ``table_info``, which blocks the generic release check)."""
         queue = state.global_waitlist
         if state.local_owner is None and queue:
             if queue[0][0] == "w":
@@ -638,11 +527,6 @@ class ProtocolMixin:
                     _kind, core = queue.popleft()
                     state.table_info += 1
                     self.send_grant(core)
-        self._rw_maybe_free(state, var, in_memory)
-
-    def _rw_maybe_free(self, state, var, in_memory: bool) -> None:
-        """Readers are tracked in ``table_info``, which blocks the generic
-        release check by design; free explicitly once truly idle."""
         if state.table_info == 0:
             self._maybe_free_state(state, var, in_memory)
 
@@ -653,47 +537,57 @@ class ProtocolMixin:
         self.end_overflow_episode(msg.var.addr)
 
 
+_BROADCASTS = frozenset({Opcode.COND_BROAD_LOCAL, Opcode.COND_BROAD_GLOBAL,
+                         Opcode.COND_BROAD_OVERFLOW})
+_RW_WRITE_ACQUIRES = frozenset({Opcode.RW_WRITE_ACQUIRE_LOCAL,
+                                Opcode.RW_WRITE_ACQUIRE_GLOBAL})
+
+#: local opcode served only at the Master SE -> (the global opcode a
+#: non-master SE forwards it as, whether the forward carries core and info).
+_MASTER_FORWARDS = {
+    Opcode.SEM_POST_LOCAL: (Opcode.SEM_POST_GLOBAL, False),
+    Opcode.COND_SIGNAL_LOCAL: (Opcode.COND_SIGNAL_GLOBAL, False),
+    Opcode.COND_BROAD_LOCAL: (Opcode.COND_BROAD_GLOBAL, False),
+    Opcode.RW_READ_ACQUIRE_LOCAL: (Opcode.RW_READ_ACQUIRE_GLOBAL, True),
+    Opcode.RW_WRITE_ACQUIRE_LOCAL: (Opcode.RW_WRITE_ACQUIRE_GLOBAL, True),
+    Opcode.RW_READ_RELEASE_LOCAL: (Opcode.RW_READ_RELEASE_GLOBAL, True),
+    Opcode.RW_WRITE_RELEASE_LOCAL: (Opcode.RW_WRITE_RELEASE_GLOBAL, True),
+}
+
+_P = ProtocolMixin
 _HANDLERS = {
-    Opcode.LOCK_ACQUIRE_LOCAL: ProtocolMixin._on_lock_acquire_local,
-    Opcode.LOCK_ACQUIRE_GLOBAL: ProtocolMixin._on_lock_acquire_global,
-    Opcode.LOCK_ACQUIRE_OVERFLOW: ProtocolMixin._on_lock_acquire_overflow,
-    Opcode.LOCK_GRANT_GLOBAL: ProtocolMixin._on_lock_grant_global,
-    Opcode.LOCK_GRANT_OVERFLOW: ProtocolMixin._on_lock_grant_overflow,
-    Opcode.LOCK_RELEASE_LOCAL: ProtocolMixin._on_lock_release_local,
-    Opcode.LOCK_RELEASE_GLOBAL: ProtocolMixin._on_lock_release_global,
-    Opcode.LOCK_RELEASE_OVERFLOW: ProtocolMixin._on_lock_release_overflow,
-    Opcode.BARRIER_WAIT_LOCAL_WITHIN_UNIT: ProtocolMixin._on_barrier_wait_within_unit,
-    Opcode.BARRIER_WAIT_LOCAL_ACROSS_UNITS: ProtocolMixin._on_barrier_wait_across_units,
-    Opcode.BARRIER_WAIT_GLOBAL: ProtocolMixin._on_barrier_wait_global,
-    Opcode.BARRIER_WAIT_OVERFLOW: ProtocolMixin._on_barrier_wait_overflow,
-    Opcode.BARRIER_DEPART_GLOBAL: ProtocolMixin._on_barrier_depart_global,
-    Opcode.BARRIER_DEPARTURE_OVERFLOW: ProtocolMixin._on_barrier_departure_overflow,
-    Opcode.SEM_WAIT_LOCAL: ProtocolMixin._on_sem_wait_local,
-    Opcode.SEM_WAIT_GLOBAL: ProtocolMixin._on_sem_wait_global,
-    Opcode.SEM_WAIT_OVERFLOW: ProtocolMixin._on_sem_wait_overflow,
-    Opcode.SEM_GRANT_GLOBAL: ProtocolMixin._on_sem_grant_global,
-    Opcode.SEM_GRANT_OVERFLOW: ProtocolMixin._on_sem_grant_overflow,
-    Opcode.SEM_POST_LOCAL: ProtocolMixin._on_sem_post_local,
-    Opcode.SEM_POST_GLOBAL: ProtocolMixin._on_sem_post_global,
-    Opcode.SEM_POST_OVERFLOW: ProtocolMixin._on_sem_post_overflow,
-    Opcode.COND_WAIT_LOCAL: ProtocolMixin._on_cond_wait_local,
-    Opcode.COND_WAIT_GLOBAL: ProtocolMixin._on_cond_wait_global,
-    Opcode.COND_WAIT_OVERFLOW: ProtocolMixin._on_cond_wait_overflow,
-    Opcode.COND_SIGNAL_LOCAL: ProtocolMixin._on_cond_signal_local,
-    Opcode.COND_SIGNAL_GLOBAL: ProtocolMixin._on_cond_signal_global,
-    Opcode.COND_SIGNAL_OVERFLOW: ProtocolMixin._on_cond_signal_overflow,
-    Opcode.COND_BROAD_LOCAL: ProtocolMixin._on_cond_broadcast_local,
-    Opcode.COND_BROAD_GLOBAL: ProtocolMixin._on_cond_broadcast_global,
-    Opcode.COND_BROAD_OVERFLOW: ProtocolMixin._on_cond_broadcast_overflow,
-    Opcode.COND_GRANT_GLOBAL: ProtocolMixin._on_cond_grant_global,
-    Opcode.COND_GRANT_OVERFLOW: ProtocolMixin._on_cond_grant_overflow,
-    Opcode.RW_READ_ACQUIRE_LOCAL: ProtocolMixin._on_rw_read_acquire_local,
-    Opcode.RW_READ_ACQUIRE_GLOBAL: ProtocolMixin._on_rw_read_acquire_global,
-    Opcode.RW_READ_RELEASE_LOCAL: ProtocolMixin._on_rw_read_release_local,
-    Opcode.RW_READ_RELEASE_GLOBAL: ProtocolMixin._on_rw_read_release_global,
-    Opcode.RW_WRITE_ACQUIRE_LOCAL: ProtocolMixin._on_rw_write_acquire_local,
-    Opcode.RW_WRITE_ACQUIRE_GLOBAL: ProtocolMixin._on_rw_write_acquire_global,
-    Opcode.RW_WRITE_RELEASE_LOCAL: ProtocolMixin._on_rw_write_release_local,
-    Opcode.RW_WRITE_RELEASE_GLOBAL: ProtocolMixin._on_rw_write_release_global,
-    Opcode.DECREASE_INDEXING_COUNTER: ProtocolMixin._on_decrease_indexing_counter,
+    **dict.fromkeys(_MASTER_FORWARDS, _P._on_at_master),
+    **dict.fromkeys((Opcode.LOCK_GRANT_OVERFLOW, Opcode.SEM_GRANT_OVERFLOW,
+                     Opcode.BARRIER_DEPARTURE_OVERFLOW), _P._on_grant_overflow),
+    Opcode.LOCK_ACQUIRE_LOCAL: _P._on_lock_acquire_local,
+    Opcode.LOCK_ACQUIRE_GLOBAL: _P._on_lock_acquire_remote,
+    Opcode.LOCK_ACQUIRE_OVERFLOW: _P._on_lock_acquire_remote,
+    Opcode.LOCK_GRANT_GLOBAL: _P._on_lock_grant_global,
+    Opcode.LOCK_RELEASE_LOCAL: _P._on_lock_release_local,
+    Opcode.LOCK_RELEASE_GLOBAL: _P._on_lock_release_remote,
+    Opcode.LOCK_RELEASE_OVERFLOW: _P._on_lock_release_remote,
+    Opcode.BARRIER_WAIT_LOCAL_WITHIN_UNIT: _P._on_barrier_wait_within_unit,
+    Opcode.BARRIER_WAIT_LOCAL_ACROSS_UNITS: _P._on_barrier_wait_across_units,
+    Opcode.BARRIER_WAIT_GLOBAL: _P._on_barrier_wait_remote,
+    Opcode.BARRIER_WAIT_OVERFLOW: _P._on_barrier_wait_remote,
+    Opcode.BARRIER_DEPART_GLOBAL: _P._on_barrier_depart_global,
+    Opcode.SEM_WAIT_LOCAL: _P._on_sem_wait_local,
+    Opcode.SEM_WAIT_GLOBAL: _P._on_sem_wait_remote,
+    Opcode.SEM_WAIT_OVERFLOW: _P._on_sem_wait_remote,
+    Opcode.SEM_GRANT_GLOBAL: _P._on_sem_grant_global,
+    Opcode.SEM_POST_GLOBAL: _P._on_sem_post,
+    Opcode.SEM_POST_OVERFLOW: _P._on_sem_post,
+    Opcode.COND_WAIT_LOCAL: _P._on_cond_wait_local,
+    Opcode.COND_WAIT_GLOBAL: _P._on_cond_wait_remote,
+    Opcode.COND_WAIT_OVERFLOW: _P._on_cond_wait_remote,
+    **dict.fromkeys((Opcode.COND_SIGNAL_GLOBAL, Opcode.COND_SIGNAL_OVERFLOW,
+                     Opcode.COND_BROAD_GLOBAL, Opcode.COND_BROAD_OVERFLOW),
+                    _P._on_cond_signal),
+    Opcode.COND_GRANT_GLOBAL: _P._on_cond_grant_global,
+    Opcode.COND_GRANT_OVERFLOW: _P._on_cond_grant_overflow,
+    Opcode.RW_READ_ACQUIRE_GLOBAL: _P._on_rw_acquire,
+    Opcode.RW_WRITE_ACQUIRE_GLOBAL: _P._on_rw_acquire,
+    Opcode.RW_READ_RELEASE_GLOBAL: _P._on_rw_read_release,
+    Opcode.RW_WRITE_RELEASE_GLOBAL: _P._on_rw_write_release,
+    Opcode.DECREASE_INDEXING_COUNTER: _P._on_decrease_indexing_counter,
 }

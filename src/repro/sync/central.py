@@ -11,7 +11,6 @@ contention all traffic funnels over the narrow inter-unit links to one spot.
 from __future__ import annotations
 
 from repro.core.engine import SynCronMechanism
-from repro.core.messages import REQUEST_BYTES
 from repro.sync.server import ServerEngine
 
 
@@ -36,16 +35,6 @@ class CentralMechanism(SynCronMechanism):
         server = _CentralServer(self, se_id=self.SERVER_UNIT, unit=self.SERVER_UNIT)
         # every "SE slot" routes to the one server.
         self.ses = [server] * self.config.num_units
-        self.server = server
 
-    def _inject(self, core, msg) -> None:
-        if core.unit_id == self.SERVER_UNIT:
-            self.stats.sync_messages_local += 1
-        else:
-            self.stats.sync_messages_global += 1
-        latency = self.interconnect.transfer_latency(
-            core.unit_id, self.SERVER_UNIT, self.sim.now, REQUEST_BYTES
-        )
-        self.server.receive(
-            msg, self.sim.now + latency, sender=core.sender_token
-        )
+    def entry_unit(self, core, msg) -> int:
+        return self.SERVER_UNIT

@@ -11,36 +11,21 @@ contention in non-uniform NDP systems.
 from __future__ import annotations
 
 from repro.core.engine import SynCronMechanism
-from repro.core.messages import REQUEST_BYTES
 
 
 class FlatSynCronMechanism(SynCronMechanism):
     name = "syncron_flat"
 
-    def _inject(self, core, msg) -> None:
-        master = msg.var.unit
-        if core.unit_id == master:
-            self.stats.sync_messages_local += 1
-        else:
-            self.stats.sync_messages_global += 1
-        latency = self.interconnect.transfer_latency(
-            core.unit_id, master, self.sim.now, REQUEST_BYTES
-        )
-        self.ses[master].receive(
-            msg, self.sim.now + latency, sender=core.sender_token
-        )
+    def entry_unit(self, core, msg) -> int:
+        return msg.var.unit
 
     def inject_internal(self, se, msg) -> None:
         """Flat routing: the lock's Master SE owns the state, so condvar
         lock release / re-acquire must run there."""
-        master = msg.var.unit
-        target = self.ses[master]
+        target = self.ses[msg.var.unit]
         depart = self.sim.now + se._extra
         if target is se:
             se.sim.schedule_at(depart, se._enqueue, msg)
             return
-        self.stats.sync_messages_global += 1
-        latency = self.interconnect.transfer_latency(
-            se.unit, master, depart, msg.bytes
-        )
-        target.receive(msg, depart + latency, sender=se.sender_token)
+        target.receive(msg, self.send(se.unit, target.unit, depart, msg.bytes),
+                       sender=se.sender_token)

@@ -30,7 +30,7 @@ from __future__ import annotations
 from typing import Dict, Optional, Set
 
 from repro.core.engine import SynCronMechanism, SyncEngine
-from repro.core.messages import LOCAL_OPCODES, Message, Opcode, OVERFLOW_OPCODES, RESPONSE_BYTES
+from repro.core.messages import LOCAL_OPCODES, Message, OVERFLOW_OPCODES, RESPONSE_BYTES
 from repro.sync.server import ServerEngine
 
 
@@ -53,21 +53,21 @@ class _AbortModeSE(SyncEngine):
             ):
                 self._redirect_overflow(msg)
                 return None, False
-            entry = self.st.allocate(msg.var)
-            self.stats.st_allocations += 1
-            if sem_init is not None:
-                entry.table_info = sem_init
-            return entry, False
+            return self._allocate(msg.var, sem_init)
         # Master SE with no entry.
         if not self.st.is_full:
-            entry = self.st.allocate(msg.var)
-            self.stats.st_allocations += 1
-            if sem_init is not None:
-                entry.table_info = sem_init
-            return entry, False
+            return self._allocate(msg.var, sem_init)
         # Overflow: abort to the alternative software solution.
-        self.mech.begin_fallback(self, msg, sem_init)
+        self.mech.begin_fallback(self, msg)
         return None, False
+
+    def _find_state(self, msg: Message):
+        # A fallback-serviced variable's state (a condvar's waiters) lives
+        # at the fallback server: the signal must go there.
+        if self.is_master(msg.var) and self.mech.is_fallback_var(msg.var.addr):
+            self.mech.forward_to_fallback(self, msg)
+            return None, False
+        return super()._find_state(msg)
 
 
 class _FallbackServer(ServerEngine):
@@ -136,8 +136,7 @@ class _AbortOverflowMechanism(SynCronMechanism):
     def is_fallback_var(self, addr: int) -> bool:
         return addr in self._fallback_vars
 
-    def begin_fallback(self, se: _AbortModeSE, msg: Message,
-                       sem_init: Optional[int] = None) -> None:
+    def begin_fallback(self, se: _AbortModeSE, msg: Message) -> None:
         """First overflow for this variable: abort + switch to software."""
         self._fallback_vars.add(msg.var.addr)
         self._broadcast_switch(se)
@@ -147,12 +146,7 @@ class _AbortOverflowMechanism(SynCronMechanism):
         """Abort/resume notifications to every unit's cores (traffic only)."""
         now = self.sim.now
         for unit in range(self.config.num_units):
-            if unit == se.unit:
-                self.stats.sync_messages_local += 1
-                self.interconnect.transfer_latency(unit, unit, now, RESPONSE_BYTES)
-            else:
-                self.stats.sync_messages_global += 1
-                self.interconnect.transfer_latency(se.unit, unit, now, RESPONSE_BYTES)
+            self.send(se.unit, unit, now, RESPONSE_BYTES)
 
     def forward_to_fallback(self, se: SyncEngine, msg: Message) -> None:
         server = self._fallback_for(msg.var)
@@ -171,33 +165,13 @@ class _AbortOverflowMechanism(SynCronMechanism):
             # fallback server itself (Sec. 6.7.3) — one extra round trip per
             # request, plus a switch-back notification afterwards.
             origin = self.core_unit(msg.core) if msg.core is not None else se.unit
-            abort = self.interconnect.transfer_latency(
-                se.unit, origin, depart, RESPONSE_BYTES
-            )
-            self._count_message(se.unit, origin)
-            reissue = self.interconnect.transfer_latency(
-                origin, server.unit, depart + abort, msg.bytes
-            )
-            self._count_message(origin, server.unit)
+            aborted = self.send(se.unit, origin, depart, RESPONSE_BYTES)
+            arrival = self.send(origin, server.unit, aborted, msg.bytes)
             # switch-back notification core -> SE, charged as traffic.
-            self.interconnect.transfer_latency(
-                origin, se.unit, depart + abort, RESPONSE_BYTES
-            )
-            self._count_message(origin, se.unit)
-            arrival = depart + abort + reissue
+            self.send(origin, se.unit, aborted, RESPONSE_BYTES)
         else:
-            latency = self.interconnect.transfer_latency(
-                se.unit, server.unit, depart, msg.bytes
-            )
-            self._count_message(se.unit, server.unit)
-            arrival = depart + latency
+            arrival = self.send(se.unit, server.unit, depart, msg.bytes)
         server.receive(msg, arrival, sender=se.sender_token)
-
-    def _count_message(self, src_unit: int, dst_unit: int) -> None:
-        if src_unit == dst_unit:
-            self.stats.sync_messages_local += 1
-        else:
-            self.stats.sync_messages_global += 1
 
     def inject_internal(self, se, msg: Message) -> None:
         """Condvar-driven lock release/re-acquire must run hierarchically at
@@ -205,17 +179,9 @@ class _AbortOverflowMechanism(SynCronMechanism):
         serviced by a fallback server."""
         if isinstance(se, _FallbackServer):
             target = self.ses[self.core_unit(msg.core)]
-            depart = self.sim.now + se._extra
-            if target.unit == se.unit:
-                self.stats.sync_messages_local += 1
-                latency = self.interconnect.transfer_latency(
-                    se.unit, se.unit, depart, msg.bytes)
-            else:
-                self.stats.sync_messages_global += 1
-                latency = self.interconnect.transfer_latency(
-                    se.unit, target.unit, depart, msg.bytes
-                )
-            target.receive(msg, depart + latency, sender=se.sender_token)
+            arrival = self.send(se.unit, target.unit, self.sim.now + se._extra,
+                                msg.bytes)
+            target.receive(msg, arrival, sender=se.sender_token)
             return
         super().inject_internal(se, msg)
 

@@ -6,6 +6,8 @@ import pytest
 
 from repro.core import api
 from repro.sim.program import Compute
+from repro.workloads.base import run_workload
+from repro.workloads.microbench import PrimitiveMicrobench
 
 from repro.testing import build_system
 
@@ -151,6 +153,20 @@ class TestAbortOverflowVariants:
             lock_coupling_workload(system, num_locks=8, ops_per_core=5)
             results[mech] = system.sim.now
         assert results[mechanism] == results["syncron"]
+
+    @pytest.mark.parametrize("config", ["tiny_config", "quad_config"])
+    def test_condvar_wait_releases_its_lock_once(self, request, config,
+                                                 mechanism):
+        """A cond_wait whose condvar is fallback-serviced releases its lock
+        once, at the fallback server, and signals reach the waiters there
+        (it used to release twice and lose signals at the Master SE: a
+        ProtocolError on 4 units, a livelock on 2)."""
+        config = request.getfixturevalue(config).with_(st_entries=1)
+        metrics = run_workload(
+            lambda: PrimitiveMicrobench("condvar", interval=50, rounds=3),
+            config, mechanism, max_events=200_000,
+        )
+        assert metrics.stats["st_overflow_requests"] > 0
 
     def test_fallback_variables_switch_back(self, quad_config, mechanism):
         config = quad_config.with_(st_entries=2)

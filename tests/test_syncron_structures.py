@@ -11,14 +11,12 @@ from hypothesis import given, strategies as st
 from repro.core.area import se_area, table4_comparison, table8_rows
 from repro.core.indexing import IndexingCounters
 from repro.core.messages import (
-    ACQUIRE_OPCODES,
     GLOBAL_OPCODES,
     LOCAL_OPCODES,
     Message,
     Opcode,
     OPCODE_BYTES,
     OVERFLOW_OPCODES,
-    RELEASE_OPCODES,
     REQUEST_BITS,
     REQUEST_BYTES,
     RESPONSE_BYTES,
@@ -39,10 +37,13 @@ class TestMessages:
         families = LOCAL_OPCODES | GLOBAL_OPCODES | OVERFLOW_OPCODES
         assert families == set(Opcode)
 
-    def test_acquire_release_classification(self):
-        assert Opcode.LOCK_ACQUIRE_LOCAL in ACQUIRE_OPCODES
-        assert Opcode.LOCK_RELEASE_LOCAL in RELEASE_OPCODES
-        assert Opcode.LOCK_GRANT_LOCAL not in ACQUIRE_OPCODES | RELEASE_OPCODES
+    def test_every_opcode_an_engine_receives_has_a_handler(self):
+        from repro.core.protocol import _HANDLERS
+
+        # SE -> core notifications: send_grant models them without a Message.
+        to_cores = {Opcode.LOCK_GRANT_LOCAL, Opcode.BARRIER_DEPART_LOCAL,
+                    Opcode.SEM_GRANT_LOCAL, Opcode.COND_GRANT_LOCAL}
+        assert set(_HANDLERS) == set(Opcode) - to_cores
 
     def test_grant_messages_use_response_size(self):
         var = SyncVar(addr=0, unit=0)
