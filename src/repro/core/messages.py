@@ -58,6 +58,8 @@ class Opcode(enum.Enum):
     SEM_POST_GLOBAL = enum.auto()
     SEM_WAIT_OVERFLOW = enum.auto()
     SEM_GRANT_OVERFLOW = enum.auto()
+    #: Table 3 names it, but posts reach the Master SE as SEM_POST_GLOBAL
+    #: and are never redirected: nothing sends it (no handler).
     SEM_POST_OVERFLOW = enum.auto()
     # --- condition variables -------------------------------------------
     COND_WAIT_LOCAL = enum.auto()
@@ -69,6 +71,8 @@ class Opcode(enum.Enum):
     COND_GRANT_LOCAL = enum.auto()
     COND_GRANT_GLOBAL = enum.auto()
     COND_WAIT_OVERFLOW = enum.auto()
+    #: Table 3 names these two, but signals and broadcasts reach the Master
+    #: SE as *_GLOBAL and are never redirected: nothing sends them.
     COND_SIGNAL_OVERFLOW = enum.auto()
     COND_BROAD_OVERFLOW = enum.auto()
     COND_GRANT_OVERFLOW = enum.auto()

@@ -63,6 +63,8 @@ class ProtocolMixin:
         # engine receives, so the hot path is a single dict hit.  The
         # SE -> core *_GRANT_LOCAL / BARRIER_DEPART_LOCAL opcodes have no
         # handler by design: send_grant models them without a Message.
+        # Nor do the three *_OVERFLOW opcodes nothing sends (SEM_POST,
+        # COND_SIGNAL, COND_BROAD; see Opcode).
         try:
             handler = _HANDLERS[msg.opcode]
         except KeyError:  # pragma: no cover - kernel misuse
@@ -537,8 +539,7 @@ class ProtocolMixin:
         self.end_overflow_episode(msg.var.addr)
 
 
-_BROADCASTS = frozenset({Opcode.COND_BROAD_LOCAL, Opcode.COND_BROAD_GLOBAL,
-                         Opcode.COND_BROAD_OVERFLOW})
+_BROADCASTS = frozenset({Opcode.COND_BROAD_LOCAL, Opcode.COND_BROAD_GLOBAL})
 _RW_WRITE_ACQUIRES = frozenset({Opcode.RW_WRITE_ACQUIRE_LOCAL,
                                 Opcode.RW_WRITE_ACQUIRE_GLOBAL})
 
@@ -576,12 +577,10 @@ _HANDLERS = {
     Opcode.SEM_WAIT_OVERFLOW: _P._on_sem_wait_remote,
     Opcode.SEM_GRANT_GLOBAL: _P._on_sem_grant_global,
     Opcode.SEM_POST_GLOBAL: _P._on_sem_post,
-    Opcode.SEM_POST_OVERFLOW: _P._on_sem_post,
     Opcode.COND_WAIT_LOCAL: _P._on_cond_wait_local,
     Opcode.COND_WAIT_GLOBAL: _P._on_cond_wait_remote,
     Opcode.COND_WAIT_OVERFLOW: _P._on_cond_wait_remote,
-    **dict.fromkeys((Opcode.COND_SIGNAL_GLOBAL, Opcode.COND_SIGNAL_OVERFLOW,
-                     Opcode.COND_BROAD_GLOBAL, Opcode.COND_BROAD_OVERFLOW),
+    **dict.fromkeys((Opcode.COND_SIGNAL_GLOBAL, Opcode.COND_BROAD_GLOBAL),
                     _P._on_cond_signal),
     Opcode.COND_GRANT_GLOBAL: _P._on_cond_grant_global,
     Opcode.COND_GRANT_OVERFLOW: _P._on_cond_grant_overflow,

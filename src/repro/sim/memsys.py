@@ -145,12 +145,16 @@ class MemorySystem:
         once per burst, and each of the (at most two) runs is one
         :meth:`Interconnect.round_trips
         <repro.sim.network.Interconnect.round_trips>` call that resolves its
-        packets and DRAM row hits inline.  Within a run, once an exchange
-        waited at no crossbar, ended in the relative fabric state it
-        started in and left every crossbar load estimate safely below the
-        zero-wait limits, no later exchange can wait, and ``round_trips``
-        fast-forwards the rest of the run with crossbar load-estimate
-        updates alone (still bit-identical; the argument is in its
+        packets and DRAM row hits inline.  On a pristine fabric that call
+        reads the pair's burst plan (limits, routes, per-link serialization
+        and latency, and one exchange's traffic, built on the pair's first
+        burst) and books the run's traffic once from it.  Within a run,
+        each exchange's relative fabric state is one flat tuple; once an
+        exchange waited at no crossbar, ended in the state it started in
+        and left every crossbar load estimate safely below the zero-wait
+        limits, no later exchange can wait, and ``round_trips``
+        fast-forwards the rest of the run in one loop of crossbar
+        load-estimate updates (still bit-identical; the argument is in its
         docstring).  A bakery scan gets there within a few accesses.
         """
         count = stores + loads

@@ -41,13 +41,14 @@ the e2ebench workloads) never reaches the M/D/1 formula
 (:meth:`Crossbar.wait_cycles`, its one copy).
 :meth:`Interconnect.round_trips` resolves a burst of request/response
 exchanges to one DRAM address (a bakery scan) in one loop of the same
-inline steps, its DRAM row hits included, and charges its traffic once
-per burst.  Once an exchange waited nowhere, left the fabric, relative to
-its end, as it found it relative to its start, and left every load
-estimate safely below the zero-wait limits, no later exchange can wait:
-the rest of the burst is fast-forwarded by updating only the crossbar load
-estimates and shifting every reservation by whole periods, bit-identical
-to resolving every exchange.
+inline steps, its DRAM row hits included, reading what does not change
+from a burst plan built once per unit pair and packet sizes, and books its
+traffic once per burst.  Once an exchange waited nowhere, left the fabric,
+relative to its end, as it found it relative to its start, and left every
+load estimate safely below the zero-wait limits, no later exchange can
+wait: the rest of the burst is fast-forwarded by updating only the
+crossbar load estimates and shifting every reservation by whole periods,
+bit-identical to resolving every exchange.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ from typing import Dict, List, Optional, Set, Tuple
 from repro.sim.clock import core_cycles_from_ns
 from repro.sim.config import SystemConfig
 from repro.sim.dram import DramDevice
-from repro.sim.stats import SystemStats, charge_transfers
+from repro.sim.stats import SystemStats
 from repro.sim.topo import (
     Channel,
     FabricPartitionedError,
@@ -240,7 +241,8 @@ class Interconnect:
 
     __slots__ = ("config", "stats", "crossbars", "topology", "_links",
                  "_pristine", "_limits", "_profiles", "_degraded",
-                 "_dead_channels", "_down_since", "_resolved", "_local_bits")
+                 "_dead_channels", "_down_since", "_resolved", "_local_bits",
+                 "_plans")
 
     def __init__(self, config: SystemConfig, stats: SystemStats):
         self.config = config
@@ -266,6 +268,10 @@ class Interconnect:
         self._resolved: Dict[Tuple[int, int], Tuple] = {}
         #: local_bit_hops per payload byte crossing one crossbar.
         self._local_bits = 8 * config.local_hops
+        #: (src, dst, request_bytes, response_bytes) -> the pair's burst
+        #: plan (:meth:`_burst_plan`), read by :meth:`round_trips` while the
+        #: fabric is pristine.
+        self._plans: Dict[Tuple[int, int, int, int], tuple] = {}
 
     # ------------------------------------------------------------------
     # Heterogeneous link parameters
@@ -537,51 +543,61 @@ class Interconnect:
         :meth:`transfer_latency` calls around a :meth:`DramDevice.access
         <repro.sim.dram.DramDevice.access>` per exchange.
 
-        One loop resolves the exchanges.  The crossbar load estimates, link
-        reservations and the bank's next-free time live in locals, written
-        back once after the last exchange, when the traffic of the whole
-        burst is charged too.  An exchange runs the steps of
-        :meth:`transfer_latency` inline: source crossbar, each link out,
-        destination crossbar, DRAM, destination crossbar, each link back,
-        source crossbar.  A local home has no links and skips both
-        destination-crossbar steps.  A crossbar step at or below its packet
-        size's zero-wait limit (:meth:`_zero_wait_limit`) waits 0; only one
-        above it calls :meth:`Crossbar.wait_cycles`.  The first DRAM access
-        goes through ``dram.access``, which opens ``addr``'s row; nothing
-        else runs during the burst, so every later access is a row hit on
-        that bank, resolved inline (wait for the bank, the hit latency,
-        then the write-recovery hold on a store).
+        Everything a burst reads that does not change while the fabric is
+        pristine comes from the pair's burst plan (:meth:`_burst_plan`,
+        built on the first burst of each ``(src, dst, request_bytes,
+        response_bytes)``): both zero-wait limits, both crossbars, the two
+        routes as one tuple of links with their serialization and latency
+        tuples and the out and back hop ranges into it, and the traffic one
+        exchange books.  One loop resolves the exchanges.  The crossbar
+        load estimates, the links' next-free times (one list, the only
+        thing a remote call builds) and the bank's next-free time live in
+        locals, written back once after the last exchange, when the
+        traffic of the whole burst is booked from the plan too.  An
+        exchange runs the steps of :meth:`transfer_latency` inline: source
+        crossbar, each link out, destination crossbar, DRAM, destination
+        crossbar, each link back, source crossbar.  A local home has no
+        links and skips all but the two source-crossbar steps and the
+        DRAM.  A crossbar step at or below its
+        packet size's zero-wait limit (:meth:`_zero_wait_limit`) waits 0;
+        only one above it calls :meth:`Crossbar.wait_cycles`.  The first
+        DRAM access goes through ``dram.access``, which opens ``addr``'s
+        row; nothing else runs during the burst, so every later access is a
+        row hit on that bank, resolved inline (wait for the bank, the hit
+        latency, then the write-recovery hold on a store).
 
         Fast-forward.  An exchange that waits nowhere is a pure function of
         its start state relative to the cursor: each crossbar's cycles
         since its last step, each link's and the bank's next-free time
-        minus the cursor.  The load estimates enter only through the
-        zero-wait predicate ``rate > limit``.  An estimate update ``r * d +
-        (n / e) * (1 - d)`` is a convex combination of ``r`` and the step's
-        ``n / e``, so it stays under any bound both lie under, up to its
-        three roundings, a factor of at most ``(1 + u)**3`` with ``u =
-        2**-53``.  So once an exchange waited nowhere, ended in the relative
-        state it started in, and left both estimates and every step's ``n /
-        e`` below ``safe = min(req_limit, resp_limit) * (1 - count *
-        2**-50)``, no later step of the burst can wait: the fewer than
-        ``count`` exchanges left make two updates per crossbar each, and
-        ``(1 - 8 * count * u) * (1 + u)**(6 * count + 2)`` (two roundings
-        more for ``safe`` itself) is below 1.  The rest of the burst then
-        repeats that exchange with no limit check: each crossbar runs ``r =
-        (r * d1 + i1) * d2 + i2`` with its two steps' decays and
-        injections, and the cursor, both crossbars' last-step times, every
-        link's next-free time and the bank's shift by whole periods.  The
-        floats are the same expressions in the same order and the shifts
-        exact integers, so the result is bit-identical to resolving every
-        exchange.  An exchange that waited never seeds the fast-forward: a
-        wait before its first link leaves no trace in the relative state,
-        and its period includes a wait the repeats would not pay.  A bakery
-        scan gets there after two or three exchanges; a burst that does not
-        goes on exchange by exchange.
+        minus the cursor.  Each exchange records that state as one flat
+        tuple, compared with the previous exchange's.  The load estimates
+        enter only through the zero-wait predicate ``rate > limit``.  An
+        estimate update ``r * d + (n / e) * (1 - d)`` is a convex
+        combination of ``r`` and the step's ``n / e``, so it stays under
+        any bound both lie under, up to its three roundings, a factor of at
+        most ``(1 + u)**3`` with ``u = 2**-53``.  So once an exchange
+        waited nowhere, ended in the relative state it started in, and left
+        both estimates and every step's ``n / e`` below ``safe =
+        min(req_limit, resp_limit) * (1 - count * 2**-50)``, no later step
+        of the burst can wait: the fewer than ``count`` exchanges left make
+        two updates per crossbar each, and ``(1 - 8 * count * u) * (1 +
+        u)**(6 * count + 2)`` (two roundings more for ``safe`` itself) is
+        below 1.  The rest of the burst then repeats that exchange with no
+        limit check: one loop runs, two repeats per iteration, ``r = (r *
+        d1 + i1) * d2 + i2`` for each crossbar with its two steps' decays
+        and injections, and the cursor, both crossbars' last-step times,
+        every link's next-free time and the bank's shift by whole periods.
+        The floats are the same expressions in the same order and the
+        shifts exact integers, so the result is bit-identical to resolving
+        every exchange.  An exchange that waited never seeds the
+        fast-forward: a wait before its first link leaves no trace in the
+        relative state, and its period includes a wait the repeats would
+        not pay.  A bakery scan gets there after two or three exchanges; a
+        burst that does not goes on exchange by exchange.
 
         A faulted fabric, whose routes may change mid-burst, resolves every
-        transfer through :meth:`transfer_latency` and every access through
-        ``dram.access`` instead.
+        remote transfer through :meth:`transfer_latency` and every access
+        through ``dram.access`` instead, and reads no plan.
         """
         if count <= 0:
             return 0
@@ -597,6 +613,14 @@ class Interconnect:
                                     response_bytes)
                 cursor += latency if latency > 1 else 1
             return cursor - now
+        plan = self._plans.get((src_unit, dst_unit, request_bytes,
+                                response_bytes))
+        if plan is None:
+            plan = self._burst_plan(src_unit, dst_unit, request_bytes,
+                                    response_bytes)
+        (req_limit, resp_limit, limit, src, dst, links, ser, lat, out_hops,
+         back_hops, inside_bytes, inside_bits, across_bytes,
+         link_bits) = plan
         # DRAM: the bank's next-free time is unknown (None) until the first
         # access opens the row; each later access is a row hit held for
         # ``hit`` plus ``recovery`` on a store.
@@ -605,38 +629,20 @@ class Interconnect:
         bank_free = None
         hit = dram._hit_cycles
         recovery = dram._wr_cycles if is_write else 0
-        limits = self._limits
-        req_limit = (limits.get(request_bytes)
-                     or self._zero_wait_limit(request_bytes))
-        resp_limit = (limits.get(response_bytes)
-                      or self._zero_wait_limit(response_bytes))
-        src = self.crossbars[src_unit]
         # Every crossbar is built from one config: one base latency.
         base = src._base_cycles
         src_rate, src_last = src._rate, src._last_time
         src_memo, src_decay = src._decay_cache, src._decay
-        # A remote home's crossbar, and per route each link's next-free
-        # time, serialization of this burst's packet size and propagation
-        # latency.
-        out = back = out_hops = back_hops = ()
         if not local:
-            dst = self.crossbars[dst_unit]
             dst_rate, dst_last = dst._rate, dst._last_time
             dst_memo, dst_decay = dst._decay_cache, dst._decay
-            out = self._route(src_unit, dst_unit)
-            back = self._route(dst_unit, src_unit)
-            out_free = [link._next_free for link in out]
-            out_ser = [link.serialization_cycles(request_bytes) for link in out]
-            out_lat = [link._latency_cycles for link in out]
-            back_free = [link._next_free for link in back]
-            back_ser = [link.serialization_cycles(response_bytes)
-                        for link in back]
-            back_lat = [link._latency_cycles for link in back]
-            out_hops = range(len(out))
-            back_hops = range(len(back))
+            # Each link's next-free time: the out route's, then the way
+            # back's.
+            free = [link._next_free for link in links]
         # The relative state the last exchange ended in (the next one's
-        # start state).
+        # start state), and the fast-forward's shift of every time.
         entry = None
+        shift = 0
         for done in range(1, count + 1):
             begin = cursor
             waited = False
@@ -654,15 +660,15 @@ class Interconnect:
             if src_rate > req_limit:
                 waited = True
                 t += src.wait_cycles(src_rate, request_bytes)
-            # request: each link on the route
-            for i in out_hops:
-                start = out_free[i]
-                if t > start:
-                    start = t
-                start += out_ser[i]
-                out_free[i] = start
-                t = start + out_lat[i]
             if not local:
+                # request: each link on the route
+                for i in out_hops:
+                    start = free[i]
+                    if t > start:
+                        start = t
+                    start += ser[i]
+                    free[i] = start
+                    t = start + lat[i]
                 # request: destination crossbar step
                 e2 = t - dst_last
                 if e2 < 1:
@@ -700,14 +706,14 @@ class Interconnect:
                 if dst_rate > resp_limit:
                     waited = True
                     t += dst.wait_cycles(dst_rate, response_bytes)
-            # response: each link on the way back
-            for i in back_hops:
-                start = back_free[i]
-                if t > start:
-                    start = t
-                start += back_ser[i]
-                back_free[i] = start
-                t = start + back_lat[i]
+                # response: each link on the way back
+                for i in back_hops:
+                    start = free[i]
+                    if t > start:
+                        start = t
+                    start += ser[i]
+                    free[i] = start
+                    t = start + lat[i]
             # response: source crossbar step
             e4 = t - src_last
             if e4 < 1:
@@ -723,45 +729,50 @@ class Interconnect:
                 waited = True
                 t += src.wait_cycles(src_rate, response_bytes)
             cursor = t if t > cursor else cursor + 1
-            state = (cursor - src_last, bank_free - cursor)
-            if not local:
-                state += (cursor - dst_last,
-                          [free - cursor for free in out_free],
-                          [free - cursor for free in back_free])
+            if local:
+                state = (cursor - src_last, bank_free - cursor)
+            else:
+                state = (cursor - src_last, bank_free - cursor,
+                         cursor - dst_last, *map(cursor.__rsub__, free))
             if waited or state != entry:
                 entry = state
                 continue
-            safe = min(req_limit, resp_limit) * (1.0 - count * 2.0 ** -50)
+            safe = limit * (1.0 - count * 2.0 ** -50)
             if not (src_rate < safe and request_bytes / e1 < safe
                     and response_bytes / e4 < safe
                     and (local or (dst_rate < safe
                                    and request_bytes / e2 < safe
                                    and response_bytes / e3 < safe))):
                 continue
-            # Fast-forward: the rest of the burst repeats this exchange.
+            # Fast-forward: the rest of the burst repeats this exchange,
+            # two repeats per iteration.
             repeats = count - done
-            for _ in range(repeats):
+            if local:
+                for _ in range(repeats >> 1):
+                    src_rate = (src_rate * d1 + i1) * d4 + i4
+                    src_rate = (src_rate * d1 + i1) * d4 + i4
+            else:
+                for _ in range(repeats >> 1):
+                    src_rate = (src_rate * d1 + i1) * d4 + i4
+                    dst_rate = (dst_rate * d2 + i2) * d3 + i3
+                    src_rate = (src_rate * d1 + i1) * d4 + i4
+                    dst_rate = (dst_rate * d2 + i2) * d3 + i3
+                if repeats & 1:
+                    dst_rate = (dst_rate * d2 + i2) * d3 + i3
+            if repeats & 1:
                 src_rate = (src_rate * d1 + i1) * d4 + i4
             shift = repeats * (cursor - begin)
-            if not local:
-                for _ in range(repeats):
-                    dst_rate = (dst_rate * d2 + i2) * d3 + i3
-                dst_last += shift
-                for i in out_hops:
-                    out_free[i] += shift
-                for i in back_hops:
-                    back_free[i] += shift
             cursor += shift
             src_last += shift
             bank_free += shift
+            if not local:
+                dst_last += shift
             break
         src._rate, src._last_time = src_rate, src_last
         if not local:
             dst._rate, dst._last_time = dst_rate, dst_last
-            for link, free in zip(out, out_free):
-                link._next_free = free
-            for link, free in zip(back, back_free):
-                link._next_free = free
+            for link, free_at in zip(links, free):
+                link._next_free = free_at + shift
         bank_next_free[bank] = bank_free
         hits = count - 1
         dram_stats = dram.stats
@@ -770,9 +781,59 @@ class Interconnect:
             dram_stats.dram_writes += hits
         else:
             dram_stats.dram_reads += hits
-        local_hops = self.config.local_hops
-        charge_transfers(self.stats, request_bytes, count, local, local_hops,
-                         len(out))
-        charge_transfers(self.stats, response_bytes, count, local, local_hops,
-                         len(back))
+        stats = self.stats
+        stats.bytes_inside_units += inside_bytes * count
+        stats.local_bit_hops += inside_bits * count
+        if not local:
+            stats.bytes_across_units += across_bytes * count
+            stats.link_bit_hops += link_bits * count
         return cursor - now
+
+    def _burst_plan(self, src_unit: int, dst_unit: int, request_bytes: int,
+                    response_bytes: int) -> tuple:
+        """What every :meth:`round_trips` burst of one pair and one pair of
+        packet sizes reads on the pristine fabric, built once (memoized per
+        ``(src, dst, request_bytes, response_bytes)``).
+
+        The request's and response's zero-wait limits and the lower of the
+        two; both crossbars (``None`` for the remote one of a local home);
+        the out and back routes as one tuple of links, their serialization
+        cycles (request size out, response size back) and latency tuples,
+        and the out and back hop ranges into those tuples; and the traffic
+        one exchange books, the sum of what
+        :func:`~repro.sim.stats.charge_transfers` charges its request and
+        its response: bytes and bit-hops inside units, bytes across units
+        and link bit-hops.
+        """
+        limits = self._limits
+        req_limit = (limits.get(request_bytes)
+                     or self._zero_wait_limit(request_bytes))
+        resp_limit = (limits.get(response_bytes)
+                      or self._zero_wait_limit(response_bytes))
+        payload = request_bytes + response_bytes
+        if src_unit == dst_unit:
+            dst, links = None, ()
+            ser = lat = out_hops = back_hops = ()
+            inside_bytes, across_bytes, link_bits = payload, 0, 0
+        else:
+            dst = self.crossbars[dst_unit]
+            out = self._route(src_unit, dst_unit)
+            back = self._route(dst_unit, src_unit)
+            links = out + back
+            ser = (tuple(link.serialization_cycles(request_bytes)
+                         for link in out)
+                   + tuple(link.serialization_cycles(response_bytes)
+                           for link in back))
+            lat = tuple(link._latency_cycles for link in links)
+            out_hops = range(len(out))
+            back_hops = range(len(out), len(links))
+            inside_bytes, across_bytes = 2 * payload, payload
+            link_bits = 8 * (request_bytes * len(out)
+                             + response_bytes * len(back))
+        plan = self._plans[(src_unit, dst_unit, request_bytes,
+                            response_bytes)] = (
+            req_limit, resp_limit, min(req_limit, resp_limit),
+            self.crossbars[src_unit], dst, links, ser, lat, out_hops,
+            back_hops, inside_bytes, inside_bytes * self._local_bits,
+            across_bytes, link_bits)
+        return plan

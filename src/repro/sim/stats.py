@@ -187,12 +187,12 @@ def charge_transfers(stats: SystemStats, nbytes: int, count: int,
     Mirrors what one :meth:`~repro.sim.network.Interconnect.transfer_latency`
     call charges — source crossbar (+ fabric links + destination crossbar
     when remote) — without touching any reservation/queueing state.  Two
-    callers: :meth:`~repro.sim.network.Interconnect.round_trips` charges a
-    whole burst at once after timing it (every packet, or a fast-forwarded
-    run of repeats at a time), and elided spin polls
-    account their traffic and energy analytically without contending for
-    banks, links, or crossbar slots (see the wait-channel model notes in
-    EXPERIMENTS.md).
+    callers: elided spin polls account their traffic and energy
+    analytically without contending for banks, links, or crossbar slots
+    (see the wait-channel model notes in EXPERIMENTS.md), and
+    :func:`repro.testing.per_hop_transfer`, the reference packet path.
+    :meth:`~repro.sim.network.Interconnect.round_trips` books the same sums
+    for a whole burst from its burst plan.
     """
     payload = nbytes * count
     if local:

@@ -132,6 +132,8 @@ class BakeryMechanism(SpinWaitMixin, MechanismBase):
         self._seq_cycles: Dict[int, int] = {}
         #: participants the bakery arrays are sized for.
         self._n = self.config.total_clients
+        #: cycles a failed scan backs off before its next poll.
+        self._backoff = max(self.config.spin_backoff_cycles, 1)
         self.scan_rounds = 0
         self._init_spin_channels()
 
@@ -154,10 +156,6 @@ class BakeryMechanism(SpinWaitMixin, MechanismBase):
             self.stats.sync_messages_global += loads + stores
         self._seq_cycles[core.core_id] = cycles
         self.sim.schedule(cycles, done, *args)
-
-    @property
-    def _backoff(self) -> int:
-        return max(self.config.spin_backoff_cycles, 1)
 
     def _virtual_period(self, core) -> int:
         """Spacing between one waiter's virtual polls.

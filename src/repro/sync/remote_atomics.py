@@ -31,6 +31,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Optional, Tuple
 
+from repro.sim.dram import DramDevice
 from repro.sim.program import (
     LOCK_ACQUIRE,
     LOCK_RELEASE,
@@ -41,6 +42,7 @@ from repro.sim.program import (
     SEM_POST,
     SEM_WAIT,
 )
+from repro.sim.stats import SystemStats
 from repro.sim.syncif import MechanismBase, SpinWaitMixin, SyncVar, _no_waiter
 from repro.sim.system import mechanism_ops
 
@@ -54,6 +56,9 @@ ALU_CYCLES = 1
 #: writer bit of the reader-writer lock word (low bits count readers).
 WRITER_BIT = 1 << 62
 
+#: an rmw's field update at the controller: ``update(old, operand) -> new``.
+Update = Callable[[int, int], int]
+
 
 class AtomicUnit:
     """The rmw unit at one NDP unit's memory controller.
@@ -64,21 +69,60 @@ class AtomicUnit:
     emerges under contention — the "hotspot" effect of Sec. 2.2.1.
     """
 
-    def __init__(self, mech: "RemoteAtomicsMechanism", unit_id: int):
-        self.mech = mech
-        self.unit_id = unit_id
+    __slots__ = ("dram", "stats", "_next_free", "visits")
+
+    def __init__(self, dram: DramDevice, stats: SystemStats):
+        #: the memory of this unit, which every visit accesses.
+        self.dram = dram
+        self.stats = stats
         self._next_free = 0
         self.visits = 0
 
-    def visit(self, addr: int, is_write: bool, arrival: int) -> Tuple[int, int]:
-        """Reserve the unit; returns ``(start, completion)`` times."""
-        start = max(arrival, self._next_free)
-        dram = self.mech.system.drams[self.unit_id]
-        service = dram.access(addr, is_write=is_write, now=start) + ALU_CYCLES
-        self._next_free = start + service
+    def visit(self, addr: int, is_write: bool, arrival: int) -> int:
+        """Reserve the unit; returns the visit's completion time."""
+        start = self._next_free
+        if arrival > start:
+            start = arrival
+        done = start + self.dram.access(addr, is_write, start) + ALU_CYCLES
+        self._next_free = done
         self.visits += 1
-        self.mech.stats.sync_memory_accesses += 1
-        return start, start + service
+        self.stats.sync_memory_accesses += 1
+        return done
+
+
+# The field updates (:data:`Update`) the rmw attempts apply: module-level,
+# so an attempt builds no closure.  Only the CAS reads ``operand``.
+def _set_held(_old: int, _operand: int) -> int:
+    return 1
+
+
+def _set_free(_old: int, _operand: int) -> int:
+    return 0
+
+
+def _increment(old: int, _operand: int) -> int:
+    return old + 1
+
+
+def _decrement(old: int, _operand: int) -> int:
+    return old - 1
+
+
+def _decrement_if_unchanged(old: int, expected: int) -> int:
+    return old - 1 if old == expected else old
+
+
+def _claim_writer(old: int, _operand: int) -> int:
+    return WRITER_BIT if old == 0 else old
+
+
+def _clear_writer(old: int, _operand: int) -> int:
+    return old & ~WRITER_BIT
+
+
+def _respond(_old: int, callback: Callable[[], None]) -> None:
+    """A release's response handler: the old value is not read."""
+    callback()
 
 
 class RemoteAtomicsMechanism(SpinWaitMixin, MechanismBase):
@@ -100,9 +144,8 @@ class RemoteAtomicsMechanism(SpinWaitMixin, MechanismBase):
 
     def __init__(self, system):
         super().__init__(system)
-        self.atomic_units = [
-            AtomicUnit(self, u) for u in range(self.config.num_units)
-        ]
+        self.atomic_units = [AtomicUnit(dram, self.stats)
+                             for dram in system.drams]
         #: word values held at the controllers, keyed by (addr, field).
         self._fields: Dict[Tuple[int, str], int] = {}
         self._sem_initialized: Dict[int, bool] = {}
@@ -116,44 +159,41 @@ class RemoteAtomicsMechanism(SpinWaitMixin, MechanismBase):
     # Low-level: one rmw (or pure load) round trip to the home unit
     # ------------------------------------------------------------------
     def _visit(self, core, var: SyncVar, field: str,
-               fn: Optional[Callable[[int], int]]) -> Tuple[int, int]:
-        """Send one rmw to ``var``'s atomic unit and apply ``fn`` to the
-        field (``fn=None`` is a pure load); returns ``(response arrival
-        at the core, old value)``."""
+               update: Optional[Update], operand: int = 0) -> Tuple[int, int]:
+        """Send one rmw to ``var``'s atomic unit and set the field to
+        ``update(old, operand)`` (``update=None`` is a pure load); returns
+        ``(response arrival at the core, old value)``."""
         home = var.unit
+        unit = core.unit_id
         now = self.sim.now
-        if core.unit_id == home:
+        if unit == home:
             self.stats.sync_messages_local += 2  # request + response
         else:
             self.stats.sync_messages_global += 2
-        latency = self.interconnect.transfer_latency(
-            core.unit_id, home, now, RMW_REQUEST_BYTES
-        )
-        _, done = self.atomic_units[home].visit(
-            var.addr, is_write=fn is not None, arrival=now + latency
-        )
-        key = (var.addr, field)
+        transfer = self.interconnect.transfer_latency
+        addr = var.addr
+        done = self.atomic_units[home].visit(
+            addr, update is not None,
+            now + transfer(unit, home, now, RMW_REQUEST_BYTES))
+        key = (addr, field)
         old = self._fields.get(key, 0)
-        if fn is not None:
-            new = fn(old)
+        if update is not None:
+            new = update(old, operand)
             if new != old:
                 self._fields[key] = new
                 # The field's observable value changed at this instant in
                 # the legacy polling model too (words mutate at issue
                 # time); wake anyone spin-waiting on it.
-                self._spin_signal(var.addr, field)
-        back = self.interconnect.transfer_latency(
-            home, core.unit_id, done, RMW_RESPONSE_BYTES
-        )
-        self._rtt[core.core_id] = (done + back) - now
-        return done + back, old
+                self._spin_signal(addr, field)
+        arrival = done + transfer(home, unit, done, RMW_RESPONSE_BYTES)
+        self._rtt[core.core_id] = arrival - now
+        return arrival, old
 
-    def _rmw(self, core, var: SyncVar, field: str,
-             fn: Optional[Callable[[int], int]],
-             callback: Callable[..., None], *args) -> None:
+    def _rmw(self, core, var: SyncVar, field: str, update: Update,
+             operand: int, callback: Callable[..., None], *args) -> None:
         """One rmw round trip; ``callback(old_value, *args)`` fires when
         the response reaches the core."""
-        arrival, old = self._visit(core, var, field, fn)
+        arrival, old = self._visit(core, var, field, update, operand)
         self.sim.schedule_at(arrival, callback, old, *args)
 
     def _retry(self, core, var: SyncVar, channel,
@@ -202,24 +242,21 @@ class RemoteAtomicsMechanism(SpinWaitMixin, MechanismBase):
             channel = self._spin_channel(var.addr, "lock")
             self._lock_attempt(core, var, channel, callback)
         elif op == LOCK_RELEASE:
-            self._rmw(core, var, "lock", lambda _old: 0,
-                      lambda _old: callback())
+            self._rmw(core, var, "lock", _set_free, 0, _respond, callback)
         elif op == SEM_WAIT:
             self._sem_wait(core, var, info, callback)
         elif op == SEM_POST:
-            self._rmw(core, var, "sem", lambda v: v + 1,
-                      lambda _old: callback())
+            self._rmw(core, var, "sem", _increment, 0, _respond, callback)
         elif op == RW_READ_ACQUIRE:
             channel = self._spin_channel(var.addr, "rw")
             self._rw_read_attempt(core, var, channel, callback)
         elif op == RW_READ_RELEASE:
-            self._rmw(core, var, "rw", lambda w: w - 1, lambda _old: callback())
+            self._rmw(core, var, "rw", _decrement, 0, _respond, callback)
         elif op == RW_WRITE_ACQUIRE:
             channel = self._spin_channel(var.addr, "rw")
             self._rw_write_attempt(core, var, channel, callback)
         elif op == RW_WRITE_RELEASE:
-            self._rmw(core, var, "rw", lambda w: w & ~WRITER_BIT,
-                      lambda _old: callback())
+            self._rmw(core, var, "rw", _clear_writer, 0, _respond, callback)
         else:
             raise self._unimplemented(op)
 
@@ -239,7 +276,7 @@ class RemoteAtomicsMechanism(SpinWaitMixin, MechanismBase):
     # Lock: test-and-set spin
     # ------------------------------------------------------------------
     def _lock_attempt(self, core, var, channel, callback) -> None:
-        arrival, old = self._visit(core, var, "lock", lambda _old: 1)
+        arrival, old = self._visit(core, var, "lock", _set_held)
         self.sim.schedule_at(arrival, self._lock_swapped, old, core, var,
                              channel, channel.signals, callback)
 
@@ -278,8 +315,7 @@ class RemoteAtomicsMechanism(SpinWaitMixin, MechanismBase):
         # landing in the load->CAS window must trip the guard
         # (re-snapshotting here once swallowed a final post and parked the
         # waiter forever beside a positive semaphore).
-        self._rmw(core, var, "sem",
-                  lambda cur: cur - 1 if cur == value else cur,
+        self._rmw(core, var, "sem", _decrement_if_unchanged, value,
                   self._sem_swapped, value, core, var, channel, seen, callback)
 
     def _sem_swapped(self, old: int, value: int, core, var, channel,
@@ -301,7 +337,7 @@ class RemoteAtomicsMechanism(SpinWaitMixin, MechanismBase):
     # Table 4 alludes to.
 
     def _rw_read_attempt(self, core, var, channel, callback) -> None:
-        arrival, old = self._visit(core, var, "rw", lambda w: w + 1)
+        arrival, old = self._visit(core, var, "rw", _increment)
         self.sim.schedule_at(arrival, self._rw_read_added, old, core, var,
                              channel, channel.signals, callback)
 
@@ -318,7 +354,7 @@ class RemoteAtomicsMechanism(SpinWaitMixin, MechanismBase):
         # the word and signals.  Any other signal between the increment
         # and the park — e.g. a writer releasing while our response was in
         # flight — then trips the guard and wakes us immediately.
-        self._rmw(core, var, "rw", lambda w: w - 1, self._rw_read_undone,
+        self._rmw(core, var, "rw", _decrement, 0, self._rw_read_undone,
                   core, var, channel, seen + 1, callback)
 
     def _rw_read_undone(self, _old: int, core, var, channel, seen: int,
@@ -327,8 +363,7 @@ class RemoteAtomicsMechanism(SpinWaitMixin, MechanismBase):
                     callback)
 
     def _rw_write_attempt(self, core, var, channel, callback) -> None:
-        arrival, old = self._visit(core, var, "rw",
-                                   lambda w: WRITER_BIT if w == 0 else w)
+        arrival, old = self._visit(core, var, "rw", _claim_writer)
         self.sim.schedule_at(arrival, self._rw_write_claimed, old, core, var,
                              channel, channel.signals, callback)
 

@@ -222,6 +222,44 @@ class TestBurstDramSteps:
         assert calls == burst_calls + [True] * 3 + [False] * 7
 
 
+class TestBurstPlans:
+    """``round_trips`` reads a plan built on a pair's first burst: routes,
+    limits and traffic for one ``(src, dst, request, response)``."""
+
+    def test_plan_built_before_a_fault_does_not_serve_the_detour(self):
+        # Unit 0's first burst to unit 1 builds the pair's plan over the
+        # (0, 1) channel; that channel then dies and the next burst must
+        # take the detour around the ring, as the reference does.
+        results = []
+        for issue in (MemorySystem.uncacheable_burst, per_access_burst):
+            system = make_system("ring")
+            addr = system.addrmap.alloc(1, 64)
+            now, cycles = 100, []
+            for burst in range(2):
+                if burst:
+                    system.interconnect.fail_link((0, 1), now=now)
+                cycles.append(issue(system.memsys, 0, addr, now, stores=2,
+                                    loads=12, for_sync=True))
+                now += cycles[-1]
+                results.append((list(cycles), fabric_snapshot(system)))
+        assert results[:2] == results[2:]
+        (_, before), (_, after) = results[:2]
+        assert before[0].detour_bit_hops == 0 < after[0].detour_bit_hops
+
+    def test_doorway_runs_each_match_the_reference(self):
+        # A doorway's stores and loads are two packet-size pairs between
+        # one pair of units: two plans.  Each run alone, then both in one
+        # burst, must equal the per-access loop.
+        systems = []
+        burst, reference = run_bursts(
+            "all_to_all", [(0, 3, 0, None), (0, 0, 24, None),
+                           (0, 3, 24, None)],
+            lambda system, _addr: systems.append(system))
+        assert burst == reference
+        plans = systems[0].interconnect._plans
+        assert [key[:2] for key in plans] == [(0, 1), (0, 1)]
+
+
 def test_bakery_run_matches_per_access_model(monkeypatch):
     """End to end: a contended bakery lock run is bit-identical when every
     burst is replaced by the per-access reference loop."""

@@ -3,12 +3,12 @@
 Each cell runs one small synchronization workload and compares its
 :func:`~repro.harness.golden.physics_digest` with the one committed in
 ``tests/protocol_digests.json``.  The six primitive microbenchmarks plus
-:class:`OpcodeMix` send every opcode an engine can receive, except the
-three that nothing sends (``SEM_POST_OVERFLOW``, ``COND_SIGNAL_OVERFLOW``,
-``COND_BROAD_OVERFLOW``), through the ST path (``st_entries=64``) and the
-overflow paths (``st_entries=1``: the integrated syncronVar fallback and
-both MiSAR-style abort variants), on a 2-unit and a 4-unit system, so a
-change to any handler's behaviour changes some cell's digest.
+:class:`OpcodeMix` send every opcode an engine has a handler for
+(:func:`test_every_handler_dispatches`) through the ST path
+(``st_entries=64``) and the overflow paths (``st_entries=1``: the
+integrated syncronVar fallback and both MiSAR-style abort variants), on a
+2-unit and a 4-unit system, so a change to any handler's behaviour changes
+some cell's digest.
 
 Regenerate the file only for an intended physics change::
 
@@ -21,7 +21,7 @@ import os
 
 import pytest
 
-from repro.core import api
+from repro.core import api, protocol
 from repro.core.messages import Opcode
 from repro.harness.golden import physics_digest
 from repro.harness.runner import execute_spec
@@ -198,6 +198,25 @@ def test_every_cell_is_committed():
 @pytest.mark.parametrize("cell", CELLS)
 def test_protocol_digest(cell):
     assert run_cell(cell) == _committed()[cell]
+
+
+def test_every_handler_dispatches(monkeypatch):
+    """Every opcode in the handler table is dispatched by some cell, so
+    none is dead and a change to any of them moves a digest."""
+    dispatched = set()
+
+    def counted(opcode, handler):
+        def record(engine, msg):
+            dispatched.add(opcode)
+            handler(engine, msg)
+        return record
+
+    for opcode, handler in list(protocol._HANDLERS.items()):
+        monkeypatch.setitem(protocol._HANDLERS, opcode,
+                            counted(opcode, handler))
+    for cell in CELLS:
+        run_cell(cell)
+    assert set(protocol._HANDLERS) - dispatched == set()
 
 
 if __name__ == "__main__":
