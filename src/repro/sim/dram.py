@@ -72,10 +72,8 @@ class DramDevice:
             self.stats.dram_row_hits += 1
         elif open_row is None:
             service = self._miss_cycles
-            self.stats.dram_row_misses += 1
         else:
             service = self._conflict_cycles
-            self.stats.dram_row_misses += 1
         open_rows[bank] = row
 
         hold = service + (self._wr_cycles if is_write else 0)

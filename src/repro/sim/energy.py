@@ -44,12 +44,14 @@ def compute_energy(stats: SystemStats, config: SystemConfig) -> EnergyBreakdown:
     e = config.energy
     cache_pj = stats.cache_hits * e.cache_hit_pj + stats.cache_misses * e.cache_miss_pj
 
-    # Local NoC energy is per bit per hop; inter-unit link energy per bit
-    # *per physical link traversed* — on the all-to-all fabric link_bit_hops
-    # equals bytes_across_units * 8, so this reduces to the old per-byte
-    # charge; routed fabrics (ring/mesh/torus) pay every hop.
+    # Local NoC energy is per bit per hop: every byte booked inside a unit
+    # crossed one crossbar's ``local_hops`` hops.  Inter-unit link energy is
+    # per bit *per physical link traversed* — on the all-to-all fabric
+    # link_bit_hops equals bytes_across_units * 8, so this reduces to the
+    # old per-byte charge; routed fabrics (ring/mesh/torus) pay every hop.
+    local_bit_hops = stats.bytes_inside_units * 8 * config.local_hops
     network_pj = (
-        stats.local_bit_hops * e.local_network_pj_per_bit_hop
+        local_bit_hops * e.local_network_pj_per_bit_hop
         + stats.link_bit_hops * e.link_pj_per_bit
     )
 

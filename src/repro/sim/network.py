@@ -26,23 +26,24 @@ individual channels their own bandwidth/latency, and a
 :class:`~repro.sim.topo.faults.FaultPlan` kills channels permanently
 mid-run (see :meth:`Interconnect.fail_link`).  Routing is static: each pair
 keeps its pristine route until a fault severs it, then takes the shortest
-surviving path.  The zero-fault path reads the pristine route from a
-per-pair ``[src][dst]`` table, filled on each pair's first packet —
-bit-identical to a fabric that has none of this machinery.
+surviving path.
 
-Both components are timing only.  :meth:`Interconnect.transfer_latency`
-is the one packet path: it runs the crossbar and link steps and records the
-packet's traffic into :class:`~repro.sim.stats.SystemStats`, so the energy
-model and the Fig. 15 data-movement results need no extra hooks; the
-fabric additionally counts ``link_bit_hops`` (bits x links traversed) for
-per-hop link energy.  Its crossbar steps take the zero-wait load limit of
-each packet size from a memo, so a step that cannot wait (every step of
-the e2ebench workloads) never reaches the M/D/1 formula
-(:meth:`Crossbar.wait_cycles`, its one copy).
-:meth:`Interconnect.round_trips` resolves a burst of request/response
-exchanges to one DRAM address (a bakery scan) in one loop of the same
-inline steps, its DRAM row hits included, reading what does not change
-from a burst plan built once per unit pair and packet sizes, and books its
+Both components are timing only.  Everything one packet of ``nbytes``
+from ``src`` to ``dst`` needs is decided once, by
+:meth:`Interconnect._packet_plan`: its crossbars' zero-wait load limit,
+both crossbars, the links of its current route with each hop's
+serialization and latency, and the traffic it books into
+:class:`~repro.sim.stats.SystemStats` (bytes inside and across units, link
+bit-hops for per-hop link energy, and detour bit-hops).  The plans are
+memoized per ``(src, dst, nbytes)`` and dropped when a channel fails, so
+pristine and faulted fabrics share one code path.
+:meth:`Interconnect.transfer_latency` moves one packet by its plan; a
+crossbar step that cannot wait (every step of the e2ebench workloads)
+never reaches the M/D/1 formula (:meth:`Crossbar.wait_cycles`, its one
+copy).  :meth:`Interconnect.round_trips` resolves a burst of
+request/response exchanges to one DRAM address (a bakery scan) in one loop
+of the same inline steps, its DRAM row hits included, reading a burst plan
+built from the request's and the response's packet plans, and books its
 traffic once per burst.  Once an exchange waited nowhere, left the fabric,
 relative to its end, as it found it relative to its start, and left every
 load estimate safely below the zero-wait limits, no later exchange can
@@ -81,10 +82,13 @@ class Crossbar:
     bytes/cycle over a window of :attr:`TAU` cycles (larger values smooth
     bursts).  ``math.exp`` would dominate the injection cost, and the
     elapsed-cycle argument repeats heavily (traffic is bursty, timestamps
-    are integers), so decay factors are memoized per elapsed value.  The
-    memo is bounded; elapsed intervals long enough that the decay
-    underflows to exactly 0.0 short-cut without touching ``exp``.  Values
-    are bit-identical to the uncached computation.
+    are integers), so decay factors are memoized per elapsed value.  Every
+    crossbar uses the same :attr:`TAU`, so the crossbars of one
+    :class:`Interconnect` share one memo (``decay_memo``); a standalone
+    crossbar keeps its own.  The memo is bounded; elapsed intervals long
+    enough that the decay underflows to exactly 0.0 short-cut without
+    touching ``exp``.  Values are bit-identical to the uncached
+    computation.
 
     Zero-wait bound: the service time is ``s = max(nbytes / bpc, 1)``, so a
     load estimate ``rate <= 0.5 * bpc / s`` gives ``rho * s <= 1/2`` and
@@ -114,13 +118,15 @@ class Crossbar:
     #: elapsed values (plenty for any real traffic pattern).
     _CACHE_LIMIT = 1 << 16
 
-    def __init__(self, config: SystemConfig, unit_id: int):
+    def __init__(self, config: SystemConfig, unit_id: int,
+                 decay_memo: Optional[Dict[int, float]] = None):
         self.config = config
         self.unit_id = unit_id
         #: load estimate (bytes/cycle) as of the last injection.
         self._rate = 0.0
         self._last_time = 0
-        self._decay_cache: Dict[int, float] = {}
+        self._decay_cache: Dict[int, float] = (
+            {} if decay_memo is None else decay_memo)
         # Hoisted config reads: these are dataclass attribute chains on the
         # hottest call in the interconnect.
         self._bytes_per_cycle = config.crossbar_bytes_per_cycle
@@ -173,8 +179,7 @@ class Link:
     """One serial physical channel of the inter-unit fabric (timing only;
     the :class:`Interconnect` books the traffic)."""
 
-    __slots__ = ("config", "_next_free", "_bytes_per_cycle", "_latency_cycles",
-                 "_serialization")
+    __slots__ = ("config", "_next_free", "_bytes_per_cycle", "_latency_cycles")
 
     def __init__(self, config: SystemConfig,
                  bytes_per_cycle: Optional[float] = None,
@@ -192,28 +197,20 @@ class Link:
             config.link_latency_cycles if latency_cycles is None
             else latency_cycles
         )
-        #: packet size -> serialization cycles; fabrics move a handful of
-        #: distinct sizes, so each is computed once.
-        self._serialization: Dict[int, int] = {}
 
     def serialization_cycles(self, nbytes: int) -> int:
         """Cycles to clock ``nbytes`` onto the channel (at least one)."""
-        serialization = self._serialization.get(nbytes)
-        if serialization is None:
-            serialization = max(int(math.ceil(nbytes / self._bytes_per_cycle)), 1)
-            self._serialization[nbytes] = serialization
-        return serialization
+        return max(int(math.ceil(nbytes / self._bytes_per_cycle)), 1)
 
     def reserve(self, now: int, nbytes: int) -> int:
         """Queue behind earlier packets, serialize, propagate: the packet's
         latency in cycles.
 
-        The routed fabric calls this once per link on a route; traffic
-        accounting happens once per transfer in :class:`Interconnect`.
+        The reference packet path (:func:`repro.testing.per_hop_transfer`)
+        calls this once per link on a route; :class:`Interconnect` runs the
+        same step inline from a packet plan and books the traffic.
         """
-        serialization = self._serialization.get(nbytes)
-        if serialization is None:
-            serialization = self.serialization_cycles(nbytes)
+        serialization = self.serialization_cycles(nbytes)
         start = self._next_free
         if now > start:
             start = now
@@ -225,52 +222,45 @@ class Interconnect:
     """The whole fabric: one crossbar per unit, a routed link topology.
 
     The :class:`~repro.sim.topo.Topology` decides the physical channels and
-    each pair's route; this class owns one :class:`Link` per channel (so
-    routes that share a channel share its reservation queue) and memoizes
-    each ordered pair's route as a tuple of Link objects in a per-pair
-    ``[src][dst]`` table for the hot path.
+    each pair's pristine route; this class owns one :class:`Link` per
+    channel (so routes that share a channel share its reservation queue)
+    and one packet plan per ``(src, dst, nbytes)`` (:meth:`_packet_plan`):
+    the one place that decides a packet's zero-wait limit, crossbars,
+    route, per-hop timing and traffic.
 
     Fault state lives here too: :meth:`fail_link` (driven by
     :meth:`FaultPlan.arm <repro.sim.topo.faults.FaultPlan.arm>` timers)
-    marks a channel dead for the rest of the run and invalidates the
-    memoized routes; each pair then keeps its pristine route if it
+    marks a channel dead for the rest of the run and drops every memoized
+    route and plan; each pair then keeps its pristine route if it
     survives, else takes the shortest surviving path (:meth:`_resolve`).
     A fault that disconnects live units raises
     :class:`FabricPartitionedError` at injection — loudly, never as a hang.
     """
 
     __slots__ = ("config", "stats", "crossbars", "topology", "_links",
-                 "_pristine", "_limits", "_profiles", "_degraded",
-                 "_dead_channels", "_down_since", "_resolved", "_local_bits",
-                 "_plans")
+                 "_profiles", "_dead_channels", "_down_since", "_resolved",
+                 "_packets", "_plans")
 
     def __init__(self, config: SystemConfig, stats: SystemStats):
         self.config = config
         self.stats = stats
-        self.crossbars = [Crossbar(config, u) for u in range(config.num_units)]
+        decay_memo: Dict[int, float] = {}
+        self.crossbars = [Crossbar(config, u, decay_memo)
+                          for u in range(config.num_units)]
         self.topology: Topology = build_topology(config)
         self._links: Dict[Channel, Link] = {}
-        #: ``[src][dst]`` -> pristine route as Link objects, or None until
-        #: :meth:`_route` first resolves the pair.
-        self._pristine: List[List[Optional[Tuple[Link, ...]]]] = [
-            [None] * config.num_units for _ in range(config.num_units)]
-        #: packet size -> the crossbars' zero-wait load limit (every
-        #: crossbar is built from one config, so one bandwidth).
-        self._limits: Dict[int, float] = {}
         self._profiles = self._build_profiles(config)
-        #: flips on the first fault, moving the hot path from the pristine
-        #: table to :meth:`_resolve` for the rest of the run.
-        self._degraded = False
         self._dead_channels: Set[Channel] = set()
         self._down_since: Dict[Channel, int] = {}
-        #: (src, dst) -> (links, extra_hops) on the faulted fabric; cleared
-        #: whenever a channel fails.
+        #: (src, dst) -> (links, extra_hops) of the pair's current route.
         self._resolved: Dict[Tuple[int, int], Tuple] = {}
-        #: local_bit_hops per payload byte crossing one crossbar.
-        self._local_bits = 8 * config.local_hops
+        #: ``[src][dst]`` -> {nbytes: the packet's plan}
+        #: (:meth:`_packet_plan`).
+        units = range(config.num_units)
+        self._packets: List[List[Dict[int, tuple]]] = [
+            [{} for _ in units] for _ in units]
         #: (src, dst, request_bytes, response_bytes) -> the pair's burst
-        #: plan (:meth:`_burst_plan`), read by :meth:`round_trips` while the
-        #: fabric is pristine.
+        #: plan (:meth:`_burst_plan`), read by :meth:`round_trips`.
         self._plans: Dict[Tuple[int, int, int, int], tuple] = {}
 
     # ------------------------------------------------------------------
@@ -312,21 +302,8 @@ class Interconnect:
     # ------------------------------------------------------------------
     # Routing
     # ------------------------------------------------------------------
-    def _route(self, src_unit: int, dst_unit: int) -> Tuple[Link, ...]:
-        """Pristine route as Link objects, in order (memoized in the
-        per-pair table)."""
-        row = self._pristine[src_unit]
-        route = row[dst_unit]
-        if route is None:
-            route = tuple(
-                self._link_for(channel)
-                for channel in self.topology.route(src_unit, dst_unit)
-            )
-            row[dst_unit] = route
-        return route
-
     def _resolve(self, src_unit: int, dst_unit: int) -> Tuple:
-        """(links, extra_hops) of one pair on a faulted fabric (memoized).
+        """(links, extra_hops) of one pair's current route (memoized).
 
         The pristine route while none of its channels is dead, else the
         shortest surviving path (:meth:`Topology.fallback_route
@@ -360,7 +337,7 @@ class Interconnect:
         return resolved
 
     def _routed(self, src_unit: int, dst_unit: int) -> Tuple:
-        """(links, extra_hops) of one pair on a faulted fabric."""
+        """(links, extra_hops) of one pair's current route."""
         resolved = self._resolved.get((src_unit, dst_unit))
         if resolved is None:
             resolved = self._resolve(src_unit, dst_unit)
@@ -369,15 +346,11 @@ class Interconnect:
     def remote_hops(self, src_unit: int, dst_unit: int) -> int:
         """Physical links a ``src -> dst`` transfer crosses (0 if local).
 
-        On a faulted fabric this is the current (possibly detoured) route,
-        so analytically-charged (elided) transfers account the same hop
-        count real packets pay.
+        On a faulted fabric this is the current (possibly detoured) route.
         """
         if src_unit == dst_unit:
             return 0
-        if self._degraded:
-            return len(self._routed(src_unit, dst_unit)[0])
-        return self.topology.hops(src_unit, dst_unit)
+        return len(self._routed(src_unit, dst_unit)[0])
 
     # ------------------------------------------------------------------
     # Fault injection (FaultPlan timers and tests call these directly)
@@ -395,8 +368,11 @@ class Interconnect:
         with tel.span("fabric.fault", kind="link"):
             self._dead_channels.add(channel)
             self._down_since[channel] = now
-            self._degraded = True
             self._resolved.clear()
+            for row in self._packets:
+                for plans in row:
+                    plans.clear()
+            self._plans.clear()
             if tel.enabled:
                 tel.count("fabric.faults")
                 tel.event("fabric.fault", kind="link", src=channel[0],
@@ -432,37 +408,36 @@ class Interconnect:
     def transfer_latency(self, src_unit: int, dst_unit: int, now: int, nbytes: int) -> int:
         """Cycles to move one ``nbytes`` packet issued at ``now``.
 
-        The one packet path, used by cores, SEs, and memory controllers.  A
-        local packet crosses its unit's crossbar.  A remote one crosses the
-        source crossbar, reserves every physical link on its route in
-        sequence — the packet cannot occupy hop *k+1* before it clears hop
-        *k* — so both contention (shared channels) and distance (route
-        length) shape the latency, then crosses the destination crossbar.
-        Each crossbar counts the payload once, the fabric counts it once
-        more across units, and ``link_bit_hops`` counts every traversed link
-        for the energy model (what :func:`~repro.sim.stats.charge_transfers`
-        books per transfer).
+        The one packet path, used by cores, SEs, and memory controllers, on
+        pristine and faulted fabrics alike.  A local packet crosses its
+        unit's crossbar.  A remote one crosses the source crossbar, reserves
+        every physical link on its route in sequence — the packet cannot
+        occupy hop *k+1* before it clears hop *k* — so both contention
+        (shared channels) and distance (route length) shape the latency,
+        then crosses the destination crossbar.  Route, crossbars, per-hop
+        serialization and latency, zero-wait limit and traffic all come
+        from the packet's plan (:meth:`_packet_plan`); each crossbar counts
+        the payload once, the fabric counts it once more across units, and
+        ``link_bit_hops`` (plus ``detour_bit_hops`` on a detour) counts
+        every traversed link for the energy model.
 
         Both crossbar steps (:meth:`Crossbar.queue_wait`) and every link
         reservation (:meth:`Link.reserve`) run as inline arithmetic, as in
         :meth:`round_trips`; those methods stay the definitions that
         :func:`repro.testing.per_hop_transfer` composes and
         ``tests/test_transfer_path.py`` checks this path against.  A
-        crossbar step whose load estimate is at most ``0.5 * bpc /
-        service`` calls no :meth:`Crossbar.wait_cycles`: its wait is
-        provably 0 (see :class:`Crossbar`), which is every step the
-        e2ebench workloads make.  That limit is memoized per packet size
-        (:meth:`_zero_wait_limit`).  On
-        a pristine fabric the route is one read of the per-pair table that
-        :meth:`_route` fills on a pair's first packet; once a fault has
-        struck, every packet takes :meth:`_routed` instead.
+        crossbar step whose load estimate is at most the plan's limit,
+        ``0.5 * bpc / service``, calls no :meth:`Crossbar.wait_cycles`: its
+        wait is provably 0 (see :class:`Crossbar`), which is every step the
+        e2ebench workloads make.
         """
+        plan = self._packets[src_unit][dst_unit].get(nbytes)
+        if plan is None:
+            plan = self._packet_plan(src_unit, dst_unit, nbytes)
+        limit, xbar, dst, hops, inside, across, link_bits, detour_bits = plan
         stats = self.stats
-        limit = self._limits.get(nbytes)
-        if limit is None:
-            limit = self._zero_wait_limit(nbytes)
+        stats.bytes_inside_units += inside
         # Source crossbar: Crossbar.queue_wait, inline.
-        xbar = self.crossbars[src_unit]
         elapsed = now - xbar._last_time
         if elapsed < 1:
             elapsed = 1
@@ -475,59 +450,84 @@ class Interconnect:
         latency = xbar._base_cycles
         if rate > limit:
             latency += xbar.wait_cycles(rate, nbytes)
-        if src_unit == dst_unit:
-            stats.bytes_inside_units += nbytes
-            stats.local_bit_hops += nbytes * self._local_bits
+        if dst is None:
             return latency
-        if self._degraded:
-            route, extra = self._routed(src_unit, dst_unit)
-            if extra:
-                stats.detour_bit_hops += nbytes * 8 * extra
-        else:
-            route = self._pristine[src_unit][dst_unit]
-            if route is None:
-                route = self._route(src_unit, dst_unit)
         # Each link on the route: Link.reserve, inline.
         t = now + latency
-        for link in route:
-            serialization = link._serialization.get(nbytes)
-            if serialization is None:
-                serialization = link.serialization_cycles(nbytes)
+        for link, serialization, hop_latency in hops:
             start = link._next_free
             if t > start:
                 start = t
             start += serialization
             link._next_free = start
-            t = start + link._latency_cycles
+            t = start + hop_latency
         # Destination crossbar (same config, so same bandwidth and base).
-        xbar = self.crossbars[dst_unit]
-        elapsed = t - xbar._last_time
+        elapsed = t - dst._last_time
         if elapsed < 1:
             elapsed = 1
-        decay = xbar._decay_cache.get(elapsed)
+        decay = dst._decay_cache.get(elapsed)
         if decay is None:
-            decay = xbar._decay(elapsed)
-        rate = xbar._rate * decay + (nbytes / elapsed) * (1.0 - decay)
-        xbar._rate = rate
-        xbar._last_time = t
-        latency = (t - now) + xbar._base_cycles
+            decay = dst._decay(elapsed)
+        rate = dst._rate * decay + (nbytes / elapsed) * (1.0 - decay)
+        dst._rate = rate
+        dst._last_time = t
+        latency = (t - now) + dst._base_cycles
         if rate > limit:
-            latency += xbar.wait_cycles(rate, nbytes)
-        stats.bytes_inside_units += 2 * nbytes
-        stats.local_bit_hops += 2 * nbytes * self._local_bits
-        stats.bytes_across_units += nbytes
-        stats.link_bit_hops += nbytes * 8 * len(route)
+            latency += dst.wait_cycles(rate, nbytes)
+        stats.bytes_across_units += across
+        stats.link_bit_hops += link_bits
+        if detour_bits:
+            stats.detour_bit_hops += detour_bits
         return latency
 
-    def _zero_wait_limit(self, nbytes: int) -> float:
-        """Load estimate at or below which an ``nbytes`` packet's crossbar
-        wait is 0 (the bound in :class:`Crossbar`), memoized per size."""
+    def _packet_plan(self, src_unit: int, dst_unit: int, nbytes: int) -> tuple:
+        """Everything one ``nbytes`` packet from ``src_unit`` to
+        ``dst_unit`` needs on the current fabric, memoized per ``(src,
+        dst, nbytes)`` in ``_packets[src][dst]`` until a channel fails.
+
+        The load estimate at or below which its crossbar wait is 0 (the
+        bound in :class:`Crossbar`; every crossbar is built from one
+        config, so one bandwidth); the source and destination crossbars
+        (``None`` for a local packet); the ``(link, serialization,
+        latency)`` hops of the route :meth:`_routed` resolves; and the
+        traffic it books: bytes inside units (one per crossbar crossed),
+        bytes across units, link bit-hops and detour bit-hops.
+        """
+        plans = self._packets[src_unit][dst_unit]
+        plan = plans.get(nbytes)
+        if plan is not None:
+            return plan
         bpc = self.config.crossbar_bytes_per_cycle
         service = nbytes / bpc
         if service < 1.0:
             service = 1.0
-        limit = self._limits[nbytes] = 0.5 * bpc / service
-        return limit
+        limit = 0.5 * bpc / service
+        src = self.crossbars[src_unit]
+        if src_unit == dst_unit:
+            plan = (limit, src, None, (), nbytes, 0, 0, 0)
+        else:
+            links, extra = self._routed(src_unit, dst_unit)
+            hops = tuple((link, link.serialization_cycles(nbytes),
+                          link._latency_cycles) for link in links)
+            bits = 8 * nbytes
+            plan = (limit, src, self.crossbars[dst_unit], hops, 2 * nbytes,
+                    nbytes, bits * len(links), bits * extra)
+        plans[nbytes] = plan
+        return plan
+
+    def charge_packets(self, src_unit: int, dst_unit: int, nbytes: int,
+                       count: int) -> None:
+        """Book the traffic of ``count`` ``nbytes`` packets from
+        ``src_unit`` to ``dst_unit`` on their current route, without
+        moving them: no crossbar, link or timing state changes (elided
+        spin polls, see :class:`~repro.sim.syncif.SpinWaitMixin`)."""
+        inside, across, link_bits, detour_bits = self._packet_plan(
+            src_unit, dst_unit, nbytes)[4:]
+        stats = self.stats
+        stats.bytes_inside_units += inside * count
+        stats.bytes_across_units += across * count
+        stats.link_bit_hops += link_bits * count
+        stats.detour_bit_hops += detour_bits * count
 
     def round_trips(self, src_unit: int, dst_unit: int, now: int, count: int,
                     request_bytes: int, response_bytes: int, dram: DramDevice,
@@ -543,13 +543,14 @@ class Interconnect:
         :meth:`transfer_latency` calls around a :meth:`DramDevice.access
         <repro.sim.dram.DramDevice.access>` per exchange.
 
-        Everything a burst reads that does not change while the fabric is
-        pristine comes from the pair's burst plan (:meth:`_burst_plan`,
-        built on the first burst of each ``(src, dst, request_bytes,
-        response_bytes)``): both zero-wait limits, both crossbars, the two
-        routes as one tuple of links with their serialization and latency
-        tuples and the out and back hop ranges into it, and the traffic one
-        exchange books.  One loop resolves the exchanges.  The crossbar
+        Everything a burst reads that does not change while no channel
+        fails comes from the pair's burst plan (:meth:`_burst_plan`, built
+        on the first burst of each ``(src, dst, request_bytes,
+        response_bytes)`` from the request's and the response's packet
+        plans): both zero-wait limits, both crossbars, the two routes as
+        one tuple of links with their serialization and latency tuples and
+        the out and back hop ranges into it, and the traffic one exchange
+        books.  One loop resolves the exchanges.  The crossbar
         load estimates, the links' next-free times (one list, the only
         thing a remote call builds) and the bank's next-free time live in
         locals, written back once after the last exchange, when the
@@ -559,7 +560,7 @@ class Interconnect:
         crossbar, each link back, source crossbar.  A local home has no
         links and skips all but the two source-crossbar steps and the
         DRAM.  A crossbar step at or below its
-        packet size's zero-wait limit (:meth:`_zero_wait_limit`) waits 0;
+        packet's zero-wait limit waits 0;
         only one above it calls :meth:`Crossbar.wait_cycles`.  The first
         DRAM access goes through ``dram.access``, which opens ``addr``'s
         row; nothing else runs during the burst, so every later access is a
@@ -595,16 +596,18 @@ class Interconnect:
         not pay.  A bakery scan gets there after two or three exchanges; a
         burst that does not goes on exchange by exchange.
 
-        A faulted fabric, whose routes may change mid-burst, resolves every
-        remote transfer through :meth:`transfer_latency` and every access
-        through ``dram.access`` instead, and reads no plan.
+        On a faulted fabric a detour's out and back routes may share a
+        link, which the burst loop's one next-free time per route hop does
+        not model, so a remote burst there resolves every transfer through
+        :meth:`transfer_latency` and every access through ``dram.access``
+        instead, and reads no plan.
         """
         if count <= 0:
             return 0
         cursor = now
         local = src_unit == dst_unit
         access = dram.access
-        if not local and self._degraded:
+        if not local and self._dead_channels:
             transfer = self.transfer_latency
             for _ in range(count):
                 latency = transfer(src_unit, dst_unit, cursor, request_bytes)
@@ -619,8 +622,7 @@ class Interconnect:
             plan = self._burst_plan(src_unit, dst_unit, request_bytes,
                                     response_bytes)
         (req_limit, resp_limit, limit, src, dst, links, ser, lat, out_hops,
-         back_hops, inside_bytes, inside_bits, across_bytes,
-         link_bits) = plan
+         back_hops, inside_bytes, across_bytes, link_bits) = plan
         # DRAM: the bank's next-free time is unknown (None) until the first
         # access opens the row; each later access is a row hit held for
         # ``hit`` plus ``recovery`` on a store.
@@ -783,7 +785,6 @@ class Interconnect:
             dram_stats.dram_reads += hits
         stats = self.stats
         stats.bytes_inside_units += inside_bytes * count
-        stats.local_bit_hops += inside_bits * count
         if not local:
             stats.bytes_across_units += across_bytes * count
             stats.link_bit_hops += link_bits * count
@@ -792,48 +793,31 @@ class Interconnect:
     def _burst_plan(self, src_unit: int, dst_unit: int, request_bytes: int,
                     response_bytes: int) -> tuple:
         """What every :meth:`round_trips` burst of one pair and one pair of
-        packet sizes reads on the pristine fabric, built once (memoized per
-        ``(src, dst, request_bytes, response_bytes)``).
+        packet sizes reads, built once from the request's and the
+        response's packet plans (:meth:`_packet_plan`) and memoized per
+        ``(src, dst, request_bytes, response_bytes)`` until a channel
+        fails.
 
         The request's and response's zero-wait limits and the lower of the
         two; both crossbars (``None`` for the remote one of a local home);
         the out and back routes as one tuple of links, their serialization
         cycles (request size out, response size back) and latency tuples,
         and the out and back hop ranges into those tuples; and the traffic
-        one exchange books, the sum of what
-        :func:`~repro.sim.stats.charge_transfers` charges its request and
-        its response: bytes and bit-hops inside units, bytes across units
-        and link bit-hops.
+        one exchange books, its two packets' sums: bytes inside units,
+        bytes across units and link bit-hops.
         """
-        limits = self._limits
-        req_limit = (limits.get(request_bytes)
-                     or self._zero_wait_limit(request_bytes))
-        resp_limit = (limits.get(response_bytes)
-                      or self._zero_wait_limit(response_bytes))
-        payload = request_bytes + response_bytes
-        if src_unit == dst_unit:
-            dst, links = None, ()
-            ser = lat = out_hops = back_hops = ()
-            inside_bytes, across_bytes, link_bits = payload, 0, 0
-        else:
-            dst = self.crossbars[dst_unit]
-            out = self._route(src_unit, dst_unit)
-            back = self._route(dst_unit, src_unit)
-            links = out + back
-            ser = (tuple(link.serialization_cycles(request_bytes)
-                         for link in out)
-                   + tuple(link.serialization_cycles(response_bytes)
-                           for link in back))
-            lat = tuple(link._latency_cycles for link in links)
-            out_hops = range(len(out))
-            back_hops = range(len(out), len(links))
-            inside_bytes, across_bytes = 2 * payload, payload
-            link_bits = 8 * (request_bytes * len(out)
-                             + response_bytes * len(back))
+        request = self._packet_plan(src_unit, dst_unit, request_bytes)
+        response = self._packet_plan(dst_unit, src_unit, response_bytes)
+        (req_limit, src, dst, out, req_inside, req_across,
+         req_bits, _) = request
+        (resp_limit, _, _, back, resp_inside, resp_across,
+         resp_bits, _) = response
+        hops = out + back
         plan = self._plans[(src_unit, dst_unit, request_bytes,
                             response_bytes)] = (
-            req_limit, resp_limit, min(req_limit, resp_limit),
-            self.crossbars[src_unit], dst, links, ser, lat, out_hops,
-            back_hops, inside_bytes, inside_bytes * self._local_bits,
-            across_bytes, link_bits)
+            req_limit, resp_limit, min(req_limit, resp_limit), src, dst,
+            tuple(hop[0] for hop in hops), tuple(hop[1] for hop in hops),
+            tuple(hop[2] for hop in hops), range(len(out)),
+            range(len(out), len(hops)), req_inside + resp_inside,
+            req_across + resp_across, req_bits + resp_bits)
         return plan

@@ -45,7 +45,6 @@ class SystemStats:
     dram_reads: int = 0
     dram_writes: int = 0
     dram_row_hits: int = 0
-    dram_row_misses: int = 0
     #: reads/writes issued purely for synchronization (sync variables,
     #: syncronVar overflow structures, server-core waitlist bookkeeping).
     sync_memory_accesses: int = 0
@@ -56,8 +55,6 @@ class SystemStats:
     #: remote transfer regardless of how many physical links the route
     #: crosses, so the metric is conserved across topologies.
     bytes_across_units: int = 0
-    #: bit-hops over local crossbars (for local-network energy).
-    local_bit_hops: int = 0
     #: bits x physical inter-unit links traversed (for link energy).  On the
     #: all-to-all fabric every route is one link, so this equals
     #: ``bytes_across_units * 8``; routed fabrics charge every hop.
@@ -153,6 +150,13 @@ class SystemStats:
         return 100.0 * self.st_overflow_requests / self.sync_requests_total
 
     @property
+    def dram_row_misses(self) -> int:
+        """Accesses that opened their row (closed or conflicting): every
+        booking site counts each access once as a read or a write and hits
+        only as row hits, so the misses are the rest."""
+        return self.dram_reads + self.dram_writes - self.dram_row_hits
+
+    @property
     def total_bytes(self) -> int:
         return self.bytes_inside_units + self.bytes_across_units
 
@@ -179,28 +183,3 @@ class SystemStats:
             "sync_requests_total": self.sync_requests_total,
         }
 
-
-def charge_transfers(stats: SystemStats, nbytes: int, count: int,
-                     local: bool, local_hops: int, link_hops: int) -> None:
-    """Traffic counters of ``count`` transfers of ``nbytes`` each.
-
-    Mirrors what one :meth:`~repro.sim.network.Interconnect.transfer_latency`
-    call charges — source crossbar (+ fabric links + destination crossbar
-    when remote) — without touching any reservation/queueing state.  Two
-    callers: elided spin polls account their traffic and energy
-    analytically without contending for banks, links, or crossbar slots
-    (see the wait-channel model notes in EXPERIMENTS.md), and
-    :func:`repro.testing.per_hop_transfer`, the reference packet path.
-    :meth:`~repro.sim.network.Interconnect.round_trips` books the same sums
-    for a whole burst from its burst plan.
-    """
-    payload = nbytes * count
-    if local:
-        stats.bytes_inside_units += payload
-        stats.local_bit_hops += payload * 8 * local_hops
-    else:
-        # Both endpoint crossbars see the packet; links carry it once.
-        stats.bytes_inside_units += 2 * payload
-        stats.local_bit_hops += 2 * payload * 8 * local_hops
-        stats.bytes_across_units += payload
-        stats.link_bit_hops += payload * 8 * link_hops

@@ -14,7 +14,6 @@ import itertools
 from typing import TYPE_CHECKING, Callable, Dict, Optional, Protocol, Tuple, runtime_checkable
 
 from repro.sim.program import OP_KINDS
-from repro.sim.stats import charge_transfers
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.engine import WaitChannel
@@ -184,27 +183,25 @@ class SpinWaitMixin:
         """Analytic traffic/energy of ``count`` elided polls of ``var``.
 
         Each poll is what one explicit poll would have issued: a
-        ``request_bytes`` request and a ``response_bytes`` response between
-        the core and the home unit (``messages`` sync messages) plus
-        one DRAM read there, charged as a row hit (spin polls hammer one
+        ``request_bytes`` request from the core to the home unit and a
+        ``response_bytes`` response back, each booked over its own current
+        route (:meth:`Interconnect.charge_packets
+        <repro.sim.network.Interconnect.charge_packets>`; on a faulted
+        fabric the two may differ), ``messages`` sync messages, and one
+        DRAM read at the home, charged as a row hit (spin polls hammer one
         open row).  Counters and energy match the explicit chain's;
         reservation state (banks, links, crossbar load) is deliberately
         untouched — see the model notes in EXPERIMENTS.md.
         """
         stats = self.stats
-        home = var.unit
-        local = core.unit_id == home
-        if local:
+        unit, home = core.unit_id, var.unit
+        if unit == home:
             stats.sync_messages_local += messages * count
-            link_hops = 0
         else:
             stats.sync_messages_global += messages * count
-            link_hops = self.interconnect.remote_hops(core.unit_id, home)
-        local_hops = self.config.local_hops
-        charge_transfers(stats, request_bytes, count, local,
-                         local_hops, link_hops)
-        charge_transfers(stats, response_bytes, count, local,
-                         local_hops, link_hops)
+        charge = self.interconnect.charge_packets
+        charge(unit, home, request_bytes, count)
+        charge(home, unit, response_bytes, count)
         stats.dram_reads += count
         stats.dram_row_hits += count
         stats.sync_memory_accesses += count

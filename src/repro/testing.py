@@ -15,7 +15,6 @@ import types
 
 from repro.sim.config import SystemConfig
 from repro.sim.memsys import REQUEST_BYTES
-from repro.sim.stats import charge_transfers
 from repro.sim.system import NDPSystem
 
 
@@ -89,31 +88,41 @@ def fabric_snapshot(system) -> tuple:
     )
 
 
+def charge_transfers(stats, nbytes: int, local: bool, link_hops: int) -> None:
+    """Traffic counters of one ``nbytes`` transfer as the reference packet
+    path books them: the source crossbar (+ fabric links + destination
+    crossbar when remote), computed from the hop count rather than read
+    from a packet plan."""
+    if local:
+        stats.bytes_inside_units += nbytes
+    else:
+        # Both endpoint crossbars see the packet; links carry it once.
+        stats.bytes_inside_units += 2 * nbytes
+        stats.bytes_across_units += nbytes
+        stats.link_bit_hops += nbytes * 8 * link_hops
+
+
 def per_hop_transfer(interconnect, src_unit: int, dst_unit: int, now: int,
                      nbytes: int) -> int:
     """Reference for :meth:`Interconnect.transfer_latency
     <repro.sim.network.Interconnect.transfer_latency>`, composed hop by hop:
-    the source crossbar step, each route link's
-    :meth:`~repro.sim.network.Link.reserve`, the destination crossbar step,
-    then the counters of one transfer via
-    :func:`~repro.sim.stats.charge_transfers` plus any detour bits."""
+    the source crossbar step, each link of the pair's current route
+    (``Interconnect._routed``) via :meth:`~repro.sim.network.Link.reserve`,
+    the destination crossbar step, then the counters of one transfer via
+    :func:`charge_transfers` plus any detour bits."""
     stats = interconnect.stats
     local = src_unit == dst_unit
     xbar = interconnect.crossbars[src_unit]
     latency = xbar._base_cycles + xbar.queue_wait(now, nbytes)
     route = ()
     if not local:
-        if interconnect._degraded:
-            route, extra = interconnect._routed(src_unit, dst_unit)
-            stats.detour_bit_hops += nbytes * 8 * extra
-        else:
-            route = interconnect._route(src_unit, dst_unit)
+        route, extra = interconnect._routed(src_unit, dst_unit)
+        stats.detour_bit_hops += nbytes * 8 * extra
         for link in route:
             latency += link.reserve(now + latency, nbytes)
         xbar = interconnect.crossbars[dst_unit]
         latency += xbar._base_cycles + xbar.queue_wait(now + latency, nbytes)
-    charge_transfers(stats, nbytes, 1, local, interconnect.config.local_hops,
-                     len(route))
+    charge_transfers(stats, nbytes, local, len(route))
     return latency
 
 

@@ -115,14 +115,14 @@ def test_every_access_kind(fabric):
 
 
 def test_fault_after_route_table_filled():
-    """A link that fails after its pairs' pristine routes were cached is
-    detoured around by every later access."""
+    """A link that fails after its pairs' packet plans were built over the
+    pristine routes is detoured around by every later access."""
     fused, reference = make_system("ring"), make_system("ring")
     now = 0
     exchange = (0, 1, 1, False, False, 8, False, False)   # unit 0 -> home 1
     for _ in range(3):
         now += apply(fused, reference, exchange, now) + 5
-    assert fused.interconnect._pristine[0][1] is not None
+    assert 16 in fused.interconnect._packets[0][1]   # the request's plan
     assert fused.stats.reroutes == 0
     for system in (fused, reference):
         system.interconnect.fail_link((0, 1), now)

@@ -223,8 +223,9 @@ class TestBurstDramSteps:
 
 
 class TestBurstPlans:
-    """``round_trips`` reads a plan built on a pair's first burst: routes,
-    limits and traffic for one ``(src, dst, request, response)``."""
+    """``round_trips`` reads a plan built on a pair's first burst from its
+    request's and response's packet plans: routes, limits and traffic for
+    one ``(src, dst, request, response)``."""
 
     def test_plan_built_before_a_fault_does_not_serve_the_detour(self):
         # Unit 0's first burst to unit 1 builds the pair's plan over the
@@ -233,6 +234,7 @@ class TestBurstPlans:
         results = []
         for issue in (MemorySystem.uncacheable_burst, per_access_burst):
             system = make_system("ring")
+            plans = system.interconnect._plans
             addr = system.addrmap.alloc(1, 64)
             now, cycles = 100, []
             for burst in range(2):
@@ -242,6 +244,9 @@ class TestBurstPlans:
                                     loads=12, for_sync=True))
                 now += cycles[-1]
                 results.append((list(cycles), fabric_snapshot(system)))
+            if issue is MemorySystem.uncacheable_burst:
+                # the fault dropped the plans; the detoured burst built none
+                assert plans == {}
         assert results[:2] == results[2:]
         (_, before), (_, after) = results[:2]
         assert before[0].detour_bit_hops == 0 < after[0].detour_bit_hops
@@ -258,6 +263,48 @@ class TestBurstPlans:
         assert burst == reference
         plans = systems[0].interconnect._plans
         assert [key[:2] for key in plans] == [(0, 1), (0, 1)]
+        packets = systems[0].interconnect._packets
+        for src, dst, request, response in plans:
+            assert request in packets[src][dst]
+            assert response in packets[dst][src]
+
+
+class TestRowMissesAreDerived:
+    """``SystemStats.dram_row_misses`` is reads + writes - row hits.  It
+    must equal the accesses that found their bank's row closed or holding
+    another row, counted independently at ``DramDevice.access``, after
+    single accesses, after a burst and after elided spin polls."""
+
+    @pytest.mark.parametrize("failed_link", [None, (0, 1)])
+    def test_misses_match_the_device(self, monkeypatch, failed_link):
+        misses = []
+        access = DramDevice.access
+
+        def counted(self, addr, is_write, now):
+            row = addr // self.timing.row_size_bytes
+            misses.append(self._open_row[row % self.num_banks]
+                          != row // self.num_banks)
+            return access(self, addr, is_write, now)
+
+        monkeypatch.setattr(DramDevice, "access", counted)
+        system = make_system("ring", failed_link)
+        stats = system.stats
+
+        def check():
+            assert stats.dram_row_misses == sum(misses)
+            assert (stats.dram_reads + stats.dram_writes
+                    == stats.dram_row_hits + stats.dram_row_misses)
+
+        now = warm_up(system, seed=3)
+        check()
+        addr = system.addrmap.alloc(1, 64)
+        system.memsys.uncacheable_burst(0, addr, now, stores=2, loads=9)
+        check()
+        core = next(c for c in system.cores if c.unit_id == 0)
+        system.mechanism._charge_elided_polls(
+            core, system.create_syncvar(unit=1), 7, 18, 10, 2)
+        check()
+        assert sum(misses) > 1 and stats.dram_row_hits > 7 + 9
 
 
 def test_bakery_run_matches_per_access_model(monkeypatch):

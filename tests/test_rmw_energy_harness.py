@@ -16,12 +16,14 @@ class TestEnergyModel:
         assert zero.total_pj == 0
 
         stats.cache_hits = 10
-        stats.local_bit_hops = 100
+        stats.bytes_inside_units = 100
         stats.dram_reads = 2
         breakdown = compute_energy(stats, config)
         assert breakdown.cache_pj == 10 * config.energy.cache_hit_pj
+        # every byte inside a unit crosses local_hops crossbar hops
         assert breakdown.network_pj == pytest.approx(
-            100 * config.energy.local_network_pj_per_bit_hop
+            100 * 8 * config.local_hops
+            * config.energy.local_network_pj_per_bit_hop
         )
         assert breakdown.memory_pj == pytest.approx(
             2 * 64 * 8 * config.memory.energy_pj_per_bit
@@ -33,7 +35,7 @@ class TestEnergyModel:
         stats.link_bit_hops = 1000 * 8  # 1000 bytes over one physical link
         cross = compute_energy(stats, config).network_pj
         stats2 = SystemStats()
-        stats2.local_bit_hops = 1000 * 8 * 2
+        stats2.bytes_inside_units = 1000  # over local_hops == 2 hops
         local = compute_energy(stats2, config).network_pj
         assert cross > local  # 4 pJ/bit/link vs 0.4 pJ/bit/hop NoC
 

@@ -287,6 +287,17 @@ class TestNetwork:
         xbar.queue_wait(10_000, 1)
         assert xbar._rate < busy
 
+    def test_crossbars_of_one_interconnect_share_one_decay_memo(self):
+        # One TAU, so one exp(-elapsed / TAU) memo per interconnect; a
+        # standalone crossbar (as in md1_wait below) keeps its own.
+        inter = Interconnect(ndp_2_5d(num_units=4), SystemStats())
+        assert len({id(xbar._decay_cache) for xbar in inter.crossbars}) == 1
+        inter.transfer_latency(0, 3, 0, 64)
+        inter.transfer_latency(2, 2, 7, 64)
+        assert {1, 7} <= set(inter.crossbars[1]._decay_cache)
+        assert (Crossbar(ndp_2_5d(), 0)._decay_cache
+                is not Crossbar(ndp_2_5d(), 0)._decay_cache)
+
     @staticmethod
     def md1_wait(rate, nbytes, bpc):
         """:meth:`Crossbar.queue_wait`'s full formula at load estimate

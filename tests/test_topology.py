@@ -305,7 +305,7 @@ class TestLinkEdgeCases:
         # of its links charges nothing.
         stats = SystemStats()
         inter = Interconnect(ndp_2_5d(), stats)
-        inter._route(0, 1)[0].reserve(0, 64)
+        inter._routed(0, 1)[0][0].reserve(0, 64)
         assert stats.as_dict() == SystemStats().as_dict()
 
 

@@ -101,6 +101,28 @@ class TestTransferMatchesPerHop:
         assert system.stats.detour_bit_hops > 0
         assert system.stats.reroutes > 0
 
+    def test_packet_planned_before_a_fault_takes_the_detour(self):
+        # The (0, 1, 64) packet is planned over the (0, 1) channel; once
+        # that channel dies the same packet must go the long way round the
+        # ring, book its detour bits, and still match the reference.
+        fused, reference = make_system("ring"), make_system("ring")
+        now = 0
+        for fail in (False, False, True, False):
+            now += 10
+            if fail:
+                for system in (fused, reference):
+                    system.interconnect.fail_link((0, 1), now)
+                continue
+            before = fused.stats.link_bit_hops
+            latency = fused.interconnect.transfer_latency(0, 1, now, 64)
+            assert latency == per_hop_transfer(reference.interconnect, 0, 1,
+                                               now, 64)
+            assert fabric_snapshot(fused) == fabric_snapshot(reference)
+        # three links of the 4-unit ring, two of them a detour
+        assert fused.stats.link_bit_hops - before == 3 * 64 * 8
+        assert fused.stats.detour_bit_hops == 2 * 64 * 8
+        assert fused.stats.reroutes == 1
+
     def test_delegations_share_the_packet_path(self):
         fused, reference = make_system("mesh2d"), make_system("mesh2d")
         assert (fused.interconnect.remote_latency(0, 7, 3, 64)
@@ -282,6 +304,8 @@ def burst_and_reference(case, home, stores=0, loads=160, **config):
         system = make_system(case, **config)
         units = system.config.num_units
         addr = system.addrmap.alloc({"local": 0, "far": units - 1}[home], 64)
+        # Unit 0's crossbar gets a counting memo of its own in place of the
+        # one its interconnect's crossbars share.
         memo = system.interconnect.crossbars[0]._decay_cache = _CountingMemo()
         cycles = issue(system.memsys, 0, addr, 100, stores=stores,
                        loads=loads, size=8, for_sync=True)
@@ -305,7 +329,7 @@ def test_step_just_above_wait_free_threshold(case, home):
     loads = 160
     system = make_system(case, crossbar_bytes_per_cycle=16.0)
     base = system.interconnect.crossbars[0]._base_cycles
-    limit = system.interconnect._zero_wait_limit(REQUEST_BYTES + 8)
+    limit = system.interconnect._packet_plan(0, 0, REQUEST_BYTES + 8)[0]
     assert REQUEST_BYTES / base == limit == 16 / 3
     (fused, reference), steps = burst_and_reference(
         case, home, loads=loads, crossbar_bytes_per_cycle=16.0)
@@ -345,3 +369,38 @@ def test_waiting_exchange_never_fast_forwards(monkeypatch, case, packets):
         quiet=1_000_000, stores=40, loads=0, link_latency_ns=500.0,
         hop_cycles=10)
     assert fused == reference
+
+
+class TestElidedPollTraffic:
+    """``SpinWaitMixin._charge_elided_polls`` books what the same polls
+    would have booked as real request/response packets: each over its own
+    current route, detours included."""
+
+    TRAFFIC = ("bytes_inside_units", "bytes_across_units", "link_bit_hops",
+               "detour_bit_hops", "reroutes")
+
+    def polls(self, case, src, home, count, elided):
+        system = make_system(case)
+        if elided:
+            core = next(c for c in system.cores if c.unit_id == src)
+            var = system.create_syncvar(unit=home)
+            system.mechanism._charge_elided_polls(core, var, count, 18, 10, 2)
+        else:
+            transfer = system.interconnect.transfer_latency
+            for poll in range(count):
+                transfer(src, home, 100 * poll, 18)
+                transfer(home, src, 100 * poll + 50, 10)
+        stats = system.stats
+        return {name: getattr(stats, name) for name in self.TRAFFIC}
+
+    @pytest.mark.parametrize("case,src,home", [
+        ("faulted_ring", 0, 1), ("ring", 0, 1), ("ring", 0, 2),
+        ("mesh2d", 0, 7), ("mesh2d", 3, 3)])
+    def test_elided_polls_book_the_real_polls_traffic(self, case, src, home):
+        elided = self.polls(case, src, home, 10, elided=True)
+        assert elided == self.polls(case, src, home, 10, elided=False)
+        if case == "faulted_ring":
+            # the 18 B requests detour over three links, the 10 B responses
+            # take their own live channel
+            assert elided["link_bit_hops"] == 10 * 8 * (3 * 18 + 10)
+            assert elided["detour_bit_hops"] == 10 * 8 * 2 * 18
