@@ -16,7 +16,7 @@ cores when grants arrive.
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, List, Optional
 
 from repro.core.indexing import IndexingCounters
 from repro.core.messages import (
@@ -371,9 +371,14 @@ class SynCronMechanism(MechanismBase):
         #: every ST built for this mechanism's engines (fallback and
         #: replacement servers included), for the end-of-run occupancy fold.
         self.tables = []
-        self.ses = [SyncEngine(self, se_id) for se_id in range(self.config.num_units)]
+        self.ses = self._make_engines()
         self.sem_initial: Dict[int, int] = {}
         self._pending: Dict[int, Callable[[], None]] = {}
+
+    def _make_engines(self) -> List[SyncEngine]:
+        """The engine each unit's cores send to (index = unit id): one SE
+        per unit.  Baselines and overflow variants override this."""
+        return [SyncEngine(self, se_id) for se_id in range(self.config.num_units)]
 
     # ------------------------------------------------------------------
     @property

@@ -116,19 +116,6 @@ class SystemStats:
         self._occ_sum[se_id] += occupied * samples
         self._occ_samples[se_id] += samples
 
-    @property
-    def st_occupancy_max(self) -> Dict[int, int]:
-        """Max occupancy per SE id (dict view; only SEs that peaked above 0)."""
-        return {se_id: occ for se_id, occ in enumerate(self._occ_max) if occ > 0}
-
-    def st_occupancy_avg(self, se_id: int) -> float:
-        if se_id >= len(self._occ_samples):
-            return 0.0
-        samples = self._occ_samples[se_id]
-        if samples == 0:
-            return 0.0
-        return self._occ_sum[se_id] / samples
-
     def st_occupancy_summary(self, st_entries: int) -> Dict[str, float]:
         """Max/avg occupancy as percentages across all SEs (Table 7 rows)."""
         total_samples = sum(self._occ_samples)
@@ -155,10 +142,6 @@ class SystemStats:
         booking site counts each access once as a read or a write and hits
         only as row hits, so the misses are the rest."""
         return self.dram_reads + self.dram_writes - self.dram_row_hits
-
-    @property
-    def total_bytes(self) -> int:
-        return self.bytes_inside_units + self.bytes_across_units
 
     def as_dict(self) -> Dict[str, float]:
         """Flat snapshot for reporting."""

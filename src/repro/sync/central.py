@@ -30,11 +30,10 @@ class CentralMechanism(SynCronMechanism):
     #: the server core lives in unit 0 (any fixed unit is equivalent).
     SERVER_UNIT = 0
 
-    def __init__(self, system):
-        super().__init__(system)
+    def _make_engines(self):
         server = _CentralServer(self, se_id=self.SERVER_UNIT, unit=self.SERVER_UNIT)
         # every "SE slot" routes to the one server.
-        self.ses = [server] * self.config.num_units
+        return [server] * self.config.num_units
 
     def entry_unit(self, core, msg) -> int:
         return self.SERVER_UNIT

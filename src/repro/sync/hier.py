@@ -19,9 +19,8 @@ from repro.sync.server import ServerEngine
 class HierMechanism(SynCronMechanism):
     name = "hier"
 
-    def __init__(self, system):
-        super().__init__(system)
-        self.ses = [
+    def _make_engines(self):
+        return [
             ServerEngine(self, se_id=u, unit=u)
             for u in range(self.config.num_units)
         ]

@@ -11,8 +11,7 @@ distributed protocol against it) and the engine behind the Ideal baseline
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.sim.program import (
     BARRIER_WAIT_ACROSS_UNITS,
@@ -36,25 +35,23 @@ class LogicError(SyncUsageError):
     """An operation a correct program could not have issued."""
 
 
-@dataclass
 class _VarState:
-    kind: Optional[str] = None
-    # lock
-    owner: Optional[int] = None
-    lock_queue: Deque[int] = field(default_factory=deque)
-    # barrier
-    arrived: int = 0
-    barrier_waiters: List[int] = field(default_factory=list)
-    # semaphore
-    sem_value: int = 0
-    sem_initialized: bool = False
-    sem_queue: Deque[int] = field(default_factory=deque)
-    # condition variable: (core, lock_var) pairs
-    cond_queue: Deque[Tuple[int, object]] = field(default_factory=deque)
-    # reader-writer lock
-    readers: int = 0
-    writer: Optional[int] = None
-    rw_queue: Deque[Tuple[str, int]] = field(default_factory=deque)
+    """One variable's state.  A variable has a single kind, so one FIFO
+    (``queue``) holds whatever waits on it: a lock's or semaphore's core
+    ids, a barrier's arrivals, a condvar's ``(core, lock_var)`` pairs or a
+    reader-writer lock's ``("r" | "w", core)`` pairs."""
+
+    __slots__ = ("kind", "owner", "sem_value", "sem_initialized", "readers",
+                 "writer", "queue")
+
+    def __init__(self, kind: str) -> None:
+        self.kind = kind
+        self.owner: Optional[int] = None         # lock
+        self.sem_value = 0                       # semaphore
+        self.sem_initialized = False
+        self.readers = 0                         # reader-writer lock
+        self.writer: Optional[int] = None
+        self.queue = deque()
 
 
 class SyncLogic:
@@ -66,7 +63,7 @@ class SyncLogic:
     def _state(self, var, kind: str) -> _VarState:
         st = self._vars.get(var.addr)
         if st is None:
-            st = _VarState(kind=kind)
+            st = _VarState(kind)
             self._vars[var.addr] = st
         elif st.kind != kind:
             raise LogicError(
@@ -113,7 +110,7 @@ class SyncLogic:
         if st.owner is None:
             st.owner = core_id
             return [core_id]
-        st.lock_queue.append(core_id)
+        st.queue.append(core_id)
         return []
 
     def _lock_release(self, core_id: int, var) -> List[int]:
@@ -122,8 +119,8 @@ class SyncLogic:
             raise LogicError(
                 f"core {core_id} released lock {var.name} owned by {st.owner}"
             )
-        if st.lock_queue:
-            st.owner = st.lock_queue.popleft()
+        if st.queue:
+            st.owner = st.queue.popleft()
             return [st.owner]
         st.owner = None
         return []
@@ -132,12 +129,10 @@ class SyncLogic:
         if expected < 1:
             raise LogicError("barrier needs a positive participant count")
         st = self._state(var, "barrier")
-        st.arrived += 1
-        st.barrier_waiters.append(core_id)
-        if st.arrived >= expected:
-            woken = list(st.barrier_waiters)
-            st.arrived = 0
-            st.barrier_waiters.clear()
+        st.queue.append(core_id)
+        if len(st.queue) >= expected:
+            woken = list(st.queue)
+            st.queue.clear()
             return woken
         return []
 
@@ -149,29 +144,29 @@ class SyncLogic:
         if st.sem_value > 0:
             st.sem_value -= 1
             return [core_id]
-        st.sem_queue.append(core_id)
+        st.queue.append(core_id)
         return []
 
     def _sem_post(self, core_id: int, var) -> List[int]:
         st = self._state(var, "semaphore")
-        if st.sem_queue:
-            return [st.sem_queue.popleft()]
+        if st.queue:
+            return [st.queue.popleft()]
         st.sem_value += 1
         return []
 
     def _cond_wait(self, core_id: int, var, lock_var) -> List[int]:
         st = self._state(var, "condvar")
-        st.cond_queue.append((core_id, lock_var))
+        st.queue.append((core_id, lock_var))
         # pthread semantics: atomically release the associated lock.
         return self._lock_release(core_id, lock_var)
 
     def _cond_signal(self, var, wake_all: bool) -> List[int]:
         st = self._vars.get(var.addr)
-        if st is None or st.kind != "condvar" or not st.cond_queue:
+        if st is None or st.kind != "condvar" or not st.queue:
             return []  # lost signal (POSIX)
         woken: List[int] = []
-        while st.cond_queue:
-            core_id, lock_var = st.cond_queue.popleft()
+        while st.queue:
+            core_id, lock_var = st.queue.popleft()
             # The woken waiter must re-acquire the lock before proceeding.
             woken.extend(self._lock_acquire(core_id, lock_var))
             if not wake_all:
@@ -183,11 +178,11 @@ class SyncLogic:
     # ------------------------------------------------------------------
     def _rw_read_acquire(self, core_id: int, var) -> List[int]:
         st = self._state(var, "rwlock")
-        writer_waiting = any(kind == "w" for kind, _ in st.rw_queue)
+        writer_waiting = any(kind == "w" for kind, _ in st.queue)
         if st.writer is None and not writer_waiting:
             st.readers += 1
             return [core_id]
-        st.rw_queue.append(("r", core_id))
+        st.queue.append(("r", core_id))
         return []
 
     def _rw_read_release(self, core_id: int, var) -> List[int]:
@@ -201,10 +196,10 @@ class SyncLogic:
 
     def _rw_write_acquire(self, core_id: int, var) -> List[int]:
         st = self._state(var, "rwlock")
-        if st.writer is None and st.readers == 0 and not st.rw_queue:
+        if st.writer is None and st.readers == 0 and not st.queue:
             st.writer = core_id
             return [core_id]
-        st.rw_queue.append(("w", core_id))
+        st.queue.append(("w", core_id))
         return []
 
     def _rw_write_release(self, core_id: int, var) -> List[int]:
@@ -218,15 +213,15 @@ class SyncLogic:
 
     def _rw_wake(self, st: _VarState) -> List[int]:
         woken: List[int] = []
-        if st.writer is None and st.rw_queue:
-            if st.rw_queue[0][0] == "w":
+        if st.writer is None and st.queue:
+            if st.queue[0][0] == "w":
                 if st.readers == 0:
-                    _kind, core = st.rw_queue.popleft()
+                    _kind, core = st.queue.popleft()
                     st.writer = core
                     woken.append(core)
             else:
-                while st.rw_queue and st.rw_queue[0][0] == "r":
-                    _kind, core = st.rw_queue.popleft()
+                while st.queue and st.queue[0][0] == "r":
+                    _kind, core = st.queue.popleft()
                     st.readers += 1
                     woken.append(core)
         return woken
@@ -252,12 +247,4 @@ class SyncLogic:
 
     def waiters(self, var) -> int:
         st = self._vars.get(var.addr)
-        if st is None:
-            return 0
-        return (
-            len(st.lock_queue)
-            + len(st.barrier_waiters)
-            + len(st.sem_queue)
-            + len(st.cond_queue)
-            + len(st.rw_queue)
-        )
+        return len(st.queue) if st else 0

@@ -117,13 +117,15 @@ class _AbortOverflowMechanism(SynCronMechanism):
 
     def __init__(self, system):
         super().__init__(system)
-        self.ses = [_AbortModeSE(self, u) for u in range(self.config.num_units)]
         self._fallback_vars: Set[int] = set()
         #: forwarded-but-not-yet-processed message count per variable; the
         #: switch back to hardware must wait until this drains, or a grant
         #: issued by the fallback would be released into thin air.
         self._inflight: Dict[int, int] = {}
         self._fallbacks = self._make_fallbacks()
+
+    def _make_engines(self):
+        return [_AbortModeSE(self, u) for u in range(self.config.num_units)]
 
     # Subclasses provide the fallback topology. -------------------------
     def _make_fallbacks(self):  # pragma: no cover - abstract

@@ -10,6 +10,8 @@ from repro.sim.program import (
     Compute,
     LOCK_ACQUIRE,
     LOCK_RELEASE,
+    RW_READ_ACQUIRE,
+    RW_WRITE_ACQUIRE,
     SEM_POST,
     SEM_WAIT,
 )
@@ -158,3 +160,66 @@ class TestSyncLogic:
         logic.apply(2, LOCK_ACQUIRE, var)
         logic.apply(3, LOCK_ACQUIRE, var)
         assert logic.waiters(var) == 2
+
+    #: one operation per variable kind that binds the variable to it
+    #: (a condvar signal does not: a signal to a non-condvar is lost).
+    KIND_OPS = {
+        "lock": (LOCK_ACQUIRE, 0),
+        "barrier": (BARRIER_WAIT_ACROSS_UNITS, 4),
+        "semaphore": (SEM_WAIT, 1),
+        "condvar": (COND_WAIT, None),
+        "rwlock": (RW_READ_ACQUIRE, 0),
+    }
+
+    @pytest.mark.parametrize("first", sorted(KIND_OPS))
+    @pytest.mark.parametrize("then", sorted(KIND_OPS))
+    def test_every_kind_mismatch_raises(self, first, then):
+        logic = SyncLogic()
+        var, lock = self.make_var("v"), self.make_var("l")
+
+        def apply(core, kind):
+            op, info = self.KIND_OPS[kind]
+            if op == COND_WAIT:
+                logic.apply(core, LOCK_ACQUIRE, lock)
+                info = lock
+            return logic.apply(core, op, var, info)
+
+        apply(1, first)
+        if first == then:
+            apply(2, then)
+        else:
+            with pytest.raises(LogicError):
+                apply(2, then)
+
+    def test_waiters_counts_every_primitive(self):
+        logic = SyncLogic()
+        var = {kind: self.make_var(kind) for kind in
+               ("lock", "barrier", "semaphore", "condvar", "rwlock", "l")}
+        for core in (1, 2, 3):
+            logic.apply(core, LOCK_ACQUIRE, var["lock"])
+            logic.apply(core, BARRIER_WAIT_ACROSS_UNITS, var["barrier"], 4)
+            logic.apply(core, SEM_WAIT, var["semaphore"], 1)
+        logic.apply(1, RW_WRITE_ACQUIRE, var["rwlock"])
+        logic.apply(2, RW_READ_ACQUIRE, var["rwlock"])
+        logic.apply(3, RW_WRITE_ACQUIRE, var["rwlock"])
+        for core in (1, 2):
+            logic.apply(core, LOCK_ACQUIRE, var["l"])
+            logic.apply(core, COND_WAIT, var["condvar"], var["l"])
+        waiters = {kind: logic.waiters(v) for kind, v in var.items()}
+        assert waiters == {"lock": 2, "barrier": 3, "semaphore": 2,
+                           "condvar": 2, "rwlock": 2, "l": 0}
+        assert logic.waiters(self.make_var("never used")) == 0
+
+
+@pytest.mark.parametrize("mechanism", [
+    "syncron", "syncron_flat", "central", "hier", "syncron_central_ovrfl",
+    "syncron_distrib_ovrfl"])
+def test_mechanism_holds_only_its_engines_tables(quad_config, mechanism):
+    """Every ST a mechanism folds at the end of a run belongs to an engine
+    it routes to (or a fallback server): none is built and discarded."""
+    mech = build_system(quad_config, mechanism).mechanism
+    engines = {id(se): se for se in mech.ses}
+    engines.update((id(se), se) for se in getattr(mech, "_fallbacks", ()))
+    assert len(mech.tables) == len(engines)
+    assert ({id(table) for table in mech.tables}
+            == {id(se.st) for se in engines.values()})

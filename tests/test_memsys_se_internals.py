@@ -119,7 +119,9 @@ class TestSEInternals:
             yield api.lock_release(lock)
 
         tiny_system.run_programs({0: worker()})
-        assert tiny_system.stats.st_occupancy_max.get(lock.unit, 0) >= 1
+        entries = tiny_system.config.st_entries
+        summary = tiny_system.stats.st_occupancy_summary(entries)
+        assert summary["max_pct"] >= 100.0 / entries
 
 
 class TestApiHelpers:

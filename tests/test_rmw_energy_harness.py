@@ -79,7 +79,7 @@ class TestStats:
         stats.record_st_occupancy(1, 40)
         summary = stats.st_occupancy_summary(64)
         assert summary["max_pct"] == pytest.approx(100 * 40 / 64)
-        assert stats.st_occupancy_avg(0) == pytest.approx(15.0)
+        assert summary["avg_pct"] == pytest.approx(100 * (70 / 3) / 64)
 
     def test_overflow_pct(self):
         stats = SystemStats()

@@ -298,6 +298,24 @@ class TestNetwork:
         assert (Crossbar(ndp_2_5d(), 0)._decay_cache
                 is not Crossbar(ndp_2_5d(), 0)._decay_cache)
 
+    def test_decay_memo_keeps_only_gaps_below_its_span(self):
+        # Gaps at or above the span are computed afresh every time and
+        # never stored; the estimate equals the one an unbounded memo (a
+        # plain exp per step) gives, step by step.
+        span = Crossbar._MEMO_SPAN
+        xbar = Crossbar(ndp_2_5d(), 0)
+        gaps = [1, 7, span - 1, span, span + 1, 2 * span, span, 3 * span + 5,
+                Crossbar._DEAD_ELAPSED, Crossbar._DEAD_ELAPSED + 1, 40]
+        gaps += [span + 37 * k for k in range(500)]
+        now = rate = 0
+        for gap in gaps:
+            now += gap
+            xbar.queue_wait(now, 64)
+            decay = math.exp(-gap / Crossbar.TAU)
+            rate = rate * decay + (64 / gap) * (1.0 - decay)
+            assert xbar._rate == rate
+        assert set(xbar._decay_cache) == {1, 7, 40, span - 1}
+
     @staticmethod
     def md1_wait(rate, nbytes, bpc):
         """:meth:`Crossbar.queue_wait`'s full formula at load estimate

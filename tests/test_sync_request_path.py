@@ -92,8 +92,6 @@ def test_occupancy_equals_per_message_sampling(name):
     assert stats._occ_max == [e[0] for e in expected]
     assert stats._occ_sum == [e[1] for e in expected]
     assert stats._occ_samples == [e[2] for e in expected]
-    assert stats.st_occupancy_max == {
-        se_id: e[0] for se_id, e in enumerate(expected) if e[0] > 0}
     total = sum(e[2] for e in expected)
     assert total > 0
     entries = config.st_entries
