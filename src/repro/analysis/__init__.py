@@ -1,7 +1,7 @@
 """Static analysis + runtime determinism sanitizer (``repro lint``).
 
 Every headline claim in this reproduction — bit-identical cycles across
-kernel rewrites, exactly-once cached sweeps keyed by ``stable_hash``,
+kernel rewrites, exactly-once cached sweeps keyed by ``RunSpec.cache_key``,
 zero-fault fabric identity — rests on invariants that used to be enforced
 only by hand-written golden diffs after the fact.  This package turns the
 recurring failure modes into machine-checked rules:
@@ -19,7 +19,9 @@ recurring failure modes into machine-checked rules:
 The CLI entry point is ``repro lint`` (see :mod:`repro.cli`); CI runs it
 as a gate next to the perf-regression gate.
 
-The package re-exports nothing: every simulation imports the sanitizer
-(:mod:`repro.sim.system` asks whether a session is active), and that must
-not compile the lint engine and its rules.  Import the submodules by name.
+The package re-exports nothing, so importing the sanitizer does not
+compile the lint engine and its rules.  Import the submodules by name.
+A plain simulation imports none of them: :mod:`repro.sim.system` asks
+whether a sanitizer session is active only if the sanitizer module is
+already loaded, since no session can exist otherwise.
 """

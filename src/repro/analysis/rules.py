@@ -2,7 +2,7 @@
 
 Every rule here exists because this repository has already had (and fixed)
 the bug it guards — see CHANGES.md: per-process-randomized ``hash(name)``
-seeds (PR 2), config fields missed by ``as_dict``/``stable_hash`` forcing
+seeds (PR 2), config fields missed by the config serialization forcing
 hand-made cache-version bumps, closure-allocating
 ``schedule(lambda: ...)`` call sites regressing the PR-1 hot path, and
 telemetry that must never touch physics.  Rules are deliberately scoped to
@@ -55,13 +55,11 @@ def _stats_inventory() -> Tuple[Set[str], Set[str]]:
 
     Imported at check time (not module import) so the analysis package
     stays importable without the simulator and the inventory can never go
-    stale — it IS the dataclass.
+    stale — it IS the class's ``__slots__``.
     """
-    from dataclasses import fields
-
     from repro.sim.stats import EXTRA_COUNTERS, SystemStats
 
-    return {f.name for f in fields(SystemStats)}, set(EXTRA_COUNTERS)
+    return set(SystemStats.__slots__), set(EXTRA_COUNTERS)
 
 
 # ----------------------------------------------------------------------
@@ -241,18 +239,22 @@ class UnorderedIteration(Rule):
 class ConfigFieldCoverage(Rule):
     """RP003: every SystemConfig field must reach serialization + validation.
 
-    A field missing from ``as_dict``/``from_dict``/``stable_hash`` silently
-    falls out of cache keys (two different machines collide on one cached
-    result — the cache-version bug class); a field
-    no validation ever reads can drift into nonsense without an error.
-    Full-coverage idioms (``asdict(self)``, ``cls(**payload)``, hashing
-    ``self.as_dict()``) satisfy the serialization legs wholesale.
+    A field missing from ``as_dict`` silently falls out of the result
+    store's key (``RunSpec.cache_key`` hashes ``config().as_dict()``), so
+    two different machines collide on one cached result — the
+    cache-version bug class; a field no validation ever reads can drift
+    into nonsense without an error.  Two full-coverage idioms satisfy
+    serialization wholesale: ``asdict(self)``, and a copy of
+    ``self.__dict__`` (or ``vars(self)``), which holds every field.  After
+    such a copy a field name may appear in ``as_dict`` only as a dict key
+    that re-encodes the field; any other mention of it (a ``pop``, a
+    ``del``, a filter comparison) counts as dropping it.
     """
 
     id = "RP003"
     title = "SystemConfig field missing from serialization/validation"
 
-    VALIDATION_METHODS = ("validate", "__post_init__")
+    VALIDATION_METHODS = ("validate", "__init__")
 
     def check(self, module: Module) -> Iterator[Finding]:
         for node in module.tree.body:
@@ -272,16 +274,8 @@ class ConfigFieldCoverage(Rule):
             elif isinstance(stmt, ast.FunctionDef):
                 methods[stmt.name] = stmt
 
-        as_dict_cover = self._serialization_cover(
-            methods.get("as_dict"), full_markers=("asdict",))
-        from_dict_cover = self._serialization_cover(
-            methods.get("from_dict"), full_markers=("cls",),
-            star_kwargs=True)
-        stable_cover = self._serialization_cover(
-            methods.get("stable_hash"), full_markers=("as_dict",))
-        if stable_cover is not None and as_dict_cover is None \
-                and self._calls(methods.get("stable_hash"), "as_dict"):
-            stable_cover = None  # inherits as_dict's full coverage
+        serialized = self._serialized(methods.get("as_dict"),
+                                      set(config_fields))
 
         validated: Set[str] = set()
         for name, fn in methods.items():
@@ -289,60 +283,57 @@ class ConfigFieldCoverage(Rule):
                 validated |= self._self_reads(fn)
 
         for field_name, node in config_fields.items():
-            for part, cover in (("as_dict", as_dict_cover),
-                                ("from_dict", from_dict_cover),
-                                ("stable_hash", stable_cover)):
-                if cover is not None and field_name not in cover:
-                    yield self.finding(
-                        module, node,
-                        f"SystemConfig.{field_name} is missing from "
-                        f"{part}(): it would fall out of cache keys",
-                    )
+            if field_name not in serialized:
+                yield self.finding(
+                    module, node,
+                    f"SystemConfig.{field_name} is missing from "
+                    "as_dict(): it would fall out of cache keys",
+                )
             if field_name not in validated:
                 yield self.finding(
                     module, node,
                     f"SystemConfig.{field_name} is never read by validate()/"
-                    "__post_init__/_validate_* — add a range or type check",
+                    "__init__/_validate_* — add a range or type check",
                 )
 
     @staticmethod
-    def _calls(fn: Optional[ast.FunctionDef], name: str) -> bool:
+    def _serialized(fn: Optional[ast.FunctionDef],
+                    fields: Set[str]) -> Set[str]:
+        """The subset of ``fields`` that ``as_dict`` (``fn``) serializes;
+        all of them when the class has no ``as_dict``."""
         if fn is None:
-            return False
-        for node in ast.walk(fn):
-            if isinstance(node, ast.Call) and call_name(node).endswith(name):
-                return True
-        return False
-
-    @staticmethod
-    def _serialization_cover(fn: Optional[ast.FunctionDef],
-                             full_markers: Tuple[str, ...] = (),
-                             star_kwargs: bool = False) -> Optional[Set[str]]:
-        """Field names a method enumerates, or None for full coverage."""
-        if fn is None:
-            return None  # absent method = nothing to check here
+            return fields
+        copies_dict = False
         for node in ast.walk(fn):
             if isinstance(node, ast.Call):
                 name = call_name(node)
-                if any(name == m or name.endswith("." + m)
-                       for m in full_markers):
-                    if not star_kwargs:
-                        return None
-                    if any(kw.arg is None for kw in node.keywords):
-                        return None  # cls(**payload)
-        covered: Set[str] = set()
+                if name == "asdict" or name.endswith(".asdict"):
+                    return fields
+                if name == "vars" and any(
+                        isinstance(arg, ast.Name) and arg.id == "self"
+                        for arg in node.args):
+                    copies_dict = True
+            elif (isinstance(node, ast.Attribute) and node.attr == "__dict__"
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id == "self"):
+                copies_dict = True
+        keys = [key for node in ast.walk(fn) if isinstance(node, ast.Dict)
+                for key in node.keys
+                if isinstance(key, ast.Constant) and isinstance(key.value, str)]
+        if copies_dict:
+            key_ids = {id(key) for key in keys}
+            mentioned = {node.value for node in ast.walk(fn)
+                         if isinstance(node, ast.Constant)
+                         and isinstance(node.value, str)
+                         and id(node) not in key_ids}
+            return fields - mentioned
+        covered = {key.value for key in keys}
         for node in ast.walk(fn):
-            if isinstance(node, ast.Dict):
-                covered.update(
-                    key.value for key in node.keys
-                    if isinstance(key, ast.Constant)
-                    and isinstance(key.value, str)
-                )
-            elif isinstance(node, ast.Call):
+            if isinstance(node, ast.Call):
                 covered.update(
                     kw.arg for kw in node.keywords if kw.arg is not None
                 )
-        return covered
+        return fields & covered
 
     @staticmethod
     def _self_reads(fn: ast.FunctionDef) -> Set[str]:

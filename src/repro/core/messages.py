@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from typing import Dict, Optional
 
 #: Fig. 5: 64 + 6 + 6 + 64 bits.
@@ -112,7 +111,6 @@ OPCODE_BYTES: Dict[Opcode, int] = {
 }
 
 
-@dataclass(slots=True)
 class Message:
     """One message on the SE fabric.
 
@@ -121,15 +119,20 @@ class Message:
     the overflowed SE's global id, which we keep as separate fields for
     clarity (the hardware packs both into CoreID, Sec. 4.3.2).
 
-    ``slots=True``: millions of Message objects are allocated per run; a
-    slotted instance skips the per-message ``__dict__``.
+    Slotted: millions of Message objects are allocated per run; a slotted
+    instance skips the per-message ``__dict__``.
     """
 
-    opcode: Opcode
-    var: "object"  # repro.sim.syncif.SyncVar
-    core: Optional[int] = None       # requesting core (global id)
-    src_se: Optional[int] = None     # sending SE (global id), for SE<->SE
-    info: int = 0                    # MessageInfo (Fig. 5)
+    __slots__ = ("opcode", "var", "core", "src_se", "info")
+
+    def __init__(self, opcode: Opcode, var: object,
+                 core: Optional[int] = None, src_se: Optional[int] = None,
+                 info: int = 0):
+        self.opcode = opcode
+        self.var = var        # repro.sim.syncif.SyncVar
+        self.core = core      # requesting core (global id)
+        self.src_se = src_se  # sending SE (global id), for SE<->SE
+        self.info = info      # MessageInfo (Fig. 5)
 
     @property
     def bytes(self) -> int:

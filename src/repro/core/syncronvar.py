@@ -23,25 +23,22 @@ sizes the DRAM traffic the Master SE pays on every overflow access.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.core.sync_table import STEntry
 
 
-@dataclass
 class SyncronVar:
     """One ``syncronVar`` structure resident in the Master SE's memory."""
 
-    addr: int
-    num_ses: int
-    state: STEntry = None
-    #: bitmask of SEs currently overflowed for this variable (OverflowInfo).
-    overflow_info: int = 0
-
-    def __post_init__(self):
-        if self.state is None:
-            self.state = STEntry(addr=self.addr, var=None)
+    def __init__(self, addr: int, num_ses: int,
+                 state: Optional[STEntry] = None, overflow_info: int = 0):
+        self.addr = addr
+        self.num_ses = num_ses
+        self.state = STEntry(addr=addr, var=None) if state is None else state
+        #: bitmask of SEs currently overflowed for this variable
+        #: (OverflowInfo).
+        self.overflow_info = overflow_info
 
     # ------------------------------------------------------------------
     @property

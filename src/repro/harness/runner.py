@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import contextlib
 import os
-from dataclasses import dataclass, replace
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.harness.specs import RunSpec
@@ -54,21 +53,22 @@ Plan = Tuple[Tuple[RunSpec, ...], Callable[[Mapping[RunSpec, RunResult]], Any]]
 # ----------------------------------------------------------------------
 # Execution options (how the CLI hands --workers/--store to run_specs)
 # ----------------------------------------------------------------------
-@dataclass
 class ExecutionOptions:
     """Active sweep-execution policy; run_specs reads it via the module state."""
 
-    workers: int = 1
-    cache: bool = False
-    #: store url (``dir:PATH`` or a bare path); None = the deployment
-    #: default, ``dir:$REPRO_CACHE_DIR`` (see :meth:`resolved_store_url`).
-    store: Optional[str] = None
-    #: run the determinism sanitizer (``--sanitize``): simulators record
-    #: per-cycle access sets and flag same-cycle ordering hazards.  Forces
-    #: the cache off (the debug run must actually execute) and the
-    #: in-process path (worker subprocesses would not share the
-    #: process-local sanitizer session).
-    sanitize: bool = False
+    def __init__(self, workers: int = 1, cache: bool = False,
+                 store: Optional[str] = None, sanitize: bool = False):
+        self.workers = workers
+        self.cache = cache
+        #: store url (``dir:PATH`` or a bare path); None = the deployment
+        #: default, ``dir:$REPRO_CACHE_DIR`` (see :meth:`resolved_store_url`).
+        self.store = store
+        #: run the determinism sanitizer (``--sanitize``): simulators record
+        #: per-cycle access sets and flag same-cycle ordering hazards.
+        #: Forces the cache off (the debug run must actually execute) and
+        #: the in-process path (worker subprocesses would not share the
+        #: process-local sanitizer session).
+        self.sanitize = sanitize
 
     def resolved_store_url(self) -> str:
         """The store to open: ``store``, else ``dir:$REPRO_CACHE_DIR``
@@ -109,27 +109,24 @@ def execution_options(workers: Optional[int] = None,
                       store: Optional[str] = None,
                       sanitize: Optional[bool] = None):
     """Temporarily override the active execution policy."""
-    previous = replace(_OPTIONS)
+    previous = {name: getattr(_OPTIONS, name) for name in _OPTION_FIELDS}
     try:
         set_execution_options(workers=workers, cache=cache, store=store,
                               sanitize=sanitize)
         yield _OPTIONS
     finally:
-        for name in _OPTION_FIELDS:
-            setattr(_OPTIONS, name, getattr(previous, name))
+        for name, value in previous.items():
+            setattr(_OPTIONS, name, value)
 
 
 # ----------------------------------------------------------------------
 # Stats (lets the CLI and tests observe hit/miss behaviour)
 # ----------------------------------------------------------------------
-@dataclass
 class RunnerStats:
     """Counters accumulated across run_specs calls (reset explicitly)."""
 
-    requested: int = 0
-    executed: int = 0
-    cache_hits: int = 0
-    deduplicated: int = 0
+    def __init__(self) -> None:
+        self.reset()
 
     def reset(self) -> None:
         self.requested = 0

@@ -35,10 +35,15 @@ import hashlib
 import importlib
 import json
 import os
-from dataclasses import dataclass, fields as dataclass_fields
 from typing import Any, Callable, Dict, Mapping, Optional, Sequence, Tuple
 
-from repro.sim.config import MEMORY_TECHNOLOGIES, PRESETS, SystemConfig
+from repro.sim.config import (
+    CONFIG_FIELDS,
+    MEMORY_TECHNOLOGIES,
+    PRESETS,
+    SystemConfig,
+)
+from repro.sim.frozen import Frozen
 from repro.sim.program import OP_KINDS
 from repro.sim.system import MECHANISM_NAMES, MECHANISMS, mechanism_ops
 from repro.workloads.base import Workload, scale
@@ -129,19 +134,19 @@ def _jsonable(value):
 # ----------------------------------------------------------------------
 # RunSpec
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class RunSpec:
+class RunSpec(Frozen):
     """Frozen description of one simulation run."""
 
-    workload: str
-    args: Tuple = ()
-    mechanism: str = "syncron"
-    preset: str = "ndp_2_5d"
-    overrides: Tuple = ()
-    seed: Optional[int] = None
-    #: REPRO_SCALE captured at spec-construction time, so a worker process
-    #: reproduces the exact sizes regardless of its own environment.
-    scale: str = "small"
+    def __init__(self, workload: str, args: Tuple = (),
+                 mechanism: str = "syncron", preset: str = "ndp_2_5d",
+                 overrides: Tuple = (), seed: Optional[int] = None,
+                 scale: str = "small"):
+        # scale: REPRO_SCALE captured at spec-construction time, so a
+        # worker process reproduces the exact sizes regardless of its own
+        # environment.
+        self.__dict__.update(workload=workload, args=args,
+                             mechanism=mechanism, preset=preset,
+                             overrides=overrides, seed=seed, scale=scale)
 
     @classmethod
     def make(cls, workload: str, mechanism: str = "syncron",
@@ -269,18 +274,15 @@ def _canonical_overrides(overrides: Optional[Mapping]) -> Dict[str, Any]:
     """
     if not overrides:
         return {}
-    defaults = {
-        f.name: f.default for f in dataclass_fields(SystemConfig)
-    }
     result = {}
     for key, value in overrides.items():
         key = CONFIG_ALIASES.get(key, key)
-        if key not in defaults:
+        if key not in CONFIG_FIELDS:
             raise ValueError(
                 f"unknown SystemConfig field {key!r}; valid fields: "
-                f"{sorted(defaults)}"
+                f"{sorted(CONFIG_FIELDS)}"
             )
-        default = defaults[key]
+        default = CONFIG_FIELDS[key]
         if (isinstance(default, float) and isinstance(value, int)
                 and not isinstance(value, bool)):
             value = float(value)

@@ -15,17 +15,18 @@ models *timing and traffic*.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
 from typing import Dict, Optional
 
 from repro.sim.stats import SystemStats
 
 
-@dataclass(slots=True)
 class AccessResult:
-    hit: bool
-    #: line address of a dirty victim that must be written back, if any.
-    writeback_line: Optional[int] = None
+    __slots__ = ("hit", "writeback_line")
+
+    def __init__(self, hit: bool, writeback_line: Optional[int] = None):
+        self.hit = hit
+        #: line address of a dirty victim that must be written back, if any.
+        self.writeback_line = writeback_line
 
 
 #: shared hit result: hits dominate and carry no victim, so one immutable

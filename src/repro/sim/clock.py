@@ -8,14 +8,14 @@ conversions so components never hand-roll them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from repro.sim.frozen import Frozen
 
 
-@dataclass(frozen=True)
-class Clock:
+class Clock(Frozen):
     """A clock domain defined by its frequency in GHz."""
 
-    ghz: float
+    def __init__(self, ghz: float):
+        self.__dict__["ghz"] = ghz
 
     @property
     def period_ns(self) -> float:

@@ -15,12 +15,10 @@ Presets:
 
 from __future__ import annotations
 
-import hashlib
-import json
-from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Callable, Dict, Optional, Tuple
 
 from repro.sim.clock import core_cycles_from_ns
+from repro.sim.frozen import Frozen
 
 
 def _float_or_none(value) -> Optional[float]:
@@ -55,8 +53,7 @@ def _norm_fault_links(entries) -> Tuple:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class DramTiming:
+class DramTiming(Frozen):
     """First-order DRAM timing (per Table 5, in nanoseconds).
 
     ``act_ns`` models the activation (row open, tRCD), ``restore_ns`` the
@@ -64,15 +61,16 @@ class DramTiming:
     column access.  A row-buffer hit pays only ``cas_ns``.
     """
 
-    name: str
-    act_ns: float
-    restore_ns: float
-    write_recovery_ns: float
-    cas_ns: float
-    channels: int
-    banks_per_channel: int
-    row_size_bytes: int = 2048
-    energy_pj_per_bit: float = 7.0
+    def __init__(self, name: str, act_ns: float, restore_ns: float,
+                 write_recovery_ns: float, cas_ns: float, channels: int,
+                 banks_per_channel: int, row_size_bytes: int = 2048,
+                 energy_pj_per_bit: float = 7.0):
+        self.__dict__.update(
+            name=name, act_ns=act_ns, restore_ns=restore_ns,
+            write_recovery_ns=write_recovery_ns, cas_ns=cas_ns,
+            channels=channels, banks_per_channel=banks_per_channel,
+            row_size_bytes=row_size_bytes,
+            energy_pj_per_bit=energy_pj_per_bit)
 
     @property
     def row_hit_cycles(self) -> int:
@@ -106,23 +104,30 @@ DDR4 = DramTiming(
 MEMORY_TECHNOLOGIES: Dict[str, DramTiming] = {"HBM": HBM, "HMC": HMC, "DDR4": DDR4}
 
 
-@dataclass(frozen=True)
-class EnergyParams:
+class EnergyParams(Frozen):
     """Energy constants from Table 5 (picojoules)."""
 
-    cache_hit_pj: float = 23.0
-    cache_miss_pj: float = 47.0
-    local_network_pj_per_bit_hop: float = 0.4
-    link_pj_per_bit: float = 4.0
+    def __init__(self, cache_hit_pj: float = 23.0,
+                 cache_miss_pj: float = 47.0,
+                 local_network_pj_per_bit_hop: float = 0.4,
+                 link_pj_per_bit: float = 4.0):
+        self.__dict__.update(
+            cache_hit_pj=cache_hit_pj, cache_miss_pj=cache_miss_pj,
+            local_network_pj_per_bit_hop=local_network_pj_per_bit_hop,
+            link_pj_per_bit=link_pj_per_bit)
 
 
-@dataclass(frozen=True)
-class SystemConfig:
+class SystemConfig(Frozen):
     """Full simulated-system configuration.
 
     The defaults reproduce the paper's evaluated configuration: 4 NDP units,
     16 cores each (15 clients + 1 server/SE slot), HBM, 40 ns inter-unit
     links, 64-entry ST.
+
+    Each annotated class attribute below is a field and its default
+    (:data:`CONFIG_FIELDS` lists them in order).  The constructor takes
+    fields by keyword only; every instance holds all of them in its
+    ``__dict__``, in declaration order, which :meth:`as_dict` copies whole.
     """
 
     # --- topology -----------------------------------------------------
@@ -166,7 +171,7 @@ class SystemConfig:
     topology: str = "all_to_all"
     #: grid rows for ``mesh2d``/``torus2d``; 0 picks the squarest
     #: factorization of ``num_units`` (16 -> 4x4, 12 -> 3x4).  Non-grid
-    #: fabrics ignore rows, so ``__post_init__`` normalizes them to 0 there
+    #: fabrics ignore rows, so ``__init__`` normalizes them to 0 there
     #: — otherwise two configs describing the same machine would hash (and
     #: therefore cache) differently.
     topo_rows: int = 0
@@ -224,30 +229,34 @@ class SystemConfig:
     server_handler_accesses: int = 2
 
     # --- energy ---------------------------------------------------------
-    energy: EnergyParams = field(default_factory=EnergyParams)
+    energy: EnergyParams = EnergyParams()
 
     # --- misc -------------------------------------------------------------
     seed: int = 0
 
-    def __post_init__(self) -> None:
-        # Canonicalize before anything hashes us (frozen dataclass:
-        # object.__setattr__ is the sanctioned idiom).  JSON round-trips
+    def __init__(self, **fields) -> None:
+        unknown = fields.keys() - CONFIG_FIELDS.keys()
+        if unknown:
+            raise TypeError(
+                f"unknown SystemConfig field(s): {sorted(unknown)}")
+        values = self.__dict__
+        values.update(CONFIG_FIELDS)
+        values.update(fields)
+        # Canonicalize before anything hashes us.  JSON round-trips
         # deliver lists where the canonical form is tuples, and rows set on
         # a non-grid fabric describe the same machine as rows unset; both
         # must serialize identically or cache keys split on phantom state.
         # Unconditional: an empty list from JSON must become () too, or
         # the restored config compares unequal to the one that was cached.
-        object.__setattr__(self, "link_profile",
-                           _norm_link_profile(self.link_profile))
-        object.__setattr__(self, "fault_links",
-                           _norm_fault_links(self.fault_links))
+        values["link_profile"] = _norm_link_profile(self.link_profile)
+        values["fault_links"] = _norm_fault_links(self.fault_links)
         if self.topo_rows > 0:
             # negative rows stay as-is for validate() to reject.
             from repro.sim.topo.regular import TOPOLOGIES
 
             cls = TOPOLOGIES.get(self.topology)
             if cls is not None and not cls.GRID:
-                object.__setattr__(self, "topo_rows", 0)
+                values["topo_rows"] = 0
 
     # ------------------------------------------------------------------
     # Derived values
@@ -274,40 +283,19 @@ class SystemConfig:
         # GB/s -> bytes/ns -> bytes/core-cycle (2.5 cycles per ns).
         return self.link_bandwidth_gbps / 2.5
 
-    def with_(self, **changes) -> "SystemConfig":
-        """Functional update, e.g. ``cfg.with_(num_units=2)``."""
-        return replace(self, **changes)
-
     # ------------------------------------------------------------------
-    # Stable serialization (the sweep runner's cache key depends on it)
+    # Serialization (RunSpec.cache_key hashes it)
     # ------------------------------------------------------------------
     def as_dict(self) -> Dict:
-        """Plain-data dict of every field, nested dataclasses included.
+        """Plain-data dict of every field, ``memory``/``energy`` as dicts.
 
         The output is JSON-serializable and covers *all* configuration
-        state, so two configs with any differing field (including nested
-        ``memory``/``energy`` parameters) serialize differently.
+        state: ``__dict__`` holds every field, so two configs with any
+        differing field (including nested ``memory``/``energy``
+        parameters) serialize differently.
         """
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: Dict) -> "SystemConfig":
-        """Inverse of :meth:`as_dict`."""
-        payload = dict(data)
-        if isinstance(payload.get("memory"), dict):
-            payload["memory"] = DramTiming(**payload["memory"])
-        if isinstance(payload.get("energy"), dict):
-            payload["energy"] = EnergyParams(**payload["energy"])
-        known = {f.name for f in fields(cls)}
-        unknown = set(payload) - known
-        if unknown:
-            raise ValueError(f"unknown SystemConfig fields: {sorted(unknown)}")
-        return cls(**payload)
-
-    def stable_hash(self) -> str:
-        """Hex digest stable across processes and interpreter launches."""
-        canonical = json.dumps(self.as_dict(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+        return {**self.__dict__, "memory": dict(self.memory.__dict__),
+                "energy": dict(self.energy.__dict__)}
 
     def validate(self) -> None:
         # imported here: repro.sim.topo has no module-level config import,
@@ -320,7 +308,7 @@ class SystemConfig:
             raise ValueError("topo_rows must be non-negative")
         # raises for unknown topology names (and, for grid fabrics, rows
         # that don't divide num_units).  Non-grid fabrics can't reach here
-        # with rows set: __post_init__ normalized them to 0.
+        # with rows set: __init__ normalized them to 0.
         self._validate_fabric_overrides(build_topology(self))
         if not 0 < self.client_cores_per_unit <= self.cores_per_unit:
             raise ValueError("client cores must be in (0, cores_per_unit]")
@@ -435,6 +423,12 @@ class SystemConfig:
                         f"{field_name} channel {entry[:2]} does not exist "
                         f"in the {topology.name!r} fabric"
                     )
+
+
+#: every SystemConfig field and its default, in declaration order.
+CONFIG_FIELDS: Dict[str, object] = {
+    name: getattr(SystemConfig, name) for name in SystemConfig.__annotations__
+}
 
 
 def ndp_2_5d(**overrides) -> SystemConfig:

@@ -9,20 +9,20 @@ module converts them to a cache/network/memory breakdown in picojoules.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict
 
 from repro.sim.config import SystemConfig
+from repro.sim.frozen import Frozen
 from repro.sim.stats import SystemStats
 
 
-@dataclass(frozen=True)
-class EnergyBreakdown:
+class EnergyBreakdown(Frozen):
     """Energy by component, in picojoules."""
 
-    cache_pj: float
-    network_pj: float
-    memory_pj: float
+    def __init__(self, cache_pj: float, network_pj: float,
+                 memory_pj: float):
+        self.__dict__.update(cache_pj=cache_pj, network_pj=network_pj,
+                             memory_pj=memory_pj)
 
     @property
     def total_pj(self) -> float:

@@ -140,7 +140,7 @@ class Crossbar:
         self._last_time = 0
         self._decay_cache: Dict[int, float] = (
             {} if decay_memo is None else decay_memo)
-        # Hoisted config reads: these are dataclass attribute chains on the
+        # Hoisted config reads: these are config attribute chains on the
         # hottest call in the interconnect.
         self._bytes_per_cycle = config.crossbar_bytes_per_cycle
         self._base_cycles = config.arbiter_cycles + config.local_hops * config.hop_cycles
@@ -200,7 +200,7 @@ class Link:
         self.config = config
         self._next_free = 0
         # link_bytes_per_cycle / link_latency_cycles are @property chains on
-        # the config dataclass; resolve them once.  A heterogeneous
+        # the config; resolve them once.  A heterogeneous
         # link_profile hands individual channels their own values.
         self._bytes_per_cycle = (
             config.link_bytes_per_cycle if bytes_per_cycle is None

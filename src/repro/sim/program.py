@@ -42,40 +42,69 @@ the hot programs yield ops built once per run:
 
 A :class:`Batch` whose contents depend on the traversal (a search path, a
 hash chain, a heap's sift path, an adjacency scan) is still built per
-operation, from those prebuilt ops.  The ops are slotted, unfrozen
-dataclasses because the remaining programs still allocate one per yield;
-a frozen dataclass's ``__init__`` sets every field through
+operation, from those prebuilt ops.  The ops are plain slotted classes
+whose constructors validate their fields once, on construction.  They
+are not frozen, because the remaining programs still allocate one per
+yield and a frozen constructor sets every field through
 ``object.__setattr__``, which costs about three times as much per op.
-Each class's ``__post_init__`` still validates it once, on construction.
+Equality, hashing and ``repr`` come from the fields in each class's
+``__slots__`` (:class:`_Op`); no simulation path calls them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class Compute:
-    instructions: int
+class _Op:
+    """Value semantics over the fields a subclass lists in ``__slots__``:
+    equal when of the same class with equal fields."""
 
-    def __post_init__(self):
-        if self.instructions < 0:
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self):
+        # For dict and set membership only; no simulated quantity reads it.
+        return hash(self._fields())  # repro: noqa RP001
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}"
+                           for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class Compute(_Op):
+    __slots__ = ("instructions",)
+
+    def __init__(self, instructions: int):
+        if instructions < 0:
             raise ValueError("instruction count must be non-negative")
+        self.instructions = instructions
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class Load:
-    addr: int
-    size: int = 8
-    cacheable: bool = True
+class Load(_Op):
+    __slots__ = ("addr", "size", "cacheable")
+
+    def __init__(self, addr: int, size: int = 8, cacheable: bool = True):
+        self.addr = addr
+        self.size = size
+        self.cacheable = cacheable
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class Store:
-    addr: int
-    size: int = 8
-    cacheable: bool = True
+class Store(_Op):
+    __slots__ = ("addr", "size", "cacheable")
+
+    def __init__(self, addr: int, size: int = 8, cacheable: bool = True):
+        self.addr = addr
+        self.size = size
+        self.cacheable = cacheable
 
 
 # Primitive operation names understood by every mechanism implementation.
@@ -142,8 +171,7 @@ OP_KINDS = {
 _BATCHABLE = (Compute, Load, Store)
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class Batch:
+class Batch(_Op):
     """A sequence of Compute/Load/Store ops resolved in one simulator event.
 
     The core charges each operation's latency back-to-back with a local time
@@ -156,14 +184,15 @@ class Batch:
     class is not an op the core resolves.
     """
 
-    ops: tuple
+    __slots__ = ("ops",)
 
-    def __post_init__(self):
-        for op in self.ops:
+    def __init__(self, ops: tuple):
+        for op in ops:
             if op.__class__ not in _BATCHABLE:
                 raise TypeError(
                     f"Batch only accepts Compute/Load/Store, got {op!r}"
                 )
+        self.ops = ops
 
 
 def batch(*ops) -> Batch:
@@ -171,29 +200,29 @@ def batch(*ops) -> Batch:
     return Batch(tuple(ops))
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class SyncOp:
+class SyncOp(_Op):
     """Blocking synchronization request (``req_sync`` semantics)."""
 
-    op: str
-    var: Any  # a SyncVar from repro.sim.syncif
-    info: int = 0
+    __slots__ = ("op", "var", "info")
 
-    def __post_init__(self):
-        if self.op not in ALL_SYNC_OPS:
-            raise ValueError(f"unknown sync op {self.op!r}")
+    def __init__(self, op: str, var: Any, info: int = 0):
+        if op not in ALL_SYNC_OPS:
+            raise ValueError(f"unknown sync op {op!r}")
+        self.op = op
+        self.var = var  # a SyncVar from repro.sim.syncif
+        self.info = info
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class SyncAsyncOp:
+class SyncAsyncOp(_Op):
     """Non-blocking synchronization request (``req_async`` semantics)."""
 
-    op: str
-    var: Any
-    info: int = 0
+    __slots__ = ("op", "var", "info")
 
-    def __post_init__(self):
-        if self.op not in RELEASE_TYPE_OPS:
+    def __init__(self, op: str, var: Any, info: int = 0):
+        if op not in RELEASE_TYPE_OPS:
             raise ValueError(
-                f"req_async is only valid for release-type ops, got {self.op!r}"
+                f"req_async is only valid for release-type ops, got {op!r}"
             )
+        self.op = op
+        self.var = var
+        self.info = info

@@ -5,7 +5,7 @@ simulated system.  Components only *increment* counters; the harness reads
 them to build the paper's energy (Fig. 14), data-movement (Fig. 15) and
 occupancy (Table 7, Fig. 19/22) results.
 
-Counters are plain attributes on a slotted dataclass: the hot paths
+Counters are plain attributes on a slotted class: the hot paths
 (interconnect, DRAM, caches, SEs) bump them millions of times per run, and an
 attribute store on a slotted instance is the cheapest mutation Python offers.
 Per-SE occupancy accounting uses flat lists indexed by SE id, fed once per
@@ -16,7 +16,6 @@ rather than once per message.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List
 
 #: Declared inventory of ``SystemStats.extra`` counter keys.  ``extra`` is a
@@ -33,64 +32,63 @@ EXTRA_COUNTERS: FrozenSet[str] = frozenset({
 })
 
 
-@dataclass(slots=True)
 class SystemStats:
     """Mutable counters, all starting at zero."""
 
-    # Cache events (all private L1s).
-    cache_hits: int = 0
-    cache_misses: int = 0
+    #: the integer counters.
+    COUNTERS = (
+        # Cache events (all private L1s).
+        "cache_hits", "cache_misses",
+        # Memory events.  ``sync_memory_accesses``: reads/writes issued
+        # purely for synchronization (sync variables, syncronVar overflow
+        # structures, server-core waitlist bookkeeping).
+        "dram_reads", "dram_writes", "dram_row_hits", "sync_memory_accesses",
+        # Traffic in bytes (the Fig. 15 metric).  ``bytes_across_units``:
+        # payload bytes injected into the inter-unit fabric, counted once
+        # per remote transfer regardless of how many physical links the
+        # route crosses, so the metric is conserved across topologies.
+        # ``link_bit_hops``: bits x physical inter-unit links traversed (for
+        # link energy); on the all-to-all fabric every route is one link, so
+        # this equals ``bytes_across_units * 8``; routed fabrics charge
+        # every hop.
+        "bytes_inside_units", "bytes_across_units", "link_bit_hops",
+        # Degraded-fabric accounting (all zero on a healthy fabric).
+        # ``reroutes``: route resolutions that found the pristine path
+        # severed by a fault and switched to a surviving detour (once per
+        # pair per fault epoch).  ``failed_link_cycles``: cycles x links of
+        # downtime, every failed link's unavailable time, charged at the
+        # end of the run.  ``detour_bit_hops``: the share of
+        # ``link_bit_hops`` that exists only because transfers detoured
+        # around faults (bits x extra links vs. the pristine route).
+        "reroutes", "failed_link_cycles", "detour_bit_hops",
+        # Message counts.
+        "sync_messages_local", "sync_messages_global",
+        "sync_messages_overflow",
+        # SE bookkeeping.
+        "st_allocations", "st_releases", "st_overflow_requests",
+        "sync_requests_total",
+    )
 
-    # Memory events.
-    dram_reads: int = 0
-    dram_writes: int = 0
-    dram_row_hits: int = 0
-    #: reads/writes issued purely for synchronization (sync variables,
-    #: syncronVar overflow structures, server-core waitlist bookkeeping).
-    sync_memory_accesses: int = 0
+    __slots__ = COUNTERS + ("extra", "_occ_max", "_occ_sum", "_occ_samples")
 
-    # Traffic in bytes (the Fig. 15 metric).
-    bytes_inside_units: int = 0
-    #: payload bytes injected into the inter-unit fabric — counted once per
-    #: remote transfer regardless of how many physical links the route
-    #: crosses, so the metric is conserved across topologies.
-    bytes_across_units: int = 0
-    #: bits x physical inter-unit links traversed (for link energy).  On the
-    #: all-to-all fabric every route is one link, so this equals
-    #: ``bytes_across_units * 8``; routed fabrics charge every hop.
-    link_bit_hops: int = 0
+    def __init__(self) -> None:
+        for name in self.COUNTERS:
+            setattr(self, name, 0)
+        #: per-category extras (extensible without schema churn).
+        self.extra: Counter = Counter()
+        # Occupancy integrals, indexed by SE id: running max, sum over
+        # sampling points (one per served message) of occupied entries, and
+        # sample counts.  See record_st_occupancy for when they are folded
+        # in.
+        self._occ_max: List[int] = []
+        self._occ_sum: List[int] = []
+        self._occ_samples: List[int] = []
 
-    # Degraded-fabric accounting (all zero on a healthy fabric).
-    #: route resolutions that found the pristine path severed by a fault
-    #: and switched to a surviving detour (once per pair per fault epoch).
-    reroutes: int = 0
-    #: cycles x links of downtime: every failed link's unavailable time,
-    #: charged at the end of the run.
-    failed_link_cycles: int = 0
-    #: the share of ``link_bit_hops`` that exists only because transfers
-    #: detoured around faults (bits x extra links vs. the pristine route).
-    detour_bit_hops: int = 0
-
-    # Message counts.
-    sync_messages_local: int = 0
-    sync_messages_global: int = 0
-    sync_messages_overflow: int = 0
-
-    # SE bookkeeping.
-    st_allocations: int = 0
-    st_releases: int = 0
-    st_overflow_requests: int = 0
-    sync_requests_total: int = 0
-
-    # Per-category extras (extensible without schema churn).
-    extra: Counter = field(default_factory=Counter)
-
-    # Occupancy integrals, indexed by SE id: running max, sum over sampling
-    # points (one per served message) of occupied entries, and sample
-    # counts.  See record_st_occupancy for when they are folded in.
-    _occ_max: List[int] = field(default_factory=list)
-    _occ_sum: List[int] = field(default_factory=list)
-    _occ_samples: List[int] = field(default_factory=list)
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return all(getattr(self, name) == getattr(other, name)
+                       for name in self.__slots__)
+        return NotImplemented
 
     # ------------------------------------------------------------------
     def record_st_occupancy(self, se_id: int, occupied: int,

@@ -22,6 +22,7 @@ mechanism cannot run without importing the mechanism.
 from __future__ import annotations
 
 import importlib
+import sys
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.sim.cache import L1Cache
@@ -36,7 +37,6 @@ from repro.sim.program import OP_KINDS
 from repro.sim.smt import IssuePort
 from repro.sim.stats import SystemStats
 from repro.sim.syncif import SyncVar
-from repro.analysis.sanitizer import sanitizer_active
 from repro.sim.topo.faults import FaultPlan
 
 
@@ -96,7 +96,10 @@ class NDPSystem:
         config.validate()
         self.config = config
         self.sim = Simulator(elide_waits=config.elide_waits)
-        if sanitizer_active():
+        # A session exists only once repro.analysis.sanitizer is imported,
+        # so a plain run never imports it.
+        sanitizer = sys.modules.get("repro.analysis.sanitizer")
+        if sanitizer is not None and sanitizer.sanitizer_active():
             # Determinism-sanitizer session active (repro run --sanitize):
             # record per-cycle access sets and flag same-cycle ordering
             # hazards.  Observational only (see repro.analysis.sanitizer).

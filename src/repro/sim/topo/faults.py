@@ -28,9 +28,9 @@ from __future__ import annotations
 
 import random
 import re
-from dataclasses import dataclass
 from typing import AbstractSet, Dict, List, Optional, Set, Tuple, TYPE_CHECKING
 
+from repro.sim.frozen import Frozen
 from repro.sim.topo.base import Channel, Topology
 
 if TYPE_CHECKING:  # the interconnect imports this module, not vice versa
@@ -41,13 +41,12 @@ class FabricPartitionedError(RuntimeError):
     """A fault disconnected live units; the run fails instead of hanging."""
 
 
-@dataclass(frozen=True)
-class FaultEvent:
+class FaultEvent(Frozen):
     """One scheduled permanent link failure."""
 
-    channel: Channel
-    at: int
-    source: str = "explicit"  # "explicit" | "random"
+    def __init__(self, channel: Channel, at: int, source: str = "explicit"):
+        # source: "explicit" | "random"
+        self.__dict__.update(channel=channel, at=at, source=source)
 
 
 def unreachable_pairs(
@@ -74,13 +73,13 @@ def unreachable_pairs(
     return gaps
 
 
-@dataclass(frozen=True)
-class FaultPlan:
+class FaultPlan(Frozen):
     """The complete, ordered failure schedule of one run."""
 
-    events: Tuple[FaultEvent, ...] = ()
-    #: rate-derived events dropped by the connectivity guard.
-    skipped: Tuple[FaultEvent, ...] = ()
+    def __init__(self, events: Tuple[FaultEvent, ...] = (),
+                 skipped: Tuple[FaultEvent, ...] = ()):
+        # skipped: rate-derived events dropped by the connectivity guard.
+        self.__dict__.update(events=events, skipped=skipped)
 
     def __bool__(self) -> bool:
         return bool(self.events)

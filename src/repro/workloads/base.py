@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import os
 import zlib
-from dataclasses import dataclass
 from typing import Dict, Optional
 
 from repro.sim.clock import seconds_from_core_cycles
@@ -57,21 +56,33 @@ def scaled(base: int, per_step_factor: float = 1.0) -> int:
     return max(int(base * factor), 1)
 
 
-@dataclass
 class RunMetrics:
-    """Everything a figure needs from one simulation run."""
+    """Everything a figure needs from one simulation run.
 
-    mechanism: str
-    cycles: int
-    operations: int
-    energy: EnergyBreakdown
-    bytes_inside_units: int
-    bytes_across_units: int
-    sync_requests: int
-    overflow_request_pct: float
-    st_occupancy_max_pct: float
-    st_occupancy_avg_pct: float
-    stats: Dict[str, float]
+    Two results compare equal when every field does.
+    """
+
+    def __init__(self, mechanism: str, cycles: int, operations: int,
+                 energy: EnergyBreakdown, bytes_inside_units: int,
+                 bytes_across_units: int, sync_requests: int,
+                 overflow_request_pct: float, st_occupancy_max_pct: float,
+                 st_occupancy_avg_pct: float, stats: Dict[str, float]):
+        self.mechanism = mechanism
+        self.cycles = cycles
+        self.operations = operations
+        self.energy = energy
+        self.bytes_inside_units = bytes_inside_units
+        self.bytes_across_units = bytes_across_units
+        self.sync_requests = sync_requests
+        self.overflow_request_pct = overflow_request_pct
+        self.st_occupancy_max_pct = st_occupancy_max_pct
+        self.st_occupancy_avg_pct = st_occupancy_avg_pct
+        self.stats = stats
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.__dict__ == other.__dict__
+        return NotImplemented
 
     @property
     def seconds(self) -> float:

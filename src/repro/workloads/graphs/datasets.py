@@ -17,20 +17,20 @@ tests use networkx only to verify kernel outputs).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
 from repro.workloads.base import scaled, stable_name_seed
 
 
-@dataclass
 class Graph:
     """An undirected graph in adjacency-list form."""
 
-    name: str
-    num_vertices: int
-    adjacency: List[List[int]]
-    seed: int = 0
+    def __init__(self, name: str, num_vertices: int,
+                 adjacency: List[List[int]], seed: int = 0):
+        self.name = name
+        self.num_vertices = num_vertices
+        self.adjacency = adjacency
+        self.seed = seed
 
     @property
     def num_edges(self) -> int:

@@ -184,56 +184,56 @@ class SystemConfig:
     def as_dict(self):
         return {as_dict_body}
 
-    @classmethod
-    def from_dict(cls, data):
-        return {from_dict_body}
-
-    def stable_hash(self):
-        return str(sorted({hash_body}.items()))
-
     def validate(self):
         if self.num_units < 1:
             raise ValueError("bad")
 {validate_extra}
 """
 
+_KNOB_CHECK = ("        if self.new_knob < 0:\n"
+               "            raise ValueError('bad knob')\n")
+
+
+def _rp003_findings(tmp_path, as_dict_body, validate_extra=_KNOB_CHECK):
+    src = _CONFIG_TEMPLATE.format(as_dict_body=as_dict_body,
+                                  validate_extra=validate_extra)
+    return lint_source(tmp_path, "repro/sim/config.py", src,
+                       rule_ids=["RP003"]).findings
+
 
 class TestRP003:
     def test_full_coverage_idioms_pass(self, tmp_path):
-        src = _CONFIG_TEMPLATE.format(
-            as_dict_body="asdict(self)",
-            from_dict_body="cls(**data)",
-            hash_body="self.as_dict()",
-            validate_extra="        if self.new_knob < 0:\n"
-                           "            raise ValueError('bad knob')\n",
-        )
-        report = lint_source(tmp_path, "repro/sim/config.py", src,
-                             rule_ids=["RP003"])
-        assert report.findings == []
+        assert _rp003_findings(tmp_path, "asdict(self)") == []
 
     def test_field_missing_from_enumerating_as_dict(self, tmp_path):
-        src = _CONFIG_TEMPLATE.format(
-            as_dict_body='{"num_units": self.num_units}',
-            from_dict_body="cls(**data)",
-            hash_body="self.as_dict()",
-            validate_extra="        if self.new_knob < 0:\n"
-                           "            raise ValueError('bad knob')\n",
-        )
-        report = lint_source(tmp_path, "repro/sim/config.py", src,
-                             rule_ids=["RP003"])
-        assert [f for f in report.findings if "as_dict" in f.message]
+        findings = _rp003_findings(tmp_path,
+                                   '{"num_units": self.num_units}')
+        assert [f for f in findings if "as_dict" in f.message]
 
     def test_unvalidated_field_flagged(self, tmp_path):
-        src = _CONFIG_TEMPLATE.format(
-            as_dict_body="asdict(self)",
-            from_dict_body="cls(**data)",
-            hash_body="self.as_dict()",
-            validate_extra="",
-        )
-        report = lint_source(tmp_path, "repro/sim/config.py", src,
-                             rule_ids=["RP003"])
-        messages = [f.message for f in report.findings]
+        findings = _rp003_findings(tmp_path, "asdict(self)",
+                                   validate_extra="")
+        messages = [f.message for f in findings]
         assert any("new_knob" in m and "never read" in m for m in messages)
+
+    @pytest.mark.parametrize("as_dict_body", [
+        "dict(self.__dict__)",
+        '{**self.__dict__, "new_knob": int(self.new_knob)}',
+        "dict(vars(self))",
+    ])
+    def test_dict_copy_covers_every_field(self, tmp_path, as_dict_body):
+        assert _rp003_findings(tmp_path, as_dict_body) == []
+
+    @pytest.mark.parametrize("as_dict_body", [
+        '{k: v for k, v in self.__dict__.items() if k != "new_knob"}',
+        'dict(self.__dict__).pop("new_knob")',
+        '{k: v for k, v in vars(self).items() if k not in ("new_knob",)}',
+    ])
+    def test_field_dropped_from_dict_copy(self, tmp_path, as_dict_body):
+        findings = _rp003_findings(tmp_path, as_dict_body)
+        assert [(f.message.split()[0]) for f in findings] == [
+            "SystemConfig.new_knob"]
+        assert "as_dict" in findings[0].message
 
     def test_real_config_is_fully_covered(self):
         """The dataclass in the tree must satisfy its own rule."""

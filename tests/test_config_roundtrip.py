@@ -1,10 +1,12 @@
 """Property-style serialization coverage for :class:`SystemConfig`.
 
 Every field is perturbed away from its default one at a time; for each
-variant ``SystemConfig.from_dict(config.as_dict())`` must reproduce the
-config exactly (including through a JSON round-trip, which is what the
-result cache stores) and ``stable_hash`` must move — a field the hash is
-blind to would silently alias distinct experiments in the cache.
+variant ``config.as_dict()`` must move and must rebuild the config
+exactly (including through a JSON round-trip, which is what the result
+store keeps), and the config's stable hash, the key
+:meth:`RunSpec.cache_key <repro.harness.specs.RunSpec.cache_key>` files
+its runs under, must move — a field the key is blind to would silently
+alias distinct experiments in the cache.
 
 This is the dynamic twin of lint rule RP003, which checks the same
 coverage statically.
@@ -12,12 +14,18 @@ coverage statically.
 
 from __future__ import annotations
 
-import dataclasses
 import json
+from unittest import mock
 
 import pytest
 
-from repro.sim.config import DramTiming, EnergyParams, SystemConfig
+from repro.harness.specs import RunSpec
+from repro.sim.config import (
+    CONFIG_FIELDS,
+    DramTiming,
+    EnergyParams,
+    SystemConfig,
+)
 
 # One type-appropriate non-default value per field.  A new SystemConfig
 # field must be added here or the parametrized tests below fail on it —
@@ -27,7 +35,7 @@ PERTURBATIONS = {
     "cores_per_unit": 8,
     "client_cores_per_unit": 7,
     "threads_per_core": 2,
-    "memory": dataclasses.replace(SystemConfig().memory, act_ns=9.0),
+    "memory": SystemConfig().memory.with_(act_ns=9.0),
     "unit_memory_bytes": 1 << 29,
     "cache_line_bytes": 128,
     "l1_size_bytes": 32768,
@@ -57,7 +65,7 @@ PERTURBATIONS = {
     "elide_waits": False,
     "server_handler_instructions": 30,
     "server_handler_accesses": 4,
-    "energy": dataclasses.replace(SystemConfig().energy, cache_hit_pj=99.0),
+    "energy": SystemConfig().energy.with_(cache_hit_pj=99.0),
     "seed": 1,
 }
 
@@ -67,15 +75,31 @@ BASE_OVERRIDES = {
     "topo_rows": {"topology": "mesh2d"},
 }
 
-FIELD_NAMES = [f.name for f in dataclasses.fields(SystemConfig)]
+FIELD_NAMES = list(CONFIG_FIELDS)
 
 
 def _pair(field):
     """(default-ish base, base with ``field`` perturbed)."""
-    base = dataclasses.replace(SystemConfig(),
-                               **BASE_OVERRIDES.get(field, {}))
-    varied = dataclasses.replace(base, **{field: PERTURBATIONS[field]})
+    base = SystemConfig().with_(**BASE_OVERRIDES.get(field, {}))
+    varied = base.with_(**{field: PERTURBATIONS[field]})
     return base, varied
+
+
+def from_dict(payload):
+    """The config an ``as_dict()`` payload describes."""
+    return SystemConfig(**{**payload,
+                           "memory": DramTiming(**payload["memory"]),
+                           "energy": EnergyParams(**payload["energy"])})
+
+
+_SPEC = RunSpec.make("primitive", args={"primitive": "lock",
+                                        "interval": 200, "rounds": 1})
+
+
+def stable_hash(config):
+    """The key :meth:`RunSpec.cache_key` gives a run on ``config``."""
+    with mock.patch.object(RunSpec, "config", lambda spec: config):
+        return _SPEC.cache_key()
 
 
 def test_perturbation_table_covers_every_field():
@@ -91,35 +115,37 @@ def test_perturbation_actually_changes_the_field(field):
 
 @pytest.mark.parametrize("field", FIELD_NAMES)
 def test_dict_roundtrip_per_field(field):
-    _, config = _pair(field)
-    assert SystemConfig.from_dict(config.as_dict()) == config
+    base, config = _pair(field)
+    assert config.as_dict() != base.as_dict()
+    assert from_dict(config.as_dict()) == config
 
 
 @pytest.mark.parametrize("field", FIELD_NAMES)
 def test_json_roundtrip_per_field(field):
-    """The cache stores JSON, so tuples travel as lists and must be
+    """The store keeps JSON, so tuples travel as lists and must be
     re-normalized on the way back in."""
-    _, config = _pair(field)
+    base, config = _pair(field)
     payload = json.loads(json.dumps(config.as_dict()))
-    restored = SystemConfig.from_dict(payload)
+    assert payload != json.loads(json.dumps(base.as_dict()))
+    restored = from_dict(payload)
     assert restored == config
-    assert restored.stable_hash() == config.stable_hash()
+    assert stable_hash(restored) == stable_hash(config)
 
 
 @pytest.mark.parametrize("field", FIELD_NAMES)
 def test_stable_hash_sensitive_to_field(field):
     base, varied = _pair(field)
-    assert varied.stable_hash() != base.stable_hash(), (
-        f"stable_hash is blind to {field!r}: distinct configs would "
-        f"collide in the result cache")
+    assert stable_hash(varied) != stable_hash(base), (
+        f"RunSpec.cache_key is blind to {field!r}: distinct configs "
+        f"would collide in the result cache")
 
 
-def test_nested_dataclasses_roundtrip_from_plain_dicts():
+def test_nested_params_roundtrip_from_plain_dicts():
     config = SystemConfig()
     payload = config.as_dict()
     assert isinstance(payload["memory"], dict)
     assert isinstance(payload["energy"], dict)
-    restored = SystemConfig.from_dict(payload)
+    restored = from_dict(payload)
     assert isinstance(restored.memory, DramTiming)
     assert isinstance(restored.energy, EnergyParams)
 
@@ -127,15 +153,26 @@ def test_nested_dataclasses_roundtrip_from_plain_dicts():
 def test_from_dict_rejects_unknown_fields():
     payload = SystemConfig().as_dict()
     payload["warp_drive"] = 9
-    with pytest.raises(ValueError, match="warp_drive"):
-        SystemConfig.from_dict(payload)
+    with pytest.raises(TypeError, match="warp_drive"):
+        from_dict(payload)
+    with pytest.raises(TypeError, match="warp_drive"):
+        SystemConfig().with_(warp_drive=9)
 
 
 def test_stable_hash_is_deterministic_text():
     a, b = SystemConfig(), SystemConfig()
-    assert a.stable_hash() == b.stable_hash()
-    assert len(a.stable_hash()) == 64
-    int(a.stable_hash(), 16)  # hex digest
+    assert stable_hash(a) == stable_hash(b)
+    assert len(stable_hash(a)) == 64
+    int(stable_hash(a), 16)  # hex digest
+
+
+def test_fields_cannot_be_assigned():
+    config = SystemConfig()
+    with pytest.raises(AttributeError):
+        config.num_units = 8
+    with pytest.raises(AttributeError):
+        del config.seed
+    assert config == SystemConfig()
 
 
 def test_default_config_validates():
@@ -151,6 +188,6 @@ def test_default_config_validates():
     ("seed", True),
 ])
 def test_validate_rejects_out_of_range_timing_fields(field, bad):
-    config = dataclasses.replace(SystemConfig(), **{field: bad})
+    config = SystemConfig().with_(**{field: bad})
     with pytest.raises((ValueError, TypeError)):
         config.validate()

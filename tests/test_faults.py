@@ -9,6 +9,7 @@ config validation and cache-key soundness of the fault fields, and the
 ``degradation`` experiment.
 """
 
+import json
 import math
 
 import pytest
@@ -19,7 +20,7 @@ from repro.harness.runner import run_plan
 from repro.harness.specs import RunSpec
 from repro.sim import Compute
 from repro.sim.clock import core_cycles_from_ns
-from repro.sim.config import SystemConfig, ndp_2_5d
+from repro.sim.config import ndp_2_5d
 from repro.sim.network import Interconnect
 from repro.sim.stats import SystemStats
 from repro.sim.topo import (
@@ -263,7 +264,7 @@ class TestConfigAndCacheKeys:
     def test_fault_links_are_src_dst_at_triples(self):
         cfg = ndp_2_5d(fault_links=[[0, 1, 100]])
         assert cfg.fault_links == ((0, 1, 100),)
-        assert SystemConfig.from_dict(cfg.as_dict()) == cfg
+        assert cfg == ndp_2_5d(fault_links=((0, 1, 100),))
         with pytest.raises(ValueError, match=r"\(src, dst, at_cycle\)"):
             ndp_2_5d(fault_links=((0, 1, 100, 500),))
 
@@ -274,8 +275,12 @@ class TestConfigAndCacheKeys:
             fault_window_cycles=5000,
         )
         cfg.validate()
-        assert SystemConfig.from_dict(cfg.as_dict()) == cfg
-        assert cfg.stable_hash() != ndp_2_5d().stable_hash()
+        payload = json.loads(json.dumps(cfg.as_dict()))
+        fault_fields = ("link_profile", "fault_seed", "fault_links",
+                        "fault_link_rate", "fault_window_cycles")
+        assert ndp_2_5d(**{name: payload[name]
+                           for name in fault_fields}) == cfg
+        assert cfg.as_dict() != ndp_2_5d().as_dict()
 
     def test_aliases_hit_the_same_cache_entry(self):
         base = dict(args={"primitive": "lock", "interval": 100, "rounds": 2})

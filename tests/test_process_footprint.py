@@ -5,6 +5,9 @@
   co-run or tenancy code, :mod:`repro.harness.specs` imports each
   workload family where a spec first needs it, a system imports only its
   own mechanism, and a one-worker sweep never loads ``multiprocessing``.
+  The classes a spec builds are plain classes, so no spec loads
+  ``dataclasses`` (nor the ``inspect`` it imports), and a system looks
+  for a sanitizer session without importing the sanitizer.
 - A finished system is freed by reference counting, not left as cyclic
   garbage for a full collection (:meth:`NDPSystem.release`).
 """
@@ -56,18 +59,53 @@ print(json.dumps(sorted(sys.modules)))
 """
 
 
-def _modules_after(workload: str, args: dict, run: bool = False) -> set:
-    """Modules a fresh interpreter holds after planning a spec and, if
-    ``run``, running it with one worker."""
+#: plans one spec of each benchmark family and mechanism, then runs them
+#: with one worker; prints the modules loaded after each step.
+_EVERY_FAMILY = """
+import json, sys
+from repro.harness.runner import RunSpec, run_specs
+lock = {"primitive": "lock", "interval": 200, "rounds": 3}
+specs = [
+    RunSpec.make("app", mechanism="central", args={"combo": "bfs.wk"}),
+    RunSpec.make("app", mechanism="hier", args={"combo": "ts.air"}),
+    RunSpec.make("app", mechanism="ideal", args={"combo": "bfs.wk"}),
+    RunSpec.make("structure", mechanism="syncron",
+                 args={"structure": "stack"},
+                 overrides={"topology": "mesh2d", "num_units": 8}),
+    RunSpec.make("structure", mechanism="syncron",
+                 args={"structure": "hashtable"},
+                 overrides={"st_entries": 8}),
+    *(RunSpec.make("primitive", mechanism=mechanism, args=lock)
+      for mechanism in ("bakery", "rmw_spin", "syncron")),
+]
+print(json.dumps(sorted(sys.modules)))
+run_specs(specs, workers=1)
+print(json.dumps(sorted(sys.modules)))
+"""
+
+#: modules no plain spec run needs: ``dataclasses`` (with the ``inspect``
+#: it imports) and the sanitizer.
+UNUSED_BY_ANY_SPEC = ("dataclasses", "inspect", "repro.analysis.sanitizer")
+
+
+def _run_script(script: str) -> list:
+    """Each line a fresh interpreter running ``script`` prints, parsed as
+    JSON."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(REPO_ROOT / "src"), env.get("PYTHONPATH")) if p)
-    script = _PLAN.format(workload=workload, args=args, run=run)
     result = subprocess.run(
         [sys.executable, "-c", script],
         cwd=REPO_ROOT, env=env, capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr[-2000:]
-    return set(json.loads(result.stdout.strip().splitlines()[-1]))
+    return [json.loads(line) for line in result.stdout.strip().splitlines()]
+
+
+def _modules_after(workload: str, args: dict, run: bool = False) -> set:
+    """Modules a fresh interpreter holds after planning a spec and, if
+    ``run``, running it with one worker."""
+    script = _PLAN.format(workload=workload, args=args, run=run)
+    return set(_run_script(script)[-1])
 
 
 class TestStartupImports:
@@ -76,6 +114,13 @@ class TestStartupImports:
             "primitive", {"primitive": "lock", "interval": 200, "rounds": 5})
         assert "repro.workloads.microbench" in loaded
         assert sorted(loaded.intersection(UNUSED_BY_PRIMITIVE)) == []
+
+    def test_no_spec_family_imports_dataclasses_or_the_sanitizer(self):
+        planned, ran = _run_script(_EVERY_FAMILY)
+        assert "repro.workloads.graphs" in planned
+        assert "repro.sync.bakery" in ran
+        for loaded in (planned, ran):
+            assert sorted(set(loaded).intersection(UNUSED_BY_ANY_SPEC)) == []
 
     def test_one_worker_syncron_run_imports_only_its_mechanism(self):
         loaded = _modules_after(

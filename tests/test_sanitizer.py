@@ -17,6 +17,7 @@ from repro.analysis.sanitizer import (
     sanitizer_active,
 )
 from repro.sim.engine import Simulator
+from repro.sim.system import NDPSystem
 from repro.testing import ALL_MECHANISMS, SPIN_MECHANISMS
 from repro.workloads import PrimitiveMicrobench
 from repro.workloads.base import run_workload
@@ -263,6 +264,13 @@ class TestSession:
                 sim.run()
         assert len(session.recorders) == 2
         assert len(session.hazards) == 2
+
+    def test_system_built_in_session_attaches_recorder(self, tiny_config):
+        assert NDPSystem(tiny_config).sim.sanitizer is None
+        with sanitize_session() as session:
+            system = NDPSystem(tiny_config)
+        assert isinstance(system.sim.sanitizer, AccessRecorder)
+        assert session.recorders == [system.sim.sanitizer]
 
     def test_report_string(self):
         session = SanitizerSession()

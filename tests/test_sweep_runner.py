@@ -1,6 +1,7 @@
 """Spec hashing, result store, and parallel sweep determinism."""
 
 import json
+import pickle
 import shutil
 
 import pytest
@@ -15,7 +16,7 @@ from repro.harness.runner import (
 from repro.harness import specs as specs_mod
 from repro.harness.specs import RunSpec, freeze
 from repro.harness.store import ShardedDirStore
-from repro.sim.config import SystemConfig, ndp_2_5d
+from repro.sim.config import DramTiming, EnergyParams, SystemConfig, ndp_2_5d
 from repro.workloads.base import RunMetrics
 
 
@@ -73,21 +74,42 @@ class TestSpecHashing:
         assert config.link_latency_ns == 100
         assert config.memory.name == "HMC"
 
+    def test_specs_are_frozen(self):
+        spec = _lock_spec()
+        with pytest.raises(AttributeError):
+            spec.mechanism = "central"
+        with pytest.raises(AttributeError):
+            del spec.seed
+        assert spec == _lock_spec()
+
+    def test_specs_round_trip_through_pickle(self):
+        # The worker pool ships specs to its processes pickled.
+        spec = _lock_spec(overrides={"st_entries": 8})
+        again = pickle.loads(pickle.dumps(spec))
+        assert again == spec and again is not spec
+        assert hash(again) == hash(spec)
+        assert again.cache_key() == spec.cache_key()
+        with pytest.raises(AttributeError):
+            again.preset = "ndp_3d"
+
     def test_freeze_rejects_non_plain_data(self):
         with pytest.raises(TypeError):
             freeze({"bad": object()})
 
     def test_config_stable_hash_covers_nested_fields(self):
-        base = ndp_2_5d()
-        tweaked_memory = base.with_(memory=base.memory)
-        assert base.stable_hash() == tweaked_memory.stable_hash()
-        deep = base.with_(memory=base.memory.__class__(
-            **{**base.memory.__dict__, "cas_ns": 9.0}))
-        assert deep.stable_hash() != base.stable_hash()
+        # The key hashes the resolved config, nested memory parameters
+        # included: naming the preset's own memory keeps it, another
+        # technology moves it.
+        base = _lock_spec().cache_key()
+        assert _lock_spec(overrides={"memory": "HBM"}).cache_key() == base
+        assert _lock_spec(overrides={"memory": "HMC"}).cache_key() != base
 
     def test_config_dict_round_trip(self):
         config = ndp_2_5d(num_units=2, link_latency_ns=100.0)
-        assert SystemConfig.from_dict(config.as_dict()) == config
+        payload = json.loads(json.dumps(config.as_dict()))
+        assert SystemConfig(**{
+            **payload, "memory": DramTiming(**payload["memory"]),
+            "energy": EnergyParams(**payload["energy"])}) == config
 
 
 class TestSourceEpoch:
@@ -237,6 +259,16 @@ class TestParallelDeterminism:
         metrics = run_specs([_lock_spec()])[0]
         assert RunMetrics.from_dict(
             json.loads(json.dumps(metrics.as_dict()))) == metrics
+
+    def test_metrics_compare_field_by_field(self):
+        metrics = run_specs([_lock_spec()])[0]
+        twin = RunMetrics(**metrics.__dict__)
+        assert twin == metrics and twin is not metrics
+        assert RunMetrics(**{**metrics.__dict__,
+                             "cycles": metrics.cycles + 1}) != metrics
+        energy = metrics.energy.with_(memory_pj=metrics.energy.memory_pj + 1)
+        assert RunMetrics(**{**metrics.__dict__, "energy": energy}) != metrics
+        assert metrics != metrics.as_dict()
 
 
 #: a spec small enough to simulate in a test.
