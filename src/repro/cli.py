@@ -313,20 +313,6 @@ def cmd_report(args) -> int:
                 for k, v in sorted(merged["counters"].items())]
         print()
         print(format_table(rows, title="counters"))
-    if merged.get("gauges"):
-        rows = [{"gauge": k, "value": v}
-                for k, v in sorted(merged["gauges"].items())]
-        print()
-        print(format_table(rows, title="gauges"))
-    if merged.get("histograms"):
-        rows = [
-            {"histogram": name, "count": cell["count"], "sum": cell["sum"],
-             "mean_ms": (1e3 * cell["sum"] / cell["count"]
-                         if cell["count"] else 0.0)}
-            for name, cell in sorted(merged["histograms"].items())
-        ]
-        print()
-        print(format_table(rows, title="histograms"))
     if event_counts:
         rows = [{"event": k, "count": v}
                 for k, v in sorted(event_counts.items())]

@@ -111,7 +111,7 @@ class SyncEngine(ProtocolMixin):
         self.counters = IndexingCounters(
             self.config.indexing_counters, self.config.cache_line_bytes
         )
-        self.store = SyncronVarStore(num_ses=self.config.num_units)
+        self.store = SyncronVarStore()
         self.service_cycles = core_cycles_from_se_cycles(
             self.config.se_service_se_cycles
         )
@@ -295,11 +295,6 @@ class SyncEngine(ProtocolMixin):
             self.unit, var.addr, is_write=True, now=now + latency, for_sync=True
         )
         self._extra += latency
-
-    def _mark_syncronvar_overflow(self, var: SyncVar, se_id: int) -> None:
-        sv = self.store.lookup(var.addr)
-        if sv is not None:
-            sv.set_overflowed(se_id)
 
     # ------------------------------------------------------------------
     # State release

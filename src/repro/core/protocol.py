@@ -83,7 +83,7 @@ class ProtocolMixin:
         else:
             self.send_se(self.master_of(msg.var), global_opcode, msg.var)
 
-    def _remote_waiter(self, state, msg: Message, in_memory: bool) -> tuple:
+    def _remote_waiter(self, state, msg: Message) -> tuple:
         """The global-waitlist tag of a request from another SE: the SE for
         an aggregated request, else the core (and its ``info``).  An
         overflow request also records its SE as overflowed."""
@@ -91,8 +91,6 @@ class ProtocolMixin:
             return ("se", msg.src_se)
         if msg.opcode in OVERFLOW_OPCODES:
             state.overflow_ses.add(msg.src_se)
-            if in_memory:
-                self._mark_syncronvar_overflow(msg.var, msg.src_se)
         return ("ovf", msg.core, msg.src_se, msg.info)
 
     def _send_to_waiter(self, item: tuple, var, global_opcode: Opcode,
@@ -130,7 +128,7 @@ class ProtocolMixin:
         state, in_memory = self._get_state(msg, acquire=True)
         if state is None:
             return
-        state.global_waitlist.append(self._remote_waiter(state, msg, in_memory))
+        state.global_waitlist.append(self._remote_waiter(state, msg))
         self._lock_try_grant_master(state, msg.var, in_memory)
 
     def _lock_try_grant_master(self, state, var, in_memory: bool) -> None:
@@ -292,7 +290,7 @@ class ProtocolMixin:
             # info is the barrier's total participant count.
             count, total = 1, msg.info
         state.expected = total
-        state.global_waitlist.append(self._remote_waiter(state, msg, in_memory))
+        state.global_waitlist.append(self._remote_waiter(state, msg))
         state.table_info += count
         if state.expected and state.table_info >= state.expected:
             self._barrier_complete(state, msg.var, in_memory)
@@ -347,7 +345,7 @@ class ProtocolMixin:
         state, in_memory = self._get_state(msg, acquire=True, sem_init=msg.info)
         if state is None:
             return
-        waiter = self._remote_waiter(state, msg, in_memory)
+        waiter = self._remote_waiter(state, msg)
         if state.table_info > 0:
             state.table_info -= 1
             self._send_to_waiter(waiter, msg.var, Opcode.SEM_GRANT_GLOBAL,
@@ -418,7 +416,7 @@ class ProtocolMixin:
         state, in_memory = self._get_state(msg, acquire=True)
         if state is None:
             return
-        state.global_waitlist.append(self._remote_waiter(state, msg, in_memory))
+        state.global_waitlist.append(self._remote_waiter(state, msg))
 
     def _on_cond_signal(self, msg: Message) -> None:
         state, in_memory = self._find_state(msg)

@@ -13,17 +13,18 @@ Only the Master SE reads or writes the structure (the correctness rule of
 Sec. 4.3.2); overflowed local SEs reach it only through overflow messages.
 
 Implementation note: the *logical* content of a ``syncronVar`` (waiting
-lists + primitive payload) is identical to an ST entry's, so we store the
-protocol state as a :class:`~repro.core.sync_table.STEntry` inside the
-wrapper and let the same protocol handlers operate on both.  What the
-wrapper adds is (i) the ``OverflowInfo`` bitmask tracking which SEs have
-overflowed for this variable, and (ii) the structure's size in bytes, which
-sizes the DRAM traffic the Master SE pays on every overflow access.
+lists + primitive payload) is identical to an ST entry's, so the wrapper
+holds the protocol state as a :class:`~repro.core.sync_table.STEntry` and
+the same protocol handlers operate on both.  The ``OverflowInfo`` bitmask
+is the entry's ``overflow_ses`` set.  The structure's size is not
+modelled: every overflow access costs the Master SE one device read plus
+one write at the variable's address
+(``SyncEngine._charge_syncronvar_access``).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.core.sync_table import STEntry
 
@@ -31,32 +32,9 @@ from repro.core.sync_table import STEntry
 class SyncronVar:
     """One ``syncronVar`` structure resident in the Master SE's memory."""
 
-    def __init__(self, addr: int, num_ses: int,
-                 state: Optional[STEntry] = None, overflow_info: int = 0):
+    def __init__(self, addr: int):
         self.addr = addr
-        self.num_ses = num_ses
-        self.state = STEntry(addr=addr, var=None) if state is None else state
-        #: bitmask of SEs currently overflowed for this variable
-        #: (OverflowInfo).
-        self.overflow_info = overflow_info
-
-    # ------------------------------------------------------------------
-    @property
-    def size_bytes(self) -> int:
-        """2 bytes per SE waitlist + 8 (VarInfo) + 1 (OverflowInfo)."""
-        return 2 * self.num_ses + 8 + 1
-
-    def set_overflowed(self, se_id: int) -> None:
-        self.overflow_info |= 1 << se_id
-
-    def clear_overflowed(self, se_id: int) -> None:
-        self.overflow_info &= ~(1 << se_id)
-
-    def is_overflowed(self, se_id: int) -> bool:
-        return bool(self.overflow_info & (1 << se_id))
-
-    def overflowed_ses(self) -> List[int]:
-        return [s for s in range(self.num_ses) if self.overflow_info & (1 << s)]
+        self.state = STEntry(addr=addr, var=None)
 
 
 class SyncronVarStore:
@@ -68,14 +46,13 @@ class SyncronVarStore:
     any measured path.
     """
 
-    def __init__(self, num_ses: int):
-        self.num_ses = num_ses
+    def __init__(self):
         self._vars: Dict[int, SyncronVar] = {}
 
     def get_or_create(self, addr: int, var=None) -> SyncronVar:
         sv = self._vars.get(addr)
         if sv is None:
-            sv = SyncronVar(addr=addr, num_ses=self.num_ses)
+            sv = SyncronVar(addr)
             sv.state.var = var
             self._vars[addr] = sv
         elif var is not None and sv.state.var is None:

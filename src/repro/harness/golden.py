@@ -3,8 +3,10 @@
 :func:`physics_digest` is the same function ``e2ebench/worker.py`` checks
 against ``e2ebench/digests.json``: the SHA-256 of the canonical JSON of
 :meth:`RunMetrics.as_dict <repro.workloads.base.RunMetrics.as_dict>` with
-the ``kernel.*`` and ``telemetry.*`` stats left out, because those count
-simulation effort or host time, not simulated physics.
+the ``kernel.*`` stats left out, because those count simulation effort,
+not simulated physics.  The ``telemetry.*`` prefix matches no key (host
+time goes to the telemetry bus, never into ``RunMetrics``); it stays so
+this function keeps matching the worker's copy of it.
 """
 
 from __future__ import annotations

@@ -38,7 +38,7 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.harness.specs import RunSpec
 from repro.harness.store import ShardedDirStore, open_store
-from repro.telemetry import configure, get_telemetry, strip_volatile_stats
+from repro.telemetry import configure, get_telemetry
 from repro.workloads.base import RunMetrics, run_workload
 
 #: what a run produces: RunMetrics for workload specs, a plain dict for
@@ -186,26 +186,6 @@ def _record_to_result(record: Dict) -> RunResult:
     return dict(record["result"])
 
 
-def _storable(body: Dict) -> Dict:
-    """A record body fit for the content-addressed store.
-
-    The reserved ``telemetry.*`` stats keys are host wall-clock — not
-    reproducible content — so they are stripped before publishing.
-    Without them, racing completions of one key stay bit-identical and
-    the store's first-durable-write-wins verification holds whether the
-    writers ran with telemetry on or off.
-    """
-    if body.get("kind") != "metrics":
-        return body
-    stats = body.get("result", {}).get("stats")
-    if not isinstance(stats, dict):
-        return body
-    stripped = strip_volatile_stats(stats)
-    if stripped is stats:
-        return body
-    return {**body, "result": {**body["result"], "stats": stripped}}
-
-
 # ----------------------------------------------------------------------
 # The worker pool
 # ----------------------------------------------------------------------
@@ -318,10 +298,7 @@ def run_specs(specs: Sequence[RunSpec], workers: Optional[int] = None,
 
     def finish(key: str, body: Dict) -> None:
         if result_store is not None:
-            result_store.put(key, _storable(body))
-        # Return the locally produced body (it keeps the telemetry.* keys
-        # the stored record legitimately drops); a racing winner is
-        # bit-identical in everything else by the store's contract.
+            result_store.put(key, body)
         results_by_key[key] = _record_to_result(body)
         STATS.executed += 1
 

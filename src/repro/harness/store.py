@@ -209,14 +209,8 @@ class ShardedDirStore:
         """Durably publish ``body`` under ``key``; returns the WINNING
         record (first durable write wins; a racing loser verifies
         bit-identity and adopts the winner)."""
-        tel = get_telemetry()
-        if not tel.enabled:
+        with get_telemetry().span("store.publish"):
             return self._put(key, body)
-        t0 = time.perf_counter()
-        try:
-            return self._put(key, body)
-        finally:
-            tel.observe("store.publish_seconds", time.perf_counter() - t0)
 
     def _put(self, key: str, body: Dict) -> Dict:
         record = normalize_record(check_key(key), body)

@@ -68,7 +68,6 @@ from repro.sim.topo import (
     build_topology,
     unreachable_pairs,
 )
-from repro.telemetry import get_telemetry
 
 
 class Crossbar:
@@ -321,16 +320,14 @@ class Interconnect:
         The pristine route while none of its channels is dead, else the
         shortest surviving path (:meth:`Topology.fallback_route
         <repro.sim.topo.base.Topology.fallback_route>`), which counts a
-        ``reroute`` (and emits telemetry) once per pair per fault epoch:
-        every failure clears the memo.
+        ``reroute`` once per pair per fault epoch: every failure clears
+        the memo.
         """
         pristine = self.topology.route(src_unit, dst_unit)
         dead = self._dead_channels
         route = pristine
         if any(channel in dead for channel in pristine):
-            tel = get_telemetry()
-            with tel.span("fabric.resolve"):
-                route = self.topology.fallback_route(src_unit, dst_unit, dead)
+            route = self.topology.fallback_route(src_unit, dst_unit, dead)
             if route is None:
                 raise FabricPartitionedError(
                     f"no surviving route {src_unit} -> {dst_unit} on the "
@@ -338,11 +335,6 @@ class Interconnect:
                     "channels)"
                 )
             self.stats.reroutes += 1
-            if tel.enabled:
-                tel.count("fabric.reroutes")
-                tel.event("fabric.reroute", src=src_unit, dst=dst_unit,
-                          pristine_hops=len(pristine),
-                          detour_hops=len(route))
         extra = len(route) - len(pristine)
         resolved = (tuple(self._link_for(channel) for channel in route),
                     extra if extra > 0 else 0)
@@ -377,26 +369,20 @@ class Interconnect:
         channel = (channel[0], channel[1])
         if channel in self._dead_channels:
             return
-        tel = get_telemetry()
-        with tel.span("fabric.fault", kind="link"):
-            self._dead_channels.add(channel)
-            self._down_since[channel] = now
-            self._resolved.clear()
-            for row in self._packets:
-                for plans in row:
-                    plans.clear()
-            self._plans.clear()
-            if tel.enabled:
-                tel.count("fabric.faults")
-                tel.event("fabric.fault", kind="link", src=channel[0],
-                          dst=channel[1], at=now)
-            gaps = unreachable_pairs(self.topology, self._dead_channels)
-            if gaps:
-                raise FabricPartitionedError(
-                    f"fault at t={now} partitioned the {self.topology.name!r} "
-                    f"fabric: {len(gaps)} unreachable unit pairs "
-                    f"(e.g. {gaps[:4]})"
-                )
+        self._dead_channels.add(channel)
+        self._down_since[channel] = now
+        self._resolved.clear()
+        for row in self._packets:
+            for plans in row:
+                plans.clear()
+        self._plans.clear()
+        gaps = unreachable_pairs(self.topology, self._dead_channels)
+        if gaps:
+            raise FabricPartitionedError(
+                f"fault at t={now} partitioned the {self.topology.name!r} "
+                f"fabric: {len(gaps)} unreachable unit pairs "
+                f"(e.g. {gaps[:4]})"
+            )
 
     def finalize_faults(self, now: int) -> None:
         """Charge the downtime of every dead link up to ``now``, the end

@@ -43,7 +43,7 @@ from typing import Callable, Deque, Dict, Optional, Tuple
 
 from repro.sim.program import LOCK_ACQUIRE, LOCK_RELEASE
 from repro.sim.memsys import REQUEST_BYTES
-from repro.sim.syncif import MechanismBase, SpinWaitMixin, SyncVar, _no_waiter
+from repro.sim.syncif import MechanismBase, SpinWaitMixin, SyncVar
 from repro.sim.system import mechanism_ops
 
 #: bytes of one word-grain uncacheable access (header + payload).
@@ -134,7 +134,6 @@ class BakeryMechanism(SpinWaitMixin, MechanismBase):
         self._n = self.config.total_clients
         #: cycles a failed scan backs off before its next poll.
         self._backoff = max(self.config.spin_backoff_cycles, 1)
-        self.scan_rounds = 0
         self._init_spin_channels()
 
     # ------------------------------------------------------------------
@@ -189,10 +188,6 @@ class BakeryMechanism(SpinWaitMixin, MechanismBase):
         else:
             raise self._unimplemented(op)
 
-    def request_async(self, core, op, var, info) -> int:
-        self.request(core, op, var, info, callback=_no_waiter)
-        return self.config.async_issue_cycles
-
     # ------------------------------------------------------------------
     # The bakery lock itself
     # ------------------------------------------------------------------
@@ -215,7 +210,6 @@ class BakeryMechanism(SpinWaitMixin, MechanismBase):
             self._scan(core, var, state, ticket, callback)
 
     def _scan(self, core, var, state, ticket, callback) -> None:
-        self.scan_rounds += 1
         self.stats.extra["bakery_scans"] += 1
         self._charge_sequence(core, var, 2 * self._n, 0, self._after_scan,
                               core, var, state, ticket, callback)
@@ -236,7 +230,6 @@ class BakeryMechanism(SpinWaitMixin, MechanismBase):
                     callback) -> None:
         """Account ``rounds`` elided doorway scans, then rescan for real."""
         if rounds:
-            self.scan_rounds += rounds
             self.stats.extra["bakery_scans"] += rounds
             # Each elided scan is 2N uncacheable word loads: a request
             # plus a word response, one message per load.

@@ -43,7 +43,7 @@ from repro.sim.program import (
     SEM_WAIT,
 )
 from repro.sim.stats import SystemStats
-from repro.sim.syncif import MechanismBase, SpinWaitMixin, SyncVar, _no_waiter
+from repro.sim.syncif import MechanismBase, SpinWaitMixin, SyncVar
 from repro.sim.system import mechanism_ops
 
 #: bytes of an rmw request / response message (address + opcode + operand).
@@ -152,7 +152,6 @@ class RemoteAtomicsMechanism(SpinWaitMixin, MechanismBase):
         #: per-core duration of the most recent rmw round trip — the
         #: physical length of one poll, folded into the virtual period.
         self._rtt: Dict[int, int] = {}
-        self.spin_retries = 0
         self._init_spin_channels()
 
     # ------------------------------------------------------------------
@@ -212,7 +211,6 @@ class RemoteAtomicsMechanism(SpinWaitMixin, MechanismBase):
         ``channel.signals`` snapshot from the attempt's issue frame (the
         lost-wakeup guard).
         """
-        self.spin_retries += 1
         self.stats.extra["spin_retries"] += 1
         delay = (self.config.spin_backoff_cycles + (core.core_id % 7)
                  + self._rtt.get(core.core_id, 0))
@@ -225,7 +223,6 @@ class RemoteAtomicsMechanism(SpinWaitMixin, MechanismBase):
                attempt: Callable[..., None], callback) -> None:
         """Account the elided polls, then run one real attempt."""
         if polls:
-            self.spin_retries += polls
             self.stats.extra["spin_retries"] += polls
             # Each elided poll is one legacy retry: an rmw request and
             # response plus one controller-side DRAM read.
@@ -259,11 +256,6 @@ class RemoteAtomicsMechanism(SpinWaitMixin, MechanismBase):
             self._rmw(core, var, "rw", _clear_writer, 0, _respond, callback)
         else:
             raise self._unimplemented(op)
-
-    def request_async(self, core, op, var, info) -> int:
-        # Releases are fire-and-forget: the rmw travels, nobody waits.
-        self.request(core, op, var, info, callback=_no_waiter)
-        return self.config.async_issue_cycles
 
     # Every spin loop below is a set of methods that take the request's
     # state as arguments: closures that reschedule each other would leave

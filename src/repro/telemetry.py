@@ -1,27 +1,26 @@
-"""Run telemetry: spans, counters, gauges, an event log, and exporters.
+"""Run telemetry: spans, counters, an event log, and exporters.
 
-Every layer of the stack (simulator kernel, sweep runner, result store,
-CLI) reports progress and wall-clock cost through one process-local bus:
+Every layer above the simulator (spec execution, sweep runner, result
+store, CLI) reports progress and wall-clock cost through one
+process-local bus:
 
 - **counters** — monotonically increasing totals (``store.hits``,
-  ``sim.runs``).
-- **gauges** — last-written values (``sim.last_events_per_sec``).
+  ``sim.runs``, and the float ``sim.wall_seconds``: host seconds the
+  event kernel spent draining).
 - **spans** — named wall-clock sections with count/total/min/max
-  aggregation (``spec.execute``); each completion is also appended to the
-  JSONL event log.
-- **histograms** — exponential-bucket latency distributions
-  (``store.publish_seconds``).
+  aggregation (``spec.execute``, ``store.publish``); each completion is
+  also appended to the JSONL event log.
 
 The bus is **disabled by default**: :func:`get_telemetry` returns a
 :class:`NullTelemetry` whose methods are argument-swallowing no-ops, so
-instrumented hot paths pay one attribute load and a cheap call when
-telemetry is off and *never* allocate.  Nothing telemetry records feeds
-back into simulation: simulated physics (cycles, energy, traffic) is
-bit-identical with the bus enabled or disabled — only the reserved
-``telemetry.*`` keys in ``RunMetrics.stats`` (the kernel's wall-clock
-timing, see :func:`repro.workloads.base.collect_metrics`) appear when it
-is on, and those are stripped before results enter the
-content-addressed store.
+instrumented paths pay one attribute load and a cheap call when
+telemetry is off and *never* allocate.  Observation is strictly
+out-of-band: nothing the bus records feeds back into a result, so
+``RunMetrics`` (simulated cycles, energy, traffic and every stats key)
+is equal with the bus enabled or disabled, and the content-addressed
+store needs no clean-up step.  The simulator (``repro.sim``,
+``repro.core``) never imports this module; its own counters (for
+example ``SystemStats.reroutes`` on a degraded fabric) are results.
 
 Enable it for a scope with :func:`telemetry_session` (the CLI's
 ``--telemetry DIR``)::
@@ -36,17 +35,8 @@ Exports:
   line: ``{"ts": ..., "event": ..., ...}``); each sweep worker process
   gets a fresh bus writing its own file keyed by pid, so lines are never
   interleaved and no counter is exported twice.
-- ``snapshot-<worker>.json`` — aggregate snapshot (counters / gauges /
-  spans / histograms), written on session exit and on demand.
-
-Degraded-fabric instrumentation lives under the ``fabric.*`` namespace
-(:mod:`repro.sim.network`): ``fabric.fault`` events (plus a
-``fabric.fault`` span around fail+reconnectivity-check),
-``fabric.resolve`` spans around each detour search,
-``fabric.reroute`` events carrying ``src``/``dst``/``pristine_hops``/
-``detour_hops``, and the ``fabric.reroutes`` / ``fabric.faults``
-counters.  Like everything else on the bus these only fire when a
-session is active — fault injection itself is telemetry-independent.
+- ``snapshot-<worker>.json`` — aggregate snapshot (counters / spans),
+  written on session exit and on demand.
 """
 
 from __future__ import annotations
@@ -57,12 +47,7 @@ import os
 import re
 import time
 from collections import Counter
-from typing import Dict, Iterator, List, Optional, Tuple
-
-#: histogram bucket upper bounds (seconds, exponential; +inf is implicit).
-HISTOGRAM_BUCKETS: Tuple[float, ...] = (
-    0.0001, 0.0003, 0.001, 0.003, 0.01, 0.03, 0.1, 0.3, 1.0, 3.0, 10.0, 30.0
-)
+from typing import Dict, Iterator, List, Optional
 
 _NAME_RE = re.compile(r"[^a-zA-Z0-9_]")
 
@@ -102,13 +87,7 @@ class NullTelemetry:
     def span(self, name: str, **attrs) -> _NullSpan:
         return _NULL_SPAN
 
-    def count(self, name: str, n: int = 1) -> None:
-        pass
-
-    def gauge(self, name: str, value: float) -> None:
-        pass
-
-    def observe(self, name: str, value: float) -> None:
+    def count(self, name: str, n: float = 1) -> None:
         pass
 
     def event(self, name: str, **fields) -> None:
@@ -160,11 +139,8 @@ class Telemetry:
         self.worker = worker
         self.started_at = time.time()
         self.counters: Counter = Counter()
-        self.gauges: Dict[str, float] = {}
         #: span name -> [count, total_s, min_s, max_s, errors]
         self.spans: Dict[str, List[float]] = {}
-        #: histogram name -> [per-bucket counts..., +inf count, sum, count]
-        self.hists: Dict[str, List[float]] = {}
         self._sink = None
         self._sink_pid: Optional[int] = None
 
@@ -191,25 +167,8 @@ class Telemetry:
         self.event("span", span=name, secs=round(seconds, 6),
                    **({"error": True} if error else {}), **attrs)
 
-    def count(self, name: str, n: int = 1) -> None:
+    def count(self, name: str, n: float = 1) -> None:
         self.counters[name] += n
-
-    def gauge(self, name: str, value: float) -> None:
-        self.gauges[name] = value
-
-    def observe(self, name: str, value: float) -> None:
-        """Record one sample into an exponential-bucket histogram."""
-        hist = self.hists.get(name)
-        if hist is None:
-            hist = self.hists[name] = [0] * (len(HISTOGRAM_BUCKETS) + 1) + [0.0, 0]
-        for i, bound in enumerate(HISTOGRAM_BUCKETS):
-            if value <= bound:
-                hist[i] += 1
-                break
-        else:
-            hist[len(HISTOGRAM_BUCKETS)] += 1
-        hist[-2] += value
-        hist[-1] += 1
 
     def event(self, name: str, **fields) -> None:
         """Append one record to the JSONL event log (no-op without a dir)."""
@@ -257,26 +216,13 @@ class Telemetry:
                    "min_s": cell[2], "max_s": cell[3], "errors": int(cell[4])}
             for name, cell in sorted(self.spans.items())
         }
-        hists = {}
-        for name, hist in sorted(self.hists.items()):
-            hists[name] = {
-                "buckets": {
-                    str(bound): int(hist[i])
-                    for i, bound in enumerate(HISTOGRAM_BUCKETS)
-                },
-                "inf": int(hist[len(HISTOGRAM_BUCKETS)]),
-                "sum": hist[-2],
-                "count": int(hist[-1]),
-            }
         return {
             "worker": self.worker,
             "pid": os.getpid(),
             "started_at": self.started_at,
             "written_at": time.time(),
             "counters": dict(sorted(self.counters.items())),
-            "gauges": dict(sorted(self.gauges.items())),
             "spans": spans,
-            "histograms": hists,
         }
 
     def export(self) -> Optional[str]:
@@ -347,27 +293,17 @@ def telemetry_session(directory: Optional[str] = None,
 def merge_snapshots(snapshots: List[Dict]) -> Dict:
     """Fold per-worker snapshot dicts into one aggregate (``repro report``).
 
-    Counters and histogram counts/sums add; span cells merge their
-    count/total/min/max/errors; gauges keep the value from the most
-    recently written snapshot.
+    Counters add; span cells merge their count/total/min/max/errors.
     """
     counters: Counter = Counter()
-    gauges: Dict[str, float] = {}
-    gauges_at: Dict[str, float] = {}
     spans: Dict[str, Dict] = {}
-    hists: Dict[str, Dict] = {}
     workers: List[str] = []
     for snap in snapshots:
-        written = float(snap.get("written_at", 0.0))
         worker = snap.get("worker") or f"pid{snap.get('pid', '?')}"
         if worker not in workers:
             workers.append(worker)
         for name, value in snap.get("counters", {}).items():
             counters[name] += value
-        for name, value in snap.get("gauges", {}).items():
-            if written >= gauges_at.get(name, -1.0):
-                gauges[name] = value
-                gauges_at[name] = written
         for name, cell in snap.get("spans", {}).items():
             merged = spans.get(name)
             if merged is None:
@@ -378,42 +314,8 @@ def merge_snapshots(snapshots: List[Dict]) -> Dict:
                 merged["min_s"] = min(merged["min_s"], cell["min_s"])
                 merged["max_s"] = max(merged["max_s"], cell["max_s"])
                 merged["errors"] += cell["errors"]
-        for name, cell in snap.get("histograms", {}).items():
-            merged = hists.get(name)
-            if merged is None:
-                hists[name] = {"buckets": dict(cell.get("buckets", {})),
-                               "inf": cell.get("inf", 0),
-                               "sum": cell.get("sum", 0.0),
-                               "count": cell.get("count", 0)}
-            else:
-                for bound, n in cell.get("buckets", {}).items():
-                    merged["buckets"][bound] = merged["buckets"].get(bound, 0) + n
-                merged["inf"] += cell.get("inf", 0)
-                merged["sum"] += cell.get("sum", 0.0)
-                merged["count"] += cell.get("count", 0)
     return {
         "workers": workers,
         "counters": dict(sorted(counters.items())),
-        "gauges": dict(sorted(gauges.items())),
         "spans": dict(sorted(spans.items())),
-        "histograms": dict(sorted(hists.items())),
     }
-
-
-# ----------------------------------------------------------------------
-# Reserved RunMetrics keys
-# ----------------------------------------------------------------------
-#: ``RunMetrics.stats`` prefixes that describe simulation *effort*, not
-#: simulated physics: excluded from determinism diffs, and ``telemetry.*``
-#: (host wall-clock, non-deterministic by nature) additionally never
-#: enters the content-addressed result store.
-EFFORT_PREFIXES = ("kernel.", "telemetry.")
-VOLATILE_PREFIX = "telemetry."
-
-
-def strip_volatile_stats(stats: Dict[str, float]) -> Dict[str, float]:
-    """Drop the non-deterministic ``telemetry.*`` keys (store publishing)."""
-    if any(k.startswith(VOLATILE_PREFIX) for k in stats):
-        return {k: v for k, v in stats.items()
-                if not k.startswith(VOLATILE_PREFIX)}
-    return stats

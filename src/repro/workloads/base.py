@@ -153,29 +153,14 @@ def collect_metrics(system: NDPSystem, cycles: int, operations: int) -> RunMetri
     # the one part of RunMetrics allowed to differ between elision modes.
     counters["kernel.events_processed"] = float(system.sim.events_processed)
     counters["kernel.elided_events"] = float(system.sim.elided_events)
-    # Host wall-clock of the kernel's drains, published only under a
-    # telemetry session: reserved telemetry.* keys, reported like kernel.*
-    # but additionally stripped before results enter the content-addressed
-    # store — host wall-clock is not reproducible content.
+    # Host cost goes to the telemetry bus only: the result never depends
+    # on whether someone was watching.
     tel = get_telemetry()
-    wall = system.sim.wall_seconds
-    if tel.enabled and wall > 0.0:
-        events = system.sim.events_processed
-        elided = system.sim.elided_events
-        logical = events + elided
-        counters["telemetry.wall_seconds"] = wall
-        counters["telemetry.events_per_sec"] = events / wall
-        counters["telemetry.elided_ratio"] = (
-            elided / logical if logical else 0.0
-        )
-        counters["telemetry.sim_seconds_per_wall_second"] = (
-            seconds_from_core_cycles(cycles) / wall
-        )
+    if tel.enabled:
         tel.count("sim.runs")
-        tel.count("sim.events_processed", events)
-        tel.count("sim.elided_events", elided)
-        tel.observe("sim.run_seconds", wall)
-        tel.gauge("sim.last_events_per_sec", events / wall)
+        tel.count("sim.events_processed", system.sim.events_processed)
+        tel.count("sim.elided_events", system.sim.elided_events)
+        tel.count("sim.wall_seconds", system.sim.wall_seconds)
     return RunMetrics(
         mechanism=system.mechanism_name,
         cycles=cycles,

@@ -163,8 +163,7 @@ class TestSpinCostModel:
 
     def test_spinning_generates_retries_under_contention(self):
         system, _ = self._contended_run("rmw_spin")
-        assert system.mechanism.spin_retries > 0
-        assert system.stats.extra["spin_retries"] == system.mechanism.spin_retries
+        assert system.stats.extra["spin_retries"] > 0
 
     def test_spin_traffic_exceeds_syncron(self):
         """Consecutive rmw retries to the home unit must generate more
@@ -232,7 +231,7 @@ class TestSpinCostModel:
                     yield api.lock_release(lock)
 
             system.run_programs({c.core_id: worker() for c in system.cores})
-            retries[backoff] = system.mechanism.spin_retries
+            retries[backoff] = system.stats.extra["spin_retries"]
         assert retries[256] < retries[8]
 
 
@@ -288,7 +287,5 @@ class TestBakeryLockState:
                 yield api.lock_release(lock)
 
         system.run_programs({c.core_id: worker() for c in system.cores})
-        mech = system.mechanism
-        assert isinstance(mech, BakeryMechanism)
-        assert mech.scan_rounds > 0
-        assert system.stats.extra["bakery_scans"] == mech.scan_rounds
+        assert isinstance(system.mechanism, BakeryMechanism)
+        assert system.stats.extra["bakery_scans"] > 0

@@ -22,7 +22,7 @@ from repro.core.messages import (
     RESPONSE_BYTES,
 )
 from repro.core.sync_table import STEntry, STFullError, SynchronizationTable
-from repro.core.syncronvar import SyncronVar, SyncronVarStore
+from repro.core.syncronvar import SyncronVarStore
 from repro.sim.syncif import SyncVar
 
 
@@ -254,22 +254,8 @@ class TestIndexingCounters:
 
 
 class TestSyncronVar:
-    def test_size_matches_struct_layout(self):
-        # Fig. 9: uint16 Waitlist[4] + uint64 VarInfo + uint8 OverflowInfo.
-        sv = SyncronVar(addr=0, num_ses=4)
-        assert sv.size_bytes == 2 * 4 + 8 + 1
-
-    def test_overflow_bits(self):
-        sv = SyncronVar(addr=0, num_ses=4)
-        sv.set_overflowed(2)
-        sv.set_overflowed(0)
-        assert sv.is_overflowed(2)
-        assert sv.overflowed_ses() == [0, 2]
-        sv.clear_overflowed(2)
-        assert sv.overflowed_ses() == [0]
-
     def test_store_lazy_creation(self):
-        store = SyncronVarStore(num_ses=4)
+        store = SyncronVarStore()
         assert store.lookup(0x40) is None
         sv = store.get_or_create(0x40)
         assert store.lookup(0x40) is sv

@@ -2,14 +2,13 @@
 
 Contracts pinned here:
 
-1. Bus mechanics — counters/gauges/spans/histograms aggregate correctly,
-   and the JSONL event log and snapshot exports are well-formed.
+1. Bus mechanics — counters and spans aggregate correctly, and the JSONL
+   event log and snapshot exports are well-formed.
 2. Off-by-default — ``get_telemetry()`` is a no-op bus unless a session
    enabled one, and sessions restore the previous bus on exit.
-3. Physics isolation — enabling telemetry changes *no* simulated counter;
-   only the reserved ``telemetry.*`` keys appear, they are stripped from
-   every record the result store publishes, and the in-process caller
-   still sees them.
+3. Out-of-band observation — a run's result is equal with telemetry on
+   or off, the store's records are byte-identical whichever writer made
+   them, and the simulator never imports the bus.
 4. Pool workers — a multi-worker sweep's per-process snapshots merge to
    exact totals: each worker exports only what it recorded itself.
 5. CLI — ``--telemetry`` then ``report`` works end to end.
@@ -18,6 +17,7 @@ Contracts pinned here:
    skips parallel-speedup gates on a one-cpu box.
 """
 
+import ast
 import importlib.util
 import json
 import sys
@@ -32,12 +32,10 @@ from repro.harness.specs import RunSpec
 from repro.harness.store import ShardedDirStore
 from repro.workloads import base as workloads_base
 from repro.telemetry import (
-    HISTOGRAM_BUCKETS,
     NullTelemetry,
     Telemetry,
     get_telemetry,
     merge_snapshots,
-    strip_volatile_stats,
     telemetry_session,
 )
 
@@ -55,15 +53,17 @@ def small_spec(**args) -> RunSpec:
 # 1. Bus mechanics
 # ----------------------------------------------------------------------
 class TestBus:
-    def test_counters_gauges_accumulate(self):
+    def test_counters_accumulate(self):
         tel = Telemetry()
         tel.count("store.hits")
         tel.count("store.hits", 4)
-        tel.gauge("sweep.remaining", 9)
-        tel.gauge("sweep.remaining", 3)
+        tel.count("sim.wall_seconds", 0.25)  # float counters add too
+        tel.count("sim.wall_seconds", 0.5)
         snap = tel.snapshot()
         assert snap["counters"]["store.hits"] == 5
-        assert snap["gauges"]["sweep.remaining"] == 3
+        assert snap["counters"]["sim.wall_seconds"] == pytest.approx(0.75)
+        assert set(snap) >= {"counters", "spans"}
+        assert not set(snap) & {"gauges", "histograms"}
 
     def test_span_aggregates_count_minmax_errors(self):
         tel = Telemetry()
@@ -76,18 +76,6 @@ class TestBus:
         assert cell["count"] == 2
         assert cell["errors"] == 1
         assert 0 <= cell["min_s"] <= cell["max_s"] <= cell["total_s"]
-
-    def test_histogram_buckets_and_moments(self):
-        tel = Telemetry()
-        tel.observe("lat", 0.0002)   # second bucket (<= 0.0003)
-        tel.observe("lat", 2.0)      # <= 3.0 bucket
-        tel.observe("lat", 99.0)     # +inf
-        hist = tel.snapshot()["histograms"]["lat"]
-        assert hist["count"] == 3
-        assert hist["sum"] == pytest.approx(101.0002)
-        assert hist["inf"] == 1
-        assert hist["buckets"]["0.0003"] == 1
-        assert hist["buckets"]["3.0"] == 1
 
     def test_event_log_is_jsonl_per_worker_and_pid(self, tmp_path):
         tel = Telemetry(str(tmp_path), worker="w/1")
@@ -117,8 +105,6 @@ class TestBus:
         assert not null.enabled
         with null.span("x", anything=1):
             null.count("c")
-            null.gauge("g", 1)
-            null.observe("h", 1.0)
             null.event("e")
         assert null.snapshot() == {}
         assert null.export() is None
@@ -150,45 +136,35 @@ class TestSession:
             assert tel.snapshot()["counters"]["c"] == 2
             assert tel.export() is None
 
-    def test_strip_volatile_stats(self):
-        stats = {"cycles": 10, "telemetry.wall_seconds": 0.5}
-        stripped = strip_volatile_stats(stats)
-        assert stripped == {"cycles": 10}
-        clean = {"cycles": 10, "kernel.events_processed": 4}
-        # kernel.* is effort but reproducible: kept; same object returned
-        assert strip_volatile_stats(clean) is clean
-
     def test_merge_snapshots(self):
         a = Telemetry(worker="a")
         a.count("c", 1)
-        a.gauge("g", 10)
         with a.span("s"):
             pass
-        a.observe("h", 0.01)
         b = Telemetry(worker="b")
         b.count("c", 2)
-        b.gauge("g", 20)
+        b.count("b_only", 0.5)
         with b.span("s"):
             pass
-        b.observe("h", 5.0)
         snap_a, snap_b = a.snapshot(), b.snapshot()
-        snap_b["written_at"] = snap_a["written_at"] + 10  # b is newer
         merged = merge_snapshots([snap_a, snap_b])
         assert merged["workers"] == ["a", "b"]
-        assert merged["counters"]["c"] == 3
-        assert merged["gauges"]["g"] == 20  # latest write wins
-        assert merged["spans"]["s"]["count"] == 2
-        assert merged["histograms"]["h"]["count"] == 2
-        assert merged["histograms"]["h"]["sum"] == pytest.approx(5.01)
+        assert merged["counters"] == {"b_only": 0.5, "c": 3}
+        cell = merged["spans"]["s"]
+        assert cell["count"] == 2
+        assert cell["total_s"] == pytest.approx(
+            snap_a["spans"]["s"]["total_s"] + snap_b["spans"]["s"]["total_s"])
+        assert cell["max_s"] == max(snap_a["spans"]["s"]["max_s"],
+                                    snap_b["spans"]["s"]["max_s"])
+        assert set(merged) == {"workers", "counters", "spans"}
 
 
 # ----------------------------------------------------------------------
-# 3. Physics isolation
+# 3. Out-of-band observation
 # ----------------------------------------------------------------------
 class TestPhysicsIsolation:
-    def test_profiled_run_is_bit_identical_plus_telemetry_keys(
-            self, monkeypatch):
-        # rmw_spin elides polls, so every telemetry key reads positive.
+    def test_telemetry_run_result_equals_plain_run(self, monkeypatch):
+        # rmw_spin elides polls, so both kernel counters read positive.
         spec = RunSpec.make("primitive", mechanism="rmw_spin",
                             args={"primitive": "lock", "interval": 120,
                                   "rounds": 6}, overrides=SMALL)
@@ -201,22 +177,17 @@ class TestPhysicsIsolation:
             return collect(system, *args)
 
         monkeypatch.setattr(workloads_base, "collect_metrics", spy)
-        with telemetry_session():
-            profiled = execute_spec(spec)["result"]
+        with telemetry_session() as tel:
+            observed = execute_spec(spec)["result"]
+            counters = tel.snapshot()["counters"]
         assert observers == [[]]  # telemetry takes the fast drain
-        tel_keys = {k for k in profiled["stats"]
-                    if k.startswith("telemetry.")}
-        assert tel_keys  # the wall-clock timing was published
-        assert "telemetry.wall_seconds" in tel_keys
-        assert "telemetry.events_per_sec" in tel_keys
-        stripped = dict(profiled)
-        stripped["stats"] = {k: v for k, v in profiled["stats"].items()
-                             if k not in tel_keys}
-        assert stripped == plain  # physics bit-identical
-        for key in ("telemetry.wall_seconds", "telemetry.events_per_sec",
-                    "telemetry.elided_ratio",
-                    "telemetry.sim_seconds_per_wall_second"):
-            assert profiled["stats"][key] > 0
+        assert observed == plain
+        assert counters["sim.runs"] == 1
+        assert counters["sim.events_processed"] == (
+            plain["stats"]["kernel.events_processed"])
+        assert counters["sim.elided_events"] == (
+            plain["stats"]["kernel.elided_events"]) > 0
+        assert counters["sim.wall_seconds"] > 0
 
     def test_bus_counters_track_simulation(self):
         with telemetry_session() as tel:
@@ -224,23 +195,44 @@ class TestPhysicsIsolation:
             snap = tel.snapshot()
         assert snap["counters"]["sim.runs"] == 1
         assert snap["counters"]["sim.events_processed"] > 0
+        assert snap["counters"]["sim.wall_seconds"] > 0
         assert snap["spans"]["spec.execute"]["count"] == 1
 
     def test_store_records_never_carry_telemetry_keys(self, tmp_path):
+        # A telemetry-on writer and a telemetry-off writer of one spec
+        # leave byte-identical records: there is nothing to strip.
         spec = small_spec(rounds=5)
-        with telemetry_session():
+        with telemetry_session() as tel:
             with execution_options(cache=True,
-                                   store=f"dir:{tmp_path}/cache"):
-                results = run_specs([spec])
-        # caller still sees the wall-clock timing...
-        assert any(k.startswith("telemetry.")
-                   for k in results[0].stats)
-        # ...but the durable record is reproducible content only
-        store = ShardedDirStore(tmp_path / "cache")
-        record = store.get(spec.cache_key())
-        assert record is not None
-        assert not any(k.startswith("telemetry.")
-                       for k in record["result"]["stats"])
+                                   store=f"dir:{tmp_path}/on"):
+                observed = run_specs([spec])
+            spans = tel.snapshot()["spans"]
+        with execution_options(cache=True, store=f"dir:{tmp_path}/off"):
+            plain = run_specs([spec])
+        assert observed == plain
+        assert spans["store.publish"]["count"] == 1
+        key = spec.cache_key()
+        on = ShardedDirStore(tmp_path / "on").path_for(key).read_bytes()
+        off = ShardedDirStore(tmp_path / "off").path_for(key).read_bytes()
+        assert on == off
+        assert b"telemetry." not in on
+
+    def test_simulator_never_imports_telemetry(self):
+        src = Path(__file__).resolve().parent.parent / "src" / "repro"
+        importers = []
+        for package in ("sim", "core"):
+            for path in sorted((src / package).rglob("*.py")):
+                for node in ast.walk(ast.parse(path.read_text())):
+                    if isinstance(node, ast.ImportFrom):
+                        names = [node.module or ""]
+                    elif isinstance(node, ast.Import):
+                        names = [alias.name for alias in node.names]
+                    else:
+                        continue
+                    if any(name.startswith("repro.telemetry")
+                           for name in names):
+                        importers.append(path.name)
+        assert importers == []
 
     def test_store_counts_hits_and_misses(self, tmp_path):
         spec = small_spec(rounds=4)
@@ -300,8 +292,11 @@ class TestCli:
         assert cli.main(["report", str(tel_dir)]) == 0
         out = capsys.readouterr().out
         assert "spec.execute" in out
+        assert "store.publish" in out
         assert "sim.events_processed" in out
+        assert "sim.wall_seconds" in out
         assert "session.start" in out
+        assert "gauges" not in out and "histograms" not in out
 
     def test_report_empty_dir_exits_2(self, tmp_path, capsys):
         assert cli.main(["report", str(tmp_path)]) == 2
