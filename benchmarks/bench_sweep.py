@@ -33,7 +33,7 @@ if str(REPO_ROOT / "src") not in sys.path:
 
 from repro.harness import runner as runner_mod  # noqa: E402
 from repro.harness.experiments import fig12  # noqa: E402
-from repro.harness.runner import execution_options, run_plan  # noqa: E402
+from repro.harness.runner import run_plan  # noqa: E402
 
 #: the fixed Fig. 12 subset (one graph kernel per contention flavour + ts).
 COMBOS = ("bfs.wk", "cc.sl", "tc.wk", "ts.air")
@@ -45,8 +45,8 @@ MATRIX = len(COMBOS) * len(MECHANISMS)
 def _timed_fig12(workers: int, store: str) -> tuple:
     runner_mod.STATS.reset()
     start = time.perf_counter()
-    with execution_options(workers=workers, cache=True, store=store):
-        rows = run_plan(fig12(combos=COMBOS, mechanisms=MECHANISMS))
+    rows = run_plan(fig12(combos=COMBOS, mechanisms=MECHANISMS),
+                    workers=workers, cache=True, store=store)
     elapsed = time.perf_counter() - start
     return rows, elapsed, runner_mod.STATS.executed
 

@@ -70,6 +70,8 @@ CI_COMMANDS: Tuple[Tuple[str, ...], ...] = (
      "--store", "{tmp}/cache"),
     ("cache", "verify", "--store", "{tmp}/cache"),
     ("cache", "stats", "--store", "{tmp}/cache", "--json"),
+    ("cache", "gc", "--store", "{tmp}/cache", "--json"),
+    ("cache", "stats", "--store", "{tmp}/cache", "--json"),
     ("run", "ext_rwlock", "--arg", "read_pcts=50", "--no-cache"),
     ("run", "fig12", "--arg", "combo=bfs.wk"),
     ("run", "sweep", "--arg", "workloads=lock,barrier",
@@ -180,8 +182,6 @@ def _examples() -> None:
 
 def record_calls() -> Set[Tuple[str, int]]:
     """Run the loop; the ``(file, co_firstlineno)`` of every called code."""
-    from repro.harness.runner import execution_options
-
     seen: Set = set()
     add = seen.add
 
@@ -195,9 +195,8 @@ def record_calls() -> Set[Tuple[str, int]]:
         threading.setprofile(hook)
         sys.setprofile(hook)
         try:
-            with execution_options(workers=1, cache=False):
-                _experiments()
-                _e2ebench()
+            _experiments()
+            _e2ebench()
             _ci_commands(tmp)
             _benchmarks(tmp)
             _examples()

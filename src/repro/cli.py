@@ -46,13 +46,7 @@ from typing import Dict, List, Tuple
 
 from repro.harness.registry import EXPERIMENTS, find
 from repro.harness.reporting import format_table
-from repro.harness.runner import (
-    STATS,
-    ExecutionOptions,
-    execution_options,
-    probe_specs,
-    run_plan,
-)
+from repro.harness.runner import STATS, default_store_url, probe_specs, run_plan
 from repro.harness.store import StoreError, open_store
 
 
@@ -186,8 +180,8 @@ def cmd_run(args) -> int:
         return 2
     if args.dry_run:
         specs = plan[0]
-        with execution_options(cache=not args.no_cache, store=args.store):
-            statuses = probe_specs(specs)
+        statuses = probe_specs(specs, cache=not args.no_cache,
+                               store=args.store)
         print(format_table([{"run": spec.describe(), "status": status}
                             for spec, status in zip(specs, statuses)],
                            title=f"{name} (dry run)"))
@@ -196,12 +190,16 @@ def cmd_run(args) -> int:
               f"{statuses.count('simulate')} to simulate, "
               f"{statuses.count('duplicate')} deduplicated", file=sys.stderr)
         return 0
+    workers, cache = args.workers, not args.no_cache
+    if args.sanitize:
+        # A sanitized run is a debug run: it must simulate (a cache hit
+        # would observe nothing) in this process (worker subprocesses do
+        # not share the process-local sanitizer session).
+        workers, cache = 1, False
     STATS.reset()
     with _telemetry_scope(args.telemetry), \
-            _sanitizer_scope(args.sanitize) as sanitizer, \
-            execution_options(workers=args.workers, cache=not args.no_cache,
-                              store=args.store, sanitize=args.sanitize):
-        result = run_plan(plan)
+            _sanitizer_scope(args.sanitize) as sanitizer:
+        result = run_plan(plan, workers, cache, args.store)
     _print_result(name, result)
     print(f"[runner] {STATS.summary()}", file=sys.stderr)
     if args.plot:
@@ -221,16 +219,11 @@ def cmd_run(args) -> int:
 # ----------------------------------------------------------------------
 # cache: inspect and maintain the content-addressed result store
 # ----------------------------------------------------------------------
-def _open_cli_store(args):
-    """The store a ``--store`` flag names (default ``dir:$REPRO_CACHE_DIR``)."""
-    return open_store(ExecutionOptions(store=args.store).resolved_store_url())
-
-
 def cmd_cache(args) -> int:
     import json as _json
 
     try:
-        store = _open_cli_store(args)
+        store = open_store(args.store or default_store_url())
         if args.action == "stats":
             report = store.stats()
         elif args.action == "verify":

@@ -10,14 +10,9 @@ compiles the figure planners or the table formatting.  Import those
 submodules by name (``from repro.harness import experiments``).
 """
 
-from repro.harness.runner import (
-    execution_options,
-    run_plan,
-    run_specs,
-    set_execution_options,
-)
+from repro.harness.runner import run_plan, run_specs
 from repro.harness.specs import RunSpec
 from repro.harness.store import ShardedDirStore, open_store
 
-__all__ = ["RunSpec", "run_plan", "run_specs", "execution_options",
-           "set_execution_options", "ShardedDirStore", "open_store"]
+__all__ = ["RunSpec", "run_plan", "run_specs", "ShardedDirStore",
+           "open_store"]

@@ -51,75 +51,6 @@ Plan = Tuple[Tuple[RunSpec, ...], Callable[[Mapping[RunSpec, RunResult]], Any]]
 
 
 # ----------------------------------------------------------------------
-# Execution options (how the CLI hands --workers/--store to run_specs)
-# ----------------------------------------------------------------------
-class ExecutionOptions:
-    """Active sweep-execution policy; run_specs reads it via the module state."""
-
-    def __init__(self, workers: int = 1, cache: bool = False,
-                 store: Optional[str] = None, sanitize: bool = False):
-        self.workers = workers
-        self.cache = cache
-        #: store url (``dir:PATH`` or a bare path); None = the deployment
-        #: default, ``dir:$REPRO_CACHE_DIR`` (see :meth:`resolved_store_url`).
-        self.store = store
-        #: run the determinism sanitizer (``--sanitize``): simulators record
-        #: per-cycle access sets and flag same-cycle ordering hazards.
-        #: Forces the cache off (the debug run must actually execute) and
-        #: the in-process path (worker subprocesses would not share the
-        #: process-local sanitizer session).
-        self.sanitize = sanitize
-
-    def resolved_store_url(self) -> str:
-        """The store to open: ``store``, else ``dir:$REPRO_CACHE_DIR``
-        (default ``.repro-cache``)."""
-        return self.store or "dir:" + os.environ.get("REPRO_CACHE_DIR",
-                                                     ".repro-cache")
-
-
-_OPTIONS = ExecutionOptions()
-
-#: ExecutionOptions fields settable through the helpers below.
-_OPTION_FIELDS = ("workers", "cache", "store", "sanitize")
-
-
-def set_execution_options(workers: Optional[int] = None,
-                          cache: Optional[bool] = None,
-                          store: Optional[str] = None,
-                          sanitize: Optional[bool] = None) -> None:
-    if workers is not None:
-        if workers < 1:
-            raise ValueError("workers must be >= 1")
-        _OPTIONS.workers = workers
-    if cache is not None:
-        _OPTIONS.cache = cache
-    if store is not None:
-        _OPTIONS.store = store or None
-    if sanitize is not None:
-        _OPTIONS.sanitize = sanitize
-
-
-def get_execution_options() -> ExecutionOptions:
-    return _OPTIONS
-
-
-@contextlib.contextmanager
-def execution_options(workers: Optional[int] = None,
-                      cache: Optional[bool] = None,
-                      store: Optional[str] = None,
-                      sanitize: Optional[bool] = None):
-    """Temporarily override the active execution policy."""
-    previous = {name: getattr(_OPTIONS, name) for name in _OPTION_FIELDS}
-    try:
-        set_execution_options(workers=workers, cache=cache, store=store,
-                              sanitize=sanitize)
-        yield _OPTIONS
-    finally:
-        for name, value in previous.items():
-            setattr(_OPTIONS, name, value)
-
-
-# ----------------------------------------------------------------------
 # Stats (lets the CLI and tests observe hit/miss behaviour)
 # ----------------------------------------------------------------------
 class RunnerStats:
@@ -246,39 +177,36 @@ def _run_pool(pending: Dict[str, RunSpec], workers: int, finish) -> None:
 # ----------------------------------------------------------------------
 # Sweep execution
 # ----------------------------------------------------------------------
-def _open_result_store(use_cache: bool,
+def default_store_url() -> str:
+    """The store a call names when it gives none: ``dir:$REPRO_CACHE_DIR``
+    (default ``.repro-cache``)."""
+    return "dir:" + os.environ.get("REPRO_CACHE_DIR", ".repro-cache")
+
+
+def _open_result_store(cache: bool,
                        store: Optional[str]) -> Optional[ShardedDirStore]:
     """The store a call reads and writes (None when caching is off):
-    ``store`` if given, else the active options' resolved url."""
-    if not use_cache:
+    ``store`` if given, else :func:`default_store_url`."""
+    if not cache:
         return None
-    return open_store(store or get_execution_options().resolved_store_url())
+    return open_store(store or default_store_url())
 
 
-def run_specs(specs: Sequence[RunSpec], workers: Optional[int] = None,
-              cache: Optional[bool] = None,
+def run_specs(specs: Sequence[RunSpec], workers: int = 1, cache: bool = False,
               store: Optional[str] = None) -> List[RunResult]:
     """Execute specs (deduplicated) and return results in spec order.
 
-    All knobs default to the active :class:`ExecutionOptions` (library
-    default: one worker, no cache).  Misses run in this process through
-    :func:`execute_spec` when one worker is asked for or only one spec is
-    pending, else in a process pool (see the module docstring).
+    With ``cache`` the results are read from and written to ``store``
+    (default :func:`default_store_url`).  Misses run in this process
+    through :func:`execute_spec` when one worker is asked for or only one
+    spec is pending, else in a pool of up to ``workers`` processes (see
+    the module docstring).
     """
-    options = get_execution_options()
-    workers = options.workers if workers is None else workers
-    use_cache = options.cache if cache is None else cache
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    if options.sanitize:
-        # Sanitized runs are debug runs: they must actually execute (a
-        # cache hit would observe nothing) and the process-local sanitizer
-        # session is invisible to worker subprocesses.
-        use_cache = False
-        workers = 1
 
     keys = [spec.cache_key() for spec in specs]
-    result_store = _open_result_store(use_cache, store)
+    result_store = _open_result_store(cache, store)
 
     # Deduplicate: identical specs simulate once per sweep.
     results_by_key: Dict[str, RunResult] = {}
@@ -312,7 +240,7 @@ def run_specs(specs: Sequence[RunSpec], workers: Optional[int] = None,
     return [results_by_key[key] for key in keys]
 
 
-def probe_specs(specs: Sequence[RunSpec], cache: Optional[bool] = None,
+def probe_specs(specs: Sequence[RunSpec], cache: bool = False,
                 store: Optional[str] = None) -> List[str]:
     """Classify each spec against the store WITHOUT executing anything.
 
@@ -322,8 +250,7 @@ def probe_specs(specs: Sequence[RunSpec], cache: Optional[bool] = None,
     This is the ``repro run --dry-run`` backend; with caching disabled every
     non-duplicate spec reports ``"simulate"``.
     """
-    use_cache = get_execution_options().cache if cache is None else cache
-    result_store = _open_result_store(use_cache, store)
+    result_store = _open_result_store(cache, store)
     statuses = []
     seen = set()
     for spec in specs:
@@ -337,7 +264,8 @@ def probe_specs(specs: Sequence[RunSpec], cache: Optional[bool] = None,
     return statuses
 
 
-def run_plan(plan: Plan):
+def run_plan(plan: Plan, workers: int = 1, cache: bool = False,
+             store: Optional[str] = None):
     """Run a plan's specs through :func:`run_specs` and render its rows."""
     specs, render = plan
-    return render(dict(zip(specs, run_specs(specs))))
+    return render(dict(zip(specs, run_specs(specs, workers, cache, store))))

@@ -246,7 +246,7 @@ class Telemetry:
 
 
 # ----------------------------------------------------------------------
-# The active bus (process-local, like the runner's ExecutionOptions)
+# The active bus (process-local)
 # ----------------------------------------------------------------------
 NULL = NullTelemetry()
 _ACTIVE: "NullTelemetry | Telemetry" = NULL

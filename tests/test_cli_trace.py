@@ -124,6 +124,24 @@ class TestCliCommands:
         assert ("[dry-run] 104 runs: 0 cached, 104 to simulate, "
                 "0 deduplicated") in out.err
 
+    def test_sanitize_runs_uncached_in_one_process(self, tmp_path,
+                                                 monkeypatch, capsys):
+        argv = ["run", "fig10", "--arg", "primitive=lock",
+                "--arg", "intervals=200", "--arg", "rounds=2",
+                "--arg", "mechanisms=central,syncron",
+                "--store", str(tmp_path)]
+        assert main(argv) == 0
+        assert "[runner] 2 runs: 2 simulated" in capsys.readouterr().err
+
+        def pool(*_args):
+            raise AssertionError("a sanitized run started a worker pool")
+
+        monkeypatch.setattr(runner, "_run_pool", pool)
+        assert main(argv + ["--sanitize", "--workers", "2"]) == 0
+        err = capsys.readouterr().err
+        assert "[runner] 2 runs: 2 simulated, 0 served from cache" in err
+        assert "[sanitize]" in err
+
     def test_run_isolation_reports_identical_rows(self, capsys):
         code = main(["run", "isolation", "--arg", "descs=lock",
                      "--arg", "mechanisms=syncron,central",

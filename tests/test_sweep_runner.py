@@ -9,7 +9,7 @@ import pytest
 from repro.harness import runner as runner_mod
 from repro.harness.runner import (
     execute_spec,
-    execution_options,
+    probe_specs,
     run_plan,
     run_specs,
 )
@@ -235,6 +235,49 @@ class TestResultCache:
         assert warm == row
 
 
+class TestExecutionPolicy:
+    """The sweep policy is each call's arguments; no module state holds it."""
+
+    def test_library_defaults_touch_no_store(self, tmp_path, monkeypatch):
+        cache_dir = tmp_path / "cache"
+        cache_dir.mkdir()
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(cache_dir))
+        spec = _lock_spec()
+        runner_mod.STATS.reset()
+        run_specs([spec])
+        run_plan(((spec,), lambda results: results[spec]))
+        assert probe_specs([spec]) == ["simulate"]
+        assert list(cache_dir.iterdir()) == []
+        run_specs([spec])  # nothing was stored, so it simulates again
+        assert runner_mod.STATS.executed == 3
+        assert runner_mod.STATS.cache_hits == 0
+
+    def test_cache_without_a_store_uses_the_default_store(self, tmp_path,
+                                                          monkeypatch):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        spec = _lock_spec()
+        run_specs([spec], cache=True)
+        assert _entry_path(tmp_path, spec).is_file()
+        assert probe_specs([spec], cache=True) == ["cached"]
+
+    def test_probe_specs_predicts_run_specs(self, tmp_path):
+        store = str(tmp_path)
+        stored, fresh = _lock_spec(), _lock_spec(mechanism="central")
+        run_specs([stored], cache=True, store=store)
+        specs = [stored, fresh, fresh]
+        assert probe_specs(specs, cache=True, store=store) == [
+            "cached", "simulate", "duplicate"]
+        stats = runner_mod.STATS
+        before = (stats.cache_hits, stats.executed, stats.deduplicated)
+        run_specs(specs, cache=True, store=store)
+        after = (stats.cache_hits, stats.executed, stats.deduplicated)
+        assert [b - a for a, b in zip(before, after)] == [1, 1, 1]
+
+    def test_zero_workers_is_rejected(self):
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            run_specs([_lock_spec()], workers=0)
+
+
 class TestParallelDeterminism:
     def test_parallel_matches_serial_on_fig12_subset(self):
         from repro.harness.experiments import fig12
@@ -242,8 +285,8 @@ class TestParallelDeterminism:
         combos = ("tc.wk", "bfs.wk")
         mechanisms = ("central", "syncron")
         serial = run_plan(fig12(combos=combos, mechanisms=mechanisms))
-        with execution_options(workers=2):
-            parallel = run_plan(fig12(combos=combos, mechanisms=mechanisms))
+        parallel = run_plan(fig12(combos=combos, mechanisms=mechanisms),
+                            workers=2)
         assert parallel == serial
 
     def test_parallel_run_specs_order_matches_spec_order(self):

@@ -27,7 +27,7 @@ import pytest
 
 from repro import cli
 from repro.harness.reporting import format_table
-from repro.harness.runner import execute_spec, execution_options, run_specs
+from repro.harness.runner import execute_spec, run_specs
 from repro.harness.specs import RunSpec
 from repro.harness.store import ShardedDirStore
 from repro.workloads import base as workloads_base
@@ -203,12 +203,10 @@ class TestPhysicsIsolation:
         # leave byte-identical records: there is nothing to strip.
         spec = small_spec(rounds=5)
         with telemetry_session() as tel:
-            with execution_options(cache=True,
-                                   store=f"dir:{tmp_path}/on"):
-                observed = run_specs([spec])
+            observed = run_specs([spec], cache=True,
+                                 store=f"dir:{tmp_path}/on")
             spans = tel.snapshot()["spans"]
-        with execution_options(cache=True, store=f"dir:{tmp_path}/off"):
-            plain = run_specs([spec])
+        plain = run_specs([spec], cache=True, store=f"dir:{tmp_path}/off")
         assert observed == plain
         assert spans["store.publish"]["count"] == 1
         key = spec.cache_key()
@@ -237,10 +235,9 @@ class TestPhysicsIsolation:
     def test_store_counts_hits_and_misses(self, tmp_path):
         spec = small_spec(rounds=4)
         with telemetry_session() as tel:
-            with execution_options(cache=True,
-                                   store=f"dir:{tmp_path}/cache"):
-                run_specs([spec])
-                run_specs([spec])  # warm: served from the store
+            store = f"dir:{tmp_path}/cache"
+            run_specs([spec], cache=True, store=store)
+            run_specs([spec], cache=True, store=store)  # warm: from the store
             counters = tel.snapshot()["counters"]
         assert counters["store.misses"] >= 1
         assert counters["store.publishes"] == 1
