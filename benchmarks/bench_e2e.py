@@ -6,9 +6,12 @@ Run directly::
         [--seed 0] [--seconds 23]
 
 Runs ``python3 e2ebench/run.py --workload W --seed S --seconds N --trace 0``
-and then one short ``--trace 1`` run for each of ``apps``, ``structures``
-and ``spin``, each in its own process exactly as that script is meant to be
-run, and records from their final JSON lines:
+three times and then one short ``--trace 1`` run for each of ``apps``,
+``structures`` and ``spin``, each in its own process exactly as that script
+is meant to be run, and records from their final JSON lines (each
+end-to-end metric as the median of the three untraced runs, because one
+run's reading moves by the host's run-to-run noise, 5-9% on a shared
+2-vCPU host):
 
 - ``wall_s`` — the median host time of one pass over the workload's spec
   list, and ``spec_p90_s`` — the 90th percentile of one spec's host time.
@@ -31,7 +34,7 @@ run, and records from their final JSON lines:
   lets the counts not rise and ``engine_elided`` not fall.  The traced
   run's self-seconds are not recorded: they spread about ±25% between runs
   of one tree on a shared host.
-- ``attempted`` / ``failed`` — spec executions of both runs, and those
+- ``attempted`` / ``failed`` — spec executions of all runs, and those
   whose physics digest differs from the committed
   ``e2ebench/digests.json``; the gate expects ``failed`` to be 0.
 
@@ -43,6 +46,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import statistics
 import subprocess
 import sys
 from pathlib import Path
@@ -50,7 +54,10 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 RUNNER = REPO_ROOT / "e2ebench" / "run.py"
 WORKLOADS = ("apps", "structures", "spin")
-#: end-to-end metrics recorded per workload from the untraced run.
+#: untraced e2ebench runs per workload; the end-to-end metrics are their
+#: medians.
+RUNS = 3
+#: end-to-end metrics recorded per workload from the untraced runs.
 METRICS = ("wall_s", "spec_p90_s", "peak_rss_mb", "setup_s")
 #: the traced run's work counts, recorded under ``work`` with ``_`` for
 #: e2ebench's ``.`` (the gate's paths are dotted).
@@ -69,19 +76,24 @@ def e2ebench(workload: str, seed: int, seconds: float, trace: int) -> dict:
     return json.loads(completed.stdout.strip().splitlines()[-1])
 
 
-def run_workload(workload: str, seed: int, seconds: float) -> dict:
-    """An untraced and a one-round traced e2ebench run; their recorded
-    metrics and digest counts."""
-    result = e2ebench(workload, seed, seconds, trace=0)
+def run_workload(workload: str, seed: int, seconds: float,
+                 runs: int = RUNS) -> dict:
+    """``runs`` untraced and one one-round traced e2ebench run; the median
+    of each untraced metric, the traced work counts and all runs' digest
+    counts."""
+    results = [e2ebench(workload, seed, seconds, trace=0)
+               for _ in range(runs)]
     # the traced run's budget is nominal: it always makes one round.
     traced = e2ebench(workload, seed, 1, trace=1)
-    row = {name: result["metrics"][name]["value"] for name in METRICS}
+    row = {name: statistics.median(r["metrics"][name]["value"]
+                                   for r in results)
+           for name in METRICS}
     row["work"] = {name.replace(".", "_"):
                    int(traced["metrics"][name]["value"])
                    for name in WORK_COUNTS}
     row["engine_elided"] = int(traced["metrics"]["engine.elided"]["value"])
-    row["attempted"] = result["attempted"] + traced["attempted"]
-    row["failed"] = result["failed"] + traced["failed"]
+    row["attempted"] = sum(r["attempted"] for r in results + [traced])
+    row["failed"] = sum(r["failed"] for r in results + [traced])
     return row
 
 
@@ -117,7 +129,7 @@ def main(argv=None) -> int:
 # pytest entry point (collected via python_files = bench_*.py): one short
 # run of the cheapest workload, so the benchmark path itself is exercised.
 def test_e2e_bench_smoke():
-    row = run_workload("spin", seed=0, seconds=1)
+    row = run_workload("spin", seed=0, seconds=1, runs=1)
     assert row["attempted"] > 0 and row["failed"] == 0
     assert row["wall_s"] > 0 and row["spec_p90_s"] > 0 and row["setup_s"] > 0
     assert row["peak_rss_mb"] > 0 and row["work"]["engine_events"] > 0

@@ -239,17 +239,15 @@ def _sparse_timeline_current(n_chains: int, n_ticks: int) -> int:
 
 # ----------------------------------------------------------------------
 # Poll storm: N spinners on one contended flag — the shape the spin
-# baselines (rmw_spin/bakery) generate.  Three implementations:
+# baselines (rmw_spin/bakery) generate.  Two implementations:
 #
 # - legacy:   free-running poll chains on the seed kernel (one event per
 #             poll per waiter, the pre-wait-channel idiom),
-# - explicit: wait-channels with elision OFF (the burn chain materializes
-#             every poll tick, wakes computed by the same arithmetic),
-# - elided:   wait-channels with elision ON (no poll events at all; the
-#             skipped ticks are counted in ``Simulator.elided_events``).
+# - elided:   wait-channels (no poll events at all; the skipped ticks are
+#             counted in ``Simulator.elided_events``).
 #
 # Throughput is reported in LOGICAL events/sec — (processed + elided) per
-# wall-clock second — so the three variants are compared on the same work.
+# wall-clock second — so the two variants are compared on the same work.
 # ----------------------------------------------------------------------
 def _poll_storm_legacy(n_waiters: int, target: int,
                        period: int = 5, cs: int = 200) -> tuple:
@@ -278,9 +276,9 @@ def _poll_storm_legacy(n_waiters: int, target: int,
     return sim._events_processed, 0
 
 
-def _poll_storm_channel(n_waiters: int, target: int, elide: bool,
+def _poll_storm_channel(n_waiters: int, target: int,
                         period: int = 5, cs: int = 200) -> tuple:
-    sim = Simulator(elide_waits=elide)
+    sim = Simulator()
     channel = sim.channel("storm")
     flag = [0]
     acquired = [0]
@@ -308,15 +306,12 @@ def _poll_storm_channel(n_waiters: int, target: int, elide: bool,
 
 
 def poll_storm_bench(n_waiters: int = 32, target: int = 300) -> dict:
-    """Legacy vs explicit vs elided throughput on the spin-storm shape."""
+    """Legacy vs elided throughput on the spin-storm shape."""
     results = {}
-    for name, fn, args in (
-        ("legacy", _poll_storm_legacy, (n_waiters, target)),
-        ("explicit", _poll_storm_channel, (n_waiters, target, False)),
-        ("elided", _poll_storm_channel, (n_waiters, target, True)),
-    ):
+    for name, fn in (("legacy", _poll_storm_legacy),
+                     ("elided", _poll_storm_channel)):
         start = time.perf_counter()
-        processed, elided = fn(*args)
+        processed, elided = fn(n_waiters, target)
         elapsed = time.perf_counter() - start
         logical = processed + elided
         results[name] = {
@@ -328,11 +323,6 @@ def poll_storm_bench(n_waiters: int = 32, target: int = 300) -> dict:
                 logical / elapsed if elapsed > 0 else float("inf")
             ),
         }
-    explicit = results["explicit"]["logical_events_per_sec"]
-    results["elision_speedup_vs_explicit"] = (
-        results["elided"]["logical_events_per_sec"] / explicit
-        if explicit else float("inf")
-    )
     results["elision_speedup_vs_legacy"] = (
         results["elided"]["logical_events_per_sec"]
         / results["legacy"]["logical_events_per_sec"]
@@ -421,9 +411,7 @@ def end_to_end() -> dict:
 
 
 # ----------------------------------------------------------------------
-# End-to-end elision: the same spin-baseline workload with wait-elision
-# OFF vs ON.  Cycles and physics counters must be bit-identical (the CI
-# determinism diff checks that broadly); this records the wall-clock win.
+# End-to-end spin: a spin-baseline workload whose waits the kernel elides.
 # ----------------------------------------------------------------------
 def end_to_end_spin(rounds: int = 60, cs_cycles: int = 600) -> dict:
     from repro.core import api
@@ -431,50 +419,33 @@ def end_to_end_spin(rounds: int = 60, cs_cycles: int = 600) -> dict:
     from repro.sim.program import Compute
     from repro.sim.system import NDPSystem
 
-    results = {}
-    for label, elide in (("explicit", False), ("elided", True)):
-        config = ndp_2_5d(
-            num_units=2, cores_per_unit=5, client_cores_per_unit=4,
-        ).with_(elide_waits=elide)
-        system = NDPSystem(config, mechanism="rmw_spin")
-        lock = system.create_syncvar(name="bench_spin")
-        counter = [0]
+    config = ndp_2_5d(num_units=2, cores_per_unit=5, client_cores_per_unit=4)
+    system = NDPSystem(config, mechanism="rmw_spin")
+    lock = system.create_syncvar(name="bench_spin")
+    counter = [0]
 
-        # A non-trivial critical section is the spin baselines' worst case:
-        # every other core burns backoff polls for the whole hold time.
-        def worker():
-            for _ in range(rounds):
-                yield api.lock_acquire(lock)
-                counter[0] += 1
-                yield Compute(cs_cycles)
-                yield api.lock_release(lock)
+    # A non-trivial critical section is the spin baselines' worst case:
+    # every other core polls with backoff for the whole hold time.
+    def worker():
+        for _ in range(rounds):
+            yield api.lock_acquire(lock)
+            counter[0] += 1
+            yield Compute(cs_cycles)
+            yield api.lock_release(lock)
 
-        programs = {core.core_id: worker() for core in system.cores}
-        start = time.perf_counter()
-        makespan = system.run_programs(programs)
-        elapsed = time.perf_counter() - start
-        results[label] = {
-            "simulated_cycles": makespan,
-            "events_processed": system.sim.events_processed,
-            "elided_events": system.sim.elided_events,
-            "seconds": elapsed,
-            "critical_sections": counter[0],
-        }
-    if results["explicit"]["simulated_cycles"] != results["elided"]["simulated_cycles"]:
-        raise AssertionError(
-            "elision changed the simulated makespan: "
-            f"{results['explicit']['simulated_cycles']} vs "
-            f"{results['elided']['simulated_cycles']}"
-        )
-    results["config"] = (
-        f"2 units x 4 clients, rmw_spin, lock x{rounds} "
-        f"(cs={cs_cycles} cycles)"
-    )
-    results["wall_clock_speedup"] = (
-        results["explicit"]["seconds"] / results["elided"]["seconds"]
-        if results["elided"]["seconds"] else float("inf")
-    )
-    return results
+    programs = {core.core_id: worker() for core in system.cores}
+    start = time.perf_counter()
+    makespan = system.run_programs(programs)
+    elapsed = time.perf_counter() - start
+    return {
+        "config": (f"2 units x 4 clients, rmw_spin, lock x{rounds} "
+                   f"(cs={cs_cycles} cycles)"),
+        "simulated_cycles": makespan,
+        "events_processed": system.sim.events_processed,
+        "elided_events": system.sim.elided_events,
+        "seconds": elapsed,
+        "critical_sections": counter[0],
+    }
 
 
 def main(argv=None) -> int:
@@ -504,22 +475,19 @@ def main(argv=None) -> int:
           f"  current {overall['current_events_per_sec']:>12,.0f}"
           f"  speedup {overall['speedup']:.2f}x")
     print("poll storm (logical events/sec):")
-    for name in ("legacy", "explicit", "elided"):
+    for name in ("legacy", "elided"):
         r = storm[name]
         print(f"  {name:18s} {r['logical_events_per_sec']:>14,.0f}"
               f"  ({r['events_processed']:,} processed"
               f" + {r['elided_events']:,} elided)")
-    print(f"  elision speedup: {storm['elision_speedup_vs_explicit']:.1f}x"
-          f" vs explicit, {storm['elision_speedup_vs_legacy']:.1f}x vs legacy")
+    print(f"  elision speedup: {storm['elision_speedup_vs_legacy']:.1f}x"
+          f" vs legacy")
     print(f"end-to-end: {e2e['events']:,} events in {e2e['seconds']:.2f}s"
           f" -> {e2e['events_per_sec']:,.0f} events/sec"
           f" ({e2e['simulated_cycles']:,} simulated cycles)")
-    print(f"end-to-end spin (rmw_spin): {spin['wall_clock_speedup']:.2f}x"
-          f" wall-clock with elision"
-          f" ({spin['explicit']['seconds']:.2f}s -> "
-          f"{spin['elided']['seconds']:.2f}s,"
-          f" {spin['elided']['elided_events']:,} polls elided,"
-          f" cycles identical)")
+    print(f"end-to-end spin (rmw_spin): {spin['events_processed']:,} events"
+          f" + {spin['elided_events']:,} elided in {spin['seconds']:.2f}s"
+          f" ({spin['simulated_cycles']:,} simulated cycles)")
 
     args.output.write_text(json.dumps(report, indent=2) + "\n")
     print(f"wrote {args.output}")
@@ -535,17 +503,20 @@ def test_kernel_bench_smoke():
 
 
 def test_poll_storm_elision_speedup():
-    """Elision must beat materialized polling by >= 3x on the storm shape."""
+    """Elision must beat the seed kernel's poll chains by >= 3x on the
+    storm shape."""
     storm = poll_storm_bench(n_waiters=32, target=150)
     assert storm["elided"]["logical_events"] > 0
     assert storm["elided"]["elided_events"] > storm["elided"]["events_processed"]
-    assert storm["elision_speedup_vs_explicit"] >= 3.0
+    assert storm["elision_speedup_vs_legacy"] >= 3.0
 
 
-def test_end_to_end_spin_identical_cycles():
-    """The rmw_spin workload's makespan is elision-invariant (asserted inside)."""
+def test_end_to_end_spin_elides():
+    """The rmw_spin workload runs every critical section with its polls
+    elided."""
     spin = end_to_end_spin(rounds=8)
-    assert spin["elided"]["elided_events"] > 0
+    assert spin["critical_sections"] == 8 * 8
+    assert spin["elided_events"] > 0
 
 
 if __name__ == "__main__":

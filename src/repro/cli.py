@@ -63,6 +63,17 @@ def _parse_value(text: str):
     return text
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for counts that must be >= 1 (exit 2 otherwise)."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _key_value(flag: str, item: str) -> Tuple[str, object]:
     """``KEY=VALUE`` split and parsed; ValueError (exit 2) without ``=``."""
     if "=" not in item:
@@ -413,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
                           "access sets and flag same-cycle ordering hazards "
                           "(debug mode: forces --no-cache and one worker; "
                           "non-zero exit on hazards)")
-    run.add_argument("--workers", type=int, default=1, metavar="N",
+    run.add_argument("--workers", type=_positive_int, default=1, metavar="N",
                      help="worker processes simulating the cache misses "
                           "(default 1)")
     run.add_argument("--no-cache", action="store_true",

@@ -89,7 +89,6 @@ def source_epoch() -> str:
 
 #: CLI-friendly aliases for SystemConfig override fields.
 CONFIG_ALIASES = {
-    "elide": "elide_waits",
     "fault_rate": "fault_link_rate",
     "link_latency": "link_latency_ns",
     "st": "st_entries",

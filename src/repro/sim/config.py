@@ -216,11 +216,6 @@ class SystemConfig(Frozen):
     # --- spin-wait baselines (remote atomics / bakery, Sec. 2.2.1) ------
     #: cycles a spinning core waits between failed retries.
     spin_backoff_cycles: int = 32
-    #: elide spin-wait poll chains in the event kernel (wake times computed
-    #: arithmetically; bit-identical simulated cycles/energy/traffic to
-    #: ``False``, which materializes every poll as an event — kept as a
-    #: switch for the determinism diff and debugging).
-    elide_waits: bool = True
 
     # --- server-core cost model (Central/Hier baselines) ----------------
     #: instructions a server core spends decoding/handling one message.
@@ -366,8 +361,6 @@ class SystemConfig(Frozen):
             raise ValueError("server handler instruction count must be >= 0")
         if self.server_handler_accesses < 0:
             raise ValueError("server handler access count must be >= 0")
-        if not isinstance(self.elide_waits, bool):
-            raise ValueError("elide_waits must be a bool")
         if not isinstance(self.seed, int) or isinstance(self.seed, bool):
             raise ValueError("seed must be an int")
         if not isinstance(self.fault_seed, int) \

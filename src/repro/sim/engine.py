@@ -66,15 +66,10 @@ timestamp ``>= T`` in O(1)::
 
 and schedules the waiter's callback there, passing the number of checks
 that would have failed strictly before ``wake``.  The wake cycle is
-*exactly* the cycle the explicit poll chain would have succeeded on, so
-eliding is invisible to simulated time.
-
-``Simulator(elide_waits=False)`` keeps the wait arithmetic (wake cycles and
-poll counts are computed identically) but additionally materializes one
-no-op "burn" event per would-be poll, reproducing the explicit chain's
-event volume.  Comparing the two modes is the determinism check: cycles,
-energy, and every traffic counter must match bit-for-bit; only
-``events_processed`` (burn events) and ``elided_events`` differ.
+*exactly* the cycle the poll chain would have succeeded on, so
+eliding is invisible to simulated time.  ``Simulator.elided_events``
+counts the events the chain would have run: the failed polls plus the
+poll already armed for the wake cycle, ``polls + 1`` per parked waiter.
 
 Observers
 ---------
@@ -110,14 +105,13 @@ class SimulationError(RuntimeError):
 class _Waiter:
     """One registered wait: the poll arithmetic plus the wake callback."""
 
-    __slots__ = ("t0", "period", "callback", "args", "alive")
+    __slots__ = ("t0", "period", "callback", "args")
 
     def __init__(self, t0: int, period: int, callback, args):
         self.t0 = t0
         self.period = period
         self.callback = callback
         self.args = args
-        self.alive = True
 
 
 class WaitChannel:
@@ -180,37 +174,19 @@ class WaitChannel:
         t0 = sim.now + first_delay
         if seen is not None and seen != self.signals:
             # Lost-wakeup guard: the state changed between observation and
-            # registration.  The explicit chain's first poll would have
+            # registration.  The poll chain's first poll would have
             # re-observed it at t0; wake there with nothing elided.
             self.wakes += 1
             sim.schedule_at(t0, callback, 0, *args)
             return
-        waiter = _Waiter(t0, period, callback, args)
-        self._waiters.append(waiter)
+        self._waiters.append(_Waiter(t0, period, callback, args))
         sim._waiting += 1
-        if not sim._elide:
-            # Explicit mode: materialize the poll chain as no-op burn
-            # events so the event volume matches the legacy behaviour.
-            sim.schedule_at(t0, self._burn, waiter)
-
-    def _burn(self, waiter: _Waiter) -> None:
-        """One materialized poll of the explicit (non-eliding) chain.
-
-        Pure event burner: the wake decision is made by :meth:`signal` from
-        the wait arithmetic in both modes, so a burn tick never checks any
-        condition — it only re-arms itself while its waiter is parked.
-        """
-        if waiter.alive:
-            self.sim.schedule(waiter.period, self._burn, waiter)
 
     def signal(self) -> int:
         """Wake all current waiters; returns the number woken.
 
         Each waiter's callback is scheduled at its first poll cycle >= now,
-        computed from its registered arithmetic — never materializing the
-        chain (eliding mode) or letting the burn events decide anything
-        (explicit mode), which is what makes the two modes bit-identical in
-        simulated time.
+        computed from its registered arithmetic, in registration order.
         """
         self.signals += 1
         waiters = self._waiters
@@ -218,7 +194,6 @@ class WaitChannel:
             return 0
         sim = self.sim
         now = sim.now
-        elide = sim._elide
         polls_total = 0
         for waiter in waiters:
             t0 = waiter.t0
@@ -228,12 +203,9 @@ class WaitChannel:
             else:
                 polls = -((t0 - now) // waiter.period)
                 wake = t0 + polls * waiter.period
-            waiter.alive = False
-            if elide:
-                # The explicit chain burns the failed polls plus one dead
-                # no-op on the wake cycle (the burn re-armed before the
-                # signal landed), so a park saves polls + 1 events.
-                sim.elided_events += polls + 1
+            # The poll chain would run the failed polls plus the poll
+            # already armed for the wake cycle: polls + 1 events saved.
+            sim.elided_events += polls + 1
             polls_total += polls
             sim.schedule_at(wake, waiter.callback, polls, *waiter.args)
         count = len(waiters)
@@ -258,19 +230,16 @@ class Simulator:
     """
 
     __slots__ = ("now", "_times", "_buckets", "_events_processed",
-                 "_elide", "_waiting", "elided_events",
+                 "_waiting", "elided_events",
                  "wall_seconds", "wake_log", "sanitizer", "_observers")
 
-    def __init__(self, elide_waits: bool = True) -> None:
+    def __init__(self) -> None:
         self.now: int = 0
         #: min-heap of distinct pending timestamps (plain ints).
         self._times: List[int] = []
         #: timestamp -> flat event list [cb, args, cb, args, ...].
         self._buckets: Dict[int, list] = {}
         self._events_processed: int = 0
-        #: elide wait-channel poll chains (see the module docstring);
-        #: False materializes them as burn events.
-        self._elide: bool = elide_waits
         #: waiters currently parked across all channels (diagnostics).
         self._waiting: int = 0
         #: events the kernel accounted for without materializing them.
@@ -284,10 +253,6 @@ class Simulator:
         self.sanitizer = None
         #: before_event/after_event/end_cycle hooks of the bounded drain.
         self._observers: list = []
-
-    @property
-    def elide_waits(self) -> bool:
-        return self._elide
 
     @property
     def waiting(self) -> int:

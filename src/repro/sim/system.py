@@ -95,7 +95,7 @@ class NDPSystem:
     def __init__(self, config: SystemConfig, mechanism: str = "syncron"):
         config.validate()
         self.config = config
-        self.sim = Simulator(elide_waits=config.elide_waits)
+        self.sim = Simulator()
         # A session exists only once repro.analysis.sanitizer is imported,
         # so a plain run never imports it.
         sanitizer = sys.modules.get("repro.analysis.sanitizer")

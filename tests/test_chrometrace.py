@@ -118,10 +118,9 @@ class TestWriteChromeTrace:
         assert document["otherData"]["mechanism"] == "central"
 
 
-def spin_run(tiny_config, elide: bool):
+def spin_run(tiny_config):
     """One rmw_spin lock workload whose polls exercise the wake log."""
-    config = tiny_config.with_(elide_waits=elide)
-    system = build_system(config, "rmw_spin")
+    system = build_system(tiny_config, "rmw_spin")
     tracer = MessageTracer(system)
     lock = system.create_syncvar(unit=1, name="Lx")
 
@@ -146,7 +145,7 @@ class TestKernelTrack:
         assert _kernel_events(system) == []
 
     def test_wake_instants_and_counter_samples(self, tiny_config):
-        system, tracer = spin_run(tiny_config, elide=True)
+        system, tracer = spin_run(tiny_config)
         assert system.sim.elided_events > 0  # the run actually elided
         events = trace_events(system, tracer, include_cores=False)
         kernel = [e for e in events if e.get("pid") == 3]
@@ -172,42 +171,9 @@ class TestKernelTrack:
     def test_counter_samples_are_live_not_final(self, tiny_config):
         """Mid-run samples must reflect progress *at the wake*, not the
         end-of-run totals (the instrumented drain commits per-cycle)."""
-        system, tracer = spin_run(tiny_config, elide=True)
+        system, tracer = spin_run(tiny_config)
         events = trace_events(system, tracer, include_cores=False)
         counters = [e for e in events
                     if e.get("pid") == 3 and e.get("ph") == "C"]
         assert counters[0]["args"]["events_processed"] \
             < counters[-1]["args"]["events_processed"]
-
-
-class TestTracerUnderElision:
-    """S4: MessageTracer sees identical protocol traffic in both kernel
-    modes — elision removes poll *events*, never SE *messages*."""
-
-    @pytest.mark.parametrize("mechanism", ["rmw_spin", "syncron"])
-    def test_records_identical_elide_on_off(self, tiny_config, mechanism):
-        runs = {}
-        for elide in (True, False):
-            config = tiny_config.with_(elide_waits=elide)
-            system = build_system(config, mechanism)
-            tracer = MessageTracer(system)
-            lock = system.create_syncvar(unit=1, name="Lx")
-
-            def worker():
-                for _ in range(3):
-                    yield api.lock_acquire(lock)
-                    yield Compute(80)
-                    yield api.lock_release(lock)
-
-            system.run_programs(
-                {c.core_id: worker() for c in system.cores})
-            runs[elide] = (system, tracer)
-        elided_sys, elided_tr = runs[True]
-        explicit_sys, explicit_tr = runs[False]
-        if mechanism == "rmw_spin":
-            assert elided_sys.sim.elided_events > 0
-            assert elided_sys.sim.events_processed \
-                < explicit_sys.sim.events_processed
-        # no phantom or missing messages: same records, same order
-        assert elided_tr.records == explicit_tr.records
-        assert elided_tr.summary() == explicit_tr.summary()

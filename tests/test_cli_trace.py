@@ -48,6 +48,23 @@ class TestCliCommands:
     def test_run_bad_arg_syntax(self, capsys):
         assert main(["run", "fig22", "--arg", "nonsense"]) == 2
 
+    @pytest.mark.parametrize("sanitize", [[], ["--sanitize"]],
+                             ids=["plain", "sanitize"])
+    @pytest.mark.parametrize("workers", ["0", "-1"])
+    def test_run_rejects_non_positive_workers(self, monkeypatch, capsys,
+                                              workers, sanitize):
+        def simulate(spec):
+            raise AssertionError(f"simulated {spec.describe()}")
+
+        monkeypatch.setattr(runner, "execute_spec", simulate)
+        with pytest.raises(SystemExit) as exit_info:
+            main(["run", "fig10", "--arg", "primitive=lock", "--no-cache",
+                  "--workers", workers, *sanitize])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument --workers: must be >= 1, got {workers}" in err
+        assert "Traceback" not in err
+
     def test_run_unknown_arg_key_lists_accepted_names(self, capsys):
         assert main(["run", "fig12", "--arg", "combo=bfs.wk"]) == 2
         err = capsys.readouterr().err

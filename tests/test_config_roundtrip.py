@@ -62,7 +62,6 @@ PERTURBATIONS = {
     "overflow_target": "llc",
     "shared_cache_hit_cycles": 40,
     "spin_backoff_cycles": 64,
-    "elide_waits": False,
     "server_handler_instructions": 30,
     "server_handler_accesses": 4,
     "energy": SystemConfig().energy.with_(cache_hit_pj=99.0),

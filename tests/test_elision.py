@@ -3,24 +3,27 @@
 Three contracts pinned here:
 
 1. Wait-channel arithmetic — a signalled waiter wakes at exactly the cycle
-   its explicit poll chain would have succeeded on, with the correct count
-   of elided polls, in both kernel modes.
+   its poll chain would have succeeded on, with the correct count of
+   elided polls, checked against enumerating the poll cycles one by one.
 2. Exception parking — a callback that raises mid-bucket leaves the
    un-executed tail of the queue intact; resuming ``run`` fires each
    remaining event exactly once and never re-fires the raiser, in every
    drain mode (fast, bounded, observed, sanitized).
-3. Bit-identity — every RunMetrics counter except the reserved ``kernel.*``
-   effort counters is identical with ``elide_waits`` on and off, across
-   primitives, structures, topologies, mechanisms, and co-runs.
+3. Whole runs — spin scenarios elide, ``kernel.elided_events`` is the
+   wake log's ``polls + 1`` per parked waiter, and recording the wake log
+   (the observed drain) changes no result, kernel counters included,
+   across primitives, structures, topologies, mechanisms, and co-runs.
 """
 
+from hypothesis import given, settings, strategies as st
 import pytest
 
 from repro.analysis.sanitizer import AccessRecorder
-from repro.harness.runner import execute_spec
 from repro.testing import NullObserver
 from repro.harness.specs import RunSpec
 from repro.sim.engine import SimulationError, Simulator
+from repro.sim.system import NDPSystem
+from repro.workloads.base import run_workload
 
 # Small machine: 2 units x 3 client cores keeps even bakery scenarios fast.
 SMALL = {"num_units": 2, "cores_per_unit": 4, "client_cores_per_unit": 3}
@@ -31,7 +34,7 @@ SMALL = {"num_units": 2, "cores_per_unit": 4, "client_cores_per_unit": 3}
 # ----------------------------------------------------------------------
 def test_signal_wakes_at_first_poll_cycle_with_elided_count():
     # Polls at 3, 10, 17, 24, 31; signal at 25 -> wake at 31, 4 polls failed.
-    sim = Simulator(elide_waits=True)
+    sim = Simulator()
     ch = sim.channel("c")
     woken = []
     sim.schedule(0, lambda: ch.wait(
@@ -39,13 +42,13 @@ def test_signal_wakes_at_first_poll_cycle_with_elided_count():
     sim.schedule(25, ch.signal)
     sim.run()
     assert woken == [(31, 4)]
-    # 4 failed polls + the dead burn on the wake cycle = 5 saved events.
+    # 4 failed polls + the poll armed for the wake cycle = 5 saved events.
     assert sim.elided_events == 5
     assert ch.wakes == 1 and ch.waiters == 0
 
 
 def test_signal_before_first_poll_wakes_at_t0():
-    sim = Simulator(elide_waits=True)
+    sim = Simulator()
     ch = sim.channel("c")
     woken = []
     sim.schedule(0, lambda: ch.wait(
@@ -53,35 +56,13 @@ def test_signal_before_first_poll_wakes_at_t0():
     sim.schedule(1, ch.signal)
     sim.run()
     assert woken == [(3, 0)]
-    # No polls failed, but the explicit chain would still have burned the
-    # already-armed poll event at t0 — one event saved.
+    # No polls failed, but the poll chain would still have run the
+    # already-armed poll at t0 — one event saved.
     assert sim.elided_events == 1
 
 
-def test_explicit_mode_same_wake_extra_burn_events():
-    def scenario(elide):
-        sim = Simulator(elide_waits=elide)
-        ch = sim.channel("c")
-        woken = []
-        sim.schedule(0, lambda: ch.wait(
-            lambda polls: woken.append((sim.now, polls)), 3, 7))
-        sim.schedule(25, ch.signal)
-        sim.run()
-        return woken, sim.events_processed, sim.elided_events
-
-    woken_on, processed_on, elided_on = scenario(True)
-    woken_off, processed_off, elided_off = scenario(False)
-    assert woken_on == woken_off == [(31, 4)]
-    assert elided_on == 5 and elided_off == 0
-    # Explicit mode materializes the four failed polls as burn events, plus
-    # the already-armed burn landing on the wake cycle itself (a dead no-op:
-    # the wake decision was made by the signal, never by a burn) — so the
-    # elided counter is exactly the explicit mode's extra event volume.
-    assert processed_off == processed_on + elided_on
-
-
 def test_seen_guard_wakes_immediately_after_missed_signal():
-    sim = Simulator(elide_waits=True)
+    sim = Simulator()
     ch = sim.channel("c")
     woken = []
 
@@ -103,6 +84,81 @@ def test_wait_validates_delay_and_period():
         ch.wait(lambda polls: None, 0, 5)
     with pytest.raises(SimulationError):
         ch.wait(lambda polls: None, 5, 0)
+
+
+def _first_successful_poll(t0, period, signal_at):
+    """Walk the poll cycles t0, t0 + period, ... one by one: the first
+    one at or after ``signal_at`` and how many came before it."""
+    polls, cycle = 0, t0
+    while cycle < signal_at:
+        polls += 1
+        cycle += period
+    return cycle, polls
+
+
+# (registration cycle, first_delay, period, observation cycle or None)
+_WAITERS = st.lists(
+    st.tuples(st.integers(0, 40), st.integers(1, 20), st.integers(1, 12),
+              st.one_of(st.none(), st.integers(0, 40))),
+    min_size=1, max_size=6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(waiters=_WAITERS, signal_at=st.integers(0, 80))
+def test_wake_cycles_match_enumerated_poll_chain(waiters, signal_at):
+    """Wake cycle, elided polls, wake order and the ``seen`` guard against
+    brute force.
+
+    Waiter ``i`` observes the channel (snapshots ``signals``) at its
+    observation cycle, registers at its registration cycle with that
+    snapshot as ``seen``, and polls ``first_delay`` cycles later and every
+    ``period`` after.  One signal fires at ``signal_at``, after every
+    observation and registration scheduled for that cycle.
+    """
+    # Observation never follows registration.
+    waiters = [(register if observe is None else max(register, observe),
+                first_delay, period, observe)
+               for register, first_delay, period, observe in waiters]
+    sim = Simulator()
+    ch = sim.channel("c")
+    fired, seen = [], {}
+
+    def snapshot(i):
+        seen[i] = ch.signals
+
+    def record(polls, i):
+        fired.append((sim.now, polls, i))
+
+    def wait(i, first_delay, period):
+        ch.wait(record, first_delay, period, i, seen=seen.get(i))
+
+    for i, (_, _, _, observed) in enumerate(waiters):
+        if observed is not None:
+            sim.schedule(observed, snapshot, i)
+    for i, (registered, first_delay, period, _) in enumerate(waiters):
+        sim.schedule(registered, wait, i, first_delay, period)
+    sim.schedule(signal_at, ch.signal)
+    sim.run()
+
+    expected, parked, elided = [], 0, 0
+    for i, (register, first_delay, period, observe) in enumerate(waiters):
+        t0 = register + first_delay
+        if observe is not None and observe <= signal_at < register:
+            # The signal fell between observation and registration: woken
+            # at the first poll, nothing elided.
+            expected.append(((t0, register, register, i), (t0, 0, i)))
+        elif register <= signal_at:
+            wake, polls = _first_successful_poll(t0, period, signal_at)
+            elided += polls + 1
+            # Woken by the signal, so scheduled at signal_at, in
+            # registration order.
+            expected.append(((wake, signal_at, register, i), (wake, polls, i)))
+        else:
+            parked += 1
+    assert fired == [event for _, event in sorted(expected)]
+    assert sim.elided_events == elided
+    assert ch.wakes == len(expected)
+    assert ch.waiters == sim.waiting == parked
 
 
 # ----------------------------------------------------------------------
@@ -164,7 +220,7 @@ def test_exception_parks_unexecuted_tail_observed(mode):
 
 
 def test_exception_park_preserves_wait_channel_wakeups():
-    sim = Simulator(elide_waits=True)
+    sim = Simulator()
     ch = sim.channel("c")
     woken = []
     sim.schedule(0, lambda: ch.wait(
@@ -183,7 +239,7 @@ def test_exception_park_preserves_wait_channel_wakeups():
 
 
 # ----------------------------------------------------------------------
-# 3. elide_waits on/off bit-identity across the workload matrix
+# 3. Whole runs: spin scenarios elide, and the wake log observes only
 # ----------------------------------------------------------------------
 _LOCK = {"primitive": "lock", "interval": 100, "rounds": 10}
 _CORUN_TENANTS = [
@@ -220,35 +276,28 @@ _IDS = [
 ]
 
 
-def _strip_kernel(result):
-    """Drop the reserved simulation-effort counters before comparing."""
-    clean = dict(result)
-    clean["stats"] = {k: v for k, v in result["stats"].items()
-                      if not k.startswith("kernel.")}
-    return clean
-
-
 @pytest.mark.parametrize("workload,args,mechanism,extra", SCENARIOS, ids=_IDS)
 def test_elision_on_off_bit_identity(workload, args, mechanism, extra):
-    results = {}
-    for elide in (True, False):
-        overrides = dict(SMALL)
-        overrides.update(extra)
-        overrides["elide_waits"] = elide
-        spec = RunSpec.make(workload, mechanism=mechanism, args=args,
-                            overrides=overrides)
-        record = execute_spec(spec)
-        results[elide] = record["result"]
-    # Every physics counter — cycles, energy, bytes, occupancy, per-tenant
-    # cycles — must match bit-for-bit; only kernel effort may differ.
-    assert _strip_kernel(results[True]) == _strip_kernel(results[False])
+    """Recording the wake log on and off gives identical results, and the
+    elided count is the log's failed polls plus one per woken waiter."""
+    overrides = dict(SMALL)
+    overrides.update(extra)
+    spec = RunSpec.make(workload, mechanism=mechanism, args=args,
+                        overrides=overrides)
+    plain = run_workload(spec.build_workload, spec.config(), mechanism)
+    system = NDPSystem(spec.config(), mechanism=mechanism)
+    wake_log = system.sim.record_wakes()
+    logged = spec.build_workload().run(system)
+    # Every counter — cycles, energy, bytes, occupancy, per-tenant cycles
+    # and the kernel's own — must match bit-for-bit.
+    assert logged.as_dict() == plain.as_dict()
+    elided = plain.stats["kernel.elided_events"]
+    assert elided == sum(polls + woken for _, _, woken, polls, _, _ in wake_log)
     if mechanism in ("rmw_spin", "bakery") and args.get("primitive") != "semaphore":
         # Spin mechanisms must actually exercise elision, or this whole
         # matrix silently tests nothing.  The semaphore microbench is
         # exempt: waiters and posters run in lockstep so tokens are almost
         # always available — its retries resolve through the seen-guard
-        # immediate-wake path (still covered by the bit-identity check
-        # above) without ever parking long enough to elide a poll.
-        assert results[True]["stats"]["kernel.elided_events"] > 0
-        assert (results[True]["stats"]["kernel.events_processed"]
-                < results[False]["stats"]["kernel.events_processed"])
+        # immediate-wake path without ever parking long enough to elide a
+        # poll.
+        assert elided > 0
